@@ -4,7 +4,7 @@
 //!
 //! * **hand** — the expert client: targets resolved ahead of time, the
 //!   `MutationLog` assembled directly, analyzed and applied through
-//!   `apply_plan_dyn`;
+//!   `apply_plan_with_dyn` under `ApplyOptions::analyzed()`;
 //! * **flux** — the DSL client: the equivalent program *source text*
 //!   is lexed, parsed, statically checked, lowered against the live
 //!   tree and applied through the identical plan path — the whole
@@ -36,7 +36,7 @@
 
 use std::fmt::Write as _;
 use xupd_flux::FluxProgram;
-use xupd_framework::analysis::{analyze, apply_plan_dyn};
+use xupd_framework::analysis::{analyze, apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::mutations::{self, LogId, Mutation, MutationLog, NodeRef, Place};
 use xupd_testkit::bench::{black_box, Harness};
 use xupd_xmldom::{NodeId, NodeKind, XmlTree};
@@ -165,7 +165,8 @@ fn main() {
                 session.label_tree(&t).unwrap();
                 let log = black_box(hand.clone());
                 let plan = analyze(&log, &t).unwrap();
-                black_box(apply_plan_dyn(&mut t, session.as_mut(), &log, &plan).unwrap())
+                let opts = ApplyOptions::analyzed();
+                black_box(apply_plan_with_dyn(&mut t, session.as_mut(), &log, &plan, opts).unwrap())
             }));
             for (style, src) in [("dsl", DSL_PROGRAM), ("enum", enum_src.as_str())] {
                 samples.push(h.bench_case(
@@ -176,11 +177,12 @@ fn main() {
                         let program = FluxProgram::parse(src).unwrap();
                         let compiled = program.compile(&t).unwrap();
                         black_box(
-                            apply_plan_dyn(
+                            apply_plan_with_dyn(
                                 &mut t,
                                 session.as_mut(),
                                 &compiled.log,
                                 &compiled.plan,
+                                ApplyOptions::analyzed(),
                             )
                             .unwrap(),
                         )

@@ -1,7 +1,7 @@
 //! P9 — static mutation-log analysis: what a certificate costs to
 //! compute and what consuming one buys.
 //!
-//! Three questions, three case families:
+//! Two questions, two case families:
 //!
 //! * `analysis/overhead/<n>` — the cost of `analyze` itself on batches
 //!   of 1, 16 and 256 ops (scheme-independent: analysis runs once per
@@ -11,14 +11,6 @@
 //!   (redundant writes + cancelling create/delete scratch subtrees in
 //!   every section). The coalesce payoff is also reported as *work
 //!   shed*: inserts+deletes skipped relative to sequential apply.
-//! * `apply/shards/<scheme>` — `par_apply_independent` fanning the
-//!   plan's independent components across document shards, plus a
-//!   per-component solo-cost breakdown for one scheme and the
-//!   list-scheduling makespan model `max(longest, total / w)`. On this
-//!   single-CPU host the measured shard time stays ~1x (threads
-//!   time-slice one core, and every shard re-clones and re-labels the
-//!   base document); the modelled column is what the same certificate
-//!   delivers once `w` cores exist.
 //!
 //! ```text
 //! cargo run --release -p xupd-bench --bin bench_log_analysis
@@ -26,9 +18,7 @@
 //!
 //! Emits `results/BENCH_log_analysis.json`.
 
-use xupd_framework::analysis::{
-    analyze, apply_plan_coalesced_dyn, apply_plan_dyn, par_apply_independent,
-};
+use xupd_framework::analysis::{analyze, apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::mutations::{
     apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place,
 };
@@ -43,8 +33,6 @@ xupd_testkit::install_counting_allocator!();
 const SIZES: [usize; 3] = [1, 16, 256];
 /// Independent document sections in the redundancy-laden batch.
 const SECTIONS: usize = 8;
-/// Pool widths for the modelled shard makespan.
-const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 fn elems(t: &XmlTree, name: &str) -> Vec<NodeId> {
     t.ids_in_doc_order()
@@ -80,8 +68,8 @@ fn sections_doc() -> XmlTree {
 /// Per real (even) section: one real text edit, one provably redundant
 /// rewrite, one surviving insert. Per scratch (odd) section: a
 /// two-node scratch subtree that cancels to nothing. Every section is
-/// independent, so the plan shards; the redundant-write and
-/// nil-component certificates shed a third of the ops.
+/// independent; the redundant-write and nil-component certificates
+/// shed a third of the ops.
 fn sections_log(t: &XmlTree) -> MutationLog {
     let s = elems(t, "s");
     let tx = texts(t);
@@ -171,13 +159,27 @@ fn main() {
             let mut tree = base.clone();
             let mut session = (entry.factory)();
             session.label_tree(&tree).unwrap();
-            apply_plan_dyn(&mut tree, session.as_mut(), &log, &plan).unwrap()
+            apply_plan_with_dyn(
+                &mut tree,
+                session.as_mut(),
+                &log,
+                &plan,
+                ApplyOptions::analyzed(),
+            )
+            .unwrap()
         };
         let run_coalesced = || {
             let mut tree = base.clone();
             let mut session = (entry.factory)();
             session.label_tree(&tree).unwrap();
-            apply_plan_coalesced_dyn(&mut tree, session.as_mut(), &log, &plan).unwrap()
+            apply_plan_with_dyn(
+                &mut tree,
+                session.as_mut(),
+                &log,
+                &plan,
+                ApplyOptions::coalesced(),
+            )
+            .unwrap()
         };
         let name = entry.name();
         samples.push(h.bench_case(&format!("apply/seq/{name}"), || black_box(run_seq())));
@@ -204,32 +206,7 @@ fn main() {
     }
 
     // -----------------------------------------------------------------
-    // Parallel shards: measured fan-out, then the makespan model over
-    // measured per-component solo costs (one representative scheme).
-    // -----------------------------------------------------------------
-    for entry in &entries {
-        h.bench(&format!("apply/shards/{}", entry.name()), || {
-            let shards = par_apply_independent(&base, entry.factory, &log, &plan).unwrap();
-            black_box(shards.len())
-        });
-    }
-
-    let sublogs = plan.independent_sublogs(&log).unwrap();
-    let probe = entries.iter().find(|e| e.name() == "QED").unwrap();
-    let mut solo_ns: Vec<u64> = Vec::new();
-    for (i, sub) in sublogs.iter().enumerate() {
-        let sample = h.bench_case(&format!("shards/solo/QED/{i}"), || {
-            let mut tree = base.clone();
-            let mut session = (probe.factory)();
-            session.label_tree(&tree).unwrap();
-            black_box(apply_log_dyn(&mut tree, session.as_mut(), sub).unwrap())
-        });
-        solo_ns.push(sample.median_ns());
-        h.push(sample);
-    }
-
-    // -----------------------------------------------------------------
-    // Summary tables.
+    // Summary table.
     // -----------------------------------------------------------------
     let wins = rows.iter().filter(|(_, seq, coal, _)| coal < seq).count();
     println!(
@@ -242,23 +219,6 @@ fn main() {
         let speedup = *seq as f64 / (*coal).max(1) as f64;
         println!(
             "  {name:<16} seq {seq:>10}ns  coalesced {coal:>10}ns  ({speedup:.2}x, {shed} insert/delete work shed)"
-        );
-    }
-
-    let total: u64 = solo_ns.iter().sum();
-    let longest = solo_ns.iter().copied().max().unwrap_or(0);
-    println!(
-        "\nQED component solo costs: total {:.1} us over {} shards, longest {:.1} us",
-        total as f64 / 1e3,
-        solo_ns.len(),
-        longest as f64 / 1e3
-    );
-    for workers in WIDTHS {
-        let makespan = longest.max(total / workers as u64);
-        println!(
-            "  modelled shard makespan @ {workers} worker(s): {:>8.1} us  (speedup {:.2}x)",
-            makespan as f64 / 1e3,
-            total as f64 / makespan as f64
         );
     }
 

@@ -21,8 +21,9 @@
 //!   resolves against the *original* tree, the whole program becomes
 //!   one atomic log;
 //! * [`DocumentUpdate`] / [`StoreUpdate`] — `doc.update("...")` /
-//!   `store.update(id, "...")` extension traits riding the unified
-//!   [`ApplyOptions`] apply path.
+//!   `store.update(id, "...")` extension traits that hand the compiled
+//!   log and its plan to `Document::apply_planned` under
+//!   [`ApplyOptions::default`].
 //!
 //! Statically rejected programs are *also* dynamically rejected: every
 //! check in [`check`] has a lowering-, validator- or apply-time
@@ -201,19 +202,13 @@ pub trait DocumentUpdate {
     /// Compile + apply under [`ApplyOptions::default`] (analyzed
     /// order).
     fn update(&mut self, src: &str) -> Result<DriveStats, FluxError>;
-    /// Compile + apply under explicit options.
-    fn update_opts(&mut self, src: &str, opts: ApplyOptions) -> Result<DriveStats, FluxError>;
 }
 
 impl<S: LabelingScheme + Clone + 'static> DocumentUpdate for Document<S> {
     fn update(&mut self, src: &str) -> Result<DriveStats, FluxError> {
-        self.update_opts(src, ApplyOptions::default())
-    }
-
-    fn update_opts(&mut self, src: &str, opts: ApplyOptions) -> Result<DriveStats, FluxError> {
         let program = FluxProgram::parse(src)?;
         let compiled = program.compile(self.tree())?;
-        self.apply_planned(&compiled.log, &compiled.plan, opts)
+        self.apply_planned(&compiled.log, &compiled.plan, ApplyOptions::default())
             .map_err(|e| FluxError::Document(DocumentError::Tree(e)))
     }
 }
@@ -224,24 +219,12 @@ impl<S: LabelingScheme + Clone + 'static> DocumentUpdate for Document<S> {
 pub trait StoreUpdate {
     /// Compile + apply under [`ApplyOptions::default`].
     fn update(&self, doc: u32, src: &str) -> Result<DriveStats, FluxError>;
-    /// Compile + apply under explicit options.
-    fn update_opts(&self, doc: u32, src: &str, opts: ApplyOptions)
-        -> Result<DriveStats, FluxError>;
 }
 
 impl<S: LabelingScheme + Clone + 'static> StoreUpdate for Store<S> {
     fn update(&self, doc: u32, src: &str) -> Result<DriveStats, FluxError> {
-        self.update_opts(doc, src, ApplyOptions::default())
-    }
-
-    fn update_opts(
-        &self,
-        doc: u32,
-        src: &str,
-        opts: ApplyOptions,
-    ) -> Result<DriveStats, FluxError> {
         let program = FluxProgram::parse(src)?;
-        self.update_with(doc, opts, |tree| {
+        self.update_with(doc, |tree| {
             let c = program.compile(tree)?;
             Ok((c.log, c.plan))
         })

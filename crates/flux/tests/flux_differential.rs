@@ -27,7 +27,7 @@
 use xupd_encoding::{parse_xpath, EncodedDocument};
 use xupd_flux::paths::Resolver;
 use xupd_flux::FluxProgram;
-use xupd_framework::analysis::{apply_plan_coalesced_dyn, apply_plan_dyn};
+use xupd_framework::analysis::{apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::mutations::{
     self, apply_log_dyn, LogId, Mutation, MutationLog, NodeRef, Place,
 };
@@ -208,15 +208,28 @@ fn plan_apply_matches_sequential_apply_across_roster() {
             let mut plan_session = entry.session();
             let mut plan_tree = tree.clone();
             plan_session.label_tree(&plan_tree).unwrap();
-            let plan_stats =
-                apply_plan_dyn(&mut plan_tree, plan_session.as_mut(), log, plan).unwrap();
+            let plan_stats = apply_plan_with_dyn(
+                &mut plan_tree,
+                plan_session.as_mut(),
+                log,
+                plan,
+                ApplyOptions::analyzed(),
+            )
+            .unwrap();
 
             // Coalesced path: bytes and labels must still match (work
             // counters intentionally shrink, so they are not compared).
             let mut co_session = entry.session();
             let mut co_tree = tree.clone();
             co_session.label_tree(&co_tree).unwrap();
-            apply_plan_coalesced_dyn(&mut co_tree, co_session.as_mut(), log, plan).unwrap();
+            apply_plan_with_dyn(
+                &mut co_tree,
+                co_session.as_mut(),
+                log,
+                plan,
+                ApplyOptions::coalesced(),
+            )
+            .unwrap();
 
             (
                 entry.name(),

@@ -23,12 +23,15 @@
 //! 3. **Certificates** — from the graph the analyzer derives redundant
 //!    no-op text writes, whole create+delete *nil components* that
 //!    cancel, a canonical topological reorder, and a partition into
-//!    provably independent sub-logs ([`AnalyzedPlan::components`]).
+//!    provably independent groups of ops ([`AnalyzedPlan::components`]).
 //!
-//! Certificates are consumed by [`apply_plan_dyn`] /
-//! [`apply_plan_coalesced_dyn`] (the batch optimizer behind
-//! `apply_log`) and by [`par_apply_independent`], which fans the
-//! independent sub-logs across document shards on the `xupd-exec` pool.
+//! Certificates are consumed by [`apply_plan_with_dyn`], the batch
+//! optimizer: under [`ApplyOptions`] it runs a log in the certified
+//! order, through the same atomic-apply loop as
+//! [`crate::mutations::apply_log_dyn`] but without validating again.
+//! A plan is valid only for the tree state it was computed on: it
+//! records that state's [`XmlTree::revision`], and
+//! [`apply_plan_with_dyn`] refuses to run it on any other.
 //!
 //! ## Soundness, in two layers
 //!
@@ -57,10 +60,8 @@ use xupd_encoding::Topology;
 use xupd_labelcore::DynScheme;
 use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
 
-use crate::driver::{DriveStats, CHECKPOINT_EVERY};
-use crate::mutations::{
-    apply_mutation_dyn, validate, LogBindings, LogId, Mutation, MutationLog, NodeRef, Place,
-};
+use crate::driver::DriveStats;
+use crate::mutations::{apply_atomic, validate, LogId, Mutation, MutationLog, NodeRef, Place};
 
 // ---------------------------------------------------------------------
 // Footprint lattice primitives.
@@ -232,6 +233,9 @@ pub struct AnalyzedPlan {
     /// Number of ops the plan covers (must match the log at apply
     /// time).
     len: usize,
+    /// [`XmlTree::revision`] of the tree the plan was computed on (must
+    /// match the tree at apply time).
+    revision: u32,
     /// Per-op footprints, in log order.
     pub footprints: Vec<OpFootprint>,
     /// Dependency/conflict edges, `from < to`.
@@ -322,37 +326,6 @@ impl AnalyzedPlan {
             (0..self.len).collect()
         };
         base.into_iter().filter(|i| !dropped.contains(i)).collect()
-    }
-
-    /// Original-order op indices concatenated component by component —
-    /// another certified sequential order for order-independent
-    /// schemes, and the order [`par_apply_independent`] fans out.
-    pub fn component_major_order(&self) -> Vec<usize> {
-        self.components.iter().flatten().copied().collect()
-    }
-
-    /// Split `log` into one sub-log per component, preserving original
-    /// op order inside each. Log ids are untouched: dependency edges
-    /// guarantee a component is closed under id references.
-    pub fn independent_sublogs(&self, log: &MutationLog) -> Result<Vec<MutationLog>, TreeError> {
-        if log.len() != self.len {
-            return Err(TreeError::Invariant(
-                "analyzed plan does not cover this log".to_string(),
-            ));
-        }
-        let all: Vec<&Mutation> = log.iter().collect();
-        Ok(self
-            .components
-            .iter()
-            .map(|members| {
-                MutationLog::from(
-                    members
-                        .iter()
-                        .map(|&i| all[i].clone())
-                        .collect::<Vec<Mutation>>(),
-                )
-            })
-            .collect())
     }
 }
 
@@ -990,6 +963,7 @@ pub fn analyze(log: &MutationLog, tree: &XmlTree) -> Result<AnalyzedPlan, TreeEr
 
     Ok(AnalyzedPlan {
         len: n,
+        revision: tree.revision(),
         footprints,
         edges,
         components,
@@ -1000,25 +974,15 @@ pub fn analyze(log: &MutationLog, tree: &XmlTree) -> Result<AnalyzedPlan, TreeEr
 }
 
 // ---------------------------------------------------------------------
-// Certificate consumers: the batch optimizer and the parallel fan-out.
+// Certificate consumer: the batch optimizer.
 // ---------------------------------------------------------------------
 
-fn check_plan(plan: &AnalyzedPlan, log: &MutationLog) -> Result<(), TreeError> {
-    if plan.len != log.len() {
-        return Err(TreeError::Invariant(
-            "analyzed plan does not cover this log".to_string(),
-        ));
-    }
-    Ok(())
-}
-
 /// How a validated log should be applied through its analyzed plan —
-/// the one knob set shared by every apply entry point
-/// (`Document::apply_opts`, `Store::apply_opts`, the flux DSL's
-/// `update`). Each certificate is *requested* here and *granted* only
-/// when the session's scheme claims the matching capability, so an
-/// option set is always safe to pass: on a scheme without the
-/// capability it degrades to sequential order.
+/// the one knob set of the write path (`Document::apply_planned`, the
+/// flux DSL's `update`). Each certificate is *requested* here and
+/// *granted* only when the session's scheme claims the matching
+/// capability, so an option set is always safe to pass: on a scheme
+/// without the capability it degrades to sequential order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApplyOptions {
     /// Request the canonical reorder certificate (granted only for
@@ -1047,8 +1011,9 @@ impl ApplyOptions {
         }
     }
 
-    /// Request the canonical reorder (the historical
-    /// [`apply_plan_dyn`] behaviour). This is the default.
+    /// Request the canonical reorder. Work counters (`inserts`,
+    /// `deletes`, `relabeled`) still match sequential apply exactly.
+    /// This is the default.
     pub fn analyzed() -> ApplyOptions {
         ApplyOptions {
             reorder: true,
@@ -1056,25 +1021,16 @@ impl ApplyOptions {
         }
     }
 
-    /// Request reorder *and* nil-component cancellation (the
-    /// historical [`apply_plan_coalesced_dyn`] behaviour).
+    /// Request reorder *and* nil-component cancellation: nil components
+    /// are skipped entirely when the scheme claims both capabilities.
+    /// Document bytes and final labels match sequential apply; the work
+    /// counters intentionally shrink — that saved work is the coalesce
+    /// ratio the bench reports.
     pub fn coalesced() -> ApplyOptions {
         ApplyOptions {
             reorder: true,
             coalesce: true,
         }
-    }
-
-    /// Builder: set the reorder request.
-    pub fn with_reorder(mut self, reorder: bool) -> ApplyOptions {
-        self.reorder = reorder;
-        self
-    }
-
-    /// Builder: set the coalesce request.
-    pub fn with_coalesce(mut self, coalesce: bool) -> ApplyOptions {
-        self.coalesce = coalesce;
-        self
     }
 
     /// Intersect the requested certificates with the scheme's declared
@@ -1097,11 +1053,14 @@ impl ApplyOptions {
     }
 }
 
-/// The unified analyzed-apply entry point: apply `log` through `plan`
-/// in the order certified by `opts` and the session's capabilities.
-/// Atomic like `apply_log_dyn`: any failure rolls tree and session
-/// back. [`apply_plan_dyn`] and [`apply_plan_coalesced_dyn`] are thin
-/// wrappers over this.
+/// Apply `log` through `plan` in the order certified by `opts` and the
+/// session's capabilities. The plan must have been computed by
+/// [`analyze`] for this log on this exact tree state; anything else is
+/// rejected with [`TreeError::Invariant`] before the tree is touched.
+/// The analysis already validated the log, so it is not validated
+/// again; redundant no-op writes are dropped. Atomic like
+/// [`apply_log_dyn`](crate::mutations::apply_log_dyn): any failure rolls
+/// tree and session back.
 pub fn apply_plan_with_dyn(
     tree: &mut XmlTree,
     session: &mut dyn DynScheme,
@@ -1109,132 +1068,19 @@ pub fn apply_plan_with_dyn(
     plan: &AnalyzedPlan,
     opts: ApplyOptions,
 ) -> Result<DriveStats, TreeError> {
-    check_plan(plan, log)?;
+    if plan.len != log.len() {
+        return Err(TreeError::Invariant(
+            "analyzed plan does not cover this log".to_string(),
+        ));
+    }
+    if plan.revision != tree.revision() {
+        return Err(TreeError::Invariant(
+            "analyzed plan was made for another tree state".to_string(),
+        ));
+    }
     let order = opts.execution_order(plan, session);
-    apply_in_order(tree, session, log, &order)
-}
-
-fn apply_in_order(
-    tree: &mut XmlTree,
-    session: &mut dyn DynScheme,
-    log: &MutationLog,
-    order: &[usize],
-) -> Result<DriveStats, TreeError> {
     let ops: Vec<&Mutation> = log.iter().collect();
-    let tree_snap = tree.clone();
-    let sess_snap = session.save_state();
-    let mut stats = DriveStats::default();
-    let mut binds = LogBindings::default();
-    let mut failed = None;
-    for (step, &i) in order.iter().enumerate() {
-        if let Err(e) =
-            apply_mutation_dyn(tree, Some(&mut *session), None, &mut binds, ops[i], &mut stats)
-        {
-            failed = Some(e);
-            break;
-        }
-        if step % CHECKPOINT_EVERY == 0 {
-            stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
-        }
-    }
-    if let Some(e) = failed {
-        *tree = tree_snap;
-        if !session.restore_state(sess_snap) {
-            return Err(TreeError::Invariant(
-                "batch rollback: session snapshot was rejected".to_string(),
-            ));
-        }
-        return Err(e);
-    }
-    stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
-    stats.end_mean_bits = session.mean_bits();
-    stats.end_max_bits = session.max_bits();
-    Ok(stats)
-}
-
-/// Apply `log` through its analyzed plan: revalidation is skipped (the
-/// analysis already validated), redundant no-op writes are dropped, and
-/// — when the session's scheme is order-independent — the ops run in
-/// the certified canonical order. Atomic like `apply_log_dyn`: any
-/// failure rolls tree and session back. Work counters (`inserts`,
-/// `deletes`, `relabeled`) match sequential apply exactly; only
-/// `peak_label_bits` may differ, as its checkpoints sample different
-/// instants.
-pub fn apply_plan_dyn(
-    tree: &mut XmlTree,
-    session: &mut dyn DynScheme,
-    log: &MutationLog,
-    plan: &AnalyzedPlan,
-) -> Result<DriveStats, TreeError> {
-    // Thin wrapper: `ApplyOptions::analyzed()` is this entry point's
-    // historical contract, kept for existing callers.
-    apply_plan_with_dyn(tree, session, log, plan, ApplyOptions::analyzed())
-}
-
-/// [`apply_plan_dyn`] with create+delete cancellation: nil components
-/// are skipped entirely when the scheme claims both
-/// [`order_independent`](DynScheme::order_independent) (no temporal
-/// label state other components could observe) and
-/// [`cancellation_neutral`](DynScheme::cancellation_neutral) (inserts
-/// never rewrite neighbour labels, so a cancelled scratch subtree
-/// leaves no residue). Document bytes and final labels match
-/// sequential apply; the work counters intentionally shrink — that
-/// saved work is the coalesce ratio the bench reports.
-pub fn apply_plan_coalesced_dyn(
-    tree: &mut XmlTree,
-    session: &mut dyn DynScheme,
-    log: &MutationLog,
-    plan: &AnalyzedPlan,
-) -> Result<DriveStats, TreeError> {
-    // Thin wrapper: `ApplyOptions::coalesced()` is this entry point's
-    // historical contract, kept for existing callers.
-    apply_plan_with_dyn(tree, session, log, plan, ApplyOptions::coalesced())
-}
-
-/// What one shard of [`par_apply_independent`] produced.
-pub struct ShardOutcome {
-    /// Original op indices this shard applied (one plan component).
-    pub component: Vec<usize>,
-    /// The shard's document after its sub-log.
-    pub tree: XmlTree,
-    /// Final labels, as `(arena index, display form)` in id order.
-    pub labels: Vec<(usize, String)>,
-    /// The shard's drive stats.
-    pub stats: DriveStats,
-}
-
-/// Fan the plan's provably independent sub-logs across document shards
-/// on the `xupd-exec` pool: every component gets its own clone of
-/// `base` and a fresh session from `factory`, and applies only its own
-/// ops. Results come back in component order regardless of
-/// `XUPD_THREADS`, and the first (lowest-component) error wins — so
-/// output is thread-count invariant, which `scripts/ci.sh` checks.
-pub fn par_apply_independent(
-    base: &XmlTree,
-    factory: fn() -> Box<dyn DynScheme>,
-    log: &MutationLog,
-    plan: &AnalyzedPlan,
-) -> Result<Vec<ShardOutcome>, TreeError> {
-    check_plan(plan, log)?;
-    let sublogs = plan.independent_sublogs(log)?;
-    let shards: Vec<(Vec<usize>, MutationLog)> = plan
-        .components
-        .iter()
-        .cloned()
-        .zip(sublogs)
-        .collect();
-    xupd_exec::try_par_map(&shards, |(component, sub)| {
-        let mut tree = base.clone();
-        let mut session = factory();
-        session.label_tree(&tree)?;
-        let stats = crate::mutations::apply_log_dyn(&mut tree, session.as_mut(), sub)?;
-        Ok(ShardOutcome {
-            component: component.clone(),
-            labels: session.labels_display(),
-            tree,
-            stats,
-        })
-    })
+    apply_atomic(tree, session, order.iter().map(|&i| ops[i]))
 }
 
 // ---------------------------------------------------------------------
@@ -1852,13 +1698,22 @@ mod tests {
 
     #[test]
     fn plan_len_mismatch_is_rejected() {
-        let t = doc();
+        let mut t = doc();
         let log = MutationLog::from(vec![Mutation::Delete {
             target: NodeRef::Node(elem(&t, "c")),
         }]);
         let plan = analyze(&log, &t).unwrap();
+        let mut session = xupd_schemes::registry()[0].session();
+        session.label_tree(&t).unwrap();
         let other = MutationLog::new();
-        assert!(plan.independent_sublogs(&other).is_err());
+        let err = apply_plan_with_dyn(
+            &mut t,
+            session.as_mut(),
+            &other,
+            &plan,
+            ApplyOptions::default(),
+        );
+        assert!(matches!(err, Err(TreeError::Invariant(_))));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! incrementally by the [`QueryCache`] instead of being re-evaluated
 //! per batch.
 
-use crate::analysis::{self, AnalyzedPlan};
+use crate::analysis::{self, AnalyzedPlan, ApplyOptions};
 use crate::driver::{run_script, DriveStats};
 use crate::mutations::{self, Mutation, MutationLog, NodeRef};
 use crate::querycache::{CacheStats, QueryCache, QueryId};
@@ -163,10 +163,13 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         run_script(&mut self.tree, &mut self.scheme, &mut self.labeling, script)
     }
 
-    /// Apply a [`MutationLog`] atomically against the live tree (see
-    /// [`mutations::apply_log`]): validated up front, all-or-nothing on
-    /// failure. A rejected batch changes nothing — snapshot and cache
-    /// stay put.
+    /// Apply a [`MutationLog`] atomically against the live tree, in log
+    /// order: validated up front, all-or-nothing on failure. A rejected
+    /// batch changes nothing — snapshot and cache stay put. When there
+    /// is a snapshot or a live cache to maintain, the batch is analyzed
+    /// (which validates it) and applied through
+    /// [`Document::apply_planned`] under [`ApplyOptions::sequential`];
+    /// otherwise it goes straight to [`mutations::apply_log`].
     ///
     /// Invalidation is footprint-driven:
     ///
@@ -191,47 +194,31 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
             return Ok(stats);
         }
         let plan = analysis::analyze(log, &self.tree)?;
-        let effective = plan.execution_order(false, self.scheme.cancellation_neutral());
-        let stats =
-            mutations::apply_log(&mut self.tree, &mut self.scheme, &mut self.labeling, log)?;
-        self.maintain_after_apply(log, &plan, &effective);
-        Ok(stats)
+        self.apply_planned(log, &plan, ApplyOptions::sequential())
     }
 
-    /// Apply a [`MutationLog`] through a freshly analyzed plan under
-    /// `opts` (see [`analysis::ApplyOptions`]): the one entry point
-    /// unifying `apply_log` / `apply_plan_dyn` /
-    /// `apply_plan_coalesced_dyn` semantics behind an options value.
-    /// Snapshot and cache maintenance match [`Document::apply_log`].
-    pub fn apply_opts(
-        &mut self,
-        log: &MutationLog,
-        opts: analysis::ApplyOptions,
-    ) -> Result<DriveStats, TreeError> {
-        let plan = analysis::analyze(log, &self.tree)?;
-        self.apply_planned(log, &plan, opts)
-    }
-
-    /// [`Document::apply_opts`] with a caller-supplied plan — the
-    /// write path for compiled flux programs, whose compilation
-    /// already analyzed the log. The plan must cover `log` (same
-    /// length); certificates requested in `opts` are granted only
-    /// where the scheme's capabilities allow.
+    /// Apply a [`MutationLog`] through a plan [`analysis::analyze`] made
+    /// for it on the current tree — the write path for compiled flux
+    /// programs, whose compilation already analyzed the log. A plan for
+    /// another log or another tree state is rejected before anything
+    /// changes. Certificates requested in `opts` are granted only where
+    /// the scheme's capabilities allow (see [`ApplyOptions`]).
     pub fn apply_planned(
         &mut self,
         log: &MutationLog,
         plan: &AnalyzedPlan,
-        opts: analysis::ApplyOptions,
+        opts: ApplyOptions,
     ) -> Result<DriveStats, TreeError> {
         let stats = {
             let mut session = SessionMut::new(&mut self.scheme, &mut self.labeling);
             analysis::apply_plan_with_dyn(&mut self.tree, &mut session, log, plan, opts)?
         };
-        let (reorder, cancel) = opts.granted(
-            self.scheme.order_independent(),
-            self.scheme.cancellation_neutral(),
-        );
-        let effective = plan.execution_order(reorder, cancel);
+        // Nil components leave no trace under a cancellation-neutral
+        // scheme, so they count as not executed whether or not `opts`
+        // skipped them.
+        let neutral = self.scheme.cancellation_neutral();
+        let (reorder, _) = opts.granted(self.scheme.order_independent(), neutral);
+        let effective = plan.execution_order(reorder, neutral);
         self.maintain_after_apply(log, plan, &effective);
         Ok(stats)
     }
@@ -652,6 +639,50 @@ mod tests {
         // unregistered ids are None, not empty slices
         assert!(doc.query_cached(q).is_ok(), "mut path refreshes");
         assert!(doc.cached_rows(q + 99).is_none());
+    }
+
+    #[test]
+    fn stale_plan_is_rejected_before_anything_changes() {
+        use crate::mutations::{LogId, Mutation, MutationLog, NodeRef, Place};
+        use xupd_xmldom::serialize_compact;
+
+        let tree = xupd_xmldom::parse("<r><a><b/></a><c/><d><b/></d></r>").unwrap();
+        let mut doc = Document::encode(Qed::new(), &tree).unwrap();
+        let q = doc.register_query("//b", false).unwrap();
+        let mut node = |path: &str| {
+            let row = doc.xpath(path).unwrap()[0];
+            doc.encoded().unwrap().source_id(row)
+        };
+        let (a, c) = (node("/r/a"), node("/r/c"));
+        let insert = MutationLog::from(vec![Mutation::CreateElement {
+            id: LogId(0),
+            name: "b".to_string(),
+            place: Place::LastChildOf(NodeRef::Node(c)),
+        }]);
+        let stale = analysis::analyze(&insert, doc.tree()).unwrap();
+
+        // moving <c> before <a> shifts every row the plan resolved
+        doc.apply_log(&MutationLog::from(vec![Mutation::MoveSubtree {
+            target: NodeRef::Node(c),
+            place: Place::Before(NodeRef::Node(a)),
+        }]))
+        .unwrap();
+        let before = serialize_compact(doc.tree());
+        let err = doc
+            .apply_planned(&insert, &stale, ApplyOptions::sequential())
+            .unwrap_err();
+        assert!(matches!(err, TreeError::Invariant(_)), "{err}");
+        assert_eq!(serialize_compact(doc.tree()), before, "nothing applied");
+        let fresh = doc.xpath("//b").unwrap();
+        assert_eq!(doc.query_cached(q).unwrap(), fresh.as_slice());
+
+        // a plan made for the current state applies and keeps the cache exact
+        let plan = analysis::analyze(&insert, doc.tree()).unwrap();
+        doc.apply_planned(&insert, &plan, ApplyOptions::sequential())
+            .unwrap();
+        let fresh = doc.xpath("//b").unwrap();
+        assert_eq!(fresh.len(), 3);
+        assert_eq!(doc.query_cached(q).unwrap(), fresh.as_slice());
     }
 
     #[test]

@@ -39,10 +39,9 @@ pub(crate) const CHECKPOINT_EVERY: usize = 25;
 /// proportional to the affected suffix, with plain pointer walks and
 /// `u32`-sized bookkeeping instead of a fresh allocation per op.
 ///
-/// Batch application ([`crate::mutations::apply_log_dyn_with_pool`])
-/// amortises further: the pool is left untouched while the batch runs
-/// and [`ElementPool::rebuild`] restores it with **one** full scan per
-/// batch instead of one suffix rewrite per op.
+/// Batch application takes no pool: its ops name their targets
+/// directly. Only the per-op driver and [`crate::mutations::batch_of`],
+/// which resolve script indices against the pool, maintain one.
 #[derive(Debug, Clone)]
 pub struct ElementPool {
     /// Live elements in document order.
@@ -64,12 +63,6 @@ impl ElementPool {
             pos[n.index()] = i as u32;
         }
         ElementPool { order, pos }
-    }
-
-    /// Discard the incrementally maintained state and rescan — the
-    /// once-per-batch path.
-    pub fn rebuild(&mut self, tree: &XmlTree) {
-        *self = Self::build(tree);
     }
 
     /// Number of live elements.
@@ -328,17 +321,8 @@ pub fn run_script_dyn(
 /// sequence of nodes and inserted individually"): `root` and all its
 /// descendants are already attached to `tree`; each is labelled in
 /// preorder through the scheme's ordinary single-node insertion path.
-/// Returns the accumulated insert evidence.
-pub fn graft_subtree<S: LabelingScheme + Clone + 'static>(
-    tree: &XmlTree,
-    scheme: &mut S,
-    labeling: &mut Labeling<S::Label>,
-    root: NodeId,
-) -> Result<DriveStats, TreeError> {
-    graft_subtree_dyn(tree, &mut SessionMut::new(scheme, labeling), root)
-}
-
-/// Object-safe [`graft_subtree`].
+/// Returns the accumulated insert evidence. (A subtree *move* is
+/// [`Mutation::MoveSubtree`], applied through the batch path.)
 pub fn graft_subtree_dyn(
     tree: &XmlTree,
     session: &mut dyn DynScheme,
@@ -352,25 +336,6 @@ pub fn graft_subtree_dyn(
     stats.end_mean_bits = session.mean_bits();
     stats.end_max_bits = session.max_bits();
     Ok(stats)
-}
-
-/// Move a subtree: detach `root` from its current position, re-attach it
-/// with `attach`, and relabel it through the scheme's insertion path.
-/// Labelling-wise a move is a delete followed by a subtree insertion —
-/// which is exactly how XQuery Update expresses it — so persistent
-/// schemes keep every *other* label untouched, while the moved nodes
-/// necessarily get fresh labels (their positions changed).
-pub fn move_subtree<S: LabelingScheme + Clone + 'static>(
-    tree: &mut XmlTree,
-    scheme: &mut S,
-    labeling: &mut Labeling<S::Label>,
-    root: NodeId,
-    attach: impl FnOnce(&mut XmlTree, NodeId),
-) -> Result<DriveStats, TreeError> {
-    scheme.on_delete(tree, labeling, root);
-    tree.detach(root)?;
-    attach(tree, root);
-    graft_subtree(tree, scheme, labeling, root)
 }
 
 pub(crate) fn apply_insert_dyn(
@@ -463,7 +428,12 @@ mod tests {
         let appendix = clone_into(&sub, sub_root_src, &mut tree);
         tree.append_child(book, appendix).unwrap();
 
-        let stats = graft_subtree(&tree, &mut scheme, &mut labeling, appendix).unwrap();
+        let stats = graft_subtree_dyn(
+            &tree,
+            &mut SessionMut::new(&mut scheme, &mut labeling),
+            appendix,
+        )
+        .unwrap();
         assert_eq!(stats.inserts, sub.subtree_size(sub_root_src));
         assert_eq!(stats.relabeled, 0, "QED grafts persist too");
         assert_eq!(labeling.len(), tree.len());
@@ -505,9 +475,12 @@ mod tests {
             .map(|n| (n, labeling.req(n).unwrap().clone()))
             .collect();
         // move <publisher> to sit before <title>
-        let stats = move_subtree(&mut tree, &mut scheme, &mut labeling, publisher, |t, r| {
-            t.insert_before(title, r).expect("live anchor");
-        }).unwrap();
+        let log = MutationLog::from(vec![Mutation::MoveSubtree {
+            target: NodeRef::Node(publisher),
+            place: Place::Before(NodeRef::Node(title)),
+        }]);
+        let stats =
+            crate::mutations::apply_log(&mut tree, &mut scheme, &mut labeling, &log).unwrap();
         assert_eq!(stats.inserts, tree.subtree_size(publisher));
         assert_eq!(stats.relabeled, 0, "no bystander relabels");
         for (n, old) in untouched {
@@ -541,7 +514,12 @@ mod tests {
         let sub_leaf = tree.create(NodeKind::element("gl"));
         tree.append_child(sub_root, sub_leaf).unwrap();
         tree.insert_before(first, sub_root).unwrap();
-        let stats = graft_subtree(&tree, &mut scheme, &mut labeling, sub_root).unwrap();
+        let stats = graft_subtree_dyn(
+            &tree,
+            &mut SessionMut::new(&mut scheme, &mut labeling),
+            sub_root,
+        )
+        .unwrap();
         assert_eq!(stats.inserts, 2);
         assert!(stats.relabeled > 0, "following siblings renumbered");
     }

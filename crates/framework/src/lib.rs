@@ -29,8 +29,8 @@
 //! * [`analysis`] — the static analyzer over validated logs: per-op
 //!   read/write footprints, a dependency/conflict graph with a named
 //!   taxonomy, and certificates (no-op detection, coalescing, a
-//!   canonical reorder, independent sub-log partitioning) consumed by
-//!   the batch optimizer and the parallel shard fan-out;
+//!   canonical reorder, a partition into independent components)
+//!   consumed by the batch optimizer;
 //! * [`querycache`] — incremental XPath result maintenance: registered
 //!   queries are classified per batch (unaffected / repairable / dirty)
 //!   by intersecting the analyzer's write footprint with each query's
@@ -53,16 +53,15 @@ pub mod report;
 pub mod verify;
 
 pub use analysis::{
-    analyze, apply_plan_coalesced_dyn, apply_plan_dyn, apply_plan_with_dyn, commutes, conflicts,
-    op_pair_verdict, par_apply_independent, AnalyzedPlan, ApplyOptions, ConflictKind, Edge,
-    EdgeKind, Extent, GapKey, GapSlot, OpFootprint, PairVerdict, PointRef, ShardOutcome,
+    analyze, apply_plan_with_dyn, commutes, conflicts, op_pair_verdict, AnalyzedPlan, ApplyOptions,
+    ConflictKind, Edge, EdgeKind, Extent, GapKey, GapSlot, OpFootprint, PairVerdict, PointRef,
     MUTATOR_FOOTPRINTS,
 };
 pub use checkers::{measure_scheme, measure_session, Evidence, Measured};
 pub use driver::ElementPool;
 pub use mutations::{
-    apply_log, apply_log_dyn, apply_log_dyn_with_pool, batch_of, deserialize, invert, serialize,
-    validate, LogBindings, LogId, Mutation, MutationLog, NodeRef, Place,
+    apply_log, apply_log_dyn, batch_of, deserialize, invert, serialize, validate, LogBindings,
+    LogId, Mutation, MutationLog, NodeRef, Place,
 };
 pub use document::{Document, DocumentError};
 pub use querycache::{BatchImpact, CacheStats, QueryCache, QueryClass, QueryId};

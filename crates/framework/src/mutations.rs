@@ -9,7 +9,9 @@
 //!   conflicting writes) *before* any state changes;
 //! * [`apply_log`] / [`apply_log_dyn`] apply a log with all-or-nothing
 //!   semantics — a failing op rolls the tree *and* the labelling session
-//!   back to the pre-batch snapshot;
+//!   back to the pre-batch snapshot. They share the one atomic-apply
+//!   loop with [`crate::analysis::apply_plan_with_dyn`], which runs a
+//!   log in its analyzed plan's certified order instead;
 //! * [`serialize`] / [`deserialize`] give a compact deterministic byte
 //!   format for crash-recovery journaling;
 //! * [`invert`] produces the undo log, giving undo/redo for free.
@@ -326,8 +328,8 @@ fn consume_subtree<'o>(
 
 /// Apply one mutation against the tree, optionally threading a labelling
 /// session (None = structural simulation, as [`invert`] uses) and an
-/// incrementally maintained element pool (Some only on the per-op driver
-/// path; batches rebuild the pool once at the end instead).
+/// incrementally maintained element pool (Some only where ops address
+/// the pool: the per-op driver and [`batch_of`]; batch apply takes none).
 pub(crate) fn apply_mutation_dyn<'o>(
     tree: &mut XmlTree,
     mut session: Option<&mut (dyn DynScheme + 'o)>,
@@ -682,33 +684,58 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
 // Atomic application.
 // ---------------------------------------------------------------------
 
-/// Apply a validated log atomically: all mutations land, or — should any
-/// fail mid-batch — the tree and the labelling session are rolled back
-/// to the pre-batch snapshot and the error is returned.
+/// Validate `log` against `tree`, then apply it atomically in log order:
+/// all mutations land, or — should any fail mid-batch — the tree and
+/// the labelling session are rolled back to the pre-batch snapshot and
+/// the error is returned. This is the sequential reference every
+/// certified apply order ([`crate::analysis::apply_plan_with_dyn`]) is
+/// differentially checked against.
 ///
 /// Relabelling still flows through the scheme's ordinary insertion path
 /// (that *is* the object under measurement), but batch bookkeeping is
 /// amortised: peak-size checkpoints run once per [`CHECKPOINT_EVERY`]
-/// mutations and — on the [`apply_log_dyn_with_pool`] path — the element
-/// pool is reindexed once per batch instead of once per op.
+/// mutations.
 pub fn apply_log_dyn(
     tree: &mut XmlTree,
     session: &mut dyn DynScheme,
     log: &MutationLog,
 ) -> Result<DriveStats, TreeError> {
     validate(log, tree)?;
+    apply_atomic(tree, session, log.iter())
+}
+
+/// Typed wrapper over [`apply_log_dyn`].
+pub fn apply_log<S: LabelingScheme + Clone + 'static>(
+    tree: &mut XmlTree,
+    scheme: &mut S,
+    labeling: &mut Labeling<S::Label>,
+    log: &MutationLog,
+) -> Result<DriveStats, TreeError> {
+    apply_log_dyn(tree, &mut SessionMut::new(scheme, labeling), log)
+}
+
+/// The one atomic-apply loop behind every batch entry point: snapshot
+/// tree and session, apply `ops` in the order given (the caller has
+/// validated them), checkpoint label sizes, and restore both snapshots
+/// if any op fails.
+pub(crate) fn apply_atomic<'m>(
+    tree: &mut XmlTree,
+    session: &mut dyn DynScheme,
+    ops: impl IntoIterator<Item = &'m Mutation>,
+) -> Result<DriveStats, TreeError> {
     let tree_snap = tree.clone();
     let sess_snap = session.save_state();
     let mut stats = DriveStats::default();
     let mut binds = LogBindings::default();
     let mut failed = None;
-    for (i, m) in log.iter().enumerate() {
-        if let Err(e) = apply_mutation_dyn(tree, Some(&mut *session), None, &mut binds, m, &mut stats)
+    for (step, m) in ops.into_iter().enumerate() {
+        if let Err(e) =
+            apply_mutation_dyn(tree, Some(&mut *session), None, &mut binds, m, &mut stats)
         {
             failed = Some(e);
             break;
         }
-        if i % CHECKPOINT_EVERY == 0 {
+        if step % CHECKPOINT_EVERY == 0 {
             stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
         }
     }
@@ -724,31 +751,6 @@ pub fn apply_log_dyn(
     stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
     stats.end_mean_bits = session.mean_bits();
     stats.end_max_bits = session.max_bits();
-    Ok(stats)
-}
-
-/// Typed wrapper over [`apply_log_dyn`].
-pub fn apply_log<S: LabelingScheme + Clone + 'static>(
-    tree: &mut XmlTree,
-    scheme: &mut S,
-    labeling: &mut Labeling<S::Label>,
-    log: &MutationLog,
-) -> Result<DriveStats, TreeError> {
-    apply_log_dyn(tree, &mut SessionMut::new(scheme, labeling), log)
-}
-
-/// [`apply_log_dyn`] for callers that maintain an [`ElementPool`]: on
-/// success the pool is reindexed with **one** full scan (the per-batch
-/// amortisation); on failure the pool — like the tree and the session —
-/// is left exactly as it was before the batch.
-pub fn apply_log_dyn_with_pool(
-    tree: &mut XmlTree,
-    session: &mut dyn DynScheme,
-    pool: &mut ElementPool,
-    log: &MutationLog,
-) -> Result<DriveStats, TreeError> {
-    let stats = apply_log_dyn(tree, session, log)?;
-    pool.rebuild(tree);
     Ok(stats)
 }
 

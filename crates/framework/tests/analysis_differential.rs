@@ -3,17 +3,15 @@
 //! Every certificate the analyzer issues is checked against sequential
 //! in-order application across the whole 17-scheme roster:
 //!
-//! * [`apply_plan_dyn`] (skip-revalidation + redundant-write drops +
-//!   canonical reorder when the scheme is order-independent) must match
-//!   `apply_log_dyn` byte-for-byte: document bytes, doc-order labels,
-//!   and work stats (`peak_label_bits` excepted — its checkpoints
-//!   sample different instants, exactly as PR 6 established).
-//! * [`apply_plan_coalesced_dyn`] (plus nil-component cancellation)
-//!   must match on document bytes and labels; its work counters
-//!   intentionally shrink — that is the certificate's point.
-//! * [`par_apply_independent`] must give, for every shard, exactly what
-//!   sequentially applying that component's sub-log to a fresh clone
-//!   gives — for *every* scheme, order-independent or not.
+//! * [`apply_plan_with_dyn`] under [`ApplyOptions::analyzed`]
+//!   (skip-revalidation + redundant-write drops + canonical reorder
+//!   when the scheme is order-independent) must match `apply_log_dyn`
+//!   byte-for-byte: document bytes, doc-order labels, and work stats
+//!   (`peak_label_bits` excepted — its checkpoints sample different
+//!   instants).
+//! * Under [`ApplyOptions::coalesced`] (plus nil-component
+//!   cancellation) it must match on document bytes and labels; its work
+//!   counters intentionally shrink — that is the certificate's point.
 //!
 //! The suite also pins the capability claims themselves: the roster's
 //! `order_independent` split is asserted, and the canonical order is
@@ -22,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use xupd_framework::analysis::{analyze, apply_plan_coalesced_dyn, apply_plan_dyn, par_apply_independent};
+use xupd_framework::analysis::{analyze, apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::driver::DriveStats;
 use xupd_framework::mutations::{apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place};
 use xupd_labelcore::DynScheme;
@@ -81,11 +79,18 @@ fn certificate_battery(base: &XmlTree, log: &MutationLog, ctx: &str) {
     let checked = xupd_exec::par_map(&entries, |entry| {
         let seq = run_seq(entry.factory, base, log);
 
-        // apply_plan_dyn: byte-identical on every observable.
+        // analyzed order: byte-identical on every observable.
         let mut tree = base.clone();
         let mut session = (entry.factory)();
         session.label_tree(&tree).unwrap();
-        let stats = apply_plan_dyn(&mut tree, session.as_mut(), log, &plan).unwrap();
+        let stats = apply_plan_with_dyn(
+            &mut tree,
+            session.as_mut(),
+            log,
+            &plan,
+            ApplyOptions::analyzed(),
+        )
+        .unwrap();
         let name = entry.name();
         assert_eq!(seq.bytes, serialize_compact(&tree), "{ctx}/{name}: plan bytes");
         assert_eq!(
@@ -95,12 +100,19 @@ fn certificate_battery(base: &XmlTree, log: &MutationLog, ctx: &str) {
         );
         assert_stats_eq_minus_peak(&seq.stats, &stats, &format!("{ctx}/{name}: plan"));
 
-        // apply_plan_coalesced_dyn: bytes and labels still identical;
-        // work counters may legitimately shrink.
+        // coalesced order: bytes and labels still identical; work
+        // counters may legitimately shrink.
         let mut tree = base.clone();
         let mut session = (entry.factory)();
         session.label_tree(&tree).unwrap();
-        let co_stats = apply_plan_coalesced_dyn(&mut tree, session.as_mut(), log, &plan).unwrap();
+        let co_stats = apply_plan_with_dyn(
+            &mut tree,
+            session.as_mut(),
+            log,
+            &plan,
+            ApplyOptions::coalesced(),
+        )
+        .unwrap();
         assert_eq!(seq.bytes, serialize_compact(&tree), "{ctx}/{name}: coalesced bytes");
         assert_eq!(
             seq.labels,
@@ -112,24 +124,6 @@ fn certificate_battery(base: &XmlTree, log: &MutationLog, ctx: &str) {
             "{ctx}/{name}: coalescing may only shed work"
         );
 
-        // par_apply_independent: every shard byte-identical to solo
-        // sequential application of its own sub-log.
-        let shards = par_apply_independent(base, entry.factory, log, &plan).unwrap();
-        assert_eq!(shards.len(), plan.components.len(), "{ctx}/{name}: shard count");
-        let sublogs = plan.independent_sublogs(log).unwrap();
-        for (shard, sub) in shards.iter().zip(&sublogs) {
-            let solo = run_seq(entry.factory, base, sub);
-            assert_eq!(solo.bytes, serialize_compact(&shard.tree), "{ctx}/{name}: shard bytes");
-            let by_id: BTreeMap<usize, String> = shard.labels.iter().cloned().collect();
-            let shard_labels: Vec<String> = shard
-                .tree
-                .ids_in_doc_order()
-                .into_iter()
-                .map(|n| by_id.get(&n.index()).cloned().unwrap_or_default())
-                .collect();
-            assert_eq!(solo.labels, shard_labels, "{ctx}/{name}: shard labels");
-            assert_eq!(solo.stats, shard.stats, "{ctx}/{name}: shard stats");
-        }
         name
     });
     assert_eq!(checked.len(), 17);

@@ -1,19 +1,23 @@
-//! Atomicity fault-injection battery for `apply_log_dyn`.
+//! Atomicity fault-injection battery for both batch entry points,
+//! `apply_log_dyn` and `apply_plan_with_dyn`.
 //!
 //! A [`FaultAfter`] session wrapper forwards every `DynScheme` call to a
 //! real registry session but makes the k-th `on_insert` fail. Applying
-//! a batch through it must leave the tree, the labelling, and the
-//! [`ElementPool`] index byte-identical to their pre-batch state — for
-//! every scheme in the roster and several fault positions, including
-//! k = 0 (the very first insert fails). After the rollback the restored
+//! a batch through it must leave the tree (its bytes and its revision)
+//! and the labelling identical to their pre-batch state — for every
+//! scheme in the roster and several fault positions, including k = 0
+//! (the very first insert fails). After the rollback the restored
 //! session must still be fully usable: re-applying the same batch with
-//! the fault disarmed has to match a control session that never faulted.
+//! the fault disarmed — through the same plan, which the restored
+//! revision must still accept — has to match a control session that
+//! never faulted and applied the batch the same way.
 
 use std::any::Any;
 use std::cmp::Ordering;
 
-use xupd_framework::mutations::{apply_log_dyn, apply_log_dyn_with_pool, batch_of};
-use xupd_framework::ElementPool;
+use xupd_framework::analysis::{analyze, apply_plan_with_dyn, AnalyzedPlan, ApplyOptions};
+use xupd_framework::driver::DriveStats;
+use xupd_framework::mutations::{apply_log_dyn, batch_of, Mutation, MutationLog};
 use xupd_labelcore::{DynScheme, InsertReport, Relation, SchemeDescriptor, SchemeStats};
 use xupd_schemes::registry;
 use xupd_workloads::{docs, Script, ScriptKind};
@@ -114,19 +118,44 @@ impl DynScheme for FaultAfter {
 #[derive(Debug, PartialEq)]
 struct Observables {
     tree: String,
+    revision: u32,
     labels: Vec<(usize, String)>,
-    pool: Vec<NodeId>,
 }
 
-fn observe(tree: &XmlTree, session: &dyn DynScheme, pool: &ElementPool) -> Observables {
+fn observe(tree: &XmlTree, session: &dyn DynScheme) -> Observables {
     Observables {
         tree: serialize_compact(tree),
+        revision: tree.revision(),
         labels: session.labels_display(),
-        pool: pool.order().to_vec(),
     }
 }
 
-fn fault_battery(kind: ScriptKind, ops: usize, seed: u64, fault_at: usize) {
+/// The batch entry point a battery drives.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// `apply_log_dyn`: validate, then apply in log order.
+    Sequential,
+    /// `apply_plan_with_dyn` under these options, through a plan made
+    /// for the pre-batch tree.
+    Planned(ApplyOptions),
+}
+
+impl Entry {
+    fn apply(
+        self,
+        tree: &mut XmlTree,
+        session: &mut dyn DynScheme,
+        log: &MutationLog,
+        plan: &AnalyzedPlan,
+    ) -> Result<DriveStats, TreeError> {
+        match self {
+            Entry::Sequential => apply_log_dyn(tree, session, log),
+            Entry::Planned(opts) => apply_plan_with_dyn(tree, session, log, plan, opts),
+        }
+    }
+}
+
+fn fault_battery(kind: ScriptKind, ops: usize, seed: u64, fault_at: usize, entry_point: Entry) {
     let nodes = 60;
     let script = Script::generate(kind, ops, nodes, seed);
     let entries = registry();
@@ -135,10 +164,10 @@ fn fault_battery(kind: ScriptKind, ops: usize, seed: u64, fault_at: usize) {
     let checked = xupd_exec::par_map(&entries, |entry| {
         let mut tree = docs::random_tree(seed, nodes);
         let log = batch_of(&script, &tree).unwrap();
+        let plan = analyze(&log, &tree).unwrap();
         let inserts = log
             .iter()
             .filter(|m| {
-                use xupd_framework::mutations::Mutation;
                 matches!(
                     m,
                     Mutation::CreateElement { .. }
@@ -158,16 +187,17 @@ fn fault_battery(kind: ScriptKind, ops: usize, seed: u64, fault_at: usize) {
             budget: Some(fault_at),
         };
         session.label_tree(&tree).unwrap();
-        let mut pool = ElementPool::build(&tree);
-        let before = observe(&tree, &session, &pool);
+        let before = observe(&tree, &session);
 
-        let err = apply_log_dyn_with_pool(&mut tree, &mut session, &mut pool, &log).unwrap_err();
+        let err = entry_point
+            .apply(&mut tree, &mut session, &log, &plan)
+            .unwrap_err();
         assert!(
             matches!(err, TreeError::Invariant(ref msg) if msg.contains("injected")),
             "{}: unexpected failure {err:?}",
             entry.name()
         );
-        let after = observe(&tree, &session, &pool);
+        let after = observe(&tree, &session);
         assert_eq!(
             before,
             after,
@@ -179,12 +209,17 @@ fn fault_battery(kind: ScriptKind, ops: usize, seed: u64, fault_at: usize) {
         // disarm the fault and the same batch must match a session that
         // never faulted
         session.budget = None;
-        apply_log_dyn_with_pool(&mut tree, &mut session, &mut pool, &log).unwrap();
+        entry_point
+            .apply(&mut tree, &mut session, &log, &plan)
+            .unwrap();
 
         let mut control_tree = docs::random_tree(seed, nodes);
         let mut control = entry.session();
         control.label_tree(&control_tree).unwrap();
-        apply_log_dyn(&mut control_tree, control.as_mut(), &log).unwrap();
+        let control_plan = analyze(&log, &control_tree).unwrap();
+        entry_point
+            .apply(&mut control_tree, control.as_mut(), &log, &control_plan)
+            .unwrap();
         assert_eq!(
             serialize_compact(&tree),
             serialize_compact(&control_tree),
@@ -204,15 +239,36 @@ fn fault_battery(kind: ScriptKind, ops: usize, seed: u64, fault_at: usize) {
 
 #[test]
 fn first_insert_fault_rolls_back_every_scheme() {
-    fault_battery(ScriptKind::Random, 40, 7001, 0);
+    fault_battery(ScriptKind::Random, 40, 7001, 0, Entry::Sequential);
+    fault_battery(
+        ScriptKind::Random,
+        40,
+        7001,
+        0,
+        Entry::Planned(ApplyOptions::analyzed()),
+    );
 }
 
 #[test]
 fn mid_batch_fault_rolls_back_every_scheme() {
-    fault_battery(ScriptKind::Random, 40, 7002, 11);
+    fault_battery(ScriptKind::Random, 40, 7002, 11, Entry::Sequential);
+    fault_battery(
+        ScriptKind::Random,
+        40,
+        7002,
+        11,
+        Entry::Planned(ApplyOptions::analyzed()),
+    );
 }
 
 #[test]
 fn late_fault_rolls_back_every_scheme_under_deletes() {
-    fault_battery(ScriptKind::MixedDelete, 60, 7003, 23);
+    fault_battery(ScriptKind::MixedDelete, 60, 7003, 23, Entry::Sequential);
+    fault_battery(
+        ScriptKind::MixedDelete,
+        60,
+        7003,
+        23,
+        Entry::Planned(ApplyOptions::coalesced()),
+    );
 }

@@ -13,7 +13,6 @@
 //! | R8 | no-direct-batch-mutation   | no direct structural tree mutation (`append_child`, `detach`, `remove_subtree`, ...) inside a per-op replay loop outside the update driver and the mutation-log module — multi-op edits must flow through `MutationLog` so validation and atomicity cannot be bypassed |
 //! | R9 | no-unanalyzed-reorder      | no hand permutation or splitting (`.sort*`, `.swap`, `.reverse`, `.rotate_*`, `.retain`, `.drain`, `.split_off`, `.shuffle`) of a mutation-log op vector (receiver named `ops`/`log`/`mutations`) outside `framework::analysis` and the mutations module — reordering is only sound under an `AnalyzedPlan` certificate |
 //! | R10 | no-uncached-reevaluate    | no `.evaluate(` call inside a query-batch loop (a `for` loop whose header mentions `queries`/`exprs`) outside `framework::querycache` and its bench baseline — registered query sets must be served through the incremental `QueryCache`, not re-evaluated wholesale per batch |
-//! | R11 | no-bypass-writer-lane     | no `.doc_mut(` call outside `crates/store` — the store's raw slot handle mutates a fleet document without its shard writer lane, forfeiting the per-document op ordering the differential suite pins; go through `Store::apply_script` / `serve_query` / `query_now` |
 //! | R12 | no-raw-script-in-tests    | no hand-built `ScriptOp` variants in test code of the `results/*`-feeding crates — ad-hoc op lists silently drift from the generated-workload distributions the differential suites certify; drive tests through `Script::generate` or a flux DSL program (the reference differential drivers are path-exempt) |
 
 use crate::lexer::{scan, Suppression, TokKind, Token};
@@ -48,7 +47,7 @@ pub const R2_CRATES: &[&str] = &[
 
 /// All rule ids, in report order.
 pub const ALL_RULES: &[&str] = &[
-    "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12",
+    "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R12",
 ];
 
 /// Structural tree mutators that R8 forbids calling directly inside a
@@ -135,7 +134,6 @@ pub fn rule_name(id: &str) -> &'static str {
         "R8" => "no-direct-batch-mutation",
         "R9" => "no-unanalyzed-reorder",
         "R10" => "no-uncached-reevaluate",
-        "R11" => "no-bypass-writer-lane",
         "R12" => "no-raw-script-in-tests",
         _ => "unknown-rule",
     }
@@ -249,11 +247,6 @@ pub fn check_source(src: &str, ctx: &FileCtx) -> (Vec<Finding>, Vec<Suppression>
     // not to the cache itself or to its measured re-evaluate baseline.
     let r10_applies = R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str())
         && !R10_EXEMPT_PATHS.iter().any(|p| ctx.path == *p);
-    // R11 applies everywhere but the store crate itself, test code
-    // included: a lane bypass in a test silently voids the differential
-    // suite's byte-identical-state guarantee, so it must opt out
-    // explicitly via lint:allow.
-    let r11_applies = ctx.crate_name != "store";
     // R12 applies ONLY to test code of the results-feeding crates —
     // library code (the workloads generator, the driver, the mutation
     // batcher) legitimately matches on ScriptOp — and not to the
@@ -426,28 +419,6 @@ pub fn check_source(src: &str, ctx: &FileCtx) -> (Vec<Finding>, Vec<Suppression>
                 t,
                 ".evaluate() re-runs a whole query batch; serve registered queries \
                  through framework::querycache"
-                    .to_string(),
-            );
-        }
-
-        // R11 — writer-lane bypass outside the store crate. The
-        // method-call shape (`.doc_mut(`) is the store's only raw slot
-        // handle; everything else on `Store` routes mutation through a
-        // shard lane.
-        if r11_applies
-            && text == "doc_mut"
-            && i > 0
-            && toks[i - 1].kind == TokKind::Punct
-            && toks[i - 1].text(src) == "."
-            && next_is(toks, src, i, "(")
-        {
-            push(
-                &mut findings,
-                "R11",
-                ctx,
-                t,
-                ".doc_mut() bypasses the shard writer lane; mutate through \
-                 Store::apply_script / serve_query"
                     .to_string(),
             );
         }
@@ -857,29 +828,6 @@ mod tests {
         // test code gets no exemption — a raw spawn escapes XUPD_THREADS
         let f = unsuppressed(free, "crates/bench/src/bin/b.rs");
         assert_eq!(f.iter().filter(|f| f.rule == "R7").count(), 1);
-    }
-
-    #[test]
-    fn r11_flags_writer_lane_bypass_outside_the_store_crate() {
-        let src = "fn f(store: &Store<Qed>) { let slot = store.doc_mut(3).unwrap(); }";
-        for path in ["crates/framework/src/a.rs", "tests/a.rs", "crates/bench/src/bin/b.rs"] {
-            let f = unsuppressed(src, path);
-            assert_eq!(
-                f.iter().filter(|f| f.rule == "R11").count(),
-                1,
-                "{path}: {f:?}"
-            );
-        }
-        // the store crate itself owns the seam — lib and test code
-        assert!(unsuppressed(src, "crates/store/src/store.rs")
-            .iter()
-            .all(|f| f.rule != "R11"));
-        assert!(unsuppressed(src, "crates/store/tests/t.rs")
-            .iter()
-            .all(|f| f.rule != "R11"));
-        // `doc_mut` as a plain ident (fn definition) is not a call site
-        let def = "fn doc_mut(n: usize) { let doc_mut = n; }";
-        assert!(unsuppressed(def, "crates/framework/src/a.rs").is_empty());
     }
 
     #[test]

@@ -304,42 +304,6 @@ fn r10_clean() {
     assert!(unsuppressed(src, "crates/testkit/src/x.rs").is_empty());
 }
 
-// ---------------------------------------------------------------- R11
-
-#[test]
-fn r11_positive_writer_lane_bypass() {
-    let src = "fn poke(store: &Store<Qed>) {\n    let slot = store.doc_mut(3);\n}";
-    for path in ["crates/framework/src/planner.rs", DRIVER_TEST_PATH, "tests/fixture.rs"] {
-        let f = unsuppressed(src, path);
-        assert_eq!(f.len(), 1, "{path}: {f:?}");
-        assert_eq!(f[0].rule, "R11");
-        assert_eq!(f[0].line, 2);
-    }
-}
-
-#[test]
-fn r11_suppressed() {
-    let src = "fn poke(store: &Store<Qed>) {\n    // lint:allow(R11): white-box assertion on slot internals\n    let slot = store.doc_mut(3);\n}";
-    let (findings, unused) = check_source(src, &FileCtx::classify(DRIVER_TEST_PATH));
-    assert_eq!(findings.len(), 1);
-    assert!(!findings[0].is_unsuppressed());
-    assert!(unused.is_empty());
-}
-
-#[test]
-fn r11_clean() {
-    // the store crate itself owns the seam
-    let src = "fn poke(store: &Store<Qed>) {\n    let slot = store.doc_mut(3);\n}";
-    assert!(unsuppressed(src, "crates/store/src/replay.rs").is_empty());
-    assert!(unsuppressed(src, "crates/store/tests/t.rs").is_empty());
-    // the lane APIs are the sanctioned mutation path
-    let lane = "fn run(store: &Store<Qed>) { store.apply_script(3, &script); store.serve_query(3, 0); }";
-    assert!(unsuppressed(lane, "crates/framework/src/planner.rs").is_empty());
-    // `doc_mut` as a definition or plain ident is not a call site
-    let def = "fn doc_mut(n: usize) -> usize { n }";
-    assert!(unsuppressed(def, "crates/framework/src/planner.rs").is_empty());
-}
-
 // ------------------------------------------------- JSON findings shape
 
 /// The machine-readable findings schema is stable: file/line/col/rule/

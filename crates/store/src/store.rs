@@ -270,9 +270,10 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
 
     /// Apply an update script as one atomic mutation-log batch: the
     /// script is converted against the document's current tree
-    /// ([`mutations::batch_of`]), validated, applied through the
-    /// analyzed [`Document::apply_log`] path, and absorbed by the query
-    /// cache. Returns the batch's [`DriveStats`].
+    /// ([`mutations::batch_of`]) and applied through
+    /// [`Document::apply_log`], which validates it once, applies it in
+    /// log order and maintains the query cache. Returns the batch's
+    /// [`DriveStats`].
     pub fn apply_script(&self, doc: u32, script: &Script) -> Result<DriveStats, StoreError> {
         let slot = self.slot(doc)?;
         let mut g = write_lock(slot);
@@ -282,31 +283,15 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
         Ok(stats)
     }
 
-    /// Apply a pre-built [`MutationLog`] to one document under `opts`
-    /// (see [`ApplyOptions`]), holding that document's write lock for
-    /// the whole batch. The store-level counterpart of
-    /// [`Document::apply_opts`].
-    pub fn apply_opts(
-        &self,
-        doc: u32,
-        log: &MutationLog,
-        opts: ApplyOptions,
-    ) -> Result<DriveStats, StoreError> {
-        let slot = self.slot(doc)?;
-        let mut g = write_lock(slot);
-        let stats = g.doc.apply_opts(log, opts)?;
-        g.stats.absorb_batch(&stats);
-        Ok(stats)
-    }
-
     /// Compile-then-apply under one write lock: `compile` sees the
     /// document's current tree and returns a `(log, plan)` pair, which
-    /// is applied through [`Document::apply_planned`] before the lock
-    /// is released — so the tree the log was compiled against is
-    /// exactly the tree it mutates. This is the seam the flux DSL's
-    /// `Store::update` rides on; the error type is generic so compiler
-    /// diagnostics pass through unwrapped.
-    pub fn update_with<E, F>(&self, doc: u32, opts: ApplyOptions, compile: F) -> Result<DriveStats, E>
+    /// is applied through [`Document::apply_planned`] under
+    /// [`ApplyOptions::default`] before the lock is released — so the
+    /// tree the log was compiled against is exactly the tree it
+    /// mutates. This is the seam the flux DSL's `Store::update` rides
+    /// on; the error type is generic so compiler diagnostics pass
+    /// through unwrapped.
+    pub fn update_with<E, F>(&self, doc: u32, compile: F) -> Result<DriveStats, E>
     where
         E: From<StoreError>,
         F: FnOnce(&XmlTree) -> Result<(MutationLog, AnalyzedPlan), E>,
@@ -316,7 +301,7 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
         let (log, plan) = compile(g.doc.tree())?;
         let stats = g
             .doc
-            .apply_planned(&log, &plan, opts)
+            .apply_planned(&log, &plan, ApplyOptions::default())
             .map_err(StoreError::from)?;
         g.stats.absorb_batch(&stats);
         Ok(stats)
@@ -401,15 +386,6 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
         if let Ok(slot) = self.slot(doc) {
             write_lock(slot).stats.errors += 1;
         }
-    }
-
-    /// The slot handle for `doc` — the raw writer-lane seam. Outside
-    /// `crates/store` every mutation must go through the lane API
-    /// ([`Store::apply_script`] & friends); lint rule R11 flags direct
-    /// calls to this accessor elsewhere.
-    #[doc(hidden)]
-    pub fn doc_mut(&self, doc: u32) -> Result<Arc<RwLock<DocSlot<S>>>, StoreError> {
-        Ok(Arc::clone(self.slot(doc)?))
     }
 }
 

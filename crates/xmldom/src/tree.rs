@@ -33,7 +33,11 @@ struct NodeData {
 #[derive(Clone, Debug)]
 pub struct XmlTree {
     nodes: Vec<NodeData>,
-    alive: usize,
+    /// Live node count, `u32` like [`NodeId`]: with the revision it
+    /// fills one word, so the revision does not grow the struct.
+    alive: u32,
+    /// Bumped by every mutation; see [`XmlTree::revision`].
+    revision: u32,
 }
 
 impl Default for XmlTree {
@@ -56,6 +60,7 @@ impl XmlTree {
                 alive: true,
             }],
             alive: 1,
+            revision: 0,
         }
     }
 
@@ -68,7 +73,7 @@ impl XmlTree {
     /// Number of live nodes, including the document root.
     #[inline]
     pub fn len(&self) -> usize {
-        self.alive
+        self.alive as usize
     }
 
     /// True when only the document root exists.
@@ -94,7 +99,19 @@ impl XmlTree {
         n
     }
 
+    /// The tree state's version: bumped by every mutation (all of them
+    /// create nodes, retire them, or go through `get_mut`) and carried
+    /// along by `clone`. Artifacts derived from one state — an analyzed
+    /// batch plan — record it so they can refuse to run on another. It
+    /// wraps after 2³² mutations, so two states that far apart share a
+    /// revision.
+    #[inline]
+    pub fn revision(&self) -> u32 {
+        self.revision
+    }
+
     fn get_mut(&mut self, id: NodeId) -> &mut NodeData {
+        self.revision = self.revision.wrapping_add(1);
         let n = &mut self.nodes[id.index()];
         debug_assert!(n.alive, "access to dead node {id:?}");
         n
@@ -156,6 +173,7 @@ impl XmlTree {
             alive: true,
         });
         self.alive += 1;
+        self.revision = self.revision.wrapping_add(1);
         id
     }
 
@@ -309,7 +327,8 @@ impl XmlTree {
             n.prev_sibling = None;
             n.next_sibling = None;
         }
-        self.alive -= doomed.len();
+        self.alive -= doomed.len() as u32;
+        self.revision = self.revision.wrapping_add(1);
         Ok(doomed.len())
     }
 
@@ -508,7 +527,7 @@ impl XmlTree {
                 )));
             }
         }
-        if seen != self.alive {
+        if seen != self.alive as usize {
             return Err(TreeError::Invariant(format!(
                 "alive count {} != scanned {seen}",
                 self.alive
@@ -731,6 +750,27 @@ mod tests {
         // a1 (deep in first branch) precedes b (second branch)
         assert_eq!(t.doc_cmp(a1, b), Ordering::Less);
         assert_eq!(t.doc_cmp(b, a1), Ordering::Greater);
+    }
+
+    #[test]
+    fn every_mutation_moves_the_revision_and_clones_keep_it() {
+        let mut t = XmlTree::new();
+        let r = t.root();
+        let mut seen = vec![t.revision()];
+        let a = elem(&mut t, "a");
+        seen.push(t.revision());
+        t.append_child(r, a).unwrap();
+        seen.push(t.revision());
+        *t.kind_mut(a) = NodeKind::element("b");
+        seen.push(t.revision());
+        t.detach(a).unwrap();
+        seen.push(t.revision());
+        t.remove_subtree(a).unwrap();
+        seen.push(t.revision());
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
+        assert_eq!(t.clone().revision(), t.revision());
+        let _ = t.ids_in_doc_order();
+        assert_eq!(t.revision(), *seen.last().unwrap(), "reads leave it alone");
     }
 
     #[test]

@@ -59,17 +59,17 @@ for bench_bin in bench_bulk_labeling bench_label_growth bench_query_eval \
     cargo run --release -q -p xupd-bench --bin "$bench_bin" > /dev/null
 done
 
-echo "==> XUPD_THREADS={1,4} par_apply_independent equivalence"
-# The analysis differential suite asserts every shard of
-# par_apply_independent matches sequentially applying that component's
-# sub-log, across all 17 schemes. Running it at both pool widths pins
-# the thread-count-invariance contract the analyzer's parallel
-# certificate rests on.
+echo "==> XUPD_THREADS={1,4} analysis differential (analyzed and coalesced orders match sequential apply)"
+# The analysis differential suite applies each batch in its analyzed
+# and coalesced certified orders and asserts the result matches
+# sequential apply (bytes and labels; work counters too for the
+# analyzed order), across all 17 schemes. Running it at both pool
+# widths pins that the scheme fan-out never leaks into the result.
 for threads in 1 4; do
   XUPD_THREADS="$threads" cargo test --release -q -p xupd-framework \
     --test analysis_differential > /dev/null \
     || { echo "    FAIL: analysis differential suite at XUPD_THREADS=$threads"; exit 1; }
-  echo "    ok: shards match sequential apply at XUPD_THREADS=$threads"
+  echo "    ok: certified orders match sequential apply at XUPD_THREADS=$threads"
 done
 
 echo "==> XUPD_THREADS={1,4} querycache differential (cached results byte-identical to fresh eval)"
@@ -88,8 +88,9 @@ echo "==> XUPD_THREADS={1,4} store differential (sharded fleet state byte-identi
 # The store differential suite replays a seeded fleet workload through
 # the sharded writer lanes at widths {1,2,8} and asserts the final
 # state_dump is byte-identical to the sequential reference executor,
-# across four scheme families. Running the suite itself at both pool
-# widths additionally pins that XUPD_THREADS never leaks into state.
+# across all 17 schemes, each of whose reference dumps is also pinned
+# by digest. Running the suite itself at both pool widths additionally
+# pins that XUPD_THREADS never leaks into state.
 for threads in 1 4; do
   XUPD_THREADS="$threads" cargo test --release -q --test store_differential > /dev/null \
     || { echo "    FAIL: store differential suite at XUPD_THREADS=$threads"; exit 1; }

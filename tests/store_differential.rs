@@ -1,13 +1,14 @@
 //! Store differential suite: the concurrent sharded replay must leave
 //! the fleet in **byte-identical** state to the sequential reference
-//! executor, at every worker width, for representative schemes of each
-//! labelling family.
+//! executor, at every worker width, for every scheme in the roster.
 //!
 //! This is the store-level analogue of the cross-scheme differential:
 //! the canonical op stream fixes each document's op subsequence, lanes
 //! are FIFO, placement is deterministic — so `Store::state_dump`
 //! (serialized document bytes + per-document stats + cache counters)
-//! must not depend on `XUPD_THREADS` at all.
+//! must not depend on `XUPD_THREADS` at all. The reference dumps are
+//! also pinned by digest, so a change to the write path that moves any
+//! scheme's final state fails here even when it moves every width alike.
 
 use std::sync::Arc;
 
@@ -23,13 +24,43 @@ use xml_update_props::xmldom::XmlTree;
 /// The widths the suite pins: inline, small, oversubscribed.
 const WIDTHS: [usize; 3] = [1, 2, 8];
 
+/// FNV-1a digest of each scheme's reference `state_dump` for the fleet
+/// [`assert_width_invariant`] replays, in roster order.
+const PINNED_DIGESTS: [(&str, u64); 17] = [
+    ("XPath Accelerator", 0x6caf_3ab1_8615_717d),
+    ("XRel", 0x62cd_babd_7987_f953),
+    ("Sector", 0x7171_9857_067a_3758),
+    ("QRS", 0xc36e_7e00_a6cc_444c),
+    ("DeweyID", 0xf9e4_0263_e04a_5e74),
+    ("Ordpath", 0x0520_4d5e_5c00_0e46),
+    ("DLN", 0x95eb_f3c8_866b_fcb2),
+    ("LSDX", 0x0520_4d5e_5c00_0e46),
+    ("ImprovedBinary", 0x0520_4d5e_5c00_0e46),
+    ("QED", 0x0520_4d5e_5c00_0e46),
+    ("CDQS", 0x0520_4d5e_5c00_0e46),
+    ("Vector", 0x0520_4d5e_5c00_0e46),
+    ("CDBS", 0x09a6_15f9_f5bd_7a78),
+    ("Com-D", 0x0520_4d5e_5c00_0e46),
+    ("Prime", 0x0520_4d5e_5c00_0e46),
+    ("DDE", 0x0520_4d5e_5c00_0e46),
+    ("QED∘Containment", 0x0520_4d5e_5c00_0e46),
+];
+
 fn fleet_trees(n: usize) -> Vec<XmlTree> {
     (0..n as u64).map(|i| docs::xmark_like(i, 35)).collect()
 }
 
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Replay the same seeded fleet against fresh stores at every width and
-/// diff the full state dump against the reference executor's.
-fn assert_width_invariant<S>(scheme: S, label: &str)
+/// diff the full state dump against the reference executor's, which is
+/// returned.
+fn assert_width_invariant<S>(scheme: S, label: &str) -> String
 where
     S: LabelingScheme + Clone + 'static,
     Store<S>: Send + Sync,
@@ -62,6 +93,7 @@ where
         );
     }
     assert_eq!(ref_report.total_ops() as usize, fleet.ops.len());
+    expected
 }
 
 #[test]
@@ -82,6 +114,35 @@ fn accel_fleet_state_is_width_invariant() {
 #[test]
 fn vector_fleet_state_is_width_invariant() {
     assert_width_invariant(VectorScheme::new(), "Vector");
+}
+
+/// A roster scheme's name and a run that checks its width invariance
+/// and returns the digest of its reference dump.
+type Runner = (&'static str, fn() -> u64);
+
+/// One [`Runner`] per roster scheme.
+macro_rules! roster_runners {
+    ($($ty:ty),+ $(,)?) => {
+        vec![$((
+            <$ty>::new().descriptor().name,
+            (|| {
+                let name = <$ty>::new().descriptor().name;
+                fnv1a(assert_width_invariant(<$ty>::new(), name).as_bytes())
+            }) as fn() -> u64,
+        )),+]
+    };
+}
+
+/// Every scheme in the roster is width-invariant on the fleet, and its
+/// reference state matches the pinned digest.
+#[test]
+fn every_scheme_fleet_state_is_width_invariant_and_pinned() {
+    let runners: Vec<Runner> = xupd_schemes::with_scheme_roster!(all, roster_runners);
+    let digests = xml_update_props::exec::par_map(&runners, |(name, run)| (*name, run()));
+    let render = |rows: &[(&str, u64)]| -> Vec<String> {
+        rows.iter().map(|(n, d)| format!("{n} {d:#018x}")).collect()
+    };
+    assert_eq!(render(&digests), render(&PINNED_DIGESTS));
 }
 
 /// Two identically seeded concurrent replays agree with each other,
