@@ -14,8 +14,8 @@
 //! cargo run --release --bin ablation_table [ops]
 //! ```
 
-use xupd_framework::driver::run_script;
-use xupd_labelcore::LabelingScheme;
+use xupd_framework::driver::run_script_dyn;
+use xupd_labelcore::{LabelingScheme, SessionMut};
 use xupd_schemes::containment::xrel::XRel;
 use xupd_schemes::prefix::cdbs::Cdbs;
 use xupd_schemes::prefix::improved_binary::ImprovedBinary;
@@ -33,7 +33,12 @@ fn run<S: LabelingScheme + Clone + 'static>(mut scheme: S, base: &XmlTree, ops: 
     let mut tree = base.clone();
     let mut labeling = scheme.label_tree(&tree).unwrap();
     let script = Script::generate(ScriptKind::Skewed, ops, tree.len(), 5);
-    let stats = run_script(&mut tree, &mut scheme, &mut labeling, &script).unwrap();
+    let stats = run_script_dyn(
+        &mut tree,
+        &mut SessionMut::new(&mut scheme, &mut labeling),
+        &script,
+    )
+    .unwrap();
     Outcome {
         knob,
         relabels: stats.relabeled,

@@ -12,7 +12,8 @@
 //!
 //! Emits `results/BENCH_label_growth.json`.
 
-use xupd_bench::growth_series;
+use xupd_bench::growth_series_session;
+use xupd_labelcore::{DynScheme, SchemeSession};
 use xupd_schemes::prefix::cdqs::Cdqs;
 use xupd_schemes::prefix::qed::Qed;
 use xupd_schemes::vector::VectorScheme;
@@ -26,24 +27,42 @@ xupd_testkit::install_counting_allocator!();
 fn main() {
     let mut h = Harness::new("label_growth");
     let base = docs::wide(50);
+    let series = |session: &mut dyn DynScheme, kind: ScriptKind, ops: usize, step: usize| {
+        growth_series_session(session, &base, kind, ops, step, 1)
+    };
     for kind in [ScriptKind::Skewed, ScriptKind::PrependStorm] {
         for ops in [200usize, 400] {
             h.bench(&format!("growth/qed/{}/{ops}", kind.name()), || {
-                black_box(growth_series(Qed::new(), &base, kind, ops, ops, 1))
+                black_box(series(&mut SchemeSession::new(Qed::new()), kind, ops, ops))
             });
             h.bench(&format!("growth/cdqs/{}/{ops}", kind.name()), || {
-                black_box(growth_series(Cdqs::new(), &base, kind, ops, ops, 1))
+                black_box(series(&mut SchemeSession::new(Cdqs::new()), kind, ops, ops))
             });
             h.bench(&format!("growth/vector/{}/{ops}", kind.name()), || {
-                black_box(growth_series(VectorScheme::new(), &base, kind, ops, ops, 1))
+                black_box(series(
+                    &mut SchemeSession::new(VectorScheme::new()),
+                    kind,
+                    ops,
+                    ops,
+                ))
             });
         }
     }
 
     // Print the headline comparison once per run so the series is
     // recorded alongside the timings (paper-shape check: Vector ≪ QED).
-    let qed = growth_series(Qed::new(), &base, ScriptKind::Skewed, 400, 100, 1);
-    let vec = growth_series(VectorScheme::new(), &base, ScriptKind::Skewed, 400, 100, 1);
+    let qed = series(
+        &mut SchemeSession::new(Qed::new()),
+        ScriptKind::Skewed,
+        400,
+        100,
+    );
+    let vec = series(
+        &mut SchemeSession::new(VectorScheme::new()),
+        ScriptKind::Skewed,
+        400,
+        100,
+    );
     println!("\nP3 headline (max label bits under 400 skewed inserts):");
     for (q, v) in qed.points.iter().zip(&vec.points) {
         println!("  ops={:<4} qed={:<6} vector={}", q.0, q.2, v.2);

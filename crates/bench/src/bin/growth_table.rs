@@ -8,6 +8,7 @@
 //! ```
 
 use xupd_bench::{growth_battery, render_growth_table};
+use xupd_labelcore::SchemeSession;
 use xupd_workloads::{docs, ScriptKind};
 
 fn main() {
@@ -38,16 +39,16 @@ fn main() {
     // this paper relays in §4).
     println!("P3 headline — QED vs Vector max label bits under skewed insertion");
     println!("{:<8} {:>10} {:>10}", "ops", "QED", "Vector");
-    let qed = xupd_bench::growth_series(
-        xupd_schemes::prefix::qed::Qed::new(),
+    let qed = xupd_bench::growth_series_session(
+        &mut SchemeSession::new(xupd_schemes::prefix::qed::Qed::new()),
         &base,
         ScriptKind::Skewed,
         ops,
         (ops / 10).max(1),
         42,
     );
-    let vec = xupd_bench::growth_series(
-        xupd_schemes::vector::VectorScheme::new(),
+    let vec = xupd_bench::growth_series_session(
+        &mut SchemeSession::new(xupd_schemes::vector::VectorScheme::new()),
         &base,
         ScriptKind::Skewed,
         ops,

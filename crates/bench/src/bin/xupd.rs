@@ -12,7 +12,7 @@
 //! choice §5.2's framework would recommend for a general repository).
 //!
 //! Scheme lookup goes through the object-safe registries
-//! ([`xupd_schemes::registry`] for labelling sessions,
+//! ([`xupd_schemes::registry()`] for labelling sessions,
 //! [`xupd_encoding::document_registry`] for encoded documents), so the
 //! CLI roster can never drift from the library roster.
 

@@ -20,7 +20,7 @@
 //! measurement helpers the table and timing binaries share, so numbers
 //! in tables and benches come from one code path.
 
-use xupd_labelcore::{DynScheme, LabelingScheme, SchemeSession};
+use xupd_labelcore::DynScheme;
 use xupd_schemes::SchemeEntry;
 use xupd_workloads::{Script, ScriptKind};
 use xupd_xmldom::XmlTree;
@@ -41,25 +41,11 @@ pub struct GrowthSeries {
     pub overflows: u64,
 }
 
-/// Drive `ops` operations of `kind` against `scheme` on a copy of
-/// `base`, checkpointing label sizes every `step` ops.
-///
-/// Typed convenience over [`growth_series_session`] — both paths run
-/// the same driver, so table and bench numbers can never diverge.
-pub fn growth_series<S: LabelingScheme + Clone + 'static>(
-    scheme: S,
-    base: &XmlTree,
-    kind: ScriptKind,
-    ops: usize,
-    step: usize,
-    seed: u64,
-) -> GrowthSeries {
-    let mut session = SchemeSession::new(scheme);
-    growth_series_session(&mut session, base, kind, ops, step, seed)
-}
-
-/// [`growth_series`] over an erased scheme session — the form the
-/// registry battery fans out over the `xupd-exec` pool.
+/// Drive `ops` operations of `kind` against the `session`'s scheme on a
+/// copy of `base`, checkpointing label sizes every `step` ops. The
+/// registry battery fans this out over the `xupd-exec` pool; a typed
+/// scheme is measured through `&mut SchemeSession::new(scheme)`. Tables
+/// and benches share this one driver, so their numbers cannot diverge.
 pub fn growth_series_session(
     session: &mut dyn DynScheme,
     base: &XmlTree,
@@ -137,6 +123,7 @@ pub fn render_growth_table(kind: ScriptKind, series: &[GrowthSeries]) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xupd_labelcore::SchemeSession;
     use xupd_schemes::prefix::qed::Qed;
     use xupd_schemes::vector::VectorScheme;
     use xupd_workloads::docs;
@@ -144,7 +131,14 @@ mod tests {
     #[test]
     fn growth_series_checkpoints_accumulate() {
         let base = docs::wide(20);
-        let s = growth_series(Qed::new(), &base, ScriptKind::Skewed, 100, 25, 1);
+        let s = growth_series_session(
+            &mut SchemeSession::new(Qed::new()),
+            &base,
+            ScriptKind::Skewed,
+            100,
+            25,
+            1,
+        );
         assert_eq!(s.points.len(), 5); // 0,25,50,75,100
         assert!(s.points.last().unwrap().1 > s.points[0].1);
         assert_eq!(s.relabels, 0);
@@ -154,8 +148,22 @@ mod tests {
     fn p3_vector_grows_slower_than_qed_under_skew() {
         // The reproduction of the paper's §4/§5 claim, at harness level.
         let base = docs::wide(20);
-        let qed = growth_series(Qed::new(), &base, ScriptKind::Skewed, 300, 100, 1);
-        let vec = growth_series(VectorScheme::new(), &base, ScriptKind::Skewed, 300, 100, 1);
+        let qed = growth_series_session(
+            &mut SchemeSession::new(Qed::new()),
+            &base,
+            ScriptKind::Skewed,
+            300,
+            100,
+            1,
+        );
+        let vec = growth_series_session(
+            &mut SchemeSession::new(VectorScheme::new()),
+            &base,
+            ScriptKind::Skewed,
+            300,
+            100,
+            1,
+        );
         let qed_max = qed.points.last().unwrap().2;
         let vec_max = vec.points.last().unwrap().2;
         assert!(
@@ -179,16 +187,5 @@ mod tests {
         assert!(table.contains("QED"));
         assert!(table.contains("Vector"));
         assert_eq!(series.len(), 12);
-    }
-
-    #[test]
-    fn typed_and_session_growth_series_agree() {
-        let base = docs::wide(15);
-        let typed = growth_series(Qed::new(), &base, ScriptKind::Skewed, 60, 20, 9);
-        let mut session = SchemeSession::new(Qed::new());
-        let erased = growth_series_session(&mut session, &base, ScriptKind::Skewed, 60, 20, 9);
-        assert_eq!(typed.points, erased.points);
-        assert_eq!(typed.relabels, erased.relabels);
-        assert_eq!(typed.overflows, erased.overflows);
     }
 }

@@ -3,10 +3,11 @@
 //! A dependency-free, unsafe-free scoped thread pool on [`std::thread`],
 //! built for the one parallelism shape this workspace has: independent
 //! per-scheme batteries fanned out over a fixed item list. The only
-//! primitive is [`par_map`] (plus its fallible twin [`try_par_map`]),
-//! which preserves input order in its results and propagates the first
-//! error or panic **by input index**, not by wall-clock arrival — so a
-//! parallel run fails exactly like the sequential run would have.
+//! primitive is [`par_map`], which preserves input order in its results
+//! and propagates the first panic **by input index**, not by wall-clock
+//! arrival — so a parallel run fails exactly like the sequential run
+//! would have. A fallible battery maps to `Result`s and collects them in
+//! input order, which surfaces the lowest-index error.
 //!
 //! ## Determinism contract
 //!
@@ -18,7 +19,6 @@
 //! * A panic in any closure is re-raised on the caller with the payload
 //!   of the **lowest-index** panicking item; every other item still
 //!   runs to completion first (workers never abandon the queue).
-//! * [`try_par_map`] returns the `Err` of the lowest-index failing item.
 //!
 //! Worker count comes from `XUPD_THREADS` when set (minimum 1),
 //! otherwise [`std::thread::available_parallelism`]. Code outside this
@@ -118,32 +118,6 @@ where
     out
 }
 
-/// Fallible [`par_map`]: every item runs; the result is `Ok(results)` in
-/// input order, or the `Err` of the lowest-index failing item —
-/// exactly the error a sequential `?`-loop over `items` would surface
-/// (sequential stops early; the parallel form runs the rest, then
-/// discards their results).
-pub fn try_par_map<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    try_par_map_with(worker_count(), items, f)
-}
-
-/// [`try_par_map`] with an explicit worker count.
-pub fn try_par_map_with<T, R, E, F>(workers: usize, items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    par_map_with(workers, items, f).into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,21 +168,6 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert_eq!(msg, "boom at 5", "lowest-index panic wins");
-    }
-
-    #[test]
-    fn try_par_map_first_error_by_index() {
-        let items: Vec<usize> = (0..32).collect();
-        let r: Result<Vec<usize>, String> = try_par_map_with(4, &items, |&i| {
-            if i == 19 || i == 3 {
-                Err(format!("bad {i}"))
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(r.unwrap_err(), "bad 3");
-        let ok: Result<Vec<usize>, String> = try_par_map_with(4, &items, |&i| Ok(i));
-        assert_eq!(ok.unwrap(), items);
     }
 
     #[test]

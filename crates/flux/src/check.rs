@@ -4,12 +4,12 @@
 //! Two sub-passes:
 //!
 //! * **Shape** (F005, F009) — every path is checked against its
-//!   [`XPathExpr::access_pattern`] plan: `set` must end in a `text()`
-//!   step, child-position inserts and `rename` must not target text
-//!   nodes, attribute-axis steps are rejected everywhere (attribute
-//!   nodes are not updatable through flux), and no statement may
-//!   mutate the document root. Shape is context-free, so this pass
-//!   recurses into `for` bodies.
+//!   [`XPathExpr::access_pattern`](xupd_encoding::XPathExpr::access_pattern)
+//!   plan: `set` must end in a `text()` step, child-position inserts
+//!   and `rename` must not target text nodes, attribute-axis steps are
+//!   rejected everywhere (attribute nodes are not updatable through
+//!   flux), and no statement may mutate the document root. Shape is
+//!   context-free, so this pass recurses into `for` bodies.
 //! * **Sequence** (F006, F007, F008) — write-after-delete, double
 //!   text-slot writes and moves into their own subtree, detected over
 //!   *literal* paths (chains of named child steps, optionally with a

@@ -33,26 +33,16 @@
 //! records that state's [`XmlTree::revision`], and
 //! [`apply_plan_with_dyn`] refuses to run it on any other.
 //!
-//! ## Soundness, in two layers
+//! ## Soundness
 //!
-//! The **batch layer** is deliberately conservative: it must preserve
-//! *labels and evidence counters*, not just document bytes, because the
+//! The analysis is deliberately conservative: it must preserve *labels
+//! and evidence counters*, not just document bytes, because the
 //! differential suite (`tests/analysis_differential.rs`) compares all of
 //! them across the whole scheme roster. Reordering is additionally
 //! gated on [`DynScheme::order_independent`]: schemes whose labels
 //! encode insertion *history* (Prime's temporal prime counter, the
 //! containment family's global interval renumbering) refuse the
 //! certificate and run in original order — which is always safe.
-//!
-//! The **pairwise layer** ([`op_pair_verdict`], [`commutes`],
-//! [`conflicts`]) is the precise structural oracle the property tests
-//! exercise: `Commutes` promises that applying the two ops as one-op
-//! batches in either order yields byte-identical documents *and* the
-//! same per-op success pattern; every `Conflicts` verdict is witnessed
-//! by the pair itself — its two orders genuinely diverge in bytes or in
-//! validity. The pairwise oracle judges *structure only*; it does not by
-//! itself license label-preserving reorders (that is the batch layer's
-//! job).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -276,28 +266,6 @@ impl AnalyzedPlan {
     /// True for the empty plan.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The conflict edges only (dependencies filtered out).
-    pub fn conflict_edges(&self) -> impl Iterator<Item = &Edge> {
-        self.edges
-            .iter()
-            .filter(|e| matches!(e.kind, EdgeKind::Conflict(_)))
-    }
-
-    /// Are ops `i` and `j` provably independent (no graph path couples
-    /// them — they live in different components)?
-    pub fn is_independent(&self, i: usize, j: usize) -> bool {
-        self.component_of(i) != self.component_of(j)
-    }
-
-    fn component_of(&self, i: usize) -> usize {
-        for (c, members) in self.components.iter().enumerate() {
-            if members.binary_search(&i).is_ok() {
-                return c;
-            }
-        }
-        usize::MAX
     }
 
     /// The execution order the optimizer is certified to use. With
@@ -1084,290 +1052,6 @@ pub fn apply_plan_with_dyn(
 }
 
 // ---------------------------------------------------------------------
-// Pairwise structural oracle.
-// ---------------------------------------------------------------------
-
-/// The precise pairwise verdict: structural commutation or a witnessed
-/// conflict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PairVerdict {
-    /// Applying `a` then `b` (as one-op batches) and `b` then `a`
-    /// yields byte-identical documents and the same per-op success
-    /// pattern.
-    Commutes,
-    /// The two orders genuinely diverge — in document bytes or in
-    /// which ops succeed.
-    Conflicts(ConflictKind),
-}
-
-/// Pairwise footprint of one self-contained op.
-struct PairFacts {
-    refs: Vec<u32>,
-    gap: Option<GapKey>,
-    /// Uniform payload of the created run at the gap, when every node
-    /// the op inserts has the same kind (`None` when nothing uniform
-    /// is inserted — e.g. a move).
-    gap_payload: Option<NodeKind>,
-    text: Option<(u32, String)>,
-    deleted: Option<Extent>,
-    is_move: bool,
-    is_delete: bool,
-    /// Row of the subtree root a `MoveSubtree` relocates.
-    moved_root: Option<u32>,
-    /// Row of a `Before`/`After` destination anchor. Sibling-relative
-    /// placement follows the anchor *wherever it currently is*, so it
-    /// is order-sensitive against an op that moves that exact node
-    /// (anchors strictly inside a moved subtree just ride along).
-    sibling_anchor: Option<u32>,
-}
-
-fn pair_place(
-    tree: &XmlTree,
-    idx: &DocIndex,
-    place: Place,
-    facts: &mut PairFacts,
-) -> Result<(), TreeError> {
-    let node = |r: NodeRef| match r {
-        NodeRef::Node(n) => Ok(n),
-        NodeRef::New(l) => Err(TreeError::Invariant(format!(
-            "pairwise verdicts need self-contained ops; log id #{} crosses ops",
-            l.0
-        ))),
-    };
-    match place {
-        Place::FirstChildOf(r) => {
-            let p = node(r)?;
-            let prow = idx.row(p)?;
-            facts.refs.push(prow);
-            facts.gap = Some(GapKey {
-                parent: prow,
-                left: GapSlot::Start,
-            });
-        }
-        Place::LastChildOf(r) => {
-            let p = node(r)?;
-            let prow = idx.row(p)?;
-            facts.refs.push(prow);
-            let left = match tree.last_child(p) {
-                Some(lc) => GapSlot::AfterNode(idx.row(lc)?),
-                None => GapSlot::Start,
-            };
-            facts.gap = Some(GapKey { parent: prow, left });
-        }
-        Place::Before(r) | Place::After(r) => {
-            let s = node(r)?;
-            let srow = idx.row(s)?;
-            facts.refs.push(srow);
-            facts.sibling_anchor = Some(srow);
-            let parent = tree.parent(s).ok_or(TreeError::NoParent(s))?;
-            let prow = idx.row(parent)?;
-            let left = if matches!(place, Place::After(_)) {
-                GapSlot::AfterNode(srow)
-            } else {
-                match tree.prev_sibling(s) {
-                    Some(ps) => GapSlot::AfterNode(idx.row(ps)?),
-                    None => GapSlot::Start,
-                }
-            };
-            facts.gap = Some(GapKey { parent: prow, left });
-        }
-    }
-    Ok(())
-}
-
-fn pair_facts(tree: &XmlTree, idx: &DocIndex, m: &Mutation) -> Result<PairFacts, TreeError> {
-    let mut facts = PairFacts {
-        refs: Vec::new(),
-        gap: None,
-        gap_payload: None,
-        text: None,
-        deleted: None,
-        is_move: false,
-        is_delete: false,
-        moved_root: None,
-        sibling_anchor: None,
-    };
-    let node = |r: NodeRef| match r {
-        NodeRef::Node(n) => Ok(n),
-        NodeRef::New(l) => Err(TreeError::Invariant(format!(
-            "pairwise verdicts need self-contained ops; log id #{} crosses ops",
-            l.0
-        ))),
-    };
-    match m {
-        Mutation::CreateElement { name, place, .. } => {
-            pair_place(tree, idx, *place, &mut facts)?;
-            facts.gap_payload = Some(NodeKind::element(name.clone()));
-        }
-        Mutation::CreateNode { kind, place, .. } => {
-            pair_place(tree, idx, *place, &mut facts)?;
-            facts.gap_payload = Some(kind.clone());
-        }
-        Mutation::SetText { target, text } => {
-            let t = node(*target)?;
-            let row = idx.row(t)?;
-            facts.refs.push(row);
-            facts.text = Some((row, text.clone()));
-        }
-        Mutation::Replace { target, name, .. } => {
-            let t = node(*target)?;
-            let trow = idx.row(t)?;
-            facts.refs.push(trow);
-            facts.deleted = Some(idx.extent(trow));
-            let parent = tree.parent(t).ok_or(TreeError::RootImmutable)?;
-            let prow = idx.row(parent)?;
-            facts.gap = Some(GapKey {
-                parent: prow,
-                left: GapSlot::Own(trow),
-            });
-            facts.gap_payload = Some(NodeKind::element(name.clone()));
-        }
-        Mutation::Delete { target } => {
-            let t = node(*target)?;
-            let trow = idx.row(t)?;
-            facts.refs.push(trow);
-            facts.deleted = Some(idx.extent(trow));
-            facts.is_delete = true;
-        }
-        Mutation::AppendChildren { parent, name, .. } => {
-            let p = node(*parent)?;
-            let prow = idx.row(p)?;
-            facts.refs.push(prow);
-            let left = match tree.last_child(p) {
-                Some(lc) => GapSlot::AfterNode(idx.row(lc)?),
-                None => GapSlot::Start,
-            };
-            facts.gap = Some(GapKey { parent: prow, left });
-            facts.gap_payload = Some(NodeKind::element(name.clone()));
-        }
-        Mutation::MoveSubtree { target, place } => {
-            let t = node(*target)?;
-            let trow = idx.row(t)?;
-            facts.refs.push(trow);
-            pair_place(tree, idx, *place, &mut facts)?;
-            facts.is_move = true;
-            facts.moved_root = Some(trow);
-        }
-    }
-    Ok(facts)
-}
-
-/// Decide, statically, whether the one-op batches `a` and `b` commute
-/// on `tree` — see [`PairVerdict`] for the exact contract. Both ops
-/// must be self-contained (no [`NodeRef::New`] references).
-pub fn op_pair_verdict(
-    tree: &XmlTree,
-    a: &Mutation,
-    b: &Mutation,
-) -> Result<PairVerdict, TreeError> {
-    let idx = DocIndex::build(tree)?;
-    let fa = pair_facts(tree, &idx, a)?;
-    let fb = pair_facts(tree, &idx, b)?;
-
-    // Text/text: the same point written twice diverges unless both
-    // write the same value.
-    if let (Some((ta, va)), Some((tb, vb))) = (&fa.text, &fb.text) {
-        if ta == tb {
-            return Ok(if va == vb {
-                PairVerdict::Commutes
-            } else {
-                PairVerdict::Conflicts(ConflictKind::TextText)
-            });
-        }
-    }
-
-    // Identical plain deletes are idempotent as a pair (either order:
-    // the first succeeds, the second fails on the same dangling
-    // target) — decided before the reference checks below, which would
-    // otherwise see each delete's target inside its twin's extent.
-    if fa.is_delete && fb.is_delete && fa.deleted == fb.deleted {
-        return Ok(PairVerdict::Commutes);
-    }
-
-    // Move destination inside the other op's deleted subtree: one
-    // order moves the subtree to safety, the other strands it.
-    let move_into = |mv: &PairFacts, other: &PairFacts| {
-        mv.is_move
-            && matches!((&mv.gap, &other.deleted), (Some(g), Some(e)) if e.contains(g.parent))
-    };
-    if move_into(&fa, &fb) || move_into(&fb, &fa) {
-        return Ok(PairVerdict::Conflicts(ConflictKind::MoveIntoDeleted));
-    }
-
-    // Write-after-delete: one op anchors on (or targets) a row the
-    // other deletes — applying the delete first invalidates the other
-    // op, so the success patterns of the two orders differ.
-    let touches = |x: &PairFacts, del: &PairFacts| {
-        matches!(&del.deleted, Some(e) if x.refs.iter().any(|&r| e.contains(r)))
-    };
-    if touches(&fa, &fb) || touches(&fb, &fa) {
-        return Ok(PairVerdict::Conflicts(ConflictKind::WriteAfterDelete));
-    }
-
-    // Overlapping deletions (identical plain deletes were already
-    // certified idempotent above) — everything else diverges.
-    if let (Some(ea), Some(eb)) = (&fa.deleted, &fb.deleted) {
-        if ea.overlaps(eb) {
-            return Ok(PairVerdict::Conflicts(ConflictKind::ExtentOverlap));
-        }
-    }
-
-    // Two moves of the same subtree root: whichever runs second decides
-    // the final position.
-    if fa.moved_root.is_some() && fa.moved_root == fb.moved_root {
-        return Ok(PairVerdict::Conflicts(ConflictKind::StructuralOverlap));
-    }
-
-    // A Before/After destination anchored on the exact node the other
-    // op moves: the placement follows the anchor to its new home in one
-    // order and stays at the old site in the other. (Anchors strictly
-    // inside the moved subtree are id-stable and ride along.)
-    let anchor_moved = |x: &PairFacts, mv: &PairFacts| {
-        matches!((x.sibling_anchor, mv.moved_root), (Some(s), Some(r)) if s == r)
-    };
-    if anchor_moved(&fa, &fb) || anchor_moved(&fb, &fa) {
-        return Ok(PairVerdict::Conflicts(ConflictKind::StructuralOverlap));
-    }
-
-    // Same sibling gap: order decides adjacency — unless both ops
-    // insert runs of one identical kind, in which case the merged run
-    // reads the same either way.
-    if let (Some(ga), Some(gb)) = (&fa.gap, &fb.gap) {
-        if ga == gb {
-            let uniform = match (&fa.gap_payload, &fb.gap_payload) {
-                (Some(ka), Some(kb)) => ka == kb,
-                _ => false,
-            };
-            return Ok(if uniform && !fa.is_move && !fb.is_move {
-                PairVerdict::Commutes
-            } else {
-                PairVerdict::Conflicts(ConflictKind::StructuralOverlap)
-            });
-        }
-    }
-
-    Ok(PairVerdict::Commutes)
-}
-
-/// True when [`op_pair_verdict`] certifies the pair order-insensitive.
-pub fn commutes(tree: &XmlTree, a: &Mutation, b: &Mutation) -> Result<bool, TreeError> {
-    Ok(matches!(op_pair_verdict(tree, a, b)?, PairVerdict::Commutes))
-}
-
-/// The conflict witnessed by the pair, when the verdict is not
-/// commutation.
-pub fn conflicts(
-    tree: &XmlTree,
-    a: &Mutation,
-    b: &Mutation,
-) -> Result<Option<ConflictKind>, TreeError> {
-    Ok(match op_pair_verdict(tree, a, b)? {
-        PairVerdict::Commutes => None,
-        PairVerdict::Conflicts(k) => Some(k),
-    })
-}
-
-// ---------------------------------------------------------------------
 // Tests.
 // ---------------------------------------------------------------------
 
@@ -1427,8 +1111,7 @@ mod tests {
         // inside <b> shares no footprint with the structural create
         // under <b> (text points don't collide with sibling gaps), so
         // all three ops are mutually independent here.
-        assert_eq!(plan.components.len(), 3);
-        assert!(plan.is_independent(0, 1));
+        assert_eq!(plan.components, vec![vec![0], vec![1], vec![2]]);
         assert!(plan.edges.is_empty());
     }
 
@@ -1539,78 +1222,53 @@ mod tests {
         // Invalid as a batch (writes a consumed node) — analyze must
         // reject it exactly like validate does.
         assert!(analyze(&log, &t).is_err());
-        // But the pairwise oracle names the hazard statically.
-        let d = Mutation::Delete {
-            target: NodeRef::Node(elem(&t, "a")),
-        };
-        let s = Mutation::SetText {
-            target: NodeRef::Node(text_node(&t, "1")),
-            text: "10".into(),
-        };
-        assert_eq!(
-            op_pair_verdict(&t, &d, &s).unwrap(),
-            PairVerdict::Conflicts(ConflictKind::WriteAfterDelete)
-        );
     }
 
+    /// Each batch below couples its two ops with exactly one edge, of
+    /// the named kind. `TextText` has no case: `validate` rejects a
+    /// second write to one text point, so no valid batch carries it.
     #[test]
-    fn nested_deletes_are_extent_overlap() {
+    fn analyze_names_each_conflict_kind() {
         let t = doc();
-        let d_outer = Mutation::Delete {
-            target: NodeRef::Node(elem(&t, "a")),
+        let delete = |name: &str| Mutation::Delete {
+            target: NodeRef::Node(elem(&t, name)),
         };
-        let d_inner = Mutation::Delete {
-            target: NodeRef::Node(elem(&t, "x")),
-        };
-        // The inner target row sits inside the outer extent, so the
-        // reference check fires first: deleting <a> strands the <x>
-        // delete.
-        assert!(matches!(
-            op_pair_verdict(&t, &d_outer, &d_inner).unwrap(),
-            PairVerdict::Conflicts(_)
-        ));
-        // Identical deletes are idempotent as a pair.
-        assert_eq!(
-            op_pair_verdict(&t, &d_outer, &d_outer.clone()).unwrap(),
-            PairVerdict::Commutes
-        );
-    }
-
-    #[test]
-    fn move_into_deleted_is_named() {
-        let t = doc();
-        let mv = Mutation::MoveSubtree {
-            target: NodeRef::Node(elem(&t, "c")),
-            place: Place::LastChildOf(NodeRef::Node(elem(&t, "a"))),
-        };
-        let del = Mutation::Delete {
-            target: NodeRef::Node(elem(&t, "a")),
-        };
-        assert_eq!(
-            op_pair_verdict(&t, &mv, &del).unwrap(),
-            PairVerdict::Conflicts(ConflictKind::MoveIntoDeleted)
-        );
-    }
-
-    #[test]
-    fn text_text_divergence_and_noop() {
-        let t = doc();
-        let w1 = Mutation::SetText {
-            target: NodeRef::Node(text_node(&t, "1")),
-            text: "x".into(),
-        };
-        let w2 = Mutation::SetText {
-            target: NodeRef::Node(text_node(&t, "1")),
-            text: "y".into(),
-        };
-        assert_eq!(
-            op_pair_verdict(&t, &w1, &w2).unwrap(),
-            PairVerdict::Conflicts(ConflictKind::TextText)
-        );
-        assert_eq!(
-            op_pair_verdict(&t, &w1, &w1.clone()).unwrap(),
-            PairVerdict::Commutes
-        );
+        let cases = [
+            (
+                Mutation::MoveSubtree {
+                    target: NodeRef::Node(elem(&t, "c")),
+                    place: Place::LastChildOf(NodeRef::Node(elem(&t, "a"))),
+                },
+                delete("a"),
+                ConflictKind::MoveIntoDeleted,
+            ),
+            (
+                Mutation::SetText {
+                    target: NodeRef::Node(text_node(&t, "3")),
+                    text: "30".into(),
+                },
+                delete("b"),
+                ConflictKind::WriteAfterDelete,
+            ),
+            (
+                Mutation::CreateElement {
+                    id: LogId(0),
+                    name: "p".into(),
+                    place: Place::After(NodeRef::Node(elem(&t, "b"))),
+                },
+                delete("a"),
+                ConflictKind::ExtentOverlap,
+            ),
+        ];
+        for (first, second, kind) in cases {
+            let plan = analyze(&MutationLog::from(vec![first, second]), &t).unwrap();
+            let edge = Edge {
+                from: 0,
+                to: 1,
+                kind: EdgeKind::Conflict(kind),
+            };
+            assert_eq!(plan.edges, vec![edge], "{}", kind.name());
+        }
     }
 
     #[test]
@@ -1714,17 +1372,5 @@ mod tests {
             ApplyOptions::default(),
         );
         assert!(matches!(err, Err(TreeError::Invariant(_))));
-    }
-
-    #[test]
-    fn pairwise_rejects_cross_op_log_ids() {
-        let t = doc();
-        let a = Mutation::Delete {
-            target: NodeRef::New(LogId(7)),
-        };
-        let b = Mutation::Delete {
-            target: NodeRef::Node(elem(&t, "c")),
-        };
-        assert!(op_pair_verdict(&t, &a, &b).is_err());
     }
 }

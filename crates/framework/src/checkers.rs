@@ -32,7 +32,7 @@
 use crate::driver::{run_script_dyn, DriveStats};
 use crate::orthogonal::has_order_code_algebra;
 use crate::verify::{verify_dyn, VerifyOutcome};
-use xupd_labelcore::{Compliance, DynScheme, LabelingScheme, Property, SchemeSession, SchemeStats};
+use xupd_labelcore::{Compliance, DynScheme, Property, SchemeStats};
 use xupd_workloads::{docs, Script, ScriptKind};
 use xupd_xmldom::{TreeError, XmlTree};
 
@@ -109,15 +109,9 @@ fn drive(
     Ok((stats, session.stats().clone()))
 }
 
-/// Run the full checker battery against `scheme` and grade the eight
-/// properties.
-pub fn measure_scheme<S: LabelingScheme + Clone + 'static>(scheme: S) -> Result<Measured, TreeError> {
-    measure_session(&mut SchemeSession::new(scheme))
-}
-
-/// Object-safe [`measure_scheme`]: the battery itself, written once
-/// against [`DynScheme`] sessions so the registry's parallel fan-out and
-/// the typed API grade identically.
+/// Run the full checker battery against the `session`'s scheme and
+/// grade the eight properties. A typed scheme is measured as
+/// `measure_session(&mut SchemeSession::new(scheme))`.
 pub fn measure_session(session: &mut dyn DynScheme) -> Result<Measured, TreeError> {
     let name = session.name();
     let mut ev = Evidence::default();
@@ -257,13 +251,14 @@ fn grade_bool(full: bool) -> Compliance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xupd_labelcore::SchemeSession;
     use xupd_schemes::prefix::dewey::DeweyId;
     use xupd_schemes::prefix::qed::Qed;
     use xupd_schemes::vector::VectorScheme;
 
     #[test]
     fn qed_measures_like_its_figure7_row() {
-        let m = measure_scheme(Qed::new()).unwrap();
+        let m = measure_session(&mut SchemeSession::new(Qed::new())).unwrap();
         assert_eq!(m.cell(Property::PersistentLabels), Compliance::Full);
         assert_eq!(m.cell(Property::XPathEvaluations), Compliance::Full);
         assert_eq!(m.cell(Property::LevelEncoding), Compliance::Full);
@@ -277,7 +272,7 @@ mod tests {
 
     #[test]
     fn dewey_measures_like_its_figure7_row() {
-        let m = measure_scheme(DeweyId::new()).unwrap();
+        let m = measure_session(&mut SchemeSession::new(DeweyId::new())).unwrap();
         assert_eq!(m.cell(Property::PersistentLabels), Compliance::None);
         assert_eq!(m.cell(Property::XPathEvaluations), Compliance::Full);
         assert_eq!(m.cell(Property::LevelEncoding), Compliance::Full);
@@ -291,7 +286,7 @@ mod tests {
     fn vector_overflow_divergence_is_measured() {
         // The paper (§4) doubts Vector's overflow-freedom; the zigzag
         // probe vindicates the doubt.
-        let m = measure_scheme(VectorScheme::new()).unwrap();
+        let m = measure_session(&mut SchemeSession::new(VectorScheme::new())).unwrap();
         assert_eq!(m.cell(Property::OverflowFree), Compliance::None);
         assert_eq!(m.cell(Property::PersistentLabels), Compliance::Full);
         assert_eq!(m.cell(Property::NoDivision), Compliance::Full);

@@ -2,8 +2,8 @@
 //!
 //! The crates expose the full pipeline as separate entry points —
 //! `EncodedDocument::encode`, `parse_xpath` + `XPathExpr::evaluate`,
-//! `run_script`, `verify`, `reconstruct` — each with its own state to
-//! thread. [`Document`] bundles them behind one handle:
+//! `run_script_dyn`, `verify_dyn`, `reconstruct` — each with its own
+//! state to thread. [`Document`] bundles them behind one handle:
 //!
 //! ```
 //! use xupd_framework::Document;
@@ -21,8 +21,10 @@
 //! assert_eq!(rebuilt.len(), doc.tree().len());
 //! ```
 //!
-//! The document owns a live [`XmlTree`] plus the scheme and its
-//! labelling, updated incrementally by [`Document::apply`]. Query-side
+//! The document owns a live [`XmlTree`] plus one [`SchemeSession`] (the
+//! scheme and its labelling), updated incrementally by
+//! [`Document::apply`]; every verify and write path hands that session
+//! to the framework function as it is. Query-side
 //! calls ([`Document::xpath`], [`Document::reconstruct`],
 //! [`Document::encoded`]) run over an encoded snapshot of the current
 //! tree that is built lazily — queries between two updates share one
@@ -36,13 +38,13 @@
 //! per batch.
 
 use crate::analysis::{self, AnalyzedPlan, ApplyOptions};
-use crate::driver::{run_script, DriveStats};
+use crate::driver::{run_script_dyn, DriveStats};
 use crate::mutations::{self, Mutation, MutationLog, NodeRef};
 use crate::querycache::{CacheStats, QueryCache, QueryId};
-use crate::verify::{verify, VerifyOutcome};
+use crate::verify::{verify_dyn, VerifyOutcome};
 use std::fmt;
 use xupd_encoding::{parse_xpath, EncodedDocument, XPathError};
-use xupd_labelcore::{Labeling, LabelingScheme, SessionMut};
+use xupd_labelcore::{DynScheme, Labeling, LabelingScheme, SchemeSession};
 use xupd_workloads::Script;
 use xupd_xmldom::{TreeError, XmlTree};
 
@@ -89,8 +91,7 @@ impl From<XPathError> for DocumentError {
 /// updates and verification, lazily encoded snapshot for queries.
 pub struct Document<S: LabelingScheme + Clone + 'static> {
     tree: XmlTree,
-    scheme: S,
-    labeling: Labeling<S::Label>,
+    session: SchemeSession<S>,
     snapshot: Option<EncodedDocument<S>>,
     /// How many times the lazy query snapshot has been (re)built — one
     /// per first query after an update, however many ops the update
@@ -102,13 +103,13 @@ pub struct Document<S: LabelingScheme + Clone + 'static> {
 
 impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// Label a copy of `tree` under `scheme`.
-    pub fn encode(mut scheme: S, tree: &XmlTree) -> Result<Self, TreeError> {
+    pub fn encode(scheme: S, tree: &XmlTree) -> Result<Self, TreeError> {
         let tree = tree.clone();
-        let labeling = scheme.label_tree(&tree)?;
+        let mut session = SchemeSession::new(scheme);
+        session.label_tree(&tree)?;
         Ok(Document {
             tree,
-            scheme,
-            labeling,
+            session,
             snapshot: None,
             snapshot_rebuilds: 0,
             cache: QueryCache::new(),
@@ -122,12 +123,12 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
 
     /// The scheme instance.
     pub fn scheme(&self) -> &S {
-        &self.scheme
+        self.session.typed_scheme()
     }
 
     /// The live labelling.
     pub fn labeling(&self) -> &Labeling<S::Label> {
-        &self.labeling
+        self.session.typed_labeling()
     }
 
     /// The encoded snapshot of the current tree, building it on first
@@ -137,7 +138,7 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         match self.snapshot {
             Some(ref enc) => Ok(enc),
             None => {
-                let enc = EncodedDocument::encode(self.scheme.clone(), &self.tree)?;
+                let enc = EncodedDocument::encode(self.scheme().clone(), &self.tree)?;
                 self.snapshot_rebuilds += 1;
                 Ok(self.snapshot.insert(enc))
             }
@@ -160,7 +161,7 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     pub fn apply(&mut self, script: &Script) -> Result<DriveStats, TreeError> {
         self.snapshot = None;
         self.cache.mark_stale();
-        run_script(&mut self.tree, &mut self.scheme, &mut self.labeling, script)
+        run_script_dyn(&mut self.tree, &mut self.session, script)
     }
 
     /// Apply a [`MutationLog`] atomically against the live tree, in log
@@ -169,7 +170,7 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// is a snapshot or a live cache to maintain, the batch is analyzed
     /// (which validates it) and applied through
     /// [`Document::apply_planned`] under [`ApplyOptions::sequential`];
-    /// otherwise it goes straight to [`mutations::apply_log`].
+    /// otherwise it goes straight to [`mutations::apply_log_dyn`].
     ///
     /// Invalidation is footprint-driven:
     ///
@@ -188,8 +189,7 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         if (self.cache.is_empty() || self.cache.is_stale()) && self.snapshot.is_none() {
             // Nothing to maintain: skip the analysis pass entirely so a
             // cacheless document pays exactly the pre-cache cost.
-            let stats =
-                mutations::apply_log(&mut self.tree, &mut self.scheme, &mut self.labeling, log)?;
+            let stats = mutations::apply_log_dyn(&mut self.tree, &mut self.session, log)?;
             self.cache.mark_stale();
             return Ok(stats);
         }
@@ -209,15 +209,13 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         plan: &AnalyzedPlan,
         opts: ApplyOptions,
     ) -> Result<DriveStats, TreeError> {
-        let stats = {
-            let mut session = SessionMut::new(&mut self.scheme, &mut self.labeling);
-            analysis::apply_plan_with_dyn(&mut self.tree, &mut session, log, plan, opts)?
-        };
+        let stats =
+            analysis::apply_plan_with_dyn(&mut self.tree, &mut self.session, log, plan, opts)?;
         // Nil components leave no trace under a cancellation-neutral
         // scheme, so they count as not executed whether or not `opts`
         // skipped them.
-        let neutral = self.scheme.cancellation_neutral();
-        let (reorder, _) = opts.granted(self.scheme.order_independent(), neutral);
+        let neutral = self.session.cancellation_neutral();
+        let (reorder, _) = opts.granted(self.session.order_independent(), neutral);
         let effective = plan.execution_order(reorder, neutral);
         self.maintain_after_apply(log, plan, &effective);
         Ok(stats)
@@ -338,15 +336,6 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         Ok(self.cache.hit(q))
     }
 
-    /// The maintained string values of a registered query (empty unless
-    /// registered with `want_strings`).
-    pub fn cached_strings(&mut self, q: QueryId) -> Result<&[String], TreeError> {
-        if self.cache.is_stale() {
-            self.cache.refresh(&self.tree)?;
-        }
-        Ok(self.cache.strings(q))
-    }
-
     /// Cumulative cache counters, alongside
     /// [`Document::snapshot_rebuilds`].
     pub fn cache_stats(&self) -> &CacheStats {
@@ -358,12 +347,6 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         &self.cache
     }
 
-    /// Mutable access to the query cache — test seams only.
-    #[doc(hidden)]
-    pub fn query_cache_mut(&mut self) -> &mut QueryCache {
-        &mut self.cache
-    }
-
     /// How many times the lazy query snapshot has been (re)built.
     pub fn snapshot_rebuilds(&self) -> u64 {
         self.snapshot_rebuilds
@@ -372,13 +355,7 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// Verify the live labelling against tree ground truth (document
     /// order, duplicates, sampled relation and level answers).
     pub fn verify(&self) -> Result<VerifyOutcome, TreeError> {
-        verify(
-            &self.tree,
-            &self.scheme,
-            &self.labeling,
-            VERIFY_SAMPLE_PAIRS,
-            VERIFY_SEED,
-        )
+        verify_dyn(&self.tree, &self.session, VERIFY_SAMPLE_PAIRS, VERIFY_SEED)
     }
 
     /// Rebuild an [`XmlTree`] from the encoded snapshot alone — the

@@ -2,7 +2,7 @@
 //! evidence the property checkers grade.
 
 use crate::mutations::{LogBindings, LogId, Mutation, MutationLog, NodeRef, Place};
-use xupd_labelcore::{DynScheme, Labeling, LabelingScheme, SessionMut};
+use xupd_labelcore::DynScheme;
 use xupd_workloads::{Script, ScriptOp};
 use xupd_xmldom::{NodeId, TreeError, XmlTree};
 
@@ -139,7 +139,9 @@ impl ElementPool {
     }
 }
 
-/// Replay `script` against `scheme`/`labeling`/`tree`.
+/// Replay `script` against the `session`'s scheme and labelling and
+/// `tree`. A caller holding a typed scheme and labelling passes
+/// `&mut SessionMut::new(&mut scheme, &mut labeling)`.
 ///
 /// Index resolution: each op's index addresses the element pool (live
 /// element nodes in document order) modulo its size. Deletions skip the
@@ -147,18 +149,6 @@ impl ElementPool {
 /// [`ScriptOp::InsertAfter`] with index `usize::MAX` is the zigzag
 /// pattern: the driver maintains an adjacent pair and alternately
 /// tightens its left and right ends.
-pub fn run_script<S: LabelingScheme + Clone + 'static>(
-    tree: &mut XmlTree,
-    scheme: &mut S,
-    labeling: &mut Labeling<S::Label>,
-    script: &Script,
-) -> Result<DriveStats, TreeError> {
-    run_script_dyn(tree, &mut SessionMut::new(scheme, labeling), script)
-}
-
-/// Object-safe [`run_script`]: the implementation, written once against
-/// [`DynScheme`] so the registry battery and the typed API replay the
-/// exact same op semantics.
 ///
 /// Since the mutation-log port, each script op is translated into a
 /// one-op [`MutationLog`] and applied through the same
@@ -356,6 +346,7 @@ pub(crate) fn apply_insert_dyn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xupd_labelcore::{LabelingScheme, SessionMut};
     use xupd_schemes::prefix::dewey::DeweyId;
     use xupd_schemes::prefix::qed::Qed;
     use xupd_workloads::{docs, Script, ScriptKind};
@@ -366,7 +357,12 @@ mod tests {
         let mut scheme = Qed::new();
         let mut labeling = scheme.label_tree(&tree).unwrap();
         let script = Script::generate(ScriptKind::Random, 150, 100, 2);
-        let stats = run_script(&mut tree, &mut scheme, &mut labeling, &script).unwrap();
+        let stats = run_script_dyn(
+            &mut tree,
+            &mut SessionMut::new(&mut scheme, &mut labeling),
+            &script,
+        )
+        .unwrap();
         assert_eq!(stats.inserts, 150);
         assert_eq!(stats.relabeled, 0);
         assert_eq!(stats.overflow_events, 0);
@@ -380,7 +376,12 @@ mod tests {
         let mut scheme = DeweyId::new();
         let mut labeling = scheme.label_tree(&tree).unwrap();
         let script = Script::generate(ScriptKind::Skewed, 50, 20, 3);
-        let stats = run_script(&mut tree, &mut scheme, &mut labeling, &script).unwrap();
+        let stats = run_script_dyn(
+            &mut tree,
+            &mut SessionMut::new(&mut scheme, &mut labeling),
+            &script,
+        )
+        .unwrap();
         assert!(stats.relabeled > 0, "skewed inserts renumber for DeweyID");
     }
 
@@ -390,7 +391,12 @@ mod tests {
         let mut scheme = Qed::new();
         let mut labeling = scheme.label_tree(&tree).unwrap();
         let script = Script::generate(ScriptKind::MixedDelete, 200, 120, 5);
-        let stats = run_script(&mut tree, &mut scheme, &mut labeling, &script).unwrap();
+        let stats = run_script_dyn(
+            &mut tree,
+            &mut SessionMut::new(&mut scheme, &mut labeling),
+            &script,
+        )
+        .unwrap();
         assert!(stats.deletes > 0);
         tree.validate().unwrap();
         assert_eq!(labeling.len(), tree.len(), "one label per live node");
@@ -402,7 +408,12 @@ mod tests {
         let mut scheme = Qed::new();
         let mut labeling = scheme.label_tree(&tree).unwrap();
         let script = Script::generate(ScriptKind::Zigzag, 60, 10, 6);
-        let stats = run_script(&mut tree, &mut scheme, &mut labeling, &script).unwrap();
+        let stats = run_script_dyn(
+            &mut tree,
+            &mut SessionMut::new(&mut scheme, &mut labeling),
+            &script,
+        )
+        .unwrap();
         assert!(stats.inserts >= 60);
         assert_eq!(labeling.len(), tree.len());
     }
@@ -531,7 +542,12 @@ mod tests {
         let mut scheme = ImprovedBinary::with_max_code_bits(64);
         let mut labeling = scheme.label_tree(&tree).unwrap();
         let script = Script::generate(ScriptKind::Skewed, 200, 5, 7);
-        let stats = run_script(&mut tree, &mut scheme, &mut labeling, &script).unwrap();
+        let stats = run_script_dyn(
+            &mut tree,
+            &mut SessionMut::new(&mut scheme, &mut labeling),
+            &script,
+        )
+        .unwrap();
         assert!(stats.overflow_events > 0);
         assert!(
             stats.peak_label_bits > stats.end_max_bits / 2,

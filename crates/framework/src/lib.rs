@@ -53,11 +53,10 @@ pub mod report;
 pub mod verify;
 
 pub use analysis::{
-    analyze, apply_plan_with_dyn, commutes, conflicts, op_pair_verdict, AnalyzedPlan, ApplyOptions,
-    ConflictKind, Edge, EdgeKind, Extent, GapKey, GapSlot, OpFootprint, PairVerdict, PointRef,
-    MUTATOR_FOOTPRINTS,
+    analyze, apply_plan_with_dyn, AnalyzedPlan, ApplyOptions, ConflictKind, Edge, EdgeKind, Extent,
+    GapKey, GapSlot, OpFootprint, PointRef, MUTATOR_FOOTPRINTS,
 };
-pub use checkers::{measure_scheme, measure_session, Evidence, Measured};
+pub use checkers::{measure_session, Evidence, Measured};
 pub use driver::ElementPool;
 pub use mutations::{
     apply_log, apply_log_dyn, batch_of, deserialize, invert, serialize, validate, LogBindings,

@@ -97,33 +97,18 @@ impl EvaluationMatrix {
     }
 }
 
-fn declared_matrix(entries: &[SchemeEntry], title: &str) -> EvaluationMatrix {
+/// The paper's Figure 7, transcribed: twelve rows of declared compliance.
+pub fn declared_figure7() -> EvaluationMatrix {
     EvaluationMatrix {
-        title: title.to_string(),
-        rows: entries
-            .iter()
+        title: "Figure 7 — declared evaluation framework (transcribed from the paper)".to_string(),
+        rows: registry_figure7()
+            .into_iter()
             .map(|e| MatrixRow {
                 cells: e.descriptor.declared,
-                descriptor: e.descriptor.clone(),
+                descriptor: e.descriptor,
             })
             .collect(),
     }
-}
-
-/// The paper's Figure 7, transcribed: twelve rows of declared compliance.
-pub fn declared_figure7() -> EvaluationMatrix {
-    declared_matrix(
-        &registry_figure7(),
-        "Figure 7 — declared evaluation framework (transcribed from the paper)",
-    )
-}
-
-/// Declared rows for the full roster (Figure 7 + §6 extensions).
-pub fn declared_all() -> EvaluationMatrix {
-    declared_matrix(
-        &registry(),
-        "Declared evaluation framework (Figure 7 roster + §6 extensions)",
-    )
 }
 
 /// Run the checker battery over `entries` on `workers` pool threads
@@ -285,15 +270,5 @@ mod tests {
         for (name, ..) in FIGURE7_GOLDEN {
             assert!(s.contains(name), "{name} missing from rendering");
         }
-    }
-
-    #[test]
-    fn declared_all_extends_roster() {
-        let m = declared_all();
-        assert_eq!(m.rows.len(), 17);
-        assert_eq!(
-            m.rows.iter().filter(|r| r.descriptor.in_figure7).count(),
-            12
-        );
     }
 }

@@ -8,10 +8,11 @@
 //! * [`validate`] rejects ill-formed logs (dangling ids, cycles,
 //!   conflicting writes) *before* any state changes;
 //! * [`apply_log`] / [`apply_log_dyn`] apply a log with all-or-nothing
-//!   semantics — a failing op rolls the tree *and* the labelling session
-//!   back to the pre-batch snapshot. They share the one atomic-apply
-//!   loop with [`crate::analysis::apply_plan_with_dyn`], which runs a
-//!   log in its analyzed plan's certified order instead;
+//!   semantics — a failing (or panicking) op rolls the tree *and* the
+//!   labelling session back to the pre-batch snapshot. They share the
+//!   one atomic-apply loop with
+//!   [`crate::analysis::apply_plan_with_dyn`], which runs a log in its
+//!   analyzed plan's certified order instead;
 //! * [`serialize`] / [`deserialize`] give a compact deterministic byte
 //!   format for crash-recovery journaling;
 //! * [`invert`] produces the undo log, giving undo/redo for free.
@@ -23,6 +24,7 @@
 
 use crate::driver::{apply_insert_dyn, DriveStats, ElementPool, CHECKPOINT_EVERY};
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use xupd_labelcore::{DynScheme, Labeling, LabelingScheme, SessionMut};
 use xupd_workloads::{Script, ScriptOp};
 use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
@@ -687,14 +689,14 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
 /// Validate `log` against `tree`, then apply it atomically in log order:
 /// all mutations land, or — should any fail mid-batch — the tree and
 /// the labelling session are rolled back to the pre-batch snapshot and
-/// the error is returned. This is the sequential reference every
+/// the error is returned. A panic mid-batch rolls back the same way and
+/// then resumes unwinding. This is the sequential reference every
 /// certified apply order ([`crate::analysis::apply_plan_with_dyn`]) is
 /// differentially checked against.
 ///
 /// Relabelling still flows through the scheme's ordinary insertion path
 /// (that *is* the object under measurement), but batch bookkeeping is
-/// amortised: peak-size checkpoints run once per [`CHECKPOINT_EVERY`]
-/// mutations.
+/// amortised: peak-size checkpoints run once every 25 mutations.
 pub fn apply_log_dyn(
     tree: &mut XmlTree,
     session: &mut dyn DynScheme,
@@ -717,7 +719,9 @@ pub fn apply_log<S: LabelingScheme + Clone + 'static>(
 /// The one atomic-apply loop behind every batch entry point: snapshot
 /// tree and session, apply `ops` in the order given (the caller has
 /// validated them), checkpoint label sizes, and restore both snapshots
-/// if any op fails.
+/// if any op fails or panics. A panic is re-raised after the restore:
+/// the store recovers poisoned locks, so its readers then see the
+/// pre-batch document, never a half-applied one.
 pub(crate) fn apply_atomic<'m>(
     tree: &mut XmlTree,
     session: &mut dyn DynScheme,
@@ -727,26 +731,26 @@ pub(crate) fn apply_atomic<'m>(
     let sess_snap = session.save_state();
     let mut stats = DriveStats::default();
     let mut binds = LogBindings::default();
-    let mut failed = None;
-    for (step, m) in ops.into_iter().enumerate() {
-        if let Err(e) =
-            apply_mutation_dyn(tree, Some(&mut *session), None, &mut binds, m, &mut stats)
-        {
-            failed = Some(e);
-            break;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        for (step, m) in ops.into_iter().enumerate() {
+            apply_mutation_dyn(tree, Some(&mut *session), None, &mut binds, m, &mut stats)?;
+            if step % CHECKPOINT_EVERY == 0 {
+                stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
+            }
         }
-        if step % CHECKPOINT_EVERY == 0 {
-            stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
-        }
-    }
-    if let Some(e) = failed {
+        Ok(())
+    }));
+    if !matches!(outcome, Ok(Ok(()))) {
         *tree = tree_snap;
         if !session.restore_state(sess_snap) {
             return Err(TreeError::Invariant(
                 "batch rollback: session snapshot was rejected".to_string(),
             ));
         }
-        return Err(e);
+    }
+    match outcome {
+        Err(panic) => resume_unwind(panic),
+        Ok(result) => result?,
     }
     stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
     stats.end_mean_bits = session.mean_bits();
@@ -1650,8 +1654,12 @@ mod tests {
             let mut per_op_tree = base.clone();
             let mut scheme_a = DeweyId::new();
             let mut labeling_a = scheme_a.label_tree(&per_op_tree).expect("labelable");
-            crate::driver::run_script(&mut per_op_tree, &mut scheme_a, &mut labeling_a, &script)
-                .expect("per-op");
+            crate::driver::run_script_dyn(
+                &mut per_op_tree,
+                &mut SessionMut::new(&mut scheme_a, &mut labeling_a),
+                &script,
+            )
+            .expect("per-op");
 
             let mut batched_tree = base.clone();
             let mut scheme_b = DeweyId::new();

@@ -4,7 +4,7 @@
 //! A [`QueryCache`] holds materialized result sets (preorder row
 //! positions, plus string values where requested) for a registered set
 //! of compiled XPath queries, and keeps them exact across
-//! [`MutationLog`](crate::mutations::MutationLog) batches by *impact
+//! [`MutationLog`] batches by *impact
 //! analysis* instead of wholesale re-evaluation. Genevès, Layaïda and
 //! Quint (arXiv 0811.4324) decide statically whether an evolution can
 //! affect a query; here the same decision runs dynamically per batch,

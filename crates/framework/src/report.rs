@@ -156,7 +156,8 @@ impl Figure7Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkers::measure_scheme;
+    use crate::checkers::measure_session;
+    use xupd_labelcore::SchemeSession;
     use xupd_schemes::prefix::cdqs::Cdqs;
     use xupd_schemes::prefix::qed::Qed;
 
@@ -166,11 +167,11 @@ mod tests {
         let results = vec![
             (
                 xupd_labelcore::LabelingScheme::descriptor(&qed),
-                measure_scheme(qed).unwrap(),
+                measure_session(&mut SchemeSession::new(qed)).unwrap(),
             ),
             (
                 xupd_labelcore::LabelingScheme::descriptor(&cdqs),
-                measure_scheme(cdqs).unwrap(),
+                measure_session(&mut SchemeSession::new(cdqs)).unwrap(),
             ),
         ];
         Figure7Report::new(results)

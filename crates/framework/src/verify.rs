@@ -15,8 +15,8 @@
 
 use std::cmp::Ordering;
 use xupd_testkit::TestRng;
-use xupd_labelcore::{DynScheme, Labeling, LabelingScheme, Relation};
-use xupd_xmldom::{NodeId, TreeError, XmlTree};
+use xupd_labelcore::{DynScheme, Relation};
+use xupd_xmldom::{TreeError, XmlTree};
 
 /// Per-relation verification outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,70 +81,29 @@ impl VerifyOutcome {
     }
 }
 
-/// Verify a labelling: full document-order scan, duplicate detection, and
-/// `sample_pairs` random node pairs for each relation plus level checks.
+/// Verify the `session`'s labelling against `tree`: full document-order
+/// scan, duplicate detection, and `sample_pairs` random node pairs for
+/// each relation plus level checks. A caller holding a typed scheme and
+/// labelling passes `&SessionMut::new(&mut scheme, &mut labeling)`.
 ///
 /// Errors with [`TreeError::Unlabeled`] when a live node has no label —
 /// a broken labelling that the soundness counters cannot meaningfully
 /// grade.
-pub fn verify<S: LabelingScheme>(
-    tree: &XmlTree,
-    scheme: &S,
-    labeling: &Labeling<S::Label>,
-    sample_pairs: usize,
-    seed: u64,
-) -> Result<VerifyOutcome, TreeError> {
-    verify_core(
-        tree,
-        sample_pairs,
-        seed,
-        &|a, b| Ok(scheme.cmp_doc(labeling.req(a)?, labeling.req(b)?)),
-        &|rel, a, b| Ok(scheme.relation(rel, labeling.req(a)?, labeling.req(b)?)),
-        &|a| Ok(scheme.level(labeling.req(a)?)),
-        &|| labeling.find_duplicate().is_some(),
-    )
-}
-
-/// Object-safe [`verify`] over a [`DynScheme`] session.
 pub fn verify_dyn(
     tree: &XmlTree,
     session: &dyn DynScheme,
     sample_pairs: usize,
     seed: u64,
 ) -> Result<VerifyOutcome, TreeError> {
-    verify_core(
-        tree,
-        sample_pairs,
-        seed,
-        &|a, b| session.cmp_nodes(a, b),
-        &|rel, a, b| session.relation_nodes(rel, a, b),
-        &|a| session.level_node(a),
-        &|| session.has_duplicate_labels(),
-    )
-}
-
-/// The one verification algorithm. The typed and object-safe fronts both
-/// funnel here, parameterised only by how a node resolves to its
-/// scheme-algebra answers, so the two paths can never grade differently.
-#[allow(clippy::too_many_arguments)]
-fn verify_core(
-    tree: &XmlTree,
-    sample_pairs: usize,
-    seed: u64,
-    cmp: &dyn Fn(NodeId, NodeId) -> Result<Ordering, TreeError>,
-    relation: &dyn Fn(Relation, NodeId, NodeId) -> Result<Option<bool>, TreeError>,
-    level: &dyn Fn(NodeId) -> Result<Option<u32>, TreeError>,
-    has_duplicate: &dyn Fn() -> bool,
-) -> Result<VerifyOutcome, TreeError> {
     let mut out = VerifyOutcome::default();
     let order = tree.ids_in_doc_order();
 
     for w in order.windows(2) {
-        if cmp(w[0], w[1])? != Ordering::Less {
+        if session.cmp_nodes(w[0], w[1])? != Ordering::Less {
             out.order_violations += 1;
         }
     }
-    out.duplicate_labels = has_duplicate();
+    out.duplicate_labels = session.has_duplicate_labels();
 
     let mut rng = TestRng::seed_from_u64(seed ^ 0xfeed);
     let mut level_mismatches: Option<usize> = None;
@@ -168,7 +127,7 @@ fn verify_core(
                 Relation::ParentChild => &mut out.parent,
                 Relation::Sibling => &mut out.sibling,
             };
-            if let Some(ans) = relation(rel, x, y)? {
+            if let Some(ans) = session.relation_nodes(rel, x, y)? {
                 check.supported = true;
                 check.checked += 1;
                 if ans != truth {
@@ -176,7 +135,7 @@ fn verify_core(
                 }
             }
         }
-        if let Some(lv) = level(x)? {
+        if let Some(lv) = session.level_node(x)? {
             let slot = level_mismatches.get_or_insert(0);
             if lv != tree.depth(x) {
                 *slot += 1;
@@ -190,6 +149,7 @@ fn verify_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xupd_labelcore::{LabelingScheme, SessionMut};
     use xupd_schemes::containment::sector::Sector;
     use xupd_schemes::prefix::dewey::DeweyId;
     use xupd_workloads::docs;
@@ -198,8 +158,8 @@ mod tests {
     fn dewey_verifies_fully_sound() {
         let tree = docs::random_tree(2, 200);
         let mut scheme = DeweyId::new();
-        let labeling = scheme.label_tree(&tree).unwrap();
-        let v = verify(&tree, &scheme, &labeling, 400, 1).unwrap();
+        let mut labeling = scheme.label_tree(&tree).unwrap();
+        let v = verify_dyn(&tree, &SessionMut::new(&mut scheme, &mut labeling), 400, 1).unwrap();
         assert!(v.is_sound(), "{v:?}");
         assert!(v.ancestor.supported && v.parent.supported && v.sibling.supported);
         assert_eq!(v.level, Some(0));
@@ -209,8 +169,8 @@ mod tests {
     fn sector_reports_partial_support() {
         let tree = docs::random_tree(3, 200);
         let mut scheme = Sector::new();
-        let labeling = scheme.label_tree(&tree).unwrap();
-        let v = verify(&tree, &scheme, &labeling, 400, 2).unwrap();
+        let mut labeling = scheme.label_tree(&tree).unwrap();
+        let v = verify_dyn(&tree, &SessionMut::new(&mut scheme, &mut labeling), 400, 2).unwrap();
         assert!(v.is_sound(), "{v:?}");
         assert!(v.ancestor.supported);
         assert!(!v.parent.supported);

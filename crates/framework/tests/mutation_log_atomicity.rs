@@ -2,18 +2,21 @@
 //! `apply_log_dyn` and `apply_plan_with_dyn`.
 //!
 //! A [`FaultAfter`] session wrapper forwards every `DynScheme` call to a
-//! real registry session but makes the k-th `on_insert` fail. Applying
-//! a batch through it must leave the tree (its bytes and its revision)
-//! and the labelling identical to their pre-batch state — for every
-//! scheme in the roster and several fault positions, including k = 0
-//! (the very first insert fails). After the rollback the restored
-//! session must still be fully usable: re-applying the same batch with
-//! the fault disarmed — through the same plan, which the restored
-//! revision must still accept — has to match a control session that
-//! never faulted and applied the batch the same way.
+//! real registry session but makes the k-th `on_insert` fail — by
+//! returning `Err`, or by panicking. Applying a batch through it must
+//! leave the tree (its bytes and its revision) and the labelling
+//! identical to their pre-batch state — for every scheme in the roster
+//! and several fault positions, including k = 0 (the very first insert
+//! fails). A panic must still reach the caller, after the rollback.
+//! After the rollback the restored session must still be fully usable:
+//! re-applying the same batch with the fault disarmed — through the
+//! same plan, which the restored revision must still accept — has to
+//! match a control session that never faulted and applied the batch
+//! the same way.
 
 use std::any::Any;
 use std::cmp::Ordering;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use xupd_framework::analysis::{analyze, apply_plan_with_dyn, AnalyzedPlan, ApplyOptions};
 use xupd_framework::driver::DriveStats;
@@ -23,12 +26,22 @@ use xupd_schemes::registry;
 use xupd_workloads::{docs, Script, ScriptKind};
 use xupd_xmldom::{serialize_compact, NodeId, TreeError, XmlTree};
 
+/// How the injected fault surfaces from `on_insert`.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// Return `Err(TreeError::Invariant)`.
+    Error,
+    /// Panic.
+    Panic,
+}
+
 /// Forwarding wrapper that fails the (`budget`+1)-th `on_insert`.
 struct FaultAfter {
     inner: Box<dyn DynScheme>,
     /// Successful inserts remaining before the injected failure; `None`
     /// disarms the fault entirely.
     budget: Option<usize>,
+    fault: Fault,
 }
 
 impl DynScheme for FaultAfter {
@@ -44,7 +57,12 @@ impl DynScheme for FaultAfter {
     fn on_insert(&mut self, tree: &XmlTree, node: NodeId) -> Result<InsertReport, TreeError> {
         if let Some(left) = self.budget.as_mut() {
             if *left == 0 {
-                return Err(TreeError::Invariant("injected mid-batch fault".to_string()));
+                match self.fault {
+                    Fault::Error => {
+                        return Err(TreeError::Invariant("injected mid-batch fault".to_string()))
+                    }
+                    Fault::Panic => panic!("injected mid-batch panic"),
+                }
             }
             *left -= 1;
         }
@@ -155,7 +173,14 @@ impl Entry {
     }
 }
 
-fn fault_battery(kind: ScriptKind, ops: usize, seed: u64, fault_at: usize, entry_point: Entry) {
+fn fault_battery(
+    kind: ScriptKind,
+    ops: usize,
+    seed: u64,
+    fault_at: usize,
+    fault: Fault,
+    entry_point: Entry,
+) {
     let nodes = 60;
     let script = Script::generate(kind, ops, nodes, seed);
     let entries = registry();
@@ -185,18 +210,35 @@ fn fault_battery(kind: ScriptKind, ops: usize, seed: u64, fault_at: usize, entry
         let mut session = FaultAfter {
             inner: entry.session(),
             budget: Some(fault_at),
+            fault,
         };
         session.label_tree(&tree).unwrap();
         let before = observe(&tree, &session);
 
-        let err = entry_point
-            .apply(&mut tree, &mut session, &log, &plan)
-            .unwrap_err();
-        assert!(
-            matches!(err, TreeError::Invariant(ref msg) if msg.contains("injected")),
-            "{}: unexpected failure {err:?}",
-            entry.name()
-        );
+        match fault {
+            Fault::Error => {
+                let err = entry_point
+                    .apply(&mut tree, &mut session, &log, &plan)
+                    .unwrap_err();
+                assert!(
+                    matches!(err, TreeError::Invariant(ref msg) if msg.contains("injected")),
+                    "{}: unexpected failure {err:?}",
+                    entry.name()
+                );
+            }
+            Fault::Panic => {
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    entry_point.apply(&mut tree, &mut session, &log, &plan)
+                }))
+                .expect_err("the injected panic reaches the caller");
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&"injected mid-batch panic"),
+                    "{}: unexpected panic payload",
+                    entry.name()
+                );
+            }
+        }
         let after = observe(&tree, &session);
         assert_eq!(
             before,
@@ -239,36 +281,30 @@ fn fault_battery(kind: ScriptKind, ops: usize, seed: u64, fault_at: usize, entry
 
 #[test]
 fn first_insert_fault_rolls_back_every_scheme() {
-    fault_battery(ScriptKind::Random, 40, 7001, 0, Entry::Sequential);
-    fault_battery(
-        ScriptKind::Random,
-        40,
-        7001,
-        0,
-        Entry::Planned(ApplyOptions::analyzed()),
-    );
+    for entry in [Entry::Sequential, Entry::Planned(ApplyOptions::analyzed())] {
+        fault_battery(ScriptKind::Random, 40, 7001, 0, Fault::Error, entry);
+    }
 }
 
 #[test]
 fn mid_batch_fault_rolls_back_every_scheme() {
-    fault_battery(ScriptKind::Random, 40, 7002, 11, Entry::Sequential);
-    fault_battery(
-        ScriptKind::Random,
-        40,
-        7002,
-        11,
-        Entry::Planned(ApplyOptions::analyzed()),
-    );
+    for entry in [Entry::Sequential, Entry::Planned(ApplyOptions::analyzed())] {
+        fault_battery(ScriptKind::Random, 40, 7002, 11, Fault::Error, entry);
+    }
 }
 
 #[test]
 fn late_fault_rolls_back_every_scheme_under_deletes() {
-    fault_battery(ScriptKind::MixedDelete, 60, 7003, 23, Entry::Sequential);
-    fault_battery(
-        ScriptKind::MixedDelete,
-        60,
-        7003,
-        23,
-        Entry::Planned(ApplyOptions::coalesced()),
-    );
+    for entry in [Entry::Sequential, Entry::Planned(ApplyOptions::coalesced())] {
+        fault_battery(ScriptKind::MixedDelete, 60, 7003, 23, Fault::Error, entry);
+    }
+}
+
+/// A panic inside a scheme mid-batch rolls back exactly like an `Err`,
+/// then keeps unwinding.
+#[test]
+fn mid_batch_panic_rolls_back_every_scheme() {
+    for entry in [Entry::Sequential, Entry::Planned(ApplyOptions::analyzed())] {
+        fault_battery(ScriptKind::Random, 40, 7004, 11, Fault::Panic, entry);
+    }
 }

@@ -8,13 +8,14 @@
 //! the full protocol (bulk labelling, per-update labelling, relation
 //! queries, size accounting) through dynamic dispatch. The typed
 //! [`LabelingScheme`] API stays the implementation substrate; the
-//! framework's driver and verifier are written once against this trait
-//! and re-exported with typed signatures via [`SessionMut`].
+//! framework's driver, verifier and checkers exist once, written against
+//! this trait, with no typed twins.
 //!
 //! [`SchemeSession`] owns its scheme + labelling (what registry
-//! factories return); [`SessionMut`] borrows both (what the typed
-//! wrappers construct around caller-owned state). Both get their
-//! [`DynScheme`] implementation from one blanket impl over
+//! factories return, and what a `Document` holds); [`SessionMut`]
+//! borrows both, for a caller that keeps a typed scheme and labelling
+//! of its own and wants to hand them to one of those functions. Both
+//! get their [`DynScheme`] implementation from one blanket impl over
 //! [`SessionParts`], so the two can never drift.
 
 use crate::label::{Label, Labeling};
@@ -164,16 +165,6 @@ impl<S: LabelingScheme> SchemeSession<S> {
         }
     }
 
-    /// Adopt an existing scheme + labelling pair.
-    pub fn from_parts(scheme: S, labeling: Labeling<S::Label>) -> Self {
-        SchemeSession { scheme, labeling }
-    }
-
-    /// Split back into the typed pair.
-    pub fn into_parts(self) -> (S, Labeling<S::Label>) {
-        (self.scheme, self.labeling)
-    }
-
     /// The typed labelling (for callers that know `S`).
     pub fn typed_labeling(&self) -> &Labeling<S::Label> {
         &self.labeling
@@ -205,9 +196,9 @@ impl<S: LabelingScheme> SessionParts for SchemeSession<S> {
     }
 }
 
-/// A borrowing session over caller-owned scheme + labelling — the
-/// adapter the typed `run_script`/`verify` wrappers use to reach the
-/// dyn-dispatch implementations without giving up ownership.
+/// A borrowing session over caller-owned scheme + labelling: how a
+/// caller holding the typed pair reaches the [`DynScheme`]-written
+/// driver, verifier and batch appliers without giving up ownership.
 #[derive(Debug)]
 pub struct SessionMut<'a, S: LabelingScheme> {
     scheme: &'a mut S,

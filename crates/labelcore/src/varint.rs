@@ -40,10 +40,10 @@ pub fn encoded_len(v: u64) -> u32 {
     bits.div_ceil(7)
 }
 
-/// Encode `v` with the extension schedule (LEB128) into a [`SmallBuf`]
-/// (any u64 needs ≤ 10 bytes, so encoding alone never spills). Used by
-/// the storage model; decodability is what matters for the
-/// self-delimiting claim.
+/// Encode `v` with the extension schedule (LEB128) into a
+/// [`SmallBuf`](crate::smallbuf::SmallBuf) (any u64 needs ≤ 10 bytes,
+/// so encoding alone never spills). Used by the storage model;
+/// decodability is what matters for the self-delimiting claim.
 pub fn encode(v: u64, out: &mut crate::smallbuf::SmallBuf) {
     let mut v = v;
     loop {

@@ -23,7 +23,7 @@
 //! the Prime-number scheme ([`prime`]), DDE ([`dde`]) and the §4
 //! orthogonality composition QED∘Containment ([`qcontainment`]).
 //!
-//! [`registry`] / [`registry_figure7`] expose the roster as plain data:
+//! [`registry()`] / [`registry_figure7`] expose the roster as plain data:
 //! a `Vec<SchemeEntry>` of descriptors plus `fn() -> Box<dyn DynScheme>`
 //! session factories, which is what the framework's parallel battery,
 //! the benches and the differential tests iterate.

@@ -211,11 +211,6 @@ impl Dln {
     pub fn new() -> Self {
         PrefixScheme::from_algebra(DlnAlgebra::default())
     }
-
-    /// A scheme with a custom sub-id ceiling (failure-injection knob).
-    pub fn with_max_sub_id(max_sub_id: u32) -> Self {
-        PrefixScheme::from_algebra(DlnAlgebra { max_sub_id })
-    }
 }
 
 impl Default for Dln {

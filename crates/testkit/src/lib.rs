@@ -13,7 +13,7 @@
 //! * [`prop`] — a bounded property-testing harness (generator
 //!   combinators, the [`props!`] macro, greedy shrinking, failure-seed
 //!   reporting) that the former proptest suites run on.
-//! * [`bench`] — a wall-clock micro-bench harness (warmup, timed
+//! * [`mod@bench`] — a wall-clock micro-bench harness (warmup, timed
 //!   iterations, median/p90, JSON emitted into
 //!   `results/BENCH_<suite>.json`) that the former criterion benches
 //!   run on, as plain offline binaries. It also hosts

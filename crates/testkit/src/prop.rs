@@ -159,24 +159,6 @@ impl Gen for Bools {
     }
 }
 
-/// A fixed value (the `Just` replacement).
-pub struct JustV<T> {
-    value: T,
-}
-
-/// Always `value`.
-pub fn just<T: Clone + Debug>(value: T) -> JustV<T> {
-    JustV { value }
-}
-
-impl<T: Clone + Debug> Gen for JustV<T> {
-    type Value = T;
-
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.value.clone()
-    }
-}
-
 /// Uniform pick from a fixed slice (the `prop_oneof![Just(..)]`
 /// replacement for enumerable choices).
 pub struct FromSlice<T: 'static> {

@@ -20,6 +20,10 @@ cargo test --workspace -q
 echo "==> static invariants (xupd-lint: fails on any unsuppressed finding)"
 cargo run --release -q -p xupd-lint -- --workspace
 
+echo "==> rustdoc (warnings are errors: no broken, ambiguous or private doc links)"
+# A deleted or renamed item must not leave a dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> figure 7 regeneration (declared + measured matrix)"
 cargo run --release -q -p xupd-bench --bin figure7
 

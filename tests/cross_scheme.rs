@@ -58,17 +58,16 @@ fn all_schemes_sound_across_workloads() {
 /// violation it exhibits on collision-free workloads.
 #[test]
 fn lsdx_collisions_are_the_documented_failure() {
-    use xml_update_props::framework::driver::run_script;
-    use xml_update_props::framework::verify::verify;
-    use xml_update_props::labelcore::LabelingScheme;
+    use xml_update_props::labelcore::{LabelingScheme, SessionMut};
     use xml_update_props::schemes::prefix::lsdx::Lsdx;
     // append-only workloads never hit the between-collision corner
     let mut tree = docs::random_tree(5, 100);
     let mut scheme = Lsdx::new();
     let mut labeling = scheme.label_tree(&tree).unwrap();
+    let mut session = SessionMut::new(&mut scheme, &mut labeling);
     let script = Script::generate(ScriptKind::AppendOnly, 150, tree.len(), 3);
-    run_script(&mut tree, &mut scheme, &mut labeling, &script).unwrap();
-    let v = verify(&tree, &scheme, &labeling, 200, 9).unwrap();
+    run_script_dyn(&mut tree, &mut session, &script).unwrap();
+    let v = verify_dyn(&tree, &session, 200, 9).unwrap();
     assert!(v.is_sound(), "append-only LSDX is collision-free: {v:?}");
 }
 

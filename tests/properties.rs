@@ -3,9 +3,9 @@
 //! preserve the Definition 1 invariants for every scheme, and
 //! parse/serialize must round-trip.
 
-use xml_update_props::framework::driver::run_script;
-use xml_update_props::framework::verify::verify;
-use xml_update_props::labelcore::LabelingScheme;
+use xml_update_props::framework::driver::run_script_dyn;
+use xml_update_props::framework::verify::verify_dyn;
+use xml_update_props::labelcore::{DynScheme, LabelingScheme, SessionMut};
 use xml_update_props::workloads::{docs, Script, ScriptKind, ScriptOp};
 use xml_update_props::xmldom::{parse, serialize_compact, TreeBuilder, XmlTree};
 use xupd_testkit::prop::{ascii_strings, ints, map, tree_shapes, vecs, Config, Gen};
@@ -93,11 +93,12 @@ macro_rules! scheme_invariant_props {
                 let mut tree = tree;
                 let mut scheme = $make;
                 let mut labeling = scheme.label_tree(&tree).expect("initial labelling");
-                run_script(&mut tree, &mut scheme, &mut labeling, &script).expect("script drives");
+                let mut session = SessionMut::new(&mut scheme, &mut labeling);
+                run_script_dyn(&mut tree, &mut session, &script).expect("script drives");
                 tree.validate().expect("tree invariants");
-                prop_assert_eq!(labeling.len(), tree.len());
-                let v = verify(&tree, &scheme, &labeling, 120, 7).expect("verifiable labelling");
-                prop_assert!(v.is_sound(), "{}: {:?}", scheme.name(), v);
+                prop_assert_eq!(session.labeled_len(), tree.len());
+                let v = verify_dyn(&tree, &session, 120, 7).expect("verifiable labelling");
+                prop_assert!(v.is_sound(), "{}: {:?}", session.name(), v);
             }
         }
     )+};
@@ -131,9 +132,10 @@ macro_rules! persistent_props {
                 let mut tree = tree;
                 let mut scheme = $make;
                 let mut labeling = scheme.label_tree(&tree).expect("initial labelling");
-                let stats = run_script(&mut tree, &mut scheme, &mut labeling, &script)
-                    .expect("script drives");
-                prop_assert_eq!(stats.relabeled, 0, "{} must never relabel", scheme.name());
+                let mut session = SessionMut::new(&mut scheme, &mut labeling);
+                let stats =
+                    run_script_dyn(&mut tree, &mut session, &script).expect("script drives");
+                prop_assert_eq!(stats.relabeled, 0, "{} must never relabel", session.name());
                 prop_assert_eq!(stats.overflow_events, 0);
             }
         }
@@ -161,7 +163,8 @@ props! {
             kind: ScriptKind::AppendOnly,
             ops: (0..n).map(ScriptOp::AppendChild).collect(),
         };
-        run_script(&mut tree, &mut scheme, &mut labeling, &script).expect("script drives");
+        run_script_dyn(&mut tree, &mut SessionMut::new(&mut scheme, &mut labeling), &script)
+            .expect("script drives");
         prop_assert!(labeling.find_duplicate().is_none());
     }
 }
@@ -179,7 +182,8 @@ props! {
             kind: ScriptKind::MixedDelete,
             ops: seeds.into_iter().map(ScriptOp::DeleteSubtree).collect(),
         };
-        run_script(&mut tree, &mut scheme, &mut labeling, &script).expect("script drives");
+        run_script_dyn(&mut tree, &mut SessionMut::new(&mut scheme, &mut labeling), &script)
+            .expect("script drives");
         // every live node labelled, no label for dead nodes
         prop_assert_eq!(labeling.len(), tree.len());
         for (id, _) in labeling.iter() {
