@@ -3,9 +3,10 @@
 //! The same 256-op workload is applied in batches of 1, 16 and 256
 //! mutations: each batch is translated with `batch_of` against the live
 //! tree and applied atomically with `apply_log_dyn`. Batch size 1 is
-//! the per-op client (one validation pass, one tree/labelling snapshot
-//! and one element-pool scan *per edit*); larger batches amortise all
-//! three, which is exactly the saving the batch API exists to buy. A
+//! the per-op client (one validation pass, one `batch_of` scratch tree
+//! and element-pool scan, and one pair of undo journals *per edit*);
+//! larger batches amortise all three, which is exactly the saving the
+//! batch API exists to buy. A
 //! `driver` reference case runs the classic per-op `run_script_dyn`
 //! driver on the identical script for context.
 //!

@@ -9,7 +9,8 @@
 //!   conflicting writes) *before* any state changes;
 //! * [`apply_log`] / [`apply_log_dyn`] apply a log with all-or-nothing
 //!   semantics — a failing (or panicking) op rolls the tree *and* the
-//!   labelling session back to the pre-batch snapshot. They share the
+//!   labelling session back to their pre-batch state, replaying undo
+//!   journals of the nodes and labels the batch wrote. They share the
 //!   one atomic-apply loop with
 //!   [`crate::analysis::apply_plan_with_dyn`], which runs a log in its
 //!   analyzed plan's certified order instead;
@@ -688,15 +689,18 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
 
 /// Validate `log` against `tree`, then apply it atomically in log order:
 /// all mutations land, or — should any fail mid-batch — the tree and
-/// the labelling session are rolled back to the pre-batch snapshot and
-/// the error is returned. A panic mid-batch rolls back the same way and
-/// then resumes unwinding. This is the sequential reference every
-/// certified apply order ([`crate::analysis::apply_plan_with_dyn`]) is
-/// differentially checked against.
+/// the labelling session are rolled back to their pre-batch state from
+/// undo journals of what the batch wrote, and the error is returned. A
+/// panic mid-batch, including one raised inside a scheme, rolls back the
+/// same way and then resumes unwinding. This is the sequential reference
+/// every certified apply order
+/// ([`crate::analysis::apply_plan_with_dyn`]) is differentially checked
+/// against.
 ///
 /// Relabelling still flows through the scheme's ordinary insertion path
 /// (that *is* the object under measurement), but batch bookkeeping is
-/// amortised: peak-size checkpoints run once every 25 mutations.
+/// amortised: peak-size checkpoints run once every 25 mutations and
+/// read a running label-size summary.
 pub fn apply_log_dyn(
     tree: &mut XmlTree,
     session: &mut dyn DynScheme,
@@ -716,19 +720,22 @@ pub fn apply_log<S: LabelingScheme + Clone + 'static>(
     apply_log_dyn(tree, &mut SessionMut::new(scheme, labeling), log)
 }
 
-/// The one atomic-apply loop behind every batch entry point: snapshot
-/// tree and session, apply `ops` in the order given (the caller has
-/// validated them), checkpoint label sizes, and restore both snapshots
-/// if any op fails or panics. A panic is re-raised after the restore:
-/// the store recovers poisoned locks, so its readers then see the
-/// pre-batch document, never a half-applied one.
+/// The one atomic-apply loop behind every batch entry point: open the
+/// tree's and the session's undo journals, apply `ops` in the order
+/// given (the caller has validated them), checkpoint label sizes, then
+/// commit both journals — or, if any op fails or panics, roll both back.
+/// Atomicity so costs the nodes and labels the batch writes, not a copy
+/// of the document, and the checkpoints read the labelling's size
+/// summary instead of scanning it. A panic is re-raised after the
+/// rollback: the store recovers poisoned locks, so its readers then see
+/// the pre-batch document, never a half-applied one.
 pub(crate) fn apply_atomic<'m>(
     tree: &mut XmlTree,
     session: &mut dyn DynScheme,
     ops: impl IntoIterator<Item = &'m Mutation>,
 ) -> Result<DriveStats, TreeError> {
-    let tree_snap = tree.clone();
-    let sess_snap = session.save_state();
+    tree.begin_undo();
+    let token = session.begin_batch();
     let mut stats = DriveStats::default();
     let mut binds = LogBindings::default();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -740,13 +747,12 @@ pub(crate) fn apply_atomic<'m>(
         }
         Ok(())
     }));
-    if !matches!(outcome, Ok(Ok(()))) {
-        *tree = tree_snap;
-        if !session.restore_state(sess_snap) {
-            return Err(TreeError::Invariant(
-                "batch rollback: session snapshot was rejected".to_string(),
-            ));
-        }
+    let commit = matches!(outcome, Ok(Ok(())));
+    tree.end_undo(commit);
+    if !session.end_batch(token, commit) {
+        return Err(TreeError::Invariant(
+            "batch rollback: session token was rejected".to_string(),
+        ));
     }
     match outcome {
         Err(panic) => resume_unwind(panic),

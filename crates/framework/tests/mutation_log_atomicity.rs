@@ -13,6 +13,12 @@
 //! same plan, which the restored revision must still accept — has to
 //! match a control session that never faulted and applied the batch
 //! the same way.
+//!
+//! `FaultAfter` fails *before* it forwards, so the scheme never writes a
+//! label in the faulting call. [`PanicAfterWrite`] covers the other
+//! case: a typed scheme that lets the inner scheme write its labels and
+//! then panics, inside a `SchemeSession` — the session's labelling, and
+//! the undo journal inside it, must still be in place to roll back.
 
 use std::any::Any;
 use std::cmp::Ordering;
@@ -20,8 +26,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use xupd_framework::analysis::{analyze, apply_plan_with_dyn, AnalyzedPlan, ApplyOptions};
 use xupd_framework::driver::DriveStats;
-use xupd_framework::mutations::{apply_log_dyn, batch_of, Mutation, MutationLog};
-use xupd_labelcore::{DynScheme, InsertReport, Relation, SchemeDescriptor, SchemeStats};
+use xupd_framework::mutations::{
+    apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place,
+};
+use xupd_labelcore::{
+    DynScheme, InsertReport, Labeling, LabelingScheme, Relation, SchemeDescriptor, SchemeSession,
+    SchemeStats,
+};
+use xupd_schemes::containment::accel::XPathAccelerator;
+use xupd_schemes::prefix::qed::Qed;
 use xupd_schemes::registry;
 use xupd_workloads::{docs, Script, ScriptKind};
 use xupd_xmldom::{serialize_compact, NodeId, TreeError, XmlTree};
@@ -127,8 +140,11 @@ impl DynScheme for FaultAfter {
     fn save_state(&self) -> Box<dyn Any> {
         self.inner.save_state()
     }
-    fn restore_state(&mut self, state: Box<dyn Any>) -> bool {
-        self.inner.restore_state(state)
+    fn begin_batch(&mut self) -> Box<dyn Any> {
+        self.inner.begin_batch()
+    }
+    fn end_batch(&mut self, token: Box<dyn Any>, commit: bool) -> bool {
+        self.inner.end_batch(token, commit)
     }
 }
 
@@ -307,4 +323,180 @@ fn mid_batch_panic_rolls_back_every_scheme() {
     for entry in [Entry::Sequential, Entry::Planned(ApplyOptions::analyzed())] {
         fault_battery(ScriptKind::Random, 40, 7004, 11, Fault::Panic, entry);
     }
+}
+
+/// Which hook of [`PanicAfterWrite`] panics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Hook {
+    Insert,
+    Delete,
+}
+
+const WRITE_PANIC: &str = "injected panic after a label write";
+
+/// Typed scheme wrapper: the inner scheme's `on_insert`/`on_delete` runs
+/// first, so its labels are written, and then the (`budget`+1)-th call
+/// of the armed hook panics.
+#[derive(Debug, Clone)]
+struct PanicAfterWrite<S> {
+    inner: S,
+    hook: Hook,
+    budget: usize,
+}
+
+impl<S> PanicAfterWrite<S> {
+    fn tick(&mut self, hook: Hook) {
+        if hook == self.hook {
+            if self.budget == 0 {
+                panic!("{}", WRITE_PANIC);
+            }
+            self.budget -= 1;
+        }
+    }
+}
+
+impl<S: LabelingScheme> LabelingScheme for PanicAfterWrite<S> {
+    type Label = S::Label;
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn descriptor(&self) -> SchemeDescriptor {
+        self.inner.descriptor()
+    }
+    fn label_tree(&mut self, tree: &XmlTree) -> Result<Labeling<S::Label>, TreeError> {
+        self.inner.label_tree(tree)
+    }
+    fn on_insert(
+        &mut self,
+        tree: &XmlTree,
+        labeling: &mut Labeling<S::Label>,
+        node: NodeId,
+    ) -> Result<InsertReport, TreeError> {
+        let report = self.inner.on_insert(tree, labeling, node);
+        self.tick(Hook::Insert);
+        report
+    }
+    fn on_delete(&mut self, tree: &XmlTree, labeling: &mut Labeling<S::Label>, node: NodeId) {
+        self.inner.on_delete(tree, labeling, node);
+        self.tick(Hook::Delete);
+    }
+    fn cmp_doc(&self, a: &S::Label, b: &S::Label) -> Ordering {
+        self.inner.cmp_doc(a, b)
+    }
+    fn relation(&self, rel: Relation, a: &S::Label, b: &S::Label) -> Option<bool> {
+        self.inner.relation(rel, a, b)
+    }
+    fn level(&self, a: &S::Label) -> Option<u32> {
+        self.inner.level(a)
+    }
+    fn stats(&self) -> &SchemeStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&mut self) {
+        self.inner.reset_stats();
+    }
+}
+
+/// Everything a rollback must restore, label sizes included.
+#[derive(Debug, PartialEq)]
+struct FullObservables {
+    tree: String,
+    revision: u32,
+    id_bound: usize,
+    labels: Vec<(usize, String)>,
+    max_bits: u64,
+    mean_bits: f64,
+}
+
+fn observe_full(tree: &XmlTree, session: &dyn DynScheme) -> FullObservables {
+    FullObservables {
+        tree: serialize_compact(tree),
+        revision: tree.revision(),
+        id_bound: tree.id_bound(),
+        labels: session.labels_display(),
+        max_bits: session.max_bits(),
+        mean_bits: session.mean_bits(),
+    }
+}
+
+/// Apply `log` to `tree` through a `SchemeSession` over `scheme` wrapped
+/// in [`PanicAfterWrite`], through both entry points: the panic must
+/// reach the caller and leave every observable as it was.
+fn panic_after_write_rolls_back<S: LabelingScheme + Clone + 'static>(
+    scheme: S,
+    hook: Hook,
+    budget: usize,
+    mut tree: XmlTree,
+    log: &MutationLog,
+) {
+    let plan = analyze(log, &tree).unwrap();
+    let mut session = SchemeSession::new(PanicAfterWrite {
+        inner: scheme,
+        hook,
+        budget,
+    });
+    DynScheme::label_tree(&mut session, &tree).unwrap();
+    let before = observe_full(&tree, &session);
+    for entry in [Entry::Sequential, Entry::Planned(ApplyOptions::analyzed())] {
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            entry.apply(&mut tree, &mut session, log, &plan)
+        }))
+        .expect_err("the injected panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(WRITE_PANIC),
+            "{}: unexpected panic payload",
+            session.name()
+        );
+        assert_eq!(
+            before,
+            observe_full(&tree, &session),
+            "{} ({entry:?}): a panic inside the scheme left state behind",
+            session.name()
+        );
+    }
+}
+
+/// A scheme that panics in `on_insert` after writing its labels — and,
+/// for XPath Accelerator, after relabelling every node — rolls back
+/// exactly.
+#[test]
+fn panic_inside_scheme_on_insert_rolls_back() {
+    let tree = docs::random_tree(11, 120);
+    let script = Script::generate(ScriptKind::Random, 40, 120, 7004);
+    let log = batch_of(&script, &tree).unwrap();
+    let inserts = log
+        .iter()
+        .filter(|m| matches!(m, Mutation::CreateElement { .. }))
+        .count();
+    assert!(inserts >= 12, "only {inserts} inserts");
+    panic_after_write_rolls_back(Qed::new(), Hook::Insert, 11, tree.clone(), &log);
+    panic_after_write_rolls_back(XPathAccelerator::new(), Hook::Insert, 11, tree, &log);
+}
+
+/// A scheme that panics in `on_delete` after dropping the subtree's
+/// labels rolls back exactly, including the two creates before it.
+#[test]
+fn panic_inside_scheme_on_delete_rolls_back() {
+    let tree = docs::random_tree(11, 120);
+    let doc = tree.document_element().unwrap();
+    let second = tree.children(doc).nth(1).unwrap();
+    assert!(tree.subtree_size(second) > 1, "the delete drops a subtree");
+    let mut log = MutationLog::new();
+    log.push(Mutation::CreateElement {
+        id: LogId(0),
+        name: "n0".to_string(),
+        place: Place::LastChildOf(NodeRef::Node(doc)),
+    });
+    log.push(Mutation::CreateElement {
+        id: LogId(1),
+        name: "n1".to_string(),
+        place: Place::FirstChildOf(NodeRef::New(LogId(0))),
+    });
+    log.push(Mutation::Delete {
+        target: NodeRef::Node(second),
+    });
+    panic_after_write_rolls_back(Qed::new(), Hook::Delete, 0, tree.clone(), &log);
+    panic_after_write_rolls_back(XPathAccelerator::new(), Hook::Delete, 0, tree, &log);
 }

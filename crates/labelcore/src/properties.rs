@@ -244,6 +244,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "checks a debug_assert")]
     #[should_panic(expected = "eight of F/P/N")]
     fn declared_from_letters_rejects_bad_letter() {
         SchemeDescriptor::declared_from_letters("FFFFFNNX");

@@ -17,6 +17,12 @@
 //! of its own and wants to hand them to one of those functions. Both
 //! get their [`DynScheme`] implementation from one blanket impl over
 //! [`SessionParts`], so the two can never drift.
+//!
+//! A batch brackets its edits with [`DynScheme::begin_batch`] and
+//! [`DynScheme::end_batch`]: the labelling records an undo journal of
+//! the slots the batch writes, and a rollback replays it, restoring the
+//! labels byte-for-byte without copying the whole labelling up front or
+//! asking the scheme to re-derive anything.
 
 use crate::label::{Label, Labeling};
 use crate::properties::SchemeDescriptor;
@@ -113,19 +119,27 @@ pub trait DynScheme {
     /// the optimizer cancels statically-nil edit groups.
     fn cancellation_neutral(&self) -> bool;
 
-    /// Snapshot the session's full state (scheme internals + labelling)
-    /// as an opaque token. Paired with [`DynScheme::restore_state`], this
-    /// is what gives batch application its all-or-nothing semantics: a
-    /// snapshot taken before the batch restores the labelling *and* any
-    /// scheme-internal allocator state byte-for-byte, which an undo-log
-    /// replay could not (relabelling schemes would re-derive different
-    /// labels).
+    /// Copy the session's full state (scheme internals + labelling) into
+    /// an opaque token: O(document). Batch application no longer takes
+    /// this copy (see [`DynScheme::begin_batch`]); it is kept because
+    /// the xbench mirror still times it as its `probe.save_state`.
     fn save_state(&self) -> Box<dyn std::any::Any>;
 
-    /// Restore a snapshot produced by [`DynScheme::save_state`] on the
-    /// same session type. Returns `false` (leaving the session untouched)
-    /// when the token came from a different concrete session.
-    fn restore_state(&mut self, state: Box<dyn std::any::Any>) -> bool;
+    /// Open a batch: clone the scheme value alone (its counters and
+    /// allocator state; Prime's order map is the one O(n) part) into the
+    /// returned token, and open the labelling's undo journal (see
+    /// [`Labeling::begin_undo`]). Close it with [`DynScheme::end_batch`].
+    fn begin_batch(&mut self) -> Box<dyn std::any::Any>;
+
+    /// Close the batch [`DynScheme::begin_batch`] opened. With `commit`
+    /// every write stays and the token is dropped; otherwise the journal
+    /// restores the labelling byte-for-byte and the token the scheme, so
+    /// the session is as it was at `begin_batch` — a physical journal of
+    /// label writes restores exactly, where replaying the scheme's
+    /// inverse edits would re-derive different labels. Returns `false`,
+    /// leaving the session untouched, when a rollback is handed a token
+    /// from a different concrete session.
+    fn end_batch(&mut self, token: Box<dyn std::any::Any>, commit: bool) -> bool;
 }
 
 /// Field access powering the blanket [`DynScheme`] impl. Implemented by
@@ -137,14 +151,17 @@ pub trait SessionParts {
 
     /// The scheme instance.
     fn scheme(&self) -> &Self::Scheme;
-    /// The scheme instance, mutably.
-    fn scheme_mut(&mut self) -> &mut Self::Scheme;
     /// The session's labelling.
     fn labeling(&self) -> &Labeling<<Self::Scheme as LabelingScheme>::Label>;
-    /// The session's labelling, mutably.
-    fn labeling_mut(&mut self) -> &mut Labeling<<Self::Scheme as LabelingScheme>::Label>;
-    /// Replace the session's labelling wholesale (bulk labelling).
-    fn replace_labeling(&mut self, labeling: Labeling<<Self::Scheme as LabelingScheme>::Label>);
+    /// The scheme and the labelling, mutably and at once. Nothing is
+    /// moved out of the session, so a panic inside the scheme unwinds
+    /// with the labelling, and its undo journal, still in place.
+    fn parts_mut(
+        &mut self,
+    ) -> (
+        &mut Self::Scheme,
+        &mut Labeling<<Self::Scheme as LabelingScheme>::Label>,
+    );
 }
 
 /// An owning session: a scheme plus the labelling it maintains. What
@@ -182,17 +199,11 @@ impl<S: LabelingScheme> SessionParts for SchemeSession<S> {
     fn scheme(&self) -> &S {
         &self.scheme
     }
-    fn scheme_mut(&mut self) -> &mut S {
-        &mut self.scheme
-    }
     fn labeling(&self) -> &Labeling<S::Label> {
         &self.labeling
     }
-    fn labeling_mut(&mut self) -> &mut Labeling<S::Label> {
-        &mut self.labeling
-    }
-    fn replace_labeling(&mut self, labeling: Labeling<S::Label>) {
-        self.labeling = labeling;
+    fn parts_mut(&mut self) -> (&mut S, &mut Labeling<S::Label>) {
+        (&mut self.scheme, &mut self.labeling)
     }
 }
 
@@ -218,17 +229,11 @@ impl<S: LabelingScheme> SessionParts for SessionMut<'_, S> {
     fn scheme(&self) -> &S {
         self.scheme
     }
-    fn scheme_mut(&mut self) -> &mut S {
-        self.scheme
-    }
     fn labeling(&self) -> &Labeling<S::Label> {
         self.labeling
     }
-    fn labeling_mut(&mut self) -> &mut Labeling<S::Label> {
-        self.labeling
-    }
-    fn replace_labeling(&mut self, labeling: Labeling<S::Label>) {
-        *self.labeling = labeling;
+    fn parts_mut(&mut self) -> (&mut S, &mut Labeling<S::Label>) {
+        (self.scheme, self.labeling)
     }
 }
 
@@ -245,24 +250,19 @@ where
     }
 
     fn label_tree(&mut self, tree: &XmlTree) -> Result<(), TreeError> {
-        let labeling = self.scheme_mut().label_tree(tree)?;
-        self.replace_labeling(labeling);
+        let (scheme, labeling) = self.parts_mut();
+        *labeling = scheme.label_tree(tree)?;
         Ok(())
     }
 
     fn on_insert(&mut self, tree: &XmlTree, node: NodeId) -> Result<InsertReport, TreeError> {
-        // Split-borrow through a single &mut self: take the labelling
-        // out, run the scheme against it, put it back.
-        let mut labeling = std::mem::take(self.labeling_mut());
-        let report = self.scheme_mut().on_insert(tree, &mut labeling, node);
-        self.replace_labeling(labeling);
-        report
+        let (scheme, labeling) = self.parts_mut();
+        scheme.on_insert(tree, labeling, node)
     }
 
     fn on_delete(&mut self, tree: &XmlTree, node: NodeId) {
-        let mut labeling = std::mem::take(self.labeling_mut());
-        self.scheme_mut().on_delete(tree, &mut labeling, node);
-        self.replace_labeling(labeling);
+        let (scheme, labeling) = self.parts_mut();
+        scheme.on_delete(tree, labeling, node);
     }
 
     fn cmp_nodes(&self, a: NodeId, b: NodeId) -> Result<Ordering, TreeError> {
@@ -291,7 +291,7 @@ where
     }
 
     fn reset_stats(&mut self) {
-        self.scheme_mut().reset_stats();
+        self.parts_mut().0.reset_stats();
     }
 
     fn overflow_audit_instance(&self) -> Option<Box<dyn DynScheme>> {
@@ -347,17 +347,22 @@ where
         Box::new((self.scheme().clone(), self.labeling().clone()))
     }
 
-    fn restore_state(&mut self, state: Box<dyn std::any::Any>) -> bool {
-        type Snap<S> = (S, Labeling<<S as LabelingScheme>::Label>);
-        match state.downcast::<Snap<T::Scheme>>() {
-            Ok(snap) => {
-                let (scheme, labeling) = *snap;
-                *self.scheme_mut() = scheme;
-                self.replace_labeling(labeling);
-                true
+    fn begin_batch(&mut self) -> Box<dyn std::any::Any> {
+        let (scheme, labeling) = self.parts_mut();
+        labeling.begin_undo();
+        Box::new(scheme.clone())
+    }
+
+    fn end_batch(&mut self, token: Box<dyn std::any::Any>, commit: bool) -> bool {
+        let (scheme, labeling) = self.parts_mut();
+        if !commit {
+            match token.downcast::<T::Scheme>() {
+                Ok(saved) => *scheme = *saved,
+                Err(_) => return false,
             }
-            Err(_) => false,
         }
+        labeling.end_undo(commit);
+        true
     }
 }
 
@@ -506,35 +511,54 @@ mod tests {
     }
 
     #[test]
-    fn save_restore_round_trips_scheme_and_labeling() {
+    fn rolled_back_batch_restores_scheme_and_labeling() {
         let (mut tree, a) = two_node_tree();
         let mut session: Box<dyn DynScheme> = Box::new(SchemeSession::new(SeqScheme::default()));
         session.label_tree(&tree).unwrap();
-        let snap = session.save_state();
         let before = session.labels_display();
 
+        let token = session.begin_batch();
         let b = tree.create(NodeKind::element("b"));
         tree.append_child(a, b).unwrap();
         session.on_insert(&tree, b).unwrap();
+        let first = session.label_display(b).unwrap();
+        session.on_delete(&tree, a);
         assert_ne!(session.labels_display(), before);
 
-        assert!(session.restore_state(snap), "token matches session type");
-        assert_eq!(session.labels_display(), before);
+        assert!(
+            session.end_batch(token, false),
+            "token matches session type"
+        );
+        assert_eq!(session.labels_display(), before, "labels byte-identical");
         // scheme internals restored too: re-inserting hands out the same
-        // counter value the pre-snapshot state would have
+        // counter value the pre-batch state did
+        let token = session.begin_batch();
         let report = session.on_insert(&tree, b).unwrap();
         assert!(report.relabeled.is_empty());
-        assert_eq!(session.labeled_len(), 3);
+        assert_eq!(session.label_display(b).unwrap(), first);
+        assert!(session.end_batch(token, true), "commit");
+        assert_eq!(
+            session.labeled_len(),
+            3,
+            "a committed batch keeps its writes"
+        );
     }
 
     #[test]
-    fn restore_rejects_foreign_tokens() {
-        let (tree, _) = two_node_tree();
+    fn end_batch_rejects_foreign_tokens() {
+        let (mut tree, a) = two_node_tree();
         let mut session = SchemeSession::new(SeqScheme::default());
         DynScheme::label_tree(&mut session, &tree).unwrap();
         let before = session.labels_display();
-        assert!(!session.restore_state(Box::new(42u32)), "foreign token");
-        assert_eq!(session.labels_display(), before, "session untouched");
+        let token = session.begin_batch();
+        let b = tree.create(NodeKind::element("b"));
+        tree.append_child(a, b).unwrap();
+        session.on_insert(&tree, b).unwrap();
+        let during = session.labels_display();
+        assert!(!session.end_batch(Box::new(42u32), false), "foreign token");
+        assert_eq!(session.labels_display(), during, "session untouched");
+        assert!(session.end_batch(token, false), "the journal is still open");
+        assert_eq!(session.labels_display(), before);
     }
 
     #[test]

@@ -24,13 +24,64 @@ struct NodeData {
     alive: bool,
 }
 
+/// A node's state apart from its kind: all `Copy`, so the undo journal
+/// saves it without allocating.
+#[derive(Clone, Copy, Debug)]
+struct Links {
+    parent: Option<NodeId>,
+    first_child: Option<NodeId>,
+    last_child: Option<NodeId>,
+    prev_sibling: Option<NodeId>,
+    next_sibling: Option<NodeId>,
+    alive: bool,
+}
+
+impl NodeData {
+    fn links(&self) -> Links {
+        Links {
+            parent: self.parent,
+            first_child: self.first_child,
+            last_child: self.last_child,
+            prev_sibling: self.prev_sibling,
+            next_sibling: self.next_sibling,
+            alive: self.alive,
+        }
+    }
+
+    fn set_links(&mut self, links: Links) {
+        self.parent = links.parent;
+        self.first_child = links.first_child;
+        self.last_child = links.last_child;
+        self.prev_sibling = links.prev_sibling;
+        self.next_sibling = links.next_sibling;
+        self.alive = links.alive;
+    }
+}
+
+/// An open undo journal: what [`XmlTree::end_undo`] needs to put the
+/// tree back as [`XmlTree::begin_undo`] found it.
+#[derive(Debug)]
+struct Undo {
+    /// `nodes.len()`, the live count and the revision at open. Nodes at
+    /// or past `len` were created by the batch.
+    len: usize,
+    alive: u32,
+    revision: u32,
+    /// Bit `i` is set once node `i`'s links are in `links`.
+    saved: Vec<u64>,
+    /// Each pre-batch node's links before its first write.
+    links: Vec<(NodeId, Links)>,
+    /// Kinds before each `kind_mut`, in call order.
+    kinds: Vec<(NodeId, NodeKind)>,
+}
+
 /// An ordered rooted tree over [`NodeKind`] nodes.
 ///
 /// The tree always contains a single [`NodeKind::Document`] root created by
 /// [`XmlTree::new`]. Node ids are dense arena indices and are never reused
 /// after deletion, so side tables keyed by [`NodeId`] stay sound across
 /// arbitrary update sequences.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct XmlTree {
     nodes: Vec<NodeData>,
     /// Live node count, `u32` like [`NodeId`]: with the revision it
@@ -38,6 +89,20 @@ pub struct XmlTree {
     alive: u32,
     /// Bumped by every mutation; see [`XmlTree::revision`].
     revision: u32,
+    /// The journal [`XmlTree::begin_undo`] opened, if any.
+    undo: Option<Box<Undo>>,
+}
+
+impl Clone for XmlTree {
+    /// A copy of the tree state; the copy has no undo journal open.
+    fn clone(&self) -> Self {
+        XmlTree {
+            nodes: self.nodes.clone(),
+            alive: self.alive,
+            revision: self.revision,
+            undo: None,
+        }
+    }
 }
 
 impl Default for XmlTree {
@@ -61,6 +126,7 @@ impl XmlTree {
             }],
             alive: 1,
             revision: 0,
+            undo: None,
         }
     }
 
@@ -100,11 +166,11 @@ impl XmlTree {
     }
 
     /// The tree state's version: bumped by every mutation (all of them
-    /// create nodes, retire them, or go through `get_mut`) and carried
-    /// along by `clone`. Artifacts derived from one state — an analyzed
-    /// batch plan — record it so they can refuse to run on another. It
-    /// wraps after 2³² mutations, so two states that far apart share a
-    /// revision.
+    /// create nodes, retire them, or go through `get_mut`), carried
+    /// along by `clone` and put back by a rolled-back undo journal.
+    /// Artifacts derived from one state — an analyzed batch plan —
+    /// record it so they can refuse to run on another. It wraps after
+    /// 2³² mutations, so two states that far apart share a revision.
     #[inline]
     pub fn revision(&self) -> u32 {
         self.revision
@@ -112,6 +178,7 @@ impl XmlTree {
 
     fn get_mut(&mut self, id: NodeId) -> &mut NodeData {
         self.revision = self.revision.wrapping_add(1);
+        self.save_links(id);
         let n = &mut self.nodes[id.index()];
         debug_assert!(n.alive, "access to dead node {id:?}");
         n
@@ -127,7 +194,70 @@ impl XmlTree {
     /// the paper's taxonomy and never affects labels.
     #[inline]
     pub fn kind_mut(&mut self, id: NodeId) -> &mut NodeKind {
+        if let Some(undo) = self.undo.as_deref_mut() {
+            if id.index() < undo.len {
+                undo.kinds.push((id, self.nodes[id.index()].kind.clone()));
+            }
+        }
         &mut self.get_mut(id).kind
+    }
+
+    /// Start an undo journal. Until [`XmlTree::end_undo`], the first
+    /// write to each node that exists now saves its links, and every
+    /// [`XmlTree::kind_mut`] saves the kind it hands out, so a rollback
+    /// costs the nodes a batch wrote rather than a copy of the tree.
+    /// Opening a journal while one is open discards the open one.
+    pub fn begin_undo(&mut self) {
+        let len = self.nodes.len();
+        self.undo = Some(Box::new(Undo {
+            len,
+            alive: self.alive,
+            revision: self.revision,
+            saved: vec![0; len.div_ceil(64)],
+            links: Vec::new(),
+            kinds: Vec::new(),
+        }));
+    }
+
+    /// Close the journal [`XmlTree::begin_undo`] opened. With `keep`
+    /// every write since stays; without it the tree is put back as it
+    /// was then — nodes created since are dropped, and every saved kind
+    /// and link, the live count and the revision are restored. Does
+    /// nothing when no journal is open.
+    pub fn end_undo(&mut self, keep: bool) {
+        let Some(undo) = self.undo.take() else {
+            return;
+        };
+        if keep {
+            return;
+        }
+        self.nodes.truncate(undo.len);
+        for (id, links) in undo.links {
+            self.nodes[id.index()].set_links(links);
+        }
+        // Newest first, so a node written twice ends on its first save.
+        for (id, kind) in undo.kinds.into_iter().rev() {
+            self.nodes[id.index()].kind = kind;
+        }
+        self.alive = undo.alive;
+        self.revision = undo.revision;
+    }
+
+    /// Journal hook, run before every write to a node's links: the
+    /// first write to a pre-batch node saves them.
+    fn save_links(&mut self, id: NodeId) {
+        let Some(undo) = self.undo.as_deref_mut() else {
+            return;
+        };
+        let i = id.index();
+        if i >= undo.len {
+            return;
+        }
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if undo.saved[word] & bit == 0 {
+            undo.saved[word] |= bit;
+            undo.links.push((id, self.nodes[i].links()));
+        }
     }
 
     /// Parent, if attached and not the root.
@@ -319,6 +449,7 @@ impl XmlTree {
         self.detach(id)?;
         let doomed: Vec<NodeId> = Preorder::from(self, id).collect();
         for d in &doomed {
+            self.save_links(*d);
             let n = &mut self.nodes[d.index()];
             n.alive = false;
             n.parent = None;
@@ -771,6 +902,109 @@ mod tests {
         assert_eq!(t.clone().revision(), t.revision());
         let _ = t.ids_in_doc_order();
         assert_eq!(t.revision(), *seen.last().unwrap(), "reads leave it alone");
+    }
+
+    /// `root > a > (b > c > e, d > t)`, with `t` a text node.
+    fn journal_fixture() -> (XmlTree, [NodeId; 5]) {
+        let mut t = XmlTree::new();
+        let r = t.root();
+        let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| elem(&mut t, n));
+        let tx = t.create(NodeKind::text("old"));
+        t.append_child(r, a).unwrap();
+        t.append_child(a, b).unwrap();
+        t.append_child(b, c).unwrap();
+        // `e` is written only by the removal of `c`'s subtree
+        t.append_child(c, e).unwrap();
+        t.append_child(a, d).unwrap();
+        t.append_child(d, tx).unwrap();
+        (t, [a, b, c, d, tx])
+    }
+
+    /// Every kind of write a batch makes, on both pre-batch nodes and
+    /// nodes the batch creates.
+    fn journal_edits(t: &mut XmlTree, [a, b, c, d, tx]: [NodeId; 5]) {
+        let x = elem(t, "x");
+        t.append_child(a, x).unwrap();
+        let y = elem(t, "y");
+        t.prepend_child(b, y).unwrap();
+        let z = elem(t, "z");
+        t.insert_before(d, z).unwrap();
+        let w = elem(t, "w");
+        t.insert_after(c, w).unwrap();
+        let x1 = elem(t, "x1");
+        t.append_child(x, x1).unwrap();
+        t.detach(b).unwrap();
+        t.append_child(d, b).unwrap();
+        t.remove_subtree(c).unwrap();
+        t.remove_subtree(z).unwrap();
+        *t.kind_mut(tx) = NodeKind::text("new");
+        *t.kind_mut(tx) = NodeKind::text("newer");
+        *t.kind_mut(y) = NodeKind::element("y2");
+    }
+
+    #[test]
+    fn rolled_back_journal_restores_the_tree_exactly() {
+        let (mut t, ids) = journal_fixture();
+        let before = t.clone();
+        t.begin_undo();
+        journal_edits(&mut t, ids);
+        assert_ne!(
+            crate::serialize_compact(&t),
+            crate::serialize_compact(&before)
+        );
+        t.end_undo(false);
+        assert_eq!(
+            crate::serialize_compact(&t),
+            crate::serialize_compact(&before)
+        );
+        assert_eq!(t.revision(), before.revision());
+        assert_eq!(t.len(), before.len());
+        assert_eq!(t.id_bound(), before.id_bound());
+        assert_eq!(format!("{:?}", t.nodes), format!("{:?}", before.nodes));
+        t.validate().unwrap();
+        // no journal stays open: the next write is not recorded
+        assert!(t.undo.is_none());
+        let e = elem(&mut t, "e");
+        assert_eq!(
+            e.index(),
+            before.id_bound(),
+            "ids of dropped nodes are reissued"
+        );
+    }
+
+    #[test]
+    fn committed_journal_keeps_the_edits() {
+        let (mut plain, ids) = journal_fixture();
+        journal_edits(&mut plain, ids);
+        let (mut t, ids) = journal_fixture();
+        t.begin_undo();
+        journal_edits(&mut t, ids);
+        t.end_undo(true);
+        assert_eq!(
+            crate::serialize_compact(&t),
+            crate::serialize_compact(&plain)
+        );
+        assert_eq!(t.revision(), plain.revision());
+        assert_eq!(format!("{:?}", t.nodes), format!("{:?}", plain.nodes));
+        t.validate().unwrap();
+        // closing with no journal open is a no-op
+        t.end_undo(false);
+        assert_eq!(
+            crate::serialize_compact(&t),
+            crate::serialize_compact(&plain)
+        );
+    }
+
+    #[test]
+    fn a_clone_has_no_journal_open() {
+        let (mut t, [a, ..]) = journal_fixture();
+        t.begin_undo();
+        t.detach(a).unwrap();
+        let copy = t.clone();
+        assert!(copy.undo.is_none());
+        assert_eq!(copy.revision(), t.revision());
+        t.end_undo(false);
+        assert_eq!(copy.parent(a), None, "the copy kept the edit");
     }
 
     #[test]

@@ -140,11 +140,13 @@ PYEOF
 done
 rm -rf "$order_dir"
 
-echo "==> alloc diff (report-only: warn when a smoke sample allocates >25% more than its baseline)"
+echo "==> alloc diff (report-only: warn when a smoke sample allocates >25% more, in events or bytes, than its baseline)"
 # The counting allocator makes allocation counts deterministic per
 # iteration, so even a 1-iter smoke run is comparable to the committed
-# baseline. This step never fails the build — it exists to surface
-# allocation regressions in the hot path early.
+# baseline. Events and bytes are compared separately: a change can
+# allocate fewer, larger blocks, so one can fall while the other grows.
+# This step never fails the build — it exists to surface allocation
+# regressions in the hot path early.
 for smoke_json in "$smoke_dir"/BENCH_*.json; do
   base_json="results/$(basename "$smoke_json")"
   [ -f "$base_json" ] || continue
@@ -156,14 +158,17 @@ base = {s["name"]: s for s in json.load(open(base_path))["samples"]}
 warned = 0
 for s in json.load(open(smoke_path))["samples"]:
     b = base.get(s["name"])
-    if b is None or b.get("allocs", 0) == 0:
+    if b is None:
         continue
-    if s.get("allocs", 0) > b["allocs"] * 1.25:
-        warned += 1
-        print(f'    WARN {s["name"]}: allocs {b["allocs"]} -> {s["allocs"]} '
-              f'(+{100.0 * s["allocs"] / b["allocs"] - 100.0:.0f}%)')
+    for key in ("allocs", "alloc_bytes"):
+        if b.get(key, 0) == 0:
+            continue
+        if s.get(key, 0) > b[key] * 1.25:
+            warned += 1
+            print(f'    WARN {s["name"]}: {key} {b[key]} -> {s[key]} '
+                  f'(+{100.0 * s[key] / b[key] - 100.0:.0f}%)')
 if not warned:
-    print(f'    ok: {base_path} — no sample grew allocations by >25%')
+    print(f'    ok: {base_path} — no sample grew allocation events or bytes by >25%')
 PYEOF
 done
 
