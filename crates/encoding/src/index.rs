@@ -20,7 +20,7 @@ use xupd_xmldom::NodeKind;
 /// `BTreeMap` rather than `HashMap` so that iteration over the index is
 /// deterministic (lint rule R2) — anything feeding golden outputs must
 /// not depend on hash order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NameIndex {
     elements: BTreeMap<String, Vec<usize>>,
     attributes: BTreeMap<String, Vec<usize>>,
@@ -37,16 +37,36 @@ impl NameIndex {
     /// own index.
     pub fn from_kinds<'a>(kinds: impl Iterator<Item = &'a NodeKind>) -> Self {
         let mut idx = NameIndex::default();
+        idx.rebuild(kinds);
+        idx
+    }
+
+    /// Re-index per-row node kinds in document order in place: every
+    /// bucket keeps its buffer, a name is allocated only the first time
+    /// it is seen, and names that no longer occur are dropped.
+    pub(crate) fn rebuild<'a>(&mut self, kinds: impl Iterator<Item = &'a NodeKind>) {
+        for rows in self
+            .elements
+            .values_mut()
+            .chain(self.attributes.values_mut())
+        {
+            rows.clear();
+        }
         for (i, kind) in kinds.enumerate() {
-            if let Some(name) = kind.name() {
-                if kind.is_element() {
-                    idx.elements.entry(name.to_string()).or_default().push(i);
-                } else if kind.is_attribute() {
-                    idx.attributes.entry(name.to_string()).or_default().push(i);
+            let (map, name) = match kind {
+                NodeKind::Element { name } => (&mut self.elements, name),
+                NodeKind::Attribute { name, .. } => (&mut self.attributes, name),
+                _ => continue,
+            };
+            match map.get_mut(name.as_str()) {
+                Some(rows) => rows.push(i),
+                None => {
+                    map.insert(name.clone(), vec![i]);
                 }
             }
         }
-        idx
+        self.elements.retain(|_, rows| !rows.is_empty());
+        self.attributes.retain(|_, rows| !rows.is_empty());
     }
 
     /// All element rows with this name, in document order.
@@ -189,6 +209,22 @@ mod tests {
         if let (Some(&first), Some(&last)) = (attrs.first(), attrs.last()) {
             assert_eq!(idx.attributes_in_range("id", first, last + 1), attrs);
         }
+    }
+
+    #[test]
+    fn rebuild_in_place_matches_a_fresh_index() {
+        let big = EncodedDocument::encode(Qed::new(), &docs::xmark_like(11, 60)).unwrap();
+        let small = EncodedDocument::encode(Qed::new(), &docs::book()).unwrap();
+        let mut idx = NameIndex::build(&big);
+        assert!(idx.elements("item").len() > 1);
+        idx.rebuild(small.rows().iter().map(|r| &r.kind));
+        assert_eq!(idx, NameIndex::build(&small));
+        assert!(
+            idx.elements("item").is_empty(),
+            "a name that left is dropped"
+        );
+        idx.rebuild(big.rows().iter().map(|r| &r.kind));
+        assert_eq!(idx, NameIndex::build(&big));
     }
 
     #[test]

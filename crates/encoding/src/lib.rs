@@ -15,8 +15,8 @@
 //!   `*_via_labels` reference methods the framework checkers and the
 //!   differential property suite exercise;
 //! * [`topology`] — [`Topology`]: the structural sidecar index built at
-//!   encode time (pre-order subtree extents, CSR children arrays, depth
-//!   and parent vectors);
+//!   encode time and rebuilt in place by a splice (pre-order subtree
+//!   extents, CSR children arrays, depth and parent vectors);
 //! * [`xpath`] — a parser and streaming evaluator for the XPath subset
 //!   used by the examples and benchmarks (child/descendant/parent/
 //!   ancestor/sibling/following/preceding/attribute axes, name and text

@@ -4,7 +4,9 @@
 //! [`NodeId`] produced it ([`EncodedDocument::source_id`]): node ids are
 //! never reused across deletions, so the id is a stable node identity
 //! that the incremental query cache uses to map result rows between two
-//! encodings of the same evolving tree.
+//! encodings of the same evolving tree. The same identity lets a table
+//! follow a batch of structural edits in place
+//! ([`EncodedDocument::splice`]) instead of being encoded afresh.
 //!
 //! Axis evaluation runs on the [`Topology`] sidecar built at encode
 //! time: ancestry is an O(1) interval test, `child`/sibling axes are CSR
@@ -33,6 +35,23 @@ pub struct Row<L> {
     /// which stores the parent's label value). `None` for the document
     /// root.
     pub parent: Option<usize>,
+}
+
+/// One piece of a spliced table, in new document order.
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    /// Old rows `old..old + len`, carried over as they are.
+    Kept { old: usize, len: usize },
+    /// The `len`-node subtree of `root`, read from the tree.
+    Fresh { root: NodeId, len: usize },
+}
+
+impl Run {
+    fn len(&self) -> usize {
+        match *self {
+            Run::Kept { len, .. } | Run::Fresh { len, .. } => len,
+        }
+    }
 }
 
 /// A labelled, self-contained encoding of one document. Rows are stored
@@ -84,6 +103,235 @@ impl<S: LabelingScheme> EncodedDocument<S> {
             source_ids: order,
             row_of: index_of,
         })
+    }
+
+    /// Bring the table up to date with `tree` after a batch of
+    /// structural edits, in place instead of re-encoding it.
+    ///
+    /// `cut` holds the pre-batch rows of every subtree root the batch
+    /// deleted or moved. Created nodes need no list: node ids are never
+    /// reused, so they are the live ids at or past the id bound the
+    /// table was last built for. Finding what changed costs O(batch):
+    /// the splice walks the post-batch tree only through the
+    /// ancestors-or-self of every changed child list, emitting each
+    /// untouched subtree as one block of old rows and each created or
+    /// moved subtree as fresh rows read from the tree. The rest is
+    /// O(n) shifting: kept rows move to their new positions without
+    /// cloning their kinds, then one pass sets `row_of`, parents and
+    /// labels, and the [`Topology`] and [`NameIndex`] are rebuilt into
+    /// the buffers they already hold. The result equals
+    /// [`encode`](Self::encode) of `tree` row for row.
+    ///
+    /// Text writes to nodes inside kept blocks are not seen here; patch
+    /// them afterwards with [`patch_text`](Self::patch_text). Labels
+    /// are not carried over: `label(i)` gives the label of new row `i`,
+    /// so the splice suits schemes whose label is a function of the row
+    /// position. Errors when the edits do not account for `tree` (a
+    /// deleted, moved or created node left out); the table is consumed,
+    /// so encode afresh then.
+    pub fn splice(
+        mut self,
+        tree: &XmlTree,
+        cut: &[usize],
+        mut label: impl FnMut(usize) -> S::Label,
+    ) -> Result<Self, TreeError> {
+        let runs = self.splice_runs(tree, cut)?;
+        let (n_old, n_new) = (self.rows.len(), tree.len());
+
+        // Retire the ids of every row no kept run carries over: deleted
+        // nodes, and moved ones (re-entered below from the tree).
+        let mut from = 0;
+        for run in &runs {
+            if let Run::Kept { old, len } = *run {
+                self.retire(from..old);
+                from = old + len;
+            }
+        }
+        self.retire(from..n_old);
+
+        // Move the kept runs. Their new positions increase with their
+        // old ones, so runs shifted left can move front to back and runs
+        // shifted right back to front: neither pass lands on a row that
+        // has not moved yet. Swaps carry each kind over without a clone.
+        if n_new > n_old {
+            // Placeholders: every one is overwritten below.
+            let filler = Row {
+                label: label(0),
+                kind: NodeKind::Document,
+                parent: None,
+            };
+            self.rows.resize(n_new, filler);
+            self.source_ids.resize(n_new, tree.root());
+        }
+        let mut at = 0;
+        for run in &runs {
+            match *run {
+                Run::Kept { old, len } if at < old => {
+                    for j in 0..len {
+                        self.move_row(old + j, at + j);
+                    }
+                }
+                _ => {}
+            }
+            at += run.len();
+        }
+        // `at` is now `n_new`; walk the starts back down to 0.
+        for run in runs.iter().rev() {
+            at -= run.len();
+            match *run {
+                Run::Kept { old, len } if at > old => {
+                    for j in (0..len).rev() {
+                        self.move_row(old + j, at + j);
+                    }
+                }
+                _ => {}
+            }
+        }
+        for run in &runs {
+            if let Run::Fresh { root, .. } = *run {
+                for (k, id) in tree.preorder_from(root).enumerate() {
+                    self.rows[at + k].kind = tree.kind(id).clone();
+                    self.source_ids[at + k] = id;
+                }
+            }
+            at += run.len();
+        }
+        self.rows.truncate(n_new);
+        self.source_ids.truncate(n_new);
+
+        // One pass in document order: a parent's row is always set
+        // before its children look it up.
+        let bad = |what: &str| TreeError::Invariant(format!("splice: {what}"));
+        self.row_of.resize(tree.id_bound(), usize::MAX);
+        for i in 0..n_new {
+            let id = self.source_ids[i];
+            if !tree.is_alive(id) {
+                return Err(bad("a kept row's node is gone"));
+            }
+            let parent = match tree.parent(id) {
+                None if i == 0 => None,
+                None => return Err(bad("a non-root row has no parent")),
+                Some(p) => match self.row_of[p.index()] {
+                    pr if pr < i && self.source_ids[pr] == p => Some(pr),
+                    _ => return Err(bad("a row precedes its parent")),
+                },
+            };
+            self.row_of[id.index()] = i;
+            let row = &mut self.rows[i];
+            row.parent = parent;
+            row.label = label(i);
+        }
+        self.topo.rebuild(self.rows.iter().map(|r| r.parent))?;
+        self.index.rebuild(self.rows.iter().map(|r| &r.kind));
+        Ok(self)
+    }
+
+    /// Forget which rows encode the nodes of `rows`.
+    fn retire(&mut self, rows: std::ops::Range<usize>) {
+        for &id in &self.source_ids[rows] {
+            self.row_of[id.index()] = usize::MAX;
+        }
+    }
+
+    /// Move row `from` to `to`; whatever `to` held (a row that is gone
+    /// or has already moved) lands in `from`.
+    fn move_row(&mut self, from: usize, to: usize) {
+        self.rows.swap(from, to);
+        self.source_ids[to] = self.source_ids[from];
+    }
+
+    /// The run list of a splice, in new document order: the walk
+    /// [`splice`](Self::splice) describes. Errors when the runs cannot
+    /// be right — a live node with no row that was not created, kept
+    /// rows out of their old order, or runs that do not cover the tree.
+    fn splice_runs(&self, tree: &XmlTree, cut: &[usize]) -> Result<Vec<Run>, TreeError> {
+        let bad = |what: &str| TreeError::Invariant(format!("splice: {what}"));
+        // Roots read fresh from the tree: created nodes and moved roots.
+        let mut fresh: Vec<NodeId> = (self.row_of.len()..tree.id_bound())
+            .map(NodeId::from_index)
+            .filter(|&id| tree.is_alive(id))
+            .collect();
+        // Nodes whose child list changed: the parent of every fresh root
+        // and the surviving pre-batch parent of every cut root.
+        let mut open: Vec<NodeId> = Vec::new();
+        for &row in cut {
+            let id = *self
+                .source_ids
+                .get(row)
+                .ok_or_else(|| bad("cut row out of range"))?;
+            if tree.is_alive(id) {
+                fresh.push(id);
+            }
+            if let Some(p) = self.rows[row].parent.map(|p| self.source_ids[p]) {
+                if tree.is_alive(p) {
+                    open.push(p);
+                }
+            }
+        }
+        open.extend(fresh.iter().filter_map(|&id| tree.parent(id)));
+        for k in 0..open.len() {
+            let mut cur = tree.parent(open[k]);
+            while let Some(p) = cur {
+                open.push(p);
+                cur = tree.parent(p);
+            }
+        }
+        open.sort_unstable();
+        open.dedup();
+        fresh.sort_unstable();
+        fresh.dedup();
+
+        // Walk the post-batch tree, descending only into open nodes.
+        let mut runs: Vec<Run> = Vec::new();
+        let (mut kept_end, mut total) = (0, 0);
+        let mut stack: Vec<NodeId> = Vec::new();
+        let mut next = Some(tree.root());
+        loop {
+            let Some(node) = next else {
+                match stack.pop() {
+                    Some(p) => {
+                        next = tree.next_sibling(p);
+                        continue;
+                    }
+                    None => break,
+                }
+            };
+            if fresh.binary_search(&node).is_ok() {
+                let len = tree.subtree_size(node);
+                total += len;
+                runs.push(Run::Fresh { root: node, len });
+                next = tree.next_sibling(node);
+                continue;
+            }
+            let row = self
+                .row_of_source(node)
+                .ok_or_else(|| bad("a live node has no row and was not created"))?;
+            let is_open = open.binary_search(&node).is_ok();
+            let len = if is_open {
+                1
+            } else {
+                self.topo.extent(row) - row
+            };
+            if row < kept_end {
+                return Err(bad("kept rows out of their old order"));
+            }
+            total += len;
+            kept_end = row + len;
+            match runs.last_mut() {
+                Some(Run::Kept { old, len: l }) if *old + *l == row => *l += len,
+                _ => runs.push(Run::Kept { old: row, len }),
+            }
+            if is_open {
+                stack.push(node);
+                next = tree.first_child(node);
+            } else {
+                next = tree.next_sibling(node);
+            }
+        }
+        if total != tree.len() {
+            return Err(bad("runs do not cover the tree"));
+        }
+        Ok(runs)
     }
 
     /// Number of rows (= nodes).

@@ -39,8 +39,10 @@ pub fn row_in_extents(extents: &[(usize, usize)], i: usize) -> bool {
 /// Structural index over a document-order table: parent, depth,
 /// pre-order subtree extents and CSR children arrays.
 ///
-/// Built by [`Topology::from_parents`] in O(n); immutable thereafter
-/// (the table itself is immutable once encoded).
+/// Built by [`Topology::from_parents`] in O(n). When the table changes
+/// shape (the query cache splices its shadow table after a structural
+/// batch), the table's splice recomputes it in place, into the buffers
+/// it already holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     parent: Vec<Option<usize>>,
@@ -64,22 +66,36 @@ impl Topology {
     /// is not an earlier row, or a parented root — threads out as a
     /// [`TreeError`] rather than a panic.
     pub fn from_parents(parents: &[Option<usize>]) -> Result<Topology, TreeError> {
-        let n = parents.len();
-        if n == 0 {
-            return Ok(Topology {
-                parent: Vec::new(),
-                depth: Vec::new(),
-                extent: Vec::new(),
-                child_start: vec![0],
-                child_rows: Vec::new(),
-            });
-        }
-        if parents[0].is_some() {
+        let mut topo = Topology {
+            parent: Vec::new(),
+            depth: Vec::new(),
+            extent: Vec::new(),
+            child_start: Vec::new(),
+            child_rows: Vec::new(),
+        };
+        topo.rebuild(parents.iter().copied())?;
+        Ok(topo)
+    }
+
+    /// Recompute the index in place from per-row parent references, as
+    /// [`from_parents`](Self::from_parents) does, reusing every buffer:
+    /// once the table has reached its size this allocates nothing. On
+    /// a malformed input the same [`TreeError`] comes back and the index
+    /// is left unusable.
+    pub(crate) fn rebuild(
+        &mut self,
+        parents: impl Iterator<Item = Option<usize>>,
+    ) -> Result<(), TreeError> {
+        self.parent.clear();
+        self.parent.extend(parents);
+        let parent = &self.parent;
+        let n = parent.len();
+        if parent.first().is_some_and(Option::is_some) {
             return Err(TreeError::Invariant(
                 "row 0 (document root) must have no parent".into(),
             ));
         }
-        for (i, p) in parents.iter().enumerate().skip(1) {
+        for (i, p) in parent.iter().enumerate().skip(1) {
             match p {
                 None => return Err(TreeError::MissingParent(NodeId::from_index(i))),
                 Some(p) if *p >= i => {
@@ -90,48 +106,52 @@ impl Topology {
         }
 
         // depth: parents precede children in document order.
-        let mut depth = vec![0u32; n];
-        for i in 1..n {
-            if let Some(p) = parents[i] {
-                depth[i] = depth[p] + 1;
+        self.depth.clear();
+        self.depth.resize(n, 0);
+        for (i, p) in parent.iter().enumerate().skip(1) {
+            if let Some(p) = *p {
+                self.depth[i] = self.depth[p] + 1;
             }
         }
 
         // extent: reverse pass — every row's extent is final before its
         // parent is visited, because children have larger indices.
-        let mut extent: Vec<usize> = (1..=n).collect();
+        self.extent.clear();
+        self.extent.extend(1..=n);
         for i in (1..n).rev() {
-            if let Some(p) = parents[i] {
-                if extent[i] > extent[p] {
-                    extent[p] = extent[i];
+            if let Some(p) = parent[i] {
+                if self.extent[i] > self.extent[p] {
+                    self.extent[p] = self.extent[i];
                 }
             }
         }
 
-        // CSR: count, prefix-sum, fill in document order.
-        let mut child_start = vec![0usize; n + 1];
-        for p in parents.iter().skip(1).flatten() {
-            child_start[p + 1] += 1;
+        // CSR: count, prefix-sum, then fill in document order using each
+        // row's own offset as its cursor — afterwards `child_start[p]`
+        // holds where `p + 1`'s slice starts, so one shift puts the
+        // offsets back without a second cursor array.
+        let starts = &mut self.child_start;
+        starts.clear();
+        starts.resize(n + 1, 0);
+        for p in parent.iter().skip(1).flatten() {
+            starts[p + 1] += 1;
         }
         for i in 0..n {
-            child_start[i + 1] += child_start[i];
+            starts[i + 1] += starts[i];
         }
-        let mut cursor = child_start.clone();
-        let mut child_rows = vec![0usize; child_start[n]];
-        for (i, p) in parents.iter().enumerate().skip(1) {
+        self.child_rows.clear();
+        self.child_rows.resize(starts[n], 0);
+        for (i, p) in parent.iter().enumerate().skip(1) {
             if let Some(p) = p {
-                child_rows[cursor[*p]] = i;
-                cursor[*p] += 1;
+                self.child_rows[starts[*p]] = i;
+                starts[*p] += 1;
             }
         }
-
-        Ok(Topology {
-            parent: parents.to_vec(),
-            depth,
-            extent,
-            child_start,
-            child_rows,
-        })
+        for i in (1..=n).rev() {
+            starts[i] = starts[i - 1];
+        }
+        starts[0] = 0;
+        Ok(())
     }
 
     /// Number of rows covered.
@@ -301,6 +321,22 @@ mod tests {
         assert!(!t.subtree_intersects(2, &[(0, 2), (4, 5)]), "subtree of 2 is [2, 3)");
         assert!(t.subtree_intersects(2, &[(0, 3)]));
         assert!(!t.subtree_intersects(4, &[]));
+    }
+
+    #[test]
+    fn rebuild_in_place_matches_a_fresh_build() {
+        let shapes: [&[Option<usize>]; 4] = [
+            &[None, Some(0), Some(1), Some(1), Some(0)],
+            &[None, Some(0), Some(0), Some(2), Some(3), Some(2), Some(0)],
+            &[None],
+            &[None, Some(0), Some(1)],
+        ];
+        let mut t = sample();
+        for parents in shapes {
+            t.rebuild(parents.iter().copied()).unwrap();
+            assert_eq!(t, Topology::from_parents(parents).unwrap(), "{parents:?}");
+        }
+        assert!(t.rebuild([None, Some(1)].into_iter()).is_err());
     }
 
     #[test]

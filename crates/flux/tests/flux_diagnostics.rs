@@ -13,7 +13,7 @@
 //! this pins.
 
 use xupd_flux::FluxProgram;
-use xupd_testkit::prop::{any_u64, from_slice, vecs, Config};
+use xupd_testkit::prop::{any_u64, from_slice, mutate_bytes, vecs, Config};
 use xupd_testkit::{prop_assert, props};
 use xupd_xmldom::XmlTree;
 
@@ -151,24 +151,6 @@ const BASES: &[&str] = &[
     "# comment\ndelete /r/s[1]/@id;",
 ];
 
-/// Apply one encoded edit to the byte buffer: overwrite, insert or
-/// delete at a position derived from the edit value.
-fn mutate(bytes: &mut Vec<u8>, edit: u64) {
-    if bytes.is_empty() {
-        bytes.push((edit % 256) as u8);
-        return;
-    }
-    let pos = (edit as usize / 4) % bytes.len();
-    let byte = ((edit >> 16) % 256) as u8;
-    match edit % 3 {
-        0 => bytes[pos] = byte,
-        1 => bytes.insert(pos, byte),
-        _ => {
-            bytes.remove(pos);
-        }
-    }
-}
-
 props! {
     config = Config::with_cases(512);
 
@@ -178,7 +160,7 @@ props! {
     ) {
         let mut bytes = base.as_bytes().to_vec();
         for e in edits {
-            mutate(&mut bytes, e);
+            mutate_bytes(&mut bytes, e);
         }
         let src = String::from_utf8_lossy(&bytes).into_owned();
         // Any outcome is fine; panicking is not (the harness converts

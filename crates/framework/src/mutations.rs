@@ -906,6 +906,10 @@ impl<'b> Cursor<'b> {
         Ok(b)
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.at)
+    }
+
     fn u32(&mut self) -> Result<u32, TreeError> {
         let end = self
             .at
@@ -1019,7 +1023,9 @@ pub fn deserialize(bytes: &[u8]) -> Result<MutationLog, TreeError> {
             5 => {
                 let parent = c.node_ref()?;
                 let n = c.u32()? as usize;
-                let mut ids = Vec::with_capacity(n.min(1 << 16));
+                // Every id takes 4 bytes: a count the bytes left cannot
+                // hold must not reserve memory before it is refused.
+                let mut ids = Vec::with_capacity(n.min(c.remaining() / 4));
                 for _ in 0..n {
                     ids.push(LogId(c.u32()?));
                 }

@@ -42,10 +42,15 @@
 //! are plain preorder positions. The streaming evaluator never reads
 //! labels (axes run on the [`Topology`](xupd_encoding::Topology)
 //! sidecar), so results are identical to evaluating the document's
-//! real snapshot — but rebuilding the shadow after a structural batch
-//! is one cheap O(n) pass regardless of how expensive the document's
-//! actual labelling scheme is, and a text-only batch patches it in
-//! place without any rebuild.
+//! real snapshot — but keeping the shadow current never pays the
+//! document's actual label algebra. A structural batch splices the
+//! shadow in place ([`EncodedDocument::splice`]): finding what the
+//! batch changed costs O(batch), through its exact edits (deleted and
+//! moved subtree roots, created nodes), not its relabel regions; the
+//! rest is O(n) shifting of the rows that stayed, with no per-row
+//! allocation. A text-only batch patches text rows in place. The full
+//! re-encode is left for registration, [`QueryCache::refresh`], and
+//! the fallback when a splice finds its input inconsistent.
 //!
 //! Staleness safety: the cache only ever serves results derived from
 //! the shadow table of the current tree. Updates that bypass the
@@ -125,9 +130,10 @@ impl LabelingScheme for ShadowScheme {
         labeling: &mut Labeling<ShadowLabel>,
         node: NodeId,
     ) -> Result<InsertReport, TreeError> {
-        // The cache never drives per-op inserts — it re-encodes the
-        // shadow wholesale per structural batch — but the scheme
-        // protocol must still hold for standalone use: renumber.
+        // The cache never drives per-op inserts — it splices the
+        // shadow once per structural batch, relabelling every row by
+        // its new position — but the scheme protocol must still hold
+        // for standalone use: renumber.
         if !tree.is_alive(node) {
             return Err(TreeError::DanglingNodeId(node));
         }
@@ -538,8 +544,10 @@ impl QueryCache {
         Ok(impact)
     }
 
-    /// Structural path: re-encode the shadow (one cheap preorder
-    /// pass), derive the touched extents in both coordinate systems,
+    /// Structural path: read the batch's footprint and every query's
+    /// pre-batch facts off the old shadow, splice the shadow over the
+    /// batch's edits (re-encoding it only when the splice finds an
+    /// inconsistency), derive the touched extents in new coordinates,
     /// and classify every query.
     fn absorb_structural(
         &mut self,
@@ -555,57 +563,51 @@ impl QueryCache {
                 ))
             }
         };
-        let new = EncodedDocument::encode(ShadowScheme::default(), tree)?;
 
-        // Aggregate write footprint of the effective ops, old
-        // coordinates: relabel regions (each = the extent of the node
-        // whose child list changes, so every sibling ripple is inside),
-        // deleted subtrees, moved subtrees.
-        let mut old_raw: Vec<(usize, usize)> = Vec::new();
-        for &i in effective {
-            if let Some(fp) = plan.footprints.get(i) {
-                for e in fp
-                    .regions
-                    .iter()
-                    .chain(fp.deleted_extents.iter())
-                    .chain(fp.moved_extents.iter())
-                {
-                    old_raw.push((e.start as usize, e.end as usize));
-                }
-            }
-        }
+        // Old coordinates first: the splice overwrites them.
+        let Footprint {
+            mut raw,
+            cut,
+            texts,
+        } = Footprint::read(plan, effective, &old);
+        let old_roots: Vec<usize> = raw.iter().map(|&(s, _)| s).collect();
+        let root_ids: Vec<NodeId> = old_roots.iter().map(|&s| old.source_id(s)).collect();
+        let touched_old = merge_intervals(&mut raw);
+        let cover_old: usize = touched_old.iter().map(|&(s, e)| e - s).sum();
+        let dirty_old = 2 * cover_old >= old.len().max(1);
+        let before: Vec<Before> = self
+            .queries
+            .iter()
+            .map(|q| Before {
+                names_clear: names_clear(&q.pattern, old.name_index(), &touched_old),
+                ancestor_hit: q.want_strings && ancestor_hit(&old, &old_roots, &q.rows),
+                ids: (q.pattern.repair_safe() && !dirty_old)
+                    .then(|| q.rows.iter().map(|&r| old.source_id(r)).collect()),
+            })
+            .collect();
+
+        let new = match splice_shadow(old, tree, &cut, &texts) {
+            Ok(new) => new,
+            Err(_) => EncodedDocument::encode(ShadowScheme::default(), tree)?,
+        };
+
         // New coordinates: map each touched subtree root through its
         // stable NodeId and take its extent in the new encoding (a
         // region can only grow or shrink around the same root; deleted
         // roots simply vanish).
-        let mut new_raw: Vec<(usize, usize)> = old_raw
+        let mut new_raw: Vec<(usize, usize)> = root_ids
             .iter()
-            .filter_map(|&(s, _)| {
-                let id = old.source_id(s);
-                new.row_of_source(id)
-                    .map(|r| (r, new.topology().extent(r)))
-            })
+            .filter_map(|&id| new.row_of_source(id).map(|r| (r, new.topology().extent(r))))
             .collect();
-        let old_roots: Vec<usize> = old_raw.iter().map(|&(s, _)| s).collect();
         let new_roots: Vec<usize> = new_raw.iter().map(|&(s, _)| s).collect();
-        let touched_old = merge_intervals(&mut old_raw);
         let touched_new = merge_intervals(&mut new_raw);
 
         // Pre-existing text rows written by the batch, new coordinates
         // (created text nodes already live inside touched extents).
-        let mut text_new: Vec<usize> = Vec::new();
-        for &i in effective {
-            if let Some(fp) = plan.footprints.get(i) {
-                for tw in &fp.text_writes {
-                    if let PointRef::Pre(row) = tw {
-                        let id = old.source_id(*row as usize);
-                        if let Some(r) = new.row_of_source(id) {
-                            text_new.push(r);
-                        }
-                    }
-                }
-            }
-        }
+        let mut text_new: Vec<usize> = texts
+            .iter()
+            .filter_map(|&id| new.row_of_source(id))
+            .collect();
         text_new.sort_unstable();
         text_new.dedup();
 
@@ -618,13 +620,11 @@ impl QueryCache {
             .chain(touched_new.first().map(|&(s, _)| s))
             .min();
         let no_touch = touched_old.is_empty() && touched_new.is_empty();
-        let cover_old: usize = touched_old.iter().map(|&(s, e)| e - s).sum();
         let cover_new: usize = touched_new.iter().map(|&(s, e)| e - s).sum();
-        let dirty_all =
-            2 * cover_old >= old.len().max(1) || 2 * cover_new >= new.len().max(1);
+        let dirty_all = dirty_old || 2 * cover_new >= new.len().max(1);
 
         let mut impact = BatchImpact::default();
-        for q in &mut self.queries {
+        for (q, b) in self.queries.iter_mut().zip(&before) {
             if q.force_unaffected {
                 impact.unaffected += 1;
                 impact.classes.push(QueryClass::Unaffected);
@@ -633,21 +633,13 @@ impl QueryCache {
             }
             // --- unaffected? ---
             let name_safe = no_touch
-                || (q.pattern.fully_named()
-                    && q.pattern.element_names().iter().all(|n| {
-                        bucket_clear(old.name_index(), n, &touched_old, false)
-                            && bucket_clear(new.name_index(), n, &touched_new, false)
-                    })
-                    && q.pattern.attribute_names().iter().all(|n| {
-                        bucket_clear(old.name_index(), n, &touched_old, true)
-                            && bucket_clear(new.name_index(), n, &touched_new, true)
-                    }));
+                || (b.names_clear && names_clear(&q.pattern, new.name_index(), &touched_new));
             let pos_stable = match t_min {
                 None => true,
                 Some(t) => q.rows.last().map_or(true, |&r| r < t),
             };
             let strings_ok = !q.want_strings
-                || (!ancestor_hit(&old, &old_roots, &q.rows)
+                || (!b.ancestor_hit
                     && !ancestor_hit(&new, &new_roots, &q.rows)
                     && !text_hit(&new, &text_new, &q.rows));
             if name_safe && pos_stable && strings_ok {
@@ -668,27 +660,107 @@ impl QueryCache {
                 impact.classes.push(QueryClass::Repaired);
                 continue;
             }
-            if q.pattern.repair_safe() && !dirty_all {
-                let (dropped, spliced, patched) =
-                    repair_query(q, &old, &new, &touched_new, &text_new);
-                self.stats.repaired += 1;
-                self.stats.repair_dropped_rows += dropped;
-                self.stats.repair_spliced_rows += spliced;
-                self.stats.string_patches += patched;
-                impact.repaired += 1;
-                impact.dropped_rows += dropped;
-                impact.spliced_rows += spliced;
-                impact.classes.push(QueryClass::Repaired);
-                continue;
+            match &b.ids {
+                Some(ids) if !dirty_all => {
+                    let (dropped, spliced, patched) =
+                        repair_query(q, ids, &new, &touched_new, &text_new);
+                    self.stats.repaired += 1;
+                    self.stats.repair_dropped_rows += dropped;
+                    self.stats.repair_spliced_rows += spliced;
+                    self.stats.string_patches += patched;
+                    impact.repaired += 1;
+                    impact.dropped_rows += dropped;
+                    impact.spliced_rows += spliced;
+                    impact.classes.push(QueryClass::Repaired);
+                }
+                // --- dirty: full re-evaluation ---
+                _ => {
+                    rebuild_query(q, &new, &mut self.stats);
+                    impact.rebuilt += 1;
+                    impact.classes.push(QueryClass::Rebuilt);
+                }
             }
-            // --- dirty: full re-evaluation ---
-            rebuild_query(q, &new, &mut self.stats);
-            impact.rebuilt += 1;
-            impact.classes.push(QueryClass::Rebuilt);
         }
         self.shadow = Some(new);
         Ok(impact)
     }
+}
+
+/// What a structural batch wrote, read off the plan in the pre-batch
+/// shadow's coordinates.
+struct Footprint {
+    /// Touched extents: relabel regions (each = the extent of the node
+    /// whose child list changes, so every sibling ripple is inside),
+    /// deleted subtrees and moved subtrees.
+    raw: Vec<(usize, usize)>,
+    /// Rows of the deleted and moved subtree roots: what a splice cuts.
+    cut: Vec<usize>,
+    /// Pre-batch text nodes the batch wrote.
+    texts: Vec<NodeId>,
+}
+
+impl Footprint {
+    fn read(
+        plan: &AnalyzedPlan,
+        effective: &[usize],
+        old: &EncodedDocument<ShadowScheme>,
+    ) -> Footprint {
+        let mut fp = Footprint {
+            raw: Vec::new(),
+            cut: Vec::new(),
+            texts: Vec::new(),
+        };
+        for op in effective.iter().filter_map(|&i| plan.footprints.get(i)) {
+            let cut = op.deleted_extents.iter().chain(&op.moved_extents);
+            fp.raw.extend(
+                op.regions
+                    .iter()
+                    .chain(cut.clone())
+                    .map(|e| (e.start as usize, e.end as usize)),
+            );
+            fp.cut.extend(cut.map(|e| e.start as usize));
+            fp.texts
+                .extend(op.text_writes.iter().filter_map(|t| match t {
+                    PointRef::Pre(row) => Some(old.source_id(*row as usize)),
+                    PointRef::New(_) => None,
+                }));
+        }
+        fp
+    }
+}
+
+/// One query's classification facts in pre-batch coordinates, taken
+/// before the splice overwrites the old shadow.
+struct Before {
+    /// It is fully named and its name tests miss every touched extent
+    /// of the old table.
+    names_clear: bool,
+    /// A cached result is a strict ancestor of a touched root.
+    ancestor_hit: bool,
+    /// The node id of every cached row, kept for a repair: present for
+    /// repair-safe queries unless the old footprint already covers half
+    /// the document (which rules a repair out).
+    ids: Option<Vec<NodeId>>,
+}
+
+/// The post-batch shadow, spliced from the pre-batch one: cut the
+/// deleted and moved subtrees, read created and moved ones from the
+/// tree, then patch the text the batch wrote into kept rows (a splice
+/// does not see it). Errors on any inconsistency; the caller encodes
+/// afresh then.
+fn splice_shadow(
+    old: EncodedDocument<ShadowScheme>,
+    tree: &XmlTree,
+    cut: &[usize],
+    texts: &[NodeId],
+) -> Result<EncodedDocument<ShadowScheme>, TreeError> {
+    let mut new = old.splice(tree, cut, |i| ShadowLabel(i as u32))?;
+    for &id in texts {
+        if let Some(row) = new.row_of_source(id) {
+            new.patch_text(row, tree.kind(id).value().unwrap_or_default())?;
+        }
+    }
+    Ok(new)
 }
 
 /// Merge possibly-overlapping intervals into a sorted disjoint cover.
@@ -707,15 +779,20 @@ fn merge_intervals(raw: &mut Vec<(usize, usize)>) -> Vec<(usize, usize)> {
     merged
 }
 
-/// Is the `name` bucket empty inside every touched extent?
-fn bucket_clear(index: &NameIndex, name: &str, extents: &[(usize, usize)], attr: bool) -> bool {
-    extents.iter().all(|&(s, e)| {
-        if attr {
-            index.attributes_in_range(name, s, e).is_empty()
-        } else {
-            index.elements_in_range(name, s, e).is_empty()
-        }
-    })
+/// Is the pattern fully named, with every element and attribute name it
+/// tests absent from every touched extent?
+fn names_clear(pattern: &AccessPattern, index: &NameIndex, extents: &[(usize, usize)]) -> bool {
+    pattern.fully_named()
+        && pattern.element_names().iter().all(|n| {
+            extents
+                .iter()
+                .all(|&(s, e)| index.elements_in_range(n, s, e).is_empty())
+        })
+        && pattern.attribute_names().iter().all(|n| {
+            extents
+                .iter()
+                .all(|&(s, e)| index.attributes_in_range(n, s, e).is_empty())
+        })
 }
 
 /// Does any strict ancestor of a touched root appear in the sorted
@@ -782,13 +859,14 @@ fn refresh_strings(
 }
 
 /// The delta repair: remap surviving rows through their stable node
-/// ids, drop rows that died or fell inside a touched extent, splice in
-/// a scoped re-evaluation of exactly the touched extents, and refresh
-/// only the strings the batch can have changed. Returns
+/// ids (`ids`, parallel to the cached rows), drop rows that died or
+/// fell inside a touched extent, splice in a scoped re-evaluation of
+/// exactly the touched extents, and refresh only the strings the batch
+/// can have changed. Returns
 /// `(dropped, spliced, strings_patched)`.
 fn repair_query(
     q: &mut CachedQuery,
-    old: &EncodedDocument<ShadowScheme>,
+    ids: &[NodeId],
     new: &EncodedDocument<ShadowScheme>,
     touched_new: &[(usize, usize)],
     text_new: &[usize],
@@ -798,8 +876,7 @@ fn repair_query(
     // sorted.
     let mut kept: Vec<(usize, Option<usize>)> = Vec::with_capacity(q.rows.len());
     let mut dropped = 0u64;
-    for (i, &r) in q.rows.iter().enumerate() {
-        let id = old.source_id(r);
+    for (i, &id) in ids.iter().enumerate() {
         match new.row_of_source(id) {
             None => dropped += 1,
             Some(nr) if row_in_extents(touched_new, nr) => dropped += 1,
@@ -881,4 +958,315 @@ fn rebuild_query(
         q.strings = q.rows.iter().map(|&r| doc.string_value(r)).collect();
     }
     stats.rebuilt += 1;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::analyze;
+    use crate::mutations::{apply_log_dyn, validate, LogId, Place};
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+    use xupd_labelcore::{DynScheme, SchemeSession};
+    use xupd_schemes::prefix::qed::Qed;
+    use xupd_testkit::prop::{self, any_u64, ints, vecs, Config, Outcome};
+    use xupd_testkit::rng::TestRng;
+    use xupd_workloads::docs;
+    use xupd_xmldom::NodeKind;
+
+    const NAMES: [&str; 4] = ["item", "name", "description", "x"];
+
+    /// How often the property must see each op kind (counted over the
+    /// effective ops of every applied batch), and how many batches.
+    const WANT: [(&str, usize); 9] = [
+        ("batches", 600),
+        ("CreateElement", 100),
+        ("AppendChildren", 100),
+        ("CreateNode", 100),
+        ("Delete", 100),
+        ("Replace", 100),
+        ("MoveSubtree", 100),
+        ("create-then-move", 20),
+        ("SetText", 100),
+    ];
+
+    /// One random batch over `tree` mixing every edit a splice has to
+    /// follow: element, run and text creates, deletes, replaces, moves
+    /// of pre-batch and batch-made subtrees (a create, then a move of
+    /// the new node, then a move of an old subtree under it) and text
+    /// writes. A drawn op is kept only if the log still validates.
+    fn random_batch(tree: &XmlTree, rng: &mut TestRng) -> MutationLog {
+        let order = tree.ids_in_doc_order();
+        // The document root anchors creates once every element is gone.
+        let elements: Vec<NodeId> = order
+            .iter()
+            .copied()
+            .filter(|&id| id == tree.root() || tree.kind(id).is_element())
+            .collect();
+        let texts: Vec<NodeId> = order
+            .iter()
+            .copied()
+            .filter(|&id| tree.kind(id).is_text())
+            .collect();
+        let mut made: Vec<LogId> = Vec::new();
+        let mut next = 0u32;
+        let mut log = MutationLog::new();
+        for _ in 0..rng.gen_range(1..9usize) {
+            let anchor = |rng: &mut TestRng| {
+                if made.is_empty() || rng.gen_bool(0.7) {
+                    NodeRef::Node(elements[rng.gen_range(0..elements.len())])
+                } else {
+                    NodeRef::New(made[rng.gen_range(0..made.len())])
+                }
+            };
+            let place = |rng: &mut TestRng| {
+                let at = anchor(rng);
+                match rng.gen_range(0..4u32) {
+                    0 => Place::FirstChildOf(at),
+                    1 => Place::LastChildOf(at),
+                    2 => Place::Before(at),
+                    _ => Place::After(at),
+                }
+            };
+            let name = NAMES[rng.gen_range(0..NAMES.len())].to_string();
+            let id = LogId(next);
+            let ops = match rng.gen_range(0..9u32) {
+                0 => vec![Mutation::CreateElement {
+                    id,
+                    name,
+                    place: place(rng),
+                }],
+                1 => vec![Mutation::CreateNode {
+                    id,
+                    kind: NodeKind::Text {
+                        value: format!("new{}", next),
+                    },
+                    place: place(rng),
+                }],
+                2 => vec![Mutation::AppendChildren {
+                    parent: anchor(rng),
+                    ids: (0..rng.gen_range(1..4u32))
+                        .map(|k| LogId(next + k))
+                        .collect(),
+                    name,
+                }],
+                3 | 4 if !texts.is_empty() => vec![Mutation::SetText {
+                    target: NodeRef::Node(texts[rng.gen_range(0..texts.len())]),
+                    text: format!("w{}", rng.gen_range(0..1000u32)),
+                }],
+                5 => vec![Mutation::Delete {
+                    target: anchor(rng),
+                }],
+                6 => vec![Mutation::Replace {
+                    target: anchor(rng),
+                    id,
+                    name,
+                }],
+                7 => vec![Mutation::MoveSubtree {
+                    target: anchor(rng),
+                    place: place(rng),
+                }],
+                _ => {
+                    let first = place(rng);
+                    let then = place(rng);
+                    vec![
+                        Mutation::CreateElement {
+                            id,
+                            name,
+                            place: first,
+                        },
+                        Mutation::MoveSubtree {
+                            target: NodeRef::New(id),
+                            place: then,
+                        },
+                        Mutation::MoveSubtree {
+                            target: anchor(rng),
+                            place: Place::LastChildOf(NodeRef::New(id)),
+                        },
+                    ]
+                }
+            };
+            let mut trial = log.clone();
+            for m in &ops {
+                trial.push(m.clone());
+            }
+            if validate(&trial, tree).is_err() {
+                continue;
+            }
+            log = trial;
+            for m in &ops {
+                match m {
+                    Mutation::CreateElement { id, .. } | Mutation::Replace { id, .. } => {
+                        made.push(*id)
+                    }
+                    Mutation::AppendChildren { ids, .. } => made.extend(ids.iter().copied()),
+                    _ => {}
+                }
+            }
+            next += 4;
+        }
+        log
+    }
+
+    fn tally(counts: &mut BTreeMap<&'static str, usize>, log: &MutationLog, effective: &[usize]) {
+        let ops: Vec<&Mutation> = log.iter().collect();
+        let mut created: Vec<LogId> = Vec::new();
+        for m in effective.iter().filter_map(|&i| ops.get(i)) {
+            let kind = match m {
+                Mutation::CreateElement { id, .. } => {
+                    created.push(*id);
+                    "CreateElement"
+                }
+                Mutation::CreateNode { .. } => "CreateNode",
+                Mutation::AppendChildren { .. } => "AppendChildren",
+                Mutation::Delete { .. } => "Delete",
+                Mutation::Replace { .. } => "Replace",
+                Mutation::SetText { .. } => "SetText",
+                Mutation::MoveSubtree {
+                    target: NodeRef::New(l),
+                    ..
+                } if created.contains(l) => "create-then-move",
+                Mutation::MoveSubtree { .. } => "MoveSubtree",
+            };
+            *counts.entry(kind).or_default() += 1;
+        }
+        *counts.entry("batches").or_default() += 1;
+    }
+
+    /// Row-for-row equality with a fresh encode: kinds, parents, labels,
+    /// source ids, `row_of` below the id bound, topology and name
+    /// buckets (bucket maps compare equal only if the spliced one kept
+    /// no empty bucket, since a fresh index has none).
+    fn same_as_fresh(
+        spliced: &EncodedDocument<ShadowScheme>,
+        tree: &XmlTree,
+    ) -> Result<(), String> {
+        let fresh = EncodedDocument::encode(ShadowScheme::default(), tree)
+            .map_err(|e| format!("fresh encode: {e:?}"))?;
+        if spliced.len() != fresh.len() {
+            return Err(format!("{} rows, fresh {}", spliced.len(), fresh.len()));
+        }
+        for i in 0..fresh.len() {
+            let (a, b) = (spliced.row(i), fresh.row(i));
+            if a.kind != b.kind || a.parent != b.parent || a.label != b.label {
+                return Err(format!("row {i}: {a:?} vs fresh {b:?}"));
+            }
+            if spliced.source_id(i) != fresh.source_id(i) {
+                return Err(format!("row {i}: source id differs"));
+            }
+        }
+        for k in 0..tree.id_bound() {
+            let id = NodeId::from_index(k);
+            if spliced.row_of_source(id) != fresh.row_of_source(id) {
+                return Err(format!("row_of({k}) differs"));
+            }
+        }
+        if spliced.topology() != fresh.topology() {
+            return Err("topology differs".to_string());
+        }
+        if spliced.name_index() != fresh.name_index() {
+            return Err("name buckets differ".to_string());
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn spliced_shadow_equals_fresh_encode() {
+        let counts = RefCell::new(BTreeMap::new());
+        prop::check(
+            "querycache_spliced_shadow_equals_fresh_encode",
+            &Config::with_cases(64),
+            &(ints(0u64..1000), vecs(any_u64(), 1, 24)),
+            |(doc_seed, batch_seeds)| {
+                let mut tree = docs::xmark_like(doc_seed, 12 + (doc_seed % 24) as usize);
+                let mut session = SchemeSession::new(Qed::new());
+                if let Err(e) = session.label_tree(&tree) {
+                    return Outcome::Fail(format!("label: {e:?}"));
+                }
+                let mut shadow = match EncodedDocument::encode(ShadowScheme::default(), &tree) {
+                    Ok(s) => s,
+                    Err(e) => return Outcome::Fail(format!("encode: {e:?}")),
+                };
+                for (b, seed) in batch_seeds.into_iter().enumerate() {
+                    let log = random_batch(&tree, &mut TestRng::seed_from_u64(seed));
+                    let plan = match analyze(&log, &tree) {
+                        Ok(p) => p,
+                        Err(e) => return Outcome::Fail(format!("batch {b}: analyze: {e:?}")),
+                    };
+                    let effective = plan.execution_order(false, session.cancellation_neutral());
+                    if apply_log_dyn(&mut tree, &mut session, &log).is_err() {
+                        continue;
+                    }
+                    let fp = Footprint::read(&plan, &effective, &shadow);
+                    shadow = match splice_shadow(shadow, &tree, &fp.cut, &fp.texts) {
+                        Ok(s) => s,
+                        Err(e) => {
+                            return Outcome::Fail(format!(
+                                "batch {b}: splice refused: {e:?}; log {log:?}"
+                            ))
+                        }
+                    };
+                    if let Err(e) = same_as_fresh(&shadow, &tree) {
+                        return Outcome::Fail(format!("batch {b}: {e}; log {log:?}"));
+                    }
+                    tally(&mut counts.borrow_mut(), &log, &effective);
+                }
+                Outcome::Pass
+            },
+        );
+        let counts = counts.into_inner();
+        for (kind, at_least) in WANT {
+            let seen = counts.get(kind).copied().unwrap_or(0);
+            assert!(seen >= at_least, "{kind}: {seen} < {at_least}");
+        }
+    }
+
+    #[test]
+    fn absorb_falls_back_to_encode_when_the_splice_input_is_inconsistent() {
+        let mut tree = docs::xmark_like(5, 24);
+        let mut session = SchemeSession::new(Qed::new());
+        session.label_tree(&tree).unwrap();
+        let exprs: Vec<XPathExpr> = ["//item", "/site/regions/*", "//description//text()"]
+            .iter()
+            .map(|e| xupd_encoding::parse_xpath(e).unwrap())
+            .collect();
+        let mut cache = QueryCache::new();
+        for e in &exprs {
+            cache.register(e, true, &tree).unwrap();
+        }
+        let item = tree
+            .ids_in_doc_order()
+            .into_iter()
+            .find(|&id| tree.kind(id).name() == Some("item"))
+            .unwrap();
+        let log = MutationLog::from(vec![Mutation::Delete {
+            target: NodeRef::Node(item),
+        }]);
+        let mut plan = analyze(&log, &tree).unwrap();
+        let effective = plan.execution_order(false, session.cancellation_neutral());
+        apply_log_dyn(&mut tree, &mut session, &log).unwrap();
+
+        // Drop the deleted extent from the plan: the relabel region
+        // around it still covers the classification, but the splice is
+        // no longer told about the node that went away.
+        for fp in &mut plan.footprints {
+            fp.deleted_extents.clear();
+        }
+        let old = cache.shadow.clone().unwrap();
+        let fp = Footprint::read(&plan, &effective, &old);
+        assert!(
+            splice_shadow(old, &tree, &fp.cut, &fp.texts).is_err(),
+            "the splice must notice a deletion it was not told about"
+        );
+
+        cache.absorb(&log, &plan, &effective, &tree).unwrap();
+        same_as_fresh(cache.shadow.as_ref().unwrap(), &tree).unwrap();
+        let fresh = EncodedDocument::encode(ShadowScheme::default(), &tree).unwrap();
+        for (q, e) in exprs.iter().enumerate() {
+            let rows = e.evaluate(&fresh);
+            let strings: Vec<String> = rows.iter().map(|&r| fresh.string_value(r)).collect();
+            assert_eq!(cache.rows(q), rows.as_slice(), "query {q} rows");
+            assert_eq!(cache.strings(q), strings.as_slice(), "query {q} strings");
+        }
+    }
 }

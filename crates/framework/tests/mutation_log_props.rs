@@ -7,7 +7,9 @@
 //! validation rejects it with exactly the right [`TreeError`] variant
 //! and that atomic application leaves the tree and labelling untouched.
 //! The codec property round-trips random (not necessarily well-formed)
-//! logs through `serialize`/`deserialize`.
+//! logs through `serialize`/`deserialize`, and the hostile-bytes
+//! property feeds the decoder mutated encodings of them: it must never
+//! panic, and whatever it accepts must re-encode to the same bytes.
 
 use xupd_framework::mutations::{
     apply_log, batch_of, deserialize, serialize, validate, LogId, Mutation, MutationLog, NodeRef,
@@ -15,7 +17,7 @@ use xupd_framework::mutations::{
 };
 use xupd_labelcore::LabelingScheme;
 use xupd_schemes::prefix::qed::Qed;
-use xupd_testkit::prop::{from_slice, ints, map, vecs, Config, Gen};
+use xupd_testkit::prop::{any_u64, from_slice, ints, map, mutate_bytes, vecs, Config, Gen};
 use xupd_testkit::{prop_assert, prop_assert_eq, prop_assume, props};
 use xupd_workloads::{docs, Script, ScriptKind};
 use xupd_xmldom::{serialize_compact, NodeId, NodeKind, TreeError, XmlTree};
@@ -265,5 +267,25 @@ props! {
     ) {
         let (tree, log) = well_formed(kind, ops, seed);
         prop_assert!(validate(&log, &tree).is_ok());
+    }
+}
+
+props! {
+    config = Config::with_cases(4096);
+
+    /// Hostile bytes: an encoded log with a few bytes overwritten,
+    /// inserted or deleted never panics the decoder, and any log it
+    /// accepts re-encodes to exactly the bytes it read.
+    fn deserialize_rejects_or_round_trips_mutated_bytes(
+        log_ops in vecs(arb_mutation(), 0, 12),
+        edits in vecs(any_u64(), 1, 12),
+    ) {
+        let mut bytes = serialize(&MutationLog::from(log_ops));
+        for e in edits {
+            mutate_bytes(&mut bytes, e);
+        }
+        if let Ok(log) = deserialize(&bytes) {
+            prop_assert_eq!(serialize(&log), bytes);
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! byte-identical to a from-scratch evaluation against the current
 //! tree. The suite drives a standalone [`QueryCache`] through mixed
 //! batch sequences (structural scripts, localized hand-built edits,
-//! text-only rewrites, redundant writes, empty logs) across the whole
+//! subtree moves across and within parents, create-then-move chains,
+//! structural batches that also rewrite pre-batch text, text-only
+//! rewrites, redundant writes, empty logs) across the whole
 //! 17-scheme roster on the `xupd-exec` pool — each scheme computes its
 //! own `effective` set from its own `cancellation_neutral` claim, so
 //! the cache sees exactly what that scheme's optimizer would feed it.
@@ -159,6 +161,118 @@ fn tail_log(tree: &XmlTree) -> MutationLog {
     }])
 }
 
+/// Element nodes named `name`, in document order.
+fn named(tree: &XmlTree, name: &str) -> Vec<NodeId> {
+    tree.ids_in_doc_order()
+        .into_iter()
+        .filter(|&id| matches!(tree.kind(id), NodeKind::Element { name: n } if n == name))
+        .collect()
+}
+
+/// The first `item` under the region element `region`.
+fn first_item_of(tree: &XmlTree, region: &str) -> NodeId {
+    let region = named(tree, region)[0];
+    tree.children(region)
+        .find(|&c| matches!(tree.kind(c), NodeKind::Element { name } if name == "item"))
+        .unwrap_or_else(|| panic!("no item left in the region"))
+}
+
+/// Move the first africa item to the end of asia: a subtree leaves one
+/// region and lands in another.
+fn move_across_regions_log(tree: &XmlTree) -> MutationLog {
+    MutationLog::from(vec![Mutation::MoveSubtree {
+        target: NodeRef::Node(first_item_of(tree, "africa")),
+        place: Place::LastChildOf(NodeRef::Node(named(tree, "asia")[0])),
+    }])
+}
+
+/// Move the last person before the first one: a reorder under one
+/// parent.
+fn move_before_sibling_log(tree: &XmlTree) -> MutationLog {
+    let people = named(tree, "person");
+    MutationLog::from(vec![Mutation::MoveSubtree {
+        target: NodeRef::Node(people[people.len() - 1]),
+        place: Place::Before(NodeRef::Node(people[0])),
+    }])
+}
+
+/// Create an item in europe, move the new item to namerica, then move
+/// an old asia item under it.
+fn create_move_move_log(tree: &XmlTree) -> MutationLog {
+    MutationLog::from(vec![
+        Mutation::CreateElement {
+            id: LogId(0),
+            name: "item".to_string(),
+            place: Place::FirstChildOf(NodeRef::Node(named(tree, "europe")[0])),
+        },
+        Mutation::MoveSubtree {
+            target: NodeRef::New(LogId(0)),
+            place: Place::LastChildOf(NodeRef::Node(named(tree, "namerica")[0])),
+        },
+        Mutation::MoveSubtree {
+            target: NodeRef::Node(first_item_of(tree, "asia")),
+            place: Place::FirstChildOf(NodeRef::New(LogId(0))),
+        },
+    ])
+}
+
+/// Move the first auction behind the last one, then delete a person.
+fn move_then_delete_log(tree: &XmlTree) -> MutationLog {
+    let auctions = named(tree, "open_auction");
+    MutationLog::from(vec![
+        Mutation::MoveSubtree {
+            target: NodeRef::Node(auctions[0]),
+            place: Place::After(NodeRef::Node(auctions[auctions.len() - 1])),
+        },
+        Mutation::Delete {
+            target: NodeRef::Node(named(tree, "person")[1]),
+        },
+    ])
+}
+
+/// Give the first description a direct text child, so
+/// `//description/text()` caches a result (with its string).
+fn description_text_log(tree: &XmlTree) -> MutationLog {
+    MutationLog::from(vec![Mutation::CreateNode {
+        id: LogId(0),
+        kind: NodeKind::Text {
+            value: "note".to_string(),
+        },
+        place: Place::FirstChildOf(NodeRef::Node(named(tree, "description")[0])),
+    }])
+}
+
+/// A structural batch that also rewrites pre-batch text: an item
+/// created in africa, plus new values for the cached
+/// `//description/text()` result and for the first item's name, which
+/// sits under cached `//item` strings.
+fn structural_with_text_log(tree: &XmlTree) -> MutationLog {
+    let description = named(tree, "description")[0];
+    let cached_text = tree
+        .children(description)
+        .find(|&c| matches!(tree.kind(c), NodeKind::Text { .. }))
+        .unwrap_or_else(|| panic!("the description text was not created"));
+    let name = named(tree, "name")[0];
+    let name_text = tree
+        .first_child(name)
+        .unwrap_or_else(|| panic!("a name without text"));
+    MutationLog::from(vec![
+        Mutation::CreateElement {
+            id: LogId(0),
+            name: "item".to_string(),
+            place: Place::FirstChildOf(NodeRef::Node(named(tree, "africa")[0])),
+        },
+        Mutation::SetText {
+            target: NodeRef::Node(cached_text),
+            text: "rewritten note".to_string(),
+        },
+        Mutation::SetText {
+            target: NodeRef::Node(name_text),
+            text: "renamed".to_string(),
+        },
+    ])
+}
+
 /// Drive one scheme through the full batch sequence, checking
 /// byte-identity after every absorb. Returns the per-class tallies.
 fn drive_scheme(
@@ -209,6 +323,18 @@ fn drive_scheme(
     let script = Script::generate(ScriptKind::MixedDelete, 30, tree.len(), 4243);
     let log = batch_of(&script, &tree).unwrap();
     absorb(&log, &mut tree, session, &mut cache, "deletes");
+    // 7. a subtree moves from one region to another
+    absorb(&move_across_regions_log(&tree), &mut tree, session, &mut cache, "move-across");
+    // 8. a subtree moves before a sibling under the same parent
+    absorb(&move_before_sibling_log(&tree), &mut tree, session, &mut cache, "move-before");
+    // 9. create, move the new node, move an old subtree under it
+    absorb(&create_move_move_log(&tree), &mut tree, session, &mut cache, "create-move-move");
+    // 10. a move, then a delete
+    absorb(&move_then_delete_log(&tree), &mut tree, session, &mut cache, "move-delete");
+    // 11-12. a direct description text, then a structural batch that
+    // also rewrites it and other pre-batch text under cached results
+    absorb(&description_text_log(&tree), &mut tree, session, &mut cache, "description-text");
+    absorb(&structural_with_text_log(&tree), &mut tree, session, &mut cache, "structural+text");
 
     tally
 }

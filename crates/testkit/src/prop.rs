@@ -429,6 +429,29 @@ tuple_gen! {
     (A / a / 0, B / b / 1, C / c / 2, D / d / 3)
 }
 
+// ---------- hostile bytes ---------------------------------------------
+
+/// Apply one encoded edit to a byte buffer: overwrite, insert or delete
+/// one byte at a position derived from `edit`. Start from a valid
+/// input and apply a generated `vecs(any_u64(), ..)` of edits to get
+/// near-valid hostile bytes that reach deep into a decoder; shrinking
+/// the edit list then isolates the bytes that matter.
+pub fn mutate_bytes(bytes: &mut Vec<u8>, edit: u64) {
+    if bytes.is_empty() {
+        bytes.push((edit % 256) as u8);
+        return;
+    }
+    let pos = (edit as usize / 4) % bytes.len();
+    let byte = ((edit >> 16) % 256) as u8;
+    match edit % 3 {
+        0 => bytes[pos] = byte,
+        1 => bytes.insert(pos, byte),
+        _ => {
+            bytes.remove(pos);
+        }
+    }
+}
+
 // ---------- the runner ------------------------------------------------
 
 /// One property evaluation result.

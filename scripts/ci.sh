@@ -113,6 +113,20 @@ for threads in 1 4; do
   echo "    ok: flux compiler differential + diagnostics at XUPD_THREADS=$threads"
 done
 
+echo "==> xbench correctness gate at full size (fleet-large, flux-batch)"
+# The unit suites run these workloads at doc_scale <= 60. xbench replays
+# them on ~5-9.5k-node documents and compares every cached query with a
+# fresh evaluation (and the mirror with the store) — the size at which a
+# shadow-table splice bug would show. It exits non-zero on any failed
+# check.
+for workload in fleet-large flux-batch; do
+  cargo run --release -q --offline \
+    --manifest-path crates/bench/src/bin/xbench/Cargo.toml -- \
+    --workload "$workload" --seconds 0 > /dev/null \
+    || { echo "    FAIL: xbench correctness gate on $workload"; exit 1; }
+  echo "    ok: xbench $workload passes every correctness check at full size"
+done
+
 echo "==> XUPD_THREADS sample-order equivalence for the batch-update + log-analysis benches"
 # Timings vary run to run, but the sample roster (names, in order) is part
 # of the bench contract: it must not depend on the pool width, or diffing
