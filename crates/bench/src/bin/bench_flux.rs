@@ -19,8 +19,8 @@
 //! per-statement compiler path (one XPath parse + one resolution per
 //! statement), the worst case for the front end.
 //!
-//! Both clients produce byte-identical logs (asserted per batch size
-//! before timing starts), so the measured gap is purely the compiler.
+//! Both clients produce identical logs (asserted per batch size before
+//! timing starts), so the measured gap is purely the compiler.
 //! The acceptance line: flux within 1.2× of hand at batch ≥ 16 on a
 //! majority of schemes (primary family).
 //!
@@ -37,7 +37,7 @@
 use std::fmt::Write as _;
 use xupd_flux::FluxProgram;
 use xupd_framework::analysis::{analyze, apply_plan_with_dyn, ApplyOptions};
-use xupd_framework::mutations::{self, LogId, Mutation, MutationLog, NodeRef, Place};
+use xupd_framework::mutations::{LogId, Mutation, MutationLog, NodeRef, Place};
 use xupd_testkit::bench::{black_box, Harness};
 use xupd_xmldom::{NodeId, NodeKind, XmlTree};
 
@@ -133,18 +133,17 @@ fn main() {
     let mut h = Harness::new("flux");
     let entries = xupd_schemes::registry();
 
-    // Byte-identical compilation is a precondition of the comparison:
-    // assert both styles against the ground-truth log, outside timing.
+    // Identical compilation is a precondition of the comparison: assert
+    // both styles against the ground-truth log, outside timing.
     for n in SECTIONS {
         let tree = base_tree(n);
-        let hand = mutations::serialize(&hand_log(&targets(&tree)));
+        let hand = hand_log(&targets(&tree));
         for (style, src) in [("dsl", DSL_PROGRAM.to_string()), ("enum", enum_source(n))] {
             let program = FluxProgram::parse(&src).expect("well-formed source");
             let compiled = program.compile(&tree).expect("clean program");
             assert_eq!(
-                mutations::serialize(&compiled.log),
-                hand,
-                "flux {style} and hand logs must be byte-identical at {n} sections"
+                compiled.log, hand,
+                "flux {style} and hand logs must be identical at {n} sections"
             );
         }
     }

@@ -115,11 +115,6 @@ impl NameIndex {
         &bucket[lo..hi]
     }
 
-    /// Number of distinct indexed element names.
-    pub fn distinct_element_names(&self) -> usize {
-        self.elements.len()
-    }
-
     /// Every indexed element name with its occurrence count, in the
     /// index's iteration order — lexicographic, because the backing map
     /// is a `BTreeMap` (pinned by a golden test; lint rule R2).
@@ -236,6 +231,6 @@ mod tests {
         assert_eq!(idx.attributes("year").len(), 1);
         assert!(idx.attributes("missing").is_empty());
         assert!(idx.elements("missing").is_empty());
-        assert_eq!(idx.distinct_element_names(), 8);
+        assert_eq!(idx.element_names().count(), 8);
     }
 }

@@ -382,7 +382,8 @@ mod tests {
         assert_eq!(codes("insert <m/> before /."), ["F009"]);
         // Root mutation through a `for` context that is provably root.
         assert_eq!(codes("for /. do delete . end"), ["F009"]);
-        // Inserting *into* the root is fine.
+        // Inserting *into* the root passes: whether the result keeps one
+        // document element is the validator's call (F020).
         assert!(codes("insert <m/> into /.").is_empty());
     }
 

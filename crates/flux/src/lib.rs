@@ -65,7 +65,7 @@ pub struct FluxProgram {
 /// re-analysis at apply time).
 #[derive(Debug, Clone)]
 pub struct CompiledUpdate {
-    /// The mutation batch — byte-identical to what a careful caller
+    /// The mutation batch — identical to what a careful caller
     /// would hand-build against the same tree.
     pub log: MutationLog,
     /// The analyzer's certificate bundle over `log`.
@@ -103,8 +103,9 @@ impl FluxProgram {
 
     /// Compile against `tree`: static check, snapshot lowering
     /// (F010–F012 strict-match and kind errors), then validation +
-    /// analysis of the produced log (a rejection there — impossible
-    /// for logs this lowering emits, kept as a safety net — is F020).
+    /// analysis of the produced log (a rejection there is F020: a
+    /// conflict the static pass cannot see, or an edit at the document
+    /// level that would leave no single root element).
     pub fn compile(&self, tree: &XmlTree) -> Result<CompiledUpdate, Vec<Diagnostic>> {
         let diags = self.check();
         if !diags.is_empty() {
@@ -262,6 +263,42 @@ mod tests {
             other => panic!("expected static rejection, got {other:?}"),
         }
         assert_eq!(before, xupd_xmldom::serialize_compact(d.tree()));
+    }
+
+    #[test]
+    fn document_level_edits_are_rejected_and_change_nothing() {
+        for src in [
+            "delete /r;",
+            "insert <x/> after /r;",
+            "insert <x/> before /r;",
+            "move /r/a after /r;",
+            "insert <x/> into /.;",
+        ] {
+            let mut d = doc();
+            let before = xupd_xmldom::serialize_compact(d.tree());
+            match d.update(src) {
+                Err(FluxError::Static(ds)) => assert_eq!(ds[0].code, "F020", "{src}"),
+                other => panic!("{src}: expected F020, got {other:?}"),
+            }
+            assert_eq!(before, xupd_xmldom::serialize_compact(d.tree()), "{src}");
+        }
+    }
+
+    #[test]
+    fn document_level_edits_that_keep_one_root_apply() {
+        for (src, want) in [
+            ("rename /r to q;", "<q><a>one</a><b/></q>"),
+            ("delete /r; insert <m/> into /.;", "<m/>"),
+            ("move /r/a into /.; delete /r;", "<a>one</a>"),
+        ] {
+            let mut d = doc();
+            d.update(src).unwrap_or_else(|e| panic!("{src}: {e:?}"));
+            let out = xupd_xmldom::serialize_compact(d.tree());
+            assert_eq!(out, want, "{src}");
+            let back = xupd_xmldom::parse(&out).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert_eq!(xupd_xmldom::serialize_compact(&back), out, "{src}");
+            assert!(d.verify().unwrap().is_sound(), "{src}");
+        }
     }
 
     #[test]

@@ -239,7 +239,8 @@ impl Lowerer<'_> {
     /// The landing [`Place`] for an insert/move at `target`, with the
     /// anchor-kind guards: child positions need an element (or the
     /// root) anchor, sibling positions need a non-root, non-attribute
-    /// anchor.
+    /// anchor. Whether an edit at the root leaves one document element
+    /// is left to the validator.
     fn anchor_place(
         &self,
         pos: InsertPos,

@@ -3,8 +3,8 @@
 //! Four oracles, each pinning one leg of the compilation contract:
 //!
 //! * **Hand-built log equality** — a fixture program and the expert
-//!   client's hand-assembled [`MutationLog`] must serialize to the
-//!   same bytes: the compiler adds nothing and loses nothing.
+//!   client's hand-assembled [`MutationLog`] must be equal: the
+//!   compiler adds nothing and loses nothing.
 //! * **Plan apply ≡ sequential apply** — for random generated
 //!   programs, applying the compiled log through its certified
 //!   [`AnalyzedPlan`] must leave byte-identical trees, identical
@@ -105,7 +105,7 @@ fn gen_program(rng: &mut Rng, sections: usize) -> String {
 // ---------------------------------------------------------------------
 
 #[test]
-fn compiled_log_matches_hand_built_log_bytes() {
+fn compiled_log_matches_hand_built_log() {
     let tree =
         xupd_xmldom::parse("<r><s><x>one</x><y/></s><s><x>two</x><y/></s></r>").unwrap();
     let program = FluxProgram::parse(
@@ -147,9 +147,8 @@ fn compiled_log_matches_hand_built_log_bytes() {
     }
 
     assert_eq!(
-        mutations::serialize(&compiled.log),
-        mutations::serialize(&hand),
-        "compiled and hand-built logs must be byte-identical"
+        compiled.log, hand,
+        "compiled and hand-built logs must be identical"
     );
 }
 

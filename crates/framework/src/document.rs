@@ -319,13 +319,6 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         (!self.cache.is_stale() && q < self.cache.len()).then(|| self.cache.strings(q))
     }
 
-    /// The current encoded snapshot **if one is already built** — never
-    /// builds one. Readers that can live without a snapshot (cached
-    /// queries, stats) use this to stay rebuild-free.
-    pub fn snapshot_ref(&self) -> Option<&EncodedDocument<S>> {
-        self.snapshot.as_ref()
-    }
-
     /// The maintained result rows of a registered query (preorder
     /// positions into [`Document::encoded`]), served from the cache —
     /// no re-evaluation unless an untracked update forced a refresh.
@@ -340,11 +333,6 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// [`Document::snapshot_rebuilds`].
     pub fn cache_stats(&self) -> &CacheStats {
         self.cache.stats()
-    }
-
-    /// Read access to the query cache (impact summaries, patterns).
-    pub fn query_cache(&self) -> &QueryCache {
-        &self.cache
     }
 
     /// How many times the lazy query snapshot has been (re)built.
@@ -555,7 +543,7 @@ mod tests {
         // cached read refreshes and is exact again
         doc.apply(&Script::generate(ScriptKind::Random, 15, doc.tree().len(), 3))
             .unwrap();
-        assert!(doc.query_cache().is_stale());
+        assert!(doc.cache.is_stale());
         let cached = doc.query_cached(q).unwrap().to_vec();
         assert_eq!(cached, doc.xpath("//item").unwrap());
         assert!(doc.cache_stats().hits >= 2);
@@ -582,7 +570,7 @@ mod tests {
             place: Place::FirstChildOf(NodeRef::Node(region_id)),
         }]))
         .unwrap();
-        assert!(doc.snapshot_ref().is_none(), "structural batch dropped it");
+        assert!(doc.snapshot.is_none(), "structural batch dropped it");
 
         // concurrent-reader shape: many cached reads off &Document fan
         // out on the pool — none of them may rebuild the snapshot
@@ -601,7 +589,7 @@ mod tests {
             rebuilds_before,
             "read-only accessors triggered zero snapshot rebuilds"
         );
-        assert!(doc.snapshot_ref().is_none(), "still no snapshot built");
+        assert!(doc.snapshot.is_none(), "still no snapshot built");
 
         // the cached rows match a fresh evaluation (which does rebuild)
         let fresh = doc.xpath("//item").unwrap();

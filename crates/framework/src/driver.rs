@@ -43,7 +43,7 @@ pub(crate) const CHECKPOINT_EVERY: usize = 25;
 /// directly. Only the per-op driver and [`crate::mutations::batch_of`],
 /// which resolve script indices against the pool, maintain one.
 #[derive(Debug, Clone)]
-pub struct ElementPool {
+pub(crate) struct ElementPool {
     /// Live elements in document order.
     order: Vec<NodeId>,
     /// `NodeId` index → position in `order`. Meaningful only for ids
@@ -73,11 +73,6 @@ impl ElementPool {
     /// True when the tree holds no element at all.
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
-    }
-
-    /// Live elements in document order.
-    pub fn order(&self) -> &[NodeId] {
-        &self.order
     }
 
     /// The op-index addressing rule: modulo the live pool size.

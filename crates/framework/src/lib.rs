@@ -23,9 +23,8 @@
 //! * [`document`] — the unified [`Document`] facade over encode /
 //!   query / update / verify / reconstruct;
 //! * [`mutations`] — the batched, atomic, replayable [`MutationLog`]
-//!   update API: validation before any state change, all-or-nothing
-//!   application, a deterministic journaling codec, and log inversion
-//!   (undo/redo for free);
+//!   update API: validation before any state change and all-or-nothing
+//!   application;
 //! * [`analysis`] — the static analyzer over validated logs: per-op
 //!   read/write footprints, a dependency/conflict graph with a named
 //!   taxonomy, and certificates (no-op detection, coalescing, a
@@ -57,10 +56,8 @@ pub use analysis::{
     GapKey, GapSlot, OpFootprint, PointRef, MUTATOR_FOOTPRINTS,
 };
 pub use checkers::{measure_session, Evidence, Measured};
-pub use driver::ElementPool;
 pub use mutations::{
-    apply_log, apply_log_dyn, batch_of, deserialize, invert, serialize, validate, LogBindings,
-    LogId, Mutation, MutationLog, NodeRef, Place,
+    apply_log, apply_log_dyn, batch_of, validate, LogId, Mutation, MutationLog, NodeRef, Place,
 };
 pub use document::{Document, DocumentError};
 pub use querycache::{BatchImpact, CacheStats, QueryCache, QueryClass, QueryId};

@@ -6,7 +6,8 @@
 //! check when edits are grouped into a **validated, atomic batch**:
 //!
 //! * [`validate`] rejects ill-formed logs (dangling ids, cycles,
-//!   conflicting writes) *before* any state changes;
+//!   conflicting writes, results the parser could not read back)
+//!   *before* any state changes;
 //! * [`apply_log`] / [`apply_log_dyn`] apply a log with all-or-nothing
 //!   semantics — a failing (or panicking) op rolls the tree *and* the
 //!   labelling session back to their pre-batch state, replaying undo
@@ -14,9 +15,7 @@
 //!   one atomic-apply loop with
 //!   [`crate::analysis::apply_plan_with_dyn`], which runs a log in its
 //!   analyzed plan's certified order instead;
-//! * [`serialize`] / [`deserialize`] give a compact deterministic byte
-//!   format for crash-recovery journaling;
-//! * [`invert`] produces the undo log, giving undo/redo for free.
+//! * [`batch_of`] translates a whole update script into one log.
 //!
 //! The per-op script driver ([`crate::driver::run_script_dyn`]) is a
 //! consumer of this module: each script op becomes a one-op batch, so
@@ -83,8 +82,9 @@ pub enum Mutation {
         place: Place,
     },
     /// Create a fresh node of arbitrary (non-document) `kind` at
-    /// `place`. This is the general form [`invert`] needs to revive
-    /// deleted text/attribute/comment/PI nodes.
+    /// `place` — the general form for text, attribute, comment and PI
+    /// nodes; flux lowers the non-element children of its tree
+    /// literals to it.
     CreateNode {
         /// Log-local id later mutations use to refer to the new node.
         id: LogId,
@@ -188,7 +188,7 @@ impl<'a> IntoIterator for &'a MutationLog {
 
 /// [`LogId`] → [`NodeId`] bindings accumulated while a batch runs.
 #[derive(Debug, Clone, Default)]
-pub struct LogBindings {
+pub(crate) struct LogBindings {
     slots: Vec<Option<NodeId>>,
 }
 
@@ -330,9 +330,10 @@ fn consume_subtree<'o>(
 }
 
 /// Apply one mutation against the tree, optionally threading a labelling
-/// session (None = structural simulation, as [`invert`] uses) and an
-/// incrementally maintained element pool (Some only where ops address
-/// the pool: the per-op driver and [`batch_of`]; batch apply takes none).
+/// session (None = structural simulation, as [`batch_of`] uses on its
+/// scratch copy) and an incrementally maintained element pool (Some only
+/// where ops address the pool: the per-op driver and [`batch_of`]; batch
+/// apply takes none).
 pub(crate) fn apply_mutation_dyn<'o>(
     tree: &mut XmlTree,
     mut session: Option<&mut (dyn DynScheme + 'o)>,
@@ -456,20 +457,44 @@ fn ref_key(r: NodeRef) -> RefKey {
     }
 }
 
+/// What the validator tracks of a node's kind: whether it holds
+/// children, whether it takes a text write and whether it may sit at
+/// the document level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KindClass {
+    Element,
+    Text,
+    Attribute,
+    /// Document, comment or PI node.
+    Other,
+}
+
+fn kind_class(kind: &NodeKind) -> KindClass {
+    match kind {
+        NodeKind::Element { .. } => KindClass::Element,
+        NodeKind::Text { .. } => KindClass::Text,
+        NodeKind::Attribute { .. } => KindClass::Attribute,
+        _ => KindClass::Other,
+    }
+}
+
 /// Shadow state the validator threads through the log: which log ids
-/// exist (and whether they denote text nodes), which nodes the batch has
-/// consumed, which text nodes it has written, and where creates/moves
-/// re-parented things — all without touching the real tree.
+/// exist (and their kind class), which nodes the batch has consumed,
+/// which text nodes it has written, and where creates/moves re-parented
+/// things — all without touching the real tree.
 struct Shadow<'t> {
     tree: &'t XmlTree,
-    /// log id → the created node is a text node.
-    created: BTreeMap<u32, bool>,
+    created: BTreeMap<u32, KindClass>,
     deleted: BTreeSet<RefKey>,
     text_written: BTreeSet<RefKey>,
     parent_override: BTreeMap<RefKey, RefKey>,
 }
 
 impl Shadow<'_> {
+    fn root(&self) -> RefKey {
+        RefKey::Node(self.tree.root().index() as u32)
+    }
+
     fn parent(&self, k: RefKey) -> Option<RefKey> {
         if let Some(&p) = self.parent_override.get(&k) {
             return Some(p);
@@ -480,6 +505,69 @@ impl Shadow<'_> {
                 .parent(NodeId::from_index(i as usize))
                 .map(|p| RefKey::Node(p.index() as u32)),
             RefKey::New(_) => None,
+        }
+    }
+
+    /// A pre-existing node keeps its kind for the whole batch (`Replace`
+    /// creates a fresh node); a created node has the kind it was made
+    /// with.
+    fn class(&self, k: RefKey) -> KindClass {
+        match k {
+            RefKey::Node(i) => kind_class(self.tree.kind(NodeId::from_index(i as usize))),
+            RefKey::New(l) => self.created.get(&l).copied().unwrap_or(KindClass::Other),
+        }
+    }
+
+    /// A created or moved node lands under an element or the document
+    /// node: the serializer writes no children of a text, attribute,
+    /// comment or PI node.
+    fn check_holds_children(&self, pk: RefKey) -> Result<(), TreeError> {
+        if pk != self.root() && self.class(pk) != KindClass::Element {
+            let what = match pk {
+                RefKey::Node(i) => format!("node {}", NodeId::from_index(i as usize)),
+                RefKey::New(l) => format!("log id #{l}"),
+            };
+            return Err(TreeError::Invariant(format!(
+                "{what} is not an element and cannot hold children"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The batch's result holds exactly one element under the document
+    /// node, beside comments and PIs only: no element means the
+    /// document element was deleted, a second one or a text or
+    /// attribute node would be content outside the document element.
+    fn check_document_level(&self) -> Result<(), TreeError> {
+        let root = self.root();
+        let stayed = self
+            .tree
+            .children(self.tree.root())
+            .map(|c| RefKey::Node(c.index() as u32))
+            .filter(|k| !self.parent_override.contains_key(k));
+        let landed = self
+            .parent_override
+            .iter()
+            .filter(|&(_, &p)| p == root)
+            .map(|(&k, _)| k);
+        let mut elements = 0;
+        for k in stayed.chain(landed).filter(|k| !self.deleted.contains(k)) {
+            match self.class(k) {
+                KindClass::Element => elements += 1,
+                KindClass::Text | KindClass::Attribute => {
+                    return Err(TreeError::Invariant(
+                        "a text or attribute node cannot sit at the document level".to_string(),
+                    ))
+                }
+                KindClass::Other => {}
+            }
+        }
+        match elements {
+            1 => Ok(()),
+            0 => Err(TreeError::RootImmutable),
+            n => Err(TreeError::Invariant(format!(
+                "the batch leaves {n} elements at the document level"
+            ))),
         }
     }
 
@@ -532,27 +620,33 @@ impl Shadow<'_> {
             }
             Place::Before(r) | Place::After(r) => {
                 self.check_ref(r)?;
-                match self.parent(ref_key(r)) {
-                    Some(p) => Ok(p),
-                    None => match r {
-                        NodeRef::Node(n) if n == self.tree.root() => Err(TreeError::RootImmutable),
-                        NodeRef::Node(n) => Err(TreeError::NoParent(n)),
-                        NodeRef::New(l) => Err(TreeError::Invariant(format!(
-                            "log id #{} has no parent to anchor a sibling insert",
-                            l.0
-                        ))),
-                    },
-                }
+                self.parent_of(r)
             }
         }
     }
 
-    fn register_create(&mut self, id: LogId, is_text: bool, place: Place) -> Result<(), TreeError> {
+    /// `r`'s shadow parent, for a node that takes `r`'s place or sits
+    /// beside it: the document node has none.
+    fn parent_of(&self, r: NodeRef) -> Result<RefKey, TreeError> {
+        self.parent(ref_key(r)).ok_or_else(|| match r {
+            NodeRef::Node(n) if n == self.tree.root() => TreeError::RootImmutable,
+            NodeRef::Node(n) => TreeError::NoParent(n),
+            NodeRef::New(l) => TreeError::Invariant(format!("log id #{} has no parent", l.0)),
+        })
+    }
+
+    fn register_create(
+        &mut self,
+        id: LogId,
+        class: KindClass,
+        place: Place,
+    ) -> Result<(), TreeError> {
         if self.created.contains_key(&id.0) {
             return Err(TreeError::DuplicateCreate(id.0));
         }
         let pk = self.place_parent(place)?;
-        self.created.insert(id.0, is_text);
+        self.check_holds_children(pk)?;
+        self.created.insert(id.0, class);
         self.parent_override.insert(RefKey::New(id.0), pk);
         Ok(())
     }
@@ -562,9 +656,22 @@ impl Shadow<'_> {
 /// dangling [`NodeId`]s, forward/unknown [`LogId`] references, duplicate
 /// creates ([`TreeError::DuplicateCreate`]), writes to nodes the batch
 /// already consumed ([`TreeError::ConflictingWrite`]), double text
-/// writes, root deletion/movement, document-node creation, and moves
+/// writes, text writes to non-text nodes, document-node creation, moves
 /// that would cycle a subtree into itself ([`TreeError::WouldCycle`]) —
-/// including cycles only visible through the batch's own re-parenting.
+/// including cycles only visible through the batch's own re-parenting —
+/// and any batch that would leave a document the parser cannot read
+/// back:
+///
+/// * deleting or moving the document node
+///   ([`TreeError::RootImmutable`]);
+/// * creating or moving a node under a text, attribute, comment or PI
+///   node, whose children the serializer does not write
+///   ([`TreeError::Invariant`]);
+/// * a result whose document node does not hold exactly one element
+///   beside comments and PIs: no element ([`TreeError::RootImmutable`]),
+///   several, or a text or attribute node ([`TreeError::Invariant`]).
+///   The rule holds for the result, not for each step, so renaming,
+///   replacing or wrapping the document element is legal.
 pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
     let mut sh = Shadow {
         tree,
@@ -576,7 +683,7 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
     for m in log.iter() {
         match m {
             Mutation::CreateElement { id, place, .. } => {
-                sh.register_create(*id, false, *place)?;
+                sh.register_create(*id, KindClass::Element, *place)?;
             }
             Mutation::CreateNode { id, kind, place } => {
                 if matches!(kind, NodeKind::Document) {
@@ -584,15 +691,11 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
                         "a batch cannot create a document node".to_string(),
                     ));
                 }
-                sh.register_create(*id, matches!(kind, NodeKind::Text { .. }), *place)?;
+                sh.register_create(*id, kind_class(kind), *place)?;
             }
             Mutation::SetText { target, .. } => {
                 sh.check_ref(*target)?;
-                let is_text = match *target {
-                    NodeRef::Node(n) => matches!(tree.kind(n), NodeKind::Text { .. }),
-                    NodeRef::New(l) => sh.created.get(&l.0).copied().unwrap_or(false),
-                };
-                if !is_text {
+                if sh.class(ref_key(*target)) != KindClass::Text {
                     return Err(TreeError::Invariant(
                         "SetText target is not a text node".to_string(),
                     ));
@@ -610,54 +713,40 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
             Mutation::Replace { target, id, .. } => {
                 sh.check_ref(*target)?;
                 let k = ref_key(*target);
-                let pk = match sh.parent(k) {
-                    Some(p) => p,
-                    None => {
-                        return Err(match *target {
-                            NodeRef::Node(n) if n == tree.root() => TreeError::RootImmutable,
-                            NodeRef::Node(n) => TreeError::NoParent(n),
-                            NodeRef::New(l) => TreeError::Invariant(format!(
-                                "log id #{} has no parent; nothing to replace into",
-                                l.0
-                            )),
-                        })
-                    }
-                };
+                let pk = sh.parent_of(*target)?;
                 if sh.created.contains_key(&id.0) {
                     return Err(TreeError::DuplicateCreate(id.0));
                 }
                 sh.deleted.insert(k);
-                sh.created.insert(id.0, false);
+                sh.created.insert(id.0, KindClass::Element);
                 sh.parent_override.insert(RefKey::New(id.0), pk);
             }
             Mutation::Delete { target } => {
                 sh.check_ref(*target)?;
-                if let NodeRef::Node(n) = *target {
-                    if n == tree.root() {
-                        return Err(TreeError::RootImmutable);
-                    }
+                let k = ref_key(*target);
+                if k == sh.root() {
+                    return Err(TreeError::RootImmutable);
                 }
-                sh.deleted.insert(ref_key(*target));
+                sh.deleted.insert(k);
             }
             Mutation::AppendChildren { parent, ids, .. } => {
                 sh.check_ref(*parent)?;
                 let pk = ref_key(*parent);
+                sh.check_holds_children(pk)?;
                 for id in ids {
                     if sh.created.contains_key(&id.0) {
                         return Err(TreeError::DuplicateCreate(id.0));
                     }
-                    sh.created.insert(id.0, false);
+                    sh.created.insert(id.0, KindClass::Element);
                     sh.parent_override.insert(RefKey::New(id.0), pk);
                 }
             }
             Mutation::MoveSubtree { target, place } => {
                 sh.check_ref(*target)?;
-                if let NodeRef::Node(n) = *target {
-                    if n == tree.root() {
-                        return Err(TreeError::RootImmutable);
-                    }
-                }
                 let tk = ref_key(*target);
+                if tk == sh.root() {
+                    return Err(TreeError::RootImmutable);
+                }
                 let cycle_err = || match *target {
                     NodeRef::Node(n) => TreeError::WouldCycle(n),
                     NodeRef::New(l) => TreeError::Invariant(format!(
@@ -669,6 +758,7 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
                     return Err(cycle_err());
                 }
                 let pk = sh.place_parent(*place)?;
+                sh.check_holds_children(pk)?;
                 let mut cur = Some(pk);
                 while let Some(c) = cur {
                     if c == tk {
@@ -680,7 +770,7 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
             }
         }
     }
-    Ok(())
+    sh.check_document_level()
 }
 
 // ---------------------------------------------------------------------
@@ -762,495 +852,6 @@ pub(crate) fn apply_atomic<'m>(
     stats.end_mean_bits = session.mean_bits();
     stats.end_max_bits = session.max_bits();
     Ok(stats)
-}
-
-// ---------------------------------------------------------------------
-// Codec: compact deterministic bytes for crash-recovery journaling.
-// ---------------------------------------------------------------------
-
-const MAGIC: &[u8; 4] = b"XLOG";
-const VERSION: u8 = 1;
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_ref(out: &mut Vec<u8>, r: NodeRef) {
-    match r {
-        NodeRef::Node(n) => {
-            out.push(0);
-            put_u32(out, n.index() as u32);
-        }
-        NodeRef::New(l) => {
-            out.push(1);
-            put_u32(out, l.0);
-        }
-    }
-}
-
-fn put_place(out: &mut Vec<u8>, p: Place) {
-    let (tag, r) = match p {
-        Place::FirstChildOf(r) => (0u8, r),
-        Place::LastChildOf(r) => (1, r),
-        Place::Before(r) => (2, r),
-        Place::After(r) => (3, r),
-    };
-    out.push(tag);
-    put_ref(out, r);
-}
-
-fn put_kind(out: &mut Vec<u8>, k: &NodeKind) {
-    match k {
-        NodeKind::Document => out.push(0),
-        NodeKind::Element { name } => {
-            out.push(1);
-            put_str(out, name);
-        }
-        NodeKind::Attribute { name, value } => {
-            out.push(2);
-            put_str(out, name);
-            put_str(out, value);
-        }
-        NodeKind::Text { value } => {
-            out.push(3);
-            put_str(out, value);
-        }
-        NodeKind::Comment { value } => {
-            out.push(4);
-            put_str(out, value);
-        }
-        NodeKind::Pi { target, data } => {
-            out.push(5);
-            put_str(out, target);
-            put_str(out, data);
-        }
-    }
-}
-
-/// Encode a log to its compact deterministic byte form. Same log in,
-/// same bytes out — byte equality is log equality.
-pub fn serialize(log: &MutationLog) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    put_u32(&mut out, log.len() as u32);
-    for m in log.iter() {
-        match m {
-            Mutation::CreateElement { id, name, place } => {
-                out.push(0);
-                put_u32(&mut out, id.0);
-                put_str(&mut out, name);
-                put_place(&mut out, *place);
-            }
-            Mutation::CreateNode { id, kind, place } => {
-                out.push(1);
-                put_u32(&mut out, id.0);
-                put_kind(&mut out, kind);
-                put_place(&mut out, *place);
-            }
-            Mutation::SetText { target, text } => {
-                out.push(2);
-                put_ref(&mut out, *target);
-                put_str(&mut out, text);
-            }
-            Mutation::Replace { target, id, name } => {
-                out.push(3);
-                put_ref(&mut out, *target);
-                put_u32(&mut out, id.0);
-                put_str(&mut out, name);
-            }
-            Mutation::Delete { target } => {
-                out.push(4);
-                put_ref(&mut out, *target);
-            }
-            Mutation::AppendChildren { parent, ids, name } => {
-                out.push(5);
-                put_ref(&mut out, *parent);
-                put_u32(&mut out, ids.len() as u32);
-                for id in ids {
-                    put_u32(&mut out, id.0);
-                }
-                put_str(&mut out, name);
-            }
-            Mutation::MoveSubtree { target, place } => {
-                out.push(6);
-                put_ref(&mut out, *target);
-                put_place(&mut out, *place);
-            }
-        }
-    }
-    out
-}
-
-struct Cursor<'b> {
-    buf: &'b [u8],
-    at: usize,
-}
-
-impl<'b> Cursor<'b> {
-    fn err(what: &str) -> TreeError {
-        TreeError::Invariant(format!("log codec: {what}"))
-    }
-
-    fn u8(&mut self) -> Result<u8, TreeError> {
-        let b = *self
-            .buf
-            .get(self.at)
-            .ok_or_else(|| Self::err("truncated byte"))?;
-        self.at += 1;
-        Ok(b)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.at)
-    }
-
-    fn u32(&mut self) -> Result<u32, TreeError> {
-        let end = self
-            .at
-            .checked_add(4)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| Self::err("truncated u32"))?;
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.buf[self.at..end]);
-        self.at = end;
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    fn string(&mut self) -> Result<String, TreeError> {
-        let len = self.u32()? as usize;
-        let end = self
-            .at
-            .checked_add(len)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| Self::err("truncated string"))?;
-        let s = std::str::from_utf8(&self.buf[self.at..end])
-            .map_err(|_| Self::err("string is not UTF-8"))?
-            .to_string();
-        self.at = end;
-        Ok(s)
-    }
-
-    fn node_ref(&mut self) -> Result<NodeRef, TreeError> {
-        match self.u8()? {
-            0 => Ok(NodeRef::Node(NodeId::from_index(self.u32()? as usize))),
-            1 => Ok(NodeRef::New(LogId(self.u32()?))),
-            t => Err(Self::err(&format!("unknown ref tag {t}"))),
-        }
-    }
-
-    fn place(&mut self) -> Result<Place, TreeError> {
-        let tag = self.u8()?;
-        let r = self.node_ref()?;
-        match tag {
-            0 => Ok(Place::FirstChildOf(r)),
-            1 => Ok(Place::LastChildOf(r)),
-            2 => Ok(Place::Before(r)),
-            3 => Ok(Place::After(r)),
-            t => Err(Self::err(&format!("unknown place tag {t}"))),
-        }
-    }
-
-    fn kind(&mut self) -> Result<NodeKind, TreeError> {
-        match self.u8()? {
-            0 => Ok(NodeKind::Document),
-            1 => Ok(NodeKind::Element {
-                name: self.string()?,
-            }),
-            2 => Ok(NodeKind::Attribute {
-                name: self.string()?,
-                value: self.string()?,
-            }),
-            3 => Ok(NodeKind::Text {
-                value: self.string()?,
-            }),
-            4 => Ok(NodeKind::Comment {
-                value: self.string()?,
-            }),
-            5 => Ok(NodeKind::Pi {
-                target: self.string()?,
-                data: self.string()?,
-            }),
-            t => Err(Self::err(&format!("unknown kind tag {t}"))),
-        }
-    }
-}
-
-/// Decode bytes produced by [`serialize`]. Malformed input (bad magic,
-/// unknown tags, truncation, trailing bytes) yields
-/// [`TreeError::Invariant`] and never panics.
-pub fn deserialize(bytes: &[u8]) -> Result<MutationLog, TreeError> {
-    let mut c = Cursor { buf: bytes, at: 0 };
-    for &b in MAGIC {
-        if c.u8()? != b {
-            return Err(Cursor::err("bad magic"));
-        }
-    }
-    if c.u8()? != VERSION {
-        return Err(Cursor::err("unsupported version"));
-    }
-    let count = c.u32()? as usize;
-    let mut log = MutationLog::new();
-    for _ in 0..count {
-        let m = match c.u8()? {
-            0 => Mutation::CreateElement {
-                id: LogId(c.u32()?),
-                name: c.string()?,
-                place: c.place()?,
-            },
-            1 => Mutation::CreateNode {
-                id: LogId(c.u32()?),
-                kind: c.kind()?,
-                place: c.place()?,
-            },
-            2 => Mutation::SetText {
-                target: c.node_ref()?,
-                text: c.string()?,
-            },
-            3 => Mutation::Replace {
-                target: c.node_ref()?,
-                id: LogId(c.u32()?),
-                name: c.string()?,
-            },
-            4 => Mutation::Delete {
-                target: c.node_ref()?,
-            },
-            5 => {
-                let parent = c.node_ref()?;
-                let n = c.u32()? as usize;
-                // Every id takes 4 bytes: a count the bytes left cannot
-                // hold must not reserve memory before it is refused.
-                let mut ids = Vec::with_capacity(n.min(c.remaining() / 4));
-                for _ in 0..n {
-                    ids.push(LogId(c.u32()?));
-                }
-                Mutation::AppendChildren {
-                    parent,
-                    ids,
-                    name: c.string()?,
-                }
-            }
-            6 => Mutation::MoveSubtree {
-                target: c.node_ref()?,
-                place: c.place()?,
-            },
-            t => return Err(Cursor::err(&format!("unknown mutation tag {t}"))),
-        };
-        log.push(m);
-    }
-    if c.at != bytes.len() {
-        return Err(Cursor::err("trailing bytes"));
-    }
-    Ok(log)
-}
-
-// ---------------------------------------------------------------------
-// Inversion: the undo log.
-// ---------------------------------------------------------------------
-
-/// Where a (deleted or moved) subtree root originally sat, in pre-edit
-/// node-arena indices.
-#[derive(Debug, Clone, Copy)]
-enum OriginPlace {
-    /// Immediately after this sibling.
-    After(u32),
-    /// First child of this parent.
-    FirstUnder(u32),
-}
-
-/// Everything needed to revive one deleted subtree.
-#[derive(Debug, Clone)]
-struct RestoreInfo {
-    origin: OriginPlace,
-    /// `(arena index, kind at deletion, parent arena index)` in preorder;
-    /// the first entry is the subtree root (its parent slot is unused).
-    nodes: Vec<(u32, NodeKind, u32)>,
-}
-
-/// The forward log's effects, one seed per undoable action, with node
-/// ids as they exist in the post-application tree (node ids are assigned
-/// deterministically by creation order, so the scratch simulation and
-/// the real application agree on them).
-#[derive(Debug, Clone)]
-enum Seed {
-    Created { node: NodeId },
-    TextSet { node: NodeId, old: String },
-    Deleted { restore: RestoreInfo },
-    Replaced { created: NodeId, restore: RestoreInfo },
-    Moved { node: NodeId, origin: OriginPlace },
-}
-
-fn capture_origin(tree: &XmlTree, t: NodeId) -> Result<OriginPlace, TreeError> {
-    match tree.prev_sibling(t) {
-        Some(p) => Ok(OriginPlace::After(p.index() as u32)),
-        None => Ok(OriginPlace::FirstUnder(
-            tree.parent(t).ok_or(TreeError::RootImmutable)?.index() as u32,
-        )),
-    }
-}
-
-fn capture_restore(tree: &XmlTree, t: NodeId) -> Result<RestoreInfo, TreeError> {
-    let origin = capture_origin(tree, t)?;
-    let mut nodes = Vec::new();
-    for n in tree.preorder_from(t) {
-        let parent = if n == t {
-            0
-        } else {
-            tree.parent(n).ok_or(TreeError::MissingParent(n))?.index() as u32
-        };
-        nodes.push((n.index() as u32, tree.kind(n).clone(), parent));
-    }
-    Ok(RestoreInfo { origin, nodes })
-}
-
-/// How the undo log refers to a node of the forward simulation: by its
-/// (stable) post-application id, unless the undo log itself revives it —
-/// then by the reviving mutation's [`LogId`].
-fn undo_ref(ref_of: &BTreeMap<u32, NodeRef>, idx: u32) -> NodeRef {
-    ref_of
-        .get(&idx)
-        .copied()
-        .unwrap_or(NodeRef::Node(NodeId::from_index(idx as usize)))
-}
-
-fn undo_origin(ref_of: &BTreeMap<u32, NodeRef>, origin: OriginPlace) -> Place {
-    match origin {
-        OriginPlace::After(p) => Place::After(undo_ref(ref_of, p)),
-        OriginPlace::FirstUnder(p) => Place::FirstChildOf(undo_ref(ref_of, p)),
-    }
-}
-
-/// Emit the mutations reviving one deleted subtree, registering each
-/// revived node's fresh [`LogId`] so later (undo-order) mutations can
-/// refer to it.
-fn emit_recreate(
-    undo: &mut MutationLog,
-    ref_of: &mut BTreeMap<u32, NodeRef>,
-    next_lid: &mut u32,
-    restore: &RestoreInfo,
-) {
-    for (i, (old, kind, parent)) in restore.nodes.iter().enumerate() {
-        let lid = LogId(*next_lid);
-        *next_lid += 1;
-        let place = if i == 0 {
-            undo_origin(ref_of, restore.origin)
-        } else {
-            // preorder + append reproduces the original sibling order
-            Place::LastChildOf(undo_ref(ref_of, *parent))
-        };
-        undo.push(Mutation::CreateNode {
-            id: lid,
-            kind: kind.clone(),
-            place,
-        });
-        ref_of.insert(*old, NodeRef::New(lid));
-    }
-}
-
-/// Build the undo log for `log` against `tree` (the tree **before** the
-/// log is applied). Applying `log` and then `invert(log, tree)` restores
-/// a tree that serialises byte-for-byte to the original; revived nodes
-/// get fresh arena ids (ids are never reused), so the undo log names
-/// them through its own [`LogId`]s.
-pub fn invert(log: &MutationLog, tree: &XmlTree) -> Result<MutationLog, TreeError> {
-    validate(log, tree)?;
-    let mut scratch = tree.clone();
-    let mut binds = LogBindings::default();
-    let mut sink = DriveStats::default();
-    let mut seeds: Vec<Seed> = Vec::new();
-    for m in log.iter() {
-        match m {
-            Mutation::CreateElement { id, .. } | Mutation::CreateNode { id, .. } => {
-                apply_mutation_dyn(&mut scratch, None, None, &mut binds, m, &mut sink)?;
-                seeds.push(Seed::Created {
-                    node: binds.node(*id)?,
-                });
-            }
-            Mutation::SetText { target, .. } => {
-                let t = binds.resolve_live(&scratch, *target)?;
-                let old = match scratch.kind(t) {
-                    NodeKind::Text { value } => value.clone(),
-                    _ => {
-                        return Err(TreeError::Invariant(
-                            "SetText target is not a text node".to_string(),
-                        ))
-                    }
-                };
-                apply_mutation_dyn(&mut scratch, None, None, &mut binds, m, &mut sink)?;
-                seeds.push(Seed::TextSet { node: t, old });
-            }
-            Mutation::Replace { target, id, .. } => {
-                let t = binds.resolve_live(&scratch, *target)?;
-                let restore = capture_restore(&scratch, t)?;
-                apply_mutation_dyn(&mut scratch, None, None, &mut binds, m, &mut sink)?;
-                seeds.push(Seed::Replaced {
-                    created: binds.node(*id)?,
-                    restore,
-                });
-            }
-            Mutation::Delete { target } => {
-                let t = binds.resolve_live(&scratch, *target)?;
-                let restore = capture_restore(&scratch, t)?;
-                apply_mutation_dyn(&mut scratch, None, None, &mut binds, m, &mut sink)?;
-                seeds.push(Seed::Deleted { restore });
-            }
-            Mutation::AppendChildren { ids, .. } => {
-                apply_mutation_dyn(&mut scratch, None, None, &mut binds, m, &mut sink)?;
-                for id in ids {
-                    seeds.push(Seed::Created {
-                        node: binds.node(*id)?,
-                    });
-                }
-            }
-            Mutation::MoveSubtree { target, .. } => {
-                let t = binds.resolve_live(&scratch, *target)?;
-                let origin = capture_origin(&scratch, t)?;
-                apply_mutation_dyn(&mut scratch, None, None, &mut binds, m, &mut sink)?;
-                seeds.push(Seed::Moved { node: t, origin });
-            }
-        }
-    }
-
-    let mut undo = MutationLog::new();
-    let mut ref_of: BTreeMap<u32, NodeRef> = BTreeMap::new();
-    let mut next_lid = 0u32;
-    for seed in seeds.iter().rev() {
-        match seed {
-            Seed::Created { node } => {
-                undo.push(Mutation::Delete {
-                    target: undo_ref(&ref_of, node.index() as u32),
-                });
-            }
-            Seed::TextSet { node, old } => {
-                undo.push(Mutation::SetText {
-                    target: undo_ref(&ref_of, node.index() as u32),
-                    text: old.clone(),
-                });
-            }
-            Seed::Deleted { restore } => {
-                emit_recreate(&mut undo, &mut ref_of, &mut next_lid, restore);
-            }
-            Seed::Replaced { created, restore } => {
-                undo.push(Mutation::Delete {
-                    target: undo_ref(&ref_of, created.index() as u32),
-                });
-                emit_recreate(&mut undo, &mut ref_of, &mut next_lid, restore);
-            }
-            Seed::Moved { node, origin } => {
-                let place = undo_origin(&ref_of, *origin);
-                undo.push(Mutation::MoveSubtree {
-                    target: undo_ref(&ref_of, node.index() as u32),
-                    place,
-                });
-            }
-        }
-    }
-    Ok(undo)
 }
 
 // ---------------------------------------------------------------------
@@ -1541,6 +1142,156 @@ mod tests {
     }
 
     #[test]
+    fn validator_keeps_results_the_parser_can_read_back() {
+        let tree = docs::book();
+        let doc = NodeRef::Node(tree.root());
+        let book = NodeRef::Node(tree.document_element().expect("book"));
+        let title = NodeRef::Node(first_named(&tree, "title"));
+        let publisher = NodeRef::Node(first_named(&tree, "publisher"));
+        let of_kind = |pred: fn(&NodeKind) -> bool| {
+            NodeRef::Node(
+                tree.preorder()
+                    .find(|&n| pred(tree.kind(n)))
+                    .expect("present"),
+            )
+        };
+        let text = of_kind(NodeKind::is_text);
+        let attr = of_kind(NodeKind::is_attribute);
+        let element = |id, place| Mutation::CreateElement {
+            id: LogId(id),
+            name: "x".into(),
+            place,
+        };
+        let node = |id, kind, place| Mutation::CreateNode {
+            id: LogId(id),
+            kind,
+            place,
+        };
+        let comment = || NodeKind::Comment { value: "c".into() };
+        let move_to = |target, place| Mutation::MoveSubtree { target, place };
+        // No element left under the document node.
+        let no_root = [
+            vec![Mutation::Delete { target: book }],
+            vec![
+                Mutation::Replace {
+                    target: book,
+                    id: LogId(0),
+                    name: "tome".into(),
+                },
+                Mutation::Delete {
+                    target: NodeRef::New(LogId(0)),
+                },
+            ],
+        ];
+        for ops in no_root {
+            let log = MutationLog::from(ops);
+            assert_eq!(
+                validate(&log, &tree),
+                Err(TreeError::RootImmutable),
+                "{log:?}"
+            );
+        }
+        let invalid = [
+            // a second element under the document node
+            vec![element(0, Place::After(book))],
+            vec![element(0, Place::Before(book))],
+            vec![element(0, Place::LastChildOf(doc))],
+            vec![Mutation::AppendChildren {
+                parent: doc,
+                ids: vec![LogId(0)],
+                name: "x".into(),
+            }],
+            vec![move_to(title, Place::After(book))],
+            // text at the document level
+            vec![node(0, NodeKind::text("t"), Place::FirstChildOf(doc))],
+            // a node under a leaf
+            vec![element(0, Place::LastChildOf(text))],
+            vec![node(0, comment(), Place::FirstChildOf(attr))],
+            vec![Mutation::AppendChildren {
+                parent: attr,
+                ids: vec![LogId(0)],
+                name: "x".into(),
+            }],
+            vec![move_to(publisher, Place::LastChildOf(text))],
+            vec![
+                node(0, NodeKind::text("t"), Place::LastChildOf(book)),
+                element(1, Place::FirstChildOf(NodeRef::New(LogId(0)))),
+            ],
+            vec![
+                node(0, comment(), Place::LastChildOf(book)),
+                move_to(title, Place::LastChildOf(NodeRef::New(LogId(0)))),
+            ],
+        ];
+        for ops in invalid {
+            let log = MutationLog::from(ops);
+            assert!(
+                matches!(validate(&log, &tree), Err(TreeError::Invariant(_))),
+                "{log:?}"
+            );
+        }
+
+        // The rule holds for the result, not for each step: each of
+        // these passes through or ends at the document level and leaves
+        // one root element the parser reads back.
+        let new0 = NodeRef::New(LogId(0));
+        let children = |n: NodeRef| match n {
+            NodeRef::Node(n) => tree.children(n).map(NodeRef::Node).collect::<Vec<_>>(),
+            NodeRef::New(_) => Vec::new(),
+        };
+        // rename the document element, as flux lowers `rename`
+        let mut rename = vec![element(0, Place::After(book))];
+        rename.extend(
+            children(book)
+                .into_iter()
+                .map(|c| move_to(c, Place::LastChildOf(new0))),
+        );
+        rename.push(Mutation::Delete { target: book });
+        let valid = [
+            rename,
+            vec![
+                Mutation::Replace {
+                    target: book,
+                    id: LogId(0),
+                    name: "tome".into(),
+                },
+                element(1, Place::LastChildOf(new0)),
+            ],
+            // wrap the document element in a new one
+            vec![
+                element(0, Place::Before(book)),
+                move_to(book, Place::LastChildOf(new0)),
+            ],
+            // promote a child to document element
+            vec![
+                move_to(title, Place::After(book)),
+                Mutation::Delete { target: book },
+            ],
+            vec![
+                node(0, comment(), Place::Before(book)),
+                node(
+                    1,
+                    NodeKind::Pi {
+                        target: "p".into(),
+                        data: "d".into(),
+                    },
+                    Place::LastChildOf(doc),
+                ),
+            ],
+        ];
+        for ops in valid {
+            let log = MutationLog::from(ops);
+            let mut tree = tree.clone();
+            let (mut scheme, mut labeling) = session_for(&tree);
+            apply_log(&mut tree, &mut scheme, &mut labeling, &log)
+                .unwrap_or_else(|e| panic!("{log:?}: {e}"));
+            let bytes = serialize_compact(&tree);
+            let back = xupd_xmldom::parse(&bytes).unwrap_or_else(|e| panic!("{bytes}: {e}"));
+            assert_eq!(serialize_compact(&back), bytes);
+            assert_eq!(labeling.len(), tree.len());
+        }
+    }
+
+    #[test]
     fn failing_batch_rolls_everything_back() {
         let mut tree = docs::book();
         let (mut scheme, mut labeling) = session_for(&tree);
@@ -1573,88 +1324,6 @@ mod tests {
             before_labels,
             "labeling untouched"
         );
-    }
-
-    #[test]
-    fn codec_round_trips_every_variant() {
-        let log = MutationLog::from(vec![
-            Mutation::CreateElement {
-                id: LogId(0),
-                name: "α".into(),
-                place: Place::FirstChildOf(NodeRef::Node(NodeId::from_index(3))),
-            },
-            Mutation::CreateNode {
-                id: LogId(1),
-                kind: NodeKind::Pi {
-                    target: "xmlstyle".into(),
-                    data: "href='x'".into(),
-                },
-                place: Place::Before(NodeRef::New(LogId(0))),
-            },
-            Mutation::SetText {
-                target: NodeRef::Node(NodeId::from_index(9)),
-                text: "new text".into(),
-            },
-            Mutation::Replace {
-                target: NodeRef::Node(NodeId::from_index(4)),
-                id: LogId(2),
-                name: "r".into(),
-            },
-            Mutation::Delete {
-                target: NodeRef::New(LogId(2)),
-            },
-            Mutation::AppendChildren {
-                parent: NodeRef::Node(NodeId::from_index(1)),
-                ids: vec![LogId(3), LogId(4)],
-                name: "kid".into(),
-            },
-            Mutation::MoveSubtree {
-                target: NodeRef::Node(NodeId::from_index(5)),
-                place: Place::After(NodeRef::Node(NodeId::from_index(6))),
-            },
-        ]);
-        let bytes = serialize(&log);
-        assert_eq!(deserialize(&bytes).expect("round trip"), log);
-        assert!(deserialize(&bytes[..bytes.len() - 1]).is_err(), "truncation");
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(deserialize(&trailing).is_err(), "trailing bytes");
-        assert!(deserialize(b"NOPE").is_err(), "bad magic");
-    }
-
-    #[test]
-    fn invert_round_trips_mixed_batches() {
-        let mut tree = docs::book();
-        let (mut scheme, mut labeling) = session_for(&tree);
-        let original = serialize_compact(&tree);
-        let book = tree.document_element().expect("book");
-        let title = first_named(&tree, "title");
-        let publisher = first_named(&tree, "publisher");
-        let log = MutationLog::from(vec![
-            Mutation::CreateElement {
-                id: LogId(0),
-                name: "appendix".into(),
-                place: Place::LastChildOf(NodeRef::Node(book)),
-            },
-            Mutation::MoveSubtree {
-                target: NodeRef::Node(publisher),
-                place: Place::Before(NodeRef::Node(title)),
-            },
-            Mutation::Delete {
-                target: NodeRef::Node(title),
-            },
-            Mutation::Replace {
-                target: NodeRef::Node(publisher),
-                id: LogId(1),
-                name: "imprint".into(),
-            },
-        ]);
-        let undo = invert(&log, &tree).expect("invertible");
-        apply_log(&mut tree, &mut scheme, &mut labeling, &log).expect("forward");
-        assert_ne!(serialize_compact(&tree), original);
-        apply_log(&mut tree, &mut scheme, &mut labeling, &undo).expect("undo");
-        assert_eq!(serialize_compact(&tree), original, "byte-for-byte restore");
-        assert_eq!(labeling.len(), tree.len());
     }
 
     #[test]

@@ -248,7 +248,6 @@ pub struct QueryCache {
     queries: Vec<CachedQuery>,
     stats: CacheStats,
     stale: bool,
-    last_impact: Option<BatchImpact>,
 }
 
 impl QueryCache {
@@ -272,11 +271,6 @@ impl QueryCache {
         &self.stats
     }
 
-    /// Impact summary of the most recently absorbed batch.
-    pub fn last_impact(&self) -> Option<&BatchImpact> {
-        self.last_impact.as_ref()
-    }
-
     /// True when an un-analyzed update bypassed the cache and the next
     /// read must fully refresh.
     pub fn is_stale(&self) -> bool {
@@ -298,16 +292,7 @@ impl QueryCache {
         want_strings: bool,
         tree: &XmlTree,
     ) -> Result<QueryId, TreeError> {
-        self.register_pattern(expr.access_pattern(), want_strings, tree)
-    }
-
-    /// Register a pre-compiled access pattern (the zero-reparse path).
-    pub fn register_pattern(
-        &mut self,
-        pattern: AccessPattern,
-        want_strings: bool,
-        tree: &XmlTree,
-    ) -> Result<QueryId, TreeError> {
+        let pattern = expr.access_pattern();
         if self.stale {
             self.refresh(tree)?;
         }
@@ -358,11 +343,6 @@ impl QueryCache {
         self.queries.get(q).map_or(&[], |c| c.strings.as_slice())
     }
 
-    /// The compiled access pattern of `q`.
-    pub fn pattern(&self, q: QueryId) -> Option<&AccessPattern> {
-        self.queries.get(q).map(|c| &c.pattern)
-    }
-
     /// Test seam: force `q` to classify as unaffected on every
     /// subsequent batch. Exists so the differential suite can prove
     /// that a deliberately corrupted classification is caught — never
@@ -409,32 +389,26 @@ impl QueryCache {
             // Nothing to maintain; drop the shadow so a later
             // registration re-encodes against the current tree.
             self.shadow = None;
-            let impact = BatchImpact::default();
-            self.last_impact = Some(impact.clone());
-            return Ok(impact);
+            return Ok(BatchImpact::default());
         }
         if self.stale || self.shadow.is_none() {
             self.refresh(tree)?;
-            let impact = BatchImpact {
+            return Ok(BatchImpact {
                 rebuilt: n,
                 classes: vec![QueryClass::Rebuilt; n],
                 ..BatchImpact::default()
-            };
-            self.last_impact = Some(impact.clone());
-            return Ok(impact);
+            });
         }
         self.stats.batches_absorbed += 1;
         if effective.is_empty() {
             // Zero effective ops: nothing observable changed.
             self.stats.unaffected += n as u64;
-            let impact = BatchImpact {
+            return Ok(BatchImpact {
                 text_only: true,
                 unaffected: n,
                 classes: vec![QueryClass::Unaffected; n],
                 ..BatchImpact::default()
-            };
-            self.last_impact = Some(impact.clone());
-            return Ok(impact);
+            });
         }
         let ops: Vec<&Mutation> = log.iter().collect();
         let text_only = effective.iter().all(|&i| {
@@ -446,13 +420,11 @@ impl QueryCache {
                 })
             )
         });
-        let impact = if text_only {
-            self.absorb_text(&ops, effective)?
+        if text_only {
+            self.absorb_text(&ops, effective)
         } else {
-            self.absorb_structural(plan, effective, tree)?
-        };
-        self.last_impact = Some(impact.clone());
-        Ok(impact)
+            self.absorb_structural(plan, effective, tree)
+        }
     }
 
     /// Text-only fast path: patch the shadow rows in place (topology,
@@ -997,11 +969,10 @@ mod tests {
     /// writes. A drawn op is kept only if the log still validates.
     fn random_batch(tree: &XmlTree, rng: &mut TestRng) -> MutationLog {
         let order = tree.ids_in_doc_order();
-        // The document root anchors creates once every element is gone.
         let elements: Vec<NodeId> = order
             .iter()
             .copied()
-            .filter(|&id| id == tree.root() || tree.kind(id).is_element())
+            .filter(|&id| tree.kind(id).is_element())
             .collect();
         let texts: Vec<NodeId> = order
             .iter()

@@ -1,23 +1,24 @@
-//! Property tests for the mutation-log validator and codec, on the
-//! hermetic `xupd-testkit` harness (shrinking, seed-replayable).
+//! Property tests for the mutation-log validator, on the hermetic
+//! `xupd-testkit` harness (shrinking, seed-replayable).
 //!
 //! The corruption properties start from a *well-formed* log (a script
 //! translated by `batch_of`), break it in one specific way — dangling
 //! `NodeId`, duplicate create, write-after-delete — and assert that
 //! validation rejects it with exactly the right [`TreeError`] variant
 //! and that atomic application leaves the tree and labelling untouched.
-//! The codec property round-trips random (not necessarily well-formed)
-//! logs through `serialize`/`deserialize`, and the hostile-bytes
-//! property feeds the decoder mutated encodings of them: it must never
-//! panic, and whatever it accepts must re-encode to the same bytes.
+//! The arbitrary-log property throws random (mostly ill-formed) logs of
+//! every mutation shape at a tree with text and attribute nodes: a log
+//! the validator accepts must apply and leave a well-formed, fully
+//! labelled document with one root element, only comments and PIs
+//! beside it and only elements as other parents, and a log it rejects
+//! must fail to apply with the same error and change nothing.
 
 use xupd_framework::mutations::{
-    apply_log, batch_of, deserialize, serialize, validate, LogId, Mutation, MutationLog, NodeRef,
-    Place,
+    apply_log, batch_of, validate, LogId, Mutation, MutationLog, NodeRef, Place,
 };
-use xupd_labelcore::LabelingScheme;
+use xupd_labelcore::{DynScheme, LabelingScheme, SessionMut};
 use xupd_schemes::prefix::qed::Qed;
-use xupd_testkit::prop::{any_u64, from_slice, ints, map, mutate_bytes, vecs, Config, Gen};
+use xupd_testkit::prop::{from_slice, ints, map, vecs, Config, Gen};
 use xupd_testkit::{prop_assert, prop_assert_eq, prop_assume, props};
 use xupd_workloads::{docs, Script, ScriptKind};
 use xupd_xmldom::{serialize_compact, NodeId, NodeKind, TreeError, XmlTree};
@@ -39,12 +40,17 @@ fn well_formed(kind: ScriptKind, ops: usize, seed: u64) -> (XmlTree, MutationLog
     (tree, log)
 }
 
+/// Tag alphabet of the arbitrary-log property's documents.
+const TAGS: [&str; 3] = ["a", "b", "c"];
+
+/// A pre-existing node three times in four (an id past the tree's
+/// arena is dangling), else one of the log's four create ids.
 fn arb_ref() -> impl Gen<Value = NodeRef> {
-    map((ints(0u32..64), ints(0u32..2)), |(v, tag)| {
-        if tag == 0 {
+    map((ints(0u32..64), ints(0u32..4)), |(v, tag)| {
+        if tag < 3 {
             NodeRef::Node(NodeId::from_index(v as usize))
         } else {
-            NodeRef::New(LogId(v))
+            NodeRef::New(LogId(v % 4))
         }
     })
 }
@@ -60,17 +66,18 @@ fn arb_place() -> impl Gen<Value = Place> {
 
 fn arb_kind() -> impl Gen<Value = NodeKind> {
     map(
-        (ints(0u32..5), vecs(from_slice(&['a', 'b', 'ß', '中']), 0, 6)),
+        (ints(0u32..6), vecs(from_slice(&['a', 'b', 'ß', '中']), 0, 6)),
         |(tag, chars)| {
             let s: String = chars.into_iter().collect();
             match tag {
-                0 => NodeKind::element(format!("e{s}")),
-                1 => NodeKind::Attribute {
+                0 => NodeKind::Document,
+                1 => NodeKind::element(format!("e{s}")),
+                2 => NodeKind::Attribute {
                     name: format!("a{s}"),
                     value: s.clone(),
                 },
-                2 => NodeKind::Text { value: s },
-                3 => NodeKind::Comment { value: s },
+                3 => NodeKind::Text { value: s },
+                4 => NodeKind::Comment { value: s },
                 _ => NodeKind::Pi {
                     target: format!("p{s}"),
                     data: s.clone(),
@@ -80,14 +87,14 @@ fn arb_kind() -> impl Gen<Value = NodeKind> {
     )
 }
 
-/// One arbitrary mutation — codec coverage wants all seven variants,
-/// well-formedness not required.
+/// One arbitrary mutation of any of the seven variants, well-formedness
+/// not required; create ids are drawn from `0..4`.
 fn arb_mutation() -> impl Gen<Value = Mutation> {
     map(
         (
             ints(0u32..7),
             (arb_ref(), arb_place(), arb_kind()),
-            (ints(0u32..64), vecs(ints(0u32..64), 0, 5)),
+            (ints(0u32..4), vecs(ints(0u32..4), 0, 5)),
             vecs(from_slice(&['x', 'y', 'µ']), 0, 5),
         ),
         |(tag, (r, place, kind), (id, ids), chars)| {
@@ -246,19 +253,6 @@ props! {
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 
-    /// `deserialize(serialize(log)) == log` for random logs of every
-    /// mutation shape — and the encoding is deterministic.
-    fn codec_round_trips(log_ops in vecs(arb_mutation(), 0, 24)) {
-        let log = MutationLog::from(log_ops);
-        let bytes = serialize(&log);
-        prop_assert_eq!(serialize(&log), bytes.clone(), "deterministic bytes");
-        let back = match deserialize(&bytes) {
-            Ok(l) => l,
-            Err(e) => return xupd_testkit::prop::Outcome::Fail(format!("decode failed: {e:?}")),
-        };
-        prop_assert_eq!(back, log);
-    }
-
     /// Well-formed driver translations always validate cleanly.
     fn driver_translations_validate(
         kind in from_slice(&KINDS),
@@ -273,19 +267,59 @@ props! {
 props! {
     config = Config::with_cases(4096);
 
-    /// Hostile bytes: an encoded log with a few bytes overwritten,
-    /// inserted or deleted never panics the decoder, and any log it
-    /// accepts re-encodes to exactly the bytes it read.
-    fn deserialize_rejects_or_round_trips_mutated_bytes(
-        log_ops in vecs(arb_mutation(), 0, 12),
-        edits in vecs(any_u64(), 1, 12),
+    /// Any log either validates and then applies to a well-formed,
+    /// fully labelled document with one root element, only comments
+    /// and PIs beside it and every other node under an element — the
+    /// structural half of a document the parser can read back; names
+    /// and attribute uniqueness are not checked — or is rejected by
+    /// `apply_log` with the validator's error, leaving tree bytes and
+    /// labels as they were.
+    fn arbitrary_logs_apply_or_change_nothing(
+        seed in ints(0u64..1000),
+        log_ops in vecs(arb_mutation(), 1, 8),
     ) {
-        let mut bytes = serialize(&MutationLog::from(log_ops));
-        for e in edits {
-            mutate_bytes(&mut bytes, e);
-        }
-        if let Ok(log) = deserialize(&bytes) {
-            prop_assert_eq!(serialize(&log), bytes);
+        let mut tree = docs::random_tagged_tree(seed, 40, &TAGS);
+        let log = MutationLog::from(log_ops);
+        let mut scheme = Qed::new();
+        let mut labeling = scheme.label_tree(&tree).expect("labelable");
+        let before_tree = serialize_compact(&tree);
+        let before_labels = SessionMut::new(&mut scheme, &mut labeling).labels_display();
+        let verdict = validate(&log, &tree);
+        let applied = apply_log(&mut tree, &mut scheme, &mut labeling, &log);
+        match verdict {
+            Ok(()) => {
+                prop_assert!(applied.is_ok(), "validated log failed: {applied:?}");
+                prop_assert!(tree.validate().is_ok(), "{:?}", tree.validate());
+                for n in tree.preorder() {
+                    prop_assert!(labeling.get(n).is_some(), "{n} is unlabelled");
+                    let Some(p) = tree.parent(n) else { continue };
+                    let (kind, parent) = (tree.kind(n), tree.kind(p));
+                    if p == tree.root() {
+                        prop_assert!(
+                            matches!(
+                                kind,
+                                NodeKind::Element { .. } | NodeKind::Comment { .. } | NodeKind::Pi { .. }
+                            ),
+                            "{kind:?} at the document level"
+                        );
+                    } else {
+                        prop_assert!(parent.is_element(), "{n} sits under {parent:?}");
+                    }
+                }
+                let root_elements = tree
+                    .children(tree.root())
+                    .filter(|&c| tree.kind(c).is_element())
+                    .count();
+                prop_assert_eq!(root_elements, 1, "one root element");
+            }
+            Err(e) => {
+                prop_assert_eq!(applied.err(), Some(e));
+                prop_assert_eq!(serialize_compact(&tree), before_tree);
+                prop_assert_eq!(
+                    SessionMut::new(&mut scheme, &mut labeling).labels_display(),
+                    before_labels
+                );
+            }
         }
     }
 }

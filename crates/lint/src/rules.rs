@@ -10,8 +10,8 @@
 //! | R5 | forbid-unsafe              | no `unsafe` anywhere in the workspace |
 //! | R6 | no-per-op-preorder-rebuild | no `.preorder()` full-tree scan inside a per-op replay loop (a `for` loop whose header mentions `ops`) — rebuildable state must be maintained incrementally |
 //! | R7 | no-raw-thread-spawn        | no `thread::spawn`/`scope.spawn` callees outside `crates/exec` — all fan-out goes through the `xupd-exec` pool so `XUPD_THREADS` governs every worker |
-//! | R8 | no-direct-batch-mutation   | no direct structural tree mutation (`append_child`, `detach`, `remove_subtree`, ...) inside a per-op replay loop outside the update driver and the mutation-log module — multi-op edits must flow through `MutationLog` so validation and atomicity cannot be bypassed |
-//! | R9 | no-unanalyzed-reorder      | no hand permutation or splitting (`.sort*`, `.swap`, `.reverse`, `.rotate_*`, `.retain`, `.drain`, `.split_off`, `.shuffle`) of a mutation-log op vector (receiver named `ops`/`log`/`mutations`) outside `framework::analysis` and the mutations module — reordering is only sound under an `AnalyzedPlan` certificate |
+//! | R8 | no-direct-batch-mutation   | no direct structural tree mutation (`append_child`, `detach`, `remove_subtree`, ...) inside a per-op replay loop — multi-op edits must flow through `MutationLog` so validation and atomicity cannot be bypassed |
+//! | R9 | no-unanalyzed-reorder      | no hand permutation or splitting (`.sort*`, `.swap`, `.reverse`, `.rotate_*`, `.retain`, `.drain`, `.split_off`, `.shuffle`) of a mutation-log op vector (receiver named `ops`/`log`/`mutations`) — reordering is only sound under an `AnalyzedPlan` certificate |
 //! | R10 | no-uncached-reevaluate    | no `.evaluate(` call inside a query-batch loop (a `for` loop whose header mentions `queries`/`exprs`) outside `framework::querycache` and its bench baseline — registered query sets must be served through the incremental `QueryCache`, not re-evaluated wholesale per batch |
 //! | R12 | no-raw-script-in-tests    | no hand-built `ScriptOp` variants in test code of the `results/*`-feeding crates — ad-hoc op lists silently drift from the generated-workload distributions the differential suites certify; drive tests through `Script::generate` or a flux DSL program (the reference differential drivers are path-exempt) |
 
@@ -52,19 +52,11 @@ pub const ALL_RULES: &[&str] = &[
 
 /// Structural tree mutators that R8 forbids calling directly inside a
 /// per-op replay loop — the batch API (`MutationLog`) is the only
-/// sanctioned multi-op edit path outside the driver/mutations modules.
+/// sanctioned multi-op edit path.
 /// Single-sourced from [`xupd_xmldom::STRUCTURAL_MUTATORS`] so the lint
 /// and the analyzer's footprint table can never drift from the tree's
 /// actual mutator surface.
 pub const R8_MUTATORS: &[&str] = xupd_xmldom::STRUCTURAL_MUTATORS;
-
-/// The two modules allowed to mutate the tree per-op: the update driver
-/// (it *is* the per-op reference path) and the mutation-log machinery
-/// (it applies validated batches).
-pub const R8_EXEMPT_PATHS: &[&str] = &[
-    "crates/framework/src/driver.rs",
-    "crates/framework/src/mutations.rs",
-];
 
 /// Slice permuters/splitters that R9 forbids calling on a mutation-log
 /// op vector: anything that changes op order or removes ops without an
@@ -89,14 +81,6 @@ pub const R9_PERMUTERS: &[&str] = &[
 
 /// Receiver idents R9 treats as mutation-log op vectors.
 pub const R9_RECEIVERS: &[&str] = &["ops", "log", "mutations"];
-
-/// The two modules allowed to reorder or split logs: the analyzer (it
-/// *produces* the reorder/partition certificates) and the mutation-log
-/// machinery (rollback rewinds its own op vector).
-pub const R9_EXEMPT_PATHS: &[&str] = &[
-    "crates/framework/src/analysis.rs",
-    "crates/framework/src/mutations.rs",
-];
 
 /// The reference differential drivers allowed to hand-build `ScriptOp`
 /// lists (R12): they *are* the executable specification of op
@@ -231,17 +215,14 @@ pub fn check_source(src: &str, ctx: &FileCtx) -> (Vec<Finding>, Vec<Suppression>
     // included: a raw spawn in a test escapes XUPD_THREADS just the same.
     let r7_applies = ctx.crate_name != "exec";
     // R8 applies to test code too (reference drivers replay per-op by
-    // design and must opt out explicitly via lint:allow), but not to the
-    // two modules that implement the sanctioned edit paths, and not to
+    // design and must opt out explicitly via lint:allow), but not to
     // xmldom itself (the tree's own test/doc code exercises its API).
-    let r8_applies = R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str())
-        && ctx.crate_name != "xmldom"
-        && !R8_EXEMPT_PATHS.iter().any(|p| ctx.path == *p);
+    let r8_applies =
+        R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str()) && ctx.crate_name != "xmldom";
     // R9 applies to test code too — the differential suite's value rests
     // on never hand-permuting op vectors, so even tests must go through
     // analyzer certificates (or opt out explicitly via lint:allow).
-    let r9_applies = R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str())
-        && !R9_EXEMPT_PATHS.iter().any(|p| ctx.path == *p);
+    let r9_applies = R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str());
     // R10 applies to test code too — oracle/differential drivers that
     // legitimately pay full re-evaluation opt out via lint:allow — but
     // not to the cache itself or to its measured re-evaluate baseline.
@@ -856,14 +837,15 @@ mod tests {
         // lint:allow instead
         let f = unsuppressed(src, "crates/framework/tests/t.rs");
         assert_eq!(f.iter().filter(|f| f.rule == "R8").count(), 1);
-        // the sanctioned edit paths are exempt
-        assert!(unsuppressed(src, "crates/framework/src/driver.rs")
-            .iter()
-            .all(|f| f.rule != "R8"));
-        assert!(unsuppressed(src, "crates/framework/src/mutations.rs")
-            .iter()
-            .all(|f| f.rule != "R8"));
-        // so is the tree crate itself and everything outside the R2 set
+        // the driver and the mutation-log module get no exemption either
+        for path in [
+            "crates/framework/src/driver.rs",
+            "crates/framework/src/mutations.rs",
+        ] {
+            let f = unsuppressed(src, path);
+            assert_eq!(f.iter().filter(|f| f.rule == "R8").count(), 1, "{path}");
+        }
+        // the tree crate itself and everything outside the R2 set are exempt
         assert!(unsuppressed(src, "crates/xmldom/src/tree.rs")
             .iter()
             .all(|f| f.rule != "R8"));
@@ -913,14 +895,14 @@ mod tests {
             let f = unsuppressed(&src, "crates/framework/src/checkers.rs");
             assert_eq!(f.iter().filter(|f| f.rule == "R9").count(), 1, "{m}");
         }
-        // the analyzer and the mutation-log machinery are exempt — they
-        // implement the certified paths
-        assert!(unsuppressed(src, "crates/framework/src/analysis.rs")
-            .iter()
-            .all(|f| f.rule != "R9"));
-        assert!(unsuppressed(src, "crates/framework/src/mutations.rs")
-            .iter()
-            .all(|f| f.rule != "R9"));
+        // the analyzer and the mutation-log module get no exemption
+        for path in [
+            "crates/framework/src/analysis.rs",
+            "crates/framework/src/mutations.rs",
+        ] {
+            let f = unsuppressed(src, path);
+            assert_eq!(f.iter().filter(|f| f.rule == "R9").count(), 1, "{path}");
+        }
         // outside the R2 crate set the rule does not apply
         assert!(unsuppressed(src, "crates/testkit/src/x.rs").is_empty());
     }

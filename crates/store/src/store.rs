@@ -335,11 +335,6 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
         }
     }
 
-    /// The counters of one document.
-    pub fn doc_stats(&self, doc: u32) -> Result<DocStats, StoreError> {
-        Ok(read_lock(self.slot(doc)?).stats)
-    }
-
     /// Serialize the full store state — per document: compact XML
     /// bytes, [`DocStats`], cache counters, snapshot rebuild count — in
     /// document-id order. Two runs that executed the same canonical
@@ -415,12 +410,9 @@ mod tests {
         for doc in 0..12u32 {
             assert_eq!(store.shard_of(doc), shard_of(doc, 4));
             assert!(store.shard_of(doc) < 4);
-            assert!(store.doc_stats(doc).is_ok());
+            assert!(store.slot(doc).is_ok());
         }
-        assert!(matches!(
-            store.doc_stats(99).unwrap_err(),
-            StoreError::UnknownDoc(99)
-        ));
+        assert!(matches!(store.slot(99), Err(StoreError::UnknownDoc(99))));
         // splitmix spreads 12 docs over more than one shard
         let distinct: std::collections::BTreeSet<usize> =
             (0..12u32).map(|d| store.shard_of(d)).collect();
@@ -438,7 +430,7 @@ mod tests {
         assert!(after >= before, "cache tracked the batch");
         store.close_doc(3).unwrap();
 
-        let s = store.doc_stats(3).unwrap();
+        let s = read_lock(store.slot(3).unwrap()).stats;
         assert_eq!((s.opens, s.closes, s.queries, s.batches), (1, 1, 2, 1));
         assert_eq!(s.inserts, 4);
         assert_eq!(s.rows_served, (before + after) as u64);

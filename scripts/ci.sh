@@ -24,6 +24,11 @@ echo "==> rustdoc (warnings are errors: no broken, ambiguous or private doc link
 # A deleted or renamed item must not leave a dangling intra-doc link.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+echo "==> rustc warnings (warnings are errors: no dead code or unused import left behind)"
+# A deletion can leave dead code, an unused import or an unused test
+# helper behind; the other stages only print those as warnings.
+RUSTFLAGS="-D warnings" cargo check --workspace --all-targets -q
+
 echo "==> figure 7 regeneration (declared + measured matrix)"
 cargo run --release -q -p xupd-bench --bin figure7
 
