@@ -10,6 +10,10 @@
 //!   tree and applied through the identical plan path — the whole
 //!   compiler runs inside the timed region.
 //!
+//! Both clients read one preorder index of the base tree, encoded
+//! outside the timed region, as a `Document` holds it: the hand log is
+//! analyzed against it and the program is compiled against it.
+//!
 //! The primary family (`flux/dsl` vs `flux/hand`) is the DSL's batch
 //! idiom — one `for /r/s do … end` comprehension fanning out to every
 //! section, 3 ops per section — where compilation is O(program), not
@@ -36,8 +40,9 @@
 
 use std::fmt::Write as _;
 use xupd_flux::FluxProgram;
-use xupd_framework::analysis::{analyze, apply_plan_with_dyn, ApplyOptions};
+use xupd_framework::analysis::{analyze_in, apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::mutations::{LogId, Mutation, MutationLog, NodeRef, Place};
+use xupd_framework::{PreorderIndex, ShadowScheme};
 use xupd_testkit::bench::{black_box, Harness};
 use xupd_xmldom::{NodeId, NodeKind, XmlTree};
 
@@ -137,10 +142,11 @@ fn main() {
     // both styles against the ground-truth log, outside timing.
     for n in SECTIONS {
         let tree = base_tree(n);
+        let index = PreorderIndex::encode(ShadowScheme::default(), &tree).unwrap();
         let hand = hand_log(&targets(&tree));
         for (style, src) in [("dsl", DSL_PROGRAM.to_string()), ("enum", enum_source(n))] {
             let program = FluxProgram::parse(&src).expect("well-formed source");
-            let compiled = program.compile(&tree).expect("clean program");
+            let compiled = program.compile(&tree, &index).expect("clean program");
             assert_eq!(
                 compiled.log, hand,
                 "flux {style} and hand logs must be identical at {n} sections"
@@ -156,6 +162,7 @@ fn main() {
         let mut session = entry.session();
         for n in SECTIONS {
             let tree = base_tree(n);
+            let index = PreorderIndex::encode(ShadowScheme::default(), &tree).unwrap();
             let hand = hand_log(&targets(&tree));
             let ops = n * OPS_PER_SECTION;
             let enum_src = enum_source(n);
@@ -163,7 +170,7 @@ fn main() {
                 let mut t = tree.clone();
                 session.label_tree(&t).unwrap();
                 let log = black_box(hand.clone());
-                let plan = analyze(&log, &t).unwrap();
+                let plan = analyze_in(&log, &t, &index).unwrap();
                 let opts = ApplyOptions::analyzed();
                 black_box(apply_plan_with_dyn(&mut t, session.as_mut(), &log, &plan, opts).unwrap())
             }));
@@ -174,7 +181,7 @@ fn main() {
                         let mut t = tree.clone();
                         session.label_tree(&t).unwrap();
                         let program = FluxProgram::parse(src).unwrap();
-                        let compiled = program.compile(&t).unwrap();
+                        let compiled = program.compile(&t, &index).unwrap();
                         black_box(
                             apply_plan_with_dyn(
                                 &mut t,

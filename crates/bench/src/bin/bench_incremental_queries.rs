@@ -6,8 +6,9 @@
 //! every batch all 64 result sets are served. Two clients per scheme:
 //!
 //! * `incremental/<scheme>/b<N>` — the [`QueryCache`] path: analyze
-//!   the log, absorb the footprint (keep / delta-repair / rebuild per
-//!   query), serve from the cache;
+//!   the log against the cache's own preorder index, absorb the
+//!   footprint (keep / delta-repair / rebuild per query), serve from
+//!   the cache;
 //! * `reevaluate/<scheme>/b<N>` — the pre-cache client: discard the
 //!   snapshot, re-encode the document under the scheme's real labels
 //!   and re-evaluate all 64 queries from scratch.
@@ -33,7 +34,7 @@
 //! batch size 16).
 
 use xupd_encoding::{document_registry, parse_xpath, XPathExpr};
-use xupd_framework::analysis::analyze;
+use xupd_framework::analysis::analyze_in;
 use xupd_framework::mutations::{
     apply_log, apply_log_dyn, LogId, Mutation, MutationLog, NodeRef, Place,
 };
@@ -216,7 +217,7 @@ fn main() {
             }
             let mut served = 0usize;
             for log in logs {
-                let plan = analyze(log, &tree).unwrap();
+                let plan = analyze_in(log, &tree, cache.index(&tree).unwrap()).unwrap();
                 let effective = plan.execution_order(false, session.cancellation_neutral());
                 apply_log_dyn(&mut tree, session.as_mut(), log).unwrap();
                 cache.absorb(log, &plan, &effective, &tree).unwrap();
@@ -285,7 +286,7 @@ fn main() {
                 })
                 .collect();
             let log = MutationLog::from(ops);
-            let plan = analyze(&log, &tree).unwrap();
+            let plan = analyze_in(&log, &tree, cache.index(&tree).unwrap()).unwrap();
             let effective = plan.execution_order(false, session.cancellation_neutral());
             apply_log_dyn(&mut tree, session.as_mut(), &log).unwrap();
             let impact = cache.absorb(&log, &plan, &effective, &tree).unwrap();

@@ -3,9 +3,12 @@
 //!
 //! Two questions, two case families:
 //!
-//! * `analysis/overhead/<n>` — the cost of `analyze` itself on batches
-//!   of 1, 16 and 256 ops (scheme-independent: analysis runs once per
-//!   batch, before any labelling work).
+//! * `analysis/overhead/<n>` — the cost of `analyze_in` itself on
+//!   batches of 1, 16 and 256 ops (scheme-independent: analysis runs
+//!   once per batch, before any labelling work), against a preorder
+//!   index encoded outside the timed region, as a `Document` runs it;
+//!   `analysis/index_encode` times that encode, the cost a document
+//!   pays once and then keeps current.
 //! * `apply/{seq,plan,coalesced}/<scheme>` — sequential `apply_log_dyn`
 //!   vs. the certificate consumers on a redundancy-laden batch
 //!   (redundant writes + cancelling create/delete scratch subtrees in
@@ -18,10 +21,11 @@
 //!
 //! Emits `results/BENCH_log_analysis.json`.
 
-use xupd_framework::analysis::{analyze, apply_plan_with_dyn, ApplyOptions};
+use xupd_framework::analysis::{analyze, analyze_in, apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::mutations::{
     apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place,
 };
+use xupd_framework::{PreorderIndex, ShadowScheme};
 use xupd_schemes::registry;
 use xupd_testkit::bench::{black_box, Harness};
 use xupd_workloads::{docs, Script, ScriptKind};
@@ -117,6 +121,7 @@ fn main() {
     // Analysis overhead per batch size (scheme-independent).
     // -----------------------------------------------------------------
     let big_base = docs::random_tree(0xA11A, 300);
+    let index = PreorderIndex::encode(ShadowScheme::default(), &big_base).unwrap();
     let script = Script::generate(ScriptKind::Random, 256, 300, 17);
     for n in SIZES {
         let sub = Script {
@@ -125,7 +130,7 @@ fn main() {
         };
         let log = batch_of(&sub, &big_base).unwrap();
         let sample = h.bench_case(&format!("analysis/overhead/{n}"), || {
-            black_box(analyze(&log, &big_base).unwrap().len())
+            black_box(analyze_in(&log, &big_base, &index).unwrap().len())
         });
         println!(
             "analyze({n} ops): {:.1} ns/op median",
@@ -133,6 +138,15 @@ fn main() {
         );
         h.push(sample);
     }
+    let sample = h.bench_case("analysis/index_encode", || {
+        black_box(PreorderIndex::encode(ShadowScheme::default(), &big_base).unwrap().len())
+    });
+    println!(
+        "index encode ({} nodes): {} ns median",
+        big_base.len(),
+        sample.median_ns()
+    );
+    h.push(sample);
 
     // -----------------------------------------------------------------
     // Certificate consumers vs. sequential apply, per scheme.

@@ -19,6 +19,7 @@
 use std::process::ExitCode;
 use xupd_encoding::figure2::{figure2_table, render_figure2};
 use xupd_encoding::{document_registry, parse_xpath};
+use xupd_framework::{PreorderIndex, ShadowScheme};
 use xupd_xmldom::{parse, NodeKind, XmlTree};
 
 fn usage() -> ExitCode {
@@ -41,11 +42,18 @@ fn flux_check(tree: &XmlTree, program_file: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let index = match PreorderIndex::encode(ShadowScheme::default(), tree) {
+        Ok(index) => index,
+        Err(e) => {
+            eprintln!("cannot index the document: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let diags = match xupd_flux::FluxProgram::parse(&src) {
         Ok(p) => {
             let mut ds = p.check();
             if ds.is_empty() {
-                if let Err(compile) = p.compile(tree) {
+                if let Err(compile) = p.compile(tree, &index) {
                     ds = compile;
                 }
             }

@@ -67,6 +67,8 @@ pub struct EncodedDocument<S: LabelingScheme> {
     /// Reverse map: `row_of[id.index()]` is the row encoding that node,
     /// `usize::MAX` for ids outside this document.
     row_of: Vec<usize>,
+    /// [`XmlTree::revision`] of the tree state the table encodes.
+    revision: u32,
 }
 
 impl<S: LabelingScheme> EncodedDocument<S> {
@@ -102,6 +104,7 @@ impl<S: LabelingScheme> EncodedDocument<S> {
             index,
             source_ids: order,
             row_of: index_of,
+            revision: tree.revision(),
         })
     }
 
@@ -223,6 +226,7 @@ impl<S: LabelingScheme> EncodedDocument<S> {
         }
         self.topo.rebuild(self.rows.iter().map(|r| r.parent))?;
         self.index.rebuild(self.rows.iter().map(|r| &r.kind));
+        self.revision = tree.revision();
         Ok(self)
     }
 
@@ -577,22 +581,39 @@ impl<S: LabelingScheme> EncodedDocument<S> {
         }
     }
 
-    /// Overwrite the value of text row `i` in place. A text write
-    /// changes no label, no topology and no name bucket, so a snapshot
-    /// can absorb it without any rebuild — the partial-invalidation
-    /// fast path of the incremental query layer. Errors when `i` is not
-    /// a text row.
-    pub fn patch_text(&mut self, i: usize, text: &str) -> Result<(), TreeError> {
-        match &mut self.rows[i].kind {
-            NodeKind::Text { value } => {
-                value.clear();
-                value.push_str(text);
-                Ok(())
+    /// Bring the table up to date with `tree` after edits that changed
+    /// only the text of the nodes in `written`: each one's row takes
+    /// its value from the tree (a node the tree no longer holds is
+    /// skipped), and the table records `tree`'s revision. A text write
+    /// changes no label, no topology and no name bucket, so no rebuild
+    /// is needed. With `written` empty it only records the revision,
+    /// for edits that cancelled out. Errors when a live node in
+    /// `written` has no row or is not a text node.
+    pub fn patch_text(&mut self, tree: &XmlTree, written: &[NodeId]) -> Result<(), TreeError> {
+        for &id in written.iter().filter(|&&id| tree.is_alive(id)) {
+            let row = self
+                .row_of_source(id)
+                .ok_or(TreeError::DanglingNodeId(id))?;
+            match (&mut self.rows[row].kind, tree.kind(id)) {
+                (NodeKind::Text { value }, NodeKind::Text { value: text }) => {
+                    value.clone_from(text);
+                }
+                (other, _) => {
+                    return Err(TreeError::Invariant(format!(
+                        "patch_text target row {row} is {other:?}, not a text node"
+                    )))
+                }
             }
-            other => Err(TreeError::Invariant(format!(
-                "patch_text target row {i} is {other:?}, not a text node"
-            ))),
         }
+        self.revision = tree.revision();
+        Ok(())
+    }
+
+    /// The [`XmlTree::revision`] of the tree state this table encodes:
+    /// set by [`encode`](Self::encode), [`splice`](Self::splice) and
+    /// [`patch_text`](Self::patch_text).
+    pub fn revision(&self) -> u32 {
+        self.revision
     }
 
     /// Total label storage in bits — the per-scheme cost Figure 7's
@@ -720,11 +741,19 @@ mod tests {
         let title_text = (0..enc.len())
             .find(|&i| enc.row(i).kind.value() == Some("Wayfarer") && enc.row(i).kind.is_text())
             .unwrap();
-        enc.patch_text(title_text, "Sojourner").unwrap();
+        let mut edited = tree.clone();
+        let text_id = enc.source_id(title_text);
+        *edited.kind_mut(text_id) = NodeKind::Text {
+            value: "Sojourner".to_string(),
+        };
+        assert_ne!(enc.revision(), edited.revision());
+        enc.patch_text(&edited, &[text_id]).unwrap();
+        assert_eq!(enc.revision(), edited.revision());
         assert_eq!(enc.row(title_text).kind.value(), Some("Sojourner"));
         let title = enc.parent(title_text).unwrap();
         assert_eq!(enc.string_value(title), "Sojourner");
-        assert!(enc.patch_text(title, "nope").is_err(), "element row");
+        let title_id = enc.source_id(title);
+        assert!(enc.patch_text(&edited, &[title_id]).is_err(), "element row");
     }
 
     #[test]

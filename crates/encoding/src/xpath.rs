@@ -330,7 +330,19 @@ impl XPathExpr {
     ///
     /// [`NameIndex`]: crate::index::NameIndex
     pub fn evaluate<S: LabelingScheme>(&self, doc: &EncodedDocument<S>) -> Vec<usize> {
-        eval_plan(&fuse_steps(&self.steps), doc, None)
+        self.evaluate_from(doc, doc.root())
+    }
+
+    /// Evaluate the steps with row `start` as the initial context
+    /// instead of the document root — how a path relative to a context
+    /// node resolves. Same contract as [`evaluate`](Self::evaluate):
+    /// rows in document order, duplicates eliminated.
+    pub fn evaluate_from<S: LabelingScheme>(
+        &self,
+        doc: &EncodedDocument<S>,
+        start: usize,
+    ) -> Vec<usize> {
+        eval_plan(&fuse_steps(&self.steps), doc, start, None)
     }
 
     /// Compile the reusable evaluation form: the fused step plan plus
@@ -463,7 +475,7 @@ impl AccessPattern {
     /// Evaluate the compiled plan — identical results to
     /// [`XPathExpr::evaluate`], without re-fusing the steps.
     pub fn evaluate<S: LabelingScheme>(&self, doc: &EncodedDocument<S>) -> Vec<usize> {
-        eval_plan(&self.plan, doc, None)
+        eval_plan(&self.plan, doc, doc.root(), None)
     }
 
     /// Evaluate the plan scoped to the sorted, disjoint half-open row
@@ -484,24 +496,25 @@ impl AccessPattern {
         if extents.is_empty() {
             return Vec::new();
         }
-        eval_plan(&self.plan, doc, Some(extents))
+        eval_plan(&self.plan, doc, doc.root(), Some(extents))
     }
 }
 
-/// The streaming evaluator core shared by [`XPathExpr::evaluate`],
-/// [`AccessPattern::evaluate`] and [`AccessPattern::evaluate_within`].
-/// With `within` set, contexts whose subtree misses every interval are
-/// pruned after each step and the final result keeps only rows inside
-/// the intervals.
+/// The streaming evaluator core shared by [`XPathExpr::evaluate_from`],
+/// [`AccessPattern::evaluate`] and [`AccessPattern::evaluate_within`],
+/// starting from the single context row `start`. With `within` set,
+/// contexts whose subtree misses every interval are pruned after each
+/// step and the final result keeps only rows inside the intervals.
 fn eval_plan<S: LabelingScheme>(
     plan: &[Step],
     doc: &EncodedDocument<S>,
+    start: usize,
     within: Option<&[(usize, usize)]>,
 ) -> Vec<usize> {
     {
         let topo = doc.topology();
         let index = doc.name_index();
-        let mut context: Vec<usize> = vec![doc.root()];
+        let mut context: Vec<usize> = vec![start];
         let mut scratch: Vec<usize> = Vec::new();
         for (si, step) in plan.iter().enumerate() {
             let mut next: Vec<usize> = Vec::new();
@@ -921,6 +934,65 @@ mod tests {
         assert!(pat
             .evaluate_within(&doc, &[(title, topo.extent(title))])
             .is_empty());
+    }
+
+    /// Two `s` sections told apart by position and by `@id`, and an
+    /// `x` under both the first `s` and `t`.
+    fn sections() -> EncodedDocument<DeweyId> {
+        let tree =
+            xupd_xmldom::parse(r#"<r><s id="1"><x>one</x></s><s id="2"/><t><x>two</x></t></r>"#)
+                .unwrap();
+        EncodedDocument::encode(DeweyId::new(), &tree).unwrap()
+    }
+
+    fn from(doc: &EncodedDocument<DeweyId>, path: &str, start: usize) -> Vec<usize> {
+        parse_xpath(path).unwrap().evaluate_from(doc, start)
+    }
+
+    #[test]
+    fn evaluate_from_the_root_row() {
+        let doc = sections();
+        let root = doc.root();
+        assert_eq!(names(&doc, &from(&doc, "/r/s", root)), ["s", "s"]);
+        assert_eq!(names(&doc, &from(&doc, "//x", root)), ["x", "x"]);
+        assert_eq!(from(&doc, "/r/s/x", root).len(), 1);
+        assert!(from(&doc, "/r/missing", root).is_empty());
+        // positional and attribute predicates
+        assert_eq!(from(&doc, "/r/s[2]", root).len(), 1);
+        assert!(from(&doc, "/r/s[3]", root).is_empty());
+        assert_eq!(from(&doc, "/r/s[@id=\"2\"]", root), from(&doc, "/r/s[2]", root));
+        // text() and self steps
+        let texts = from(&doc, "/r/s/x/text()", root);
+        assert_eq!(texts.len(), 1);
+        assert!(doc.row(texts[0]).kind.is_text());
+        assert_eq!(from(&doc, "/.", root), [root]);
+        // sibling and upward axes
+        let second = from(&doc, "/r/s[2]", root)[0];
+        let prev = from(&doc, "/r/s[2]/preceding-sibling::*", root);
+        assert_eq!(names(&doc, &prev), ["s"]);
+        let anc = from(&doc, "/r/s[2]/ancestor::*", root);
+        assert_eq!(names(&doc, &anc), ["r"]);
+        assert_eq!(doc.parent(second), Some(anc[0]));
+        for path in ["//x", "/r/s[2]/ancestor::*", "//*"] {
+            let e = parse_xpath(path).unwrap();
+            assert_eq!(e.evaluate_from(&doc, root), e.evaluate(&doc), "{path}");
+        }
+    }
+
+    #[test]
+    fn evaluate_from_a_context_row() {
+        let doc = sections();
+        let t = from(&doc, "/r/t", doc.root())[0];
+        let xs = from(&doc, "/x", t);
+        assert_eq!(names(&doc, &xs), ["x"]);
+        assert_eq!(doc.parent(xs[0]), Some(t));
+        // `.` is the context itself, and `//` stays inside its subtree
+        assert_eq!(from(&doc, "/.", t), [t]);
+        assert_eq!(from(&doc, "//x", t), xs);
+        // upward and lateral steps leave it
+        let first = from(&doc, "/r/s[1]", doc.root())[0];
+        assert_eq!(names(&doc, &from(&doc, "/following-sibling::*", first)), ["s", "t"]);
+        assert_eq!(names(&doc, &from(&doc, "/..", first)), ["r"]);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   (F009), write-after-consumed (F006), double text writes (F007),
 //!   move-into-own-subtree (F008), all reported with source spans;
 //! * [`lower`] — snapshot (XQuery-Update-style) semantics: every path
-//!   resolves against the *original* tree, the whole program becomes
-//!   one atomic log;
+//!   resolves against the *original* tree, on the document's
+//!   [`PreorderIndex`] with the same evaluator every query uses, and
+//!   the whole program becomes one atomic log;
 //! * [`DocumentUpdate`] / [`StoreUpdate`] — `doc.update("...")` /
 //!   `store.update(id, "...")` extension traits that hand the compiled
 //!   log and its plan to `Document::apply_planned` under
@@ -37,12 +38,12 @@ pub mod diag;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
-pub mod paths;
 
 use xupd_framework::analysis::{self, AnalyzedPlan, ApplyOptions};
 use xupd_framework::document::{Document, DocumentError};
 use xupd_framework::driver::DriveStats;
 use xupd_framework::mutations::MutationLog;
+use xupd_framework::PreorderIndex;
 use xupd_labelcore::LabelingScheme;
 use xupd_store::{Store, StoreError};
 use xupd_xmldom::XmlTree;
@@ -101,18 +102,24 @@ impl FluxProgram {
         check::check(&self.stmts)
     }
 
-    /// Compile against `tree`: static check, snapshot lowering
-    /// (F010–F012 strict-match and kind errors), then validation +
-    /// analysis of the produced log (a rejection there is F020: a
-    /// conflict the static pass cannot see, or an edit at the document
-    /// level that would leave no single root element).
-    pub fn compile(&self, tree: &XmlTree) -> Result<CompiledUpdate, Vec<Diagnostic>> {
+    /// Compile against `tree`, whose preorder index is `index`: static
+    /// check, snapshot lowering (F010–F012 strict-match and kind
+    /// errors), then validation + analysis of the produced log (a
+    /// rejection there is F020: a conflict the static pass cannot see,
+    /// or an edit at the document level that would leave no single
+    /// root element). An index made for another tree state is rejected
+    /// before lowering, as F020 too.
+    pub fn compile(
+        &self,
+        tree: &XmlTree,
+        index: &PreorderIndex,
+    ) -> Result<CompiledUpdate, Vec<Diagnostic>> {
         let diags = self.check();
         if !diags.is_empty() {
             return Err(diags);
         }
-        let log = lower::lower(&self.stmts, tree).map_err(|d| vec![d])?;
-        let plan = analysis::analyze(&log, tree).map_err(|e| {
+        let log = lower::lower_in(&self.stmts, tree, index).map_err(|d| vec![d])?;
+        let plan = analysis::analyze_in(&log, tree, index).map_err(|e| {
             vec![Diagnostic::new(
                 "F020",
                 Span::at(&self.src, 0, 0),
@@ -128,8 +135,12 @@ impl FluxProgram {
     /// statically rejected program also fails dynamically (here, in
     /// the validator, or at apply time). Not part of the supported
     /// apply path.
-    pub fn compile_unchecked(&self, tree: &XmlTree) -> Result<MutationLog, Diagnostic> {
-        lower::lower(&self.stmts, tree)
+    pub fn compile_unchecked(
+        &self,
+        tree: &XmlTree,
+        index: &PreorderIndex,
+    ) -> Result<MutationLog, Diagnostic> {
+        lower::lower_in(&self.stmts, tree, index)
     }
 }
 
@@ -196,7 +207,8 @@ impl From<StoreError> for FluxError {
 }
 
 /// `doc.update("insert <x/> into /r;")` — compile a flux program
-/// against the document's current tree and apply it atomically.
+/// against the document's current tree and its preorder index, and
+/// apply it atomically.
 /// Defined as an extension trait because `Document` lives below this
 /// crate in the dependency order.
 pub trait DocumentUpdate {
@@ -208,15 +220,19 @@ pub trait DocumentUpdate {
 impl<S: LabelingScheme + Clone + 'static> DocumentUpdate for Document<S> {
     fn update(&mut self, src: &str) -> Result<DriveStats, FluxError> {
         let program = FluxProgram::parse(src)?;
-        let compiled = program.compile(self.tree())?;
+        let (tree, index) = self
+            .tree_with_index()
+            .map_err(|e| FluxError::Document(DocumentError::Tree(e)))?;
+        let compiled = program.compile(tree, index)?;
         self.apply_planned(&compiled.log, &compiled.plan, ApplyOptions::default())
             .map_err(|e| FluxError::Document(DocumentError::Tree(e)))
     }
 }
 
 /// `store.update(doc, "…")` — compile against the target document's
-/// tree **under its write lock** (via [`Store::update_with`]) so the
-/// snapshot the program sees is exactly the tree it mutates.
+/// tree and preorder index **under its write lock** (via
+/// [`Store::update_with`]) so the snapshot the program sees is exactly
+/// the tree it mutates.
 pub trait StoreUpdate {
     /// Compile + apply under [`ApplyOptions::default`].
     fn update(&self, doc: u32, src: &str) -> Result<DriveStats, FluxError>;
@@ -225,8 +241,8 @@ pub trait StoreUpdate {
 impl<S: LabelingScheme + Clone + 'static> StoreUpdate for Store<S> {
     fn update(&self, doc: u32, src: &str) -> Result<DriveStats, FluxError> {
         let program = FluxProgram::parse(src)?;
-        self.update_with(doc, |tree| {
-            let c = program.compile(tree)?;
+        self.update_with(doc, |tree, index| {
+            let c = program.compile(tree, index)?;
             Ok((c.log, c.plan))
         })
     }
@@ -310,11 +326,24 @@ mod tests {
 
     #[test]
     fn compiled_update_matches_hand_built_source_of_truth() {
-        let d = doc();
+        let mut d = doc();
         let p = FluxProgram::parse("delete /r/b;").unwrap();
-        let c = p.compile(d.tree()).unwrap();
+        let (tree, index) = d.tree_with_index().unwrap();
+        let c = p.compile(tree, index).unwrap();
         assert_eq!(c.log.len(), 1);
         assert_eq!(c.plan.len(), c.log.len());
+    }
+
+    #[test]
+    fn compile_rejects_an_index_of_another_tree_state() {
+        let mut d = doc();
+        let stale = d.tree_with_index().unwrap().1.clone();
+        d.update("set /r/a/text() to \"ONE\";").unwrap();
+        let p = FluxProgram::parse("delete /r/b;").unwrap();
+        let ds = p.compile(d.tree(), &stale).unwrap_err();
+        assert_eq!(ds[0].code, "F020", "{ds:?}");
+        let (tree, index) = d.tree_with_index().unwrap();
+        assert_eq!(p.compile(tree, index).unwrap().log.len(), 1);
     }
 
     #[test]

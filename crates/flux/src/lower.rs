@@ -8,6 +8,13 @@
 //! pure function of `(program, tree)` and makes the static checker's
 //! literal-prefix reasoning sound.
 //!
+//! Paths resolve on the document's [`PreorderIndex`] with the same
+//! streaming evaluator every query uses
+//! ([`XPathExpr::evaluate_from`](xupd_encoding::XPathExpr::evaluate_from)):
+//! absolute paths start at the document row, relative ones at the
+//! `for` context row, and each matched row names its tree node through
+//! [`source_id`](xupd_encoding::EncodedDocument::source_id).
+//!
 //! **Strict match**: a direct statement target that resolves to the
 //! empty set is a lowering error (F010) — silently doing nothing hides
 //! typos, the classic argument for typed updates. Only `for` headers
@@ -20,28 +27,63 @@
 //! self-conflicting logs.
 
 use crate::ast::{InsertPos, PathArg, Stmt, TreeArg};
-use crate::diag::Diagnostic;
-use crate::paths::Resolver;
-use xupd_framework::{LogId, Mutation, MutationLog, NodeRef, Place};
+use crate::diag::{Diagnostic, Span};
+use xupd_framework::{LogId, Mutation, MutationLog, NodeRef, Place, PreorderIndex, ShadowScheme};
 use xupd_xmldom::{NodeId, XmlTree};
 
-/// Lower `stmts` against `tree`, or report the first lowering error
-/// (F010 no match, F011 target kind, F012 ambiguous destination).
-pub fn lower(stmts: &[Stmt], tree: &XmlTree) -> Result<MutationLog, Diagnostic> {
-    let resolver = Resolver::new(tree);
+/// Lower `stmts` against `tree`, resolving paths on `index`, the
+/// preorder index of `tree` — or report the first lowering error
+/// (F010 no match, F011 target kind, F012 ambiguous destination). An
+/// index made for another tree state is rejected first, as F020.
+pub fn lower_in(
+    stmts: &[Stmt],
+    tree: &XmlTree,
+    index: &PreorderIndex,
+) -> Result<MutationLog, Diagnostic> {
+    if index.revision() != tree.revision() {
+        return Err(Diagnostic::new(
+            "F020",
+            Span::at("", 0, 0),
+            "preorder index was made for another tree state",
+        ));
+    }
     let mut lo = Lowerer {
         tree,
-        resolver,
+        index,
         next_id: 0,
         log: MutationLog::new(),
     };
-    lo.block(stmts, tree.root())?;
+    lo.block(stmts, index.root())?;
     Ok(lo.log)
+}
+
+/// [`lower_in`] against a preorder index encoded from `tree` for this
+/// call alone.
+pub fn lower(stmts: &[Stmt], tree: &XmlTree) -> Result<MutationLog, Diagnostic> {
+    let index = PreorderIndex::encode(ShadowScheme::default(), tree)
+        .map_err(|e| Diagnostic::new("F020", Span::at("", 0, 0), e.to_string()))?;
+    lower_in(stmts, tree, &index)
+}
+
+/// The subtree roots among `rows` (in document order): every row inside
+/// the subtree of an earlier kept row is dropped — the covering filter
+/// `delete`/`replace`/`move` sources use so nested matches never lower
+/// into self-conflicting mutations.
+fn covering(index: &PreorderIndex, rows: &[usize]) -> Vec<NodeId> {
+    let mut kept = Vec::with_capacity(rows.len());
+    let mut end = 0;
+    for &r in rows {
+        if r >= end {
+            kept.push(index.source_id(r));
+            end = index.topology().extent(r);
+        }
+    }
+    kept
 }
 
 struct Lowerer<'t> {
     tree: &'t XmlTree,
-    resolver: Resolver<'t>,
+    index: &'t PreorderIndex,
     next_id: u32,
     log: MutationLog,
 }
@@ -53,23 +95,29 @@ impl Lowerer<'_> {
         id
     }
 
-    /// Resolve a path from `ctx` (used when relative) or the root.
-    fn resolve(&self, path: &PathArg, ctx: NodeId) -> Vec<NodeId> {
-        let start = if path.relative { ctx } else { self.tree.root() };
-        self.resolver.resolve(&path.expr, start)
+    /// Resolve a path from context row `ctx` (used when relative) or
+    /// the document row, as rows in document order.
+    fn resolve(&self, path: &PathArg, ctx: usize) -> Vec<usize> {
+        let start = if path.relative { ctx } else { self.index.root() };
+        path.expr.evaluate_from(self.index, start)
     }
 
     /// Resolve a direct statement target: strict match (F010 on ∅).
-    fn resolve_strict(&self, path: &PathArg, ctx: NodeId) -> Result<Vec<NodeId>, Diagnostic> {
-        let nodes = self.resolve(path, ctx);
-        if nodes.is_empty() {
+    fn resolve_strict(&self, path: &PathArg, ctx: usize) -> Result<Vec<usize>, Diagnostic> {
+        let rows = self.resolve(path, ctx);
+        if rows.is_empty() {
             return Err(Diagnostic::new(
                 "F010",
                 path.span,
                 format!("path {:?} matched no node", path.raw),
             ));
         }
-        Ok(nodes)
+        Ok(rows)
+    }
+
+    /// The tree nodes of `rows`.
+    fn nodes(&self, rows: &[usize]) -> Vec<NodeId> {
+        rows.iter().map(|&r| self.index.source_id(r)).collect()
     }
 
     /// Reject targets no statement may touch: the document root and
@@ -98,20 +146,20 @@ impl Lowerer<'_> {
         Ok(())
     }
 
-    fn block(&mut self, stmts: &[Stmt], ctx: NodeId) -> Result<(), Diagnostic> {
+    fn block(&mut self, stmts: &[Stmt], ctx: usize) -> Result<(), Diagnostic> {
         for stmt in stmts {
             self.stmt(stmt, ctx)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, stmt: &Stmt, ctx: NodeId) -> Result<(), Diagnostic> {
+    fn stmt(&mut self, stmt: &Stmt, ctx: usize) -> Result<(), Diagnostic> {
         match stmt {
             Stmt::Insert {
                 tree, pos, path, ..
             } => {
                 let targets = self.resolve_strict(path, ctx)?;
-                for t in targets {
+                for t in self.nodes(&targets) {
                     let place = self.anchor_place(*pos, t, path, "insert")?;
                     self.emit_fragment(tree, place)?;
                 }
@@ -119,7 +167,7 @@ impl Lowerer<'_> {
             }
             Stmt::Delete { path, .. } => {
                 let targets = self.resolve_strict(path, ctx)?;
-                for t in self.resolver.covering(&targets) {
+                for t in covering(self.index, &targets) {
                     self.guard_target(t, path, "delete")?;
                     self.log.push(Mutation::Delete {
                         target: NodeRef::Node(t),
@@ -130,7 +178,7 @@ impl Lowerer<'_> {
             Stmt::Replace { path, tree, .. } => {
                 let targets = self.resolve_strict(path, ctx)?;
                 let froot = self.fragment_root(tree)?;
-                for t in self.resolver.covering(&targets) {
+                for t in covering(self.index, &targets) {
                     self.guard_target(t, path, "replace")?;
                     let id = self.fresh();
                     let name = tree.tree.kind(froot).name().unwrap_or("").to_string();
@@ -147,7 +195,7 @@ impl Lowerer<'_> {
                 path, name, ..
             } => {
                 let targets = self.resolve_strict(path, ctx)?;
-                for t in targets {
+                for t in self.nodes(&targets) {
                     self.guard_target(t, path, "rename")?;
                     if !self.tree.kind(t).is_element() {
                         return Err(Diagnostic::new(
@@ -192,8 +240,9 @@ impl Lowerer<'_> {
                         ),
                     ));
                 }
-                let place = self.anchor_place(*pos, dests[0], dest, "move")?;
-                let mut kept = self.resolver.covering(&sources);
+                let place =
+                    self.anchor_place(*pos, self.index.source_id(dests[0]), dest, "move")?;
+                let mut kept = covering(self.index, &sources);
                 // Repeated first-into / after inserts at one anchor
                 // stack in reverse, so emit sources back-to-front to
                 // preserve their document order.
@@ -211,7 +260,7 @@ impl Lowerer<'_> {
             }
             Stmt::Set { path, text, .. } => {
                 let targets = self.resolve_strict(path, ctx)?;
-                for t in targets {
+                for t in self.nodes(&targets) {
                     if !self.tree.kind(t).is_text() {
                         return Err(Diagnostic::new(
                             "F011",
@@ -387,6 +436,22 @@ mod tests {
     }
 
     #[test]
+    fn covering_keeps_subtree_roots_only() {
+        let t = sample();
+        let index = PreorderIndex::encode(ShadowScheme::default(), &t).unwrap();
+        let rows = |path: &str| xupd_encoding::parse_xpath(path).unwrap().evaluate(&index);
+        // every element nests inside the document element
+        assert_eq!(covering(&index, &rows("//*")), [t.document_element().unwrap()]);
+        // the two x elements sit in disjoint subtrees
+        let xs = rows("//x");
+        assert_eq!(covering(&index, &xs), [index.source_id(xs[0]), index.source_id(xs[1])]);
+        // an s and its own x: the x goes
+        let nested = rows("/r/s[1]/descendant-or-self::*");
+        assert_eq!(nested.len(), 2);
+        assert_eq!(covering(&index, &nested), [index.source_id(nested[0])]);
+    }
+
+    #[test]
     fn delete_applies_covering_filter() {
         let t = sample();
         let log = ok(&t, "delete //x");
@@ -476,6 +541,25 @@ mod tests {
         let t = sample();
         let log = ok(&t, "for /r/s do insert <m/> into . end");
         assert_eq!(log.len(), 2);
+    }
+
+    #[test]
+    fn relative_paths_resolve_from_the_context() {
+        let t = sample();
+        // `./x` under each s: only s[1] has one
+        let log = ok(&t, "for /r/s do for ./x do delete . end end");
+        assert_eq!(log.len(), 1);
+        // `.` is the context; `./..` its parent; `.//x` its subtree
+        assert_eq!(ok(&t, "for /r/t do rename . to u end").len(), 3);
+        assert_eq!(ok(&t, "for //x do insert <m/> into ./.. end").len(), 2);
+        assert_eq!(ok(&t, "for /r/t do delete .//x end").len(), 1);
+        // an index of another tree state is refused before lowering
+        let stale = PreorderIndex::encode(ShadowScheme::default(), &t).unwrap();
+        let mut edited = t.clone();
+        let r = edited.document_element().unwrap();
+        *edited.kind_mut(r) = xupd_xmldom::NodeKind::element("q");
+        let stmts = parse("delete /q/t").unwrap();
+        assert_eq!(lower_in(&stmts, &edited, &stale).unwrap_err().code, "F020");
     }
 
     #[test]

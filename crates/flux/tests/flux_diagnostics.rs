@@ -13,6 +13,7 @@
 //! this pins.
 
 use xupd_flux::FluxProgram;
+use xupd_framework::{PreorderIndex, ShadowScheme};
 use xupd_testkit::prop::{any_u64, from_slice, mutate_bytes, vecs, Config};
 use xupd_testkit::{prop_assert, props};
 use xupd_xmldom::XmlTree;
@@ -22,6 +23,11 @@ use xupd_xmldom::XmlTree;
 fn fixture() -> XmlTree {
     xupd_xmldom::parse(r#"<r><s id="0"><a>t</a><b/></s><s id="1"><a>u</a></s><t/></r>"#)
         .expect("static fixture")
+}
+
+/// The fixture's preorder index, as a `Document` holds it.
+fn index_of(tree: &XmlTree) -> PreorderIndex {
+    PreorderIndex::encode(ShadowScheme::default(), tree).expect("index encodes")
 }
 
 /// Every diagnostic the front end (parse + static check) reports for
@@ -40,7 +46,8 @@ fn compile_renders(src: &str) -> Vec<String> {
         Ok(p) => p,
         Err(ds) => return ds.iter().map(|d| d.render()).collect(),
     };
-    match program.compile(&fixture()) {
+    let tree = fixture();
+    match program.compile(&tree, &index_of(&tree)) {
         Ok(_) => Vec::new(),
         Err(ds) => ds.iter().map(|d| d.render()).collect(),
     }
@@ -168,7 +175,8 @@ props! {
         match FluxProgram::parse(&src) {
             Ok(p) => {
                 let _ = p.check();
-                let _ = p.compile(&fixture());
+                let tree = fixture();
+                let _ = p.compile(&tree, &index_of(&tree));
             }
             Err(ds) => prop_assert!(!ds.is_empty(), "error with no diagnostics"),
         }

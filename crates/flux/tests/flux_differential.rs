@@ -1,6 +1,6 @@
 //! Differential soundness suite for the flux compiler.
 //!
-//! Four oracles, each pinning one leg of the compilation contract:
+//! Three oracles, each pinning one leg of the compilation contract:
 //!
 //! * **Hand-built log equality** — a fixture program and the expert
 //!   client's hand-assembled [`MutationLog`] must be equal: the
@@ -19,22 +19,24 @@
 //!   shadow-simulation validator, or at atomic apply — and the
 //!   document must be left untouched. A checker whose rejections the
 //!   runtime would have permitted is lying about its necessity.
-//! * **Walker ≡ evaluator** — the lowering-time path walker
-//!   ([`Resolver`]) must agree node-for-node with the encoded-table
-//!   XPath evaluator on random documents, with node identities mapped
-//!   through `EncodedDocument::row_of_source`.
+//!
+//! Lowering resolves paths with the same evaluator every query uses,
+//! on the document's preorder index, so there is no second path
+//! evaluator to hold equal to it.
 
-use xupd_encoding::{parse_xpath, EncodedDocument};
-use xupd_flux::paths::Resolver;
-use xupd_flux::FluxProgram;
+use xupd_flux::{DocumentUpdate, FluxProgram};
 use xupd_framework::analysis::{apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::mutations::{
     self, apply_log_dyn, LogId, Mutation, MutationLog, NodeRef, Place,
 };
+use xupd_framework::{Document, PreorderIndex, ShadowScheme};
 use xupd_schemes::prefix::qed::Qed;
 use xupd_schemes::registry;
-use xupd_workloads::docs;
 use xupd_xmldom::{serialize_compact, NodeKind, XmlTree};
+
+// Per-thread allocation counts, so a test can tell whether reading a
+// document's index encoded it.
+xupd_testkit::install_counting_allocator!();
 
 // ---------------------------------------------------------------------
 // Deterministic program generator (splitmix64 — no external RNG).
@@ -54,6 +56,11 @@ impl Rng {
     fn below(&mut self, n: usize) -> usize {
         (self.next() % n.max(1) as u64) as usize
     }
+}
+
+/// The preorder index of `tree`, as a `Document` holds it.
+fn index_of(tree: &XmlTree) -> PreorderIndex {
+    PreorderIndex::encode(ShadowScheme::default(), tree).expect("index encodes")
 }
 
 /// `<r>` + 2–4 sections + a single `<t/>` landing pad. Every section
@@ -112,7 +119,7 @@ fn compiled_log_matches_hand_built_log() {
         "for /r/s do insert <item>v</item> into .; set ./x/text() to \"w\"; delete ./y; end",
     )
     .expect("well-formed source");
-    let compiled = program.compile(&tree).expect("clean program");
+    let compiled = program.compile(&tree, &index_of(&tree)).expect("clean program");
 
     // The expert client's log, mirroring the compiler's LogId
     // allocation order (two fresh ids per section).
@@ -171,7 +178,7 @@ fn plan_apply_matches_sequential_apply_across_roster() {
             Ok(p) => p,
             Err(ds) => panic!("generated source failed to parse: {ds:?}\n{src}"),
         };
-        match program.compile(&tree) {
+        match program.compile(&tree, &index_of(&tree)) {
             Ok(c) => compiled_programs.push((tree, c.log, c.plan)),
             // Strict-match misses and accidental static conflicts are
             // legitimate rejections — skip, but bound their rate below.
@@ -306,7 +313,7 @@ fn no_false_accepts() {
 
             // Force the program past the checker; *something* dynamic
             // must stop it, and the document must survive untouched.
-            let dynamic_reject = match program.compile_unchecked(&tree) {
+            let dynamic_reject = match program.compile_unchecked(&tree, &index_of(&tree)) {
                 Err(_) => true, // lowering guard (F010/F011/F012)
                 Ok(log) => {
                     if mutations::validate(&log, &tree).is_err() {
@@ -340,42 +347,51 @@ fn no_false_accepts() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Walker ≡ evaluator.
+// 4. The index a document keeps.
 // ---------------------------------------------------------------------
 
+/// Row-for-row equality of two preorder indexes: kinds, parents,
+/// labels, source ids, topology, name buckets and revision.
+fn assert_same_index(kept: &PreorderIndex, fresh: &PreorderIndex, ctx: &str) {
+    assert_eq!(kept.len(), fresh.len(), "{ctx}: row count");
+    for i in 0..fresh.len() {
+        let (a, b) = (kept.row(i), fresh.row(i));
+        assert!(
+            a.kind == b.kind && a.parent == b.parent && a.label == b.label,
+            "{ctx}: row {i}: {a:?} vs fresh {b:?}"
+        );
+        assert_eq!(kept.source_id(i), fresh.source_id(i), "{ctx}: row {i} source");
+    }
+    assert!(kept.topology() == fresh.topology(), "{ctx}: topology");
+    assert!(kept.name_index() == fresh.name_index(), "{ctx}: name buckets");
+    assert_eq!(kept.revision(), fresh.revision(), "{ctx}: revision");
+}
+
+/// A document with no registered query keeps its preorder index across
+/// flux batches: reading the index after a batch encodes nothing, and
+/// the index equals a fresh encode of the tree.
 #[test]
-fn resolver_matches_encoded_evaluator() {
-    const PATHS: &[&str] = &[
-        "/.",
-        "/s",
-        "//a",
-        "//s/a",
-        "//a/text()",
-        "//*",
-        "//b[1]",
-        "//c//d",
-        "//s[2]/a",
-        "//d/text()",
-    ];
-    for seed in 0..8u64 {
-        let tree = docs::random_tagged_tree(seed, 60, &["s", "a", "b", "c", "d"]);
-        let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-        let resolver = Resolver::new(&tree);
-        for path in PATHS {
-            let expr = parse_xpath(path).expect("roster path parses");
-            let walked: Vec<usize> = resolver
-                .resolve(&expr, tree.root())
-                .into_iter()
-                .map(|id| {
-                    doc.row_of_source(id)
-                        .unwrap_or_else(|| panic!("{path}: walker hit unencoded node"))
-                })
-                .collect();
-            let evaluated = expr.evaluate(&doc);
+fn unqueried_document_keeps_its_index_across_flux_batches() {
+    let mut checked = 0usize;
+    for seed in 0..24u64 {
+        let mut rng = Rng(0x1de_u64 ^ (seed << 8));
+        let (tree, sections) = base_doc(&mut rng);
+        let mut doc = Document::encode(Qed::new(), &tree).expect("labels");
+        for _ in 0..6 {
+            let src = gen_program(&mut rng, sections);
+            if doc.update(&src).is_err() {
+                continue;
+            }
+            let allocs = xupd_testkit::alloc::counts().0;
+            let (tree, index) = doc.tree_with_index().expect("index");
             assert_eq!(
-                walked, evaluated,
-                "seed {seed}, path {path}: walker and evaluator diverged"
+                xupd_testkit::alloc::counts().0,
+                allocs,
+                "the index was encoded again after {src:?}"
             );
+            assert_same_index(index, &index_of(tree), &src);
+            checked += 1;
         }
     }
+    assert!(checked >= 40, "only {checked} batches applied");
 }

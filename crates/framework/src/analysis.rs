@@ -12,7 +12,8 @@
 //!    and uses, the sibling *gaps* it writes (keyed by `(parent,
 //!    left-slot)` against the pre-batch document), the text points it
 //!    overwrites, the subtree *extents* it deletes or moves (resolved as
-//!    contiguous preorder ranges through a [`Topology`] sidecar), and a
+//!    contiguous preorder ranges through the document's
+//!    [`PreorderIndex`], the query cache's table), and a
 //!    conservative relabel *region* (the anchor's parent extent — wide
 //!    enough to absorb sibling-renumber ripples of prefix schemes).
 //! 2. **Conflict graph** — ops `i < j` are connected by dependency
@@ -46,12 +47,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use xupd_encoding::Topology;
 use xupd_labelcore::DynScheme;
 use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
 
 use crate::driver::DriveStats;
 use crate::mutations::{apply_atomic, validate, LogId, Mutation, MutationLog, NodeRef, Place};
+use crate::querycache::{PreorderIndex, ShadowScheme};
 
 // ---------------------------------------------------------------------
 // Footprint lattice primitives.
@@ -72,7 +73,7 @@ pub const MUTATOR_FOOTPRINTS: &[(&str, &str)] = &[
 ];
 
 /// A contiguous preorder range `[start, end)` of pre-batch rows — the
-/// resolved form of a subtree in the [`Topology`] sidecar.
+/// resolved form of a subtree in the [`PreorderIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Extent {
     /// First preorder row of the subtree (the subtree root).
@@ -131,7 +132,7 @@ pub enum PointRef {
 
 /// The read/write footprint of one mutation, fully resolved against the
 /// pre-batch document.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpFootprint {
     /// Log ids this op binds.
     pub creates: Vec<LogId>,
@@ -218,7 +219,7 @@ pub struct Edge {
 
 /// The analyzer's output over one validated log: per-op footprints, the
 /// dependency/conflict graph, and the derived certificates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzedPlan {
     /// Number of ops the plan covers (must match the log at apply
     /// time).
@@ -298,53 +299,22 @@ impl AnalyzedPlan {
 }
 
 // ---------------------------------------------------------------------
-// Document index: preorder rows + Topology sidecar.
+// Rows and extents read off the document's preorder index.
 // ---------------------------------------------------------------------
 
-/// Preorder view of the pre-batch document: the [`Topology`] sidecar
-/// plus an arena-id → preorder-row map.
-struct DocIndex {
-    top: Topology,
-    /// Arena index → preorder row; `u32::MAX` marks dead slots.
-    row_of: Vec<u32>,
+/// The preorder row of pre-batch node `n` in `index`.
+fn row(index: &PreorderIndex, n: NodeId) -> Result<u32, TreeError> {
+    index
+        .row_of_source(n)
+        .map(|r| r as u32)
+        .ok_or(TreeError::DanglingNodeId(n))
 }
 
-impl DocIndex {
-    fn build(tree: &XmlTree) -> Result<DocIndex, TreeError> {
-        let order = tree.ids_in_doc_order();
-        let mut row_of = vec![u32::MAX; tree.id_bound()];
-        for (row, n) in order.iter().enumerate() {
-            row_of[n.index()] = row as u32;
-        }
-        let mut parents: Vec<Option<usize>> = Vec::with_capacity(order.len());
-        for &n in &order {
-            parents.push(match tree.parent(n) {
-                Some(p) => {
-                    let pr = row_of[p.index()];
-                    if pr == u32::MAX {
-                        return Err(TreeError::DanglingNodeId(p));
-                    }
-                    Some(pr as usize)
-                }
-                None => None,
-            });
-        }
-        let top = Topology::from_parents(&parents)?;
-        Ok(DocIndex { top, row_of })
-    }
-
-    fn row(&self, n: NodeId) -> Result<u32, TreeError> {
-        match self.row_of.get(n.index()) {
-            Some(&r) if r != u32::MAX => Ok(r),
-            _ => Err(TreeError::DanglingNodeId(n)),
-        }
-    }
-
-    fn extent(&self, row: u32) -> Extent {
-        Extent {
-            start: row,
-            end: self.top.extent(row as usize) as u32,
-        }
+/// The subtree extent of pre-batch row `row` in `index`.
+fn extent(index: &PreorderIndex, row: u32) -> Extent {
+    Extent {
+        start: row,
+        end: index.topology().extent(row as usize) as u32,
     }
 }
 
@@ -359,7 +329,7 @@ enum ParentKey {
 /// Scratch state threaded through footprint extraction.
 struct FootprintBuilder<'t> {
     tree: &'t XmlTree,
-    idx: DocIndex,
+    idx: &'t PreorderIndex,
     /// Final shadow parent of every created id (creates, then moves).
     parent_of_new: BTreeMap<u32, ParentKey>,
     /// Regions inherited by ids created under batch-made hosts.
@@ -369,19 +339,19 @@ struct FootprintBuilder<'t> {
 }
 
 impl<'t> FootprintBuilder<'t> {
-    fn new(tree: &'t XmlTree) -> Result<FootprintBuilder<'t>, TreeError> {
-        Ok(FootprintBuilder {
+    fn new(tree: &'t XmlTree, idx: &'t PreorderIndex) -> FootprintBuilder<'t> {
+        FootprintBuilder {
             tree,
-            idx: DocIndex::build(tree)?,
+            idx,
             parent_of_new: BTreeMap::new(),
             regions_of_new: BTreeMap::new(),
             dead_new: BTreeSet::new(),
-        })
+        }
     }
 
     /// Record a pre-batch node read (anchor or target).
     fn read(&self, fp: &mut OpFootprint, n: NodeId) -> Result<u32, TreeError> {
-        let row = self.idx.row(n)?;
+        let row = row(self.idx, n)?;
         fp.anchor_reads.push(row);
         Ok(row)
     }
@@ -389,7 +359,7 @@ impl<'t> FootprintBuilder<'t> {
     /// The parent-extent region around `row`'s parent (or the node's
     /// own extent when it is the parent).
     fn parent_region_of(&self, parent_row: u32) -> Extent {
-        self.idx.extent(parent_row)
+        extent(self.idx, parent_row)
     }
 
     /// Resolve `place` into gap/region/read facts on `fp`; returns the
@@ -403,7 +373,7 @@ impl<'t> FootprintBuilder<'t> {
                         GapSlot::Start
                     } else {
                         match self.tree.last_child(p) {
-                            Some(lc) => GapSlot::AfterNode(self.idx.row(lc)?),
+                            Some(lc) => GapSlot::AfterNode(row(self.idx, lc)?),
                             None => GapSlot::Start,
                         }
                     };
@@ -424,12 +394,12 @@ impl<'t> FootprintBuilder<'t> {
                         .tree
                         .parent(s)
                         .ok_or(TreeError::NoParent(s))?;
-                    let prow = self.idx.row(parent)?;
+                    let prow = row(self.idx, parent)?;
                     let left = if matches!(place, Place::After(_)) {
                         GapSlot::AfterNode(srow)
                     } else {
                         match self.tree.prev_sibling(s) {
-                            Some(ps) => GapSlot::AfterNode(self.idx.row(ps)?),
+                            Some(ps) => GapSlot::AfterNode(row(self.idx, ps)?),
                             None => GapSlot::Start,
                         }
                     };
@@ -484,9 +454,9 @@ impl<'t> FootprintBuilder<'t> {
                 let pk = match target {
                     NodeRef::Node(t) => {
                         let trow = self.read(&mut fp, *t)?;
-                        fp.deleted_extents.push(self.idx.extent(trow));
+                        fp.deleted_extents.push(extent(self.idx, trow));
                         let parent = self.tree.parent(*t).ok_or(TreeError::RootImmutable)?;
-                        let prow = self.idx.row(parent)?;
+                        let prow = row(self.idx, parent)?;
                         fp.gap_writes.push(GapKey {
                             parent: prow,
                             left: GapSlot::Own(trow),
@@ -516,9 +486,9 @@ impl<'t> FootprintBuilder<'t> {
             Mutation::Delete { target } => match target {
                 NodeRef::Node(t) => {
                     let trow = self.read(&mut fp, *t)?;
-                    fp.deleted_extents.push(self.idx.extent(trow));
+                    fp.deleted_extents.push(extent(self.idx, trow));
                     if let Some(parent) = self.tree.parent(*t) {
-                        let prow = self.idx.row(parent)?;
+                        let prow = row(self.idx, parent)?;
                         fp.regions.push(self.parent_region_of(prow));
                     }
                 }
@@ -533,7 +503,7 @@ impl<'t> FootprintBuilder<'t> {
                     NodeRef::Node(p) => {
                         let prow = self.read(&mut fp, *p)?;
                         let left = match self.tree.last_child(*p) {
-                            Some(lc) => GapSlot::AfterNode(self.idx.row(lc)?),
+                            Some(lc) => GapSlot::AfterNode(row(self.idx, lc)?),
                             None => GapSlot::Start,
                         };
                         fp.gap_writes.push(GapKey { parent: prow, left });
@@ -557,9 +527,9 @@ impl<'t> FootprintBuilder<'t> {
                 match target {
                     NodeRef::Node(t) => {
                         let trow = self.read(&mut fp, *t)?;
-                        fp.moved_extents.push(self.idx.extent(trow));
+                        fp.moved_extents.push(extent(self.idx, trow));
                         if let Some(parent) = self.tree.parent(*t) {
-                            let prow = self.idx.row(parent)?;
+                            let prow = row(self.idx, parent)?;
                             fp.regions.push(self.parent_region_of(prow));
                         }
                     }
@@ -824,15 +794,26 @@ impl Dsu {
     }
 }
 
-/// Run the full static analysis over a log: validate it, compute
+/// Run the full static analysis over a log against `index`, the
+/// document's preorder index of `tree`: validate the log, compute
 /// footprints, build the dependency/conflict graph, and derive every
-/// certificate. Pure — the tree is only read.
-pub fn analyze(log: &MutationLog, tree: &XmlTree) -> Result<AnalyzedPlan, TreeError> {
+/// certificate. Pure — tree and index are only read. An index made for
+/// another tree state is rejected with [`TreeError::Invariant`].
+pub fn analyze_in(
+    log: &MutationLog,
+    tree: &XmlTree,
+    index: &PreorderIndex,
+) -> Result<AnalyzedPlan, TreeError> {
+    if index.revision() != tree.revision() {
+        return Err(TreeError::Invariant(
+            "preorder index was made for another tree state".to_string(),
+        ));
+    }
     validate(log, tree)?;
     let n = log.len();
     let ops: Vec<&Mutation> = log.iter().collect();
 
-    let mut builder = FootprintBuilder::new(tree)?;
+    let mut builder = FootprintBuilder::new(tree, index);
     let mut footprints = Vec::with_capacity(n);
     for m in &ops {
         footprints.push(builder.footprint(m)?);
@@ -939,6 +920,12 @@ pub fn analyze(log: &MutationLog, tree: &XmlTree) -> Result<AnalyzedPlan, TreeEr
         redundant,
         nil_components,
     })
+}
+
+/// [`analyze_in`] against a preorder index encoded from `tree` for this
+/// call alone.
+pub fn analyze(log: &MutationLog, tree: &XmlTree) -> Result<AnalyzedPlan, TreeError> {
+    analyze_in(log, tree, &PreorderIndex::encode(ShadowScheme::default(), tree)?)
 }
 
 // ---------------------------------------------------------------------
@@ -1352,6 +1339,22 @@ mod tests {
         assert_eq!(plan.canonical, vec![1, 0]);
         // Every edge is respected by construction (none here).
         assert!(plan.edges.is_empty());
+    }
+
+    #[test]
+    fn index_of_another_tree_state_is_rejected() {
+        let mut t = doc();
+        let index = PreorderIndex::encode(ShadowScheme::default(), &t).unwrap();
+        let log = MutationLog::from(vec![Mutation::Delete {
+            target: NodeRef::Node(elem(&t, "c")),
+        }]);
+        assert_eq!(analyze_in(&log, &t, &index).unwrap(), analyze(&log, &t).unwrap());
+        // a text write moves the revision as much as a structural edit
+        *t.kind_mut(text_node(&t, "1")) = NodeKind::Text {
+            value: "10".to_string(),
+        };
+        let err = analyze_in(&log, &t, &index).unwrap_err();
+        assert!(matches!(err, TreeError::Invariant(_)), "{err}");
     }
 
     #[test]

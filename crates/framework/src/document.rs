@@ -24,23 +24,28 @@
 //! The document owns a live [`XmlTree`] plus one [`SchemeSession`] (the
 //! scheme and its labelling), updated incrementally by
 //! [`Document::apply`]; every verify and write path hands that session
-//! to the framework function as it is. Query-side
-//! calls ([`Document::xpath`], [`Document::reconstruct`],
-//! [`Document::encoded`]) run over an encoded snapshot of the current
-//! tree that is built lazily — queries between two updates share one
-//! snapshot. Invalidation is **footprint-driven**, not wholesale: a
-//! batch with zero effective ops (empty, all-redundant, or a cancelled
-//! create/delete component under a cancellation-neutral scheme) leaves
-//! the snapshot standing, a text-only batch patches the snapshot's text
-//! rows in place, and only structural batches discard it. Queries
-//! registered through [`Document::register_query`] are maintained
-//! incrementally by the [`QueryCache`] instead of being re-evaluated
-//! per batch.
+//! to the framework function as it is.
+//!
+//! Queries, the analyzer and flux compiles all read one structure: the
+//! document's [`PreorderIndex`], the [`QueryCache`]'s shadow table. It is
+//! encoded on first need ([`Document::xpath`],
+//! [`Document::register_query`], [`Document::tree_with_index`]) and
+//! then kept current by every analyzed batch — spliced after a
+//! structural batch, patched after a text-only one — whether or not a
+//! query is registered. Registered queries are maintained
+//! incrementally over it instead of being re-evaluated per batch.
+//!
+//! The labelled snapshot under the document's own scheme is built only
+//! for [`Document::encoded`] and [`Document::reconstruct`], lazily:
+//! calls between two updates share one snapshot. A batch with zero
+//! effective ops (empty, all-redundant, or a cancelled create/delete
+//! component under a cancellation-neutral scheme) leaves it standing;
+//! any other batch drops it.
 
 use crate::analysis::{self, AnalyzedPlan, ApplyOptions};
 use crate::driver::{run_script_dyn, DriveStats};
-use crate::mutations::{self, Mutation, MutationLog, NodeRef};
-use crate::querycache::{CacheStats, QueryCache, QueryId};
+use crate::mutations::{self, MutationLog};
+use crate::querycache::{CacheStats, PreorderIndex, QueryCache, QueryId};
 use crate::verify::{verify_dyn, VerifyOutcome};
 use std::fmt;
 use xupd_encoding::{parse_xpath, EncodedDocument, XPathError};
@@ -88,16 +93,18 @@ impl From<XPathError> for DocumentError {
 }
 
 /// A labelled XML document under one scheme: live tree + labelling for
-/// updates and verification, lazily encoded snapshot for queries.
+/// updates and verification, a preorder index for queries and analysis,
+/// and a lazily encoded labelled snapshot.
 pub struct Document<S: LabelingScheme + Clone + 'static> {
     tree: XmlTree,
     session: SchemeSession<S>,
     snapshot: Option<EncodedDocument<S>>,
-    /// How many times the lazy query snapshot has been (re)built — one
-    /// per first query after an update, however many ops the update
-    /// batched. Observable for the once-per-batch invalidation contract.
+    /// How many times the lazy labelled snapshot has been (re)built —
+    /// one per first [`Document::encoded`] call after an update,
+    /// however many ops the update batched.
     snapshot_rebuilds: u64,
-    /// Incrementally maintained result sets for registered queries.
+    /// The preorder index, and the result sets of registered queries
+    /// maintained over it.
     cache: QueryCache,
 }
 
@@ -131,9 +138,9 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         self.session.typed_labeling()
     }
 
-    /// The encoded snapshot of the current tree, building it on first
-    /// use after an update. Row indices returned by [`Document::xpath`]
-    /// address this document.
+    /// The labelled snapshot of the current tree, building it on first
+    /// use after an update. Its rows are numbered like the preorder
+    /// index, so the rows [`Document::xpath`] returns address it.
     pub fn encoded(&mut self) -> Result<&EncodedDocument<S>, TreeError> {
         match self.snapshot {
             Some(ref enc) => Ok(enc),
@@ -145,19 +152,27 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         }
     }
 
-    /// Evaluate an XPath expression against the current tree. Returns
-    /// matching row indices into [`Document::encoded`], in document
-    /// order.
+    /// The live tree with its preorder index, encoding the index first
+    /// if the document holds no current one.
+    pub fn tree_with_index(&mut self) -> Result<(&XmlTree, &PreorderIndex), TreeError> {
+        let index = self.cache.index(&self.tree)?;
+        Ok((&self.tree, index))
+    }
+
+    /// Evaluate an XPath expression against the current tree, on the
+    /// preorder index. Returns matching row indices in document order;
+    /// they address [`Document::encoded`] too.
     pub fn xpath(&mut self, expr: &str) -> Result<Vec<usize>, DocumentError> {
         let expr = parse_xpath(expr)?;
-        Ok(expr.evaluate(self.encoded()?))
+        Ok(expr.evaluate(self.cache.index(&self.tree)?))
     }
 
     /// Replay an update script against the live tree through the
-    /// scheme's insertion/deletion path, invalidating the query
+    /// scheme's insertion/deletion path, dropping the labelled
     /// snapshot. Scripts bypass the mutation-log analyzer, so the
-    /// query cache is marked stale and fully refreshes on the next
-    /// cached read — incremental maintenance needs a footprint.
+    /// query cache is marked stale and the index and every query are
+    /// rebuilt on next need — incremental maintenance needs a
+    /// footprint.
     pub fn apply(&mut self, script: &Script) -> Result<DriveStats, TreeError> {
         self.snapshot = None;
         self.cache.mark_stale();
@@ -166,43 +181,39 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
 
     /// Apply a [`MutationLog`] atomically against the live tree, in log
     /// order: validated up front, all-or-nothing on failure. A rejected
-    /// batch changes nothing — snapshot and cache stay put. When there
-    /// is a snapshot or a live cache to maintain, the batch is analyzed
-    /// (which validates it) and applied through
-    /// [`Document::apply_planned`] under [`ApplyOptions::sequential`];
-    /// otherwise it goes straight to [`mutations::apply_log_dyn`].
-    ///
-    /// Invalidation is footprint-driven:
-    ///
-    /// * **zero effective ops** (empty log, all writes redundant, or a
-    ///   cancelled create/delete component under a scheme that is
-    ///   [`cancellation_neutral`](LabelingScheme::cancellation_neutral))
-    ///   — the snapshot survives untouched;
-    /// * **text-only batch** — the snapshot's text rows are patched in
-    ///   place, no rebuild;
-    /// * **structural batch** — the snapshot is discarded (rebuilt
-    ///   lazily on the next query), exactly once per batch.
-    ///
-    /// Registered queries are then maintained incrementally by the
-    /// [`QueryCache`] from the same analysis.
+    /// batch changes nothing — snapshot, index and cache stay put. When
+    /// the document holds a current preorder index, the batch is
+    /// analyzed against it (which validates it) and applied through
+    /// [`Document::apply_planned`] under [`ApplyOptions::sequential`],
+    /// which keeps the index current. Otherwise it goes straight to
+    /// [`mutations::apply_log_dyn`] with no analysis, and the labelled
+    /// snapshot is dropped.
     pub fn apply_log(&mut self, log: &MutationLog) -> Result<DriveStats, TreeError> {
-        if (self.cache.is_empty() || self.cache.is_stale()) && self.snapshot.is_none() {
-            // Nothing to maintain: skip the analysis pass entirely so a
-            // cacheless document pays exactly the pre-cache cost.
+        if !self.cache.is_current(&self.tree) {
+            // No index to keep: skip the analysis pass entirely so a
+            // document nothing queries pays only the apply.
             let stats = mutations::apply_log_dyn(&mut self.tree, &mut self.session, log)?;
+            self.snapshot = None;
             self.cache.mark_stale();
             return Ok(stats);
         }
-        let plan = analysis::analyze(log, &self.tree)?;
+        let plan = analysis::analyze_in(log, &self.tree, self.cache.index(&self.tree)?)?;
         self.apply_planned(log, &plan, ApplyOptions::sequential())
     }
 
-    /// Apply a [`MutationLog`] through a plan [`analysis::analyze`] made
-    /// for it on the current tree — the write path for compiled flux
-    /// programs, whose compilation already analyzed the log. A plan for
-    /// another log or another tree state is rejected before anything
-    /// changes. Certificates requested in `opts` are granted only where
-    /// the scheme's capabilities allow (see [`ApplyOptions`]).
+    /// Apply a [`MutationLog`] through a plan [`analysis::analyze_in`]
+    /// made for it on the current tree — the write path for compiled
+    /// flux programs, whose compilation already analyzed the log. A
+    /// plan for another log or another tree state is rejected before
+    /// anything changes. Certificates requested in `opts` are granted
+    /// only where the scheme's capabilities allow (see
+    /// [`ApplyOptions`]).
+    ///
+    /// Upkeep is footprint-driven: a batch with zero effective ops
+    /// leaves the labelled snapshot standing, any other batch drops it,
+    /// and the [`QueryCache`] absorbs the batch from the same plan —
+    /// splicing or patching the index and keeping, repairing or
+    /// rebuilding each registered query.
     pub fn apply_planned(
         &mut self,
         log: &MutationLog,
@@ -217,71 +228,16 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         let neutral = self.session.cancellation_neutral();
         let (reorder, _) = opts.granted(self.session.order_independent(), neutral);
         let effective = plan.execution_order(reorder, neutral);
-        self.maintain_after_apply(log, plan, &effective);
-        Ok(stats)
-    }
-
-    /// The shared post-apply maintenance tail: footprint-driven
-    /// snapshot survival / text patching / invalidation, then
-    /// incremental cache absorption. `effective` is the op order that
-    /// actually executed.
-    fn maintain_after_apply(
-        &mut self,
-        log: &MutationLog,
-        plan: &AnalyzedPlan,
-        effective: &[usize],
-    ) {
-        if effective.is_empty() {
-            // No observable change: tree bytes and labels are identical
-            // to the pre-batch state, so snapshot and cache stay exact.
-            return;
-        }
-        let ops: Vec<&Mutation> = log.iter().collect();
-        let text_only = effective.iter().all(|&i| {
-            matches!(
-                ops.get(i),
-                Some(Mutation::SetText {
-                    target: NodeRef::Node(_),
-                    ..
-                })
-            )
-        });
-        if text_only {
-            self.patch_snapshot_text(&ops, effective);
-        } else {
+        if !effective.is_empty() {
             self.snapshot = None;
         }
-        if !self.cache.is_empty() && !self.cache.is_stale() {
-            // Absorb failures (unreachable in practice) degrade to a
-            // stale cache, never to a wrong answer.
-            if self.cache.absorb(log, plan, effective, &self.tree).is_err() {
-                self.cache.mark_stale();
-            }
+        // Absorb failures (unreachable in practice) degrade to a stale
+        // cache, never to a wrong answer.
+        if !self.cache.is_stale() && self.cache.absorb(log, plan, &effective, &self.tree).is_err()
+        {
+            self.cache.mark_stale();
         }
-    }
-
-    /// Rewrite the snapshot's text rows in place for a text-only batch;
-    /// positions, topology and labels are untouched by construction. On
-    /// any inconsistency the snapshot is dropped instead (lazy rebuild).
-    fn patch_snapshot_text(&mut self, ops: &[&Mutation], effective: &[usize]) {
-        let Some(snap) = self.snapshot.as_mut() else {
-            return;
-        };
-        for &i in effective {
-            if let Some(Mutation::SetText {
-                target: NodeRef::Node(id),
-                text,
-            }) = ops.get(i)
-            {
-                let patched = snap
-                    .row_of_source(*id)
-                    .map(|row| snap.patch_text(row, text).is_ok());
-                if patched != Some(true) {
-                    self.snapshot = None;
-                    return;
-                }
-            }
-        }
+        Ok(stats)
     }
 
     /// Register an XPath query for incremental maintenance: the result
@@ -300,14 +256,14 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
 
     /// Read-only cached result rows of a registered query: served
     /// straight from the [`QueryCache`] with **no** side effects — no
-    /// snapshot rebuild, no cache refresh, no hit counting. Returns
+    /// index or snapshot build, no cache refresh, no hit counting. Returns
     /// `None` when the cache is stale (an untracked [`Document::apply`]
     /// script ran) or `q` was never registered; the caller must then
     /// take the mutable [`Document::query_cached`] path.
     ///
     /// This is the store's concurrent read path: any number of readers
     /// can share `&Document` without ever triggering the redundant
-    /// snapshot rebuilds an `&mut` accessor would race to perform.
+    /// rebuilds an `&mut` accessor would race to perform.
     pub fn cached_rows(&self, q: QueryId) -> Option<&[usize]> {
         (!self.cache.is_stale() && q < self.cache.len()).then(|| self.cache.rows(q))
     }
@@ -320,7 +276,8 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     }
 
     /// The maintained result rows of a registered query (preorder
-    /// positions into [`Document::encoded`]), served from the cache —
+    /// positions, which address [`Document::encoded`] too), served
+    /// from the cache —
     /// no re-evaluation unless an untracked update forced a refresh.
     pub fn query_cached(&mut self, q: QueryId) -> Result<&[usize], TreeError> {
         if self.cache.is_stale() {
@@ -335,7 +292,7 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         self.cache.stats()
     }
 
-    /// How many times the lazy query snapshot has been (re)built.
+    /// How many times the lazy labelled snapshot has been (re)built.
     pub fn snapshot_rebuilds(&self) -> u64 {
         self.snapshot_rebuilds
     }
@@ -401,18 +358,20 @@ mod tests {
 
         let tree = docs::random_tree(3, 60);
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
-        doc.xpath("//e1").unwrap();
+        doc.encoded().unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 1, "initial lazy build");
+        doc.xpath("//e1").unwrap();
+        assert_eq!(doc.snapshot_rebuilds(), 1, "xpath reads the index");
 
         // a 100-op batch costs exactly one rebuild, observed only when
-        // the next query forces the lazy snapshot
+        // the next call forces the lazy snapshot
         let script = Script::generate(ScriptKind::Random, 100, tree.len(), 8);
         let log = batch_of(&script, doc.tree()).unwrap();
         assert!(log.len() >= 90, "most ops survive the skip rules");
         doc.apply_log(&log).unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 1, "invalidation alone is free");
         doc.xpath("//e1").unwrap();
-        doc.xpath("//e2").unwrap();
+        doc.encoded().unwrap();
         doc.reconstruct().unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 2, "one rebuild per batch");
 
@@ -421,7 +380,7 @@ mod tests {
             target: NodeRef::Node(NodeId::from_index(doc.tree().id_bound() + 9)),
         }]);
         doc.apply_log(&bad).unwrap_err();
-        doc.xpath("//e1").unwrap();
+        doc.encoded().unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 2, "rejected batch is free too");
     }
 
@@ -433,11 +392,12 @@ mod tests {
         let tree = docs::book();
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         doc.xpath("//title").unwrap();
+        doc.encoded().unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 1, "initial lazy build");
 
         // an empty batch has zero effective ops
         doc.apply_log(&MutationLog::from(Vec::new())).unwrap();
-        doc.xpath("//title").unwrap();
+        doc.encoded().unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 1, "empty batch is a no-op");
 
         // a redundant text write (same value) is certified no-op
@@ -455,7 +415,7 @@ mod tests {
             text: text_val,
         }]))
         .unwrap();
-        doc.xpath("//title").unwrap();
+        doc.encoded().unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 1, "redundant write is a no-op");
 
         // a cancelled create+delete component leaves zero residue under
@@ -474,8 +434,10 @@ mod tests {
             },
         ]))
         .unwrap();
-        doc.xpath("//title").unwrap();
+        doc.encoded().unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 1, "cancelled component is a no-op");
+        // it moved the tree's revision, and the index records that
+        assert!(doc.cache.is_current(&doc.tree), "index kept across the no-op");
 
         // ...but a real structural edit still invalidates exactly once
         doc.apply_log(&MutationLog::from(vec![Mutation::CreateElement {
@@ -484,36 +446,54 @@ mod tests {
             place: Place::LastChildOf(NodeRef::Node(root_id)),
         }]))
         .unwrap();
-        doc.xpath("//appendix").unwrap();
+        doc.encoded().unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 2, "structural batch invalidates");
     }
 
     #[test]
-    fn text_only_batches_patch_snapshot_in_place() {
+    fn text_only_batches_patch_the_index_and_drop_the_snapshot() {
         use crate::mutations::{Mutation, MutationLog, NodeRef};
 
         let tree = docs::book();
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         let title_row = doc.xpath("//title").unwrap()[0];
-        assert_eq!(doc.snapshot_rebuilds(), 1);
         let enc = doc.encoded().unwrap();
         let text_row = enc
             .descendant_range(title_row)
             .find(|&r| matches!(enc.row(r).kind, xupd_xmldom::NodeKind::Text { .. }))
             .unwrap();
         let text_id = enc.source_id(text_row);
+        assert_eq!(doc.snapshot_rebuilds(), 1);
+        let rows = doc.tree_with_index().unwrap().1.rows().as_ptr();
 
         doc.apply_log(&MutationLog::from(vec![Mutation::SetText {
             target: NodeRef::Node(text_id),
             text: "Growing Up With a Dream".to_string(),
         }]))
         .unwrap();
-        // same snapshot object, new content — no rebuild happened
-        assert_eq!(doc.snapshot_rebuilds(), 1, "text batch patches in place");
+        // same index rows, new content — no re-encode happened
+        let index = doc.tree_with_index().unwrap().1;
+        assert_eq!(index.rows().as_ptr(), rows, "text batch patches the index in place");
+        assert_eq!(index.string_value(title_row), "Growing Up With a Dream");
+        assert!(doc.snapshot.is_none(), "text batch drops the snapshot");
         let enc = doc.encoded().unwrap();
         assert_eq!(enc.string_value(title_row), "Growing Up With a Dream");
-        assert_eq!(doc.snapshot_rebuilds(), 1);
+        assert_eq!(doc.snapshot_rebuilds(), 2);
         assert!(doc.verify().unwrap().is_sound());
+    }
+
+    #[test]
+    fn xpath_reads_the_index_and_builds_no_snapshot() {
+        let tree = docs::xmark_like(7, 40);
+        let mut doc = Document::encode(Qed::new(), &tree).unwrap();
+        let paths = ["//item", "/site/regions/*", "//item/@id", "//name/..", "//text()"];
+        let rows: Vec<Vec<usize>> = paths.iter().map(|p| doc.xpath(p).unwrap()).collect();
+        assert_eq!(doc.snapshot_rebuilds(), 0, "xpath builds no labelled snapshot");
+        for (p, rows) in paths.iter().zip(&rows) {
+            let expr = parse_xpath(p).unwrap();
+            assert_eq!(rows, &expr.evaluate(doc.encoded().unwrap()), "{p}");
+        }
+        assert_eq!(doc.snapshot_rebuilds(), 1);
     }
 
     #[test]
@@ -557,7 +537,7 @@ mod tests {
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         let q = doc.register_query("//item", true).unwrap();
         let oracle = doc.xpath("//item").unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 1, "xpath built the one snapshot");
+        assert_eq!(doc.snapshot_rebuilds(), 0, "xpath builds no snapshot");
 
         // a structural batch discards the snapshot and repairs the cache
         let region_id = {
@@ -591,8 +571,8 @@ mod tests {
         );
         assert!(doc.snapshot.is_none(), "still no snapshot built");
 
-        // the cached rows match a fresh evaluation (which does rebuild)
-        let fresh = doc.xpath("//item").unwrap();
+        // the cached rows match a fresh evaluation on the snapshot
+        let fresh = parse_xpath("//item").unwrap().evaluate(doc.encoded().unwrap());
         assert_eq!(doc.cached_rows(q).unwrap(), fresh.as_slice());
         assert_eq!(doc.snapshot_rebuilds(), rebuilds_before + 1);
 

@@ -34,7 +34,9 @@
 //!   queries are classified per batch (unaffected / repairable / dirty)
 //!   by intersecting the analyzer's write footprint with each query's
 //!   static access pattern, so cached result sets are kept, delta-
-//!   repaired or rebuilt — never discarded wholesale.
+//!   repaired or rebuilt — never discarded wholesale. Its shadow table
+//!   is the document's one [`PreorderIndex`], which the analyzer, flux
+//!   lowering and [`Document::xpath`] read too.
 //!
 //! The checker battery fans out per scheme on the `xupd-exec` scoped
 //! pool (schemes are independent); results and renders are identical at
@@ -52,15 +54,17 @@ pub mod report;
 pub mod verify;
 
 pub use analysis::{
-    analyze, apply_plan_with_dyn, AnalyzedPlan, ApplyOptions, ConflictKind, Edge, EdgeKind, Extent,
-    GapKey, GapSlot, OpFootprint, PointRef, MUTATOR_FOOTPRINTS,
+    analyze, analyze_in, apply_plan_with_dyn, AnalyzedPlan, ApplyOptions, ConflictKind, Edge,
+    EdgeKind, Extent, GapKey, GapSlot, OpFootprint, PointRef, MUTATOR_FOOTPRINTS,
 };
 pub use checkers::{measure_session, Evidence, Measured};
 pub use mutations::{
     apply_log, apply_log_dyn, batch_of, validate, LogId, Mutation, MutationLog, NodeRef, Place,
 };
 pub use document::{Document, DocumentError};
-pub use querycache::{BatchImpact, CacheStats, QueryCache, QueryClass, QueryId};
+pub use querycache::{
+    BatchImpact, CacheStats, PreorderIndex, QueryCache, QueryClass, QueryId, ShadowScheme,
+};
 pub use matrix::{
     declared_figure7, measure_all, measure_all_threads, measure_entries_threads, measure_figure7,
     measure_figure7_threads, EvaluationMatrix, MatrixRow,

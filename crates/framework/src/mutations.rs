@@ -458,23 +458,59 @@ fn ref_key(r: NodeRef) -> RefKey {
 }
 
 /// What the validator tracks of a node's kind: whether it holds
-/// children, whether it takes a text write and whether it may sit at
-/// the document level.
+/// children, whether it takes a text write, whether it may sit at the
+/// document level, and an attribute's name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KindClass {
+enum KindClass<'t> {
     Element,
     Text,
-    Attribute,
+    Attribute(&'t str),
     /// Document, comment or PI node.
     Other,
 }
 
-fn kind_class(kind: &NodeKind) -> KindClass {
+fn kind_class(kind: &NodeKind) -> KindClass<'_> {
     match kind {
         NodeKind::Element { .. } => KindClass::Element,
         NodeKind::Text { .. } => KindClass::Text,
-        NodeKind::Attribute { .. } => KindClass::Attribute,
+        NodeKind::Attribute { name, .. } => KindClass::Attribute(name),
         _ => KindClass::Other,
+    }
+}
+
+/// Reject a name the parser would not read back as one name.
+fn check_name(what: &str, name: &str) -> Result<(), TreeError> {
+    if xupd_xmldom::is_name(name) {
+        Ok(())
+    } else {
+        Err(TreeError::Invariant(format!("{what} {name:?} is not an XML name")))
+    }
+}
+
+/// Reject node content the serializer would write as bytes that parse
+/// back differently: a name that is not one, a PI target the parser
+/// takes for the XML declaration, `?>` in PI data, and `--` or a
+/// trailing `-` in a comment (XML 1.0 §2.5 and §2.6).
+fn check_content(kind: &NodeKind) -> Result<(), TreeError> {
+    match kind {
+        NodeKind::Element { name } => check_name("element name", name),
+        NodeKind::Attribute { name, .. } => check_name("attribute name", name),
+        NodeKind::Pi { target, data } => {
+            check_name("PI target", target)?;
+            if target.eq_ignore_ascii_case("xml") {
+                return Err(TreeError::Invariant(
+                    "a PI cannot take the XML declaration's target".to_string(),
+                ));
+            }
+            if data.contains("?>") {
+                return Err(TreeError::Invariant("PI data cannot hold \"?>\"".to_string()));
+            }
+            Ok(())
+        }
+        NodeKind::Comment { value } if value.contains("--") || value.ends_with('-') => Err(
+            TreeError::Invariant("a comment cannot hold \"--\" or end in \"-\"".to_string()),
+        ),
+        _ => Ok(()),
     }
 }
 
@@ -484,13 +520,13 @@ fn kind_class(kind: &NodeKind) -> KindClass {
 /// things — all without touching the real tree.
 struct Shadow<'t> {
     tree: &'t XmlTree,
-    created: BTreeMap<u32, KindClass>,
+    created: BTreeMap<u32, KindClass<'t>>,
     deleted: BTreeSet<RefKey>,
     text_written: BTreeSet<RefKey>,
     parent_override: BTreeMap<RefKey, RefKey>,
 }
 
-impl Shadow<'_> {
+impl<'t> Shadow<'t> {
     fn root(&self) -> RefKey {
         RefKey::Node(self.tree.root().index() as u32)
     }
@@ -511,7 +547,7 @@ impl Shadow<'_> {
     /// A pre-existing node keeps its kind for the whole batch (`Replace`
     /// creates a fresh node); a created node has the kind it was made
     /// with.
-    fn class(&self, k: RefKey) -> KindClass {
+    fn class(&self, k: RefKey) -> KindClass<'t> {
         match k {
             RefKey::Node(i) => kind_class(self.tree.kind(NodeId::from_index(i as usize))),
             RefKey::New(l) => self.created.get(&l).copied().unwrap_or(KindClass::Other),
@@ -534,27 +570,37 @@ impl Shadow<'_> {
         Ok(())
     }
 
+    /// The children `host` holds once the batch has run: the pre-batch
+    /// children that stayed, then the nodes the batch placed under it,
+    /// less the ones it deleted.
+    fn final_children(&self, host: RefKey) -> impl Iterator<Item = RefKey> + '_ {
+        let pre = match host {
+            RefKey::Node(i) => Some(self.tree.children(NodeId::from_index(i as usize))),
+            RefKey::New(_) => None,
+        };
+        pre.into_iter()
+            .flatten()
+            .map(|c| RefKey::Node(c.index() as u32))
+            .filter(|k| !self.parent_override.contains_key(k))
+            .chain(
+                self.parent_override
+                    .iter()
+                    .filter(move |&(_, &p)| p == host)
+                    .map(|(&k, _)| k),
+            )
+            .filter(|k| !self.deleted.contains(k))
+    }
+
     /// The batch's result holds exactly one element under the document
     /// node, beside comments and PIs only: no element means the
     /// document element was deleted, a second one or a text or
     /// attribute node would be content outside the document element.
     fn check_document_level(&self) -> Result<(), TreeError> {
-        let root = self.root();
-        let stayed = self
-            .tree
-            .children(self.tree.root())
-            .map(|c| RefKey::Node(c.index() as u32))
-            .filter(|k| !self.parent_override.contains_key(k));
-        let landed = self
-            .parent_override
-            .iter()
-            .filter(|&(_, &p)| p == root)
-            .map(|(&k, _)| k);
         let mut elements = 0;
-        for k in stayed.chain(landed).filter(|k| !self.deleted.contains(k)) {
+        for k in self.final_children(self.root()) {
             match self.class(k) {
                 KindClass::Element => elements += 1,
-                KindClass::Text | KindClass::Attribute => {
+                KindClass::Text | KindClass::Attribute(_) => {
                     return Err(TreeError::Invariant(
                         "a text or attribute node cannot sit at the document level".to_string(),
                     ))
@@ -569,6 +615,34 @@ impl Shadow<'_> {
                 "the batch leaves {n} elements at the document level"
             ))),
         }
+    }
+
+    /// No element the batch gives an attribute ends up holding two
+    /// attributes of one name.
+    fn check_attribute_names(&self) -> Result<(), TreeError> {
+        let hosts: BTreeSet<RefKey> = self
+            .parent_override
+            .iter()
+            .filter(|&(&k, _)| matches!(self.class(k), KindClass::Attribute(_)))
+            .map(|(_, &p)| p)
+            .collect();
+        for host in hosts.into_iter().filter(|&h| !self.consumed(h)) {
+            let mut names: Vec<&str> = self
+                .final_children(host)
+                .filter_map(|k| match self.class(k) {
+                    KindClass::Attribute(name) => Some(name),
+                    _ => None,
+                })
+                .collect();
+            names.sort_unstable();
+            if let Some(pair) = names.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(TreeError::Invariant(format!(
+                    "the batch leaves two attributes named {:?} on one element",
+                    pair[0]
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Has the batch already deleted/replaced `k` or a shadow ancestor?
@@ -638,7 +712,7 @@ impl Shadow<'_> {
     fn register_create(
         &mut self,
         id: LogId,
-        class: KindClass,
+        class: KindClass<'t>,
         place: Place,
     ) -> Result<(), TreeError> {
         if self.created.contains_key(&id.0) {
@@ -671,8 +745,14 @@ impl Shadow<'_> {
 ///   beside comments and PIs: no element ([`TreeError::RootImmutable`]),
 ///   several, or a text or attribute node ([`TreeError::Invariant`]).
 ///   The rule holds for the result, not for each step, so renaming,
-///   replacing or wrapping the document element is legal.
-pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
+///   replacing or wrapping the document element is legal;
+/// * an element, attribute or PI-target name the parser would not read
+///   as one name ([`xupd_xmldom::is_name`]), a PI named `xml`, `?>` in
+///   PI data, or `--` or a trailing `-` in a comment
+///   ([`TreeError::Invariant`]);
+/// * a result with two attributes of one name on an element, counting
+///   the attributes it already had ([`TreeError::Invariant`]).
+pub fn validate<'t>(log: &'t MutationLog, tree: &'t XmlTree) -> Result<(), TreeError> {
     let mut sh = Shadow {
         tree,
         created: BTreeMap::new(),
@@ -682,7 +762,8 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
     };
     for m in log.iter() {
         match m {
-            Mutation::CreateElement { id, place, .. } => {
+            Mutation::CreateElement { id, name, place } => {
+                check_name("element name", name)?;
                 sh.register_create(*id, KindClass::Element, *place)?;
             }
             Mutation::CreateNode { id, kind, place } => {
@@ -691,6 +772,7 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
                         "a batch cannot create a document node".to_string(),
                     ));
                 }
+                check_content(kind)?;
                 sh.register_create(*id, kind_class(kind), *place)?;
             }
             Mutation::SetText { target, .. } => {
@@ -710,7 +792,8 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
                     });
                 }
             }
-            Mutation::Replace { target, id, .. } => {
+            Mutation::Replace { target, id, name } => {
+                check_name("element name", name)?;
                 sh.check_ref(*target)?;
                 let k = ref_key(*target);
                 let pk = sh.parent_of(*target)?;
@@ -729,7 +812,8 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
                 }
                 sh.deleted.insert(k);
             }
-            Mutation::AppendChildren { parent, ids, .. } => {
+            Mutation::AppendChildren { parent, ids, name } => {
+                check_name("element name", name)?;
                 sh.check_ref(*parent)?;
                 let pk = ref_key(*parent);
                 sh.check_holds_children(pk)?;
@@ -770,7 +854,8 @@ pub fn validate(log: &MutationLog, tree: &XmlTree) -> Result<(), TreeError> {
             }
         }
     }
-    sh.check_document_level()
+    sh.check_document_level()?;
+    sh.check_attribute_names()
 }
 
 // ---------------------------------------------------------------------
@@ -1288,6 +1373,115 @@ mod tests {
             let back = xupd_xmldom::parse(&bytes).unwrap_or_else(|e| panic!("{bytes}: {e}"));
             assert_eq!(serialize_compact(&back), bytes);
             assert_eq!(labeling.len(), tree.len());
+        }
+    }
+
+    /// Content that would serialize to bytes the parser rejects or
+    /// reads back differently is refused; the same names, attributes
+    /// and values in legal shapes apply and round-trip.
+    #[test]
+    fn validator_rejects_content_the_parser_cannot_read_back() {
+        let tree = docs::book();
+        let book = NodeRef::Node(tree.document_element().expect("book"));
+        let title = first_named(&tree, "title");
+        let genre = tree
+            .children(title)
+            .find(|&c| tree.kind(c).is_attribute())
+            .expect("title has @genre");
+        let (title, genre) = (NodeRef::Node(title), NodeRef::Node(genre));
+        let publisher = NodeRef::Node(first_named(&tree, "publisher"));
+        let element = |name: &str| Mutation::CreateElement {
+            id: LogId(0),
+            name: name.into(),
+            place: Place::LastChildOf(book),
+        };
+        let node = |id, kind, at| Mutation::CreateNode {
+            id: LogId(id),
+            kind,
+            place: Place::LastChildOf(at),
+        };
+        let attribute = |name: &str| NodeKind::attribute(name, "v");
+        let pi = |target: &str, data: &str| NodeKind::Pi {
+            target: target.into(),
+            data: data.into(),
+        };
+        let comment = |value: &str| NodeKind::Comment {
+            value: value.into(),
+        };
+        let invalid = [
+            vec![element("")],
+            vec![element("a b")],
+            vec![element("1x")],
+            vec![node(0, NodeKind::element("e?"), book)],
+            vec![Mutation::Replace {
+                target: title,
+                id: LogId(0),
+                name: "a>".into(),
+            }],
+            vec![Mutation::AppendChildren {
+                parent: book,
+                ids: vec![LogId(0)],
+                name: String::new(),
+            }],
+            vec![node(0, attribute("a b"), publisher)],
+            vec![node(0, pi("p q", "d"), book)],
+            vec![node(0, pi("xml", "version=\"1.0\""), book)],
+            vec![node(0, pi("XmL", ""), book)],
+            vec![node(0, pi("p", "a?>b"), book)],
+            vec![node(0, comment("a--b"), book)],
+            vec![node(0, comment("a-"), book)],
+            // a second attribute of one name, beside a pre-batch one or
+            // another created one, or moved in beside it
+            vec![node(0, attribute("genre"), title)],
+            vec![
+                node(0, attribute("a"), publisher),
+                node(1, attribute("a"), publisher),
+            ],
+            vec![
+                node(0, attribute("genre"), publisher),
+                Mutation::MoveSubtree {
+                    target: genre,
+                    place: Place::FirstChildOf(publisher),
+                },
+            ],
+        ];
+        for ops in invalid {
+            let log = MutationLog::from(ops);
+            assert!(
+                matches!(validate(&log, &tree), Err(TreeError::Invariant(_))),
+                "{log:?}"
+            );
+        }
+        let valid = [
+            vec![element("_x-1.y"), node(1, comment("a-b"), book)],
+            vec![node(0, pi("p", "a?b>c"), book), node(1, pi("xml-stylesheet", ""), book)],
+            // the old attribute goes before a new one of its name comes
+            vec![
+                Mutation::Delete { target: genre },
+                node(0, attribute("genre"), title),
+            ],
+            vec![
+                Mutation::MoveSubtree {
+                    target: genre,
+                    place: Place::LastChildOf(publisher),
+                },
+                node(0, attribute("genre"), title),
+            ],
+            // an attribute on an element the batch deletes is no clash
+            vec![
+                node(0, attribute("genre"), title),
+                Mutation::Delete { target: title },
+            ],
+        ];
+        for ops in valid {
+            let log = MutationLog::from(ops);
+            let mut tree = tree.clone();
+            let (mut scheme, mut labeling) = session_for(&tree);
+            apply_log(&mut tree, &mut scheme, &mut labeling, &log)
+                .unwrap_or_else(|e| panic!("{log:?}: {e}"));
+            let bytes = serialize_compact(&tree);
+            let back = xupd_xmldom::parse(&bytes).unwrap_or_else(|e| panic!("{bytes}: {e}"));
+            assert_eq!(serialize_compact(&back), bytes);
         }
     }
 

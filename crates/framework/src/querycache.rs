@@ -37,20 +37,30 @@
 //!   over half the document): full re-evaluation, the correct
 //!   fallback.
 //!
-//! The cache evaluates against its own **shadow table**: an
-//! [`EncodedDocument`] under a private unit-label scheme whose labels
-//! are plain preorder positions. The streaming evaluator never reads
-//! labels (axes run on the [`Topology`](xupd_encoding::Topology)
+//! The cache evaluates against its **shadow table**, an
+//! [`EncodedDocument`] under a unit-label scheme ([`ShadowScheme`])
+//! whose labels are plain preorder positions. The streaming evaluator
+//! never reads labels (axes run on the [`Topology`](xupd_encoding::Topology)
 //! sidecar), so results are identical to evaluating the document's
 //! real snapshot — but keeping the shadow current never pays the
-//! document's actual label algebra. A structural batch splices the
-//! shadow in place ([`EncodedDocument::splice`]): finding what the
-//! batch changed costs O(batch), through its exact edits (deleted and
-//! moved subtree roots, created nodes), not its relabel regions; the
-//! rest is O(n) shifting of the rows that stayed, with no per-row
-//! allocation. A text-only batch patches text rows in place. The full
-//! re-encode is left for registration, [`QueryCache::refresh`], and
-//! the fallback when a splice finds its input inconsistent.
+//! document's actual label algebra. The shadow is the document's one
+//! [`PreorderIndex`]: the analyzer resolves footprints on it
+//! ([`analyze_in`](crate::analysis::analyze_in)), flux lowering
+//! resolves paths on it, and `Document::xpath` evaluates on it, so it
+//! is kept current whether or not a query is registered
+//! ([`QueryCache::index`] builds it on first need). It records the
+//! [`XmlTree::revision`] it describes, and every consumer rejects an
+//! index made for another tree state.
+//!
+//! A structural batch splices the shadow in place
+//! ([`EncodedDocument::splice`]): finding what the batch changed costs
+//! O(batch), through its exact edits (deleted and moved subtree roots,
+//! created nodes), not its relabel regions; the rest is O(n) shifting
+//! of the rows that stayed, with no per-row allocation. A text-only
+//! batch patches text rows in place, and a batch with zero effective
+//! ops only records the new revision. The full re-encode is left for
+//! the first need, [`QueryCache::refresh`], and the fallback when a
+//! splice finds its input inconsistent.
 //!
 //! Staleness safety: the cache only ever serves results derived from
 //! the shadow table of the current tree. Updates that bypass the
@@ -78,7 +88,7 @@ use xupd_xmldom::{NodeId, TreeError, XmlTree};
 /// consulted by the evaluator — it exists to satisfy the encoding
 /// table's scheme parameter at near-zero cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct ShadowLabel(u32);
+pub struct ShadowLabel(u32);
 
 impl Label for ShadowLabel {
     fn size_bits(&self) -> u64 {
@@ -89,14 +99,22 @@ impl Label for ShadowLabel {
     }
 }
 
-/// The cache's private labelling scheme: plain preorder enumeration.
+/// The shadow table's labelling scheme: plain preorder enumeration.
 /// One O(n) pass per (re)build, no order codes, no prime products, no
 /// bit strings — the whole point of the shadow table is that query
 /// maintenance never pays the document's real label algebra.
 #[derive(Debug, Clone, Default)]
-struct ShadowScheme {
+pub struct ShadowScheme {
     stats: SchemeStats,
 }
+
+/// A document's one preorder index: the shadow table, whose row `i`
+/// is the `i`-th node in document order. The query cache keeps it
+/// current after every batch; the analyzer, flux lowering and
+/// `Document::xpath` read it. Its [`revision`](EncodedDocument::revision)
+/// names the tree state it describes, and every consumer rejects an
+/// index made for another state.
+pub type PreorderIndex = EncodedDocument<ShadowScheme>;
 
 impl LabelingScheme for ShadowScheme {
     type Label = ShadowLabel;
@@ -210,7 +228,8 @@ pub struct BatchImpact {
 pub struct CacheStats {
     /// Cached reads served ([`QueryCache::hit`]).
     pub hits: u64,
-    /// Batches absorbed incrementally.
+    /// Batches absorbed incrementally (a batch with zero effective
+    /// ops changes nothing and is not counted).
     pub batches_absorbed: u64,
     /// Query×batch outcomes kept verbatim.
     pub unaffected: u64,
@@ -240,11 +259,12 @@ struct CachedQuery {
 }
 
 /// Materialized result sets for registered XPath queries, maintained
-/// incrementally across mutation-log batches. See the module docs for
-/// the classification lattice and the repair algorithm.
+/// incrementally across mutation-log batches, over the document's
+/// [`PreorderIndex`]. See the module docs for the classification
+/// lattice and the repair algorithm.
 #[derive(Default)]
 pub struct QueryCache {
-    shadow: Option<EncodedDocument<ShadowScheme>>,
+    shadow: Option<PreorderIndex>,
     queries: Vec<CachedQuery>,
     stats: CacheStats,
     stale: bool,
@@ -283,6 +303,27 @@ impl QueryCache {
         self.stale = true;
     }
 
+    /// Does the cache hold an index of `tree` as it is now, with every
+    /// cached result exact?
+    pub fn is_current(&self, tree: &XmlTree) -> bool {
+        !self.stale
+            && self
+                .shadow
+                .as_ref()
+                .is_some_and(|s| s.revision() == tree.revision())
+    }
+
+    /// The preorder index of `tree`, encoded on first need and
+    /// [refreshed](Self::refresh) when it is not current.
+    pub fn index(&mut self, tree: &XmlTree) -> Result<&PreorderIndex, TreeError> {
+        if !self.is_current(tree) {
+            self.refresh(tree)?;
+        }
+        self.shadow.as_ref().ok_or_else(|| {
+            TreeError::Invariant("query cache index missing after a refresh".to_string())
+        })
+    }
+
     /// Register a parsed query; the result set is materialized
     /// immediately against `tree`. With `want_strings`, XPath string
     /// values are cached alongside the rows.
@@ -293,27 +334,12 @@ impl QueryCache {
         tree: &XmlTree,
     ) -> Result<QueryId, TreeError> {
         let pattern = expr.access_pattern();
-        if self.stale {
-            self.refresh(tree)?;
-        }
-        if self.shadow.is_none() {
-            self.shadow = Some(EncodedDocument::encode(ShadowScheme::default(), tree)?);
-        }
-        let (rows, strings) = match &self.shadow {
-            Some(shadow) => {
-                let rows = pattern.evaluate(shadow);
-                let strings = if want_strings {
-                    rows.iter().map(|&r| shadow.string_value(r)).collect()
-                } else {
-                    Vec::new()
-                };
-                (rows, strings)
-            }
-            None => {
-                return Err(TreeError::Invariant(
-                    "query cache shadow table missing after build".to_string(),
-                ))
-            }
+        let index = self.index(tree)?;
+        let rows = pattern.evaluate(index);
+        let strings = if want_strings {
+            rows.iter().map(|&r| index.string_value(r)).collect()
+        } else {
+            Vec::new()
         };
         self.queries.push(CachedQuery {
             pattern,
@@ -358,7 +384,7 @@ impl QueryCache {
     /// against `tree`, clearing staleness. The heavy-handed fallback —
     /// [`absorb`](Self::absorb) is the incremental path.
     pub fn refresh(&mut self, tree: &XmlTree) -> Result<(), TreeError> {
-        let shadow = EncodedDocument::encode(ShadowScheme::default(), tree)?;
+        let shadow = PreorderIndex::encode(ShadowScheme::default(), tree)?;
         for q in &mut self.queries {
             rebuild_query(q, &shadow, &mut self.stats);
         }
@@ -367,16 +393,20 @@ impl QueryCache {
         Ok(())
     }
 
-    /// Absorb one applied batch: classify every registered query
-    /// against the batch's write footprint and do the minimum
-    /// maintenance its class allows.
+    /// Absorb one applied batch: bring the index up to the post-batch
+    /// tree, classify every registered query against the batch's write
+    /// footprint and do the minimum maintenance its class allows. The
+    /// index is kept whether or not any query is registered.
     ///
-    /// `plan` must be the [`analyze`](crate::analysis::analyze) result
-    /// of `log` against the *pre-batch* tree, `effective` the op
+    /// `plan` must be the [`analyze_in`](crate::analysis::analyze_in)
+    /// result of `log` against the *pre-batch* tree, `effective` the op
     /// indices that actually executed
     /// (`plan.execution_order(false, scheme.cancellation_neutral())`),
-    /// and `tree` the *post-batch* tree. A stale cache refreshes fully
-    /// instead.
+    /// and `tree` the *post-batch* tree. A batch with zero effective
+    /// ops changed nothing: the index only records the new revision
+    /// and no counter moves. A stale cache refreshes fully instead,
+    /// unless no query is registered: then the index is dropped and
+    /// encoded again on next need.
     pub fn absorb(
         &mut self,
         log: &MutationLog,
@@ -385,13 +415,11 @@ impl QueryCache {
         tree: &XmlTree,
     ) -> Result<BatchImpact, TreeError> {
         let n = self.queries.len();
-        if n == 0 {
-            // Nothing to maintain; drop the shadow so a later
-            // registration re-encodes against the current tree.
-            self.shadow = None;
-            return Ok(BatchImpact::default());
-        }
         if self.stale || self.shadow.is_none() {
+            if n == 0 {
+                self.shadow = None;
+                return Ok(BatchImpact::default());
+            }
             self.refresh(tree)?;
             return Ok(BatchImpact {
                 rebuilt: n,
@@ -399,10 +427,10 @@ impl QueryCache {
                 ..BatchImpact::default()
             });
         }
-        self.stats.batches_absorbed += 1;
         if effective.is_empty() {
-            // Zero effective ops: nothing observable changed.
-            self.stats.unaffected += n as u64;
+            if let Some(shadow) = self.shadow.as_mut() {
+                shadow.patch_text(tree, &[])?;
+            }
             return Ok(BatchImpact {
                 text_only: true,
                 unaffected: n,
@@ -410,6 +438,7 @@ impl QueryCache {
                 ..BatchImpact::default()
             });
         }
+        self.stats.batches_absorbed += 1;
         let ops: Vec<&Mutation> = log.iter().collect();
         let text_only = effective.iter().all(|&i| {
             matches!(
@@ -421,7 +450,7 @@ impl QueryCache {
             )
         });
         if text_only {
-            self.absorb_text(&ops, effective)
+            self.absorb_text(&ops, effective, tree)
         } else {
             self.absorb_structural(plan, effective, tree)
         }
@@ -435,6 +464,7 @@ impl QueryCache {
         &mut self,
         ops: &[&Mutation],
         effective: &[usize],
+        tree: &XmlTree,
     ) -> Result<BatchImpact, TreeError> {
         let shadow = match self.shadow.as_mut() {
             Some(s) => s,
@@ -444,35 +474,25 @@ impl QueryCache {
                 ))
             }
         };
-        let mut touched: Vec<usize> = Vec::with_capacity(effective.len());
-        for &i in effective {
-            if let Some(Mutation::SetText { target, text }) = ops.get(i) {
-                if let NodeRef::Node(id) = target {
-                    match shadow.row_of_source(*id) {
-                        Some(row) => {
-                            shadow.patch_text(row, text)?;
-                            touched.push(row);
-                        }
-                        None => {
-                            return Err(TreeError::Invariant(
-                                "text write target missing from shadow table".to_string(),
-                            ))
-                        }
-                    }
-                }
-            }
-        }
+        let written: Vec<NodeId> = effective
+            .iter()
+            .filter_map(|&i| match ops.get(i) {
+                Some(Mutation::SetText {
+                    target: NodeRef::Node(id),
+                    ..
+                }) => Some(*id),
+                _ => None,
+            })
+            .collect();
+        shadow.patch_text(tree, &written)?;
+        let shadow = &*shadow;
+        let mut touched: Vec<usize> = written
+            .iter()
+            .filter_map(|&id| shadow.row_of_source(id))
+            .collect();
         touched.sort_unstable();
         touched.dedup();
 
-        let shadow = match self.shadow.as_ref() {
-            Some(s) => s,
-            None => {
-                return Err(TreeError::Invariant(
-                    "shadow table vanished mid-absorb".to_string(),
-                ))
-            }
-        };
         let mut impact = BatchImpact {
             text_only: true,
             ..BatchImpact::default()
@@ -560,7 +580,7 @@ impl QueryCache {
 
         let new = match splice_shadow(old, tree, &cut, &texts) {
             Ok(new) => new,
-            Err(_) => EncodedDocument::encode(ShadowScheme::default(), tree)?,
+            Err(_) => PreorderIndex::encode(ShadowScheme::default(), tree)?,
         };
 
         // New coordinates: map each touched subtree root through its
@@ -675,7 +695,7 @@ impl Footprint {
     fn read(
         plan: &AnalyzedPlan,
         effective: &[usize],
-        old: &EncodedDocument<ShadowScheme>,
+        old: &PreorderIndex,
     ) -> Footprint {
         let mut fp = Footprint {
             raw: Vec::new(),
@@ -721,17 +741,13 @@ struct Before {
 /// does not see it). Errors on any inconsistency; the caller encodes
 /// afresh then.
 fn splice_shadow(
-    old: EncodedDocument<ShadowScheme>,
+    old: PreorderIndex,
     tree: &XmlTree,
     cut: &[usize],
     texts: &[NodeId],
-) -> Result<EncodedDocument<ShadowScheme>, TreeError> {
+) -> Result<PreorderIndex, TreeError> {
     let mut new = old.splice(tree, cut, |i| ShadowLabel(i as u32))?;
-    for &id in texts {
-        if let Some(row) = new.row_of_source(id) {
-            new.patch_text(row, tree.kind(id).value().unwrap_or_default())?;
-        }
-    }
+    new.patch_text(tree, texts)?;
     Ok(new)
 }
 
@@ -770,7 +786,7 @@ fn names_clear(pattern: &AccessPattern, index: &NameIndex, extents: &[(usize, us
 /// Does any strict ancestor of a touched root appear in the sorted
 /// result set? (Such a result's string value spans the touched
 /// subtree.)
-fn ancestor_hit(doc: &EncodedDocument<ShadowScheme>, roots: &[usize], rows: &[usize]) -> bool {
+fn ancestor_hit(doc: &PreorderIndex, roots: &[usize], rows: &[usize]) -> bool {
     let topo = doc.topology();
     roots.iter().any(|&root| {
         let mut cur = topo.parent(root);
@@ -787,7 +803,7 @@ fn ancestor_hit(doc: &EncodedDocument<ShadowScheme>, roots: &[usize], rows: &[us
 /// Does any written text row sit inside (or at) a cached result's
 /// subtree? Equivalently: is any ancestor-or-self of a written row a
 /// cached result?
-fn text_hit(doc: &EncodedDocument<ShadowScheme>, text_rows: &[usize], rows: &[usize]) -> bool {
+fn text_hit(doc: &PreorderIndex, text_rows: &[usize], rows: &[usize]) -> bool {
     let topo = doc.topology();
     text_rows.iter().any(|&t| {
         let mut cur = Some(t);
@@ -805,7 +821,7 @@ fn text_hit(doc: &EncodedDocument<ShadowScheme>, text_rows: &[usize], rows: &[us
 /// row; rows are untouched. Returns the number recomputed.
 fn refresh_strings(
     q: &mut CachedQuery,
-    doc: &EncodedDocument<ShadowScheme>,
+    doc: &PreorderIndex,
     text_rows: &[usize],
 ) -> u64 {
     if !q.want_strings {
@@ -839,7 +855,7 @@ fn refresh_strings(
 fn repair_query(
     q: &mut CachedQuery,
     ids: &[NodeId],
-    new: &EncodedDocument<ShadowScheme>,
+    new: &PreorderIndex,
     touched_new: &[(usize, usize)],
     text_new: &[usize],
 ) -> (u64, u64, u64) {
@@ -922,7 +938,7 @@ fn repair_query(
 /// Full re-evaluation of one query against `doc`.
 fn rebuild_query(
     q: &mut CachedQuery,
-    doc: &EncodedDocument<ShadowScheme>,
+    doc: &PreorderIndex,
     stats: &mut CacheStats,
 ) {
     q.rows = q.pattern.evaluate(doc);
@@ -935,7 +951,7 @@ fn rebuild_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze;
+    use crate::analysis::{analyze, analyze_in};
     use crate::mutations::{apply_log_dyn, validate, LogId, Place};
     use std::cell::RefCell;
     use std::collections::BTreeMap;
@@ -1109,10 +1125,10 @@ mod tests {
     /// buckets (bucket maps compare equal only if the spliced one kept
     /// no empty bucket, since a fresh index has none).
     fn same_as_fresh(
-        spliced: &EncodedDocument<ShadowScheme>,
+        spliced: &PreorderIndex,
         tree: &XmlTree,
     ) -> Result<(), String> {
-        let fresh = EncodedDocument::encode(ShadowScheme::default(), tree)
+        let fresh = PreorderIndex::encode(ShadowScheme::default(), tree)
             .map_err(|e| format!("fresh encode: {e:?}"))?;
         if spliced.len() != fresh.len() {
             return Err(format!("{} rows, fresh {}", spliced.len(), fresh.len()));
@@ -1141,6 +1157,11 @@ mod tests {
         Ok(())
     }
 
+    /// After every batch of a run, the spliced shadow equals a fresh
+    /// encode, and the plan analyzed against it — the document's
+    /// standing index — equals the plan analyzed against a freshly
+    /// encoded index, field for field (footprints, edges, components,
+    /// canonical order, redundant ops and nil components).
     #[test]
     fn spliced_shadow_equals_fresh_encode() {
         let counts = RefCell::new(BTreeMap::new());
@@ -1154,16 +1175,25 @@ mod tests {
                 if let Err(e) = session.label_tree(&tree) {
                     return Outcome::Fail(format!("label: {e:?}"));
                 }
-                let mut shadow = match EncodedDocument::encode(ShadowScheme::default(), &tree) {
+                let mut shadow = match PreorderIndex::encode(ShadowScheme::default(), &tree) {
                     Ok(s) => s,
                     Err(e) => return Outcome::Fail(format!("encode: {e:?}")),
                 };
                 for (b, seed) in batch_seeds.into_iter().enumerate() {
                     let log = random_batch(&tree, &mut TestRng::seed_from_u64(seed));
-                    let plan = match analyze(&log, &tree) {
+                    let plan = match analyze_in(&log, &tree, &shadow) {
                         Ok(p) => p,
                         Err(e) => return Outcome::Fail(format!("batch {b}: analyze: {e:?}")),
                     };
+                    match analyze(&log, &tree) {
+                        Ok(fresh) if fresh == plan => {}
+                        other => {
+                            return Outcome::Fail(format!(
+                                "batch {b}: plan on the spliced index {plan:?}, \
+                                 on a fresh one {other:?}; log {log:?}"
+                            ))
+                        }
+                    }
                     let effective = plan.execution_order(false, session.cancellation_neutral());
                     if apply_log_dyn(&mut tree, &mut session, &log).is_err() {
                         continue;
@@ -1232,7 +1262,7 @@ mod tests {
 
         cache.absorb(&log, &plan, &effective, &tree).unwrap();
         same_as_fresh(cache.shadow.as_ref().unwrap(), &tree).unwrap();
-        let fresh = EncodedDocument::encode(ShadowScheme::default(), &tree).unwrap();
+        let fresh = PreorderIndex::encode(ShadowScheme::default(), &tree).unwrap();
         for (q, e) in exprs.iter().enumerate() {
             let rows = e.evaluate(&fresh);
             let strings: Vec<String> = rows.iter().map(|&r| fresh.string_value(r)).collect();

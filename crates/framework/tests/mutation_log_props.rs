@@ -10,8 +10,10 @@
 //! every mutation shape at a tree with text and attribute nodes: a log
 //! the validator accepts must apply and leave a well-formed, fully
 //! labelled document with one root element, only comments and PIs
-//! beside it and only elements as other parents, and a log it rejects
-//! must fail to apply with the same error and change nothing.
+//! beside it, only elements as other parents and no comment XML 1.0
+//! forbids, serialized to bytes that parse back and serialize to the
+//! same bytes; a log it rejects must fail to apply with the same error
+//! and change nothing.
 
 use xupd_framework::mutations::{
     apply_log, batch_of, validate, LogId, Mutation, MutationLog, NodeRef, Place,
@@ -64,23 +66,33 @@ fn arb_place() -> impl Gen<Value = Place> {
     })
 }
 
+/// A node of any kind. Names and contents draw from an alphabet with
+/// `-`, `?` and `>` in it, independently of each other, so a legal PI
+/// target can carry `?>` in its data; names are short, so most of them
+/// are legal.
 fn arb_kind() -> impl Gen<Value = NodeKind> {
+    const ALPHABET: &[char] = &['a', 'b', 'ß', '中', '-', '?', '>'];
     map(
-        (ints(0u32..6), vecs(from_slice(&['a', 'b', 'ß', '中']), 0, 6)),
-        |(tag, chars)| {
-            let s: String = chars.into_iter().collect();
+        (
+            ints(0u32..6),
+            vecs(from_slice(ALPHABET), 0, 2),
+            vecs(from_slice(ALPHABET), 0, 6),
+        ),
+        |(tag, name, content)| {
+            let name: String = name.into_iter().collect();
+            let content: String = content.into_iter().collect();
             match tag {
                 0 => NodeKind::Document,
-                1 => NodeKind::element(format!("e{s}")),
+                1 => NodeKind::element(format!("e{name}")),
                 2 => NodeKind::Attribute {
-                    name: format!("a{s}"),
-                    value: s.clone(),
+                    name: format!("a{name}"),
+                    value: content,
                 },
-                3 => NodeKind::Text { value: s },
-                4 => NodeKind::Comment { value: s },
+                3 => NodeKind::Text { value: content },
+                4 => NodeKind::Comment { value: content },
                 _ => NodeKind::Pi {
-                    target: format!("p{s}"),
-                    data: s.clone(),
+                    target: format!("p{name}"),
+                    data: content,
                 },
             }
         },
@@ -265,15 +277,16 @@ props! {
 }
 
 props! {
-    config = Config::with_cases(4096);
+    config = Config::with_cases(16384);
 
     /// Any log either validates and then applies to a well-formed,
     /// fully labelled document with one root element, only comments
-    /// and PIs beside it and every other node under an element — the
-    /// structural half of a document the parser can read back; names
-    /// and attribute uniqueness are not checked — or is rejected by
-    /// `apply_log` with the validator's error, leaving tree bytes and
-    /// labels as they were.
+    /// and PIs beside it and every other node under an element, whose
+    /// serialized bytes parse back and serialize to the same bytes —
+    /// or is rejected by `apply_log` with the validator's error,
+    /// leaving tree bytes and labels as they were. Names are drawn
+    /// empty, with `-`, `?` and `>` in them and repeated per element,
+    /// and so are comment and PI contents.
     fn arbitrary_logs_apply_or_change_nothing(
         seed in ints(0u64..1000),
         log_ops in vecs(arb_mutation(), 1, 8),
@@ -292,6 +305,12 @@ props! {
                 prop_assert!(tree.validate().is_ok(), "{:?}", tree.validate());
                 for n in tree.preorder() {
                     prop_assert!(labeling.get(n).is_some(), "{n} is unlabelled");
+                    if let NodeKind::Comment { value } = tree.kind(n) {
+                        prop_assert!(
+                            !value.contains("--") && !value.ends_with('-'),
+                            "comment {value:?} is not XML 1.0"
+                        );
+                    }
                     let Some(p) = tree.parent(n) else { continue };
                     let (kind, parent) = (tree.kind(n), tree.kind(p));
                     if p == tree.root() {
@@ -311,6 +330,12 @@ props! {
                     .filter(|&c| tree.kind(c).is_element())
                     .count();
                 prop_assert_eq!(root_elements, 1, "one root element");
+                let bytes = serialize_compact(&tree);
+                let back = xupd_xmldom::parse(&bytes);
+                prop_assert!(back.is_ok(), "{bytes:?} does not parse: {back:?}");
+                if let Ok(back) = back {
+                    prop_assert_eq!(serialize_compact(&back), bytes, "round trip");
+                }
             }
             Err(e) => {
                 prop_assert_eq!(applied.err(), Some(e));

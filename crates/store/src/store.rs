@@ -31,7 +31,7 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use xupd_framework::document::{Document, DocumentError};
 use xupd_framework::driver::DriveStats;
-use xupd_framework::{mutations, AnalyzedPlan, ApplyOptions, MutationLog, QueryId};
+use xupd_framework::{mutations, AnalyzedPlan, ApplyOptions, MutationLog, PreorderIndex, QueryId};
 use xupd_labelcore::LabelingScheme;
 use xupd_workloads::Script;
 use xupd_xmldom::{serialize_compact, TreeError, XmlTree};
@@ -284,21 +284,22 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
     }
 
     /// Compile-then-apply under one write lock: `compile` sees the
-    /// document's current tree and returns a `(log, plan)` pair, which
-    /// is applied through [`Document::apply_planned`] under
-    /// [`ApplyOptions::default`] before the lock is released — so the
-    /// tree the log was compiled against is exactly the tree it
-    /// mutates. This is the seam the flux DSL's `Store::update` rides
-    /// on; the error type is generic so compiler diagnostics pass
-    /// through unwrapped.
+    /// document's current tree and its preorder index, and returns a
+    /// `(log, plan)` pair, which is applied through
+    /// [`Document::apply_planned`] under [`ApplyOptions::default`]
+    /// before the lock is released — so the tree the log was compiled
+    /// against is exactly the tree it mutates. This is the seam the
+    /// flux DSL's `Store::update` rides on; the error type is generic
+    /// so compiler diagnostics pass through unwrapped.
     pub fn update_with<E, F>(&self, doc: u32, compile: F) -> Result<DriveStats, E>
     where
         E: From<StoreError>,
-        F: FnOnce(&XmlTree) -> Result<(MutationLog, AnalyzedPlan), E>,
+        F: FnOnce(&XmlTree, &PreorderIndex) -> Result<(MutationLog, AnalyzedPlan), E>,
     {
         let slot = self.slot(doc).map_err(E::from)?;
         let mut g = write_lock(slot);
-        let (log, plan) = compile(g.doc.tree())?;
+        let (tree, index) = g.doc.tree_with_index().map_err(StoreError::from)?;
+        let (log, plan) = compile(tree, index)?;
         let stats = g
             .doc
             .apply_planned(&log, &plan, ApplyOptions::default())

@@ -61,7 +61,7 @@ pub const STRUCTURAL_MUTATORS: &[&str] = &[
 pub use builder::TreeBuilder;
 pub use error::{ParseError, TreeError};
 pub use node::{NodeId, NodeKind};
-pub use parser::parse;
+pub use parser::{is_name, parse};
 pub use serializer::{serialize_compact, serialize_pretty};
 pub use traverse::{Postorder, Preorder};
 pub use tree::XmlTree;

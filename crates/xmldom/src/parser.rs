@@ -44,6 +44,14 @@ impl Default for ParseOptions {
     }
 }
 
+/// Does the parser read `s` back as one name — an element, attribute or
+/// processing-instruction target name? The parser's own rule, byte for
+/// byte: a name-start byte, then name bytes.
+pub fn is_name(s: &str) -> bool {
+    let mut bytes = s.bytes();
+    bytes.next().is_some_and(Parser::is_name_start) && bytes.all(Parser::is_name_char)
+}
+
 /// Parse with explicit [`ParseOptions`].
 pub fn parse_with_options(input: &str, opts: &ParseOptions) -> Result<XmlTree, ParseError> {
     Parser {
@@ -452,6 +460,20 @@ fn utf8_len(first: u8) -> usize {
 mod tests {
     use super::*;
     use crate::node::NodeKind;
+
+    #[test]
+    fn is_name_is_the_parsers_name_rule() {
+        for name in ["a", "_x-1.b", "ns:e", "µ", "中文"] {
+            assert!(is_name(name), "{name}");
+            let t = parse(&format!("<{name} {name}=\"v\"/>")).unwrap();
+            let e = t.document_element().unwrap();
+            assert_eq!(t.kind(e).name(), Some(name));
+        }
+        for name in ["", "1a", "-a", "a b", "a?", "a>", "a=b"] {
+            assert!(!is_name(name), "{name:?}");
+            assert!(parse(&format!("<{name}/>")).is_err(), "{name:?}");
+        }
+    }
 
     #[test]
     fn simple_document() {

@@ -44,8 +44,12 @@ fn write_node(tree: &XmlTree, id: NodeId, out: &mut String, indent: Option<&str>
             }
         }
         NodeKind::Element { name } => {
+            // An empty text node writes nothing, so it does not keep
+            // its element from self-closing: the parser reads neither
+            // back.
             let (attrs, children): (Vec<NodeId>, Vec<NodeId>) = tree
                 .children(id)
+                .filter(|&c| !matches!(tree.kind(c), NodeKind::Text { value } if value.is_empty()))
                 .partition(|&c| tree.kind(c).is_attribute());
             out.push('<');
             out.push_str(name);
@@ -164,6 +168,19 @@ mod tests {
     fn self_closing_for_empty_elements() {
         let t = parse("<a><b></b></a>").unwrap();
         assert_eq!(serialize_compact(&t), "<a><b/></a>");
+    }
+
+    #[test]
+    fn empty_text_writes_nothing_and_keeps_self_closing() {
+        let mut t = parse("<a><b>x</b><c>y<d/></c></a>").unwrap();
+        for n in t.ids_in_doc_order() {
+            if let NodeKind::Text { value } = t.kind_mut(n) {
+                value.clear();
+            }
+        }
+        let out = serialize_compact(&t);
+        assert_eq!(out, "<a><b/><c><d/></c></a>");
+        assert_eq!(serialize_compact(&parse(&out).unwrap()), out);
     }
 
     #[test]

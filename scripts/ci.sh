@@ -110,8 +110,9 @@ echo "==> XUPD_THREADS={1,4} flux differential (compiled plans byte-identical to
 # The flux differential suite proves the DSL compiler's certified-plan
 # apply path leaves byte-identical trees and labels versus sequential
 # apply across all 17 schemes, that statically rejected programs also
-# fail dynamically, and that the lowering walker agrees with the
-# encoded-table evaluator. Both pool widths, same contract.
+# fail dynamically, and that a document keeps its preorder index (the
+# table lowering resolves paths on) current across flux batches. Both
+# pool widths, same contract.
 for threads in 1 4; do
   XUPD_THREADS="$threads" cargo test --release -q -p xupd-flux > /dev/null \
     || { echo "    FAIL: flux suite at XUPD_THREADS=$threads"; exit 1; }
@@ -121,13 +122,15 @@ done
 echo "==> xbench correctness gate at full size (fleet-large, flux-batch)"
 # The unit suites run these workloads at doc_scale <= 60. xbench replays
 # them on ~5-9.5k-node documents and compares every cached query with a
-# fresh evaluation (and the mirror with the store) — the size at which a
-# shadow-table splice bug would show. It exits non-zero on any failed
-# check.
+# fresh evaluation — the size at which a shadow-table splice bug would
+# show. `--trace 1` keeps every untraced check and adds the mirror gate:
+# the traced mirror, which calls `analyze` and `lower::lower` on an index
+# of its own, must end with the store's tree bytes, cache counters and
+# rejected count. It exits non-zero on any failed check.
 for workload in fleet-large flux-batch; do
   cargo run --release -q --offline \
     --manifest-path crates/bench/src/bin/xbench/Cargo.toml -- \
-    --workload "$workload" --seconds 0 > /dev/null \
+    --workload "$workload" --seconds 0 --trace 1 > /dev/null \
     || { echo "    FAIL: xbench correctness gate on $workload"; exit 1; }
   echo "    ok: xbench $workload passes every correctness check at full size"
 done
