@@ -1,4 +1,4 @@
-//! P7: wall-clock of the full-roster checker battery (`measure_all`)
+//! P7: wall-clock of the full-roster checker battery (`measure`)
 //! across `xupd-exec` pool widths, plus the per-scheme serial costs the
 //! pool schedules over.
 //!
@@ -14,7 +14,7 @@
 //! cargo run --release -p xupd-bench --bin bench_matrix_pool
 //! ```
 
-use xupd_framework::{measure_all_threads, measure_entries_threads};
+use xupd_framework::measure;
 use xupd_schemes::registry;
 use xupd_testkit::bench::{black_box, Harness};
 
@@ -28,7 +28,7 @@ fn main() {
     // Whole-battery wall clock at each pool width.
     for workers in WIDTHS {
         h.bench(&format!("measure_all/threads/{workers}"), || {
-            black_box(measure_all_threads(workers)).expect("battery is sound")
+            black_box(measure(registry(), workers)).expect("battery is sound")
         });
     }
 
@@ -39,8 +39,7 @@ fn main() {
     for (i, name) in names.iter().enumerate() {
         let sample = h.bench_case(&format!("battery/{name}"), || {
             let entry = registry().swap_remove(i);
-            let (results, errors) = measure_entries_threads(vec![entry], 1);
-            black_box((results.len(), errors.len()))
+            black_box(measure(vec![entry], 1)).expect("battery is sound")
         });
         serial_ns.push((sample.name.clone(), sample.median_ns()));
         h.push(sample);

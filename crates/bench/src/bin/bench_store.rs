@@ -7,11 +7,14 @@
 //!
 //! * **reference** — the sequential spec executor, whose per-lane busy
 //!   time feeds the machine-independent modelled makespan at each
-//!   worker count (single-CPU CI time-slices threads, so measured wall
-//!   stays ~1x there — same convention as `bench_matrix_pool`);
-//! * **concurrent @ 1 and 4 workers** — per-shard writer lanes on the
-//!   `ShardExecutor`, per-op service time (op start → completion; queue
-//!   wait excluded) into per-class HDR histograms (p50/p99/p999);
+//!   worker count (with fewer cores than workers, threads time-slice
+//!   and measured wall cannot show the scaling — same convention as
+//!   `bench_matrix_pool`);
+//! * **concurrent @ 1 and 4 workers** — per-shard writer lanes grouped
+//!   onto `xupd-exec` pool threads (lane `l` on thread `l % workers`),
+//!   per-op service time (op start → completion; time spent waiting
+//!   for the thread's earlier ops excluded) into per-class HDR
+//!   histograms (p50/p99/p999);
 //! * **reader storm** — concurrent `query_now` readers over the final
 //!   fleet, pinning that snapshot-isolated reads trigger zero snapshot
 //!   rebuilds.
@@ -24,7 +27,6 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use xupd_schemes::prefix::qed::Qed;
 use xupd_store::{
@@ -148,7 +150,7 @@ fn main() {
 
     // ---- concurrent lanes at measured widths ----
     let mut concurrent_json: Vec<String> = Vec::new();
-    let mut final_store: Option<Arc<Store<Qed>>> = None;
+    let mut final_store: Option<Store<Qed>> = None;
     for &workers in &MEASURED_WIDTHS {
         let mut best: Option<ReplayReport> = None;
         let mut classes: Vec<(OpClass, LatencyHistogram)> = OpClass::ALL
@@ -156,7 +158,7 @@ fn main() {
             .map(|&c| (c, LatencyHistogram::new()))
             .collect();
         for _ in 0..iters {
-            let store = Arc::new(Store::build(&Qed::new(), &cfg, &trees).expect("fleet builds"));
+            let store = Store::build(&Qed::new(), &cfg, &trees).expect("fleet builds");
             let report = replay_concurrent(&store, &fleet, workers);
             for (slot, (_, h)) in merged_classes(&report).iter().zip(classes.iter_mut()) {
                 h.merge(&slot.1);

@@ -10,16 +10,14 @@
 //! `--all` extends the roster with the §6 schemes (CDBS, Com-D, Prime,
 //! DDE) the paper announces as future evaluation work.
 
-use xupd_framework::{measure_all, measure_figure7, Figure7Report};
+use xupd_framework::{measure, Figure7Report};
+use xupd_schemes::{registry, registry_figure7};
 
 fn main() {
     let all = std::env::args().any(|a| a == "--all");
-    let results = if all {
-        measure_all()
-    } else {
-        measure_figure7()
-    }
-    .expect("checker battery drives live trees");
+    let entries = if all { registry() } else { registry_figure7() };
+    let results =
+        measure(entries, xupd_exec::worker_count()).expect("checker battery drives live trees");
     let report = Figure7Report::new(results);
     println!("{}", report.render());
 }

@@ -2,12 +2,14 @@
 //!
 //! A dependency-free, unsafe-free scoped thread pool on [`std::thread`],
 //! built for the one parallelism shape this workspace has: independent
-//! per-scheme batteries fanned out over a fixed item list. The only
-//! primitive is [`par_map`], which preserves input order in its results
-//! and propagates the first panic **by input index**, not by wall-clock
-//! arrival — so a parallel run fails exactly like the sequential run
-//! would have. A fallible battery maps to `Result`s and collects them in
-//! input order, which surfaces the lowest-index error.
+//! tasks fanned out over a fixed item list — per-scheme batteries, and
+//! the store's fleet replay, whose shard lanes are grouped into one item
+//! per worker. The only primitive is [`par_map`], which preserves input
+//! order in its results and propagates the first panic **by input
+//! index**, not by wall-clock arrival — so a parallel run fails exactly
+//! like the sequential run would have. A fallible battery maps to
+//! `Result`s and collects them in input order, which surfaces the
+//! lowest-index error.
 //!
 //! ## Determinism contract
 //!
@@ -24,14 +26,6 @@
 //! otherwise [`std::thread::available_parallelism`]. Code outside this
 //! crate must not call `std::thread::spawn` directly — lint rule R7
 //! enforces pool-only concurrency.
-//!
-//! Besides the scoped one-shot [`par_map`], the crate provides
-//! [`shard::ShardExecutor`] — long-lived workers draining per-lane FIFO
-//! queues — for the document store's serialized per-shard writer lanes.
-
-pub mod shard;
-
-pub use shard::ShardExecutor;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -65,8 +65,5 @@ pub use document::{Document, DocumentError};
 pub use querycache::{
     BatchImpact, CacheStats, PreorderIndex, QueryCache, QueryClass, QueryId, ShadowScheme,
 };
-pub use matrix::{
-    declared_figure7, measure_all, measure_all_threads, measure_entries_threads, measure_figure7,
-    measure_figure7_threads, EvaluationMatrix, MatrixRow,
-};
+pub use matrix::{declared_figure7, measure, EvaluationMatrix, MatrixRow};
 pub use report::Figure7Report;

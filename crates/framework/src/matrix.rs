@@ -3,7 +3,7 @@
 
 use crate::checkers::{measure_session, Measured};
 use xupd_labelcore::{Compliance, SchemeDescriptor};
-use xupd_schemes::{registry, registry_figure7, SchemeEntry};
+use xupd_schemes::{registry_figure7, SchemeEntry};
 use xupd_xmldom::TreeError;
 
 /// One matrix row: descriptive columns plus eight graded cells.
@@ -111,70 +111,25 @@ pub fn declared_figure7() -> EvaluationMatrix {
     }
 }
 
-/// Run the checker battery over `entries` on `workers` pool threads
-/// (schemes are independent, so the fan-out is per entry). Results come
-/// back in roster order regardless of worker count, and **every**
-/// failing scheme's error is reported — unlike the retired visitor
-/// collector, which parked only the first.
-pub fn measure_entries_threads(
+/// Run the checker battery over `entries` — [`registry_figure7`] for
+/// the twelve Figure 7 schemes, [`xupd_schemes::registry()`] for the full
+/// roster — on `workers` pool threads ([`xupd_exec::worker_count`] for
+/// the `XUPD_THREADS` default). Schemes are independent, so the fan-out
+/// is per entry. Results come back in roster order regardless of worker
+/// count; a failing scheme's error, the first in roster order, fails the
+/// whole battery.
+pub fn measure(
     entries: Vec<SchemeEntry>,
     workers: usize,
-) -> (
-    Vec<(SchemeDescriptor, Measured)>,
-    Vec<(SchemeDescriptor, TreeError)>,
-) {
+) -> Result<Vec<(SchemeDescriptor, Measured)>, TreeError> {
     let outcomes = xupd_exec::par_map_with(workers, &entries, |entry| {
-        let mut session = entry.session();
-        measure_session(session.as_mut())
+        measure_session(entry.session().as_mut())
     });
-    let mut results = Vec::new();
-    let mut errors = Vec::new();
-    for (entry, outcome) in entries.into_iter().zip(outcomes) {
-        match outcome {
-            Ok(m) => results.push((entry.descriptor, m)),
-            Err(e) => errors.push((entry.descriptor, e)),
-        }
-    }
-    (results, errors)
-}
-
-fn first_error_or(
-    (results, mut errors): (
-        Vec<(SchemeDescriptor, Measured)>,
-        Vec<(SchemeDescriptor, TreeError)>,
-    ),
-) -> Result<Vec<(SchemeDescriptor, Measured)>, TreeError> {
-    if errors.is_empty() {
-        Ok(results)
-    } else {
-        Err(errors.remove(0).1)
-    }
-}
-
-/// Run the checker battery over the twelve Figure 7 schemes, in
-/// parallel on the [`xupd_exec`] pool.
-pub fn measure_figure7() -> Result<Vec<(SchemeDescriptor, Measured)>, TreeError> {
-    measure_figure7_threads(xupd_exec::worker_count())
-}
-
-/// [`measure_figure7`] with an explicit worker count.
-pub fn measure_figure7_threads(
-    workers: usize,
-) -> Result<Vec<(SchemeDescriptor, Measured)>, TreeError> {
-    first_error_or(measure_entries_threads(registry_figure7(), workers))
-}
-
-/// Run the checker battery over the full roster, in parallel on the
-/// [`xupd_exec`] pool.
-pub fn measure_all() -> Result<Vec<(SchemeDescriptor, Measured)>, TreeError> {
-    measure_all_threads(xupd_exec::worker_count())
-}
-
-/// [`measure_all`] with an explicit worker count.
-pub fn measure_all_threads(
-    workers: usize,
-) -> Result<Vec<(SchemeDescriptor, Measured)>, TreeError> {
-    first_error_or(measure_entries_threads(registry(), workers))
+    entries
+        .into_iter()
+        .zip(outcomes)
+        .map(|(entry, outcome)| Ok((entry.descriptor, outcome?)))
+        .collect()
 }
 
 /// Build the measured matrix from checker results.

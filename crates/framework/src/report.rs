@@ -26,7 +26,7 @@ pub struct Figure7Report {
 }
 
 impl Figure7Report {
-    /// Build from checker results (see [`crate::matrix::measure_figure7`]).
+    /// Build from checker results (see [`crate::matrix::measure`]).
     pub fn new(results: Vec<(SchemeDescriptor, Measured)>) -> Self {
         Figure7Report { results }
     }

@@ -14,15 +14,16 @@
 //!   [`Store::state_dump`] the differential suite compares;
 //! * [`replay`] — execution of a [`FleetWorkload`](xupd_workloads::FleetWorkload)
 //!   against a store: [`replay_reference`] (the sequential spec
-//!   executor) and [`replay_concurrent`] (per-shard writer lanes on a
-//!   [`ShardExecutor`](xupd_exec::ShardExecutor)), plus per-op-class
-//!   latency histograms and the modelled-makespan scaling figure.
+//!   executor) and [`replay_concurrent`] (per-shard writer lanes grouped
+//!   onto the [`xupd_exec`] pool), plus per-op-class latency histograms
+//!   and the modelled-makespan scaling figure.
 //!
 //! **Determinism contract.** Final store state is a fold of each
 //! document's canonical op subsequence. Placement is deterministic,
-//! lanes are FIFO, and one lane owns all of a document's ops — so the
-//! state dump is byte-identical at any `XUPD_THREADS`. Timing
-//! (histograms, wall/busy nanoseconds) is measurement, never state.
+//! a lane runs its ops in stream order, and one lane owns all of a
+//! document's ops — so the state dump is byte-identical at any
+//! `XUPD_THREADS`. Timing (histograms, wall/busy nanoseconds) is
+//! measurement, never state.
 
 pub mod replay;
 pub mod store;

@@ -5,8 +5,9 @@
 //! `RwLock`, so:
 //!
 //! * **writes** are serialized per shard by the replay driver (one
-//!   writer lane per shard on a [`xupd_exec::ShardExecutor`]) and apply
-//!   validated [`MutationLog`] batches through the analyzed
+//!   writer lane per shard, each lane's ops run in stream order on one
+//!   pool thread; see [`crate::replay`]) and apply validated
+//!   [`MutationLog`] batches through the analyzed
 //!   [`Document::apply_log`] path — never raw tree edits;
 //! * **reads** ([`Store::query_now`]) take a per-document read lock and
 //!   serve registered queries from the document's maintained
@@ -27,7 +28,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use xupd_framework::document::{Document, DocumentError};
 use xupd_framework::driver::DriveStats;
@@ -176,7 +177,7 @@ impl StoreConfig {
 /// The sharded fleet of documents. See the module docs for the
 /// concurrency contract.
 pub struct Store<S: LabelingScheme + Clone + 'static> {
-    shards: Vec<BTreeMap<u32, Arc<RwLock<DocSlot<S>>>>>,
+    shards: Vec<BTreeMap<u32, RwLock<DocSlot<S>>>>,
     query_classes: usize,
 }
 
@@ -186,7 +187,7 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
     /// configured query class with string values cached.
     pub fn build(scheme: &S, config: &StoreConfig, trees: &[XmlTree]) -> Result<Store<S>, StoreError> {
         let shard_count = config.shards.max(1);
-        let mut shards: Vec<BTreeMap<u32, Arc<RwLock<DocSlot<S>>>>> =
+        let mut shards: Vec<BTreeMap<u32, RwLock<DocSlot<S>>>> =
             (0..shard_count).map(|_| BTreeMap::new()).collect();
         for (i, tree) in trees.iter().enumerate() {
             let id = i as u32;
@@ -200,7 +201,7 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
                 queries,
                 stats: DocStats::default(),
             };
-            shards[shard_of(id, shard_count)].insert(id, Arc::new(RwLock::new(slot)));
+            shards[shard_of(id, shard_count)].insert(id, RwLock::new(slot));
         }
         Ok(Store {
             shards,
@@ -233,7 +234,7 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
         shard_of(doc, self.shards.len())
     }
 
-    fn slot(&self, doc: u32) -> Result<&Arc<RwLock<DocSlot<S>>>, StoreError> {
+    fn slot(&self, doc: u32) -> Result<&RwLock<DocSlot<S>>, StoreError> {
         self.shards[self.shard_of(doc)]
             .get(&doc)
             .ok_or(StoreError::UnknownDoc(doc))

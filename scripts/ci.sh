@@ -94,8 +94,9 @@ for threads in 1 4; do
 done
 
 echo "==> XUPD_THREADS={1,4} store differential (sharded fleet state byte-identical to reference)"
-# The store differential suite replays a seeded fleet workload through
-# the sharded writer lanes at widths {1,2,8} and asserts the final
+# The store differential suite replays a seeded fleet workload with its
+# shard lanes grouped onto 1, 2 and 8 pool threads (lane l on thread
+# l % width, each lane's ops in stream order) and asserts the final
 # state_dump is byte-identical to the sequential reference executor,
 # across all 17 schemes, each of whose reference dumps is also pinned
 # by digest. Running the suite itself at both pool widths additionally

@@ -6,10 +6,10 @@
 //! breaks a scheme's behaviour, the measured matrix shifts and this
 //! suite pins down exactly which cell moved.
 
-use xml_update_props::framework::{
-    declared_figure7, measure_figure7, measure_figure7_threads, Figure7Report,
-};
+use xml_update_props::exec::worker_count;
+use xml_update_props::framework::{declared_figure7, measure, Figure7Report};
 use xml_update_props::labelcore::{Compliance, Property};
+use xml_update_props::schemes::registry_figure7;
 
 #[test]
 fn declared_matrix_is_the_papers_figure7() {
@@ -50,9 +50,8 @@ fn declared_matrix_is_the_papers_figure7() {
 /// parallel runs to the pre-pool byte stream.
 #[test]
 fn measured_matrix_identical_at_any_worker_count() {
-    let render = |workers: usize| {
-        Figure7Report::new(measure_figure7_threads(workers).unwrap()).render()
-    };
+    let render =
+        |workers: usize| Figure7Report::new(measure(registry_figure7(), workers).unwrap()).render();
     let sequential = render(1);
     for workers in [2, 8] {
         assert_eq!(
@@ -67,7 +66,7 @@ fn measured_matrix_identical_at_any_worker_count() {
 /// everything on it.
 #[test]
 fn measured_matrix_agreement_contract() {
-    let report = Figure7Report::new(measure_figure7().unwrap());
+    let report = Figure7Report::new(measure(registry_figure7(), worker_count()).unwrap());
 
     // headline agreement bar
     let (agree, total) = report.agreement();

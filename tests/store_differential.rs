@@ -3,14 +3,13 @@
 //! executor, at every worker width, for every scheme in the roster.
 //!
 //! This is the store-level analogue of the cross-scheme differential:
-//! the canonical op stream fixes each document's op subsequence, lanes
-//! are FIFO, placement is deterministic — so `Store::state_dump`
+//! the canonical op stream fixes each document's op subsequence, a lane
+//! runs its ops in stream order, placement is deterministic — so
+//! `Store::state_dump`
 //! (serialized document bytes + per-document stats + cache counters)
 //! must not depend on `XUPD_THREADS` at all. The reference dumps are
 //! also pinned by digest, so a change to the write path that moves any
 //! scheme's final state fails here even when it moves every width alike.
-
-use std::sync::Arc;
 
 use xml_update_props::labelcore::LabelingScheme;
 use xml_update_props::schemes::containment::accel::XPathAccelerator;
@@ -63,7 +62,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn assert_width_invariant<S>(scheme: S, label: &str) -> String
 where
     S: LabelingScheme + Clone + 'static,
-    Store<S>: Send + Sync,
+    Store<S>: Sync,
 {
     let fleet = FleetWorkload::generate(FleetConfig::small(0xD1FF));
     let trees = fleet_trees(fleet.config.docs);
@@ -79,7 +78,7 @@ where
     );
 
     for workers in WIDTHS {
-        let store = Arc::new(Store::build(&scheme, &cfg, &trees).unwrap());
+        let store = Store::build(&scheme, &cfg, &trees).unwrap();
         let report = replay_concurrent(&store, &fleet, workers);
         let dump = store.state_dump();
         assert_eq!(
@@ -153,7 +152,7 @@ fn repeated_concurrent_replays_are_byte_identical() {
     let trees = fleet_trees(fleet.config.docs);
     let cfg = StoreConfig::fleet();
     let dump_at = |workers: usize| {
-        let store = Arc::new(Store::build(&Qed::new(), &cfg, &trees).unwrap());
+        let store = Store::build(&Qed::new(), &cfg, &trees).unwrap();
         replay_concurrent(&store, &fleet, workers);
         store.state_dump()
     };
