@@ -1,12 +1,12 @@
 //! P8 — batched vs. per-op update cost through the mutation-log API.
 //!
 //! The same 256-op workload is applied in batches of 1, 16 and 256
-//! mutations: each batch is translated with `batch_of` against the live
-//! tree and applied atomically with `apply_log_dyn`. Batch size 1 is
-//! the per-op client (one validation pass, one `batch_of` scratch tree
-//! and element-pool scan, and one pair of undo journals *per edit*);
-//! larger batches amortise all three, which is exactly the saving the
-//! batch API exists to buy. A
+//! mutations: each batch is translated with `batch_of_in_place` on the
+//! live tree (the store's compile path) and applied atomically with
+//! `apply_log_dyn`. Batch size 1 is the per-op client (one validation
+//! pass, one element-pool scan, and one translation journal plus one
+//! pair of apply journals *per edit*); larger batches amortise all
+//! three, which is exactly the saving the batch API exists to buy. A
 //! `driver` reference case runs the classic per-op `run_script_dyn`
 //! driver on the identical script for context.
 //!
@@ -24,7 +24,7 @@
 //! tally (size-256 median vs. size-1 median per scheme).
 
 use xupd_framework::driver::run_script_dyn;
-use xupd_framework::mutations::{apply_log_dyn, batch_of};
+use xupd_framework::mutations::{apply_log_dyn, batch_of_in_place};
 use xupd_testkit::bench::{black_box, Harness};
 use xupd_workloads::{docs, Script, ScriptKind};
 
@@ -38,7 +38,7 @@ const OPS: usize = 256;
 const SIZES: [usize; 3] = [1, 16, 256];
 
 /// Apply `script` in consecutive chunks of `size` ops, translating each
-/// chunk against the live tree and applying it atomically.
+/// chunk on the live tree and applying it atomically.
 fn run_chunked(
     tree: &mut xupd_xmldom::XmlTree,
     session: &mut dyn xupd_labelcore::DynScheme,
@@ -50,7 +50,7 @@ fn run_chunked(
             kind: script.kind,
             ops: chunk.to_vec(),
         };
-        let log = batch_of(&sub, tree).unwrap();
+        let log = batch_of_in_place(&sub, tree).unwrap();
         apply_log_dyn(tree, session, &log).unwrap();
     }
 }

@@ -179,6 +179,17 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         run_script_dyn(&mut self.tree, &mut self.session, script)
     }
 
+    /// Translate an update script into one [`MutationLog`] against the
+    /// live tree ([`mutations::batch_of_in_place`]): the translation
+    /// runs on the document's own tree under an undo journal it rolls
+    /// back, so it copies nothing, and the tree's bytes and revision
+    /// come back exactly — the index, the registered queries and the
+    /// labelled snapshot all stay current for the
+    /// [`Document::apply_log`] that follows.
+    pub fn compile_script(&mut self, script: &Script) -> Result<MutationLog, TreeError> {
+        mutations::batch_of_in_place(script, &mut self.tree)
+    }
+
     /// Apply a [`MutationLog`] atomically against the live tree, in log
     /// order: validated up front, all-or-nothing on failure. A rejected
     /// batch changes nothing — snapshot, index and cache stay put. When
@@ -382,6 +393,31 @@ mod tests {
         doc.apply_log(&bad).unwrap_err();
         doc.encoded().unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 2, "rejected batch is free too");
+    }
+
+    #[test]
+    fn compile_script_keeps_the_index_and_the_batch_is_absorbed() {
+        let tree = docs::xmark_like(5, 60);
+        let mut doc = Document::encode(Qed::new(), &tree).unwrap();
+        let q = doc.register_query("//item", true).unwrap();
+        doc.encoded().unwrap();
+        let rows = doc.tree_with_index().unwrap().1.rows().as_ptr();
+        let (rebuilds, absorbed) = (doc.snapshot_rebuilds(), doc.cache_stats().batches_absorbed);
+
+        let script = Script::generate(ScriptKind::MixedDelete, 40, doc.tree().len(), 4);
+        let log = doc.compile_script(&script).unwrap();
+        assert!(!log.is_empty());
+        assert!(doc.cache.is_current(&doc.tree), "the index is still current");
+        assert_eq!(doc.tree_with_index().unwrap().1.rows().as_ptr(), rows, "nothing re-encoded");
+        assert!(doc.snapshot.is_some(), "the snapshot stands");
+        assert_eq!(doc.snapshot_rebuilds(), rebuilds);
+
+        // the following apply takes the analyzed path and is absorbed
+        doc.apply_log(&log).unwrap();
+        assert_eq!(doc.cache_stats().batches_absorbed, absorbed + 1);
+        assert!(!doc.cache.is_stale());
+        let fresh = doc.xpath("//item").unwrap();
+        assert_eq!(doc.query_cached(q).unwrap(), fresh.as_slice());
     }
 
     #[test]

@@ -40,8 +40,11 @@ pub(crate) const CHECKPOINT_EVERY: usize = 25;
 /// `u32`-sized bookkeeping instead of a fresh allocation per op.
 ///
 /// Batch application takes no pool: its ops name their targets
-/// directly. Only the per-op driver and [`crate::mutations::batch_of`],
-/// which resolve script indices against the pool, maintain one.
+/// directly. Only the per-op driver and
+/// [`crate::mutations::batch_of_in_place`], which resolve script
+/// indices against the pool, maintain one. [`ElementPool::build`] is
+/// the one O(n) step left in a script's translation, which otherwise
+/// costs the nodes the script writes.
 #[derive(Debug, Clone)]
 pub(crate) struct ElementPool {
     /// Live elements in document order.

@@ -15,7 +15,10 @@
 //!   one atomic-apply loop with
 //!   [`crate::analysis::apply_plan_with_dyn`], which runs a log in its
 //!   analyzed plan's certified order instead;
-//! * [`batch_of`] translates a whole update script into one log.
+//! * [`batch_of_in_place`] translates a whole update script into one
+//!   log on the live tree, under an undo journal it always rolls back,
+//!   so the translation copies nothing and leaves the tree as it found
+//!   it; [`batch_of`] runs it on a copy.
 //!
 //! The per-op script driver ([`crate::driver::run_script_dyn`]) is a
 //! consumer of this module: each script op becomes a one-op batch, so
@@ -330,10 +333,10 @@ fn consume_subtree<'o>(
 }
 
 /// Apply one mutation against the tree, optionally threading a labelling
-/// session (None = structural simulation, as [`batch_of`] uses on its
-/// scratch copy) and an incrementally maintained element pool (Some only
-/// where ops address the pool: the per-op driver and [`batch_of`]; batch
-/// apply takes none).
+/// session (None = structural simulation, as [`batch_of_in_place`] runs
+/// under the undo journal it rolls back) and an incrementally maintained
+/// element pool (Some only where ops address the pool: the per-op
+/// driver and [`batch_of_in_place`]; batch apply takes none).
 pub(crate) fn apply_mutation_dyn<'o>(
     tree: &mut XmlTree,
     mut session: Option<&mut (dyn DynScheme + 'o)>,
@@ -487,14 +490,26 @@ fn check_name(what: &str, name: &str) -> Result<(), TreeError> {
     }
 }
 
+/// Reject a text value the default parser drops: non-empty and only
+/// whitespace.
+fn check_text(value: &str) -> Result<(), TreeError> {
+    if !value.is_empty() && value.chars().all(char::is_whitespace) {
+        Err(TreeError::Invariant(format!("text {value:?} is only whitespace")))
+    } else {
+        Ok(())
+    }
+}
+
 /// Reject node content the serializer would write as bytes that parse
-/// back differently: a name that is not one, a PI target the parser
-/// takes for the XML declaration, `?>` in PI data, and `--` or a
+/// back differently: a name that is not one, whitespace-only text, a PI
+/// target the parser takes for the XML declaration, `?>` in PI data or
+/// whitespace the parser strips from either end of it, and `--` or a
 /// trailing `-` in a comment (XML 1.0 §2.5 and §2.6).
 fn check_content(kind: &NodeKind) -> Result<(), TreeError> {
     match kind {
         NodeKind::Element { name } => check_name("element name", name),
         NodeKind::Attribute { name, .. } => check_name("attribute name", name),
+        NodeKind::Text { value } => check_text(value),
         NodeKind::Pi { target, data } => {
             check_name("PI target", target)?;
             if target.eq_ignore_ascii_case("xml") {
@@ -504,6 +519,13 @@ fn check_content(kind: &NodeKind) -> Result<(), TreeError> {
             }
             if data.contains("?>") {
                 return Err(TreeError::Invariant("PI data cannot hold \"?>\"".to_string()));
+            }
+            // The parser skips XML whitespace after the target and
+            // trims any trailing whitespace off the data.
+            if data.starts_with([' ', '\t', '\r', '\n']) || data.ends_with(char::is_whitespace) {
+                return Err(TreeError::Invariant(format!(
+                    "PI data {data:?} starts or ends with whitespace"
+                )));
             }
             Ok(())
         }
@@ -750,6 +772,10 @@ impl<'t> Shadow<'t> {
 ///   as one name ([`xupd_xmldom::is_name`]), a PI named `xml`, `?>` in
 ///   PI data, or `--` or a trailing `-` in a comment
 ///   ([`TreeError::Invariant`]);
+/// * whitespace the default parser drops: a created or written text
+///   value that is non-empty and only whitespace, PI data that starts
+///   with a space, tab, CR or LF, or PI data that ends in whitespace
+///   ([`TreeError::Invariant`]);
 /// * a result with two attributes of one name on an element, counting
 ///   the attributes it already had ([`TreeError::Invariant`]).
 pub fn validate<'t>(log: &'t MutationLog, tree: &'t XmlTree) -> Result<(), TreeError> {
@@ -775,7 +801,8 @@ pub fn validate<'t>(log: &'t MutationLog, tree: &'t XmlTree) -> Result<(), TreeE
                 check_content(kind)?;
                 sh.register_create(*id, kind_class(kind), *place)?;
             }
-            Mutation::SetText { target, .. } => {
+            Mutation::SetText { target, text } => {
+                check_text(text)?;
                 sh.check_ref(*target)?;
                 if sh.class(ref_key(*target)) != KindClass::Text {
                     return Err(TreeError::Invariant(
@@ -946,16 +973,43 @@ pub(crate) fn apply_atomic<'m>(
 /// Translate a whole [`Script`] into **one** [`MutationLog`], replaying
 /// the per-op driver's addressing rules (modulo-pool resolution, the
 /// insert-before/after root fallbacks, the zigzag pair, the delete skip
-/// rules) against a scratch copy of `tree` so every later op addresses
-/// the pool state its predecessors left behind — exactly as
+/// rules) on `tree` itself, so every later op addresses the pool state
+/// its predecessors left behind — exactly as
 /// [`crate::driver::run_script_dyn`] would. Nodes the batch itself
 /// creates are referenced as [`NodeRef::New`], numbered in creation
-/// order, so [`apply_log`] on the real tree binds them to the same
+/// order, so [`apply_log`] on the same tree binds them to the same
 /// arena ids the per-op driver would have produced.
+///
+/// The replay runs under an [`XmlTree::begin_undo`] journal that is
+/// always rolled back, on success, error or panic (a panic resumes
+/// after the rollback, as in [`apply_log_dyn`]). Ids,
+/// [`XmlTree::revision`] and bytes come back exactly, so an index or a
+/// plan bound to the tree's revision stays valid, and the translation
+/// costs the nodes the script writes rather than a copy of the
+/// document. `tree` must have no journal open: this one would replace
+/// it.
+pub fn batch_of_in_place(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeError> {
+    tree.begin_undo();
+    let outcome = catch_unwind(AssertUnwindSafe(|| translate(script, tree)));
+    tree.end_undo(false);
+    match outcome {
+        Ok(result) => result,
+        Err(panic) => resume_unwind(panic),
+    }
+}
+
+/// [`batch_of_in_place`] on a copy of `tree`, for a caller that holds
+/// the tree only by shared reference.
 pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeError> {
-    let mut scratch = tree.clone();
-    let base = scratch.id_bound();
-    let mut pool = ElementPool::build(&scratch);
+    batch_of_in_place(script, &mut tree.clone())
+}
+
+/// The translation loop behind [`batch_of_in_place`]: emits each op's
+/// mutations and applies them to `tree`, whose journal the caller rolls
+/// back.
+fn translate(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeError> {
+    let base = tree.id_bound();
+    let mut pool = ElementPool::build(tree);
     let mut binds = LogBindings::default();
     let mut sink = DriveStats::default();
     let mut log = MutationLog::new();
@@ -971,10 +1025,10 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
         }
     };
 
-    // Emit one create + mirror it on the scratch tree; returns the
-    // scratch node so zig bookkeeping can track it.
+    // Emit one create + apply it to the tree; returns the new node so
+    // zig bookkeeping can track it.
     let create = |log: &mut MutationLog,
-                      scratch: &mut XmlTree,
+                      tree: &mut XmlTree,
                       pool: &mut ElementPool,
                       binds: &mut LogBindings,
                       sink: &mut DriveStats,
@@ -988,7 +1042,7 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
             name: "u".to_string(),
             place,
         };
-        apply_mutation_dyn(scratch, None, Some(pool), binds, &m, sink)?;
+        apply_mutation_dyn(tree, None, Some(pool), binds, &m, sink)?;
         log.push(m);
         binds.node(id)
     };
@@ -1000,8 +1054,8 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
         match *op {
             ScriptOp::InsertBefore(i) => {
                 let target = pool.resolve(i);
-                let place = if scratch.parent(target) == Some(scratch.root())
-                    || scratch.parent(target).is_none()
+                let place = if tree.parent(target) == Some(tree.root())
+                    || tree.parent(target).is_none()
                 {
                     Place::FirstChildOf(node_ref(target))
                 } else {
@@ -1009,7 +1063,7 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
                 };
                 create(
                     &mut log,
-                    &mut scratch,
+                    tree,
                     &mut pool,
                     &mut binds,
                     &mut sink,
@@ -1020,9 +1074,9 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
             ScriptOp::InsertAfter(i) if i == usize::MAX => {
                 let (a, b) = match zig {
                     Some((a, b))
-                        if scratch.is_alive(a)
-                            && scratch.is_alive(b)
-                            && scratch.next_sibling(a) == Some(b) =>
+                        if tree.is_alive(a)
+                            && tree.is_alive(b)
+                            && tree.next_sibling(a) == Some(b) =>
                     {
                         (a, b)
                     }
@@ -1030,7 +1084,7 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
                         let basis = pool.resolve(pool.len() / 2);
                         let c1 = create(
                             &mut log,
-                            &mut scratch,
+                            tree,
                             &mut pool,
                             &mut binds,
                             &mut sink,
@@ -1039,7 +1093,7 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
                         )?;
                         let c2 = create(
                             &mut log,
-                            &mut scratch,
+                            tree,
                             &mut pool,
                             &mut binds,
                             &mut sink,
@@ -1051,7 +1105,7 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
                 };
                 let node = create(
                     &mut log,
-                    &mut scratch,
+                    tree,
                     &mut pool,
                     &mut binds,
                     &mut sink,
@@ -1063,8 +1117,8 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
             }
             ScriptOp::InsertAfter(i) => {
                 let target = pool.resolve(i);
-                let place = if scratch.parent(target) == Some(scratch.root())
-                    || scratch.parent(target).is_none()
+                let place = if tree.parent(target) == Some(tree.root())
+                    || tree.parent(target).is_none()
                 {
                     Place::LastChildOf(node_ref(target))
                 } else {
@@ -1072,7 +1126,7 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
                 };
                 create(
                     &mut log,
-                    &mut scratch,
+                    tree,
                     &mut pool,
                     &mut binds,
                     &mut sink,
@@ -1084,7 +1138,7 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
                 let place = Place::FirstChildOf(node_ref(pool.resolve(i)));
                 create(
                     &mut log,
-                    &mut scratch,
+                    tree,
                     &mut pool,
                     &mut binds,
                     &mut sink,
@@ -1096,7 +1150,7 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
                 let place = Place::LastChildOf(node_ref(pool.resolve(i)));
                 create(
                     &mut log,
-                    &mut scratch,
+                    tree,
                     &mut pool,
                     &mut binds,
                     &mut sink,
@@ -1106,13 +1160,13 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
             }
             ScriptOp::DeleteSubtree(i) => {
                 let target = pool.resolve(i);
-                if Some(target) == scratch.document_element() || pool.len() <= 2 {
+                if Some(target) == tree.document_element() || pool.len() <= 2 {
                     continue;
                 }
                 let m = Mutation::Delete {
                     target: node_ref(target),
                 };
-                apply_mutation_dyn(&mut scratch, None, Some(&mut pool), &mut binds, &m, &mut sink)?;
+                apply_mutation_dyn(tree, None, Some(&mut pool), &mut binds, &m, &mut sink)?;
                 log.push(m);
             }
         }
@@ -1390,6 +1444,11 @@ mod tests {
             .expect("title has @genre");
         let (title, genre) = (NodeRef::Node(title), NodeRef::Node(genre));
         let publisher = NodeRef::Node(first_named(&tree, "publisher"));
+        let text = NodeRef::Node(
+            tree.preorder()
+                .find(|&n| tree.kind(n).is_text())
+                .expect("book has text"),
+        );
         let element = |name: &str| Mutation::CreateElement {
             id: LogId(0),
             name: name.into(),
@@ -1430,6 +1489,15 @@ mod tests {
             vec![node(0, pi("p", "a?>b"), book)],
             vec![node(0, comment("a--b"), book)],
             vec![node(0, comment("a-"), book)],
+            // whitespace the parser drops
+            vec![node(0, NodeKind::text("  "), book)],
+            vec![Mutation::SetText {
+                target: text,
+                text: " \n".into(),
+            }],
+            vec![node(0, pi("p", " d"), book)],
+            vec![node(0, pi("p", "\td"), book)],
+            vec![node(0, pi("p", "d\u{a0}"), book)],
             // a second attribute of one name, beside a pre-batch one or
             // another created one, or moved in beside it
             vec![node(0, attribute("genre"), title)],
@@ -1455,6 +1523,15 @@ mod tests {
         let valid = [
             vec![element("_x-1.y"), node(1, comment("a-b"), book)],
             vec![node(0, pi("p", "a?b>c"), book), node(1, pi("xml-stylesheet", ""), book)],
+            vec![
+                node(0, NodeKind::text(" a "), book),
+                node(1, pi("p", "a b"), book),
+                node(2, comment(" "), book),
+                Mutation::SetText {
+                    target: text,
+                    text: String::new(),
+                },
+            ],
             // the old attribute goes before a new one of its name comes
             vec![
                 Mutation::Delete { target: genre },
@@ -1520,9 +1597,13 @@ mod tests {
         );
     }
 
+    /// `batch_of_in_place` emits the log `batch_of` emits and leaves
+    /// the tree exactly as it found it, and that log applied as one
+    /// batch ends where the per-op driver does, for every script kind:
+    /// Zigzag checks its pair on the live tree, MixedDelete deletes.
     #[test]
     fn batch_of_matches_per_op_driver() {
-        for kind in [ScriptKind::Random, ScriptKind::Skewed, ScriptKind::MixedDelete] {
+        for kind in ScriptKind::ALL {
             let base = docs::random_tree(11, 80);
             let script = Script::generate(kind, 120, 80, 13);
 
@@ -1539,7 +1620,16 @@ mod tests {
             let mut batched_tree = base.clone();
             let mut scheme_b = DeweyId::new();
             let mut labeling_b = scheme_b.label_tree(&batched_tree).expect("labelable");
-            let log = batch_of(&script, &batched_tree).expect("translates");
+            let state = |t: &XmlTree| (serialize_compact(t), t.revision(), t.id_bound(), t.len());
+            let before = state(&batched_tree);
+            let log = batch_of_in_place(&script, &mut batched_tree).expect("translates");
+            assert_eq!(state(&batched_tree), before, "{} tree restored", kind.name());
+            assert_eq!(
+                log,
+                batch_of(&script, &batched_tree).expect("translates"),
+                "{} logs agree",
+                kind.name()
+            );
             apply_log(&mut batched_tree, &mut scheme_b, &mut labeling_b, &log)
                 .expect("batched");
 

@@ -1,7 +1,8 @@
 //! Differential battery for the mutation-log batch API.
 //!
 //! For every registry scheme × several random scripts, the whole script
-//! is translated into **one** [`MutationLog`] (`batch_of`) and applied
+//! is translated into **one** [`MutationLog`] on the live tree
+//! (`batch_of_in_place`, the store's compile path) and applied
 //! atomically (`apply_log_dyn`); the result must be indistinguishable
 //! from the per-op `run_script_dyn` driver: identical final tree bytes,
 //! identical label renderings, identical `DriveStats` totals. Schemes
@@ -16,7 +17,7 @@
 //! sizes — must still agree exactly.
 
 use xupd_framework::driver::{run_script_dyn, DriveStats};
-use xupd_framework::mutations::{apply_log_dyn, batch_of};
+use xupd_framework::mutations::{apply_log_dyn, batch_of_in_place};
 use xupd_schemes::{registry, SchemeEntry};
 use xupd_workloads::{docs, Script, ScriptKind};
 use xupd_xmldom::serialize_compact;
@@ -68,7 +69,7 @@ fn run_batched(entry: &SchemeEntry, script: &Script, seed: u64, nodes: usize) ->
     let mut session = entry.session();
     let mut tree = docs::random_tree(seed, nodes);
     session.label_tree(&tree).unwrap();
-    let log = batch_of(script, &tree).unwrap();
+    let log = batch_of_in_place(script, &mut tree).unwrap();
     let stats = apply_log_dyn(&mut tree, session.as_mut(), &log).unwrap();
     Outcome {
         totals: stats.into(),

@@ -67,11 +67,11 @@ fn arb_place() -> impl Gen<Value = Place> {
 }
 
 /// A node of any kind. Names and contents draw from an alphabet with
-/// `-`, `?` and `>` in it, independently of each other, so a legal PI
-/// target can carry `?>` in its data; names are short, so most of them
-/// are legal.
+/// `-`, `?`, `>` and a space in it, independently of each other, so a
+/// legal PI target can carry `?>` in its data and text and PI data can
+/// be or end in whitespace; names are short, so most of them are legal.
 fn arb_kind() -> impl Gen<Value = NodeKind> {
-    const ALPHABET: &[char] = &['a', 'b', 'ß', '中', '-', '?', '>'];
+    const ALPHABET: &[char] = &['a', 'b', 'ß', '中', '-', '?', '>', ' '];
     map(
         (
             ints(0u32..6),
@@ -100,14 +100,15 @@ fn arb_kind() -> impl Gen<Value = NodeKind> {
 }
 
 /// One arbitrary mutation of any of the seven variants, well-formedness
-/// not required; create ids are drawn from `0..4`.
+/// not required; create ids are drawn from `0..4`, and element names
+/// and `SetText` values from `x`, `y`, `µ` and a space.
 fn arb_mutation() -> impl Gen<Value = Mutation> {
     map(
         (
             ints(0u32..7),
             (arb_ref(), arb_place(), arb_kind()),
             (ints(0u32..4), vecs(ints(0u32..4), 0, 5)),
-            vecs(from_slice(&['x', 'y', 'µ']), 0, 5),
+            vecs(from_slice(&['x', 'y', 'µ', ' ']), 0, 5),
         ),
         |(tag, (r, place, kind), (id, ids), chars)| {
             let name: String = chars.into_iter().collect();
@@ -285,8 +286,9 @@ props! {
     /// serialized bytes parse back and serialize to the same bytes —
     /// or is rejected by `apply_log` with the validator's error,
     /// leaving tree bytes and labels as they were. Names are drawn
-    /// empty, with `-`, `?` and `>` in them and repeated per element,
-    /// and so are comment and PI contents.
+    /// empty, with `-`, `?`, `>` and spaces in them and repeated per
+    /// element, and so are comment, PI and text contents, which can be
+    /// only whitespace or start or end in it.
     fn arbitrary_logs_apply_or_change_nothing(
         seed in ints(0u64..1000),
         log_ops in vecs(arb_mutation(), 1, 8),

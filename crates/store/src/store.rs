@@ -32,7 +32,7 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use xupd_framework::document::{Document, DocumentError};
 use xupd_framework::driver::DriveStats;
-use xupd_framework::{mutations, AnalyzedPlan, ApplyOptions, MutationLog, PreorderIndex, QueryId};
+use xupd_framework::{AnalyzedPlan, ApplyOptions, MutationLog, PreorderIndex, QueryId};
 use xupd_labelcore::LabelingScheme;
 use xupd_workloads::Script;
 use xupd_xmldom::{serialize_compact, TreeError, XmlTree};
@@ -269,16 +269,16 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
         Ok(rows)
     }
 
-    /// Apply an update script as one atomic mutation-log batch: the
-    /// script is converted against the document's current tree
-    /// ([`mutations::batch_of`]) and applied through
-    /// [`Document::apply_log`], which validates it once, applies it in
-    /// log order and maintains the query cache. Returns the batch's
-    /// [`DriveStats`].
+    /// Apply an update script as one atomic mutation-log batch, under
+    /// one write lock: the script is translated on the document's own
+    /// tree ([`Document::compile_script`], which rolls its edits back
+    /// and copies nothing) and applied through [`Document::apply_log`],
+    /// which validates it once, applies it in log order and maintains
+    /// the query cache. Returns the batch's [`DriveStats`].
     pub fn apply_script(&self, doc: u32, script: &Script) -> Result<DriveStats, StoreError> {
         let slot = self.slot(doc)?;
         let mut g = write_lock(slot);
-        let log = mutations::batch_of(script, g.doc.tree())?;
+        let log = g.doc.compile_script(script)?;
         let stats = g.doc.apply_log(&log)?;
         g.stats.absorb_batch(&stats);
         Ok(stats)
