@@ -24,6 +24,8 @@ use xupd_xmldom::NodeKind;
 pub struct NameIndex {
     elements: BTreeMap<String, Vec<usize>>,
     attributes: BTreeMap<String, Vec<usize>>,
+    /// Every element row, whatever its name, in document order.
+    all_elements: Vec<u32>,
 }
 
 impl NameIndex {
@@ -42,8 +44,9 @@ impl NameIndex {
     }
 
     /// Re-index per-row node kinds in document order in place: every
-    /// bucket keeps its buffer, a name is allocated only the first time
-    /// it is seen, and names that no longer occur are dropped.
+    /// bucket and the element list keep their buffers, a name is
+    /// allocated only the first time it is seen, and names that no
+    /// longer occur are dropped.
     pub(crate) fn rebuild<'a>(&mut self, kinds: impl Iterator<Item = &'a NodeKind>) {
         for rows in self
             .elements
@@ -52,9 +55,14 @@ impl NameIndex {
         {
             rows.clear();
         }
+        self.all_elements.clear();
         for (i, kind) in kinds.enumerate() {
             let (map, name) = match kind {
-                NodeKind::Element { name } => (&mut self.elements, name),
+                NodeKind::Element { name } => {
+                    // Rows fit in 32 bits, as the node ids they encode do.
+                    self.all_elements.push(i as u32);
+                    (&mut self.elements, name)
+                }
                 NodeKind::Attribute { name, .. } => (&mut self.attributes, name),
                 _ => continue,
             };
@@ -72,6 +80,15 @@ impl NameIndex {
     /// All element rows with this name, in document order.
     pub fn elements(&self, name: &str) -> &[usize] {
         self.elements.get(name).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every element row in document order: entry `k` is the row of
+    /// the document's `k`-th element. Kept current by
+    /// [`EncodedDocument::splice`] like the name buckets, so a caller
+    /// that ranks elements by document order reads the ranking here
+    /// instead of scanning the tree.
+    pub fn all_elements(&self) -> &[u32] {
+        &self.all_elements
     }
 
     /// All attribute rows with this name, in document order.
@@ -141,6 +158,17 @@ mod tests {
         let via_xpath = parse_xpath("//item").unwrap().evaluate(&doc);
         assert_eq!(via_index, via_xpath);
         assert!(!via_index.is_empty());
+        // the element list is the tree's elements in document order
+        let elements: Vec<_> = tree
+            .preorder()
+            .filter(|&n| tree.kind(n).is_element())
+            .collect();
+        let via_rows: Vec<_> = idx
+            .all_elements()
+            .iter()
+            .map(|&r| doc.source_id(r as usize))
+            .collect();
+        assert_eq!(via_rows, elements);
     }
 
     #[test]

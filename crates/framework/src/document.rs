@@ -26,10 +26,11 @@
 //! [`Document::apply`]; every verify and write path hands that session
 //! to the framework function as it is.
 //!
-//! Queries, the analyzer and flux compiles all read one structure: the
-//! document's [`PreorderIndex`], the [`QueryCache`]'s shadow table. It is
-//! encoded on first need ([`Document::xpath`],
-//! [`Document::register_query`], [`Document::tree_with_index`]) and
+//! Queries, the analyzer, flux compiles and script compiles all read one
+//! structure: the document's [`PreorderIndex`], the [`QueryCache`]'s
+//! shadow table. It is encoded on first need ([`Document::xpath`],
+//! [`Document::register_query`], [`Document::tree_with_index`],
+//! [`Document::compile_script`]) and
 //! then kept current by every analyzed batch — spliced after a
 //! structural batch, patched after a text-only one — whether or not a
 //! query is registered. Registered queries are maintained
@@ -180,14 +181,19 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     }
 
     /// Translate an update script into one [`MutationLog`] against the
-    /// live tree ([`mutations::batch_of_in_place`]): the translation
-    /// runs on the document's own tree under an undo journal it rolls
-    /// back, so it copies nothing, and the tree's bytes and revision
-    /// come back exactly — the index, the registered queries and the
-    /// labelled snapshot all stay current for the
-    /// [`Document::apply_log`] that follows.
+    /// live tree, as [`mutations::batch_of_in_place`] does, but ranking
+    /// the elements by the preorder index's element list instead of a
+    /// scan of the tree, so the translation costs O(script). The index
+    /// is encoded first if the document holds no current one, as
+    /// [`Document::xpath`] does; the [`Document::apply_log`] that
+    /// follows then takes the analyzed path. The translation runs on
+    /// the document's own tree under an undo journal it rolls back, so
+    /// it copies nothing, and the tree's bytes and revision come back
+    /// exactly — the index, the registered queries and the labelled
+    /// snapshot all stay current for that apply.
     pub fn compile_script(&mut self, script: &Script) -> Result<MutationLog, TreeError> {
-        mutations::batch_of_in_place(script, &mut self.tree)
+        let index = self.cache.index(&self.tree)?;
+        mutations::batch_of_on_index(script, &mut self.tree, index)
     }
 
     /// Apply a [`MutationLog`] atomically against the live tree, in log
@@ -418,6 +424,34 @@ mod tests {
         assert!(!doc.cache.is_stale());
         let fresh = doc.xpath("//item").unwrap();
         assert_eq!(doc.query_cached(q).unwrap(), fresh.as_slice());
+
+        // With no current index — a fresh document nothing has queried,
+        // or one an untracked script left stale — the compile encodes
+        // the index first, emits the scan-based translation's log, and
+        // the apply that follows is analyzed and absorbed all the same.
+        let fresh_doc = Document::encode(Qed::new(), &tree).unwrap();
+        let mut stale_doc = Document::encode(Qed::new(), &tree).unwrap();
+        let q = stale_doc.register_query("//item", true).unwrap();
+        stale_doc
+            .apply(&Script::generate(ScriptKind::Random, 10, tree.len(), 6))
+            .unwrap();
+        for (name, mut doc, q) in [("fresh", fresh_doc, None), ("stale", stale_doc, Some(q))] {
+            assert!(!doc.cache.is_current(&doc.tree), "{name}: no current index");
+            let absorbed = doc.cache_stats().batches_absorbed;
+            let log = doc.compile_script(&script).unwrap();
+            assert!(doc.cache.is_current(&doc.tree), "{name}: index encoded");
+            let scanned = mutations::batch_of_in_place(&script, &mut doc.tree().clone()).unwrap();
+            assert_eq!(log, scanned, "{name}: logs agree");
+
+            doc.apply_log(&log).unwrap();
+            assert_eq!(doc.cache_stats().batches_absorbed, absorbed + 1, "{name}");
+            let expr = parse_xpath("//item").unwrap();
+            let fresh = expr.evaluate(doc.encoded().unwrap());
+            assert_eq!(doc.xpath("//item").unwrap(), fresh, "{name}: index rows");
+            if let Some(q) = q {
+                assert_eq!(doc.query_cached(q).unwrap(), fresh.as_slice(), "{name}");
+            }
+        }
     }
 
     #[test]

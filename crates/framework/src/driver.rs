@@ -2,6 +2,7 @@
 //! evidence the property checkers grade.
 
 use crate::mutations::{LogBindings, LogId, Mutation, MutationLog, NodeRef, Place};
+use crate::querycache::PreorderIndex;
 use xupd_labelcore::DynScheme;
 use xupd_workloads::{Script, ScriptOp};
 use xupd_xmldom::{NodeId, TreeError, XmlTree};
@@ -29,58 +30,210 @@ pub struct DriveStats {
 /// How often (in ops) the driver scans label sizes for the peak metric.
 pub(crate) const CHECKPOINT_EVERY: usize = 25;
 
-/// The live element nodes of a tree in document order, maintained
-/// **incrementally** across script ops.
+/// The live element nodes of a tree in document order, kept across the
+/// ops of one script as a short list of runs over a fixed ranking.
 ///
-/// The driver resolves every op index against this pool. Rebuilding it
-/// with a full preorder scan per op made replay O(ops·n); instead, each
-/// insert splices the new leaf next to its document-order predecessor
-/// element, and each delete drains the subtree's contiguous run — both
-/// proportional to the affected suffix, with plain pointer walks and
-/// `u32`-sized bookkeeping instead of a fresh allocation per op.
+/// The ranking, the pool's base, is the elements the tree held when the
+/// script began, in document order, and is never written again: either
+/// borrowed from the element list of the tree's [`PreorderIndex`]
+/// ([`ElementPool::over`], no pass over the tree) or collected by one
+/// scan ([`ElementPool::build`], for a caller that holds only the tree).
+/// The pool is a list of runs over it: a range of base ranks whose
+/// elements are all still live, or one element the script made. An
+/// insert lands one past its document-order predecessor element,
+/// splitting the run that holds it; a subtree delete cuts out the
+/// contiguous stretch its elements occupy. Each op walks the runs, so it
+/// costs O(runs), and a script of `k` ops leaves at most `2k + 1` of
+/// them: the translation's cost follows the script, not the document.
 ///
 /// Batch application takes no pool: its ops name their targets
-/// directly. Only the per-op driver and
-/// [`crate::mutations::batch_of_in_place`], which resolve script
-/// indices against the pool, maintain one. [`ElementPool::build`] is
-/// the one O(n) step left in a script's translation, which otherwise
-/// costs the nodes the script writes.
-#[derive(Debug, Clone)]
-pub(crate) struct ElementPool {
-    /// Live elements in document order.
-    order: Vec<NodeId>,
-    /// `NodeId` index → position in `order`. Meaningful only for ids
-    /// currently present in `order` (node ids are never reused).
-    pos: Vec<u32>,
+/// directly. Only the per-op driver and the script translation in
+/// [`crate::mutations`], which resolve script indices against the pool,
+/// keep one.
+#[derive(Debug)]
+pub(crate) struct ElementPool<'i> {
+    base: PoolBase<'i>,
+    runs: Vec<Run>,
+    /// Live elements: the sum of the runs' lengths.
+    len: usize,
 }
 
-impl ElementPool {
-    /// One full scan at script start — the last one.
+/// The fixed ranking an [`ElementPool`]'s runs lay over.
+#[derive(Debug)]
+enum PoolBase<'i> {
+    /// One scan of the tree: its elements in document order, and each
+    /// node id's rank among them (`u32::MAX` for any other node).
+    Scan {
+        elements: Vec<NodeId>,
+        rank: Vec<u32>,
+    },
+    /// The tree's preorder index: rank `k` is the `k`-th entry of its
+    /// element list, and a node's rank is found from its row.
+    Index(&'i PreorderIndex),
+}
+
+impl PoolBase<'_> {
+    fn len(&self) -> usize {
+        match self {
+            PoolBase::Scan { elements, .. } => elements.len(),
+            PoolBase::Index(index) => index.name_index().all_elements().len(),
+        }
+    }
+
+    /// The element of base rank `rank`.
+    fn node(&self, rank: u32) -> Result<NodeId, TreeError> {
+        let node = match self {
+            PoolBase::Scan { elements, .. } => elements.get(rank as usize).copied(),
+            PoolBase::Index(index) => index
+                .name_index()
+                .all_elements()
+                .get(rank as usize)
+                .map(|&row| index.source_id(row as usize)),
+        };
+        node.ok_or_else(|| pool_error("a run past the base ranking"))
+    }
+
+    /// The base rank of `node`; `None` for a node that was no element
+    /// when the script began, such as one the script made.
+    fn rank(&self, node: NodeId) -> Option<u32> {
+        match self {
+            PoolBase::Scan { rank, .. } => {
+                rank.get(node.index()).copied().filter(|&r| r != u32::MAX)
+            }
+            PoolBase::Index(index) => {
+                let row = index.row_of_source(node)? as u32;
+                let k = index.name_index().all_elements().binary_search(&row).ok()?;
+                Some(k as u32)
+            }
+        }
+    }
+}
+
+/// One stretch of an [`ElementPool`], in document order.
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    /// Base ranks `start..start + len`.
+    Base { start: u32, len: u32 },
+    /// One element the script made (or moved).
+    New(NodeId),
+}
+
+impl Run {
+    fn len(self) -> usize {
+        match self {
+            Run::Base { len, .. } => len as usize,
+            Run::New(_) => 1,
+        }
+    }
+}
+
+fn pool_error(what: &str) -> TreeError {
+    TreeError::Invariant(format!("element pool: {what}"))
+}
+
+impl ElementPool<'static> {
+    /// The pool of `tree`, ranked by one scan of it: the translation's
+    /// one O(n) step, for a caller that has no preorder index.
     pub fn build(tree: &XmlTree) -> Self {
-        let order: Vec<NodeId> = tree
+        let elements: Vec<NodeId> = tree
             .preorder()
             .filter(|&n| tree.kind(n).is_element())
             .collect();
-        let mut pos = vec![0u32; tree.id_bound()];
-        for (i, &n) in order.iter().enumerate() {
-            pos[n.index()] = i as u32;
+        let mut rank = vec![u32::MAX; tree.id_bound()];
+        for (k, &n) in elements.iter().enumerate() {
+            rank[n.index()] = k as u32;
         }
-        ElementPool { order, pos }
+        Self::with_base(PoolBase::Scan { elements, rank })
+    }
+}
+
+impl<'i> ElementPool<'i> {
+    /// The pool of the tree state `index` encodes, ranked by the
+    /// index's element list. The caller checks that `index` is current
+    /// for the tree the pool will address.
+    pub fn over(index: &'i PreorderIndex) -> Self {
+        Self::with_base(PoolBase::Index(index))
+    }
+
+    fn with_base(base: PoolBase<'i>) -> Self {
+        let len = base.len();
+        let runs = match len {
+            0 => Vec::new(),
+            n => vec![Run::Base {
+                start: 0,
+                len: n as u32,
+            }],
+        };
+        ElementPool { base, runs, len }
     }
 
     /// Number of live elements.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.len
     }
 
     /// True when the tree holds no element at all.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len == 0
     }
 
     /// The op-index addressing rule: modulo the live pool size.
-    pub fn resolve(&self, i: usize) -> NodeId {
-        self.order[i % self.order.len()]
+    pub fn resolve(&self, i: usize) -> Result<NodeId, TreeError> {
+        if self.len == 0 {
+            return Err(pool_error("resolve on an empty pool"));
+        }
+        let mut at = i % self.len;
+        for &run in &self.runs {
+            if at < run.len() {
+                return match run {
+                    Run::Base { start, .. } => self.base.node(start + at as u32),
+                    Run::New(node) => Ok(node),
+                };
+            }
+            at -= run.len();
+        }
+        Err(pool_error("runs shorter than the pool"))
+    }
+
+    /// The run holding the live element `node`, and `node`'s offset in
+    /// it.
+    fn find(&self, node: NodeId) -> Result<(usize, usize), TreeError> {
+        let rank = self.base.rank(node);
+        for (j, &run) in self.runs.iter().enumerate() {
+            match run {
+                Run::Base { start, len } => {
+                    if let Some(r) = rank.filter(|r| (start..start + len).contains(r)) {
+                        return Ok((j, (r - start) as usize));
+                    }
+                }
+                Run::New(n) if n == node => return Ok((j, 0)),
+                Run::New(_) => {}
+            }
+        }
+        Err(pool_error("a live element is missing"))
+    }
+
+    /// Make a run start `offset` elements into run `j`, splitting a base
+    /// run if needed, and return that run's index (`j + 1` when `offset`
+    /// is run `j`'s length).
+    fn split(&mut self, j: usize, offset: usize) -> Result<usize, TreeError> {
+        match self.runs.get(j).copied() {
+            _ if offset == 0 => Ok(j),
+            Some(run) if offset == run.len() => Ok(j + 1),
+            Some(Run::Base { start, len }) if offset < len as usize => {
+                let offset = offset as u32;
+                self.runs[j] = Run::Base { start, len: offset };
+                self.runs.insert(
+                    j + 1,
+                    Run::Base {
+                        start: start + offset,
+                        len: len - offset,
+                    },
+                );
+                Ok(j + 1)
+            }
+            _ => Err(pool_error("a split past a run's end")),
+        }
     }
 
     /// The nearest element preceding `node` in document order: a preorder
@@ -107,33 +260,44 @@ impl ElementPool {
     /// Register a freshly attached element leaf. Its pool position is one
     /// past its document-order predecessor element (or 0 when none —
     /// possible only for a first document element).
-    pub fn insert_new(&mut self, tree: &XmlTree, node: NodeId) {
-        let at = match Self::prev_element(tree, node) {
-            Some(prev) => self.pos[prev.index()] as usize + 1,
+    pub fn insert_new(&mut self, tree: &XmlTree, node: NodeId) -> Result<(), TreeError> {
+        let j = match Self::prev_element(tree, node) {
+            Some(prev) => {
+                let (j, offset) = self.find(prev)?;
+                self.split(j, offset + 1)?
+            }
             None => 0,
         };
-        self.order.insert(at, node);
-        if self.pos.len() <= node.index() {
-            self.pos.resize(node.index() + 1, 0);
-        }
-        for j in at..self.order.len() {
-            self.pos[self.order[j].index()] = j as u32;
-        }
+        self.runs.insert(j, Run::New(node));
+        self.len += 1;
+        Ok(())
     }
 
     /// Unregister the still-attached subtree rooted at element `node`:
     /// in the element-filtered preorder its elements form one contiguous
-    /// run starting at `node`'s own position.
-    pub fn remove_subtree(&mut self, tree: &XmlTree, node: NodeId) {
-        let at = self.pos[node.index()] as usize;
+    /// stretch starting at `node`'s own position.
+    pub fn remove_subtree(&mut self, tree: &XmlTree, node: NodeId) -> Result<(), TreeError> {
         let doomed = tree
             .preorder_from(node)
             .filter(|&n| tree.kind(n).is_element())
             .count();
-        self.order.drain(at..at + doomed);
-        for j in at..self.order.len() {
-            self.pos[self.order[j].index()] = j as u32;
+        let (j, offset) = self.find(node)?;
+        let from = self.split(j, offset)?;
+        let (mut to, mut left) = (from, doomed);
+        while left > 0 {
+            let n = self.runs.get(to).map_or(0, |run| run.len());
+            if n == 0 {
+                return Err(pool_error("a subtree past the pool's end"));
+            }
+            if n > left {
+                self.split(to, left)?;
+            }
+            left -= n.min(left);
+            to += 1;
         }
+        self.runs.drain(from..to);
+        self.len -= doomed;
+        Ok(())
     }
 }
 
@@ -182,7 +346,7 @@ pub fn run_script_dyn(
         let mut zig_plan: Option<(Option<(NodeId, NodeId)>, bool)> = None;
         match *op {
             ScriptOp::InsertBefore(i) => {
-                let target = pool.resolve(i);
+                let target = pool.resolve(i)?;
                 let place = if tree.parent(target) == Some(tree.root())
                     || tree.parent(target).is_none()
                 {
@@ -213,7 +377,7 @@ pub fn run_script_dyn(
                         zig_plan = Some((Some((a, b)), false));
                     }
                     _ => {
-                        let base = pool.resolve(pool.len() / 2);
+                        let base = pool.resolve(pool.len() / 2)?;
                         batch.push(Mutation::CreateElement {
                             id: LogId(0),
                             name: "u".to_string(),
@@ -234,7 +398,7 @@ pub fn run_script_dyn(
                 }
             }
             ScriptOp::InsertAfter(i) => {
-                let target = pool.resolve(i);
+                let target = pool.resolve(i)?;
                 let place = if tree.parent(target) == Some(tree.root())
                     || tree.parent(target).is_none()
                 {
@@ -252,18 +416,18 @@ pub fn run_script_dyn(
                 batch.push(Mutation::CreateElement {
                     id: LogId(0),
                     name: "u".to_string(),
-                    place: Place::FirstChildOf(NodeRef::Node(pool.resolve(i))),
+                    place: Place::FirstChildOf(NodeRef::Node(pool.resolve(i)?)),
                 });
             }
             ScriptOp::AppendChild(i) => {
                 batch.push(Mutation::CreateElement {
                     id: LogId(0),
                     name: "u".to_string(),
-                    place: Place::LastChildOf(NodeRef::Node(pool.resolve(i))),
+                    place: Place::LastChildOf(NodeRef::Node(pool.resolve(i)?)),
                 });
             }
             ScriptOp::DeleteSubtree(i) => {
-                let target = pool.resolve(i);
+                let target = pool.resolve(i)?;
                 if Some(target) == tree.document_element() || pool.len() <= 2 {
                     continue;
                 }
@@ -348,6 +512,98 @@ mod tests {
     use xupd_schemes::prefix::dewey::DeweyId;
     use xupd_schemes::prefix::qed::Qed;
     use xupd_workloads::{docs, Script, ScriptKind};
+
+    /// A pool ranked by a scan and one ranked by the preorder index
+    /// follow the same edits, and after each resolve every position to
+    /// the element a fresh scan of the tree finds there: inserts at the
+    /// front, at the end and inside a base run, the delete of a subtree
+    /// holding only script-made elements, and one spanning base ranks
+    /// and script-made elements.
+    #[test]
+    fn pool_runs_match_a_fresh_scan_over_either_base() {
+        use crate::querycache::{PreorderIndex, ShadowScheme};
+        use xupd_xmldom::NodeKind;
+
+        fn elements(tree: &XmlTree) -> Vec<NodeId> {
+            tree.preorder()
+                .filter(|&n| tree.kind(n).is_element())
+                .collect()
+        }
+        fn check(tree: &XmlTree, pools: &[ElementPool<'_>], step: &str) {
+            let scan = elements(tree);
+            for (base, pool) in ["scan", "index"].iter().zip(pools) {
+                assert_eq!(pool.len(), scan.len(), "{step} ({base}): len");
+                let resolved: Vec<NodeId> =
+                    (0..pool.len()).map(|i| pool.resolve(i).unwrap()).collect();
+                assert_eq!(resolved, scan, "{step} ({base}): order");
+                let wrapped = pool.resolve(scan.len() + 2).unwrap();
+                assert_eq!(wrapped, scan[2], "{step} ({base}): modulo");
+            }
+        }
+        fn insert(
+            tree: &mut XmlTree,
+            pools: &mut [ElementPool<'_>],
+            attach: impl FnOnce(&mut XmlTree, NodeId) -> Result<(), TreeError>,
+        ) -> NodeId {
+            let node = tree.create(NodeKind::element("u"));
+            attach(tree, node).unwrap();
+            for pool in pools.iter_mut() {
+                pool.insert_new(tree, node).unwrap();
+            }
+            node
+        }
+        fn delete(tree: &mut XmlTree, pools: &mut [ElementPool<'_>], node: NodeId) {
+            for pool in pools.iter_mut() {
+                pool.remove_subtree(tree, node).unwrap();
+            }
+            tree.remove_subtree(node).unwrap();
+        }
+
+        let mut tree = docs::random_tree(7, 40);
+        let index = PreorderIndex::encode(ShadowScheme::default(), &tree).unwrap();
+        let mut pools = [ElementPool::build(&tree), ElementPool::over(&index)];
+        check(&tree, &pools, "start");
+
+        // Front: an element ahead of the document element.
+        let root = tree.root();
+        insert(&mut tree, &mut pools, |t, n| t.prepend_child(root, n));
+        check(&tree, &pools, "insert at position 0");
+
+        // End: a child of the last element in document order.
+        let last = *elements(&tree).last().unwrap();
+        insert(&mut tree, &mut pools, |t, n| t.append_child(last, n));
+        check(&tree, &pools, "insert at the end");
+
+        // Inside the base run: the first child of an element that has
+        // element children, a third of the way in or later.
+        let scan = elements(&tree);
+        let host = scan[scan.len() / 3..]
+            .iter()
+            .copied()
+            .find(|&e| tree.children(e).any(|c| tree.kind(c).is_element()))
+            .unwrap();
+        let made = insert(&mut tree, &mut pools, |t, n| t.prepend_child(host, n));
+        check(&tree, &pools, "insert inside a base run");
+        insert(&mut tree, &mut pools, |t, n| t.append_child(made, n));
+        check(&tree, &pools, "insert under a script-made element");
+
+        // A subtree of script-made elements only.
+        delete(&mut tree, &mut pools, made);
+        check(&tree, &pools, "delete of script-made elements");
+
+        // A subtree whose elements span base ranks and a script-made one.
+        insert(&mut tree, &mut pools, |t, n| t.prepend_child(host, n));
+        delete(&mut tree, &mut pools, host);
+        check(&tree, &pools, "delete spanning base and new runs");
+    }
+
+    #[test]
+    fn an_empty_pool_refuses_to_resolve() {
+        let tree = XmlTree::new();
+        let pool = ElementPool::build(&tree);
+        assert!(pool.is_empty());
+        assert!(matches!(pool.resolve(0), Err(TreeError::Invariant(_))));
+    }
 
     #[test]
     fn random_script_drives_cleanly_for_qed() {

@@ -18,7 +18,11 @@
 //! * [`batch_of_in_place`] translates a whole update script into one
 //!   log on the live tree, under an undo journal it always rolls back,
 //!   so the translation copies nothing and leaves the tree as it found
-//!   it; [`batch_of`] runs it on a copy.
+//!   it; [`batch_of`] runs it on a copy. Both rank the tree's elements
+//!   by one scan per script. [`crate::Document::compile_script`], the
+//!   store's compile, reads that ranking off the document's preorder
+//!   index instead, so its translation costs the script, not the
+//!   document.
 //!
 //! The per-op script driver ([`crate::driver::run_script_dyn`]) is a
 //! consumer of this module: each script op becomes a one-op batch, so
@@ -26,6 +30,7 @@
 //! by exactly the same application code as full batches.
 
 use crate::driver::{apply_insert_dyn, DriveStats, ElementPool, CHECKPOINT_EVERY};
+use crate::querycache::PreorderIndex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use xupd_labelcore::{DynScheme, Labeling, LabelingScheme, SessionMut};
@@ -275,13 +280,13 @@ fn attach(
 fn register_insert<'o>(
     tree: &XmlTree,
     session: Option<&mut (dyn DynScheme + 'o)>,
-    pool: Option<&mut ElementPool>,
+    pool: Option<&mut ElementPool<'_>>,
     node: NodeId,
     stats: &mut DriveStats,
 ) -> Result<(), TreeError> {
     if let Some(p) = pool {
         if tree.kind(node).is_element() {
-            p.insert_new(tree, node);
+            p.insert_new(tree, node)?;
         }
     }
     match session {
@@ -297,7 +302,7 @@ fn register_insert<'o>(
 fn create_one<'o>(
     tree: &mut XmlTree,
     session: Option<&mut (dyn DynScheme + 'o)>,
-    pool: Option<&mut ElementPool>,
+    pool: Option<&mut ElementPool<'_>>,
     binds: &mut LogBindings,
     id: LogId,
     kind: NodeKind,
@@ -315,7 +320,7 @@ fn create_one<'o>(
 fn consume_subtree<'o>(
     tree: &mut XmlTree,
     session: Option<&mut (dyn DynScheme + 'o)>,
-    pool: Option<&mut ElementPool>,
+    pool: Option<&mut ElementPool<'_>>,
     target: NodeId,
     stats: &mut DriveStats,
 ) -> Result<(), TreeError> {
@@ -324,7 +329,7 @@ fn consume_subtree<'o>(
     }
     if let Some(p) = pool {
         if tree.kind(target).is_element() {
-            p.remove_subtree(tree, target);
+            p.remove_subtree(tree, target)?;
         }
     }
     tree.remove_subtree(target)?;
@@ -334,13 +339,15 @@ fn consume_subtree<'o>(
 
 /// Apply one mutation against the tree, optionally threading a labelling
 /// session (None = structural simulation, as [`batch_of_in_place`] runs
-/// under the undo journal it rolls back) and an incrementally maintained
-/// element pool (Some only where ops address the pool: the per-op
-/// driver and [`batch_of_in_place`]; batch apply takes none).
+/// under the undo journal it rolls back) and an element pool (Some only
+/// where ops address the pool: the per-op driver and the script
+/// translation; batch apply takes none). Every element the mutation
+/// attaches or removes is registered with the pool; an element the pool
+/// cannot place is a [`TreeError::Invariant`].
 pub(crate) fn apply_mutation_dyn<'o>(
     tree: &mut XmlTree,
     mut session: Option<&mut (dyn DynScheme + 'o)>,
-    mut pool: Option<&mut ElementPool>,
+    mut pool: Option<&mut ElementPool<'_>>,
     binds: &mut LogBindings,
     m: &Mutation,
     stats: &mut DriveStats,
@@ -418,7 +425,7 @@ pub(crate) fn apply_mutation_dyn<'o>(
             }
             if let Some(p) = pool.as_deref_mut() {
                 if tree.kind(t).is_element() {
-                    p.remove_subtree(tree, t);
+                    p.remove_subtree(tree, t)?;
                 }
             }
             tree.detach(t)?;
@@ -427,7 +434,7 @@ pub(crate) fn apply_mutation_dyn<'o>(
             for node in moved {
                 if let Some(p) = pool.as_deref_mut() {
                     if tree.kind(node).is_element() {
-                        p.insert_new(tree, node);
+                        p.insert_new(tree, node)?;
                     }
                 }
                 match session.as_deref_mut() {
@@ -985,12 +992,49 @@ pub(crate) fn apply_atomic<'m>(
 /// after the rollback, as in [`apply_log_dyn`]). Ids,
 /// [`XmlTree::revision`] and bytes come back exactly, so an index or a
 /// plan bound to the tree's revision stays valid, and the translation
-/// costs the nodes the script writes rather than a copy of the
-/// document. `tree` must have no journal open: this one would replace
-/// it.
+/// copies nothing. It ranks the tree's elements by one scan, its one
+/// O(n) step; everything else costs the nodes the script writes. A
+/// caller that keeps the tree's preorder index skips the scan too
+/// ([`crate::Document::compile_script`]). `tree` must have no journal
+/// open: this one would replace it.
 pub fn batch_of_in_place(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeError> {
+    let pool = ElementPool::build(tree);
+    translate_undone(script, tree, pool)
+}
+
+/// [`batch_of_in_place`] with the element ranking read off `index`, the
+/// preorder index of `tree` as it is now, instead of a scan: the whole
+/// translation costs O(script). An index made for another tree state is
+/// rejected with [`TreeError::Invariant`] before the tree is touched.
+pub(crate) fn batch_of_on_index(
+    script: &Script,
+    tree: &mut XmlTree,
+    index: &PreorderIndex,
+) -> Result<MutationLog, TreeError> {
+    if index.revision() != tree.revision() {
+        return Err(TreeError::Invariant(
+            "preorder index was made for another tree state".to_string(),
+        ));
+    }
+    translate_undone(script, tree, ElementPool::over(index))
+}
+
+/// [`batch_of_in_place`] on a copy of `tree`, for a caller that holds
+/// the tree only by shared reference. The copy and the scan each cost
+/// O(n) per call.
+pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeError> {
+    batch_of_in_place(script, &mut tree.clone())
+}
+
+/// Run [`translate`] under an undo journal on `tree` that is always
+/// rolled back, resuming a panic after the rollback.
+fn translate_undone(
+    script: &Script,
+    tree: &mut XmlTree,
+    pool: ElementPool<'_>,
+) -> Result<MutationLog, TreeError> {
     tree.begin_undo();
-    let outcome = catch_unwind(AssertUnwindSafe(|| translate(script, tree)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| translate(script, tree, pool)));
     tree.end_undo(false);
     match outcome {
         Ok(result) => result,
@@ -998,18 +1042,17 @@ pub fn batch_of_in_place(script: &Script, tree: &mut XmlTree) -> Result<Mutation
     }
 }
 
-/// [`batch_of_in_place`] on a copy of `tree`, for a caller that holds
-/// the tree only by shared reference.
-pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeError> {
-    batch_of_in_place(script, &mut tree.clone())
-}
-
-/// The translation loop behind [`batch_of_in_place`]: emits each op's
-/// mutations and applies them to `tree`, whose journal the caller rolls
-/// back.
-fn translate(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeError> {
+/// The translation loop behind [`batch_of_in_place`] and
+/// [`batch_of_on_index`]: emits each op's mutations and applies them to
+/// `tree`, whose journal the caller rolls back, resolving script
+/// indices against `pool`, the elements of `tree` as it was handed
+/// over.
+fn translate(
+    script: &Script,
+    tree: &mut XmlTree,
+    mut pool: ElementPool<'_>,
+) -> Result<MutationLog, TreeError> {
     let base = tree.id_bound();
-    let mut pool = ElementPool::build(tree);
     let mut binds = LogBindings::default();
     let mut sink = DriveStats::default();
     let mut log = MutationLog::new();
@@ -1029,7 +1072,7 @@ fn translate(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeErr
     // zig bookkeeping can track it.
     let create = |log: &mut MutationLog,
                       tree: &mut XmlTree,
-                      pool: &mut ElementPool,
+                      pool: &mut ElementPool<'_>,
                       binds: &mut LogBindings,
                       sink: &mut DriveStats,
                       next_lid: &mut u32,
@@ -1053,7 +1096,7 @@ fn translate(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeErr
         }
         match *op {
             ScriptOp::InsertBefore(i) => {
-                let target = pool.resolve(i);
+                let target = pool.resolve(i)?;
                 let place = if tree.parent(target) == Some(tree.root())
                     || tree.parent(target).is_none()
                 {
@@ -1081,7 +1124,7 @@ fn translate(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeErr
                         (a, b)
                     }
                     _ => {
-                        let basis = pool.resolve(pool.len() / 2);
+                        let basis = pool.resolve(pool.len() / 2)?;
                         let c1 = create(
                             &mut log,
                             tree,
@@ -1116,7 +1159,7 @@ fn translate(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeErr
                 zig_step += 1;
             }
             ScriptOp::InsertAfter(i) => {
-                let target = pool.resolve(i);
+                let target = pool.resolve(i)?;
                 let place = if tree.parent(target) == Some(tree.root())
                     || tree.parent(target).is_none()
                 {
@@ -1135,7 +1178,7 @@ fn translate(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeErr
                 )?;
             }
             ScriptOp::PrependChild(i) => {
-                let place = Place::FirstChildOf(node_ref(pool.resolve(i)));
+                let place = Place::FirstChildOf(node_ref(pool.resolve(i)?));
                 create(
                     &mut log,
                     tree,
@@ -1147,7 +1190,7 @@ fn translate(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeErr
                 )?;
             }
             ScriptOp::AppendChild(i) => {
-                let place = Place::LastChildOf(node_ref(pool.resolve(i)));
+                let place = Place::LastChildOf(node_ref(pool.resolve(i)?));
                 create(
                     &mut log,
                     tree,
@@ -1159,7 +1202,7 @@ fn translate(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeErr
                 )?;
             }
             ScriptOp::DeleteSubtree(i) => {
-                let target = pool.resolve(i);
+                let target = pool.resolve(i)?;
                 if Some(target) == tree.document_element() || pool.len() <= 2 {
                     continue;
                 }
@@ -1177,6 +1220,7 @@ fn translate(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::querycache::ShadowScheme;
     use xupd_schemes::prefix::dewey::DeweyId;
     use xupd_schemes::prefix::qed::Qed;
     use xupd_workloads::{docs, ScriptKind};
@@ -1598,15 +1642,26 @@ mod tests {
     }
 
     /// `batch_of_in_place` emits the log `batch_of` emits and leaves
-    /// the tree exactly as it found it, and that log applied as one
-    /// batch ends where the per-op driver does, for every script kind:
-    /// Zigzag checks its pair on the live tree, MixedDelete deletes.
+    /// the tree exactly as it found it, `batch_of_on_index` emits it
+    /// too, and that log applied as one batch ends where the per-op
+    /// driver does, for every script kind: Zigzag checks its pair on
+    /// the live tree, MixedDelete deletes. A long MixedDelete script on
+    /// an XMark-like tree also deletes elements the script made.
     #[test]
     fn batch_of_matches_per_op_driver() {
-        for kind in ScriptKind::ALL {
-            let base = docs::random_tree(11, 80);
-            let script = Script::generate(kind, 120, 80, 13);
-
+        // (tree, script, whether its deletes must hit script-made elements)
+        let mut inputs: Vec<(XmlTree, Script, bool)> = ScriptKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let script = Script::generate(kind, 120, 80, 13);
+                (docs::random_tree(11, 80), script, false)
+            })
+            .collect();
+        let xmark = docs::xmark_like(17, 60);
+        let script = Script::generate(ScriptKind::MixedDelete, 300, xmark.len(), 29);
+        inputs.push((xmark, script, true));
+        for (base, script, deletes_made) in inputs {
+            let kind = script.kind.name();
             let mut per_op_tree = base.clone();
             let mut scheme_a = DeweyId::new();
             let mut labeling_a = scheme_a.label_tree(&per_op_tree).expect("labelable");
@@ -1623,22 +1678,61 @@ mod tests {
             let state = |t: &XmlTree| (serialize_compact(t), t.revision(), t.id_bound(), t.len());
             let before = state(&batched_tree);
             let log = batch_of_in_place(&script, &mut batched_tree).expect("translates");
-            assert_eq!(state(&batched_tree), before, "{} tree restored", kind.name());
+            assert_eq!(state(&batched_tree), before, "{kind} tree restored");
             assert_eq!(
                 log,
                 batch_of(&script, &batched_tree).expect("translates"),
-                "{} logs agree",
-                kind.name()
+                "{kind} logs agree"
             );
+            let index =
+                PreorderIndex::encode(ShadowScheme::default(), &batched_tree).expect("encodes");
+            assert_eq!(
+                log,
+                batch_of_on_index(&script, &mut batched_tree, &index).expect("translates"),
+                "{kind} log on the index agrees"
+            );
+            assert_eq!(state(&batched_tree), before, "{kind} tree restored");
+            if deletes_made {
+                let made = log.iter().any(|m| match m {
+                    Mutation::Delete { target } => matches!(target, NodeRef::New(_)),
+                    _ => false,
+                });
+                assert!(made, "deletes hit script-made elements");
+            }
             apply_log(&mut batched_tree, &mut scheme_b, &mut labeling_b, &log)
                 .expect("batched");
 
             assert_eq!(
                 serialize_compact(&per_op_tree),
                 serialize_compact(&batched_tree),
-                "{} trees agree",
-                kind.name()
+                "{kind} trees agree"
             );
         }
+    }
+
+    /// An index made for another tree state is refused before the
+    /// translation touches the tree.
+    #[test]
+    fn batch_of_on_index_rejects_an_index_of_another_tree_state() {
+        let mut tree = docs::xmark_like(5, 40);
+        let index = PreorderIndex::encode(ShadowScheme::default(), &tree).expect("encodes");
+        let script = Script::generate(ScriptKind::MixedDelete, 60, tree.len(), 3);
+        assert_eq!(
+            batch_of_on_index(&script, &mut tree, &index).expect("current index"),
+            batch_of(&script, &tree).expect("translates")
+        );
+        // a text write moves the revision as much as a structural edit
+        let text = tree
+            .preorder()
+            .find(|&n| tree.kind(n).is_text())
+            .expect("a text node");
+        *tree.kind_mut(text) = NodeKind::Text {
+            value: "changed".to_string(),
+        };
+        let state = |t: &XmlTree| (serialize_compact(t), t.revision(), t.id_bound());
+        let before = state(&tree);
+        let err = batch_of_on_index(&script, &mut tree, &index).unwrap_err();
+        assert!(matches!(err, TreeError::Invariant(_)), "{err}");
+        assert_eq!(state(&tree), before, "tree untouched");
     }
 }

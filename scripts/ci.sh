@@ -127,10 +127,13 @@ echo "==> xbench correctness gate at full size (fleet-large, flux-batch)"
 # show. `--trace 1` keeps every untraced check and adds the mirror gate:
 # the traced mirror, which calls `analyze` and `lower::lower` on an index
 # of its own, must end with the store's tree bytes, cache counters and
-# rejected count. The mirror compiles scripts with `batch_of` on a copy
-# of the tree and the store with `batch_of_in_place` on the live tree,
-# so on fleet-large the gate also holds the two compiles equal at full
-# size. It exits non-zero on any failed check.
+# rejected count. The mirror compiles scripts with `batch_of`, which
+# ranks a copy of the tree's elements by a scan, and the store with
+# `Document::compile_script`, which reads that ranking off the
+# document's preorder index, so on fleet-large the mirror gate compares
+# the two pool bases at full size. The per-op oracle in `run::gate`
+# checks both against `run_script_dyn`, which keeps the scan. It exits
+# non-zero on any failed check.
 for workload in fleet-large flux-batch; do
   cargo run --release -q --offline \
     --manifest-path crates/bench/src/bin/xbench/Cargo.toml -- \
