@@ -112,26 +112,6 @@ impl NameIndex {
         bucket[lo..hi].to_vec()
     }
 
-    /// The element rows named `name` inside the half-open row range
-    /// `start..end` — the bucket∩extent intersection as a borrowed
-    /// slice, two binary searches, no allocation. This is the primitive
-    /// the incremental query cache's impact analysis runs per touched
-    /// extent.
-    pub fn elements_in_range(&self, name: &str, start: usize, end: usize) -> &[usize] {
-        Self::slice_in_range(self.elements(name), start, end)
-    }
-
-    /// The attribute rows named `name` inside `start..end`.
-    pub fn attributes_in_range(&self, name: &str, start: usize, end: usize) -> &[usize] {
-        Self::slice_in_range(self.attributes(name), start, end)
-    }
-
-    fn slice_in_range(bucket: &[usize], start: usize, end: usize) -> &[usize] {
-        let lo = bucket.partition_point(|&i| i < start);
-        let hi = bucket.partition_point(|&i| i < end);
-        &bucket[lo..hi]
-    }
-
     /// Every indexed element name with its occurrence count, in the
     /// index's iteration order — lexicographic, because the backing map
     /// is a `BTreeMap` (pinned by a golden test; lint rule R2).
@@ -209,29 +189,6 @@ mod tests {
                 ("title", 1),
             ]
         );
-    }
-
-    #[test]
-    fn range_lookups_match_filtering() {
-        let tree = docs::xmark_like(11, 60);
-        let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-        let idx = NameIndex::build(&doc);
-        let all = idx.elements("name");
-        assert!(!all.is_empty());
-        let mid = doc.len() / 2;
-        for (start, end) in [(0, doc.len()), (0, mid), (mid, doc.len()), (7, 9), (5, 5)] {
-            let expect: Vec<usize> = all
-                .iter()
-                .copied()
-                .filter(|&i| start <= i && i < end)
-                .collect();
-            assert_eq!(idx.elements_in_range("name", start, end), expect);
-        }
-        assert!(idx.elements_in_range("missing", 0, doc.len()).is_empty());
-        let attrs = idx.attributes("id");
-        if let (Some(&first), Some(&last)) = (attrs.first(), attrs.last()) {
-            assert_eq!(idx.attributes_in_range("id", first, last + 1), attrs);
-        }
     }
 
     #[test]

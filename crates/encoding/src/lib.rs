@@ -40,6 +40,6 @@ pub mod xpath;
 
 pub use erased::{document_registry, document_registry_figure7, DocSchemeEntry, DynDocument};
 pub use index::NameIndex;
-pub use table::{EncodedDocument, Row};
+pub use table::{EncodedDocument, Row, SpliceRuns};
 pub use topology::{row_in_extents, Topology};
 pub use xpath::{parse_xpath, AccessPattern, XPathError, XPathExpr};

@@ -3,10 +3,12 @@
 //! ids are needed to answer queries. Each row does remember which
 //! [`NodeId`] produced it ([`EncodedDocument::source_id`]): node ids are
 //! never reused across deletions, so the id is a stable node identity
-//! that the incremental query cache uses to map result rows between two
-//! encodings of the same evolving tree. The same identity lets a table
-//! follow a batch of structural edits in place
-//! ([`EncodedDocument::splice`]) instead of being encoded afresh.
+//! across encodings of the same evolving tree. That identity lets a
+//! table follow a batch of structural edits in place
+//! ([`EncodedDocument::splice`]) instead of being encoded afresh, and
+//! the splice keeps its run list ([`EncodedDocument::splice_runs`]), the
+//! old-row-to-new-row map the incremental query cache renumbers its
+//! result rows through.
 //!
 //! Axis evaluation runs on the [`Topology`] sidecar built at encode
 //! time: ancestry is an O(1) interval test, `child`/sibling axes are CSR
@@ -37,21 +39,30 @@ pub struct Row<L> {
     pub parent: Option<usize>,
 }
 
-/// One piece of a spliced table, in new document order.
-#[derive(Debug, Clone, Copy)]
-enum Run {
-    /// Old rows `old..old + len`, carried over as they are.
-    Kept { old: usize, len: usize },
-    /// The `len`-node subtree of `root`, read from the tree.
-    Fresh { root: NodeId, len: usize },
+/// How the last [`EncodedDocument::splice`] numbered the new table:
+/// every new row was either carried over from the old table or read
+/// fresh from the tree. Together the kept runs and the fresh ranges
+/// cover the new rows once, in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpliceRuns<'a> {
+    /// Kept runs `(old, new, len)`: old rows `old..old + len` are new
+    /// rows `new..new + len`. Both columns increase along the list, so
+    /// a sorted list of old rows renumbers in one merge. An old row no
+    /// kept run carries was deleted or moved.
+    pub kept: &'a [(usize, usize, usize)],
+    /// Fresh row ranges `(start, end)`, half-open and in order: each is
+    /// one created or moved subtree, read from the tree.
+    pub fresh: &'a [(usize, usize)],
 }
 
-impl Run {
-    fn len(&self) -> usize {
-        match *self {
-            Run::Kept { len, .. } | Run::Fresh { len, .. } => len,
-        }
-    }
+/// The buffers behind [`SpliceRuns`], kept across splices so that a
+/// splice allocates only when it finds more runs than any before it.
+#[derive(Debug, Clone, Default)]
+struct RunList {
+    kept: Vec<(usize, usize, usize)>,
+    fresh: Vec<(usize, usize)>,
+    /// The root node of each fresh range, parallel to `fresh`.
+    roots: Vec<NodeId>,
 }
 
 /// A labelled, self-contained encoding of one document. Rows are stored
@@ -69,6 +80,8 @@ pub struct EncodedDocument<S: LabelingScheme> {
     row_of: Vec<usize>,
     /// [`XmlTree::revision`] of the tree state the table encodes.
     revision: u32,
+    /// The last splice's runs; empty after an encode.
+    runs: RunList,
 }
 
 impl<S: LabelingScheme> EncodedDocument<S> {
@@ -105,6 +118,7 @@ impl<S: LabelingScheme> EncodedDocument<S> {
             source_ids: order,
             row_of: index_of,
             revision: tree.revision(),
+            runs: RunList::default(),
         })
     }
 
@@ -123,7 +137,9 @@ impl<S: LabelingScheme> EncodedDocument<S> {
     /// cloning their kinds, then one pass sets `row_of`, parents and
     /// labels, and the [`Topology`] and [`NameIndex`] are rebuilt into
     /// the buffers they already hold. The result equals
-    /// [`encode`](Self::encode) of `tree` row for row.
+    /// [`encode`](Self::encode) of `tree` row for row, and
+    /// [`splice_runs`](Self::splice_runs) then tells which old row each
+    /// new row was.
     ///
     /// Text writes to nodes inside kept blocks are not seen here; patch
     /// them afterwards with [`patch_text`](Self::patch_text). Labels
@@ -138,17 +154,16 @@ impl<S: LabelingScheme> EncodedDocument<S> {
         cut: &[usize],
         mut label: impl FnMut(usize) -> S::Label,
     ) -> Result<Self, TreeError> {
-        let runs = self.splice_runs(tree, cut)?;
+        let mut runs = std::mem::take(&mut self.runs);
+        self.find_runs(tree, cut, &mut runs)?;
         let (n_old, n_new) = (self.rows.len(), tree.len());
 
         // Retire the ids of every row no kept run carries over: deleted
         // nodes, and moved ones (re-entered below from the tree).
         let mut from = 0;
-        for run in &runs {
-            if let Run::Kept { old, len } = *run {
-                self.retire(from..old);
-                from = old + len;
-            }
+        for &(old, _, len) in &runs.kept {
+            self.retire(from..old);
+            from = old + len;
         }
         self.retire(from..n_old);
 
@@ -166,38 +181,25 @@ impl<S: LabelingScheme> EncodedDocument<S> {
             self.rows.resize(n_new, filler);
             self.source_ids.resize(n_new, tree.root());
         }
-        let mut at = 0;
-        for run in &runs {
-            match *run {
-                Run::Kept { old, len } if at < old => {
-                    for j in 0..len {
-                        self.move_row(old + j, at + j);
-                    }
+        for &(old, new, len) in &runs.kept {
+            if new < old {
+                for j in 0..len {
+                    self.move_row(old + j, new + j);
                 }
-                _ => {}
-            }
-            at += run.len();
-        }
-        // `at` is now `n_new`; walk the starts back down to 0.
-        for run in runs.iter().rev() {
-            at -= run.len();
-            match *run {
-                Run::Kept { old, len } if at > old => {
-                    for j in (0..len).rev() {
-                        self.move_row(old + j, at + j);
-                    }
-                }
-                _ => {}
             }
         }
-        for run in &runs {
-            if let Run::Fresh { root, .. } = *run {
-                for (k, id) in tree.preorder_from(root).enumerate() {
-                    self.rows[at + k].kind = tree.kind(id).clone();
-                    self.source_ids[at + k] = id;
+        for &(old, new, len) in runs.kept.iter().rev() {
+            if new > old {
+                for j in (0..len).rev() {
+                    self.move_row(old + j, new + j);
                 }
             }
-            at += run.len();
+        }
+        for (&(start, _), &root) in runs.fresh.iter().zip(&runs.roots) {
+            for (k, id) in tree.preorder_from(root).enumerate() {
+                self.rows[start + k].kind = tree.kind(id).clone();
+                self.source_ids[start + k] = id;
+            }
         }
         self.rows.truncate(n_new);
         self.source_ids.truncate(n_new);
@@ -227,6 +229,7 @@ impl<S: LabelingScheme> EncodedDocument<S> {
         self.topo.rebuild(self.rows.iter().map(|r| r.parent))?;
         self.index.rebuild(self.rows.iter().map(|r| &r.kind));
         self.revision = tree.revision();
+        self.runs = runs;
         Ok(self)
     }
 
@@ -244,11 +247,17 @@ impl<S: LabelingScheme> EncodedDocument<S> {
         self.source_ids[to] = self.source_ids[from];
     }
 
-    /// The run list of a splice, in new document order: the walk
-    /// [`splice`](Self::splice) describes. Errors when the runs cannot
-    /// be right — a live node with no row that was not created, kept
-    /// rows out of their old order, or runs that do not cover the tree.
-    fn splice_runs(&self, tree: &XmlTree, cut: &[usize]) -> Result<Vec<Run>, TreeError> {
+    /// Fill `runs` with the run list of a splice, in new document
+    /// order: the walk [`splice`](Self::splice) describes. Errors when
+    /// the runs cannot be right — a live node with no row that was not
+    /// created, kept rows out of their old order, or runs that do not
+    /// cover the tree.
+    fn find_runs(
+        &self,
+        tree: &XmlTree,
+        cut: &[usize],
+        runs: &mut RunList,
+    ) -> Result<(), TreeError> {
         let bad = |what: &str| TreeError::Invariant(format!("splice: {what}"));
         // Roots read fresh from the tree: created nodes and moved roots.
         let mut fresh: Vec<NodeId> = (self.row_of.len()..tree.id_bound())
@@ -286,7 +295,9 @@ impl<S: LabelingScheme> EncodedDocument<S> {
         fresh.dedup();
 
         // Walk the post-batch tree, descending only into open nodes.
-        let mut runs: Vec<Run> = Vec::new();
+        runs.kept.clear();
+        runs.fresh.clear();
+        runs.roots.clear();
         let (mut kept_end, mut total) = (0, 0);
         let mut stack: Vec<NodeId> = Vec::new();
         let mut next = Some(tree.root());
@@ -302,8 +313,9 @@ impl<S: LabelingScheme> EncodedDocument<S> {
             };
             if fresh.binary_search(&node).is_ok() {
                 let len = tree.subtree_size(node);
+                runs.fresh.push((total, total + len));
+                runs.roots.push(node);
                 total += len;
-                runs.push(Run::Fresh { root: node, len });
                 next = tree.next_sibling(node);
                 continue;
             }
@@ -319,12 +331,12 @@ impl<S: LabelingScheme> EncodedDocument<S> {
             if row < kept_end {
                 return Err(bad("kept rows out of their old order"));
             }
+            match runs.kept.last_mut() {
+                Some((old, new, l)) if *old + *l == row && *new + *l == total => *l += len,
+                _ => runs.kept.push((row, total, len)),
+            }
             total += len;
             kept_end = row + len;
-            match runs.last_mut() {
-                Some(Run::Kept { old, len: l }) if *old + *l == row => *l += len,
-                _ => runs.push(Run::Kept { old: row, len }),
-            }
             if is_open {
                 stack.push(node);
                 next = tree.first_child(node);
@@ -335,7 +347,21 @@ impl<S: LabelingScheme> EncodedDocument<S> {
         if total != tree.len() {
             return Err(bad("runs do not cover the tree"));
         }
-        Ok(runs)
+        Ok(())
+    }
+
+    /// The run list of the last [`splice`](Self::splice): which old row
+    /// each new row was, and which new rows were read fresh from the
+    /// tree. A caller holding results in the old rows renumbers them
+    /// through [`SpliceRuns::kept`] and re-derives what lies in
+    /// [`SpliceRuns::fresh`]. Both lists are empty after
+    /// [`encode`](Self::encode); [`patch_text`](Self::patch_text)
+    /// renumbers nothing and leaves them as they were.
+    pub fn splice_runs(&self) -> SpliceRuns<'_> {
+        SpliceRuns {
+            kept: &self.runs.kept,
+            fresh: &self.runs.fresh,
+        }
     }
 
     /// Number of rows (= nodes).

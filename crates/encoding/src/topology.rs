@@ -29,8 +29,7 @@ use xupd_xmldom::{NodeId, TreeError};
 
 /// Is row `i` inside one of the half-open `(start, end)` intervals?
 /// The intervals must be sorted by start and disjoint. One binary
-/// search — shared by the scoped evaluator and the query cache's
-/// repair path.
+/// search — shared by the scoped evaluator and the query cache.
 pub fn row_in_extents(extents: &[(usize, usize)], i: usize) -> bool {
     let k = extents.partition_point(|&(start, _)| start <= i);
     k > 0 && i < extents[k - 1].1

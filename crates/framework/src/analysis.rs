@@ -151,7 +151,9 @@ pub struct OpFootprint {
     /// Conservative relabel regions: the anchor-parent extents inside
     /// which every structural ripple of this op (sibling renumbering
     /// included) is contained. New-anchored ops inherit their host
-    /// creator's regions so nothing escapes the graph.
+    /// creator's regions so nothing escapes the graph. Only the
+    /// conflict graph reads them; the query cache classifies by the
+    /// deleted, moved and created subtrees themselves.
     pub regions: Vec<Extent>,
 }
 
@@ -267,6 +269,11 @@ impl AnalyzedPlan {
     /// True for the empty plan.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// [`XmlTree::revision`] of the tree state the plan was made for.
+    pub(crate) fn revision(&self) -> u32 {
+        self.revision
     }
 
     /// The execution order the optimizer is certified to use. With

@@ -210,7 +210,10 @@ mod tests {
             }
         }
         // 100 insertions splice in with no relabelling and stay correct
-        let pool: Vec<_> = docs::element_pool(&tree);
+        let pool: Vec<_> = tree
+            .preorder()
+            .filter(|&n| tree.kind(n).is_element())
+            .collect();
         for (i, &target) in pool.iter().take(100).enumerate() {
             let node = tree.create(NodeKind::element("x"));
             if i % 2 == 0 {

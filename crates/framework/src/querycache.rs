@@ -4,63 +4,75 @@
 //! A [`QueryCache`] holds materialized result sets (preorder row
 //! positions, plus string values where requested) for a registered set
 //! of compiled XPath queries, and keeps them exact across
-//! [`MutationLog`] batches by *impact
-//! analysis* instead of wholesale re-evaluation. Genevès, Layaïda and
-//! Quint (arXiv 0811.4324) decide statically whether an evolution can
-//! affect a query; here the same decision runs dynamically per batch,
-//! by intersecting the batch's aggregate write footprint — the touched
-//! extents, deleted/moved subtrees and relabel regions
-//! [`analyze`](crate::analysis::analyze) already computes — with each
-//! query's static [`AccessPattern`] (name tests resolved through the
-//! [`NameIndex`] buckets, axis reach as extent intervals).
+//! [`MutationLog`] batches by *impact analysis* instead of wholesale
+//! re-evaluation. Genevès, Layaïda and Quint (arXiv 0811.4324) decide
+//! statically whether an evolution can affect a query, from what the
+//! query reads and what the update writes; here the same decision runs
+//! dynamically per batch. The write set is the batch's exact edits: the
+//! deleted and moved subtrees the splice cuts, in pre-batch rows, and
+//! the created and moved subtrees it reads fresh, in post-batch rows
+//! ([`SpliceRuns`]). The read set is each query's static
+//! [`AccessPattern`]: its name tests, resolved through the
+//! [`NameIndex`] buckets, and its axis shape.
 //!
 //! Every registered query lands in one of three classes per batch:
 //!
-//! * **unaffected** — the cached rows and strings are provably still
-//!   exact: the query's name tests never occur inside any touched
-//!   extent (old or new coordinates), every cached row precedes the
-//!   first touched row (so no preorder shift reaches it), and — when
-//!   strings are cached — no cached result's subtree overlaps a
-//!   touched extent or a surviving text write. Kept verbatim, zero
-//!   work.
-//! * **repairable** — the plan is downward-only with no positional
-//!   predicate on a subtree-wide axis
-//!   ([`AccessPattern::repair_safe`]): results outside the touched
-//!   extents are membership-stable, so the old rows are remapped
-//!   through their stable [`NodeId`]s, rows falling inside touched
-//!   extents are dropped, and a scoped
-//!   [`AccessPattern::evaluate_within`] over just the touched extents
-//!   produces the splice. Strings are recomputed only for fresh rows
-//!   and for kept rows whose subtree overlaps a touched extent or a
-//!   text write.
-//! * **dirty** — anything else (upward/lateral axes, touched coverage
-//!   over half the document): full re-evaluation, the correct
-//!   fallback.
+//! * **unaffected** — membership and cached strings are unchanged. A
+//!   fully named query none of whose names occurs in a cut or fresh
+//!   subtree keeps its members, positional predicates included: a
+//!   position counts only nodes that match the step's name, and every
+//!   such node kept its parent, its ancestors and its document order.
+//!   Its rows are renumbered in place through the splice's kept runs,
+//!   one merge of two sorted lists; nothing is evaluated.
+//! * **repaired** — rows or strings were patched, not re-derived. A
+//!   name-safe query whose cached string covers an edit has that string
+//!   recomputed. A downward-only query without positional predicates
+//!   ([`AccessPattern::repair_safe`] and not
+//!   [`AccessPattern::has_positional`]) keeps every member a kept run
+//!   carries, since its membership reads only a node's ancestors, their
+//!   names and their attributes, and a kept node's ancestors are the
+//!   ones it had. Rows of cut subtrees are dropped, the rest renumbered
+//!   in place, and a scoped [`AccessPattern::evaluate_within`] over the
+//!   fresh ranges supplies the new members. A repair needs the edits to
+//!   cover under half the document, and no cut or fresh root to be an
+//!   attribute that a `[@name="v"]` predicate reads: such an attribute
+//!   decides the membership of kept nodes under its parent.
+//! * **rebuilt** — anything else (upward or lateral axes, or a
+//!   positional query whose names the batch hit, whose repair would
+//!   need the changed parents' child lists): full re-evaluation, the
+//!   correct fallback.
+//!
+//! Strings follow one rule. A row is *string-dirty* when it is a strict
+//! ancestor of a cut root or of a fresh root, or an ancestor-or-self of
+//! a text node the batch wrote; one sorted list of them is built per
+//! batch and shared by every query. A cached string is recomputed
+//! exactly when its row is string-dirty, or fresh.
 //!
 //! The cache evaluates against its **shadow table**, an
 //! [`EncodedDocument`] under a unit-label scheme ([`ShadowScheme`])
 //! whose labels are plain preorder positions. The streaming evaluator
-//! never reads labels (axes run on the [`Topology`](xupd_encoding::Topology)
-//! sidecar), so results are identical to evaluating the document's
-//! real snapshot — but keeping the shadow current never pays the
-//! document's actual label algebra. The shadow is the document's one
-//! [`PreorderIndex`]: the analyzer resolves footprints on it
+//! never reads labels (axes run on the [`Topology`] sidecar), so
+//! results are identical to evaluating the document's real snapshot —
+//! but keeping the shadow current never pays the document's actual
+//! label algebra. The shadow is the document's one [`PreorderIndex`]:
+//! the analyzer resolves footprints on it
 //! ([`analyze_in`](crate::analysis::analyze_in)), flux lowering
 //! resolves paths on it, and `Document::xpath` evaluates on it, so it
 //! is kept current whether or not a query is registered
 //! ([`QueryCache::index`] builds it on first need). It records the
 //! [`XmlTree::revision`] it describes, and every consumer rejects an
-//! index made for another tree state.
+//! index made for another tree state; [`QueryCache::absorb`] likewise
+//! refuses a plan made for another state, before anything changes.
 //!
 //! A structural batch splices the shadow in place
 //! ([`EncodedDocument::splice`]): finding what the batch changed costs
 //! O(batch), through its exact edits (deleted and moved subtree roots,
-//! created nodes), not its relabel regions; the rest is O(n) shifting
-//! of the rows that stayed, with no per-row allocation. A text-only
-//! batch patches text rows in place, and a batch with zero effective
-//! ops only records the new revision. The full re-encode is left for
-//! the first need, [`QueryCache::refresh`], and the fallback when a
-//! splice finds its input inconsistent.
+//! created nodes); the rest is O(n) shifting of the rows that stayed,
+//! with no per-row allocation. A text-only batch patches text rows in
+//! place, and a batch with zero effective ops only records the new
+//! revision. The full re-encode is left for the first need,
+//! [`QueryCache::refresh`], and the fallback when a splice refuses its
+//! input, which also rebuilds every query.
 //!
 //! Staleness safety: the cache only ever serves results derived from
 //! the shadow table of the current tree. Updates that bypass the
@@ -73,12 +85,15 @@
 use crate::analysis::{AnalyzedPlan, PointRef};
 use crate::mutations::{Mutation, MutationLog, NodeRef};
 use std::cmp::Ordering;
-use xupd_encoding::{row_in_extents, AccessPattern, EncodedDocument, NameIndex, XPathExpr};
+use xupd_encoding::xpath::Pred;
+use xupd_encoding::{
+    row_in_extents, AccessPattern, EncodedDocument, NameIndex, SpliceRuns, Topology, XPathExpr,
+};
 use xupd_labelcore::{
     Compliance, EncodingRep, InsertReport, Label, Labeling, LabelingScheme, OrderKind, Relation,
     SchemeDescriptor, SchemeStats,
 };
-use xupd_xmldom::{NodeId, TreeError, XmlTree};
+use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
 
 // ---------------------------------------------------------------------
 // The shadow scheme
@@ -190,13 +205,26 @@ impl LabelingScheme for ShadowScheme {
 /// cache's lifetime.
 pub type QueryId = usize;
 
-/// What one batch did to one registered query.
+/// What one batch did to one registered query: to its membership and
+/// to its cached strings.
+///
+/// A query whose rows a batch only shifted, renumbered through the
+/// splice's run list, counts as [`Unaffected`](Self::Unaffected), not
+/// as a class of its own: a class says what happened to membership and
+/// strings, and a shift changes neither. A fourth class would also
+/// change [`BatchImpact`], [`CacheStats`] and the store's `state_dump`
+/// format, and the end-to-end benchmark's `querycache.incremental_frac`
+/// sums these three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryClass {
-    /// Cached rows and strings kept verbatim — zero work.
+    /// Membership and every cached string unchanged. Nothing was
+    /// evaluated; where the batch shifted the rows, they were
+    /// renumbered in place through the splice's kept runs.
     Unaffected,
-    /// Delta-repaired: remap survivors, splice a scoped re-evaluation
-    /// of the touched extents.
+    /// Patched: rows of cut subtrees dropped, the rest renumbered, a
+    /// scoped re-evaluation of the fresh rows merged in, and the
+    /// string-dirty strings recomputed — or, for a query whose members
+    /// the batch left alone, only the strings.
     Repaired,
     /// Fully re-evaluated.
     Rebuilt,
@@ -208,18 +236,40 @@ pub struct BatchImpact {
     /// The batch only rewrote pre-existing text nodes: the shadow was
     /// patched in place, no structural maintenance ran.
     pub text_only: bool,
-    /// Queries kept verbatim.
+    /// Queries whose membership and strings the batch left as they
+    /// were (rows renumbered in place where the batch shifted them).
     pub unaffected: usize,
-    /// Queries delta-repaired.
+    /// Queries patched.
     pub repaired: usize,
     /// Queries fully re-evaluated.
     pub rebuilt: usize,
-    /// Cached rows dropped by repairs (deleted or re-derived).
+    /// Cached rows dropped by repairs (their subtree was cut).
     pub dropped_rows: u64,
     /// Rows spliced in by scoped re-evaluation.
     pub spliced_rows: u64,
     /// Per-query classification, indexed by [`QueryId`].
     pub classes: Vec<QueryClass>,
+}
+
+impl BatchImpact {
+    /// Count one query's class here and in the cumulative `stats`.
+    fn count(&mut self, class: QueryClass, stats: &mut CacheStats) {
+        match class {
+            QueryClass::Unaffected => {
+                self.unaffected += 1;
+                stats.unaffected += 1;
+            }
+            QueryClass::Repaired => {
+                self.repaired += 1;
+                stats.repaired += 1;
+            }
+            QueryClass::Rebuilt => {
+                self.rebuilt += 1;
+                stats.rebuilt += 1;
+            }
+        }
+        self.classes.push(class);
+    }
 }
 
 /// Cumulative cache counters, observable alongside the document's
@@ -231,9 +281,9 @@ pub struct CacheStats {
     /// Batches absorbed incrementally (a batch with zero effective
     /// ops changes nothing and is not counted).
     pub batches_absorbed: u64,
-    /// Query×batch outcomes kept verbatim.
+    /// Query×batch outcomes with membership and strings unchanged.
     pub unaffected: u64,
-    /// Query×batch outcomes delta-repaired.
+    /// Query×batch outcomes patched.
     pub repaired: u64,
     /// Query×batch outcomes fully re-evaluated (includes stale-refresh
     /// rebuilds).
@@ -260,8 +310,8 @@ struct CachedQuery {
 
 /// Materialized result sets for registered XPath queries, maintained
 /// incrementally across mutation-log batches, over the document's
-/// [`PreorderIndex`]. See the module docs for the classification
-/// lattice and the repair algorithm.
+/// [`PreorderIndex`]. See the module docs for the three classes and
+/// the repair algorithm.
 #[derive(Default)]
 pub struct QueryCache {
     shadow: Option<PreorderIndex>,
@@ -333,21 +383,16 @@ impl QueryCache {
         want_strings: bool,
         tree: &XmlTree,
     ) -> Result<QueryId, TreeError> {
-        let pattern = expr.access_pattern();
         let index = self.index(tree)?;
-        let rows = pattern.evaluate(index);
-        let strings = if want_strings {
-            rows.iter().map(|&r| index.string_value(r)).collect()
-        } else {
-            Vec::new()
-        };
-        self.queries.push(CachedQuery {
-            pattern,
+        let mut q = CachedQuery {
+            pattern: expr.access_pattern(),
             want_strings,
-            rows,
-            strings,
+            rows: Vec::new(),
+            strings: Vec::new(),
             force_unaffected: false,
-        });
+        };
+        rebuild_query(&mut q, index);
+        self.queries.push(q);
         Ok(self.queries.len() - 1)
     }
 
@@ -386,27 +431,43 @@ impl QueryCache {
     pub fn refresh(&mut self, tree: &XmlTree) -> Result<(), TreeError> {
         let shadow = PreorderIndex::encode(ShadowScheme::default(), tree)?;
         for q in &mut self.queries {
-            rebuild_query(q, &shadow, &mut self.stats);
+            rebuild_query(q, &shadow);
         }
+        self.stats.rebuilt += self.queries.len() as u64;
         self.shadow = Some(shadow);
         self.stale = false;
         Ok(())
     }
 
+    /// [`refresh`](Self::refresh), reported as a batch that rebuilt
+    /// every query.
+    fn rebuild_all(&mut self, tree: &XmlTree) -> Result<BatchImpact, TreeError> {
+        self.refresh(tree)?;
+        let n = self.queries.len();
+        Ok(BatchImpact {
+            rebuilt: n,
+            classes: vec![QueryClass::Rebuilt; n],
+            ..BatchImpact::default()
+        })
+    }
+
     /// Absorb one applied batch: bring the index up to the post-batch
-    /// tree, classify every registered query against the batch's write
-    /// footprint and do the minimum maintenance its class allows. The
-    /// index is kept whether or not any query is registered.
+    /// tree, classify every registered query against the batch's edits
+    /// and do the minimum maintenance its class allows. The index is
+    /// kept whether or not any query is registered.
     ///
     /// `plan` must be the [`analyze_in`](crate::analysis::analyze_in)
     /// result of `log` against the *pre-batch* tree, `effective` the op
     /// indices that actually executed
     /// (`plan.execution_order(false, scheme.cancellation_neutral())`),
-    /// and `tree` the *post-batch* tree. A batch with zero effective
-    /// ops changed nothing: the index only records the new revision
-    /// and no counter moves. A stale cache refreshes fully instead,
-    /// unless no query is registered: then the index is dropped and
-    /// encoded again on next need.
+    /// and `tree` the *post-batch* tree. A plan that does not cover
+    /// `log`, or was made for another tree state than the one the index
+    /// describes (another revision, or rows outside the index), is
+    /// refused with [`TreeError::Invariant`] before anything changes. A
+    /// batch with zero effective ops changed nothing: the index only
+    /// records the new revision and no counter moves. A stale cache
+    /// refreshes fully instead, unless no query is registered: then the
+    /// index is dropped and encoded again on next need.
     pub fn absorb(
         &mut self,
         log: &MutationLog,
@@ -415,17 +476,23 @@ impl QueryCache {
         tree: &XmlTree,
     ) -> Result<BatchImpact, TreeError> {
         let n = self.queries.len();
-        if self.stale || self.shadow.is_none() {
-            if n == 0 {
+        let indexed = match &self.shadow {
+            Some(shadow) if !self.stale => shadow.revision(),
+            _ if n == 0 => {
                 self.shadow = None;
                 return Ok(BatchImpact::default());
             }
-            self.refresh(tree)?;
-            return Ok(BatchImpact {
-                rebuilt: n,
-                classes: vec![QueryClass::Rebuilt; n],
-                ..BatchImpact::default()
-            });
+            _ => return self.rebuild_all(tree),
+        };
+        if plan.len() != log.len() {
+            return Err(TreeError::Invariant(
+                "analyzed plan does not cover this log".to_string(),
+            ));
+        }
+        if plan.revision() != indexed {
+            return Err(TreeError::Invariant(
+                "analyzed plan was made for another tree state".to_string(),
+            ));
         }
         if effective.is_empty() {
             if let Some(shadow) = self.shadow.as_mut() {
@@ -438,7 +505,6 @@ impl QueryCache {
                 ..BatchImpact::default()
             });
         }
-        self.stats.batches_absorbed += 1;
         let ops: Vec<&Mutation> = log.iter().collect();
         let text_only = effective.iter().all(|&i| {
             matches!(
@@ -449,17 +515,19 @@ impl QueryCache {
                 })
             )
         });
-        if text_only {
-            self.absorb_text(&ops, effective, tree)
+        let impact = if text_only {
+            self.absorb_text(&ops, effective, tree)?
         } else {
-            self.absorb_structural(plan, effective, tree)
-        }
+            self.absorb_structural(plan, effective, tree)?
+        };
+        self.stats.batches_absorbed += 1;
+        Ok(impact)
     }
 
     /// Text-only fast path: patch the shadow rows in place (topology,
     /// name buckets and row positions are all untouched by text
-    /// writes), then refresh only the cached strings whose result
-    /// subtree contains a written row.
+    /// writes), then recompute only the cached strings whose row is an
+    /// ancestor-or-self of a written row.
     fn absorb_text(
         &mut self,
         ops: &[&Mutation],
@@ -486,253 +554,200 @@ impl QueryCache {
             .collect();
         shadow.patch_text(tree, &written)?;
         let shadow = &*shadow;
-        let mut touched: Vec<usize> = written
-            .iter()
-            .filter_map(|&id| shadow.row_of_source(id))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
+        let mut dirty: Vec<usize> = Vec::new();
+        if self.queries.iter().any(|q| q.want_strings) {
+            for row in written.iter().filter_map(|&id| shadow.row_of_source(id)) {
+                push_ancestors(shadow.topology(), Some(row), &mut dirty);
+            }
+            dirty.sort_unstable();
+            dirty.dedup();
+        }
 
         let mut impact = BatchImpact {
             text_only: true,
             ..BatchImpact::default()
         };
         for q in &mut self.queries {
-            if q.force_unaffected || !q.want_strings {
-                impact.unaffected += 1;
-                impact.classes.push(QueryClass::Unaffected);
-                self.stats.unaffected += 1;
-                continue;
-            }
-            // Result indices whose subtree contains a written row: the
-            // containing results are exactly the ancestors-or-self of
-            // each written row, probed against the sorted result set.
-            let mut refresh: Vec<usize> = Vec::new();
-            for &t in &touched {
-                let mut cur = Some(t);
-                while let Some(p) = cur {
-                    if let Ok(k) = q.rows.binary_search(&p) {
-                        refresh.push(k);
-                    }
-                    cur = shadow.topology().parent(p);
-                }
-            }
-            refresh.sort_unstable();
-            refresh.dedup();
-            if refresh.is_empty() {
-                impact.unaffected += 1;
-                impact.classes.push(QueryClass::Unaffected);
-                self.stats.unaffected += 1;
+            let patched = if q.force_unaffected {
+                0
             } else {
-                for &k in &refresh {
-                    q.strings[k] = shadow.string_value(q.rows[k]);
-                }
-                self.stats.string_patches += refresh.len() as u64;
-                self.stats.repaired += 1;
-                impact.repaired += 1;
-                impact.classes.push(QueryClass::Repaired);
-            }
+                patch_strings(q, shadow, &dirty)
+            };
+            self.stats.string_patches += patched;
+            let class = if patched == 0 {
+                QueryClass::Unaffected
+            } else {
+                QueryClass::Repaired
+            };
+            impact.count(class, &mut self.stats);
         }
         Ok(impact)
     }
 
-    /// Structural path: read the batch's footprint and every query's
-    /// pre-batch facts off the old shadow, splice the shadow over the
-    /// batch's edits (re-encoding it only when the splice finds an
-    /// inconsistency), derive the touched extents in new coordinates,
-    /// and classify every query.
+    /// Structural path: read the batch's cut subtrees and each query's
+    /// name hits off the old shadow, splice the shadow over the batch's
+    /// edits (re-encoding it and rebuilding every query when the splice
+    /// refuses its input), then classify every query by the cut and
+    /// fresh subtrees and renumber or repair its rows through the
+    /// splice's runs.
     fn absorb_structural(
         &mut self,
         plan: &AnalyzedPlan,
         effective: &[usize],
         tree: &XmlTree,
     ) -> Result<BatchImpact, TreeError> {
-        let old = match self.shadow.take() {
-            Some(s) => s,
-            None => {
-                return Err(TreeError::Invariant(
-                    "structural absorb without a shadow table".to_string(),
-                ))
-            }
+        let Some(old) = self.shadow.take() else {
+            return Err(TreeError::Invariant(
+                "structural absorb without a shadow table".to_string(),
+            ));
         };
 
         // Old coordinates first: the splice overwrites them.
-        let Footprint {
-            mut raw,
-            cut,
-            texts,
-        } = Footprint::read(plan, effective, &old);
-        let old_roots: Vec<usize> = raw.iter().map(|&(s, _)| s).collect();
-        let root_ids: Vec<NodeId> = old_roots.iter().map(|&s| old.source_id(s)).collect();
-        let touched_old = merge_intervals(&mut raw);
-        let cover_old: usize = touched_old.iter().map(|&(s, e)| e - s).sum();
-        let dirty_old = 2 * cover_old >= old.len().max(1);
-        let before: Vec<Before> = self
+        let mut fp = match Footprint::read(plan, effective, &old) {
+            Ok(fp) => fp,
+            Err(e) => {
+                self.shadow = Some(old);
+                return Err(e);
+            }
+        };
+        let roots = fp.roots();
+        let cut = merge_intervals(&mut fp.cut);
+        let scoped_old = 2 * cover(&cut) < old.len().max(1);
+        let clear_old: Vec<bool> = self
             .queries
             .iter()
-            .map(|q| Before {
-                names_clear: names_clear(&q.pattern, old.name_index(), &touched_old),
-                ancestor_hit: q.want_strings && ancestor_hit(&old, &old_roots, &q.rows),
-                ids: (q.pattern.repair_safe() && !dirty_old)
-                    .then(|| q.rows.iter().map(|&r| old.source_id(r)).collect()),
-            })
+            .map(|q| names_clear(&q.pattern, old.name_index(), &cut))
             .collect();
+        let mut attribute_roots: Vec<String> = roots
+            .iter()
+            .filter_map(|&r| attribute_name(&old, r))
+            .collect();
+        // The string-dirty list is built only when a query caches strings.
+        let strings = self.queries.iter().any(|q| q.want_strings);
+        let mut dirty: Vec<usize> = Vec::new();
+        if strings {
+            for &r in &roots {
+                push_ancestors(old.topology(), old.parent(r), &mut dirty);
+            }
+            dirty.sort_unstable();
+            dirty.dedup();
+        }
 
-        let new = match splice_shadow(old, tree, &cut, &texts) {
+        let new = match splice_shadow(old, tree, &roots, &fp.texts) {
             Ok(new) => new,
-            Err(_) => PreorderIndex::encode(ShadowScheme::default(), tree)?,
+            Err(_) => return self.rebuild_all(tree),
         };
 
-        // New coordinates: map each touched subtree root through its
-        // stable NodeId and take its extent in the new encoding (a
-        // region can only grow or shrink around the same root; deleted
-        // roots simply vanish).
-        let mut new_raw: Vec<(usize, usize)> = root_ids
-            .iter()
-            .filter_map(|&id| new.row_of_source(id).map(|r| (r, new.topology().extent(r))))
-            .collect();
-        let new_roots: Vec<usize> = new_raw.iter().map(|&(s, _)| s).collect();
-        let touched_new = merge_intervals(&mut new_raw);
-
-        // Pre-existing text rows written by the batch, new coordinates
-        // (created text nodes already live inside touched extents).
-        let mut text_new: Vec<usize> = texts
-            .iter()
-            .filter_map(|&id| new.row_of_source(id))
-            .collect();
-        text_new.sort_unstable();
-        text_new.dedup();
-
-        // First preorder row any structural effect can reach: the
-        // prefix before it is bit-identical in both coordinate systems.
-        let t_min = touched_old
-            .first()
-            .map(|&(s, _)| s)
-            .into_iter()
-            .chain(touched_new.first().map(|&(s, _)| s))
-            .min();
-        let no_touch = touched_old.is_empty() && touched_new.is_empty();
-        let cover_new: usize = touched_new.iter().map(|&(s, e)| e - s).sum();
-        let dirty_all = dirty_old || 2 * cover_new >= new.len().max(1);
+        let runs = new.splice_runs();
+        attribute_roots.extend(
+            runs.fresh
+                .iter()
+                .filter_map(|&(start, _)| attribute_name(&new, start)),
+        );
+        // New coordinates: the kept strict ancestors of the cut roots,
+        // the strict ancestors of the fresh roots, and every
+        // ancestor-or-self of a written text row outside the fresh
+        // ranges (fresh rows get fresh strings anyway).
+        if strings {
+            renumber(&mut dirty, &mut Vec::new(), runs.kept);
+            let topo = new.topology();
+            for &(start, _) in runs.fresh {
+                push_ancestors(topo, topo.parent(start), &mut dirty);
+            }
+            for row in fp.texts.iter().filter_map(|&id| new.row_of_source(id)) {
+                if !row_in_extents(runs.fresh, row) {
+                    push_ancestors(topo, Some(row), &mut dirty);
+                }
+            }
+            dirty.sort_unstable();
+            dirty.dedup();
+        }
+        let scoped = scoped_old && 2 * cover(runs.fresh) < new.len().max(1);
 
         let mut impact = BatchImpact::default();
-        for (q, b) in self.queries.iter_mut().zip(&before) {
-            if q.force_unaffected {
-                impact.unaffected += 1;
-                impact.classes.push(QueryClass::Unaffected);
-                self.stats.unaffected += 1;
-                continue;
-            }
-            // --- unaffected? ---
-            let name_safe = no_touch
-                || (b.names_clear && names_clear(&q.pattern, new.name_index(), &touched_new));
-            let pos_stable = match t_min {
-                None => true,
-                Some(t) => q.rows.last().map_or(true, |&r| r < t),
-            };
-            let strings_ok = !q.want_strings
-                || (!b.ancestor_hit
-                    && !ancestor_hit(&new, &new_roots, &q.rows)
-                    && !text_hit(&new, &text_new, &q.rows));
-            if name_safe && pos_stable && strings_ok {
-                impact.unaffected += 1;
-                impact.classes.push(QueryClass::Unaffected);
-                self.stats.unaffected += 1;
-                continue;
-            }
-            // --- repairable? ---
-            if no_touch {
-                // No structural footprint at all (defensive: text
-                // writes folded into a structural batch) — rows are
-                // stable, only strings need refreshing.
-                let patched = refresh_strings(q, &new, &text_new);
+        for (q, clear) in self.queries.iter_mut().zip(clear_old) {
+            let class = if q.force_unaffected {
+                QueryClass::Unaffected
+            } else if clear && names_clear(&q.pattern, new.name_index(), runs.fresh) {
+                renumber(&mut q.rows, &mut q.strings, runs.kept);
+                let patched = patch_strings(q, &new, &dirty);
                 self.stats.string_patches += patched;
-                self.stats.repaired += 1;
-                impact.repaired += 1;
-                impact.classes.push(QueryClass::Repaired);
-                continue;
-            }
-            match &b.ids {
-                Some(ids) if !dirty_all => {
-                    let (dropped, spliced, patched) =
-                        repair_query(q, ids, &new, &touched_new, &text_new);
-                    self.stats.repaired += 1;
-                    self.stats.repair_dropped_rows += dropped;
-                    self.stats.repair_spliced_rows += spliced;
-                    self.stats.string_patches += patched;
-                    impact.repaired += 1;
-                    impact.dropped_rows += dropped;
-                    impact.spliced_rows += spliced;
-                    impact.classes.push(QueryClass::Repaired);
+                if patched == 0 {
+                    QueryClass::Unaffected
+                } else {
+                    QueryClass::Repaired
                 }
-                // --- dirty: full re-evaluation ---
-                _ => {
-                    rebuild_query(q, &new, &mut self.stats);
-                    impact.rebuilt += 1;
-                    impact.classes.push(QueryClass::Rebuilt);
-                }
-            }
+            } else if scoped
+                && q.pattern.repair_safe()
+                && !q.pattern.has_positional()
+                && !predicate_reads(&q.pattern, &attribute_roots)
+            {
+                let (dropped, spliced, patched) = repair_query(q, &new, runs, &dirty);
+                self.stats.repair_dropped_rows += dropped;
+                self.stats.repair_spliced_rows += spliced;
+                self.stats.string_patches += patched;
+                impact.dropped_rows += dropped;
+                impact.spliced_rows += spliced;
+                QueryClass::Repaired
+            } else {
+                rebuild_query(q, &new);
+                QueryClass::Rebuilt
+            };
+            impact.count(class, &mut self.stats);
         }
         self.shadow = Some(new);
         Ok(impact)
     }
 }
 
-/// What a structural batch wrote, read off the plan in the pre-batch
-/// shadow's coordinates.
+/// What a structural batch cut and wrote, read off the plan in the
+/// pre-batch shadow's coordinates.
 struct Footprint {
-    /// Touched extents: relabel regions (each = the extent of the node
-    /// whose child list changes, so every sibling ripple is inside),
-    /// deleted subtrees and moved subtrees.
-    raw: Vec<(usize, usize)>,
-    /// Rows of the deleted and moved subtree roots: what a splice cuts.
-    cut: Vec<usize>,
+    /// Extents of the deleted and moved subtrees: the old rows no kept
+    /// run of the splice carries. Each extent starts at its root.
+    cut: Vec<(usize, usize)>,
     /// Pre-batch text nodes the batch wrote.
     texts: Vec<NodeId>,
 }
 
 impl Footprint {
+    /// The roots of the cut subtrees: what [`splice_shadow`] is told.
+    fn roots(&self) -> Vec<usize> {
+        self.cut.iter().map(|&(s, _)| s).collect()
+    }
+
+    /// Errors when a row lies outside `old`: the plan was made for a
+    /// tree the index does not describe, even if its revision matches
+    /// (a revision counts one tree's mutations).
     fn read(
         plan: &AnalyzedPlan,
         effective: &[usize],
         old: &PreorderIndex,
-    ) -> Footprint {
+    ) -> Result<Footprint, TreeError> {
+        let outside = || TreeError::Invariant("plan rows lie outside the index".to_string());
         let mut fp = Footprint {
-            raw: Vec::new(),
             cut: Vec::new(),
             texts: Vec::new(),
         };
         for op in effective.iter().filter_map(|&i| plan.footprints.get(i)) {
-            let cut = op.deleted_extents.iter().chain(&op.moved_extents);
-            fp.raw.extend(
-                op.regions
-                    .iter()
-                    .chain(cut.clone())
-                    .map(|e| (e.start as usize, e.end as usize)),
-            );
-            fp.cut.extend(cut.map(|e| e.start as usize));
-            fp.texts
-                .extend(op.text_writes.iter().filter_map(|t| match t {
-                    PointRef::Pre(row) => Some(old.source_id(*row as usize)),
-                    PointRef::New(_) => None,
-                }));
+            for e in op.deleted_extents.iter().chain(&op.moved_extents) {
+                if e.end as usize > old.len() {
+                    return Err(outside());
+                }
+                fp.cut.push((e.start as usize, e.end as usize));
+            }
+            for t in &op.text_writes {
+                if let PointRef::Pre(row) = *t {
+                    let row = row as usize;
+                    if row >= old.len() {
+                        return Err(outside());
+                    }
+                    fp.texts.push(old.source_id(row));
+                }
+            }
         }
-        fp
+        Ok(fp)
     }
-}
-
-/// One query's classification facts in pre-batch coordinates, taken
-/// before the splice overwrites the old shadow.
-struct Before {
-    /// It is fully named and its name tests miss every touched extent
-    /// of the old table.
-    names_clear: bool,
-    /// A cached result is a strict ancestor of a touched root.
-    ancestor_hit: bool,
-    /// The node id of every cached row, kept for a repair: present for
-    /// repair-safe queries unless the old footprint already covers half
-    /// the document (which rules a repair out).
-    ids: Option<Vec<NodeId>>,
 }
 
 /// The post-batch shadow, spliced from the pre-batch one: cut the
@@ -752,7 +767,7 @@ fn splice_shadow(
 }
 
 /// Merge possibly-overlapping intervals into a sorted disjoint cover.
-fn merge_intervals(raw: &mut Vec<(usize, usize)>) -> Vec<(usize, usize)> {
+fn merge_intervals(raw: &mut [(usize, usize)]) -> Vec<(usize, usize)> {
     raw.sort_unstable();
     let mut merged: Vec<(usize, usize)> = Vec::with_capacity(raw.len());
     for &(s, e) in raw.iter() {
@@ -767,185 +782,170 @@ fn merge_intervals(raw: &mut Vec<(usize, usize)>) -> Vec<(usize, usize)> {
     merged
 }
 
+/// Rows covered by sorted disjoint half-open intervals.
+fn cover(ranges: &[(usize, usize)]) -> usize {
+    ranges.iter().map(|&(s, e)| e - s).sum()
+}
+
 /// Is the pattern fully named, with every element and attribute name it
-/// tests absent from every touched extent?
+/// tests absent from every extent?
 fn names_clear(pattern: &AccessPattern, index: &NameIndex, extents: &[(usize, usize)]) -> bool {
-    pattern.fully_named()
-        && pattern.element_names().iter().all(|n| {
-            extents
-                .iter()
-                .all(|&(s, e)| index.elements_in_range(n, s, e).is_empty())
+    if !pattern.fully_named() {
+        return false;
+    }
+    if extents.is_empty() {
+        return true;
+    }
+    pattern
+        .element_names()
+        .iter()
+        .all(|n| misses(index.elements(n), extents))
+        && pattern
+            .attribute_names()
+            .iter()
+            .all(|n| misses(index.attributes(n), extents))
+}
+
+/// Does no row of the sorted `rows` fall inside the sorted disjoint
+/// half-open `extents`? Walks the shorter list and binary-searches the
+/// other: a batch of many small edits meets a name's bucket, and a few
+/// large ones a long bucket.
+fn misses(rows: &[usize], extents: &[(usize, usize)]) -> bool {
+    if rows.len() <= extents.len() {
+        rows.iter().all(|&r| !row_in_extents(extents, r))
+    } else {
+        extents.iter().all(|&(s, e)| {
+            let k = rows.partition_point(|&r| r < s);
+            rows.get(k).is_none_or(|&r| r >= e)
         })
-        && pattern.attribute_names().iter().all(|n| {
-            extents
-                .iter()
-                .all(|&(s, e)| index.attributes_in_range(n, s, e).is_empty())
-        })
+    }
 }
 
-/// Does any strict ancestor of a touched root appear in the sorted
-/// result set? (Such a result's string value spans the touched
-/// subtree.)
-fn ancestor_hit(doc: &PreorderIndex, roots: &[usize], rows: &[usize]) -> bool {
-    let topo = doc.topology();
-    roots.iter().any(|&root| {
-        let mut cur = topo.parent(root);
-        while let Some(p) = cur {
-            if rows.binary_search(&p).is_ok() {
-                return true;
-            }
-            cur = topo.parent(p);
-        }
-        false
-    })
+/// The name of row `row` when it is an attribute.
+fn attribute_name(doc: &PreorderIndex, row: usize) -> Option<String> {
+    match doc.rows().get(row).map(|r| &r.kind) {
+        Some(NodeKind::Attribute { name, .. }) => Some(name.clone()),
+        _ => None,
+    }
 }
 
-/// Does any written text row sit inside (or at) a cached result's
-/// subtree? Equivalently: is any ancestor-or-self of a written row a
-/// cached result?
-fn text_hit(doc: &PreorderIndex, text_rows: &[usize], rows: &[usize]) -> bool {
-    let topo = doc.topology();
-    text_rows.iter().any(|&t| {
-        let mut cur = Some(t);
-        while let Some(p) = cur {
-            if rows.binary_search(&p).is_ok() {
-                return true;
-            }
-            cur = topo.parent(p);
-        }
-        false
-    })
+/// Does a `[@name="v"]` predicate of the pattern read an attribute
+/// named in `names`?
+fn predicate_reads(pattern: &AccessPattern, names: &[String]) -> bool {
+    !names.is_empty()
+        && pattern
+            .plan()
+            .iter()
+            .flat_map(|step| &step.preds)
+            .any(|p| matches!(p, Pred::AttrEq(n, _) if names.contains(n)))
 }
 
-/// Refresh the strings of results whose subtree contains a written text
-/// row; rows are untouched. Returns the number recomputed.
-fn refresh_strings(
-    q: &mut CachedQuery,
-    doc: &PreorderIndex,
-    text_rows: &[usize],
-) -> u64 {
+/// Push `from` and every ancestor above it onto `out`: how each
+/// contribution to a batch's string-dirty list is found.
+fn push_ancestors(topo: &Topology, from: Option<usize>, out: &mut Vec<usize>) {
+    let mut cur = from;
+    while let Some(p) = cur {
+        out.push(p);
+        cur = topo.parent(p);
+    }
+}
+
+/// Recompute the cached strings whose row is in the sorted
+/// string-dirty list `dirty`. Returns how many were recomputed.
+fn patch_strings(q: &mut CachedQuery, doc: &PreorderIndex, dirty: &[usize]) -> u64 {
     if !q.want_strings {
         return 0;
     }
-    let topo = doc.topology();
-    let mut refresh: Vec<usize> = Vec::new();
-    for &t in text_rows {
-        let mut cur = Some(t);
-        while let Some(p) = cur {
-            if let Ok(k) = q.rows.binary_search(&p) {
-                refresh.push(k);
-            }
-            cur = topo.parent(p);
+    let mut patched = 0;
+    for &row in dirty {
+        if let Ok(k) = q.rows.binary_search(&row) {
+            q.strings[k] = doc.string_value(row);
+            patched += 1;
         }
     }
-    refresh.sort_unstable();
-    refresh.dedup();
-    for &k in &refresh {
-        q.strings[k] = doc.string_value(q.rows[k]);
-    }
-    refresh.len() as u64
+    patched
 }
 
-/// The delta repair: remap surviving rows through their stable node
-/// ids (`ids`, parallel to the cached rows), drop rows that died or
-/// fell inside a touched extent, splice in a scoped re-evaluation of
-/// exactly the touched extents, and refresh only the strings the batch
-/// can have changed. Returns
-/// `(dropped, spliced, strings_patched)`.
+/// Renumber sorted old rows in place through a splice's kept runs,
+/// dropping the rows no kept run carries; `strings` is parallel to
+/// `rows` or empty. Rows and runs are both sorted, so this is one
+/// merge. Returns how many rows were dropped.
+fn renumber(
+    rows: &mut Vec<usize>,
+    strings: &mut Vec<String>,
+    kept: &[(usize, usize, usize)],
+) -> u64 {
+    let parallel = strings.len() == rows.len();
+    let (mut w, mut k) = (0, 0);
+    for i in 0..rows.len() {
+        let row = rows[i];
+        while kept.get(k).is_some_and(|&(old, _, len)| old + len <= row) {
+            k += 1;
+        }
+        if let Some(&(old, new, _)) = kept.get(k).filter(|&&(old, _, _)| old <= row) {
+            rows[w] = new + (row - old);
+            if parallel {
+                strings.swap(w, i);
+            }
+            w += 1;
+        }
+    }
+    let dropped = (rows.len() - w) as u64;
+    rows.truncate(w);
+    if parallel {
+        strings.truncate(w);
+    }
+    dropped
+}
+
+/// The delta repair of a downward-only query without positional
+/// predicates: drop the rows of cut subtrees and renumber the rest in
+/// place, recompute the string-dirty strings, then merge in a scoped
+/// re-evaluation of the fresh ranges, back to front in the same
+/// buffers. Returns `(dropped, spliced, strings_patched)`.
 fn repair_query(
     q: &mut CachedQuery,
-    ids: &[NodeId],
     new: &PreorderIndex,
-    touched_new: &[(usize, usize)],
-    text_new: &[usize],
+    runs: SpliceRuns<'_>,
+    dirty: &[usize],
 ) -> (u64, u64, u64) {
-    // (new_row, old result index for string reuse); survivors outside
-    // the touched extents keep their relative order, so this stays
-    // sorted.
-    let mut kept: Vec<(usize, Option<usize>)> = Vec::with_capacity(q.rows.len());
-    let mut dropped = 0u64;
-    for (i, &id) in ids.iter().enumerate() {
-        match new.row_of_source(id) {
-            None => dropped += 1,
-            Some(nr) if row_in_extents(touched_new, nr) => dropped += 1,
-            Some(nr) => kept.push((nr, Some(i))),
+    let dropped = renumber(&mut q.rows, &mut q.strings, runs.kept);
+    let mut patched = patch_strings(q, new, dirty);
+    let fresh = q.pattern.evaluate_within(new, runs.fresh);
+    if !fresh.is_empty() {
+        let (mut i, mut j) = (q.rows.len(), fresh.len());
+        q.rows.resize(i + j, 0);
+        if q.want_strings {
+            q.strings.resize(i + j, String::new());
         }
-    }
-    let fresh = q.pattern.evaluate_within(new, touched_new);
-    let spliced = fresh.len() as u64;
-
-    let mut merged: Vec<(usize, Option<usize>)> = Vec::with_capacity(kept.len() + fresh.len());
-    {
-        let mut a = kept.into_iter().peekable();
-        let mut b = fresh.into_iter().peekable();
-        loop {
-            match (a.peek().copied(), b.peek().copied()) {
-                (Some((ra, _)), Some(rb)) => {
-                    if ra < rb {
-                        merged.push((ra, a.next().and_then(|(_, s)| s)));
-                    } else {
-                        merged.push((rb, None));
-                        b.next();
-                    }
+        // Kept and fresh rows never coincide; fill from the back.
+        while j > 0 {
+            let w = i + j - 1;
+            if i > 0 && q.rows[i - 1] > fresh[j - 1] {
+                i -= 1;
+                q.rows[w] = q.rows[i];
+                if q.want_strings {
+                    q.strings.swap(w, i);
                 }
-                (Some((ra, _)), None) => {
-                    merged.push((ra, a.next().and_then(|(_, s)| s)));
-                }
-                (None, Some(rb)) => {
-                    merged.push((rb, None));
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-    }
-
-    let mut patched = 0u64;
-    if q.want_strings {
-        let topo = new.topology();
-        let mut strings = Vec::with_capacity(merged.len());
-        for &(nr, src) in &merged {
-            let reusable = match src {
-                Some(i) => {
-                    // A kept row's cached string survives unless its
-                    // subtree overlaps a touched extent or contains a
-                    // written text row.
-                    let end = topo.extent(nr);
-                    let k = text_new.partition_point(|&t| t < nr);
-                    let text_inside = k < text_new.len() && text_new[k] < end;
-                    if topo.subtree_intersects(nr, touched_new) || text_inside {
-                        None
-                    } else {
-                        Some(i)
-                    }
-                }
-                None => None,
-            };
-            match reusable {
-                Some(i) => strings.push(std::mem::take(&mut q.strings[i])),
-                None => {
+            } else {
+                j -= 1;
+                q.rows[w] = fresh[j];
+                if q.want_strings {
+                    q.strings[w] = new.string_value(fresh[j]);
                     patched += 1;
-                    strings.push(new.string_value(nr));
                 }
             }
         }
-        q.strings = strings;
     }
-    q.rows = merged.iter().map(|&(r, _)| r).collect();
-    (dropped, spliced, patched)
+    (dropped, fresh.len() as u64, patched)
 }
 
 /// Full re-evaluation of one query against `doc`.
-fn rebuild_query(
-    q: &mut CachedQuery,
-    doc: &PreorderIndex,
-    stats: &mut CacheStats,
-) {
+fn rebuild_query(q: &mut CachedQuery, doc: &PreorderIndex) {
     q.rows = q.pattern.evaluate(doc);
     if q.want_strings {
         q.strings = q.rows.iter().map(|&r| doc.string_value(r)).collect();
     }
-    stats.rebuilt += 1;
 }
 
 #[cfg(test)]
@@ -1157,11 +1157,67 @@ mod tests {
         Ok(())
     }
 
+    /// The last splice's run list, checked against the tables on both
+    /// sides: every kept old row maps to the new row with the same
+    /// source id, the fresh ranges hold exactly the rows of created and
+    /// moved nodes (new ids, or old rows inside a `cut` extent), and the
+    /// runs cover the new table once, in order.
+    fn runs_are_exact(
+        old: &PreorderIndex,
+        new: &PreorderIndex,
+        cut: &[(usize, usize)],
+    ) -> Result<(), String> {
+        let runs = new.splice_runs();
+        let mut pieces: Vec<(usize, usize)> = runs.fresh.to_vec();
+        let (mut old_end, mut new_end) = (0, 0);
+        for &(o, n, len) in runs.kept {
+            if o < old_end || n < new_end || len == 0 {
+                return Err(format!("kept run ({o}, {n}, {len}) out of order or empty"));
+            }
+            (old_end, new_end) = (o + len, n + len);
+            for j in 0..len {
+                if old.source_id(o + j) != new.source_id(n + j) {
+                    return Err(format!("kept old row {} is not new row {}", o + j, n + j));
+                }
+            }
+            pieces.push((n, n + len));
+        }
+        if runs.fresh.windows(2).any(|w| w[0].1 > w[1].0) {
+            return Err(format!("fresh ranges out of order: {:?}", runs.fresh));
+        }
+        pieces.sort_unstable();
+        let mut at = 0;
+        for (s, e) in pieces {
+            if s != at || e <= s {
+                return Err(format!(
+                    "runs do not tile the table at row {at}: ({s}, {e})"
+                ));
+            }
+            at = e;
+        }
+        if at != new.len() {
+            return Err(format!("runs cover {at} of {} rows", new.len()));
+        }
+        for i in 0..new.len() {
+            let made_or_moved = old
+                .row_of_source(new.source_id(i))
+                .is_none_or(|r| cut.iter().any(|&(s, e)| s <= r && r < e));
+            if row_in_extents(runs.fresh, i) != made_or_moved {
+                return Err(format!(
+                    "row {i}: fresh {}, created or moved {made_or_moved}",
+                    row_in_extents(runs.fresh, i)
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// After every batch of a run, the spliced shadow equals a fresh
-    /// encode, and the plan analyzed against it — the document's
-    /// standing index — equals the plan analyzed against a freshly
-    /// encoded index, field for field (footprints, edges, components,
-    /// canonical order, redundant ops and nil components).
+    /// encode, its run list maps each old row to its new one
+    /// ([`runs_are_exact`]), and the plan analyzed against it — the
+    /// document's standing index — equals the plan analyzed against a
+    /// freshly encoded index, field for field (footprints, edges,
+    /// components, canonical order, redundant ops and nil components).
     #[test]
     fn spliced_shadow_equals_fresh_encode() {
         let counts = RefCell::new(BTreeMap::new());
@@ -1198,8 +1254,12 @@ mod tests {
                     if apply_log_dyn(&mut tree, &mut session, &log).is_err() {
                         continue;
                     }
-                    let fp = Footprint::read(&plan, &effective, &shadow);
-                    shadow = match splice_shadow(shadow, &tree, &fp.cut, &fp.texts) {
+                    let fp = match Footprint::read(&plan, &effective, &shadow) {
+                        Ok(fp) => fp,
+                        Err(e) => return Outcome::Fail(format!("batch {b}: footprint: {e:?}")),
+                    };
+                    let old = shadow.clone();
+                    shadow = match splice_shadow(shadow, &tree, &fp.roots(), &fp.texts) {
                         Ok(s) => s,
                         Err(e) => {
                             return Outcome::Fail(format!(
@@ -1208,6 +1268,9 @@ mod tests {
                         }
                     };
                     if let Err(e) = same_as_fresh(&shadow, &tree) {
+                        return Outcome::Fail(format!("batch {b}: {e}; log {log:?}"));
+                    }
+                    if let Err(e) = runs_are_exact(&old, &shadow, &fp.cut) {
                         return Outcome::Fail(format!("batch {b}: {e}; log {log:?}"));
                     }
                     tally(&mut counts.borrow_mut(), &log, &effective);
@@ -1247,20 +1310,21 @@ mod tests {
         let effective = plan.execution_order(false, session.cancellation_neutral());
         apply_log_dyn(&mut tree, &mut session, &log).unwrap();
 
-        // Drop the deleted extent from the plan: the relabel region
-        // around it still covers the classification, but the splice is
-        // no longer told about the node that went away.
+        // Drop the deleted extent from the plan: the splice is no longer
+        // told about the node that went away, so it refuses, and the
+        // cache encodes afresh and rebuilds every query.
         for fp in &mut plan.footprints {
             fp.deleted_extents.clear();
         }
         let old = cache.shadow.clone().unwrap();
-        let fp = Footprint::read(&plan, &effective, &old);
+        let fp = Footprint::read(&plan, &effective, &old).unwrap();
         assert!(
-            splice_shadow(old, &tree, &fp.cut, &fp.texts).is_err(),
+            splice_shadow(old, &tree, &fp.roots(), &fp.texts).is_err(),
             "the splice must notice a deletion it was not told about"
         );
 
-        cache.absorb(&log, &plan, &effective, &tree).unwrap();
+        let impact = cache.absorb(&log, &plan, &effective, &tree).unwrap();
+        assert_eq!(impact.classes, vec![QueryClass::Rebuilt; exprs.len()]);
         same_as_fresh(cache.shadow.as_ref().unwrap(), &tree).unwrap();
         let fresh = PreorderIndex::encode(ShadowScheme::default(), &tree).unwrap();
         for (q, e) in exprs.iter().enumerate() {
@@ -1269,5 +1333,89 @@ mod tests {
             assert_eq!(cache.rows(q), rows.as_slice(), "query {q} rows");
             assert_eq!(cache.strings(q), strings.as_slice(), "query {q} strings");
         }
+    }
+
+    /// A plan made on another document is refused before any footprint
+    /// is read, and the index and every cached query stay as they were.
+    /// The plan's rows lie past the book's, so reading its footprints
+    /// on the book's index would index out of bounds.
+    #[test]
+    fn absorb_refuses_a_plan_made_for_another_tree_state() {
+        let book = docs::book();
+        let mut cache = QueryCache::new();
+        for e in ["//title", "//author", "/book//text()"] {
+            cache
+                .register(&xupd_encoding::parse_xpath(e).unwrap(), true, &book)
+                .unwrap();
+        }
+        let before: Vec<(Vec<usize>, Vec<String>)> = (0..cache.len())
+            .map(|q| (cache.rows(q).to_vec(), cache.strings(q).to_vec()))
+            .collect();
+        let stats = *cache.stats();
+
+        let mut other = docs::xmark_like(5, 60);
+        let order = other.ids_in_doc_order();
+        let last_text = *order
+            .iter()
+            .rev()
+            .find(|&&id| other.kind(id).is_text())
+            .unwrap();
+        let last_item = *order
+            .iter()
+            .rev()
+            .find(|&&id| other.kind(id).name() == Some("item"))
+            .unwrap();
+        let log = MutationLog::from(vec![
+            Mutation::SetText {
+                target: NodeRef::Node(last_text),
+                text: "elsewhere".to_string(),
+            },
+            Mutation::Delete {
+                target: NodeRef::Node(last_item),
+            },
+        ]);
+        let plan = analyze(&log, &other).unwrap();
+        let mut session = SchemeSession::new(Qed::new());
+        session.label_tree(&other).unwrap();
+        let effective = plan.execution_order(false, session.cancellation_neutral());
+        apply_log_dyn(&mut other, &mut session, &log).unwrap();
+
+        let refused = |r: Result<BatchImpact, TreeError>| matches!(r, Err(TreeError::Invariant(_)));
+        assert!(refused(cache.absorb(&log, &plan, &effective, &book)));
+        assert!(refused(cache.absorb(&log, &plan, &effective, &other)));
+        // a plan for another log is refused too
+        let short = MutationLog::from(vec![]);
+        assert!(refused(cache.absorb(&short, &plan, &[], &book)));
+
+        assert!(
+            cache.is_current(&book),
+            "the index still describes the book"
+        );
+        assert_eq!(*cache.stats(), stats);
+        for (q, (rows, strings)) in before.iter().enumerate() {
+            assert_eq!(cache.rows(q), rows.as_slice(), "query {q} rows");
+            assert_eq!(cache.strings(q), strings.as_slice(), "query {q} strings");
+        }
+
+        // A revision counts one tree's mutations, so another document
+        // can share it: bring the book to the plan's revision. The
+        // plan's rows then lie outside the book's index, which is
+        // refused too, before the index is touched.
+        let mut book = book;
+        let text = book
+            .ids_in_doc_order()
+            .into_iter()
+            .find(|&id| book.kind(id).is_text())
+            .unwrap();
+        while book.revision() != plan.revision() {
+            *book.kind_mut(text) = NodeKind::Text {
+                value: "again".to_string(),
+            };
+        }
+        cache.refresh(&book).unwrap();
+        let stats = *cache.stats();
+        assert!(refused(cache.absorb(&log, &plan, &effective, &book)));
+        assert!(cache.is_current(&book), "the index survives the refusal");
+        assert_eq!(*cache.stats(), stats);
     }
 }

@@ -161,6 +161,68 @@ fn tail_log(tree: &XmlTree) -> MutationLog {
     }])
 }
 
+/// A fleet-style insert: one empty `u` appended as the last child of
+/// the document element. The parent whose child list changes is the
+/// document element, so the batch's relabel region is the whole
+/// document; its edits are one fresh row.
+fn fleet_append_log(tree: &XmlTree) -> MutationLog {
+    MutationLog::from(vec![Mutation::CreateElement {
+        id: LogId(0),
+        name: "u".to_string(),
+        place: Place::LastChildOf(NodeRef::Node(tree.document_element().unwrap())),
+    }])
+}
+
+/// A new `open_auction` before the second one: the new node becomes
+/// `open_auction[2]`, so that query must not keep its old member.
+fn auction_before_second_log(tree: &XmlTree) -> MutationLog {
+    MutationLog::from(vec![Mutation::CreateElement {
+        id: LogId(0),
+        name: "open_auction".to_string(),
+        place: Place::Before(NodeRef::Node(named(tree, "open_auction")[1])),
+    }])
+}
+
+/// The `id` attribute whose value is `value`.
+fn id_attribute(tree: &XmlTree, value: &str) -> NodeId {
+    tree.ids_in_doc_order()
+        .into_iter()
+        .find(|&id| {
+            matches!(tree.kind(id), NodeKind::Attribute { name, value: v } if name == "id" && v == value)
+        })
+        .unwrap_or_else(|| panic!("no id=\"{value}\" attribute"))
+}
+
+/// Delete the `id="item0_0"` attribute: the attribute is the cut root,
+/// and the item it sat on stays, so `//item[@id='item0_0']` loses a
+/// member outside every cut or fresh subtree.
+fn drop_item_id_log(tree: &XmlTree) -> MutationLog {
+    MutationLog::from(vec![Mutation::Delete {
+        target: NodeRef::Node(id_attribute(tree, "item0_0")),
+    }])
+}
+
+/// Give the first item without an `id` the attribute `id="item0_0"`:
+/// a fresh attribute root that makes a kept item a member.
+fn give_item_id_log(tree: &XmlTree) -> MutationLog {
+    let bare = named(tree, "item")
+        .into_iter()
+        .find(|&item| {
+            !tree
+                .children(item)
+                .any(|c| matches!(tree.kind(c), NodeKind::Attribute { name, .. } if name == "id"))
+        })
+        .unwrap_or_else(|| panic!("every item has an id"));
+    MutationLog::from(vec![Mutation::CreateNode {
+        id: LogId(0),
+        kind: NodeKind::Attribute {
+            name: "id".to_string(),
+            value: "item0_0".to_string(),
+        },
+        place: Place::FirstChildOf(NodeRef::Node(bare)),
+    }])
+}
+
 /// Element nodes named `name`, in document order.
 fn named(tree: &XmlTree, name: &str) -> Vec<NodeId> {
     tree.ids_in_doc_order()
@@ -305,6 +367,7 @@ fn drive_scheme(
         tally.1 += impact.repaired;
         tally.2 += impact.rebuilt;
         assert_cache_matches(cache, exprs, tree, &format!("{ctx}/round{round}-{tag}"));
+        impact
     };
 
     // 1. localized structural edit (the repair sweet spot)
@@ -335,6 +398,20 @@ fn drive_scheme(
     // also rewrites it and other pre-batch text under cached results
     absorb(&description_text_log(&tree), &mut tree, session, &mut cache, "description-text");
     absorb(&structural_with_text_log(&tree), &mut tree, session, &mut cache, "structural+text");
+    // 13. a fleet-style append under the document element
+    absorb(&fleet_append_log(&tree), &mut tree, session, &mut cache, "fleet-append");
+    // 14. a new second auction: the positional query's names are hit,
+    // so it is re-derived, not renumbered
+    let impact = absorb(&auction_before_second_log(&tree), &mut tree, session, &mut cache, "auction-2");
+    let second = roster()
+        .iter()
+        .position(|&(e, _)| e == "/site/open_auctions/open_auction[2]")
+        .unwrap();
+    assert_eq!(impact.classes[second], QueryClass::Rebuilt, "{ctx}: open_auction[2]");
+    // 15-16. an attribute that a `[@id=...]` predicate reads is deleted
+    // from a kept item, then created on another one
+    absorb(&drop_item_id_log(&tree), &mut tree, session, &mut cache, "drop-id");
+    absorb(&give_item_id_log(&tree), &mut tree, session, &mut cache, "give-id");
 
     tally
 }
@@ -366,8 +443,7 @@ fn classification_counts_are_pinned_on_fixed_scenario() {
     // the per-query classes are deterministic — pin them so a
     // regression that silently downgrades everything to "dirty" (still
     // correct, zero speedup) fails loudly. The edit sits in the last
-    // auction, so queries over the earlier regions/people sections
-    // keep position-stable rows.
+    // auction and creates a `note`, a name no query tests.
     let base = docs::xmark_like(31, 72);
     let exprs = parsed_roster();
     let mut session: Box<dyn DynScheme> = Box::new(SchemeSession::new(Qed::new()));
@@ -383,22 +459,44 @@ fn classification_counts_are_pinned_on_fixed_scenario() {
     apply_log_dyn(&mut tree, session.as_mut(), &log).unwrap();
     let impact = cache.absorb(&log, &plan, &effective, &tree).unwrap();
     assert!(!impact.text_only);
-    assert!(
-        impact.unaffected >= 2,
-        "queries clear of the touched region must be kept: {impact:?}"
-    );
-    assert!(
-        impact.repaired >= 3,
-        "repair-safe queries over the touched region must be repaired: {impact:?}"
-    );
-    assert!(
-        impact.rebuilt >= 2,
-        "upward/lateral and subtree-positional queries must rebuild: {impact:?}"
-    );
+    use QueryClass::{Rebuilt, Repaired, Unaffected};
+    // The batch's only edit is the fresh `note` row; its strict
+    // ancestors (the last auction, `open_auctions`, `site`, the
+    // document node) are its string-dirty rows.
+    let want = [
+        // //item: fully named, no `item` in the fresh row
+        Unaffected,
+        // //item with strings: no item is string-dirty
+        Unaffected,
+        // /site/people//name: `site` is an ancestor of the edit but not
+        // inside it, and no `name` is string-dirty
+        Unaffected,
+        // //person/name
+        Unaffected,
+        // //item/@id
+        Unaffected,
+        // /site/regions/*: a wildcard is not name-safe; repair-safe, so
+        // the fresh row is re-evaluated (it yields nothing)
+        Repaired,
+        // //description/text(): a text() test, repaired the same way
+        Repaired,
+        // //item[@id='item0_0']: fully named, no `item` or `@id` hit
+        Unaffected,
+        // open_auction[2]: positional but name-safe, since a position
+        // counts only `open_auction` nodes and none was cut or created
+        Unaffected,
+        // /site/descendant::item[3]: likewise name-safe
+        Unaffected,
+        // //name/following-sibling::*: lateral axis and a wildcard
+        Rebuilt,
+        // //quantity/..: upward axis and a node() test
+        Rebuilt,
+    ];
+    assert_eq!(impact.classes, want, "{impact:?}");
     assert_eq!(
-        impact.classes.len(),
-        exprs.len(),
-        "one class per registered query"
+        (impact.unaffected, impact.repaired, impact.rebuilt),
+        (8, 2, 2),
+        "counts follow the classes"
     );
     // the lateral-axis and descendant-positional queries can never be
     // repaired

@@ -1,7 +1,7 @@
 //! Deterministic document generators.
 
 use xupd_testkit::TestRng;
-use xupd_xmldom::{NodeId, NodeKind, TreeBuilder, XmlTree};
+use xupd_xmldom::{NodeKind, TreeBuilder, XmlTree};
 
 /// The paper's Figure 1 sample book document.
 pub fn book() -> XmlTree {
@@ -187,14 +187,6 @@ fn lorem(rng: &mut TestRng) -> String {
         .join(" ")
 }
 
-/// All element nodes of `tree` in document order — the usual target pool
-/// for update scripts.
-pub fn element_pool(tree: &XmlTree) -> Vec<NodeId> {
-    tree.preorder()
-        .filter(|&n| tree.kind(n).is_element())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,12 +253,5 @@ mod tests {
         let text = xupd_xmldom::serialize_compact(&t);
         let back = xupd_xmldom::parse(&text).unwrap();
         assert_eq!(back.len(), t.len());
-    }
-
-    #[test]
-    fn element_pool_excludes_text_and_attrs() {
-        let t = book();
-        let pool = element_pool(&t);
-        assert_eq!(pool.len(), 8); // the 8 elements of Figure 1
     }
 }

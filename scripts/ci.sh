@@ -84,8 +84,13 @@ done
 echo "==> XUPD_THREADS={1,4} querycache differential (cached results byte-identical to fresh eval)"
 # The query-cache differential suite drives all 17 schemes through mixed
 # batches and asserts cached rows/strings equal a from-scratch oracle
-# after every absorb. Running it at both pool widths pins that the
-# scheme fan-out never leaks into classification or repair.
+# after every absorb. The cache classifies each query by the batch's
+# exact edits (cut and fresh subtrees, no relabel-region margin) and
+# renumbers kept rows through the splice's run list, so the suite
+# includes a fleet-style append under the document element and a new
+# second auction under the positional `open_auction[2]`. Running it at
+# both pool widths pins that the scheme fan-out never leaks into
+# classification or repair.
 for threads in 1 4; do
   XUPD_THREADS="$threads" cargo test --release -q -p xupd-framework \
     --test querycache_differential > /dev/null \
@@ -120,11 +125,15 @@ for threads in 1 4; do
   echo "    ok: flux compiler differential + diagnostics at XUPD_THREADS=$threads"
 done
 
-echo "==> xbench correctness gate at full size (fleet-large, flux-batch)"
+echo "==> xbench correctness gate at full size (fleet-small, fleet-large, flux-batch)"
 # The unit suites run these workloads at doc_scale <= 60. xbench replays
 # them on ~5-9.5k-node documents and compares every cached query with a
 # fresh evaluation — the size at which a shadow-table splice bug would
-# show. `--trace 1` keeps every untraced check and adds the mirror gate:
+# show. The classifier decides most batches from the exact edits, with
+# no relabel-region margin, so fleet-small runs here too: its stream 0
+# ends with 96 documents (fleet-large's with 16), and the gate compares
+# each one's cached rows and strings with a fresh registration (~7 s).
+# `--trace 1` keeps every untraced check and adds the mirror gate:
 # the traced mirror, which calls `analyze` and `lower::lower` on an index
 # of its own, must end with the store's tree bytes, cache counters and
 # rejected count. The mirror compiles scripts with `batch_of`, which
@@ -134,7 +143,7 @@ echo "==> xbench correctness gate at full size (fleet-large, flux-batch)"
 # the two pool bases at full size. The per-op oracle in `run::gate`
 # checks both against `run_script_dyn`, which keeps the scan. It exits
 # non-zero on any failed check.
-for workload in fleet-large flux-batch; do
+for workload in fleet-small fleet-large flux-batch; do
   cargo run --release -q --offline \
     --manifest-path crates/bench/src/bin/xbench/Cargo.toml -- \
     --workload "$workload" --seconds 0 --trace 1 > /dev/null \

@@ -26,23 +26,23 @@ const WIDTHS: [usize; 3] = [1, 2, 8];
 /// FNV-1a digest of each scheme's reference `state_dump` for the fleet
 /// [`assert_width_invariant`] replays, in roster order.
 const PINNED_DIGESTS: [(&str, u64); 17] = [
-    ("XPath Accelerator", 0x6caf_3ab1_8615_717d),
-    ("XRel", 0x62cd_babd_7987_f953),
-    ("Sector", 0x7171_9857_067a_3758),
-    ("QRS", 0xc36e_7e00_a6cc_444c),
-    ("DeweyID", 0xf9e4_0263_e04a_5e74),
-    ("Ordpath", 0x0520_4d5e_5c00_0e46),
-    ("DLN", 0x95eb_f3c8_866b_fcb2),
-    ("LSDX", 0x0520_4d5e_5c00_0e46),
-    ("ImprovedBinary", 0x0520_4d5e_5c00_0e46),
-    ("QED", 0x0520_4d5e_5c00_0e46),
-    ("CDQS", 0x0520_4d5e_5c00_0e46),
-    ("Vector", 0x0520_4d5e_5c00_0e46),
-    ("CDBS", 0x09a6_15f9_f5bd_7a78),
-    ("Com-D", 0x0520_4d5e_5c00_0e46),
-    ("Prime", 0x0520_4d5e_5c00_0e46),
-    ("DDE", 0x0520_4d5e_5c00_0e46),
-    ("QED∘Containment", 0x0520_4d5e_5c00_0e46),
+    ("XPath Accelerator", 0x0924_d432_fbcd_0fda),
+    ("XRel", 0x175d_a9a6_5b5e_b64a),
+    ("Sector", 0xcf1a_9419_277e_2f7b),
+    ("QRS", 0x2b54_4f06_4b68_5bf3),
+    ("DeweyID", 0xd940_77ce_d2e0_e38d),
+    ("Ordpath", 0xb363_42e0_d5d7_8889),
+    ("DLN", 0xa681_735b_faaa_34bb),
+    ("LSDX", 0xb363_42e0_d5d7_8889),
+    ("ImprovedBinary", 0xb363_42e0_d5d7_8889),
+    ("QED", 0xb363_42e0_d5d7_8889),
+    ("CDQS", 0xb363_42e0_d5d7_8889),
+    ("Vector", 0xb363_42e0_d5d7_8889),
+    ("CDBS", 0x6db9_4b05_f7ee_e2fb),
+    ("Com-D", 0xb363_42e0_d5d7_8889),
+    ("Prime", 0xb363_42e0_d5d7_8889),
+    ("DDE", 0xb363_42e0_d5d7_8889),
+    ("QED∘Containment", 0xb363_42e0_d5d7_8889),
 ];
 
 fn fleet_trees(n: usize) -> Vec<XmlTree> {
