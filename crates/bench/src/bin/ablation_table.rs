@@ -29,7 +29,12 @@ struct Outcome {
     end_max_bits: u64,
 }
 
-fn run<S: LabelingScheme + Clone + 'static>(mut scheme: S, base: &XmlTree, ops: usize, knob: String) -> Outcome {
+fn run<S: LabelingScheme + Clone + 'static>(
+    mut scheme: S,
+    base: &XmlTree,
+    ops: usize,
+    knob: String,
+) -> Outcome {
     let mut tree = base.clone();
     let mut labeling = scheme.label_tree(&tree).unwrap();
     let script = Script::generate(ScriptKind::Skewed, ops, tree.len(), 5);

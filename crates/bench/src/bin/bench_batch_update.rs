@@ -67,24 +67,22 @@ fn main() {
     let per_scheme = xupd_exec::par_map(&entries, |entry| {
         let mut samples = Vec::new();
         let mut session = entry.session();
-        samples.push(h.bench_case(
-            &format!("batch/driver/{}/{OPS}", entry.name()),
-            || {
+        samples.push(
+            h.bench_case(&format!("batch/driver/{}/{OPS}", entry.name()), || {
                 let mut tree = base.clone();
                 session.label_tree(&tree).unwrap();
                 black_box(run_script_dyn(&mut tree, session.as_mut(), &script).unwrap())
-            },
-        ));
+            }),
+        );
         for size in SIZES {
-            samples.push(h.bench_case(
-                &format!("batch/logged/{}/{size}", entry.name()),
-                || {
+            samples.push(
+                h.bench_case(&format!("batch/logged/{}/{size}", entry.name()), || {
                     let mut tree = base.clone();
                     session.label_tree(&tree).unwrap();
                     run_chunked(&mut tree, session.as_mut(), &script, size);
                     black_box(tree.len())
-                },
-            ));
+                }),
+            );
         }
         (entry.name(), samples)
     });
@@ -99,7 +97,10 @@ fn main() {
     }
 
     let wins = medians.iter().filter(|(_, one, big)| big < one).count();
-    println!("\nbatched (256) beats per-op (1) on {wins}/{} schemes:", medians.len());
+    println!(
+        "\nbatched (256) beats per-op (1) on {wins}/{} schemes:",
+        medians.len()
+    );
     for (name, one, big) in &medians {
         let speedup = *big as f64 / (*one).max(1) as f64;
         println!(

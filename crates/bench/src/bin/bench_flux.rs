@@ -166,18 +166,21 @@ fn main() {
             let hand = hand_log(&targets(&tree));
             let ops = n * OPS_PER_SECTION;
             let enum_src = enum_source(n);
-            samples.push(h.bench_case(&format!("flux/hand/{}/{ops}", entry.name()), || {
-                let mut t = tree.clone();
-                session.label_tree(&t).unwrap();
-                let log = black_box(hand.clone());
-                let plan = analyze_in(&log, &t, &index).unwrap();
-                let opts = ApplyOptions::analyzed();
-                black_box(apply_plan_with_dyn(&mut t, session.as_mut(), &log, &plan, opts).unwrap())
-            }));
+            samples.push(
+                h.bench_case(&format!("flux/hand/{}/{ops}", entry.name()), || {
+                    let mut t = tree.clone();
+                    session.label_tree(&t).unwrap();
+                    let log = black_box(hand.clone());
+                    let plan = analyze_in(&log, &t, &index).unwrap();
+                    let opts = ApplyOptions::analyzed();
+                    black_box(
+                        apply_plan_with_dyn(&mut t, session.as_mut(), &log, &plan, opts).unwrap(),
+                    )
+                }),
+            );
             for (style, src) in [("dsl", DSL_PROGRAM), ("enum", enum_src.as_str())] {
-                samples.push(h.bench_case(
-                    &format!("flux/{style}/{}/{ops}", entry.name()),
-                    || {
+                samples.push(
+                    h.bench_case(&format!("flux/{style}/{}/{ops}", entry.name()), || {
                         let mut t = tree.clone();
                         session.label_tree(&t).unwrap();
                         let program = FluxProgram::parse(src).unwrap();
@@ -192,8 +195,8 @@ fn main() {
                             )
                             .unwrap(),
                         )
-                    },
-                ));
+                    }),
+                );
             }
         }
         (entry.name(), samples)

@@ -76,7 +76,10 @@ fn queries() -> Vec<(XPathExpr, bool)> {
         texts.push((format!("//item[@id='item0_{i}']"), true));
     }
     for k in 1..=8 {
-        texts.push((format!("/site/open_auctions/open_auction[{k}]/initial"), false));
+        texts.push((
+            format!("/site/open_auctions/open_auction[{k}]/initial"),
+            false,
+        ));
     }
     for r in &regions {
         texts.push((format!("/site/regions/{r}/item/name"), false));

@@ -139,7 +139,11 @@ fn main() {
         h.push(sample);
     }
     let sample = h.bench_case("analysis/index_encode", || {
-        black_box(PreorderIndex::encode(ShadowScheme::default(), &big_base).unwrap().len())
+        black_box(
+            PreorderIndex::encode(ShadowScheme::default(), &big_base)
+                .unwrap()
+                .len(),
+        )
     });
     println!(
         "index encode ({} nodes): {} ns median",
@@ -154,8 +158,15 @@ fn main() {
     let base = sections_doc();
     let log = sections_log(&base);
     let plan = analyze(&log, &base).unwrap();
-    assert!(plan.components.len() >= SECTIONS, "sections are independent");
-    assert_eq!(plan.nil_components.len(), SECTIONS, "one scratch per section");
+    assert!(
+        plan.components.len() >= SECTIONS,
+        "sections are independent"
+    );
+    assert_eq!(
+        plan.nil_components.len(),
+        SECTIONS,
+        "one scratch per section"
+    );
 
     let entries = registry();
     // (scheme, seq ns, coalesced ns, work shed) for the summary tally
@@ -205,8 +216,7 @@ fn main() {
         // don't claim both order_independent and cancellation_neutral).
         let seq_stats = run_seq();
         let co_stats = run_coalesced();
-        let shed = (seq_stats.inserts + seq_stats.deletes)
-            - (co_stats.inserts + co_stats.deletes);
+        let shed = (seq_stats.inserts + seq_stats.deletes) - (co_stats.inserts + co_stats.deletes);
         (name, samples, shed)
     });
 

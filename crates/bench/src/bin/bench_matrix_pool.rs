@@ -48,7 +48,11 @@ fn main() {
     // List-scheduling model over the measured serial costs.
     let total: u64 = serial_ns.iter().map(|(_, ns)| ns).sum();
     let longest = serial_ns.iter().map(|(_, ns)| *ns).max().unwrap_or(0);
-    println!("\nserial battery total {:.1} ms, longest scheme {:.1} ms", ms(total), ms(longest));
+    println!(
+        "\nserial battery total {:.1} ms, longest scheme {:.1} ms",
+        ms(total),
+        ms(longest)
+    );
     for workers in WIDTHS {
         let makespan = longest.max(total / workers as u64);
         println!(

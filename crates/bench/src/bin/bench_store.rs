@@ -29,9 +29,7 @@
 use std::fmt::Write as _;
 
 use xupd_schemes::prefix::qed::Qed;
-use xupd_store::{
-    replay_concurrent, replay_reference, OpClass, ReplayReport, Store, StoreConfig,
-};
+use xupd_store::{replay_concurrent, replay_reference, OpClass, ReplayReport, Store, StoreConfig};
 use xupd_testkit::bench::{monotonic_ns, results_dir};
 use xupd_testkit::LatencyHistogram;
 use xupd_workloads::{docs, FleetConfig, FleetWorkload};
@@ -119,7 +117,10 @@ fn main() {
         for (slot, (_, h)) in merged_classes(&report).iter().zip(ref_classes.iter_mut()) {
             h.merge(&slot.1);
         }
-        if ref_best.as_ref().map_or(true, |b| report.wall_ns < b.wall_ns) {
+        if ref_best
+            .as_ref()
+            .map_or(true, |b| report.wall_ns < b.wall_ns)
+        {
             ref_best = Some(report);
         }
     }
@@ -251,7 +252,10 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("results dir creatable");
     let path = dir.join("BENCH_store.json");
     std::fs::write(&path, json).expect("results dir writable");
-    println!("\nstore: modelled speedup at 4 workers {modelled_x4:.2}x -> {}", path.display());
+    println!(
+        "\nstore: modelled speedup at 4 workers {modelled_x4:.2}x -> {}",
+        path.display()
+    );
 }
 
 fn ms(ns: u64) -> f64 {

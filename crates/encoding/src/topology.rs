@@ -317,7 +317,10 @@ mod tests {
         assert!(t.subtree_intersects(1, &[(3, 4)]));
         assert!(!t.subtree_intersects(1, &[(4, 5)]));
         assert!(t.subtree_intersects(0, &[(4, 5)]));
-        assert!(!t.subtree_intersects(2, &[(0, 2), (4, 5)]), "subtree of 2 is [2, 3)");
+        assert!(
+            !t.subtree_intersects(2, &[(0, 2), (4, 5)]),
+            "subtree of 2 is [2, 3)"
+        );
         assert!(t.subtree_intersects(2, &[(0, 3)]));
         assert!(!t.subtree_intersects(4, &[]));
     }

@@ -841,7 +841,10 @@ mod tests {
         assert_eq!(step.preds, [Pred::AttrEq("id".into(), "x]y".into())]);
         // unterminated predicate still errors
         assert!(parse_xpath("//item[@id=\"a]b\"").is_err());
-        assert!(parse_xpath("//item[@id=\"a]").is_err(), "quote never closes");
+        assert!(
+            parse_xpath("//item[@id=\"a]").is_err(),
+            "quote never closes"
+        );
     }
 
     #[test]
@@ -882,13 +885,17 @@ mod tests {
 
     #[test]
     fn access_pattern_classification() {
-        let p = parse_xpath("//item[@id=\"a\"]/name").unwrap().access_pattern();
+        let p = parse_xpath("//item[@id=\"a\"]/name")
+            .unwrap()
+            .access_pattern();
         assert!(p.downward_only() && p.repair_safe() && p.fully_named());
         assert_eq!(p.element_names(), ["item", "name"]);
         assert_eq!(p.attribute_names(), ["id"]);
         assert!(!p.has_positional());
 
-        let p = parse_xpath("//address/ancestor::*").unwrap().access_pattern();
+        let p = parse_xpath("//address/ancestor::*")
+            .unwrap()
+            .access_pattern();
         assert!(!p.downward_only() && !p.repair_safe());
         assert!(!p.fully_named(), "wildcard step");
 
@@ -960,7 +967,10 @@ mod tests {
         // positional and attribute predicates
         assert_eq!(from(&doc, "/r/s[2]", root).len(), 1);
         assert!(from(&doc, "/r/s[3]", root).is_empty());
-        assert_eq!(from(&doc, "/r/s[@id=\"2\"]", root), from(&doc, "/r/s[2]", root));
+        assert_eq!(
+            from(&doc, "/r/s[@id=\"2\"]", root),
+            from(&doc, "/r/s[2]", root)
+        );
         // text() and self steps
         let texts = from(&doc, "/r/s/x/text()", root);
         assert_eq!(texts.len(), 1);
@@ -991,7 +1001,10 @@ mod tests {
         assert_eq!(from(&doc, "//x", t), xs);
         // upward and lateral steps leave it
         let first = from(&doc, "/r/s[1]", doc.root())[0];
-        assert_eq!(names(&doc, &from(&doc, "/following-sibling::*", first)), ["s", "t"]);
+        assert_eq!(
+            names(&doc, &from(&doc, "/following-sibling::*", first)),
+            ["s", "t"]
+        );
         assert_eq!(names(&doc, &from(&doc, "/..", first)), ["r"]);
     }
 

@@ -137,10 +137,7 @@ fn shape_walk(stmts: &[Stmt], ctx_is_root: bool, diags: &mut Vec<Diagnostic>) {
                     diags.push(Diagnostic::new(
                         "F005",
                         path.span,
-                        format!(
-                            "set target {:?} must end in a text() step",
-                            path.raw
-                        ),
+                        format!("set target {:?} must end in a text() step", path.raw),
                     ));
                 }
             }
@@ -390,7 +387,10 @@ mod tests {
     #[test]
     fn f006_write_after_delete() {
         assert_eq!(codes("delete /r/s; set /r/s/x/text() to \"v\""), ["F006"]);
-        assert_eq!(codes("replace /r/s with <t/>; delete /r/s[1]"), [] as [&str; 0]);
+        assert_eq!(
+            codes("replace /r/s with <t/>; delete /r/s[1]"),
+            [] as [&str; 0]
+        );
         assert_eq!(codes("replace /r/s with <t/>; delete /r/s"), ["F006"]);
         assert_eq!(codes("rename /r/s to t; delete /r/s"), ["F006"]);
         // Rename does not consume the children.

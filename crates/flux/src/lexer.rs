@@ -53,12 +53,7 @@ impl Token {
 /// string / unbalanced tree literal).
 pub fn lex(src: &str) -> Result<Vec<Token>, Diagnostic> {
     let chars: Vec<(usize, char)> = src.char_indices().collect();
-    let end_of = |i: usize| -> usize {
-        chars
-            .get(i)
-            .map(|&(off, _)| off)
-            .unwrap_or(src.len())
-    };
+    let end_of = |i: usize| -> usize { chars.get(i).map(|&(off, _)| off).unwrap_or(src.len()) };
     // Token starts are strictly increasing, so line/column tracking is
     // one forward walk over the whole source (`Span::at` from scratch
     // per token would make lexing quadratic in program length).

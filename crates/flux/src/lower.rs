@@ -98,7 +98,11 @@ impl Lowerer<'_> {
     /// Resolve a path from context row `ctx` (used when relative) or
     /// the document row, as rows in document order.
     fn resolve(&self, path: &PathArg, ctx: usize) -> Vec<usize> {
-        let start = if path.relative { ctx } else { self.index.root() };
+        let start = if path.relative {
+            ctx
+        } else {
+            self.index.root()
+        };
         path.expr.evaluate_from(self.index, start)
     }
 
@@ -123,12 +127,7 @@ impl Lowerer<'_> {
     /// Reject targets no statement may touch: the document root and
     /// attribute nodes (F011). `what` names the statement for the
     /// message.
-    fn guard_target(
-        &self,
-        node: NodeId,
-        path: &PathArg,
-        what: &str,
-    ) -> Result<(), Diagnostic> {
+    fn guard_target(&self, node: NodeId, path: &PathArg, what: &str) -> Result<(), Diagnostic> {
         if node == self.tree.root() {
             return Err(Diagnostic::new(
                 "F011",
@@ -191,9 +190,7 @@ impl Lowerer<'_> {
                 }
                 Ok(())
             }
-            Stmt::Rename {
-                path, name, ..
-            } => {
+            Stmt::Rename { path, name, .. } => {
                 let targets = self.resolve_strict(path, ctx)?;
                 for t in self.nodes(&targets) {
                     self.guard_target(t, path, "rename")?;
@@ -305,10 +302,7 @@ impl Lowerer<'_> {
                     return Err(Diagnostic::new(
                         "F011",
                         path.span,
-                        format!(
-                            "{what} destination {:?} cannot hold children",
-                            path.raw
-                        ),
+                        format!("{what} destination {:?} cannot hold children", path.raw),
                     ));
                 }
                 Ok(if pos == InsertPos::Into {
@@ -330,9 +324,9 @@ impl Lowerer<'_> {
 
     /// The fragment's root element (its parse already guaranteed one).
     fn fragment_root(&self, tree: &TreeArg) -> Result<NodeId, Diagnostic> {
-        tree.tree.document_element().ok_or_else(|| {
-            Diagnostic::new("F003", tree.span, "tree literal has no root element")
-        })
+        tree.tree
+            .document_element()
+            .ok_or_else(|| Diagnostic::new("F003", tree.span, "tree literal has no root element"))
     }
 
     /// Emit the whole fragment at `place`: its root element, then every
@@ -378,9 +372,7 @@ mod tests {
     use crate::parser::parse;
 
     fn sample() -> XmlTree {
-        match xupd_xmldom::parse(
-            r#"<r><s id="1"><x>one</x></s><s id="2"/><t><x>two</x></t></r>"#,
-        ) {
+        match xupd_xmldom::parse(r#"<r><s id="1"><x>one</x></s><s id="2"/><t><x>two</x></t></r>"#) {
             Ok(t) => t,
             Err(e) => panic!("sample parse: {e}"),
         }
@@ -441,10 +433,16 @@ mod tests {
         let index = PreorderIndex::encode(ShadowScheme::default(), &t).unwrap();
         let rows = |path: &str| xupd_encoding::parse_xpath(path).unwrap().evaluate(&index);
         // every element nests inside the document element
-        assert_eq!(covering(&index, &rows("//*")), [t.document_element().unwrap()]);
+        assert_eq!(
+            covering(&index, &rows("//*")),
+            [t.document_element().unwrap()]
+        );
         // the two x elements sit in disjoint subtrees
         let xs = rows("//x");
-        assert_eq!(covering(&index, &xs), [index.source_id(xs[0]), index.source_id(xs[1])]);
+        assert_eq!(
+            covering(&index, &xs),
+            [index.source_id(xs[0]), index.source_id(xs[1])]
+        );
         // an s and its own x: the x goes
         let nested = rows("/r/s[1]/descendant-or-self::*");
         assert_eq!(nested.len(), 2);

@@ -70,9 +70,8 @@ impl Parser<'_, '_> {
     }
 
     fn peek_word(&self) -> Option<&str> {
-        self.peek().and_then(|t| {
-            (t.kind == TokKind::Word).then(|| t.text(self.src))
-        })
+        self.peek()
+            .and_then(|t| (t.kind == TokKind::Word).then(|| t.text(self.src)))
     }
 
     /// Statements until `end` (when `in_for`) or end of input.
@@ -91,9 +90,9 @@ impl Parser<'_, '_> {
     }
 
     fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
-        let t = self.bump().ok_or_else(|| {
-            Diagnostic::new("F001", self.eof_span(), "expected a statement")
-        })?;
+        let t = self
+            .bump()
+            .ok_or_else(|| Diagnostic::new("F001", self.eof_span(), "expected a statement"))?;
         if t.kind != TokKind::Word {
             return Err(Diagnostic::new(
                 "F001",
@@ -188,9 +187,9 @@ impl Parser<'_, '_> {
     }
 
     fn keyword(&mut self, kw: &str) -> Result<Token, Diagnostic> {
-        let t = self.bump().ok_or_else(|| {
-            Diagnostic::new("F001", self.eof_span(), format!("expected `{kw}`"))
-        })?;
+        let t = self
+            .bump()
+            .ok_or_else(|| Diagnostic::new("F001", self.eof_span(), format!("expected `{kw}`")))?;
         if t.kind == TokKind::Word && t.text(self.src) == kw {
             Ok(t)
         } else {
@@ -203,9 +202,9 @@ impl Parser<'_, '_> {
     }
 
     fn expect_tok(&mut self, kind: TokKind, what: &str) -> Result<Token, Diagnostic> {
-        let t = self.bump().ok_or_else(|| {
-            Diagnostic::new("F001", self.eof_span(), format!("expected {what}"))
-        })?;
+        let t = self
+            .bump()
+            .ok_or_else(|| Diagnostic::new("F001", self.eof_span(), format!("expected {what}")))?;
         if t.kind == kind {
             Ok(t)
         } else {
@@ -280,9 +279,8 @@ impl Parser<'_, '_> {
     fn tree_arg(&mut self) -> Result<TreeArg, Diagnostic> {
         let t = self.expect_tok(TokKind::Tree, "an XML tree literal")?;
         let raw = t.text(self.src).to_string();
-        let tree = xupd_xmldom::parse(&raw).map_err(|e| {
-            Diagnostic::new("F003", t.span, format!("invalid tree literal: {e}"))
-        })?;
+        let tree = xupd_xmldom::parse(&raw)
+            .map_err(|e| Diagnostic::new("F003", t.span, format!("invalid tree literal: {e}")))?;
         if tree.document_element().is_none() {
             return Err(Diagnostic::new(
                 "F003",

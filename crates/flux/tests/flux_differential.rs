@@ -113,13 +113,14 @@ fn gen_program(rng: &mut Rng, sections: usize) -> String {
 
 #[test]
 fn compiled_log_matches_hand_built_log() {
-    let tree =
-        xupd_xmldom::parse("<r><s><x>one</x><y/></s><s><x>two</x><y/></s></r>").unwrap();
+    let tree = xupd_xmldom::parse("<r><s><x>one</x><y/></s><s><x>two</x><y/></s></r>").unwrap();
     let program = FluxProgram::parse(
         "for /r/s do insert <item>v</item> into .; set ./x/text() to \"w\"; delete ./y; end",
     )
     .expect("well-formed source");
-    let compiled = program.compile(&tree, &index_of(&tree)).expect("clean program");
+    let compiled = program
+        .compile(&tree, &index_of(&tree))
+        .expect("clean program");
 
     // The expert client's log, mirroring the compiler's LogId
     // allocation order (two fresh ids per section).
@@ -322,13 +323,9 @@ fn no_false_accepts() {
                         let mut scratch = tree.clone();
                         let mut scheme = Qed::new();
                         let mut labeling = Default::default();
-                        let failed = mutations::apply_log(
-                            &mut scratch,
-                            &mut scheme,
-                            &mut labeling,
-                            &log,
-                        )
-                        .is_err();
+                        let failed =
+                            mutations::apply_log(&mut scratch, &mut scheme, &mut labeling, &log)
+                                .is_err();
                         assert_eq!(
                             serialize_compact(&scratch),
                             original,
@@ -360,10 +357,17 @@ fn assert_same_index(kept: &PreorderIndex, fresh: &PreorderIndex, ctx: &str) {
             a.kind == b.kind && a.parent == b.parent && a.label == b.label,
             "{ctx}: row {i}: {a:?} vs fresh {b:?}"
         );
-        assert_eq!(kept.source_id(i), fresh.source_id(i), "{ctx}: row {i} source");
+        assert_eq!(
+            kept.source_id(i),
+            fresh.source_id(i),
+            "{ctx}: row {i} source"
+        );
     }
     assert!(kept.topology() == fresh.topology(), "{ctx}: topology");
-    assert!(kept.name_index() == fresh.name_index(), "{ctx}: name buckets");
+    assert!(
+        kept.name_index() == fresh.name_index(),
+        "{ctx}: name buckets"
+    );
     assert_eq!(kept.revision(), fresh.revision(), "{ctx}: revision");
 }
 

@@ -68,7 +68,10 @@ pub const MUTATOR_FOOTPRINTS: &[(&str, &str)] = &[
     ("prepend_child", "gap write at (parent, start slot)"),
     ("insert_before", "gap write at (parent, predecessor slot)"),
     ("insert_after", "gap write at (parent, anchor slot)"),
-    ("detach", "moved-subtree extent (source half of MoveSubtree)"),
+    (
+        "detach",
+        "moved-subtree extent (source half of MoveSubtree)",
+    ),
     ("remove_subtree", "deleted-subtree extent"),
 ];
 
@@ -397,10 +400,7 @@ impl<'t> FootprintBuilder<'t> {
             Place::Before(r) | Place::After(r) => match r {
                 NodeRef::Node(s) => {
                     let srow = self.read(fp, s)?;
-                    let parent = self
-                        .tree
-                        .parent(s)
-                        .ok_or(TreeError::NoParent(s))?;
+                    let parent = self.tree.parent(s).ok_or(TreeError::NoParent(s))?;
                     let prow = row(self.idx, parent)?;
                     let left = if matches!(place, Place::After(_)) {
                         GapSlot::AfterNode(srow)
@@ -665,16 +665,18 @@ impl PairBounds {
 /// Classify the coupling between ops `i < j`, if any. Precedence:
 /// dependency, text/text, move-into-deleted, write-after-delete,
 /// extent overlap, structural overlap.
-fn classify(a: &OpFootprint, b: &OpFootprint, b_is_move: bool, a_is_move: bool) -> Option<EdgeKind> {
+fn classify(
+    a: &OpFootprint,
+    b: &OpFootprint,
+    b_is_move: bool,
+    a_is_move: bool,
+) -> Option<EdgeKind> {
     // Dependency: b uses an id a creates (forward refs only).
     if b.uses.iter().any(|u| a.creates.contains(u)) {
         return Some(EdgeKind::Dependency);
     }
     // Text/text: same point written twice.
-    if a.text_writes
-        .iter()
-        .any(|t| b.text_writes.contains(t))
-    {
+    if a.text_writes.iter().any(|t| b.text_writes.contains(t)) {
         return Some(EdgeKind::Conflict(ConflictKind::TextText));
     }
     // Move-into-deleted: a move's destination gap parent sits inside
@@ -750,10 +752,8 @@ fn canonical_order(ops: &[&Mutation], fps: &[OpFootprint], edges: &[Edge]) -> Ve
             .unwrap_or(u32::MAX);
         (class_rank(ops[i]), start, i)
     };
-    let mut ready: BTreeSet<(u8, u32, usize)> = (0..n)
-        .filter(|&i| indegree[i] == 0)
-        .map(key)
-        .collect();
+    let mut ready: BTreeSet<(u8, u32, usize)> =
+        (0..n).filter(|&i| indegree[i] == 0).map(key).collect();
     let mut out = Vec::with_capacity(n);
     while let Some(&k) = ready.iter().next() {
         ready.remove(&k);
@@ -841,7 +841,11 @@ pub fn analyze_in(
                 continue;
             }
             if let Some(kind) = classify(&footprints[i], &footprints[j], is_move[j], is_move[i]) {
-                edges.push(Edge { from: i, to: j, kind });
+                edges.push(Edge {
+                    from: i,
+                    to: j,
+                    kind,
+                });
             }
         }
     }
@@ -932,7 +936,11 @@ pub fn analyze_in(
 /// [`analyze_in`] against a preorder index encoded from `tree` for this
 /// call alone.
 pub fn analyze(log: &MutationLog, tree: &XmlTree) -> Result<AnalyzedPlan, TreeError> {
-    analyze_in(log, tree, &PreorderIndex::encode(ShadowScheme::default(), tree)?)
+    analyze_in(
+        log,
+        tree,
+        &PreorderIndex::encode(ShadowScheme::default(), tree)?,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1140,10 +1148,8 @@ mod tests {
     /// points, delete, move).
     #[test]
     fn pair_prefilter_matches_brute_force_scan() {
-        let t = parse(
-            "<r><a><x>1</x><y>2</y></a><b><z>3</z></b><c><w>4</w></c><d/><e/></r>",
-        )
-        .unwrap();
+        let t =
+            parse("<r><a><x>1</x><y>2</y></a><b><z>3</z></b><c><w>4</w></c><d/><e/></r>").unwrap();
         let log = MutationLog::from(vec![
             Mutation::CreateElement {
                 id: LogId(0),
@@ -1185,10 +1191,12 @@ mod tests {
             for j in (i + 1)..ops.len() {
                 let a_mv = matches!(ops[i], Mutation::MoveSubtree { .. });
                 let b_mv = matches!(ops[j], Mutation::MoveSubtree { .. });
-                if let Some(kind) =
-                    classify(&plan.footprints[i], &plan.footprints[j], b_mv, a_mv)
-                {
-                    brute.push(Edge { from: i, to: j, kind });
+                if let Some(kind) = classify(&plan.footprints[i], &plan.footprints[j], b_mv, a_mv) {
+                    brute.push(Edge {
+                        from: i,
+                        to: j,
+                        kind,
+                    });
                 }
             }
         }
@@ -1355,7 +1363,10 @@ mod tests {
         let log = MutationLog::from(vec![Mutation::Delete {
             target: NodeRef::Node(elem(&t, "c")),
         }]);
-        assert_eq!(analyze_in(&log, &t, &index).unwrap(), analyze(&log, &t).unwrap());
+        assert_eq!(
+            analyze_in(&log, &t, &index).unwrap(),
+            analyze(&log, &t).unwrap()
+        );
         // a text write moves the revision as much as a structural edit
         *t.kind_mut(text_node(&t, "1")) = NodeKind::Text {
             value: "10".to_string(),

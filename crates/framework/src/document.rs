@@ -250,7 +250,11 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         }
         // Absorb failures (unreachable in practice) degrade to a stale
         // cache, never to a wrong answer.
-        if !self.cache.is_stale() && self.cache.absorb(log, plan, &effective, &self.tree).is_err()
+        if !self.cache.is_stale()
+            && self
+                .cache
+                .absorb(log, plan, &effective, &self.tree)
+                .is_err()
         {
             self.cache.mark_stale();
         }
@@ -413,8 +417,15 @@ mod tests {
         let script = Script::generate(ScriptKind::MixedDelete, 40, doc.tree().len(), 4);
         let log = doc.compile_script(&script).unwrap();
         assert!(!log.is_empty());
-        assert!(doc.cache.is_current(&doc.tree), "the index is still current");
-        assert_eq!(doc.tree_with_index().unwrap().1.rows().as_ptr(), rows, "nothing re-encoded");
+        assert!(
+            doc.cache.is_current(&doc.tree),
+            "the index is still current"
+        );
+        assert_eq!(
+            doc.tree_with_index().unwrap().1.rows().as_ptr(),
+            rows,
+            "nothing re-encoded"
+        );
         assert!(doc.snapshot.is_some(), "the snapshot stands");
         assert_eq!(doc.snapshot_rebuilds(), rebuilds);
 
@@ -507,7 +518,10 @@ mod tests {
         doc.encoded().unwrap();
         assert_eq!(doc.snapshot_rebuilds(), 1, "cancelled component is a no-op");
         // it moved the tree's revision, and the index records that
-        assert!(doc.cache.is_current(&doc.tree), "index kept across the no-op");
+        assert!(
+            doc.cache.is_current(&doc.tree),
+            "index kept across the no-op"
+        );
 
         // ...but a real structural edit still invalidates exactly once
         doc.apply_log(&MutationLog::from(vec![Mutation::CreateElement {
@@ -543,7 +557,11 @@ mod tests {
         .unwrap();
         // same index rows, new content — no re-encode happened
         let index = doc.tree_with_index().unwrap().1;
-        assert_eq!(index.rows().as_ptr(), rows, "text batch patches the index in place");
+        assert_eq!(
+            index.rows().as_ptr(),
+            rows,
+            "text batch patches the index in place"
+        );
         assert_eq!(index.string_value(title_row), "Growing Up With a Dream");
         assert!(doc.snapshot.is_none(), "text batch drops the snapshot");
         let enc = doc.encoded().unwrap();
@@ -556,9 +574,19 @@ mod tests {
     fn xpath_reads_the_index_and_builds_no_snapshot() {
         let tree = docs::xmark_like(7, 40);
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
-        let paths = ["//item", "/site/regions/*", "//item/@id", "//name/..", "//text()"];
+        let paths = [
+            "//item",
+            "/site/regions/*",
+            "//item/@id",
+            "//name/..",
+            "//text()",
+        ];
         let rows: Vec<Vec<usize>> = paths.iter().map(|p| doc.xpath(p).unwrap()).collect();
-        assert_eq!(doc.snapshot_rebuilds(), 0, "xpath builds no labelled snapshot");
+        assert_eq!(
+            doc.snapshot_rebuilds(),
+            0,
+            "xpath builds no labelled snapshot"
+        );
         for (p, rows) in paths.iter().zip(&rows) {
             let expr = parse_xpath(p).unwrap();
             assert_eq!(rows, &expr.evaluate(doc.encoded().unwrap()), "{p}");
@@ -591,8 +619,13 @@ mod tests {
 
         // script path bypasses the analyzer: cache goes stale, then a
         // cached read refreshes and is exact again
-        doc.apply(&Script::generate(ScriptKind::Random, 15, doc.tree().len(), 3))
-            .unwrap();
+        doc.apply(&Script::generate(
+            ScriptKind::Random,
+            15,
+            doc.tree().len(),
+            3,
+        ))
+        .unwrap();
         assert!(doc.cache.is_stale());
         let cached = doc.query_cached(q).unwrap().to_vec();
         assert_eq!(cached, doc.xpath("//item").unwrap());
@@ -642,13 +675,20 @@ mod tests {
         assert!(doc.snapshot.is_none(), "still no snapshot built");
 
         // the cached rows match a fresh evaluation on the snapshot
-        let fresh = parse_xpath("//item").unwrap().evaluate(doc.encoded().unwrap());
+        let fresh = parse_xpath("//item")
+            .unwrap()
+            .evaluate(doc.encoded().unwrap());
         assert_eq!(doc.cached_rows(q).unwrap(), fresh.as_slice());
         assert_eq!(doc.snapshot_rebuilds(), rebuilds_before + 1);
 
         // stale cache (script path) makes the read-only view refuse
-        doc.apply(&Script::generate(ScriptKind::Random, 5, doc.tree().len(), 2))
-            .unwrap();
+        doc.apply(&Script::generate(
+            ScriptKind::Random,
+            5,
+            doc.tree().len(),
+            2,
+        ))
+        .unwrap();
         assert!(doc.cached_rows(q).is_none(), "stale cache is not served");
         assert!(doc.cached_strings_ref(q).is_none());
         // unregistered ids are None, not empty slices

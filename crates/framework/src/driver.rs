@@ -347,13 +347,12 @@ pub fn run_script_dyn(
         match *op {
             ScriptOp::InsertBefore(i) => {
                 let target = pool.resolve(i)?;
-                let place = if tree.parent(target) == Some(tree.root())
-                    || tree.parent(target).is_none()
-                {
-                    Place::FirstChildOf(NodeRef::Node(target))
-                } else {
-                    Place::Before(NodeRef::Node(target))
-                };
+                let place =
+                    if tree.parent(target) == Some(tree.root()) || tree.parent(target).is_none() {
+                        Place::FirstChildOf(NodeRef::Node(target))
+                    } else {
+                        Place::Before(NodeRef::Node(target))
+                    };
                 batch.push(Mutation::CreateElement {
                     id: LogId(0),
                     name: "u".to_string(),
@@ -399,13 +398,12 @@ pub fn run_script_dyn(
             }
             ScriptOp::InsertAfter(i) => {
                 let target = pool.resolve(i)?;
-                let place = if tree.parent(target) == Some(tree.root())
-                    || tree.parent(target).is_none()
-                {
-                    Place::LastChildOf(NodeRef::Node(target))
-                } else {
-                    Place::After(NodeRef::Node(target))
-                };
+                let place =
+                    if tree.parent(target) == Some(tree.root()) || tree.parent(target).is_none() {
+                        Place::LastChildOf(NodeRef::Node(target))
+                    } else {
+                        Place::After(NodeRef::Node(target))
+                    };
                 batch.push(Mutation::CreateElement {
                     id: LogId(0),
                     name: "u".to_string(),
@@ -448,14 +446,20 @@ pub fn run_script_dyn(
         }
         if let Some((pair, init)) = zig_plan {
             let (a, b, node) = if init {
-                (binds.node(LogId(0))?, binds.node(LogId(1))?, binds.node(LogId(2))?)
+                (
+                    binds.node(LogId(0))?,
+                    binds.node(LogId(1))?,
+                    binds.node(LogId(2))?,
+                )
             } else {
-                let (a, b) = pair.ok_or(TreeError::Invariant(
-                    "zigzag pair missing".to_string(),
-                ))?;
+                let (a, b) = pair.ok_or(TreeError::Invariant("zigzag pair missing".to_string()))?;
                 (a, b, binds.node(LogId(0))?)
             };
-            zig = Some(if zig_step % 2 == 0 { (a, node) } else { (node, b) });
+            zig = Some(if zig_step % 2 == 0 {
+                (a, node)
+            } else {
+                (node, b)
+            });
             zig_step += 1;
         }
         if op_idx % CHECKPOINT_EVERY == 0 {

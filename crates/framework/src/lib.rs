@@ -58,12 +58,12 @@ pub use analysis::{
     EdgeKind, Extent, GapKey, GapSlot, OpFootprint, PointRef, MUTATOR_FOOTPRINTS,
 };
 pub use checkers::{measure_session, Evidence, Measured};
+pub use document::{Document, DocumentError};
+pub use matrix::{declared_figure7, measure, EvaluationMatrix, MatrixRow};
 pub use mutations::{
     apply_log, apply_log_dyn, batch_of, validate, LogId, Mutation, MutationLog, NodeRef, Place,
 };
-pub use document::{Document, DocumentError};
 pub use querycache::{
     BatchImpact, CacheStats, PreorderIndex, QueryCache, QueryClass, QueryId, ShadowScheme,
 };
-pub use matrix::{declared_figure7, measure, EvaluationMatrix, MatrixRow};
 pub use report::Figure7Report;

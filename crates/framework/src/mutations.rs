@@ -493,7 +493,9 @@ fn check_name(what: &str, name: &str) -> Result<(), TreeError> {
     if xupd_xmldom::is_name(name) {
         Ok(())
     } else {
-        Err(TreeError::Invariant(format!("{what} {name:?} is not an XML name")))
+        Err(TreeError::Invariant(format!(
+            "{what} {name:?} is not an XML name"
+        )))
     }
 }
 
@@ -501,7 +503,9 @@ fn check_name(what: &str, name: &str) -> Result<(), TreeError> {
 /// whitespace.
 fn check_text(value: &str) -> Result<(), TreeError> {
     if !value.is_empty() && value.chars().all(char::is_whitespace) {
-        Err(TreeError::Invariant(format!("text {value:?} is only whitespace")))
+        Err(TreeError::Invariant(format!(
+            "text {value:?} is only whitespace"
+        )))
     } else {
         Ok(())
     }
@@ -525,7 +529,9 @@ fn check_content(kind: &NodeKind) -> Result<(), TreeError> {
                 ));
             }
             if data.contains("?>") {
-                return Err(TreeError::Invariant("PI data cannot hold \"?>\"".to_string()));
+                return Err(TreeError::Invariant(
+                    "PI data cannot hold \"?>\"".to_string(),
+                ));
             }
             // The parser skips XML whitespace after the target and
             // trims any trailing whitespace off the data.
@@ -1071,12 +1077,12 @@ fn translate(
     // Emit one create + apply it to the tree; returns the new node so
     // zig bookkeeping can track it.
     let create = |log: &mut MutationLog,
-                      tree: &mut XmlTree,
-                      pool: &mut ElementPool<'_>,
-                      binds: &mut LogBindings,
-                      sink: &mut DriveStats,
-                      next_lid: &mut u32,
-                      place: Place|
+                  tree: &mut XmlTree,
+                  pool: &mut ElementPool<'_>,
+                  binds: &mut LogBindings,
+                  sink: &mut DriveStats,
+                  next_lid: &mut u32,
+                  place: Place|
      -> Result<NodeId, TreeError> {
         let id = LogId(*next_lid);
         *next_lid += 1;
@@ -1097,13 +1103,12 @@ fn translate(
         match *op {
             ScriptOp::InsertBefore(i) => {
                 let target = pool.resolve(i)?;
-                let place = if tree.parent(target) == Some(tree.root())
-                    || tree.parent(target).is_none()
-                {
-                    Place::FirstChildOf(node_ref(target))
-                } else {
-                    Place::Before(node_ref(target))
-                };
+                let place =
+                    if tree.parent(target) == Some(tree.root()) || tree.parent(target).is_none() {
+                        Place::FirstChildOf(node_ref(target))
+                    } else {
+                        Place::Before(node_ref(target))
+                    };
                 create(
                     &mut log,
                     tree,
@@ -1155,18 +1160,21 @@ fn translate(
                     &mut next_lid,
                     Place::After(node_ref(a)),
                 )?;
-                zig = Some(if zig_step % 2 == 0 { (a, node) } else { (node, b) });
+                zig = Some(if zig_step % 2 == 0 {
+                    (a, node)
+                } else {
+                    (node, b)
+                });
                 zig_step += 1;
             }
             ScriptOp::InsertAfter(i) => {
                 let target = pool.resolve(i)?;
-                let place = if tree.parent(target) == Some(tree.root())
-                    || tree.parent(target).is_none()
-                {
-                    Place::LastChildOf(node_ref(target))
-                } else {
-                    Place::After(node_ref(target))
-                };
+                let place =
+                    if tree.parent(target) == Some(tree.root()) || tree.parent(target).is_none() {
+                        Place::LastChildOf(node_ref(target))
+                    } else {
+                        Place::After(node_ref(target))
+                    };
                 create(
                     &mut log,
                     tree,
@@ -1300,7 +1308,10 @@ mod tests {
                 place: Place::After(NodeRef::Node(title)),
             },
         ]);
-        assert_eq!(validate(&wad, &tree), Err(TreeError::ConflictingWrite(title)));
+        assert_eq!(
+            validate(&wad, &tree),
+            Err(TreeError::ConflictingWrite(title))
+        );
     }
 
     #[test]
@@ -1566,7 +1577,10 @@ mod tests {
         }
         let valid = [
             vec![element("_x-1.y"), node(1, comment("a-b"), book)],
-            vec![node(0, pi("p", "a?b>c"), book), node(1, pi("xml-stylesheet", ""), book)],
+            vec![
+                node(0, pi("p", "a?b>c"), book),
+                node(1, pi("xml-stylesheet", ""), book),
+            ],
             vec![
                 node(0, NodeKind::text(" a "), book),
                 node(1, pi("p", "a b"), book),
@@ -1611,8 +1625,7 @@ mod tests {
         let mut tree = docs::book();
         let (mut scheme, mut labeling) = session_for(&tree);
         let before_tree = serialize_compact(&tree);
-        let before_labels =
-            SessionMut::new(&mut scheme, &mut labeling).labels_display();
+        let before_labels = SessionMut::new(&mut scheme, &mut labeling).labels_display();
         let book = tree.document_element().expect("book");
         let title = first_named(&tree, "title");
         // the validator rejects the SetText-on-element up front, so this
@@ -1699,8 +1712,7 @@ mod tests {
                 });
                 assert!(made, "deletes hit script-made elements");
             }
-            apply_log(&mut batched_tree, &mut scheme_b, &mut labeling_b, &log)
-                .expect("batched");
+            apply_log(&mut batched_tree, &mut scheme_b, &mut labeling_b, &log).expect("batched");
 
             assert_eq!(
                 serialize_compact(&per_op_tree),

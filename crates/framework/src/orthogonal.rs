@@ -161,9 +161,7 @@ impl<C: OrderCode> CodedContainment<C> {
     /// space is exhausted.
     pub fn insert(&mut self, tree: &XmlTree, node: NodeId) -> Result<(), TreeError> {
         let parent = tree.parent(node).ok_or(TreeError::MissingParent(node))?;
-        let req = |labels: &Self, n: NodeId| {
-            labels.get(n).cloned().ok_or(TreeError::Unlabeled(n))
-        };
+        let req = |labels: &Self, n: NodeId| labels.get(n).cloned().ok_or(TreeError::Unlabeled(n));
         let left = match tree.prev_sibling(node) {
             Some(s) => req(self, s)?.1,
             None => req(self, parent)?.0,

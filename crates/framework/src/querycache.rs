@@ -1124,10 +1124,7 @@ mod tests {
     /// source ids, `row_of` below the id bound, topology and name
     /// buckets (bucket maps compare equal only if the spliced one kept
     /// no empty bucket, since a fresh index has none).
-    fn same_as_fresh(
-        spliced: &PreorderIndex,
-        tree: &XmlTree,
-    ) -> Result<(), String> {
+    fn same_as_fresh(spliced: &PreorderIndex, tree: &XmlTree) -> Result<(), String> {
         let fresh = PreorderIndex::encode(ShadowScheme::default(), tree)
             .map_err(|e| format!("fresh encode: {e:?}"))?;
         if spliced.len() != fresh.len() {

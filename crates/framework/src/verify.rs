@@ -14,8 +14,8 @@
 //! Figure 7 exists to show.
 
 use std::cmp::Ordering;
-use xupd_testkit::TestRng;
 use xupd_labelcore::{DynScheme, Relation};
+use xupd_testkit::TestRng;
 use xupd_xmldom::{TreeError, XmlTree};
 
 /// Per-relation verification outcome.

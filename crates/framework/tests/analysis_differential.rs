@@ -22,7 +22,9 @@ use std::collections::BTreeMap;
 
 use xupd_framework::analysis::{analyze, apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::driver::DriveStats;
-use xupd_framework::mutations::{apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place};
+use xupd_framework::mutations::{
+    apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place,
+};
 use xupd_labelcore::DynScheme;
 use xupd_schemes::registry;
 use xupd_workloads::{docs, Script, ScriptKind};
@@ -54,11 +56,7 @@ struct Outcome {
     stats: DriveStats,
 }
 
-fn run_seq(
-    factory: fn() -> Box<dyn DynScheme>,
-    base: &XmlTree,
-    log: &MutationLog,
-) -> Outcome {
+fn run_seq(factory: fn() -> Box<dyn DynScheme>, base: &XmlTree, log: &MutationLog) -> Outcome {
     let mut tree = base.clone();
     let mut session = factory();
     session.label_tree(&tree).unwrap();
@@ -92,7 +90,11 @@ fn certificate_battery(base: &XmlTree, log: &MutationLog, ctx: &str) {
         )
         .unwrap();
         let name = entry.name();
-        assert_eq!(seq.bytes, serialize_compact(&tree), "{ctx}/{name}: plan bytes");
+        assert_eq!(
+            seq.bytes,
+            serialize_compact(&tree),
+            "{ctx}/{name}: plan bytes"
+        );
         assert_eq!(
             seq.labels,
             doc_order_labels(&tree, session.as_ref()),
@@ -113,7 +115,11 @@ fn certificate_battery(base: &XmlTree, log: &MutationLog, ctx: &str) {
             ApplyOptions::coalesced(),
         )
         .unwrap();
-        assert_eq!(seq.bytes, serialize_compact(&tree), "{ctx}/{name}: coalesced bytes");
+        assert_eq!(
+            seq.bytes,
+            serialize_compact(&tree),
+            "{ctx}/{name}: coalesced bytes"
+        );
         assert_eq!(
             seq.labels,
             doc_order_labels(&tree, session.as_ref()),
@@ -241,7 +247,11 @@ fn certificates_are_nontrivial_and_sound() {
 
     // Non-trivial: several independent components, a genuine
     // permutation, a redundant write, and a nil component.
-    assert!(plan.components.len() >= 4, "components: {:?}", plan.components);
+    assert!(
+        plan.components.len() >= 4,
+        "components: {:?}",
+        plan.components
+    );
     let identity: Vec<usize> = (0..log.len()).collect();
     assert_ne!(plan.canonical, identity, "canonical order must permute");
     assert_eq!(plan.redundant, vec![1]);

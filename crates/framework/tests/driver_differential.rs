@@ -28,9 +28,9 @@ fn run_script_reference(
     let mut zig_step = 0usize;
 
     let apply_insert = |tree: &XmlTree,
-                            session: &mut dyn DynScheme,
-                            node: NodeId,
-                            stats: &mut DriveStats|
+                        session: &mut dyn DynScheme,
+                        node: NodeId,
+                        stats: &mut DriveStats|
      -> Result<(), TreeError> {
         let report = session.on_insert(tree, node)?;
         stats.inserts += 1;
@@ -90,7 +90,11 @@ fn run_script_reference(
                 // lint:allow(R8): the reference per-op driver the MutationLog batch path is differentially tested against
                 tree.insert_after(a, node)?;
                 apply_insert(tree, session, node, &mut stats)?;
-                zig = Some(if zig_step % 2 == 0 { (a, node) } else { (node, b) });
+                zig = Some(if zig_step % 2 == 0 {
+                    (a, node)
+                } else {
+                    (node, b)
+                });
                 zig_step += 1;
             }
             ScriptOp::InsertAfter(i) => {
@@ -148,7 +152,13 @@ struct Outcome {
     labels: Vec<(usize, String)>,
 }
 
-fn run_one(entry: &SchemeEntry, script: &Script, seed: u64, nodes: usize, incremental: bool) -> Outcome {
+fn run_one(
+    entry: &SchemeEntry,
+    script: &Script,
+    seed: u64,
+    nodes: usize,
+    incremental: bool,
+) -> Outcome {
     let mut session = entry.session();
     let mut tree = docs::random_tree(seed, nodes);
     session.label_tree(&tree).unwrap();

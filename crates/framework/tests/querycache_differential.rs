@@ -23,7 +23,9 @@
 
 use xupd_encoding::{parse_xpath, EncodedDocument, XPathExpr};
 use xupd_framework::analysis::analyze;
-use xupd_framework::mutations::{apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place};
+use xupd_framework::mutations::{
+    apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place,
+};
 use xupd_framework::querycache::{QueryCache, QueryClass};
 use xupd_labelcore::{DynScheme, SchemeSession};
 use xupd_schemes::prefix::qed::Qed;
@@ -80,11 +82,20 @@ fn fresh_eval(exprs: &[(XPathExpr, bool)], tree: &XmlTree) -> Vec<(Vec<usize>, V
     out
 }
 
-fn assert_cache_matches(cache: &QueryCache, exprs: &[(XPathExpr, bool)], tree: &XmlTree, ctx: &str) {
+fn assert_cache_matches(
+    cache: &QueryCache,
+    exprs: &[(XPathExpr, bool)],
+    tree: &XmlTree,
+    ctx: &str,
+) {
     let oracle = fresh_eval(exprs, tree);
     for (q, (rows, strings)) in oracle.iter().enumerate() {
         assert_eq!(cache.rows(q), rows.as_slice(), "{ctx}: query {q} rows");
-        assert_eq!(cache.strings(q), strings.as_slice(), "{ctx}: query {q} strings");
+        assert_eq!(
+            cache.strings(q),
+            strings.as_slice(),
+            "{ctx}: query {q} strings"
+        );
     }
 }
 
@@ -371,47 +382,135 @@ fn drive_scheme(
     };
 
     // 1. localized structural edit (the repair sweet spot)
-    absorb(&localized_log(&tree), &mut tree, session, &mut cache, "localized");
+    absorb(
+        &localized_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "localized",
+    );
     // 2. text-only rewrite sweep
-    absorb(&text_log(&tree, 3, false), &mut tree, session, &mut cache, "text");
+    absorb(
+        &text_log(&tree, 3, false),
+        &mut tree,
+        session,
+        &mut cache,
+        "text",
+    );
     // 3. random structural script
     let script = Script::generate(ScriptKind::Random, 25, tree.len(), 4242);
     let log = batch_of(&script, &tree).unwrap();
     absorb(&log, &mut tree, session, &mut cache, "random");
     // 4. redundant text writes (zero effective ops)
-    absorb(&text_log(&tree, 2, true), &mut tree, session, &mut cache, "redundant");
+    absorb(
+        &text_log(&tree, 2, true),
+        &mut tree,
+        session,
+        &mut cache,
+        "redundant",
+    );
     // 5. empty batch
-    absorb(&MutationLog::from(Vec::new()), &mut tree, session, &mut cache, "empty");
+    absorb(
+        &MutationLog::from(Vec::new()),
+        &mut tree,
+        session,
+        &mut cache,
+        "empty",
+    );
     // 6. delete-heavy script
     let script = Script::generate(ScriptKind::MixedDelete, 30, tree.len(), 4243);
     let log = batch_of(&script, &tree).unwrap();
     absorb(&log, &mut tree, session, &mut cache, "deletes");
     // 7. a subtree moves from one region to another
-    absorb(&move_across_regions_log(&tree), &mut tree, session, &mut cache, "move-across");
+    absorb(
+        &move_across_regions_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "move-across",
+    );
     // 8. a subtree moves before a sibling under the same parent
-    absorb(&move_before_sibling_log(&tree), &mut tree, session, &mut cache, "move-before");
+    absorb(
+        &move_before_sibling_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "move-before",
+    );
     // 9. create, move the new node, move an old subtree under it
-    absorb(&create_move_move_log(&tree), &mut tree, session, &mut cache, "create-move-move");
+    absorb(
+        &create_move_move_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "create-move-move",
+    );
     // 10. a move, then a delete
-    absorb(&move_then_delete_log(&tree), &mut tree, session, &mut cache, "move-delete");
+    absorb(
+        &move_then_delete_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "move-delete",
+    );
     // 11-12. a direct description text, then a structural batch that
     // also rewrites it and other pre-batch text under cached results
-    absorb(&description_text_log(&tree), &mut tree, session, &mut cache, "description-text");
-    absorb(&structural_with_text_log(&tree), &mut tree, session, &mut cache, "structural+text");
+    absorb(
+        &description_text_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "description-text",
+    );
+    absorb(
+        &structural_with_text_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "structural+text",
+    );
     // 13. a fleet-style append under the document element
-    absorb(&fleet_append_log(&tree), &mut tree, session, &mut cache, "fleet-append");
+    absorb(
+        &fleet_append_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "fleet-append",
+    );
     // 14. a new second auction: the positional query's names are hit,
     // so it is re-derived, not renumbered
-    let impact = absorb(&auction_before_second_log(&tree), &mut tree, session, &mut cache, "auction-2");
+    let impact = absorb(
+        &auction_before_second_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "auction-2",
+    );
     let second = roster()
         .iter()
         .position(|&(e, _)| e == "/site/open_auctions/open_auction[2]")
         .unwrap();
-    assert_eq!(impact.classes[second], QueryClass::Rebuilt, "{ctx}: open_auction[2]");
+    assert_eq!(
+        impact.classes[second],
+        QueryClass::Rebuilt,
+        "{ctx}: open_auction[2]"
+    );
     // 15-16. an attribute that a `[@id=...]` predicate reads is deleted
     // from a kept item, then created on another one
-    absorb(&drop_item_id_log(&tree), &mut tree, session, &mut cache, "drop-id");
-    absorb(&give_item_id_log(&tree), &mut tree, session, &mut cache, "give-id");
+    absorb(
+        &drop_item_id_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "drop-id",
+    );
+    absorb(
+        &give_item_id_log(&tree),
+        &mut tree,
+        session,
+        &mut cache,
+        "give-id",
+    );
 
     tally
 }
@@ -465,31 +564,23 @@ fn classification_counts_are_pinned_on_fixed_scenario() {
     // document node) are its string-dirty rows.
     let want = [
         // //item: fully named, no `item` in the fresh row
-        Unaffected,
-        // //item with strings: no item is string-dirty
+        Unaffected, // //item with strings: no item is string-dirty
         Unaffected,
         // /site/people//name: `site` is an ancestor of the edit but not
         // inside it, and no `name` is string-dirty
-        Unaffected,
-        // //person/name
-        Unaffected,
-        // //item/@id
+        Unaffected, // //person/name
+        Unaffected, // //item/@id
         Unaffected,
         // /site/regions/*: a wildcard is not name-safe; repair-safe, so
         // the fresh row is re-evaluated (it yields nothing)
-        Repaired,
-        // //description/text(): a text() test, repaired the same way
-        Repaired,
-        // //item[@id='item0_0']: fully named, no `item` or `@id` hit
+        Repaired, // //description/text(): a text() test, repaired the same way
+        Repaired, // //item[@id='item0_0']: fully named, no `item` or `@id` hit
         Unaffected,
         // open_auction[2]: positional but name-safe, since a position
         // counts only `open_auction` nodes and none was cut or created
-        Unaffected,
-        // /site/descendant::item[3]: likewise name-safe
-        Unaffected,
-        // //name/following-sibling::*: lateral axis and a wildcard
-        Rebuilt,
-        // //quantity/..: upward axis and a node() test
+        Unaffected, // /site/descendant::item[3]: likewise name-safe
+        Unaffected, // //name/following-sibling::*: lateral axis and a wildcard
+        Rebuilt,    // //quantity/..: upward axis and a node() test
         Rebuilt,
     ];
     assert_eq!(impact.classes, want, "{impact:?}");

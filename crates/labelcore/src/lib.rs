@@ -34,11 +34,11 @@ pub mod varint;
 pub mod vectorcode;
 
 pub use bitstring::BitString;
-pub use smallbuf::{SmallBuf, SmallVec};
 pub use label::{Label, Labeling};
 pub use properties::{Compliance, EncodingRep, OrderKind, Property, SchemeDescriptor};
 pub use quaternary::QCode;
 pub use scheme::{InsertReport, LabelingScheme, Relation};
 pub use session::{DynScheme, SchemeSession, SessionMut, SessionParts};
+pub use smallbuf::{SmallBuf, SmallVec};
 pub use stats::SchemeStats;
 pub use vectorcode::VectorCode;

@@ -239,7 +239,7 @@ impl<'a> Lexer<'a> {
             return;
         }
         self.advance(); // opening quote
-        // raw body: ends at `"` followed by `hashes` hashes (no escapes)
+                        // raw body: ends at `"` followed by `hashes` hashes (no escapes)
         'outer: while self.cur().is_some() {
             if self.cur() == Some(b'"') {
                 for i in 0..hashes {

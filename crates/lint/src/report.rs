@@ -276,16 +276,20 @@ pub fn check_workspace(root: &Path) -> io::Result<WorkspaceReport> {
         check_file_source(&src, &rel, &mut report);
     }
     // Deterministic ordering regardless of filesystem quirks.
-    report
-        .findings
-        .sort_by(|a, b| {
-            (&a.finding.path, a.finding.line, a.finding.col, a.finding.rule).cmp(&(
+    report.findings.sort_by(|a, b| {
+        (
+            &a.finding.path,
+            a.finding.line,
+            a.finding.col,
+            a.finding.rule,
+        )
+            .cmp(&(
                 &b.finding.path,
                 b.finding.line,
                 b.finding.col,
                 b.finding.rule,
             ))
-        });
+    });
     report
         .unused_suppressions
         .sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));

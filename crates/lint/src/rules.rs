@@ -202,10 +202,8 @@ pub fn check_source(src: &str, ctx: &FileCtx) -> (Vec<Finding>, Vec<Suppression>
     let in_query_loop = for_loop_mask(toks, src, R10_RECEIVERS);
 
     let mut findings: Vec<Finding> = Vec::new();
-    let r1_applies =
-        !ctx.is_test_code && R1_CRATES.iter().any(|c| *c == ctx.crate_name.as_str());
-    let r2_applies =
-        !ctx.is_test_code && R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str());
+    let r1_applies = !ctx.is_test_code && R1_CRATES.iter().any(|c| *c == ctx.crate_name.as_str());
+    let r2_applies = !ctx.is_test_code && R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str());
     let r3_applies = !ctx.is_bench_harness;
     let r4_applies = ctx.crate_name == "schemes";
     // R6 applies to test code too (differential/reference drivers live in
@@ -272,7 +270,10 @@ pub fn check_source(src: &str, ctx: &FileCtx) -> (Vec<Finding>, Vec<Suppression>
                 "R2",
                 ctx,
                 t,
-                format!("{text} has unspecified iteration order; use BTree{}", &text[4..]),
+                format!(
+                    "{text} has unspecified iteration order; use BTree{}",
+                    &text[4..]
+                ),
             );
         }
 
@@ -310,7 +311,13 @@ pub fn check_source(src: &str, ctx: &FileCtx) -> (Vec<Finding>, Vec<Suppression>
 
         // R5 — unsafe, everywhere, no exemptions for test code.
         if text == "unsafe" {
-            push(&mut findings, "R5", ctx, t, "unsafe block or fn".to_string());
+            push(
+                &mut findings,
+                "R5",
+                ctx,
+                t,
+                "unsafe block or fn".to_string(),
+            );
         }
 
         // R6 — full-tree `.preorder()` rebuild inside a per-op replay
@@ -409,10 +416,7 @@ pub fn check_source(src: &str, ctx: &FileCtx) -> (Vec<Finding>, Vec<Suppression>
         // raw op lists in ordinary tests; generated workloads
         // (`Script::generate`) or flux DSL programs keep test inputs on
         // the certified distributions.
-        if r12_applies
-            && text == "ScriptOp"
-            && next_is(toks, src, i, ":")
-        {
+        if r12_applies && text == "ScriptOp" && next_is(toks, src, i, ":") {
             push(
                 &mut findings,
                 "R12",
@@ -681,7 +685,10 @@ mod tests {
         assert!(FileCtx::classify("tests/matrix.rs").is_test_code);
         assert!(FileCtx::classify("examples/quickstart.rs").is_test_code);
         assert!(FileCtx::classify("crates/testkit/src/bench.rs").is_bench_harness);
-        assert_eq!(FileCtx::classify("src/lib.rs").crate_name, "xml-update-props");
+        assert_eq!(
+            FileCtx::classify("src/lib.rs").crate_name,
+            "xml-update-props"
+        );
     }
 
     #[test]
@@ -890,7 +897,14 @@ mod tests {
         let f = unsuppressed(src, "crates/framework/tests/t.rs");
         assert_eq!(f.iter().filter(|f| f.rule == "R9").count(), 1);
         // every permuter in the list is caught
-        for m in ["swap", "reverse", "rotate_left", "retain", "drain", "split_off"] {
+        for m in [
+            "swap",
+            "reverse",
+            "rotate_left",
+            "retain",
+            "drain",
+            "split_off",
+        ] {
             let src = format!("fn f() {{ ops.{m}(0); }}");
             let f = unsuppressed(&src, "crates/framework/src/checkers.rs");
             assert_eq!(f.iter().filter(|f| f.rule == "R9").count(), 1, "{m}");
@@ -962,7 +976,8 @@ mod tests {
         let def = "fn evaluate_all(queries: &[Q]) { for q in queries { run(q); } }";
         assert!(unsuppressed(def, "crates/framework/src/checkers.rs").is_empty());
         // an explicit lint:allow covers an oracle that must pay full cost
-        let allowed = "fn f() { for e in &exprs {\n    // lint:allow(R10): oracle\n    doc.evaluate(e);\n} }";
+        let allowed =
+            "fn f() { for e in &exprs {\n    // lint:allow(R10): oracle\n    doc.evaluate(e);\n} }";
         let (f, unused) = check_source(allowed, &lib_ctx("crates/framework/tests/t.rs"));
         assert!(f.iter().all(|f| !f.is_unsuppressed()), "{f:?}");
         assert!(unused.is_empty());
@@ -972,9 +987,17 @@ mod tests {
     fn r12_flags_raw_script_ops_in_test_code_only() {
         let src = "fn t() { let op = ScriptOp::InsertBefore(3); }";
         // ordinary test code in the R2 crate set is flagged
-        for path in ["crates/framework/tests/a.rs", "crates/flux/tests/a.rs", "tests/a.rs"] {
+        for path in [
+            "crates/framework/tests/a.rs",
+            "crates/flux/tests/a.rs",
+            "tests/a.rs",
+        ] {
             let f = unsuppressed(src, path);
-            assert_eq!(f.iter().filter(|f| f.rule == "R12").count(), 1, "{path}: {f:?}");
+            assert_eq!(
+                f.iter().filter(|f| f.rule == "R12").count(),
+                1,
+                "{path}: {f:?}"
+            );
         }
         // library code may construct and match ops — that is its job
         assert!(unsuppressed(src, "crates/workloads/src/script.rs").is_empty());
@@ -983,7 +1006,10 @@ mod tests {
         assert!(unsuppressed(src, "crates/workloads/tests/t.rs").is_empty());
         // the reference differential drivers are the executable spec
         for path in R12_EXEMPT_PATHS {
-            assert!(unsuppressed(src, path).iter().all(|f| f.rule != "R12"), "{path}");
+            assert!(
+                unsuppressed(src, path).iter().all(|f| f.rule != "R12"),
+                "{path}"
+            );
         }
         // outside the R2 crate set the rule does not apply
         assert!(unsuppressed(src, "crates/testkit/tests/t.rs").is_empty());
@@ -1012,7 +1038,8 @@ mod tests {
 
     #[test]
     fn wrong_rule_suppression_does_not_cover() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    // lint:allow(R2): wrong rule\n    x.unwrap()\n}";
+        let src =
+            "fn f(x: Option<u8>) -> u8 {\n    // lint:allow(R2): wrong rule\n    x.unwrap()\n}";
         let (f, unused) = check_source(src, &lib_ctx("crates/xmldom/src/a.rs"));
         assert!(f[0].is_unsuppressed());
         assert_eq!(unused.len(), 1);

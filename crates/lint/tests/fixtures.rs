@@ -125,7 +125,8 @@ fn r3_clean_in_bench_harness() {
 
 #[test]
 fn r4_positive_todo_in_scheme_impl() {
-    let src = "impl LabelingScheme for Foo {\n    fn level(&self, _a: &L) -> Option<u32> { todo!() }\n}";
+    let src =
+        "impl LabelingScheme for Foo {\n    fn level(&self, _a: &L) -> Option<u32> { todo!() }\n}";
     let f = unsuppressed(src, "crates/schemes/src/foo.rs");
     assert!(f.iter().any(|f| f.rule == "R4"), "{f:?}");
 }
@@ -334,7 +335,10 @@ fn json_findings_schema_is_stable() {
         json.contains(expected),
         "stable finding object shape:\n{json}"
     );
-    assert!(json.contains("\"R9\": {\"name\": \"no-unanalyzed-reorder\""), "{json}");
+    assert!(
+        json.contains("\"R9\": {\"name\": \"no-unanalyzed-reorder\""),
+        "{json}"
+    );
 }
 
 // -------------------------------------------------- stale suppressions
@@ -453,5 +457,8 @@ fn binary_workspace_run_is_green() {
         String::from_utf8_lossy(&out.stdout)
     );
     let summary = std::fs::read_to_string(&json).expect("JSON summary written");
-    assert!(summary.contains("\"findings_unsuppressed\": 0"), "{summary}");
+    assert!(
+        summary.contains("\"findings_unsuppressed\": 0"),
+        "{summary}"
+    );
 }

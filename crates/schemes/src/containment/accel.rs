@@ -247,7 +247,11 @@ mod tests {
         let a = tree.first_child(book).unwrap();
         let b = tree.next_sibling(a).unwrap();
         assert_eq!(
-            scheme.relation(Relation::Sibling, labeling.req(a).unwrap(), labeling.req(b).unwrap()),
+            scheme.relation(
+                Relation::Sibling,
+                labeling.req(a).unwrap(),
+                labeling.req(b).unwrap()
+            ),
             None
         );
     }

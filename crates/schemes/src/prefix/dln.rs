@@ -239,10 +239,7 @@ mod tests {
             DlnCode::chain(&[2, 1])
         );
         // between 2 and 2/1 → dead end (no room at this width)
-        assert_eq!(
-            a.mid(&DlnCode::single(2), &DlnCode::chain(&[2, 1])),
-            None
-        );
+        assert_eq!(a.mid(&DlnCode::single(2), &DlnCode::chain(&[2, 1])), None);
         // between 2/1 and 3 → 2/2
         assert_eq!(
             a.mid(&DlnCode::chain(&[2, 1]), &DlnCode::single(3))

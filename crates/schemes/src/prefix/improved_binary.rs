@@ -141,7 +141,15 @@ mod tests {
         let root_elem = nodes[0];
         let kids: Vec<String> = tree
             .children(root_elem)
-            .map(|c| labeling.req(c).unwrap().path.own_code().unwrap().to_string())
+            .map(|c| {
+                labeling
+                    .req(c)
+                    .unwrap()
+                    .path
+                    .own_code()
+                    .unwrap()
+                    .to_string()
+            })
             .collect();
         assert_eq!(kids, ["01", "0101", "011"]);
     }

@@ -281,7 +281,10 @@ mod tests {
         let mut scheme = Lsdx::new();
         let labeling = scheme.label_tree(&tree).unwrap();
         for id in tree.ids_in_doc_order() {
-            assert_eq!(scheme.level(labeling.req(id).unwrap()), Some(tree.depth(id)));
+            assert_eq!(
+                scheme.level(labeling.req(id).unwrap()),
+                Some(tree.depth(id))
+            );
         }
     }
 }

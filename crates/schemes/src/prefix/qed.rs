@@ -197,7 +197,10 @@ mod tests {
         let mut scheme = Qed::new();
         let labeling = scheme.label_tree(&tree).unwrap();
         for id in tree.ids_in_doc_order() {
-            assert_eq!(scheme.level(labeling.req(id).unwrap()), Some(tree.depth(id)));
+            assert_eq!(
+                scheme.level(labeling.req(id).unwrap()),
+                Some(tree.depth(id))
+            );
         }
     }
 }

@@ -148,18 +148,18 @@ impl LabelingScheme for Prime {
             encoding: EncodingRep::Variable,
             // Not a Figure 7 row; declared from the ICDE 2004 claims.
             declared: [
-                Compliance::Full,    // Persistent (SC absorbs all updates)
-                Compliance::Full,    // XPath (divisibility algebra)
-                Compliance::None,    // Level (not in the label)
-                Compliance::Full,    // Overflow (labels never change; only
-                                     // the SC value regrows)
-                Compliance::None,    // Orthogonal
-                Compliance::None,    // Compact (products grow fast)
-                Compliance::Full,    // Division (assignment multiplies
-                                     // only; §5.1 scopes the property to
-                                     // labelling and updates — the
-                                     // divisibility tests are query-time)
-                Compliance::Full,    // Recursion (streaming assignment)
+                Compliance::Full, // Persistent (SC absorbs all updates)
+                Compliance::Full, // XPath (divisibility algebra)
+                Compliance::None, // Level (not in the label)
+                Compliance::Full, // Overflow (labels never change; only
+                // the SC value regrows)
+                Compliance::None, // Orthogonal
+                Compliance::None, // Compact (products grow fast)
+                Compliance::Full, // Division (assignment multiplies
+                // only; §5.1 scopes the property to
+                // labelling and updates — the
+                // divisibility tests are query-time)
+                Compliance::Full, // Recursion (streaming assignment)
             ],
             in_figure7: false,
         }

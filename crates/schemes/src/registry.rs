@@ -157,5 +157,4 @@ mod tests {
             assert_eq!(session.labeled_len(), 0, "factory sessions start empty");
         }
     }
-
 }

@@ -41,7 +41,12 @@ pub enum OpClass {
 
 impl OpClass {
     /// All classes, in report order.
-    pub const ALL: [OpClass; 4] = [OpClass::Open, OpClass::Query, OpClass::Update, OpClass::Close];
+    pub const ALL: [OpClass; 4] = [
+        OpClass::Open,
+        OpClass::Query,
+        OpClass::Update,
+        OpClass::Close,
+    ];
 
     /// Stable name, matching [`FleetOpKind::class`].
     pub fn name(self) -> &'static str {
@@ -267,7 +272,9 @@ mod tests {
         shards: usize,
         docs_n: usize,
     ) -> Store<S> {
-        let trees: Vec<XmlTree> = (0..docs_n as u64).map(|i| docs::xmark_like(i, 30)).collect();
+        let trees: Vec<XmlTree> = (0..docs_n as u64)
+            .map(|i| docs::xmark_like(i, 30))
+            .collect();
         let mut cfg = StoreConfig::fleet();
         cfg.shards = shards;
         Store::build(scheme, &cfg, &trees).unwrap()

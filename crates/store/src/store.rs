@@ -185,7 +185,11 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
     /// Build a store over `trees` (document ids are the indices),
     /// labelling each under a clone of `scheme` and registering every
     /// configured query class with string values cached.
-    pub fn build(scheme: &S, config: &StoreConfig, trees: &[XmlTree]) -> Result<Store<S>, StoreError> {
+    pub fn build(
+        scheme: &S,
+        config: &StoreConfig,
+        trees: &[XmlTree],
+    ) -> Result<Store<S>, StoreError> {
         let shard_count = config.shards.max(1);
         let mut shards: Vec<BTreeMap<u32, RwLock<DocSlot<S>>>> =
             (0..shard_count).map(|_| BTreeMap::new()).collect();
@@ -262,7 +266,10 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
     pub fn serve_query(&self, doc: u32, class: usize) -> Result<usize, StoreError> {
         let slot = self.slot(doc)?;
         let mut g = write_lock(slot);
-        let q = *g.queries.get(class).ok_or(StoreError::UnknownQuery(class))?;
+        let q = *g
+            .queries
+            .get(class)
+            .ok_or(StoreError::UnknownQuery(class))?;
         let rows = g.doc.query_cached(q)?.len();
         g.stats.queries += 1;
         g.stats.rows_served += rows as u64;
@@ -324,11 +331,7 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
 
     /// Fold `f` over every document in id order (read locks).
     pub fn for_each_doc<F: FnMut(u32, &DocSlot<S>)>(&self, mut f: F) {
-        let mut ids: Vec<u32> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.keys().copied())
-            .collect();
+        let mut ids: Vec<u32> = self.shards.iter().flat_map(|s| s.keys().copied()).collect();
         ids.sort_unstable();
         for id in ids {
             if let Ok(slot) = self.slot(id) {
@@ -451,7 +454,8 @@ mod tests {
     #[test]
     fn state_dump_is_stable_and_ordered() {
         let store = small_store();
-        store.apply_script(1, &Script::generate(ScriptKind::Random, 5, 40, 2))
+        store
+            .apply_script(1, &Script::generate(ScriptKind::Random, 5, 40, 2))
             .unwrap();
         let a = store.state_dump();
         let b = store.state_dump();
@@ -462,8 +466,9 @@ mod tests {
             .map(|l| l.split_whitespace().nth(1).unwrap())
             .collect();
         assert_eq!(ids.len(), 12);
-        assert!(ids.windows(2).all(|w| w[0].parse::<u32>().unwrap()
-            < w[1].parse::<u32>().unwrap()));
+        assert!(ids
+            .windows(2)
+            .all(|w| w[0].parse::<u32>().unwrap() < w[1].parse::<u32>().unwrap()));
         assert!(a.contains("<"), "dump embeds serialized documents");
     }
 

@@ -111,8 +111,8 @@ impl Sample {
         if self.times_ns.is_empty() {
             return 0;
         }
-        (self.times_ns.iter().map(|&t| u128::from(t)).sum::<u128>()
-            / self.times_ns.len() as u128) as u64
+        (self.times_ns.iter().map(|&t| u128::from(t)).sum::<u128>() / self.times_ns.len() as u128)
+            as u64
     }
 
     /// Median allocation events per iteration (0 when not counted).
@@ -244,7 +244,11 @@ impl Harness {
                 s.alloc_bytes(),
                 times.join(", ")
             );
-            out.push_str(if i + 1 < self.samples.len() { ",\n" } else { "\n" });
+            out.push_str(if i + 1 < self.samples.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ]\n}\n");
         out
@@ -419,14 +423,8 @@ mod tests {
         assert!(json.contains("\"allocs\""));
         assert!(json.contains("\"alloc_bytes\""));
         // balanced braces/brackets (cheap well-formedness check)
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count()
-        );
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count()
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
@@ -446,6 +444,8 @@ mod tests {
         // lookup path
         let d = results_dir();
         assert!(d.ends_with("results") || d.is_dir());
-        assert!(results_file("BENCH_x.json").to_string_lossy().contains("BENCH_x.json"));
+        assert!(results_file("BENCH_x.json")
+            .to_string_lossy()
+            .contains("BENCH_x.json"));
     }
 }

@@ -319,8 +319,27 @@ impl Gen for AnyStrings {
 
     fn generate(&self, rng: &mut TestRng) -> String {
         const SPECIALS: &[char] = &[
-            '<', '>', '&', '"', '\'', '/', '=', ';', '!', '?', '[', ']', '-', '\t', '\r', '\u{0}',
-            '\u{7f}', 'é', 'λ', '中', '\u{1f600}',
+            '<',
+            '>',
+            '&',
+            '"',
+            '\'',
+            '/',
+            '=',
+            ';',
+            '!',
+            '?',
+            '[',
+            ']',
+            '-',
+            '\t',
+            '\r',
+            '\u{0}',
+            '\u{7f}',
+            'é',
+            'λ',
+            '中',
+            '\u{1f600}',
         ];
         let len = if self.min == self.max {
             self.min
@@ -756,10 +775,7 @@ mod tests {
         }));
         let msg = *res.unwrap_err().downcast::<String>().unwrap();
         // minimal failing vector has exactly 5 elements, all shrunk to 0
-        assert!(
-            msg.contains("shrunk input: [0, 0, 0, 0, 0]"),
-            "{msg}"
-        );
+        assert!(msg.contains("shrunk input: [0, 0, 0, 0, 0]"), "{msg}");
     }
 
     #[test]

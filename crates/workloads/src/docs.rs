@@ -236,7 +236,10 @@ mod tests {
             attrs += usize::from(k.is_attribute());
             texts += usize::from(k.is_text());
         }
-        assert!(per_tag.iter().all(|&c| c > 5), "buckets non-trivial: {per_tag:?}");
+        assert!(
+            per_tag.iter().all(|&c| c > 5),
+            "buckets non-trivial: {per_tag:?}"
+        );
         assert!(attrs > 5 && texts > 5, "attrs {attrs}, texts {texts}");
         t.validate().unwrap();
     }

@@ -213,7 +213,9 @@ impl FleetWorkload {
         // mix deterministic; per-session order is preserved.
         let total: usize = queues.iter().map(|q| q.len()).sum();
         let mut ops = Vec::with_capacity(total);
-        let mut live: Vec<usize> = (0..queues.len()).filter(|&s| !queues[s].is_empty()).collect();
+        let mut live: Vec<usize> = (0..queues.len())
+            .filter(|&s| !queues[s].is_empty())
+            .collect();
         while !live.is_empty() {
             let slot = master.gen_range(0..live.len());
             let s = live[slot];

@@ -47,7 +47,10 @@ impl TreeBuilder {
         // The stack is seeded with the root and close() never pops the
         // last entry, so the fallback is unreachable; the root is the
         // safe degenerate cursor.
-        self.stack.last().copied().unwrap_or_else(|| self.tree.root())
+        self.stack
+            .last()
+            .copied()
+            .unwrap_or_else(|| self.tree.root())
     }
 
     /// Create a node of `kind` and attach it under the cursor. The

@@ -53,13 +53,18 @@ impl fmt::Display for TreeError {
             TreeError::NoParent(id) => write!(f, "node {id} is detached; no sibling position"),
             TreeError::Invariant(msg) => write!(f, "tree invariant violated: {msg}"),
             TreeError::MissingParent(id) => write!(f, "node {id} unexpectedly has no parent"),
-            TreeError::DanglingNodeId(id) => write!(f, "node id {id} is dangling (dead or out of range)"),
+            TreeError::DanglingNodeId(id) => {
+                write!(f, "node id {id} is dangling (dead or out of range)")
+            }
             TreeError::Unlabeled(id) => write!(f, "node {id} has no label"),
             TreeError::DuplicateCreate(lid) => {
                 write!(f, "log id #{lid} is created more than once in the batch")
             }
             TreeError::ConflictingWrite(id) => {
-                write!(f, "conflicting writes: node {id} was already consumed by the batch")
+                write!(
+                    f,
+                    "conflicting writes: node {id} was already consumed by the batch"
+                )
             }
         }
     }

@@ -115,10 +115,7 @@ fn golden_script_prefixes_are_pinned() {
                 ScriptOp::AppendChild(27),
             ],
         ),
-        (
-            ScriptKind::Skewed,
-            &[ScriptOp::InsertBefore(25); 12],
-        ),
+        (ScriptKind::Skewed, &[ScriptOp::InsertBefore(25); 12]),
     ];
     for (kind, expect) in golden {
         let s = Script::generate(kind, 12, 50, 42);

@@ -97,12 +97,20 @@ fn figure4_ordpath_golden() {
     let right = tree.create(NodeKind::element("right"));
     tree.append_child(root, right).unwrap();
     scheme.on_insert(&tree, &mut labeling, right).unwrap();
-    assert_eq!(labeling.req(right).unwrap().display(), "1.5", "rightmost + 2");
+    assert_eq!(
+        labeling.req(right).unwrap().display(),
+        "1.5",
+        "rightmost + 2"
+    );
 
     let left = tree.create(NodeKind::element("left"));
     tree.prepend_child(root, left).unwrap();
     scheme.on_insert(&tree, &mut labeling, left).unwrap();
-    assert_eq!(labeling.req(left).unwrap().display(), "1.-1", "leftmost − 2");
+    assert_eq!(
+        labeling.req(left).unwrap().display(),
+        "1.-1",
+        "leftmost − 2"
+    );
 
     let mid = tree.create(NodeKind::element("mid"));
     tree.insert_after(c1, mid).unwrap();
@@ -165,7 +173,15 @@ fn figure6_improved_binary_golden() {
     let kids: Vec<NodeId> = tree.children(root_elem).collect();
     let codes: Vec<String> = kids
         .iter()
-        .map(|&k| labeling.req(k).unwrap().path.own_code().unwrap().to_string())
+        .map(|&k| {
+            labeling
+                .req(k)
+                .unwrap()
+                .path
+                .own_code()
+                .unwrap()
+                .to_string()
+        })
         .collect();
     assert_eq!(codes, ["01", "0101", "011"]);
 
@@ -177,7 +193,13 @@ fn figure6_improved_binary_golden() {
     tree.insert_before(sfirst, before).unwrap();
     scheme.on_insert(&tree, &mut labeling, before).unwrap();
     assert_eq!(
-        labeling.req(before).unwrap().path.own_code().unwrap().to_string(),
+        labeling
+            .req(before)
+            .unwrap()
+            .path
+            .own_code()
+            .unwrap()
+            .to_string(),
         "001"
     );
 
@@ -186,7 +208,13 @@ fn figure6_improved_binary_golden() {
     tree.append_child(second, after).unwrap();
     scheme.on_insert(&tree, &mut labeling, after).unwrap();
     assert_eq!(
-        labeling.req(after).unwrap().path.own_code().unwrap().to_string(),
+        labeling
+            .req(after)
+            .unwrap()
+            .path
+            .own_code()
+            .unwrap()
+            .to_string(),
         "011"
     );
 
@@ -196,9 +224,21 @@ fn figure6_improved_binary_golden() {
     let mid = tree.create(NodeKind::element("mid"));
     tree.insert_after(tfirst, mid).unwrap();
     scheme.on_insert(&tree, &mut labeling, mid).unwrap();
-    let mid_code = labeling.req(mid).unwrap().path.own_code().unwrap().to_string();
+    let mid_code = labeling
+        .req(mid)
+        .unwrap()
+        .path
+        .own_code()
+        .unwrap()
+        .to_string();
     // strictly between its neighbours, ends in 1 (the scheme invariant)
-    let left_code = labeling.req(tfirst).unwrap().path.own_code().unwrap().to_string();
+    let left_code = labeling
+        .req(tfirst)
+        .unwrap()
+        .path
+        .own_code()
+        .unwrap()
+        .to_string();
     assert!(left_code < mid_code);
     assert!(mid_code.ends_with('1'));
 }

@@ -34,9 +34,8 @@ fn arb_tree() -> impl Gen<Value = XmlTree> {
 
 /// Arbitrary update scripts as (kind, target) pairs.
 fn arb_script() -> impl Gen<Value = Script> {
-    map(
-        vecs((ints(0u8..5), ints(0usize..64)), 1, 60),
-        |raw| Script {
+    map(vecs((ints(0u8..5), ints(0usize..64)), 1, 60), |raw| {
+        Script {
             kind: ScriptKind::Random,
             ops: raw
                 .into_iter()
@@ -48,8 +47,8 @@ fn arb_script() -> impl Gen<Value = Script> {
                     _ => ScriptOp::DeleteSubtree(t),
                 })
                 .collect(),
-        },
-    )
+        }
+    })
 }
 
 // ---------- parser/serializer round-trip ----------------------------

@@ -178,7 +178,10 @@ fn fleet_replay_actually_exercises_the_store() {
         let s = slot.stats();
         batches += s.batches;
         queries += s.queries;
-        assert_eq!(s.errors, 0, "doc {id}: no rejected ops in a generated fleet");
+        assert_eq!(
+            s.errors, 0,
+            "doc {id}: no rejected ops in a generated fleet"
+        );
         if slot.doc().tree().len() > trees[id as usize].len() {
             grew += 1;
         }
