@@ -34,7 +34,8 @@ fn main() {
     let mut h = Harness::new("axis_index");
     let tree = docs::xmark_like(11, 240);
     let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-    let n = doc.len();
+    let index = doc.index();
+    let n = index.len();
     let contexts: Vec<usize> = (0..n).step_by(STRIDE).collect();
     println!(
         "document: {n} rows, {} context rows (stride {STRIDE})",
@@ -51,7 +52,7 @@ fn main() {
     h.bench("descendants/topology", || {
         let mut total = 0usize;
         for &c in &contexts {
-            total += black_box(doc.descendants(c)).len();
+            total += black_box(index.descendants(c)).len();
         }
         total
     });
@@ -66,7 +67,7 @@ fn main() {
     h.bench("following/topology", || {
         let mut total = 0usize;
         for &c in &contexts {
-            total += black_box(doc.following(c)).len();
+            total += black_box(index.following(c)).len();
         }
         total
     });
@@ -74,14 +75,14 @@ fn main() {
     h.bench("children/scan", || {
         let mut total = 0usize;
         for &c in &contexts {
-            total += black_box(doc.children_via_scan(c)).len();
+            total += black_box(index.children_via_scan(c)).len();
         }
         total
     });
     h.bench("children/topology", || {
         let mut total = 0usize;
         for &c in &contexts {
-            total += black_box(doc.children(c)).len();
+            total += black_box(index.children(c)).len();
         }
         total
     });
@@ -100,7 +101,7 @@ fn main() {
         let mut hits = 0usize;
         for &a in &contexts {
             for &b in &contexts {
-                hits += usize::from(black_box(doc.is_ancestor(a, b)));
+                hits += usize::from(black_box(index.is_ancestor(a, b)));
             }
         }
         hits

@@ -42,7 +42,7 @@ use std::fmt::Write as _;
 use xupd_flux::FluxProgram;
 use xupd_framework::analysis::{analyze_in, apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::mutations::{LogId, Mutation, MutationLog, NodeRef, Place};
-use xupd_framework::{PreorderIndex, ShadowScheme};
+use xupd_framework::PreorderIndex;
 use xupd_testkit::bench::{black_box, Harness};
 use xupd_xmldom::{NodeId, NodeKind, XmlTree};
 
@@ -142,7 +142,7 @@ fn main() {
     // both styles against the ground-truth log, outside timing.
     for n in SECTIONS {
         let tree = base_tree(n);
-        let index = PreorderIndex::encode(ShadowScheme::default(), &tree).unwrap();
+        let index = PreorderIndex::encode(&tree).unwrap();
         let hand = hand_log(&targets(&tree));
         for (style, src) in [("dsl", DSL_PROGRAM.to_string()), ("enum", enum_source(n))] {
             let program = FluxProgram::parse(&src).expect("well-formed source");
@@ -162,7 +162,7 @@ fn main() {
         let mut session = entry.session();
         for n in SECTIONS {
             let tree = base_tree(n);
-            let index = PreorderIndex::encode(ShadowScheme::default(), &tree).unwrap();
+            let index = PreorderIndex::encode(&tree).unwrap();
             let hand = hand_log(&targets(&tree));
             let ops = n * OPS_PER_SECTION;
             let enum_src = enum_source(n);

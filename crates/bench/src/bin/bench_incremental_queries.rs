@@ -241,11 +241,12 @@ fn main() {
                 // snapshot discarded: re-encode under the scheme's real
                 // labels, re-evaluate everything
                 let doc = (doc_entry.encode)(&tree).unwrap();
+                let index = doc.index();
                 for (e, ws) in &qs {
-                    let rows = doc.evaluate(e);
+                    let rows = e.evaluate(index);
                     if *ws {
                         for &r in &rows {
-                            served += doc.string_value(r).len();
+                            served += index.string_value(r).len();
                         }
                     }
                     served += rows.len();

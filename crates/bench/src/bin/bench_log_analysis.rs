@@ -25,7 +25,7 @@ use xupd_framework::analysis::{analyze, analyze_in, apply_plan_with_dyn, ApplyOp
 use xupd_framework::mutations::{
     apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place,
 };
-use xupd_framework::{PreorderIndex, ShadowScheme};
+use xupd_framework::PreorderIndex;
 use xupd_schemes::registry;
 use xupd_testkit::bench::{black_box, Harness};
 use xupd_workloads::{docs, Script, ScriptKind};
@@ -121,7 +121,7 @@ fn main() {
     // Analysis overhead per batch size (scheme-independent).
     // -----------------------------------------------------------------
     let big_base = docs::random_tree(0xA11A, 300);
-    let index = PreorderIndex::encode(ShadowScheme::default(), &big_base).unwrap();
+    let index = PreorderIndex::encode(&big_base).unwrap();
     let script = Script::generate(ScriptKind::Random, 256, 300, 17);
     for n in SIZES {
         let sub = Script {
@@ -139,11 +139,7 @@ fn main() {
         h.push(sample);
     }
     let sample = h.bench_case("analysis/index_encode", || {
-        black_box(
-            PreorderIndex::encode(ShadowScheme::default(), &big_base)
-                .unwrap()
-                .len(),
-        )
+        black_box(PreorderIndex::encode(&big_base).unwrap().len())
     });
     println!(
         "index encode ({} nodes): {} ns median",

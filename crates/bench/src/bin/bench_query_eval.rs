@@ -4,7 +4,10 @@
 //! `xpath/<scheme>` cases therefore measure the streaming evaluator
 //! (NameIndex buckets ∩ extent ranges) rather than the historical
 //! full-table label-algebra scans — compare against the seed medians in
-//! EXPERIMENTS.md for the before/after.
+//! EXPERIMENTS.md for the before/after. The evaluator reads only the
+//! preorder index, which is the same for every scheme, so the twelve
+//! cases time one evaluator over twelve identical indexes; the roster
+//! stays so that the sample names stay comparable across commits.
 //!
 //! The `descendant-name/*` cases keep the §2.3 trade visible on one
 //! query shape:
@@ -23,7 +26,7 @@
 //!
 //! Emits `results/BENCH_query_eval.json`.
 
-use xupd_encoding::{document_registry_figure7, parse_xpath, EncodedDocument, NameIndex};
+use xupd_encoding::{document_registry_figure7, parse_xpath, EncodedDocument};
 use xupd_schemes::prefix::qed::Qed;
 use xupd_testkit::bench::{black_box, Harness};
 use xupd_workloads::docs;
@@ -45,15 +48,16 @@ const QUERIES: [&str; 4] = [
 fn bench_scan_vs_indexed(h: &mut Harness) {
     let tree = docs::xmark_like(7, 300);
     let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
+    let index = doc.index();
     let expr = parse_xpath("//item").unwrap();
-    let idx = NameIndex::build(&doc);
-    let root = doc.root();
+    let idx = index.name_index();
+    let root = index.root();
 
     h.bench("descendant-name/scan", || {
         // reference path: full table, label-algebra ancestry per row
-        let hits: Vec<usize> = (0..doc.len())
+        let hits: Vec<usize> = (0..index.len())
             .filter(|&i| {
-                let kind = &doc.row(i).kind;
+                let kind = index.kind(i);
                 kind.is_element()
                     && kind.name() == Some("item")
                     && doc.is_ancestor_via_labels(root, i)
@@ -62,10 +66,10 @@ fn bench_scan_vs_indexed(h: &mut Harness) {
         black_box(hits).len()
     });
     h.bench("descendant-name/index", || {
-        black_box(idx.descendants_named(&doc, root, "item")).len()
+        black_box(idx.descendants_named(index, root, "item")).len()
     });
     h.bench("descendant-name/streaming", || {
-        black_box(expr.evaluate(&doc)).len()
+        black_box(expr.evaluate(index)).len()
     });
 }
 
@@ -82,7 +86,7 @@ fn main() {
             let mut total = 0usize;
             for e in &exprs {
                 // lint:allow(R10): this bench *measures* raw evaluation cost
-                total += black_box(doc.evaluate(e)).len();
+                total += black_box(e.evaluate(doc.index())).len();
             }
             total
         })

@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 use xupd_encoding::figure2::{figure2_table, render_figure2};
 use xupd_encoding::{document_registry, parse_xpath};
-use xupd_framework::{PreorderIndex, ShadowScheme};
+use xupd_framework::PreorderIndex;
 use xupd_xmldom::{parse, NodeKind, XmlTree};
 
 fn usage() -> ExitCode {
@@ -42,7 +42,7 @@ fn flux_check(tree: &XmlTree, program_file: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let index = match PreorderIndex::encode(ShadowScheme::default(), tree) {
+    let index = match PreorderIndex::encode(tree) {
         Ok(index) => index,
         Err(e) => {
             eprintln!("cannot index the document: {e}");
@@ -128,15 +128,16 @@ fn print_query(tree: &XmlTree, wanted: &str, query: &str) -> bool {
         }
     };
     let doc = (entry.encode)(tree).unwrap();
-    let hits = doc.evaluate(&expr);
+    let index = doc.index();
+    let hits = expr.evaluate(index);
     println!("{} hit(s)", hits.len());
     for h in hits {
-        let kind = doc.kind(h);
+        let kind = index.kind(h);
         println!(
             "  {:<12} {:<16} {}",
             kind.type_tag(),
             kind.name().unwrap_or(""),
-            doc.string_value(h).chars().take(60).collect::<String>()
+            index.string_value(h).chars().take(60).collect::<String>()
         );
     }
     true

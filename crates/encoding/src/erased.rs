@@ -1,14 +1,16 @@
 //! Object-safe encoded documents and the scheme→document registry.
 //!
-//! [`EncodedDocument`] is generic over its scheme's label type, which
-//! keeps every axis call statically dispatched — but means a battery
-//! that encodes one document per roster scheme can't hold the results
-//! in one collection. [`DynDocument`] erases the label type behind a
-//! row-index-addressed surface (the same `usize` handles the typed API
-//! uses), and [`document_registry`] / [`document_registry_figure7`]
-//! expose one `fn(&XmlTree) -> Result<Box<dyn DynDocument>, TreeError>`
-//! encoder per roster scheme — what the query benches, the CLI and the
-//! topology differential suite fan out over.
+//! [`EncodedDocument`] is generic over its scheme's label type, so a
+//! battery that encodes one document per roster scheme can't hold the
+//! results in one collection. [`DynDocument`] erases the label type.
+//! Only the label column depends on the scheme, so the trait has just
+//! the methods that read labels, plus [`DynDocument::index`] for
+//! everything structural (axes, XPath, reconstruction), which the
+//! [`PreorderIndex`] answers for every scheme alike.
+//! [`document_registry`] / [`document_registry_figure7`] expose one
+//! `fn(&XmlTree) -> Result<Box<dyn DynDocument>, TreeError>` encoder per
+//! roster scheme — what the query benches, the CLI and the topology
+//! differential suite fan out over.
 //!
 //! This module lives in `xupd-encoding` (not `xupd-schemes`) because
 //! the encoding crate already depends on the schemes crate; the
@@ -16,173 +18,57 @@
 //! `xupd_schemes::with_scheme_roster!` roster macro the scheme registry
 //! uses, so the two can never drift.
 
-use crate::reconstruct::reconstruct;
+use crate::preorder::PreorderIndex;
 use crate::table::EncodedDocument;
-use crate::xpath::XPathExpr;
 use std::cmp::Ordering;
-use xupd_labelcore::{Label, LabelingScheme, SchemeDescriptor};
+use xupd_labelcore::{LabelingScheme, SchemeDescriptor};
 use xupd_schemes::with_scheme_roster;
-use xupd_xmldom::{NodeKind, TreeError, XmlTree};
+use xupd_xmldom::{TreeError, XmlTree};
 
 /// Object-safe view of an encoded document. Node handles are row
-/// indices in document order — identical to the typed
-/// [`EncodedDocument`] API, so answers can be compared across schemes.
+/// indices in document order, the same for every scheme, so answers
+/// can be compared across schemes.
 ///
-/// The `*_via_labels` / `*_via_scan` methods are the label-algebra
-/// reference paths; the plain methods go through the `Topology`
-/// sidecar. Differential suites diff the two.
+/// The `*_via_labels` methods are the label-algebra reference paths;
+/// the index's own axes go through the `Topology` sidecar.
+/// Differential suites diff the two.
 pub trait DynDocument: Send {
-    /// Name of the scheme this document is labelled under.
-    fn scheme_name(&self) -> &'static str;
-    /// Number of rows (nodes).
-    fn len(&self) -> usize;
-    /// True when the document has no rows.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// The document root's row index (always 0).
-    fn root(&self) -> usize;
-    /// The node kind stored in row `i`.
-    fn kind(&self, i: usize) -> &NodeKind;
-    /// Parent row, `None` for the root.
-    fn parent(&self, i: usize) -> Option<usize>;
-    /// Depth from the root.
-    fn depth(&self, i: usize) -> u32;
+    /// The preorder index: kinds, parents, topology and names.
+    fn index(&self) -> &PreorderIndex;
     /// Document-order comparison from the two rows' labels.
     fn cmp_doc(&self, a: usize, b: usize) -> Ordering;
-    /// Ancestor test via the topology sidecar.
-    fn is_ancestor(&self, a: usize, b: usize) -> bool;
     /// Ancestor test via the scheme's label algebra (parent-chain
     /// fallback when unsupported).
     fn is_ancestor_via_labels(&self, a: usize, b: usize) -> bool;
-    /// Child rows (CSR slice).
-    fn children(&self, i: usize) -> &[usize];
-    /// Child rows via parent-column scan (reference path).
-    fn children_via_scan(&self, i: usize) -> Vec<usize>;
-    /// Descendant rows via the topology extent.
-    fn descendants(&self, i: usize) -> Vec<usize>;
     /// Descendant rows via the label algebra (reference path).
     fn descendants_via_labels(&self, i: usize) -> Vec<usize>;
-    /// Ancestor rows, root first.
-    fn ancestors(&self, i: usize) -> Vec<usize>;
-    /// Following rows via the topology extent.
-    fn following(&self, i: usize) -> Vec<usize>;
     /// Following rows via the label algebra (reference path).
     fn following_via_labels(&self, i: usize) -> Vec<usize>;
-    /// Preceding rows via the topology extent.
-    fn preceding(&self, i: usize) -> Vec<usize>;
     /// Preceding rows via the label algebra (reference path).
     fn preceding_via_labels(&self, i: usize) -> Vec<usize>;
-    /// Following-sibling rows (CSR slice).
-    fn following_siblings(&self, i: usize) -> &[usize];
-    /// Preceding-sibling rows (CSR slice).
-    fn preceding_siblings(&self, i: usize) -> &[usize];
-    /// Attribute rows of element `i`.
-    fn attributes(&self, i: usize) -> Vec<usize>;
-    /// Concatenated descendant text.
-    fn string_value(&self, i: usize) -> String;
-    /// Value of the named attribute on element `i`.
-    fn attribute_value(&self, i: usize, name: &str) -> Option<&str>;
-    /// Human-readable rendering of row `i`'s label.
-    fn label_display(&self, i: usize) -> String;
-    /// Storage footprint of row `i`'s label in bits.
-    fn label_bits(&self, i: usize) -> u64;
-    /// Total label storage across all rows.
-    fn total_label_bits(&self) -> u64;
-    /// Evaluate a parsed XPath expression; matching rows in document
-    /// order.
-    fn evaluate(&self, expr: &XPathExpr) -> Vec<usize>;
-    /// Rebuild an [`XmlTree`] from the encoding alone.
-    fn reconstruct(&self) -> Result<XmlTree, TreeError>;
 }
 
 impl<S: LabelingScheme + Send> DynDocument for EncodedDocument<S>
 where
     S::Label: Send,
 {
-    fn scheme_name(&self) -> &'static str {
-        self.scheme().name()
-    }
-    fn len(&self) -> usize {
-        EncodedDocument::len(self)
-    }
-    fn root(&self) -> usize {
-        EncodedDocument::root(self)
-    }
-    fn kind(&self, i: usize) -> &NodeKind {
-        &self.row(i).kind
-    }
-    fn parent(&self, i: usize) -> Option<usize> {
-        EncodedDocument::parent(self, i)
-    }
-    fn depth(&self, i: usize) -> u32 {
-        EncodedDocument::depth(self, i)
+    fn index(&self) -> &PreorderIndex {
+        EncodedDocument::index(self)
     }
     fn cmp_doc(&self, a: usize, b: usize) -> Ordering {
         EncodedDocument::cmp_doc(self, a, b)
     }
-    fn is_ancestor(&self, a: usize, b: usize) -> bool {
-        EncodedDocument::is_ancestor(self, a, b)
-    }
     fn is_ancestor_via_labels(&self, a: usize, b: usize) -> bool {
         EncodedDocument::is_ancestor_via_labels(self, a, b)
-    }
-    fn children(&self, i: usize) -> &[usize] {
-        EncodedDocument::children(self, i)
-    }
-    fn children_via_scan(&self, i: usize) -> Vec<usize> {
-        EncodedDocument::children_via_scan(self, i)
-    }
-    fn descendants(&self, i: usize) -> Vec<usize> {
-        EncodedDocument::descendants(self, i)
     }
     fn descendants_via_labels(&self, i: usize) -> Vec<usize> {
         EncodedDocument::descendants_via_labels(self, i)
     }
-    fn ancestors(&self, i: usize) -> Vec<usize> {
-        EncodedDocument::ancestors(self, i)
-    }
-    fn following(&self, i: usize) -> Vec<usize> {
-        EncodedDocument::following(self, i)
-    }
     fn following_via_labels(&self, i: usize) -> Vec<usize> {
         EncodedDocument::following_via_labels(self, i)
     }
-    fn preceding(&self, i: usize) -> Vec<usize> {
-        EncodedDocument::preceding(self, i)
-    }
     fn preceding_via_labels(&self, i: usize) -> Vec<usize> {
         EncodedDocument::preceding_via_labels(self, i)
-    }
-    fn following_siblings(&self, i: usize) -> &[usize] {
-        EncodedDocument::following_siblings(self, i)
-    }
-    fn preceding_siblings(&self, i: usize) -> &[usize] {
-        EncodedDocument::preceding_siblings(self, i)
-    }
-    fn attributes(&self, i: usize) -> Vec<usize> {
-        EncodedDocument::attributes(self, i)
-    }
-    fn string_value(&self, i: usize) -> String {
-        EncodedDocument::string_value(self, i)
-    }
-    fn attribute_value(&self, i: usize, name: &str) -> Option<&str> {
-        EncodedDocument::attribute_value(self, i, name)
-    }
-    fn label_display(&self, i: usize) -> String {
-        self.row(i).label.display()
-    }
-    fn label_bits(&self, i: usize) -> u64 {
-        self.row(i).label.size_bits()
-    }
-    fn total_label_bits(&self) -> u64 {
-        EncodedDocument::total_label_bits(self)
-    }
-    fn evaluate(&self, expr: &XPathExpr) -> Vec<usize> {
-        expr.evaluate(self)
-    }
-    fn reconstruct(&self) -> Result<XmlTree, TreeError> {
-        reconstruct(self)
     }
 }
 
@@ -259,24 +145,10 @@ mod tests {
         let tree = docs::book();
         for entry in document_registry_figure7() {
             let doc = (entry.encode)(&tree).unwrap();
-            assert_eq!(doc.scheme_name(), entry.name());
-            assert_eq!(doc.len(), tree.len());
-            assert_eq!(doc.root(), 0);
-            assert!(doc.total_label_bits() > 0);
-            let rebuilt = doc.reconstruct().unwrap();
+            assert_eq!(doc.index().len(), tree.len());
+            assert_eq!(doc.index().root(), 0);
+            let rebuilt = crate::reconstruct::reconstruct(doc.index()).unwrap();
             assert_eq!(rebuilt.len(), tree.len());
         }
-    }
-
-    #[test]
-    fn erased_evaluate_matches_typed_evaluate() {
-        use crate::parse_xpath;
-        use xupd_schemes::prefix::qed::Qed;
-        let tree = docs::xmark_like(5, 60);
-        let expr = parse_xpath("//item").unwrap();
-        let typed = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-        let erased: &dyn DynDocument = &typed;
-        assert_eq!(erased.evaluate(&expr), expr.evaluate(&typed));
-        assert!(!erased.is_empty());
     }
 }

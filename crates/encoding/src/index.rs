@@ -1,18 +1,18 @@
-//! A name index over the encoding table — the classic accompaniment to a
-//! labelling scheme in an XML repository (§2.3: the encoding scheme
+//! A name index over the preorder index — the classic accompaniment to
+//! a labelling scheme in an XML repository (§2.3: the encoding scheme
 //! stores whatever "extra information" the workload justifies, trading
 //! update cost for query speed).
 //!
 //! The index maps element/attribute names to their rows in document
-//! order, so a `//name` query becomes one hash lookup plus an ancestry
-//! filter over the scheme's label algebra — instead of a full table
+//! order, so a `//name` query under a context row becomes one
+//! `BTreeMap` lookup plus two binary searches that cut the bucket down
+//! to the context's pre-order extent range — instead of a full table
 //! scan. It must be rebuilt (or maintained) across updates, which is
 //! precisely the "slower update performance" §2.3 warns the designer
 //! about; the benchmarks quantify the other side of the trade.
 
-use crate::table::EncodedDocument;
+use crate::preorder::PreorderIndex;
 use std::collections::BTreeMap;
-use xupd_labelcore::LabelingScheme;
 use xupd_xmldom::NodeKind;
 
 /// Element and attribute name index: name → row indices in document
@@ -29,14 +29,9 @@ pub struct NameIndex {
 }
 
 impl NameIndex {
-    /// Build the index over an encoded document in one pass.
-    pub fn build<S: LabelingScheme>(doc: &EncodedDocument<S>) -> Self {
-        Self::from_kinds((0..doc.len()).map(|i| &doc.row(i).kind))
-    }
-
     /// Build the index from per-row node kinds in document order — the
-    /// form [`EncodedDocument::encode`] uses so the table can carry its
-    /// own index.
+    /// form [`PreorderIndex::encode`] uses so the index can carry its
+    /// own name buckets.
     pub fn from_kinds<'a>(kinds: impl Iterator<Item = &'a NodeKind>) -> Self {
         let mut idx = NameIndex::default();
         idx.rebuild(kinds);
@@ -84,7 +79,7 @@ impl NameIndex {
 
     /// Every element row in document order: entry `k` is the row of
     /// the document's `k`-th element. Kept current by
-    /// [`EncodedDocument::splice`] like the name buckets, so a caller
+    /// [`PreorderIndex::splice`] like the name buckets, so a caller
     /// that ranks elements by document order reads the ranking here
     /// instead of scanning the tree.
     pub fn all_elements(&self) -> &[u32] {
@@ -99,12 +94,7 @@ impl NameIndex {
     /// `//name` under a context row: the indexed rows intersected with
     /// the context's pre-order extent range via two binary searches —
     /// a point lookup plus O(log bucket + answer), no table scan.
-    pub fn descendants_named<S: LabelingScheme>(
-        &self,
-        doc: &EncodedDocument<S>,
-        context: usize,
-        name: &str,
-    ) -> Vec<usize> {
+    pub fn descendants_named(&self, doc: &PreorderIndex, context: usize, name: &str) -> Vec<usize> {
         let bucket = self.elements(name);
         let range = doc.descendant_range(context);
         let lo = bucket.partition_point(|&i| i < range.start);
@@ -124,15 +114,13 @@ impl NameIndex {
 mod tests {
     use super::*;
     use crate::parse_xpath;
-    use crate::table::EncodedDocument;
-    use xupd_schemes::prefix::qed::Qed;
     use xupd_workloads::docs;
 
     #[test]
     fn index_matches_scan() {
         let tree = docs::xmark_like(11, 60);
-        let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-        let idx = NameIndex::build(&doc);
+        let doc = PreorderIndex::encode(&tree).unwrap();
+        let idx = doc.name_index();
         // indexed //item == evaluator //item
         let via_index = idx.descendants_named(&doc, doc.root(), "item");
         let via_xpath = parse_xpath("//item").unwrap().evaluate(&doc);
@@ -154,8 +142,8 @@ mod tests {
     #[test]
     fn scoped_lookup_filters_by_ancestry() {
         let tree = docs::xmark_like(11, 60);
-        let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-        let idx = NameIndex::build(&doc);
+        let doc = PreorderIndex::encode(&tree).unwrap();
+        let idx = doc.name_index();
         // names exist under both /site/regions items and /site/people
         let all_names = idx.elements("name").len();
         let people = parse_xpath("/site/people").unwrap().evaluate(&doc)[0];
@@ -173,8 +161,8 @@ mod tests {
         // hash order. Pin the exact sequence for the Figure 1 document so
         // any regression to an order-unspecified map fails loudly.
         let tree = docs::book();
-        let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-        let idx = NameIndex::build(&doc);
+        let doc = PreorderIndex::encode(&tree).unwrap();
+        let idx = doc.name_index();
         let names: Vec<(&str, usize)> = idx.element_names().collect();
         assert_eq!(
             names,
@@ -193,25 +181,30 @@ mod tests {
 
     #[test]
     fn rebuild_in_place_matches_a_fresh_index() {
-        let big = EncodedDocument::encode(Qed::new(), &docs::xmark_like(11, 60)).unwrap();
-        let small = EncodedDocument::encode(Qed::new(), &docs::book()).unwrap();
-        let mut idx = NameIndex::build(&big);
+        let big = PreorderIndex::encode(&docs::xmark_like(11, 60)).unwrap();
+        let small = PreorderIndex::encode(&docs::book()).unwrap();
+        let kinds = |doc: &PreorderIndex| {
+            (0..doc.len())
+                .map(|i| doc.kind(i).clone())
+                .collect::<Vec<_>>()
+        };
+        let mut idx = big.name_index().clone();
         assert!(idx.elements("item").len() > 1);
-        idx.rebuild(small.rows().iter().map(|r| &r.kind));
-        assert_eq!(idx, NameIndex::build(&small));
+        idx.rebuild(kinds(&small).iter());
+        assert_eq!(&idx, small.name_index());
         assert!(
             idx.elements("item").is_empty(),
             "a name that left is dropped"
         );
-        idx.rebuild(big.rows().iter().map(|r| &r.kind));
-        assert_eq!(idx, NameIndex::build(&big));
+        idx.rebuild(kinds(&big).iter());
+        assert_eq!(&idx, big.name_index());
     }
 
     #[test]
     fn attribute_lookup() {
         let tree = docs::book();
-        let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-        let idx = NameIndex::build(&doc);
+        let doc = PreorderIndex::encode(&tree).unwrap();
+        let idx = doc.name_index();
         assert_eq!(idx.attributes("genre").len(), 1);
         assert_eq!(idx.attributes("year").len(), 1);
         assert!(idx.attributes("missing").is_empty());

@@ -36,13 +36,14 @@ pub fn row_in_extents(extents: &[(usize, usize)], i: usize) -> bool {
 }
 
 /// Structural index over a document-order table: parent, depth,
-/// pre-order subtree extents and CSR children arrays.
+/// pre-order subtree extents and CSR children arrays. Its parent column
+/// is the [`PreorderIndex`](crate::PreorderIndex)'s only one.
 ///
 /// Built by [`Topology::from_parents`] in O(n). When the table changes
-/// shape (the query cache splices its shadow table after a structural
-/// batch), the table's splice recomputes it in place, into the buffers
-/// it already holds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// shape (a splice after a structural batch), the splice writes the new
+/// parents into the column this index holds and recomputes the rest in
+/// place, into the buffers it already holds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
     parent: Vec<Option<usize>>,
     depth: Vec<u32>,
@@ -60,33 +61,31 @@ impl Topology {
     /// are document-order (pre-order) positions.
     ///
     /// Construction is infallible over well-formed tables (the only kind
-    /// [`crate::table::EncodedDocument::encode`] produces). A malformed
+    /// [`PreorderIndex::encode`](crate::PreorderIndex::encode) produces). A malformed
     /// input — a non-root row without a parent, a parent reference that
     /// is not an earlier row, or a parented root — threads out as a
     /// [`TreeError`] rather than a panic.
-    pub fn from_parents(parents: &[Option<usize>]) -> Result<Topology, TreeError> {
+    pub fn from_parents(parents: Vec<Option<usize>>) -> Result<Topology, TreeError> {
         let mut topo = Topology {
-            parent: Vec::new(),
-            depth: Vec::new(),
-            extent: Vec::new(),
-            child_start: Vec::new(),
-            child_rows: Vec::new(),
+            parent: parents,
+            ..Topology::default()
         };
-        topo.rebuild(parents.iter().copied())?;
+        topo.rebuild()?;
         Ok(topo)
     }
 
-    /// Recompute the index in place from per-row parent references, as
-    /// [`from_parents`](Self::from_parents) does, reusing every buffer:
-    /// once the table has reached its size this allocates nothing. On
-    /// a malformed input the same [`TreeError`] comes back and the index
-    /// is left unusable.
-    pub(crate) fn rebuild(
-        &mut self,
-        parents: impl Iterator<Item = Option<usize>>,
-    ) -> Result<(), TreeError> {
-        self.parent.clear();
-        self.parent.extend(parents);
+    /// The parent column, for a caller that rewrites it in place and
+    /// then calls [`rebuild`](Self::rebuild).
+    pub(crate) fn parents_mut(&mut self) -> &mut Vec<Option<usize>> {
+        &mut self.parent
+    }
+
+    /// Recompute depth, extents and CSR children from the parent column
+    /// the index holds, reusing every buffer: once the table has reached
+    /// its size this allocates nothing. On a malformed column the same
+    /// [`TreeError`] as [`from_parents`](Self::from_parents) comes back
+    /// and the index is left unusable.
+    pub(crate) fn rebuild(&mut self) -> Result<(), TreeError> {
         let parent = &self.parent;
         let n = parent.len();
         if parent.first().is_some_and(Option::is_some) {
@@ -240,7 +239,7 @@ mod tests {
     /// └── 4
     /// ```
     fn sample() -> Topology {
-        Topology::from_parents(&[None, Some(0), Some(1), Some(1), Some(0)]).unwrap()
+        Topology::from_parents(vec![None, Some(0), Some(1), Some(1), Some(0)]).unwrap()
     }
 
     #[test]
@@ -293,10 +292,10 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        let t = Topology::from_parents(&[]).unwrap();
+        let t = Topology::from_parents(vec![]).unwrap();
         assert!(t.is_empty());
         assert_eq!(t.child_start(), [0]);
-        let t = Topology::from_parents(&[None]).unwrap();
+        let t = Topology::from_parents(vec![None]).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.extent(0), 1);
         assert_eq!(t.children(0), Vec::<usize>::new().as_slice());
@@ -335,28 +334,35 @@ mod tests {
         ];
         let mut t = sample();
         for parents in shapes {
-            t.rebuild(parents.iter().copied()).unwrap();
-            assert_eq!(t, Topology::from_parents(parents).unwrap(), "{parents:?}");
+            t.parent.clear();
+            t.parent.extend_from_slice(parents);
+            t.rebuild().unwrap();
+            assert_eq!(
+                t,
+                Topology::from_parents(parents.to_vec()).unwrap(),
+                "{parents:?}"
+            );
         }
-        assert!(t.rebuild([None, Some(1)].into_iter()).is_err());
+        t.parent = vec![None, Some(1)];
+        assert!(t.rebuild().is_err());
     }
 
     #[test]
     fn malformed_inputs_error() {
         assert!(matches!(
-            Topology::from_parents(&[Some(0)]),
+            Topology::from_parents(vec![Some(0)]),
             Err(TreeError::Invariant(_))
         ));
         assert!(matches!(
-            Topology::from_parents(&[None, None]),
+            Topology::from_parents(vec![None, None]),
             Err(TreeError::MissingParent(_))
         ));
         assert!(matches!(
-            Topology::from_parents(&[None, Some(1)]),
+            Topology::from_parents(vec![None, Some(1)]),
             Err(TreeError::DanglingNodeId(_))
         ));
         assert!(matches!(
-            Topology::from_parents(&[None, Some(2), Some(0)]),
+            Topology::from_parents(vec![None, Some(2), Some(0)]),
             Err(TreeError::DanglingNodeId(_))
         ));
     }

@@ -20,10 +20,9 @@
 //! eliminated — the behaviour §2.2 of the paper derives the uniqueness
 //! requirement for labels from.
 
-use crate::table::EncodedDocument;
+use crate::preorder::PreorderIndex;
 use crate::topology::row_in_extents;
 use std::fmt;
-use xupd_labelcore::LabelingScheme;
 
 /// XPath axes supported by the evaluator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -314,7 +313,7 @@ impl XPathExpr {
         &self.steps
     }
 
-    /// Evaluate against an encoded document, returning row indices in
+    /// Evaluate against a preorder index, returning row indices in
     /// document order, duplicates eliminated (§2.2: XPath operators
     /// "eliminate duplicate nodes from their result sequences based on
     /// node identity" and return document order).
@@ -329,7 +328,7 @@ impl XPathExpr {
     /// the common case for downward axes over disjoint subtrees.
     ///
     /// [`NameIndex`]: crate::index::NameIndex
-    pub fn evaluate<S: LabelingScheme>(&self, doc: &EncodedDocument<S>) -> Vec<usize> {
+    pub fn evaluate(&self, doc: &PreorderIndex) -> Vec<usize> {
         self.evaluate_from(doc, doc.root())
     }
 
@@ -337,11 +336,7 @@ impl XPathExpr {
     /// instead of the document root — how a path relative to a context
     /// node resolves. Same contract as [`evaluate`](Self::evaluate):
     /// rows in document order, duplicates eliminated.
-    pub fn evaluate_from<S: LabelingScheme>(
-        &self,
-        doc: &EncodedDocument<S>,
-        start: usize,
-    ) -> Vec<usize> {
+    pub fn evaluate_from(&self, doc: &PreorderIndex, start: usize) -> Vec<usize> {
         eval_plan(&fuse_steps(&self.steps), doc, start, None)
     }
 
@@ -474,7 +469,7 @@ impl AccessPattern {
 
     /// Evaluate the compiled plan — identical results to
     /// [`XPathExpr::evaluate`], without re-fusing the steps.
-    pub fn evaluate<S: LabelingScheme>(&self, doc: &EncodedDocument<S>) -> Vec<usize> {
+    pub fn evaluate(&self, doc: &PreorderIndex) -> Vec<usize> {
         eval_plan(&self.plan, doc, doc.root(), None)
     }
 
@@ -488,11 +483,7 @@ impl AccessPattern {
     /// extent passes only through contexts whose subtrees overlap that
     /// extent, and per-context predicate scratch stays complete because
     /// pruning never drops candidates within one context's step.
-    pub fn evaluate_within<S: LabelingScheme>(
-        &self,
-        doc: &EncodedDocument<S>,
-        extents: &[(usize, usize)],
-    ) -> Vec<usize> {
+    pub fn evaluate_within(&self, doc: &PreorderIndex, extents: &[(usize, usize)]) -> Vec<usize> {
         if extents.is_empty() {
             return Vec::new();
         }
@@ -505,9 +496,9 @@ impl AccessPattern {
 /// starting from the single context row `start`. With `within` set,
 /// contexts whose subtree misses every interval are pruned after each
 /// step and the final result keeps only rows inside the intervals.
-fn eval_plan<S: LabelingScheme>(
+fn eval_plan(
     plan: &[Step],
-    doc: &EncodedDocument<S>,
+    doc: &PreorderIndex,
     start: usize,
     within: Option<&[(usize, usize)]>,
 ) -> Vec<usize> {
@@ -591,7 +582,7 @@ fn eval_plan<S: LabelingScheme>(
                                 topo.children(ctx)
                                     .iter()
                                     .copied()
-                                    .filter(|&j| doc.row(j).kind.is_attribute()),
+                                    .filter(|&j| doc.kind(j).is_attribute()),
                             );
                         }
                         Axis::SelfAxis => scratch.push(ctx),
@@ -683,13 +674,8 @@ fn fuse_steps(steps: &[Step]) -> Vec<Step> {
     plan
 }
 
-fn test_matches<S: LabelingScheme>(
-    doc: &EncodedDocument<S>,
-    i: usize,
-    axis: Axis,
-    test: &NodeTest,
-) -> bool {
-    let kind = &doc.row(i).kind;
+fn test_matches(doc: &PreorderIndex, i: usize, axis: Axis, test: &NodeTest) -> bool {
+    let kind = doc.kind(i);
     match test {
         NodeTest::AnyNode => true,
         NodeTest::Text => kind.is_text(),
@@ -713,17 +699,15 @@ fn test_matches<S: LabelingScheme>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::EncodedDocument;
-    use xupd_schemes::prefix::dewey::DeweyId;
     use xupd_workloads::docs;
 
-    fn book() -> EncodedDocument<DeweyId> {
-        EncodedDocument::encode(DeweyId::new(), &docs::book()).unwrap()
+    fn book() -> PreorderIndex {
+        PreorderIndex::encode(&docs::book()).unwrap()
     }
 
-    fn names<S: LabelingScheme>(doc: &EncodedDocument<S>, rows: &[usize]) -> Vec<String> {
+    fn names(doc: &PreorderIndex, rows: &[usize]) -> Vec<String> {
         rows.iter()
-            .map(|&i| doc.row(i).kind.name().unwrap_or("#text").to_string())
+            .map(|&i| doc.kind(i).name().unwrap_or("#text").to_string())
             .collect()
     }
 
@@ -751,7 +735,7 @@ mod tests {
         let doc = book();
         let r = parse_xpath("/book/title/@genre").unwrap().evaluate(&doc);
         assert_eq!(r.len(), 1);
-        assert_eq!(doc.row(r[0]).kind.value(), Some("Fantasy"));
+        assert_eq!(doc.kind(r[0]).value(), Some("Fantasy"));
         let r2 = parse_xpath("/book/title/attribute::*")
             .unwrap()
             .evaluate(&doc);
@@ -811,7 +795,7 @@ mod tests {
         let doc = book();
         let r = parse_xpath("/book/title/text()").unwrap().evaluate(&doc);
         assert_eq!(r.len(), 1);
-        assert_eq!(doc.row(r[0]).kind.value(), Some("Wayfarer"));
+        assert_eq!(doc.kind(r[0]).value(), Some("Wayfarer"));
     }
 
     #[test]
@@ -875,10 +859,10 @@ mod tests {
         tree.append_child(root, item).unwrap();
         let attr = tree.create(xupd_xmldom::NodeKind::attribute("id", "a]b"));
         tree.append_child(item, attr).unwrap();
-        let doc = EncodedDocument::encode(DeweyId::new(), &tree).unwrap();
+        let doc = PreorderIndex::encode(&tree).unwrap();
         let r = parse_xpath("//item[@id=\"a]b\"]").unwrap().evaluate(&doc);
         assert_eq!(r.len(), 1);
-        assert_eq!(doc.row(r[0]).kind.name(), Some("item"));
+        assert_eq!(doc.kind(r[0]).name(), Some("item"));
         let none = parse_xpath("//item[@id=\"a\"]").unwrap().evaluate(&doc);
         assert!(none.is_empty());
     }
@@ -945,14 +929,14 @@ mod tests {
 
     /// Two `s` sections told apart by position and by `@id`, and an
     /// `x` under both the first `s` and `t`.
-    fn sections() -> EncodedDocument<DeweyId> {
+    fn sections() -> PreorderIndex {
         let tree =
             xupd_xmldom::parse(r#"<r><s id="1"><x>one</x></s><s id="2"/><t><x>two</x></t></r>"#)
                 .unwrap();
-        EncodedDocument::encode(DeweyId::new(), &tree).unwrap()
+        PreorderIndex::encode(&tree).unwrap()
     }
 
-    fn from(doc: &EncodedDocument<DeweyId>, path: &str, start: usize) -> Vec<usize> {
+    fn from(doc: &PreorderIndex, path: &str, start: usize) -> Vec<usize> {
         parse_xpath(path).unwrap().evaluate_from(doc, start)
     }
 
@@ -974,7 +958,7 @@ mod tests {
         // text() and self steps
         let texts = from(&doc, "/r/s/x/text()", root);
         assert_eq!(texts.len(), 1);
-        assert!(doc.row(texts[0]).kind.is_text());
+        assert!(doc.kind(texts[0]).is_text());
         assert_eq!(from(&doc, "/.", root), [root]);
         // sibling and upward axes
         let second = from(&doc, "/r/s[2]", root)[0];

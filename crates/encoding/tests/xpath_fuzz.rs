@@ -3,8 +3,7 @@
 //! and whatever it accepts must evaluate without panicking too. The
 //! edit list shrinks, so a failure reports the few bytes that matter.
 
-use xupd_encoding::{parse_xpath, EncodedDocument};
-use xupd_schemes::prefix::qed::Qed;
+use xupd_encoding::{parse_xpath, PreorderIndex};
 use xupd_testkit::prop::{any_u64, from_slice, mutate_bytes, vecs, Config};
 use xupd_testkit::{prop_assert, props};
 use xupd_workloads::docs;
@@ -43,7 +42,7 @@ props! {
         // into a failure and shrinks the edit list).
         if let Ok(expr) = parse_xpath(&src) {
             let tree = docs::xmark_like(3, 9);
-            let doc = EncodedDocument::encode(Qed::new(), &tree);
+            let doc = PreorderIndex::encode(&tree);
             prop_assert!(doc.is_ok(), "fixture encodes");
             if let Ok(doc) = doc {
                 let rows = expr.evaluate(&doc);

@@ -13,7 +13,7 @@
 //! ([`XPathExpr::evaluate_from`](xupd_encoding::XPathExpr::evaluate_from)):
 //! absolute paths start at the document row, relative ones at the
 //! `for` context row, and each matched row names its tree node through
-//! [`source_id`](xupd_encoding::EncodedDocument::source_id).
+//! [`source_id`](PreorderIndex::source_id).
 //!
 //! **Strict match**: a direct statement target that resolves to the
 //! empty set is a lowering error (F010) — silently doing nothing hides
@@ -28,7 +28,7 @@
 
 use crate::ast::{InsertPos, PathArg, Stmt, TreeArg};
 use crate::diag::{Diagnostic, Span};
-use xupd_framework::{LogId, Mutation, MutationLog, NodeRef, Place, PreorderIndex, ShadowScheme};
+use xupd_framework::{LogId, Mutation, MutationLog, NodeRef, Place, PreorderIndex};
 use xupd_xmldom::{NodeId, XmlTree};
 
 /// Lower `stmts` against `tree`, resolving paths on `index`, the
@@ -60,7 +60,7 @@ pub fn lower_in(
 /// [`lower_in`] against a preorder index encoded from `tree` for this
 /// call alone.
 pub fn lower(stmts: &[Stmt], tree: &XmlTree) -> Result<MutationLog, Diagnostic> {
-    let index = PreorderIndex::encode(ShadowScheme::default(), tree)
+    let index = PreorderIndex::encode(tree)
         .map_err(|e| Diagnostic::new("F020", Span::at("", 0, 0), e.to_string()))?;
     lower_in(stmts, tree, &index)
 }
@@ -430,7 +430,7 @@ mod tests {
     #[test]
     fn covering_keeps_subtree_roots_only() {
         let t = sample();
-        let index = PreorderIndex::encode(ShadowScheme::default(), &t).unwrap();
+        let index = PreorderIndex::encode(&t).unwrap();
         let rows = |path: &str| xupd_encoding::parse_xpath(path).unwrap().evaluate(&index);
         // every element nests inside the document element
         assert_eq!(
@@ -552,7 +552,7 @@ mod tests {
         assert_eq!(ok(&t, "for //x do insert <m/> into ./.. end").len(), 2);
         assert_eq!(ok(&t, "for /r/t do delete .//x end").len(), 1);
         // an index of another tree state is refused before lowering
-        let stale = PreorderIndex::encode(ShadowScheme::default(), &t).unwrap();
+        let stale = PreorderIndex::encode(&t).unwrap();
         let mut edited = t.clone();
         let r = edited.document_element().unwrap();
         *edited.kind_mut(r) = xupd_xmldom::NodeKind::element("q");

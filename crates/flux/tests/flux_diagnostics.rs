@@ -13,7 +13,7 @@
 //! this pins.
 
 use xupd_flux::FluxProgram;
-use xupd_framework::{PreorderIndex, ShadowScheme};
+use xupd_framework::PreorderIndex;
 use xupd_testkit::prop::{any_u64, from_slice, mutate_bytes, vecs, Config};
 use xupd_testkit::{prop_assert, props};
 use xupd_xmldom::XmlTree;
@@ -27,7 +27,7 @@ fn fixture() -> XmlTree {
 
 /// The fixture's preorder index, as a `Document` holds it.
 fn index_of(tree: &XmlTree) -> PreorderIndex {
-    PreorderIndex::encode(ShadowScheme::default(), tree).expect("index encodes")
+    PreorderIndex::encode(tree).expect("index encodes")
 }
 
 /// Every diagnostic the front end (parse + static check) reports for

@@ -29,7 +29,7 @@ use xupd_framework::analysis::{apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::mutations::{
     self, apply_log_dyn, LogId, Mutation, MutationLog, NodeRef, Place,
 };
-use xupd_framework::{Document, PreorderIndex, ShadowScheme};
+use xupd_framework::{Document, PreorderIndex};
 use xupd_schemes::prefix::qed::Qed;
 use xupd_schemes::registry;
 use xupd_xmldom::{serialize_compact, NodeKind, XmlTree};
@@ -60,7 +60,7 @@ impl Rng {
 
 /// The preorder index of `tree`, as a `Document` holds it.
 fn index_of(tree: &XmlTree) -> PreorderIndex {
-    PreorderIndex::encode(ShadowScheme::default(), tree).expect("index encodes")
+    PreorderIndex::encode(tree).expect("index encodes")
 }
 
 /// `<r>` + 2–4 sections + a single `<t/>` landing pad. Every section
@@ -347,14 +347,14 @@ fn no_false_accepts() {
 // 4. The index a document keeps.
 // ---------------------------------------------------------------------
 
-/// Row-for-row equality of two preorder indexes: kinds, parents,
-/// labels, source ids, topology, name buckets and revision.
+/// Row-for-row equality of two preorder indexes: kinds, parents, source
+/// ids, topology, name buckets and revision.
 fn assert_same_index(kept: &PreorderIndex, fresh: &PreorderIndex, ctx: &str) {
     assert_eq!(kept.len(), fresh.len(), "{ctx}: row count");
     for i in 0..fresh.len() {
-        let (a, b) = (kept.row(i), fresh.row(i));
+        let (a, b) = (kept.kind(i), fresh.kind(i));
         assert!(
-            a.kind == b.kind && a.parent == b.parent && a.label == b.label,
+            a == b && kept.parent(i) == fresh.parent(i),
             "{ctx}: row {i}: {a:?} vs fresh {b:?}"
         );
         assert_eq!(

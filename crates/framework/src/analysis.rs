@@ -52,7 +52,7 @@ use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
 
 use crate::driver::DriveStats;
 use crate::mutations::{apply_atomic, validate, LogId, Mutation, MutationLog, NodeRef, Place};
-use crate::querycache::{PreorderIndex, ShadowScheme};
+use xupd_encoding::PreorderIndex;
 
 // ---------------------------------------------------------------------
 // Footprint lattice primitives.
@@ -936,11 +936,7 @@ pub fn analyze_in(
 /// [`analyze_in`] against a preorder index encoded from `tree` for this
 /// call alone.
 pub fn analyze(log: &MutationLog, tree: &XmlTree) -> Result<AnalyzedPlan, TreeError> {
-    analyze_in(
-        log,
-        tree,
-        &PreorderIndex::encode(ShadowScheme::default(), tree)?,
-    )
+    analyze_in(log, tree, &PreorderIndex::encode(tree)?)
 }
 
 // ---------------------------------------------------------------------
@@ -1359,7 +1355,7 @@ mod tests {
     #[test]
     fn index_of_another_tree_state_is_rejected() {
         let mut t = doc();
-        let index = PreorderIndex::encode(ShadowScheme::default(), &t).unwrap();
+        let index = PreorderIndex::encode(&t).unwrap();
         let log = MutationLog::from(vec![Mutation::Delete {
             target: NodeRef::Node(elem(&t, "c")),
         }]);

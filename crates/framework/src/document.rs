@@ -27,8 +27,8 @@
 //! to the framework function as it is.
 //!
 //! Queries, the analyzer, flux compiles and script compiles all read one
-//! structure: the document's [`PreorderIndex`], the [`QueryCache`]'s
-//! shadow table. It is encoded on first need ([`Document::xpath`],
+//! structure: the document's [`PreorderIndex`], which the
+//! [`QueryCache`] keeps. It is encoded on first need ([`Document::xpath`],
 //! [`Document::register_query`], [`Document::tree_with_index`],
 //! [`Document::compile_script`]) and
 //! then kept current by every analyzed batch — spliced after a
@@ -46,10 +46,10 @@
 use crate::analysis::{self, AnalyzedPlan, ApplyOptions};
 use crate::driver::{run_script_dyn, DriveStats};
 use crate::mutations::{self, MutationLog};
-use crate::querycache::{CacheStats, PreorderIndex, QueryCache, QueryId};
+use crate::querycache::{CacheStats, QueryCache, QueryId};
 use crate::verify::{verify_dyn, VerifyOutcome};
 use std::fmt;
-use xupd_encoding::{parse_xpath, EncodedDocument, XPathError};
+use xupd_encoding::{parse_xpath, EncodedDocument, PreorderIndex, XPathError};
 use xupd_labelcore::{DynScheme, Labeling, LabelingScheme, SchemeSession};
 use xupd_workloads::Script;
 use xupd_xmldom::{TreeError, XmlTree};
@@ -324,11 +324,12 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         verify_dyn(&self.tree, &self.session, VERIFY_SAMPLE_PAIRS, VERIFY_SEED)
     }
 
-    /// Rebuild an [`XmlTree`] from the encoded snapshot alone — the
-    /// round-trip the paper's reconstruction property asks for.
+    /// Rebuild an [`XmlTree`] from the encoded snapshot alone (its
+    /// preorder index) — the round-trip the paper's reconstruction
+    /// property asks for.
     pub fn reconstruct(&mut self) -> Result<XmlTree, TreeError> {
         let enc = self.encoded()?;
-        xupd_encoding::reconstruct::reconstruct(enc)
+        xupd_encoding::reconstruct::reconstruct(enc.index())
     }
 }
 
@@ -369,7 +370,7 @@ mod tests {
         let c = doc.encoded().unwrap() as *const _;
         assert!(doc.tree().len() > tree.len());
         let _ = c; // rebuilt lazily; contents now include the appended nodes
-        assert_eq!(doc.encoded().unwrap().len(), doc.tree().len());
+        assert_eq!(doc.encoded().unwrap().index().len(), doc.tree().len());
     }
 
     #[test]
@@ -411,7 +412,7 @@ mod tests {
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         let q = doc.register_query("//item", true).unwrap();
         doc.encoded().unwrap();
-        let rows = doc.tree_with_index().unwrap().1.rows().as_ptr();
+        let rows = std::ptr::from_ref(doc.tree_with_index().unwrap().1.kind(0));
         let (rebuilds, absorbed) = (doc.snapshot_rebuilds(), doc.cache_stats().batches_absorbed);
 
         let script = Script::generate(ScriptKind::MixedDelete, 40, doc.tree().len(), 4);
@@ -422,7 +423,7 @@ mod tests {
             "the index is still current"
         );
         assert_eq!(
-            doc.tree_with_index().unwrap().1.rows().as_ptr(),
+            std::ptr::from_ref(doc.tree_with_index().unwrap().1.kind(0)),
             rows,
             "nothing re-encoded"
         );
@@ -457,7 +458,7 @@ mod tests {
             doc.apply_log(&log).unwrap();
             assert_eq!(doc.cache_stats().batches_absorbed, absorbed + 1, "{name}");
             let expr = parse_xpath("//item").unwrap();
-            let fresh = expr.evaluate(doc.encoded().unwrap());
+            let fresh = expr.evaluate(doc.encoded().unwrap().index());
             assert_eq!(doc.xpath("//item").unwrap(), fresh, "{name}: index rows");
             if let Some(q) = q {
                 assert_eq!(doc.query_cached(q).unwrap(), fresh.as_slice(), "{name}");
@@ -503,7 +504,7 @@ mod tests {
         // a cancellation-neutral scheme (Qed)
         assert!(doc.scheme().cancellation_neutral());
         let root_el = doc.xpath("/book").unwrap()[0];
-        let root_id = doc.encoded().unwrap().source_id(root_el);
+        let root_id = doc.encoded().unwrap().index().source_id(root_el);
         doc.apply_log(&MutationLog::from(vec![
             Mutation::CreateElement {
                 id: LogId(0),
@@ -541,14 +542,14 @@ mod tests {
         let tree = docs::book();
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         let title_row = doc.xpath("//title").unwrap()[0];
-        let enc = doc.encoded().unwrap();
+        let enc = doc.encoded().unwrap().index();
         let text_row = enc
             .descendant_range(title_row)
-            .find(|&r| matches!(enc.row(r).kind, xupd_xmldom::NodeKind::Text { .. }))
+            .find(|&r| enc.kind(r).is_text())
             .unwrap();
         let text_id = enc.source_id(text_row);
         assert_eq!(doc.snapshot_rebuilds(), 1);
-        let rows = doc.tree_with_index().unwrap().1.rows().as_ptr();
+        let rows = std::ptr::from_ref(doc.tree_with_index().unwrap().1.kind(0));
 
         doc.apply_log(&MutationLog::from(vec![Mutation::SetText {
             target: NodeRef::Node(text_id),
@@ -558,13 +559,13 @@ mod tests {
         // same index rows, new content — no re-encode happened
         let index = doc.tree_with_index().unwrap().1;
         assert_eq!(
-            index.rows().as_ptr(),
+            std::ptr::from_ref(index.kind(0)),
             rows,
             "text batch patches the index in place"
         );
         assert_eq!(index.string_value(title_row), "Growing Up With a Dream");
         assert!(doc.snapshot.is_none(), "text batch drops the snapshot");
-        let enc = doc.encoded().unwrap();
+        let enc = doc.encoded().unwrap().index();
         assert_eq!(enc.string_value(title_row), "Growing Up With a Dream");
         assert_eq!(doc.snapshot_rebuilds(), 2);
         assert!(doc.verify().unwrap().is_sound());
@@ -589,7 +590,7 @@ mod tests {
         );
         for (p, rows) in paths.iter().zip(&rows) {
             let expr = parse_xpath(p).unwrap();
-            assert_eq!(rows, &expr.evaluate(doc.encoded().unwrap()), "{p}");
+            assert_eq!(rows, &expr.evaluate(doc.encoded().unwrap().index()), "{p}");
         }
         assert_eq!(doc.snapshot_rebuilds(), 1);
     }
@@ -606,7 +607,7 @@ mod tests {
 
         // structural batch: cached rows track the fresh evaluation
         let region = doc.xpath("//regions").unwrap()[0];
-        let region_id = doc.encoded().unwrap().source_id(region);
+        let region_id = doc.encoded().unwrap().index().source_id(region);
         doc.apply_log(&MutationLog::from(vec![Mutation::CreateElement {
             id: LogId(0),
             name: "item".to_string(),
@@ -645,7 +646,7 @@ mod tests {
         // a structural batch discards the snapshot and repairs the cache
         let region_id = {
             let region = doc.xpath("//regions").unwrap()[0];
-            doc.encoded().unwrap().source_id(region)
+            doc.encoded().unwrap().index().source_id(region)
         };
         doc.apply_log(&MutationLog::from(vec![Mutation::CreateElement {
             id: LogId(0),
@@ -677,7 +678,7 @@ mod tests {
         // the cached rows match a fresh evaluation on the snapshot
         let fresh = parse_xpath("//item")
             .unwrap()
-            .evaluate(doc.encoded().unwrap());
+            .evaluate(doc.encoded().unwrap().index());
         assert_eq!(doc.cached_rows(q).unwrap(), fresh.as_slice());
         assert_eq!(doc.snapshot_rebuilds(), rebuilds_before + 1);
 
@@ -706,7 +707,7 @@ mod tests {
         let q = doc.register_query("//b", false).unwrap();
         let mut node = |path: &str| {
             let row = doc.xpath(path).unwrap()[0];
-            doc.encoded().unwrap().source_id(row)
+            doc.encoded().unwrap().index().source_id(row)
         };
         let (a, c) = (node("/r/a"), node("/r/c"));
         let insert = MutationLog::from(vec![Mutation::CreateElement {

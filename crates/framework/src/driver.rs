@@ -2,7 +2,7 @@
 //! evidence the property checkers grade.
 
 use crate::mutations::{LogBindings, LogId, Mutation, MutationLog, NodeRef, Place};
-use crate::querycache::PreorderIndex;
+use xupd_encoding::PreorderIndex;
 use xupd_labelcore::DynScheme;
 use xupd_workloads::{Script, ScriptOp};
 use xupd_xmldom::{NodeId, TreeError, XmlTree};
@@ -525,7 +525,7 @@ mod tests {
     /// and script-made elements.
     #[test]
     fn pool_runs_match_a_fresh_scan_over_either_base() {
-        use crate::querycache::{PreorderIndex, ShadowScheme};
+        use xupd_encoding::PreorderIndex;
         use xupd_xmldom::NodeKind;
 
         fn elements(tree: &XmlTree) -> Vec<NodeId> {
@@ -564,7 +564,7 @@ mod tests {
         }
 
         let mut tree = docs::random_tree(7, 40);
-        let index = PreorderIndex::encode(ShadowScheme::default(), &tree).unwrap();
+        let index = PreorderIndex::encode(&tree).unwrap();
         let mut pools = [ElementPool::build(&tree), ElementPool::over(&index)];
         check(&tree, &pools, "start");
 

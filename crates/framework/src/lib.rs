@@ -34,9 +34,10 @@
 //!   queries are classified per batch (unaffected / repairable / dirty)
 //!   by intersecting the analyzer's write footprint with each query's
 //!   static access pattern, so cached result sets are kept, delta-
-//!   repaired or rebuilt — never discarded wholesale. Its shadow table
-//!   is the document's one [`PreorderIndex`], which the analyzer, flux
-//!   lowering and [`Document::xpath`] read too.
+//!   repaired or rebuilt — never discarded wholesale. It keeps the
+//!   document's one [`PreorderIndex`] (re-exported from
+//!   `xupd-encoding`), which the analyzer, flux lowering and
+//!   [`Document::xpath`] read too.
 //!
 //! The checker battery fans out per scheme on the `xupd-exec` scoped
 //! pool (schemes are independent); results and renders are identical at
@@ -63,7 +64,6 @@ pub use matrix::{declared_figure7, measure, EvaluationMatrix, MatrixRow};
 pub use mutations::{
     apply_log, apply_log_dyn, batch_of, validate, LogId, Mutation, MutationLog, NodeRef, Place,
 };
-pub use querycache::{
-    BatchImpact, CacheStats, PreorderIndex, QueryCache, QueryClass, QueryId, ShadowScheme,
-};
+pub use querycache::{BatchImpact, CacheStats, QueryCache, QueryClass, QueryId};
 pub use report::Figure7Report;
+pub use xupd_encoding::PreorderIndex;

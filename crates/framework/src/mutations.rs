@@ -30,9 +30,9 @@
 //! by exactly the same application code as full batches.
 
 use crate::driver::{apply_insert_dyn, DriveStats, ElementPool, CHECKPOINT_EVERY};
-use crate::querycache::PreorderIndex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use xupd_encoding::PreorderIndex;
 use xupd_labelcore::{DynScheme, Labeling, LabelingScheme, SessionMut};
 use xupd_workloads::{Script, ScriptOp};
 use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
@@ -1228,7 +1228,6 @@ fn translate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::querycache::ShadowScheme;
     use xupd_schemes::prefix::dewey::DeweyId;
     use xupd_schemes::prefix::qed::Qed;
     use xupd_workloads::{docs, ScriptKind};
@@ -1697,8 +1696,7 @@ mod tests {
                 batch_of(&script, &batched_tree).expect("translates"),
                 "{kind} logs agree"
             );
-            let index =
-                PreorderIndex::encode(ShadowScheme::default(), &batched_tree).expect("encodes");
+            let index = PreorderIndex::encode(&batched_tree).expect("encodes");
             assert_eq!(
                 log,
                 batch_of_on_index(&script, &mut batched_tree, &index).expect("translates"),
@@ -1727,7 +1725,7 @@ mod tests {
     #[test]
     fn batch_of_on_index_rejects_an_index_of_another_tree_state() {
         let mut tree = docs::xmark_like(5, 40);
-        let index = PreorderIndex::encode(ShadowScheme::default(), &tree).expect("encodes");
+        let index = PreorderIndex::encode(&tree).expect("encodes");
         let script = Script::generate(ScriptKind::MixedDelete, 60, tree.len(), 3);
         assert_eq!(
             batch_of_on_index(&script, &mut tree, &index).expect("current index"),

@@ -48,14 +48,14 @@
 //! batch and shared by every query. A cached string is recomputed
 //! exactly when its row is string-dirty, or fresh.
 //!
-//! The cache evaluates against its **shadow table**, an
-//! [`EncodedDocument`] under a unit-label scheme ([`ShadowScheme`])
-//! whose labels are plain preorder positions. The streaming evaluator
-//! never reads labels (axes run on the [`Topology`] sidecar), so
-//! results are identical to evaluating the document's real snapshot —
-//! but keeping the shadow current never pays the document's actual
-//! label algebra. The shadow is the document's one [`PreorderIndex`]:
-//! the analyzer resolves footprints on it
+//! The cache evaluates against its **shadow**, the document's one
+//! [`PreorderIndex`]: the unlabelled half of the encoding, holding node
+//! kinds, parents, the [`Topology`] sidecar and the [`NameIndex`], and
+//! no label column. The streaming evaluator never reads a label
+//! (ancestry is preorder interval containment on the topology), so
+//! results are identical to evaluating the document's labelled
+//! snapshot, and keeping the shadow current never pays the document's
+//! label algebra. The analyzer resolves footprints on the same index
 //! ([`analyze_in`](crate::analysis::analyze_in)), flux lowering
 //! resolves paths on it, and `Document::xpath` evaluates on it, so it
 //! is kept current whether or not a query is registered
@@ -65,7 +65,7 @@
 //! refuses a plan made for another state, before anything changes.
 //!
 //! A structural batch splices the shadow in place
-//! ([`EncodedDocument::splice`]): finding what the batch changed costs
+//! ([`PreorderIndex::splice`]): finding what the batch changed costs
 //! O(batch), through its exact edits (deleted and moved subtree roots,
 //! created nodes); the rest is O(n) shifting of the rows that stayed,
 //! with no per-row allocation. A text-only batch patches text rows in
@@ -75,7 +75,7 @@
 //! input, which also rebuilds every query.
 //!
 //! Staleness safety: the cache only ever serves results derived from
-//! the shadow table of the current tree. Updates that bypass the
+//! the shadow of the current tree. Updates that bypass the
 //! mutation-log path (the raw script driver) mark the cache stale;
 //! a stale cache refuses incremental maintenance and fully refreshes
 //! on the next read. The differential suite
@@ -84,118 +84,11 @@
 
 use crate::analysis::{AnalyzedPlan, PointRef};
 use crate::mutations::{Mutation, MutationLog, NodeRef};
-use std::cmp::Ordering;
 use xupd_encoding::xpath::Pred;
 use xupd_encoding::{
-    row_in_extents, AccessPattern, EncodedDocument, NameIndex, SpliceRuns, Topology, XPathExpr,
-};
-use xupd_labelcore::{
-    Compliance, EncodingRep, InsertReport, Label, Labeling, LabelingScheme, OrderKind, Relation,
-    SchemeDescriptor, SchemeStats,
+    row_in_extents, AccessPattern, NameIndex, PreorderIndex, SpliceRuns, Topology, XPathExpr,
 };
 use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
-
-// ---------------------------------------------------------------------
-// The shadow scheme
-// ---------------------------------------------------------------------
-
-/// Label of the shadow table: the node's preorder position. Never
-/// consulted by the evaluator — it exists to satisfy the encoding
-/// table's scheme parameter at near-zero cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ShadowLabel(u32);
-
-impl Label for ShadowLabel {
-    fn size_bits(&self) -> u64 {
-        32
-    }
-    fn display(&self) -> String {
-        self.0.to_string()
-    }
-}
-
-/// The shadow table's labelling scheme: plain preorder enumeration.
-/// One O(n) pass per (re)build, no order codes, no prime products, no
-/// bit strings — the whole point of the shadow table is that query
-/// maintenance never pays the document's real label algebra.
-#[derive(Debug, Clone, Default)]
-pub struct ShadowScheme {
-    stats: SchemeStats,
-}
-
-/// A document's one preorder index: the shadow table, whose row `i`
-/// is the `i`-th node in document order. The query cache keeps it
-/// current after every batch; the analyzer, flux lowering and
-/// `Document::xpath` read it. Its [`revision`](EncodedDocument::revision)
-/// names the tree state it describes, and every consumer rejects an
-/// index made for another state.
-pub type PreorderIndex = EncodedDocument<ShadowScheme>;
-
-impl LabelingScheme for ShadowScheme {
-    type Label = ShadowLabel;
-
-    fn name(&self) -> &'static str {
-        "Shadow(querycache)"
-    }
-
-    fn descriptor(&self) -> SchemeDescriptor {
-        SchemeDescriptor {
-            name: "Shadow(querycache)",
-            citation: "[internal]",
-            order: OrderKind::Global,
-            encoding: EncodingRep::Fixed,
-            declared: [Compliance::None; 8],
-            in_figure7: false,
-        }
-    }
-
-    fn label_tree(&mut self, tree: &XmlTree) -> Result<Labeling<ShadowLabel>, TreeError> {
-        let mut l = Labeling::with_capacity_for(tree);
-        for (i, id) in tree.ids_in_doc_order().into_iter().enumerate() {
-            l.set(id, ShadowLabel(i as u32));
-        }
-        Ok(l)
-    }
-
-    fn on_insert(
-        &mut self,
-        tree: &XmlTree,
-        labeling: &mut Labeling<ShadowLabel>,
-        node: NodeId,
-    ) -> Result<InsertReport, TreeError> {
-        // The cache never drives per-op inserts — it splices the
-        // shadow once per structural batch, relabelling every row by
-        // its new position — but the scheme protocol must still hold
-        // for standalone use: renumber.
-        if !tree.is_alive(node) {
-            return Err(TreeError::DanglingNodeId(node));
-        }
-        for (i, id) in tree.ids_in_doc_order().into_iter().enumerate() {
-            labeling.set(id, ShadowLabel(i as u32));
-        }
-        Ok(InsertReport::clean())
-    }
-
-    fn cmp_doc(&self, a: &ShadowLabel, b: &ShadowLabel) -> Ordering {
-        a.cmp(b)
-    }
-
-    fn relation(&self, _rel: Relation, _a: &ShadowLabel, _b: &ShadowLabel) -> Option<bool> {
-        None
-    }
-
-    fn level(&self, _a: &ShadowLabel) -> Option<u32> {
-        None
-    }
-
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-}
 
 // ---------------------------------------------------------------------
 // Public observability types
@@ -425,11 +318,11 @@ impl QueryCache {
         }
     }
 
-    /// Rebuild the shadow table and every result set from scratch
+    /// Rebuild the shadow and every result set from scratch
     /// against `tree`, clearing staleness. The heavy-handed fallback —
     /// [`absorb`](Self::absorb) is the incremental path.
     pub fn refresh(&mut self, tree: &XmlTree) -> Result<(), TreeError> {
-        let shadow = PreorderIndex::encode(ShadowScheme::default(), tree)?;
+        let shadow = PreorderIndex::encode(tree)?;
         for q in &mut self.queries {
             rebuild_query(q, &shadow);
         }
@@ -761,7 +654,7 @@ fn splice_shadow(
     cut: &[usize],
     texts: &[NodeId],
 ) -> Result<PreorderIndex, TreeError> {
-    let mut new = old.splice(tree, cut, |i| ShadowLabel(i as u32))?;
+    let mut new = old.splice(tree, cut)?;
     new.patch_text(tree, texts)?;
     Ok(new)
 }
@@ -823,7 +716,7 @@ fn misses(rows: &[usize], extents: &[(usize, usize)]) -> bool {
 
 /// The name of row `row` when it is an attribute.
 fn attribute_name(doc: &PreorderIndex, row: usize) -> Option<String> {
-    match doc.rows().get(row).map(|r| &r.kind) {
+    match (row < doc.len()).then(|| doc.kind(row)) {
         Some(NodeKind::Attribute { name, .. }) => Some(name.clone()),
         _ => None,
     }
@@ -1120,19 +1013,18 @@ mod tests {
         *counts.entry("batches").or_default() += 1;
     }
 
-    /// Row-for-row equality with a fresh encode: kinds, parents, labels,
-    /// source ids, `row_of` below the id bound, topology and name
-    /// buckets (bucket maps compare equal only if the spliced one kept
-    /// no empty bucket, since a fresh index has none).
+    /// Row-for-row equality with a fresh encode: kinds, parents, source
+    /// ids, `row_of` below the id bound, topology and name buckets
+    /// (bucket maps compare equal only if the spliced one kept no empty
+    /// bucket, since a fresh index has none).
     fn same_as_fresh(spliced: &PreorderIndex, tree: &XmlTree) -> Result<(), String> {
-        let fresh = PreorderIndex::encode(ShadowScheme::default(), tree)
-            .map_err(|e| format!("fresh encode: {e:?}"))?;
+        let fresh = PreorderIndex::encode(tree).map_err(|e| format!("fresh encode: {e:?}"))?;
         if spliced.len() != fresh.len() {
             return Err(format!("{} rows, fresh {}", spliced.len(), fresh.len()));
         }
         for i in 0..fresh.len() {
-            let (a, b) = (spliced.row(i), fresh.row(i));
-            if a.kind != b.kind || a.parent != b.parent || a.label != b.label {
+            let (a, b) = (spliced.kind(i), fresh.kind(i));
+            if a != b || spliced.parent(i) != fresh.parent(i) {
                 return Err(format!("row {i}: {a:?} vs fresh {b:?}"));
             }
             if spliced.source_id(i) != fresh.source_id(i) {
@@ -1228,7 +1120,7 @@ mod tests {
                 if let Err(e) = session.label_tree(&tree) {
                     return Outcome::Fail(format!("label: {e:?}"));
                 }
-                let mut shadow = match PreorderIndex::encode(ShadowScheme::default(), &tree) {
+                let mut shadow = match PreorderIndex::encode(&tree) {
                     Ok(s) => s,
                     Err(e) => return Outcome::Fail(format!("encode: {e:?}")),
                 };
@@ -1323,7 +1215,7 @@ mod tests {
         let impact = cache.absorb(&log, &plan, &effective, &tree).unwrap();
         assert_eq!(impact.classes, vec![QueryClass::Rebuilt; exprs.len()]);
         same_as_fresh(cache.shadow.as_ref().unwrap(), &tree).unwrap();
-        let fresh = PreorderIndex::encode(ShadowScheme::default(), &tree).unwrap();
+        let fresh = PreorderIndex::encode(&tree).unwrap();
         for (q, e) in exprs.iter().enumerate() {
             let rows = e.evaluate(&fresh);
             let strings: Vec<String> = rows.iter().map(|&r| fresh.string_value(r)).collect();

@@ -6,12 +6,12 @@
 //! op (the pre-optimisation behaviour, kept here as the executable
 //! specification of the op-addressing semantics) and asserts that both
 //! produce identical [`DriveStats`] and identical final labelings for
-//! every Figure 7 scheme. Schemes are independent, so the battery fans
+//! all 17 roster schemes. Schemes are independent, so the battery fans
 //! out per scheme on the `xupd-exec` pool.
 
 use xupd_framework::driver::{run_script_dyn, DriveStats};
 use xupd_labelcore::DynScheme;
-use xupd_schemes::{registry_figure7, SchemeEntry};
+use xupd_schemes::{registry, SchemeEntry};
 use xupd_workloads::{docs, Script, ScriptOp};
 use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
 
@@ -176,7 +176,7 @@ fn run_one(
 fn diff_scripts(kind: xupd_workloads::ScriptKind, ops: usize, seed: u64) {
     let nodes = 110;
     let script = Script::generate(kind, ops, nodes, seed);
-    let entries = registry_figure7();
+    let entries = registry();
     let outcomes = xupd_exec::par_map(&entries, |entry| {
         (
             entry.name(),
@@ -185,7 +185,7 @@ fn diff_scripts(kind: xupd_workloads::ScriptKind, ops: usize, seed: u64) {
         )
     });
 
-    assert_eq!(outcomes.len(), 12);
+    assert_eq!(outcomes.len(), 17);
     for (name, incremental, reference) in &outcomes {
         assert_eq!(
             incremental.stats, reference.stats,

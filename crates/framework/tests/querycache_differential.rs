@@ -21,7 +21,7 @@
 //! *caught* by the same byte-identity check — evidence the oracle has
 //! teeth.
 
-use xupd_encoding::{parse_xpath, EncodedDocument, XPathExpr};
+use xupd_encoding::{parse_xpath, PreorderIndex, XPathExpr};
 use xupd_framework::analysis::analyze;
 use xupd_framework::mutations::{
     apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place,
@@ -62,12 +62,11 @@ fn parsed_roster() -> Vec<(XPathExpr, bool)> {
         .collect()
 }
 
-/// From-scratch oracle: encode the current tree fresh and evaluate
-/// every expression against it. Preorder rows are scheme-independent,
-/// so any scheme works as the oracle encoding; strings come from the
-/// same `string_value` the cache serves.
+/// From-scratch oracle: index the current tree fresh and evaluate every
+/// expression against it; strings come from the same `string_value` the
+/// cache serves.
 fn fresh_eval(exprs: &[(XPathExpr, bool)], tree: &XmlTree) -> Vec<(Vec<usize>, Vec<String>)> {
-    let doc = EncodedDocument::encode(Qed::new(), tree).unwrap();
+    let doc = PreorderIndex::encode(tree).unwrap();
     let mut out = Vec::with_capacity(exprs.len());
     for (e, want_strings) in exprs {
         // lint:allow(R10): the differential oracle must pay full re-evaluation
@@ -669,7 +668,7 @@ fn corrupted_classification_is_caught() {
             }
 
             // the corrupted cache must now be observably wrong
-            let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
+            let doc = PreorderIndex::encode(&tree).unwrap();
             // oracle re-evaluation inside the corruption check
             let fresh = expr.evaluate(&doc);
             if fresh.len() != before.len() + 1 {
@@ -698,7 +697,7 @@ fn corrupted_classification_is_caught() {
             // trusts prior state) — a refresh is the recovery path
             cache.absorb(&log2, &plan2, &effective2, &tree).unwrap();
             cache.refresh(&tree).unwrap();
-            let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
+            let doc = PreorderIndex::encode(&tree).unwrap();
             // oracle re-evaluation after recovery
             let fresh = expr.evaluate(&doc);
             if cache.rows(q) != fresh.as_slice() {

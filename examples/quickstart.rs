@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for h in hits {
         println!(
             "XPath /book/publisher/editor/name → \"{}\"",
-            doc.encoded()?.string_value(h)
+            doc.encoded()?.index().string_value(h)
         );
     }
 

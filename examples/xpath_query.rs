@@ -32,13 +32,14 @@ fn main() {
     let answers: Vec<(&'static str, Vec<Vec<String>>)> =
         par_map(&document_registry_figure7(), |entry| {
             let enc = (entry.encode)(&tree).expect("encodable document");
+            let index = enc.index();
             let per_query: Vec<Vec<String>> = QUERIES
                 .iter()
                 .map(|q| {
                     let expr = parse_xpath(q).expect("query parses");
-                    enc.evaluate(&expr)
+                    expr.evaluate(index)
                         .into_iter()
-                        .map(|i| enc.string_value(i))
+                        .map(|i| index.string_value(i))
                         .collect()
                 })
                 .collect();

@@ -20,6 +20,9 @@ cargo test --workspace -q
 echo "==> static invariants (xupd-lint: fails on any unsuppressed finding)"
 cargo run --release -q -p xupd-lint -- --workspace
 
+echo "==> rustfmt (the workspace is formatted with rustfmt's defaults)"
+cargo fmt --all -- --check
+
 echo "==> rustdoc (warnings are errors: no broken, ambiguous or private doc links)"
 # A deleted or renamed item must not leave a dangling intra-doc link.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -128,7 +131,7 @@ done
 echo "==> xbench correctness gate at full size (fleet-small, fleet-large, flux-batch)"
 # The unit suites run these workloads at doc_scale <= 60. xbench replays
 # them on ~5-9.5k-node documents and compares every cached query with a
-# fresh evaluation — the size at which a shadow-table splice bug would
+# fresh evaluation — the size at which an index splice bug would
 # show. The classifier decides most batches from the exact edits, with
 # no relabel-region margin, so fleet-small runs here too: its stream 0
 # ends with 96 documents (fleet-large's with 16), and the gate compares

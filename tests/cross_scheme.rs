@@ -9,6 +9,7 @@
 //! in roster order, so assertions are deterministic at any
 //! `XUPD_THREADS`.
 
+use xml_update_props::encoding::reconstruct::reconstruct;
 use xml_update_props::encoding::{document_registry, document_registry_figure7, parse_xpath};
 use xml_update_props::exec::par_map;
 use xml_update_props::framework::driver::{graft_subtree_dyn, run_script_dyn};
@@ -87,13 +88,14 @@ fn xpath_answers_identical_across_schemes() {
     let entries = document_registry_figure7();
     let results: Vec<(&'static str, Vec<Vec<String>>)> = par_map(&entries, |entry| {
         let enc = (entry.encode)(&tree).unwrap();
+        let index = enc.index();
         let res = queries
             .iter()
             .map(|q| {
                 let expr = parse_xpath(q).unwrap();
-                enc.evaluate(&expr)
+                expr.evaluate(index)
                     .into_iter()
-                    .map(|i| enc.string_value(i))
+                    .map(|i| index.string_value(i))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -118,7 +120,7 @@ fn reconstruction_round_trip_every_scheme() {
     let entries = document_registry();
     let failures: Vec<&'static str> = par_map(&entries, |entry| {
         let enc = (entry.encode)(&tree).unwrap();
-        let back = enc.reconstruct().unwrap();
+        let back = reconstruct(enc.index()).unwrap();
         (serialize_compact(&back) != original).then(|| entry.name())
     })
     .into_iter()
