@@ -82,10 +82,16 @@ impl PreorderIndex {
     pub fn encode(tree: &XmlTree) -> Result<Self, TreeError> {
         let order: Vec<NodeId> = tree.ids_in_doc_order();
         let mut row_of = vec![usize::MAX; tree.id_bound()];
+        // The kind column, the largest one, is pushed rather than
+        // collected to its exact size: it keeps the spare capacity that
+        // doubling leaves (as the id column from `ids_in_doc_order`
+        // does), so a growing document's splices fill that room instead
+        // of reallocating the column on its first growing batch.
+        let mut kinds: Vec<NodeKind> = Vec::new();
         for (i, &id) in order.iter().enumerate() {
             row_of[id.index()] = i;
+            kinds.push(tree.kind(id).clone());
         }
-        let kinds: Vec<NodeKind> = order.iter().map(|&id| tree.kind(id).clone()).collect();
         let topo = Topology::from_parents(
             order
                 .iter()
