@@ -183,20 +183,15 @@ mod tests {
     fn rebuild_in_place_matches_a_fresh_index() {
         let big = PreorderIndex::encode(&docs::xmark_like(11, 60)).unwrap();
         let small = PreorderIndex::encode(&docs::book()).unwrap();
-        let kinds = |doc: &PreorderIndex| {
-            (0..doc.len())
-                .map(|i| doc.kind(i).clone())
-                .collect::<Vec<_>>()
-        };
         let mut idx = big.name_index().clone();
         assert!(idx.elements("item").len() > 1);
-        idx.rebuild(kinds(&small).iter());
+        idx.rebuild((0..small.len()).map(|i| small.kind(i)));
         assert_eq!(&idx, small.name_index());
         assert!(
             idx.elements("item").is_empty(),
             "a name that left is dropped"
         );
-        idx.rebuild(kinds(&big).iter());
+        idx.rebuild((0..big.len()).map(|i| big.kind(i)));
         assert_eq!(&idx, big.name_index());
     }
 
