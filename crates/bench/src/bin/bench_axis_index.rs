@@ -7,7 +7,8 @@
 //!
 //! * `<axis>/scan` — the `*_via_labels` / full-table reference
 //!   implementation (what the encoding shipped before the topology
-//!   index; still the path the framework checkers grade schemes on);
+//!   index), reading QED labels through a scheme session, or the
+//!   parent column for `children`;
 //! * `<axis>/topology` — the CSR/extent-backed axis.
 //!
 //! Context rows sweep the document (every `STRIDE`-th row) so the costs
@@ -19,7 +20,8 @@
 //!
 //! Emits `results/BENCH_axis_index.json`.
 
-use xupd_encoding::EncodedDocument;
+use xupd_encoding::PreorderIndex;
+use xupd_labelcore::{DynScheme, SchemeSession};
 use xupd_schemes::prefix::qed::Qed;
 use xupd_testkit::bench::{black_box, Harness};
 use xupd_workloads::docs;
@@ -33,8 +35,9 @@ const STRIDE: usize = 17;
 fn main() {
     let mut h = Harness::new("axis_index");
     let tree = docs::xmark_like(11, 240);
-    let doc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-    let index = doc.index();
+    let index = PreorderIndex::encode(&tree).unwrap();
+    let mut labels = SchemeSession::new(Qed::new());
+    labels.label_tree(&tree).unwrap();
     let n = index.len();
     let contexts: Vec<usize> = (0..n).step_by(STRIDE).collect();
     println!(
@@ -45,7 +48,7 @@ fn main() {
     h.bench("descendants/scan", || {
         let mut total = 0usize;
         for &c in &contexts {
-            total += black_box(doc.descendants_via_labels(c)).len();
+            total += black_box(index.descendants_via_labels(&labels, c).unwrap()).len();
         }
         total
     });
@@ -60,7 +63,7 @@ fn main() {
     h.bench("following/scan", || {
         let mut total = 0usize;
         for &c in &contexts {
-            total += black_box(doc.following_via_labels(c)).len();
+            total += black_box(index.following_via_labels(&labels, c).unwrap()).len();
         }
         total
     });
@@ -92,7 +95,9 @@ fn main() {
         let mut hits = 0usize;
         for &a in &contexts {
             for &b in &contexts {
-                hits += usize::from(black_box(doc.is_ancestor_via_labels(a, b)));
+                hits += usize::from(black_box(
+                    index.is_ancestor_via_labels(&labels, a, b).unwrap(),
+                ));
             }
         }
         hits

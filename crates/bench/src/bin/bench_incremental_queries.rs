@@ -10,8 +10,9 @@
 //!   footprint (keep / delta-repair / rebuild per query), serve from
 //!   the cache;
 //! * `reevaluate/<scheme>/b<N>` — the pre-cache client: discard the
-//!   snapshot, re-encode the document under the scheme's real labels
-//!   and re-evaluate all 64 queries from scratch.
+//!   encoding, relabel the document through a fresh session of the
+//!   scheme, encode a fresh preorder index and re-evaluate all 64
+//!   queries from scratch.
 //!
 //! The `unaffected/<scheme>` probe isolates the fast path: a cache of
 //! rows-only queries absorbing genuine text-only batches — every query
@@ -33,7 +34,7 @@
 //! wins tally (re-evaluate median / incremental median per scheme at
 //! batch size 16).
 
-use xupd_encoding::{document_registry, parse_xpath, XPathExpr};
+use xupd_encoding::{parse_xpath, PreorderIndex, XPathExpr};
 use xupd_framework::analysis::analyze_in;
 use xupd_framework::mutations::{
     apply_log, apply_log_dyn, LogId, Mutation, MutationLog, NodeRef, Place,
@@ -179,12 +180,7 @@ fn main() {
     let base = docs::xmark_like(0x1C4, 600);
     let qs = queries();
     let entries = registry();
-    let docs_reg = document_registry();
     assert_eq!(entries.len(), 17);
-    assert_eq!(docs_reg.len(), entries.len());
-    for (a, b) in entries.iter().zip(&docs_reg) {
-        assert_eq!(a.name(), b.name(), "roster order mismatch");
-    }
     let pairs: Vec<(usize, usize)> = (0..entries.len())
         .flat_map(|i| SIZES.iter().map(move |&s| (i, s)))
         .collect();
@@ -207,7 +203,6 @@ fn main() {
 
     let per_case = xupd_exec::par_map(&pairs, |&(i, size)| {
         let entry = &entries[i];
-        let doc_entry = &docs_reg[i];
         let logs = stream(size);
 
         let incremental = h.bench_case(&format!("incremental/{}/b{size}", entry.name()), || {
@@ -238,12 +233,14 @@ fn main() {
             let mut served = 0usize;
             for log in logs {
                 apply_log_dyn(&mut tree, session.as_mut(), log).unwrap();
-                // snapshot discarded: re-encode under the scheme's real
-                // labels, re-evaluate everything
-                let doc = (doc_entry.encode)(&tree).unwrap();
-                let index = doc.index();
+                // encoding discarded: relabel under the scheme, encode
+                // a fresh index, re-evaluate everything
+                let mut labels = entry.session();
+                labels.label_tree(&tree).unwrap();
+                black_box(&labels);
+                let index = PreorderIndex::encode(&tree).unwrap();
                 for (e, ws) in &qs {
-                    let rows = e.evaluate(index);
+                    let rows = e.evaluate(&index);
                     if *ws {
                         for &r in &rows {
                             served += index.string_value(r).len();

@@ -11,14 +11,15 @@
 //! The default scheme is QED (persistent + overflow-free — the safe
 //! choice §5.2's framework would recommend for a general repository).
 //!
-//! Scheme lookup goes through the object-safe registries
-//! ([`xupd_schemes::registry()`] for labelling sessions,
-//! [`xupd_encoding::document_registry`] for encoded documents), so the
-//! CLI roster can never drift from the library roster.
+//! Scheme lookup goes through the object-safe scheme registry
+//! ([`xupd_schemes::registry()`]), so the CLI roster can never drift
+//! from the library roster. A query labels the document under the
+//! chosen scheme and evaluates on its preorder index, which every
+//! scheme shares.
 
 use std::process::ExitCode;
 use xupd_encoding::figure2::{figure2_table, render_figure2};
-use xupd_encoding::{document_registry, parse_xpath};
+use xupd_encoding::parse_xpath;
 use xupd_framework::PreorderIndex;
 use xupd_xmldom::{parse, NodeKind, XmlTree};
 
@@ -117,7 +118,10 @@ fn print_labels(tree: &XmlTree, wanted: &str) -> bool {
 }
 
 fn print_query(tree: &XmlTree, wanted: &str, query: &str) -> bool {
-    let Some(entry) = document_registry().into_iter().find(|e| e.name() == wanted) else {
+    let Some(entry) = xupd_schemes::registry()
+        .into_iter()
+        .find(|e| e.name() == wanted)
+    else {
         return false;
     };
     let expr = match parse_xpath(query) {
@@ -127,9 +131,9 @@ fn print_query(tree: &XmlTree, wanted: &str, query: &str) -> bool {
             return true;
         }
     };
-    let doc = (entry.encode)(tree).unwrap();
-    let index = doc.index();
-    let hits = expr.evaluate(index);
+    entry.session().label_tree(tree).unwrap();
+    let index = PreorderIndex::encode(tree).unwrap();
+    let hits = expr.evaluate(&index);
     println!("{} hit(s)", hits.len());
     for h in hits {
         let kind = index.kind(h);

@@ -7,16 +7,18 @@
 //! that (a) full XPath query evaluation and (b) full reconstruction of
 //! the textual document become possible.
 //!
+//! The encoding has two halves. The labels are the labelling scheme's:
+//! a [`xupd_labelcore::DynScheme`] session holds them by node id. The
+//! rest is this crate's:
+//!
 //! * [`preorder`] — [`PreorderIndex`]: the scheme-independent half,
 //!   one row per node in document order (kind, parent, source node id)
 //!   with the [`Topology`] and [`NameIndex`] sidecars; every structural
 //!   axis, the XPath evaluator and reconstruction run on it, and a
-//!   splice follows a batch of edits in place;
-//! * [`table`] — [`EncodedDocument`]: a preorder index plus one label
-//!   per row under any [`xupd_labelcore::LabelingScheme`]; it adds only
-//!   what reads labels — label document order and the `*_via_labels`
-//!   reference axes the framework checkers and the differential
-//!   property suite exercise;
+//!   splice follows a batch of edits in place. Its `*_via_labels`
+//!   methods read a session's labels through each row's source node id:
+//!   the label-algebra reference axes the differential property suite
+//!   pins equal to the topology's;
 //! * [`topology`] — [`Topology`]: the structural sidecar index built at
 //!   encode time and rebuilt in place by a splice (pre-order subtree
 //!   extents, CSR children arrays, depth and the index's parent
@@ -35,18 +37,14 @@
 //! * [`figure2`] — the paper's Figure 2 table for the Figure 1 sample
 //!   document, golden-tested cell by cell.
 
-pub mod erased;
 pub mod figure2;
 pub mod index;
 pub mod preorder;
 pub mod reconstruct;
-pub mod table;
 pub mod topology;
 pub mod xpath;
 
-pub use erased::{document_registry, document_registry_figure7, DocSchemeEntry, DynDocument};
 pub use index::NameIndex;
 pub use preorder::{PreorderIndex, SpliceRuns};
-pub use table::EncodedDocument;
 pub use topology::{row_in_extents, Topology};
 pub use xpath::{parse_xpath, AccessPattern, XPathError, XPathExpr};

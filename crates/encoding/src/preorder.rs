@@ -4,9 +4,10 @@
 //! name and content), its parent, the [`Topology`] sidecar and the
 //! [`NameIndex`]. It carries no label: ancestry is preorder interval
 //! containment on the topology, so the XPath evaluator, the query cache,
-//! the analyzer and flux lowering all run on this one type.
-//! [`EncodedDocument`](crate::EncodedDocument) adds a scheme's label
-//! column on top.
+//! the analyzer and flux lowering all run on this one type. The labels
+//! are the scheme's own half: a [`DynScheme`] session holds them by node
+//! id, and the `*_via_labels` methods read them through each row's
+//! [`source_id`](PreorderIndex::source_id).
 //!
 //! Each row remembers which [`NodeId`] produced it
 //! ([`PreorderIndex::source_id`]): node ids are never reused across
@@ -20,11 +21,14 @@
 //! Axes run on the topology: ancestry is an O(1) interval test,
 //! `child`/sibling axes are CSR slice walks, and the range axes cost time
 //! proportional to their answers. [`PreorderIndex::children_via_scan`]
-//! keeps the full-table scan as the reference the differential suites
-//! and the scan-vs-index benchmark compare against.
+//! and the label-algebra axes ([`PreorderIndex::is_ancestor_via_labels`]
+//! and the other `*_via_labels` methods) keep the full-table scans as
+//! the reference the differential suites and the scan-vs-index
+//! benchmarks compare against.
 
 use crate::index::NameIndex;
 use crate::topology::Topology;
+use xupd_labelcore::{DynScheme, Relation};
 use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
 
 /// How the last [`PreorderIndex::splice`] numbered the new index: every
@@ -439,6 +443,68 @@ impl PreorderIndex {
             .collect()
     }
 
+    /// Ancestry answered the pre-topology way: `labels`' label algebra
+    /// when its scheme supports it, otherwise the parent-reference
+    /// chain, the supplementary information §2.4 says the encoding must
+    /// carry when the labelling scheme does not. `labels` must label
+    /// the tree this index describes; a row whose node it does not
+    /// label is an error.
+    ///
+    /// Kept as the explicit reference path: the framework checkers
+    /// measure *scheme* capability (Figure 7's XPath column) and the
+    /// differential property suite pins this equal to
+    /// [`is_ancestor`](Self::is_ancestor) for every scheme.
+    pub fn is_ancestor_via_labels(
+        &self,
+        labels: &dyn DynScheme,
+        a: usize,
+        b: usize,
+    ) -> Result<bool, TreeError> {
+        let (x, y) = (self.source_id(a), self.source_id(b));
+        if let Some(ans) = labels.relation_nodes(Relation::AncestorDescendant, x, y)? {
+            return Ok(ans);
+        }
+        let mut cur = self.parent(b);
+        while let Some(p) = cur {
+            if p == a {
+                return Ok(true);
+            }
+            cur = self.parent(p);
+        }
+        Ok(false)
+    }
+
+    /// Descendants computed by the reference label-algebra scan.
+    pub fn descendants_via_labels(
+        &self,
+        labels: &dyn DynScheme,
+        i: usize,
+    ) -> Result<Vec<usize>, TreeError> {
+        rows_where(0..self.len(), |j| {
+            Ok(j != i && self.is_ancestor_via_labels(labels, i, j)?)
+        })
+    }
+
+    /// `following` computed by the reference label-algebra scan.
+    pub fn following_via_labels(
+        &self,
+        labels: &dyn DynScheme,
+        i: usize,
+    ) -> Result<Vec<usize>, TreeError> {
+        rows_where(i + 1..self.len(), |j| {
+            Ok(!self.is_ancestor_via_labels(labels, i, j)?)
+        })
+    }
+
+    /// `preceding` computed by the reference label-algebra scan.
+    pub fn preceding_via_labels(
+        &self,
+        labels: &dyn DynScheme,
+        i: usize,
+    ) -> Result<Vec<usize>, TreeError> {
+        rows_where(0..i, |j| Ok(!self.is_ancestor_via_labels(labels, j, i)?))
+    }
+
     /// Strict descendants of a row, in document order: the contiguous
     /// extent range, materialized.
     pub fn descendants(&self, i: usize) -> Vec<usize> {
@@ -550,10 +616,59 @@ impl PreorderIndex {
     }
 }
 
+/// The rows of `rows` that `keep` accepts, in order; the first error
+/// `keep` returns ends the scan.
+fn rows_where(
+    rows: std::ops::Range<usize>,
+    keep: impl Fn(usize) -> Result<bool, TreeError>,
+) -> Result<Vec<usize>, TreeError> {
+    rows.filter_map(|j| keep(j).map(|hit| hit.then_some(j)).transpose())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
+    use xupd_labelcore::SchemeSession;
+    use xupd_schemes::containment::sector::Sector;
+    use xupd_schemes::prefix::dewey::DeweyId;
     use xupd_xmldom::sample::figure1_document;
+
+    #[test]
+    fn rows_are_in_document_order() {
+        let tree = figure1_document();
+        let index = PreorderIndex::encode(&tree).unwrap();
+        let mut labels = SchemeSession::new(DeweyId::new());
+        labels.label_tree(&tree).unwrap();
+        assert_eq!(index.len(), tree.len());
+        for i in 1..index.len() {
+            let order = labels.cmp_nodes(index.source_id(i - 1), index.source_id(i));
+            assert_eq!(order.unwrap(), Ordering::Less);
+        }
+    }
+
+    #[test]
+    fn topology_axes_agree_with_label_path_for_sector() {
+        // Sector answers ancestry from labels; the topology must give
+        // byte-identical axes to the label-algebra reference path.
+        let tree = figure1_document();
+        let index = PreorderIndex::encode(&tree).unwrap();
+        let mut labels = SchemeSession::new(Sector::new());
+        labels.label_tree(&tree).unwrap();
+        for i in 0..index.len() {
+            let descendants = index.descendants_via_labels(&labels, i).unwrap();
+            assert_eq!(index.descendants(i), descendants);
+            let following = index.following_via_labels(&labels, i).unwrap();
+            assert_eq!(index.following(i), following);
+            let preceding = index.preceding_via_labels(&labels, i).unwrap();
+            assert_eq!(index.preceding(i), preceding);
+            for j in 0..index.len() {
+                let by_labels = index.is_ancestor_via_labels(&labels, i, j).unwrap();
+                assert_eq!(index.is_ancestor(i, j), by_labels);
+            }
+        }
+    }
 
     #[test]
     fn axes_match_tree_ground_truth() {

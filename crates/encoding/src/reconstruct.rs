@@ -36,9 +36,6 @@ pub fn reconstruct(index: &PreorderIndex) -> Result<XmlTree, TreeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::EncodedDocument;
-    use xupd_schemes::prefix::ordpath::OrdPath;
-    use xupd_schemes::prefix::qed::Qed;
     use xupd_workloads::docs;
     use xupd_xmldom::{parse, serialize_compact};
 
@@ -46,8 +43,7 @@ mod tests {
     fn figure1_round_trip() {
         let tree = docs::book();
         let original = serialize_compact(&tree);
-        let enc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-        let back = reconstruct(enc.index()).unwrap();
+        let back = reconstruct(&PreorderIndex::encode(&tree).unwrap()).unwrap();
         assert_eq!(serialize_compact(&back), original);
         back.validate().unwrap();
     }
@@ -56,8 +52,7 @@ mod tests {
     fn textual_parse_encode_reconstruct_round_trip() {
         let src = "<a x=\"1\"><b>text &amp; more</b><!--c--><d><e y='2'/></d></a>";
         let tree = parse(src).unwrap();
-        let enc = EncodedDocument::encode(OrdPath::new(), &tree).unwrap();
-        let back = reconstruct(enc.index()).unwrap();
+        let back = reconstruct(&PreorderIndex::encode(&tree).unwrap()).unwrap();
         let out = serialize_compact(&back);
         assert_eq!(parse(&out).unwrap().len(), tree.len());
         assert_eq!(out, serialize_compact(&tree));
@@ -66,8 +61,7 @@ mod tests {
     #[test]
     fn xmark_round_trip() {
         let tree = docs::xmark_like(3, 60);
-        let enc = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-        let back = reconstruct(enc.index()).unwrap();
+        let back = reconstruct(&PreorderIndex::encode(&tree).unwrap()).unwrap();
         assert_eq!(serialize_compact(&back), serialize_compact(&tree));
     }
 }

@@ -21,8 +21,9 @@
 //! The index captures *structure only*. Whether a labelling **scheme**
 //! can answer ancestry from its labels alone remains a property of the
 //! scheme (the Figure 7 *XPath Evaluations* column); the framework
-//! checkers keep exercising that raw label algebra via
-//! [`EncodedDocument::is_ancestor_via_labels`](crate::table::EncodedDocument::is_ancestor_via_labels),
+//! checkers grade that raw label algebra, the preorder index keeps it
+//! as a reference path over a scheme session's labels
+//! ([`PreorderIndex::is_ancestor_via_labels`](crate::PreorderIndex::is_ancestor_via_labels)),
 //! and a differential property suite pins the two paths equivalent.
 
 use xupd_xmldom::{NodeId, TreeError};

@@ -10,13 +10,11 @@
 //! single observable answer.
 
 use std::cmp::Ordering;
-use xupd_encoding::{
-    document_registry, parse_xpath, DocSchemeEntry, EncodedDocument, PreorderIndex, Topology,
-    XPathExpr,
-};
-use xupd_labelcore::LabelingScheme;
+use xupd_encoding::{parse_xpath, PreorderIndex, Topology, XPathExpr};
+use xupd_labelcore::{DynScheme, SchemeSession};
 use xupd_schemes::prefix::dewey::DeweyId;
 use xupd_schemes::prefix::qed::Qed;
+use xupd_schemes::SchemeEntry;
 use xupd_testkit::prop::{ints, Config};
 use xupd_testkit::{prop_assert, prop_assert_eq, props};
 use xupd_workloads::docs;
@@ -24,39 +22,40 @@ use xupd_xmldom::XmlTree;
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 
-/// Diff every topology-backed axis against its label-algebra /
-/// parent-chain reference on one tree under one scheme, and check that
-/// the labels sit on their rows: each row's label orders before the
-/// next row's. Mismatches come back as human-readable strings.
-fn axis_diff(entry: &DocSchemeEntry, tree: &XmlTree) -> Vec<String> {
+/// Diff every topology-backed axis of `index` against its label-algebra
+/// / parent-chain reference over one scheme's labels of `tree`, and
+/// check that the labels sit on their rows: each row's label orders
+/// before the next row's. Mismatches come back as human-readable
+/// strings.
+fn axis_diff(entry: &SchemeEntry, tree: &XmlTree, index: &PreorderIndex) -> Vec<String> {
     let name = entry.name();
+    let mut session = entry.session();
+    if let Err(e) = session.label_tree(tree) {
+        return vec![format!("{name}: labelling failed: {e}")];
+    }
+    let labels = session.as_ref();
     let mut failures = Vec::new();
-    let enc = match (entry.encode)(tree) {
-        Ok(e) => e,
-        Err(e) => {
-            failures.push(format!("{name}: encode failed: {e}"));
-            return failures;
-        }
-    };
-    let index = enc.index();
     for i in 0..index.len() {
-        if i > 0 && enc.cmp_doc(i - 1, i) != Ordering::Less {
-            failures.push(format!("{name}: cmp_doc({}, {i})", i - 1));
+        if i > 0 {
+            let order = labels.cmp_nodes(index.source_id(i - 1), index.source_id(i));
+            if order.ok() != Some(Ordering::Less) {
+                failures.push(format!("{name}: cmp_nodes({}, {i})", i - 1));
+            }
         }
-        if index.descendants(i) != enc.descendants_via_labels(i) {
+        if index.descendants_via_labels(labels, i).ok() != Some(index.descendants(i)) {
             failures.push(format!("{name}: descendants({i})"));
         }
         if index.children(i) != index.children_via_scan(i).as_slice() {
             failures.push(format!("{name}: children({i})"));
         }
-        if index.following(i) != enc.following_via_labels(i) {
+        if index.following_via_labels(labels, i).ok() != Some(index.following(i)) {
             failures.push(format!("{name}: following({i})"));
         }
-        if index.preceding(i) != enc.preceding_via_labels(i) {
+        if index.preceding_via_labels(labels, i).ok() != Some(index.preceding(i)) {
             failures.push(format!("{name}: preceding({i})"));
         }
         for j in 0..index.len() {
-            if index.is_ancestor(i, j) != enc.is_ancestor_via_labels(i, j) {
+            if index.is_ancestor_via_labels(labels, i, j).ok() != Some(index.is_ancestor(i, j)) {
                 failures.push(format!("{name}: is_ancestor({i},{j})"));
             }
         }
@@ -64,13 +63,24 @@ fn axis_diff(entry: &DocSchemeEntry, tree: &XmlTree) -> Vec<String> {
     failures
 }
 
+/// A session of `scheme` holding its labels of `tree`.
+fn labelled<S>(scheme: S, tree: &XmlTree) -> SchemeSession<S>
+where
+    S: xupd_labelcore::LabelingScheme + Clone + 'static,
+{
+    let mut session = SchemeSession::new(scheme);
+    session.label_tree(tree).unwrap();
+    session
+}
+
 props! {
     config = Config::with_cases(48);
 
     fn topology_axes_equal_label_algebra_axes(seed in ints(0u64..1_000_000), n in ints(2usize..48)) {
         let tree = docs::random_tagged_tree(seed, n, &TAGS);
-        let entries = document_registry();
-        let failures: Vec<String> = xupd_exec::par_map(&entries, |entry| axis_diff(entry, &tree))
+        let index = PreorderIndex::encode(&tree).unwrap();
+        let entries = xupd_schemes::registry();
+        let failures: Vec<String> = xupd_exec::par_map(&entries, |entry| axis_diff(entry, &tree, &index))
             .into_iter()
             .flatten()
             .collect();
@@ -99,35 +109,35 @@ props! {
             "//b/ancestor::*", "//a/following-sibling::*", "//c/preceding::*",
             "//a/@id", "//b[1]", "//a/descendant-or-self::a", "//d/text()",
         ];
+        let index = PreorderIndex::encode(&tree).unwrap();
+        let sessions: [(&str, &dyn DynScheme); 2] = [
+            ("QED", &labelled(Qed::new(), &tree)),
+            ("DeweyID", &labelled(DeweyId::new(), &tree)),
+        ];
         for q in queries {
             let expr = parse_xpath(q).unwrap();
-            let qed = EncodedDocument::encode(Qed::new(), &tree).unwrap();
-            prop_assert_eq!(
-                // lint:allow(R10): evaluator-vs-reference property needs both sides
-                expr.evaluate(qed.index()),
-                evaluate_reference(&expr, &qed),
-                "query {} diverged (QED)", q
-            );
-            let dewey = EncodedDocument::encode(DeweyId::new(), &tree).unwrap();
-            prop_assert_eq!(
-                // lint:allow(R10): evaluator-vs-reference property needs both sides
-                expr.evaluate(dewey.index()),
-                evaluate_reference(&expr, &dewey),
-                "query {} diverged (DeweyID)", q
-            );
+            // lint:allow(R10): evaluator-vs-reference property needs both sides
+            let streamed = expr.evaluate(&index);
+            for (name, labels) in sessions {
+                prop_assert_eq!(
+                    streamed,
+                    evaluate_reference(&expr, &index, labels),
+                    "query {} diverged ({})", q, name
+                );
+            }
         }
     }
 
     fn string_value_concatenates_extent_text(seed in ints(0u64..1_000_000), n in ints(2usize..60)) {
         let tree = docs::random_tagged_tree(seed, n, &TAGS);
-        let enc = EncodedDocument::encode(DeweyId::new(), &tree).unwrap();
-        let index = enc.index();
+        let index = PreorderIndex::encode(&tree).unwrap();
+        let labels = labelled(DeweyId::new(), &tree);
         for i in 0..index.len() {
             if index.kind(i).is_element() {
                 // reference: concatenated text over the label-path
                 // descendant set
                 let mut expect = String::new();
-                for j in enc.descendants_via_labels(i) {
+                for j in index.descendants_via_labels(&labels, i).unwrap() {
                     if index.kind(j).is_text() {
                         expect.push_str(index.kind(j).value().unwrap_or(""));
                     }
@@ -141,7 +151,7 @@ props! {
 /// The pre-topology evaluator, preserved verbatim as the reference:
 /// per-context axis enumeration over the label-algebra paths, full
 /// sort+dedup after every step.
-fn evaluate_reference<S: LabelingScheme>(expr: &XPathExpr, enc: &EncodedDocument<S>) -> Vec<usize> {
+fn evaluate_reference(expr: &XPathExpr, doc: &PreorderIndex, labels: &dyn DynScheme) -> Vec<usize> {
     use xupd_encoding::xpath::{Axis, NodeTest, Pred};
 
     fn test_matches(doc: &PreorderIndex, i: usize, axis: Axis, test: &NodeTest) -> bool {
@@ -166,23 +176,22 @@ fn evaluate_reference<S: LabelingScheme>(expr: &XPathExpr, enc: &EncodedDocument
         }
     }
 
-    let doc = enc.index();
     let mut context: Vec<usize> = vec![doc.root()];
     for step in expr.steps() {
         let mut next: Vec<usize> = Vec::new();
         for &ctx in &context {
             let mut candidates: Vec<usize> = match step.axis {
                 Axis::Child => doc.children_via_scan(ctx),
-                Axis::Descendant => enc.descendants_via_labels(ctx),
+                Axis::Descendant => doc.descendants_via_labels(labels, ctx).unwrap(),
                 Axis::DescendantOrSelf => {
                     let mut v = vec![ctx];
-                    v.extend(enc.descendants_via_labels(ctx));
+                    v.extend(doc.descendants_via_labels(labels, ctx).unwrap());
                     v
                 }
                 Axis::Parent => doc.parent(ctx).into_iter().collect(),
                 Axis::Ancestor => doc.ancestors(ctx),
-                Axis::Following => enc.following_via_labels(ctx),
-                Axis::Preceding => enc.preceding_via_labels(ctx),
+                Axis::Following => doc.following_via_labels(labels, ctx).unwrap(),
+                Axis::Preceding => doc.preceding_via_labels(labels, ctx).unwrap(),
                 Axis::FollowingSibling => doc.following_siblings(ctx).to_vec(),
                 Axis::PrecedingSibling => doc.preceding_siblings(ctx).to_vec(),
                 Axis::Attribute => doc.attributes(ctx),

@@ -23,11 +23,12 @@
 //! (`xupd-encoding`), which answers every structural question in O(1)
 //! regardless of the scheme. Figure 7's *XPath Evaluations* column is a
 //! property of the labels; grading it through the topology index would
-//! make every scheme look `F`. The encoding keeps the label path
-//! available as `EncodedDocument::is_ancestor_via_labels` (and the
-//! `*_via_labels` reference axes), and a differential property suite in
+//! make every scheme look `F`. The preorder index keeps the label path
+//! available over a scheme session's labels as
+//! `PreorderIndex::is_ancestor_via_labels` (and the `*_via_labels`
+//! reference axes), and a differential property suite in
 //! `crates/encoding/tests/topology_props.rs` pins the two paths
-//! equivalent for all twelve schemes.
+//! equivalent for all 17 roster schemes.
 
 use crate::driver::{run_script_dyn, DriveStats};
 use crate::orthogonal::has_order_code_algebra;

@@ -1,7 +1,7 @@
 //! The unified `Document` facade.
 //!
 //! The crates expose the full pipeline as separate entry points —
-//! `EncodedDocument::encode`, `parse_xpath` + `XPathExpr::evaluate`,
+//! `PreorderIndex::encode`, `parse_xpath` + `XPathExpr::evaluate`,
 //! `run_script_dyn`, `verify_dyn`, `reconstruct` — each with its own
 //! state to thread. [`Document`] bundles them behind one handle:
 //!
@@ -26,22 +26,19 @@
 //! [`Document::apply`]; every verify and write path hands that session
 //! to the framework function as it is.
 //!
-//! Queries, the analyzer, flux compiles and script compiles all read one
-//! structure: the document's [`PreorderIndex`], which the
-//! [`QueryCache`] keeps. It is encoded on first need ([`Document::xpath`],
-//! [`Document::register_query`], [`Document::tree_with_index`],
-//! [`Document::compile_script`]) and
-//! then kept current by every analyzed batch — spliced after a
-//! structural batch, patched after a text-only one — whether or not a
-//! query is registered. Registered queries are maintained
-//! incrementally over it instead of being re-evaluated per batch.
-//!
-//! The labelled snapshot under the document's own scheme is built only
-//! for [`Document::encoded`] and [`Document::reconstruct`], lazily:
-//! calls between two updates share one snapshot. A batch with zero
-//! effective ops (empty, all-redundant, or a cancelled create/delete
-//! component under a cancellation-neutral scheme) leaves it standing;
-//! any other batch drops it.
+//! Queries, the analyzer, flux compiles, script compiles and
+//! reconstruction all read one encoding: the document's
+//! [`PreorderIndex`], which the [`QueryCache`] keeps. Its labels are the
+//! session's, addressed by node id, so the document holds no second
+//! copy of them. The index is encoded on first need
+//! ([`Document::xpath`], [`Document::register_query`],
+//! [`Document::tree_with_index`], [`Document::compile_script`],
+//! [`Document::apply_log`], [`Document::reconstruct`]) and then kept
+//! current by every analyzed batch — spliced after a structural batch,
+//! patched after a text-only one, only re-stamped after a batch with
+//! zero effective ops — whether or not a query is registered.
+//! Registered queries are maintained incrementally over it instead of
+//! being re-evaluated per batch.
 
 use crate::analysis::{self, AnalyzedPlan, ApplyOptions};
 use crate::driver::{run_script_dyn, DriveStats};
@@ -49,7 +46,7 @@ use crate::mutations::{self, MutationLog};
 use crate::querycache::{CacheStats, QueryCache, QueryId};
 use crate::verify::{verify_dyn, VerifyOutcome};
 use std::fmt;
-use xupd_encoding::{parse_xpath, EncodedDocument, PreorderIndex, XPathError};
+use xupd_encoding::{parse_xpath, PreorderIndex, XPathError};
 use xupd_labelcore::{DynScheme, Labeling, LabelingScheme, SchemeSession};
 use xupd_workloads::Script;
 use xupd_xmldom::{TreeError, XmlTree};
@@ -94,16 +91,11 @@ impl From<XPathError> for DocumentError {
 }
 
 /// A labelled XML document under one scheme: live tree + labelling for
-/// updates and verification, a preorder index for queries and analysis,
-/// and a lazily encoded labelled snapshot.
+/// updates and verification, and a preorder index for queries,
+/// analysis and reconstruction.
 pub struct Document<S: LabelingScheme + Clone + 'static> {
     tree: XmlTree,
     session: SchemeSession<S>,
-    snapshot: Option<EncodedDocument<S>>,
-    /// How many times the lazy labelled snapshot has been (re)built —
-    /// one per first [`Document::encoded`] call after an update,
-    /// however many ops the update batched.
-    snapshot_rebuilds: u64,
     /// The preorder index, and the result sets of registered queries
     /// maintained over it.
     cache: QueryCache,
@@ -118,8 +110,6 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         Ok(Document {
             tree,
             session,
-            snapshot: None,
-            snapshot_rebuilds: 0,
             cache: QueryCache::new(),
         })
     }
@@ -139,22 +129,9 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         self.session.typed_labeling()
     }
 
-    /// The labelled snapshot of the current tree, building it on first
-    /// use after an update. Its rows are numbered like the preorder
-    /// index, so the rows [`Document::xpath`] returns address it.
-    pub fn encoded(&mut self) -> Result<&EncodedDocument<S>, TreeError> {
-        match self.snapshot {
-            Some(ref enc) => Ok(enc),
-            None => {
-                let enc = EncodedDocument::encode(self.scheme().clone(), &self.tree)?;
-                self.snapshot_rebuilds += 1;
-                Ok(self.snapshot.insert(enc))
-            }
-        }
-    }
-
     /// The live tree with its preorder index, encoding the index first
-    /// if the document holds no current one.
+    /// if the document holds no current one. The rows
+    /// [`Document::xpath`] returns address the index.
     pub fn tree_with_index(&mut self) -> Result<(&XmlTree, &PreorderIndex), TreeError> {
         let index = self.cache.index(&self.tree)?;
         Ok((&self.tree, index))
@@ -162,20 +139,18 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
 
     /// Evaluate an XPath expression against the current tree, on the
     /// preorder index. Returns matching row indices in document order;
-    /// they address [`Document::encoded`] too.
+    /// they address [`Document::tree_with_index`]'s index too.
     pub fn xpath(&mut self, expr: &str) -> Result<Vec<usize>, DocumentError> {
         let expr = parse_xpath(expr)?;
         Ok(expr.evaluate(self.cache.index(&self.tree)?))
     }
 
     /// Replay an update script against the live tree through the
-    /// scheme's insertion/deletion path, dropping the labelled
-    /// snapshot. Scripts bypass the mutation-log analyzer, so the
-    /// query cache is marked stale and the index and every query are
-    /// rebuilt on next need — incremental maintenance needs a
-    /// footprint.
+    /// scheme's insertion/deletion path. Scripts bypass the
+    /// mutation-log analyzer, so the query cache is marked stale and the
+    /// index and every query are rebuilt on next need — incremental
+    /// maintenance needs a footprint.
     pub fn apply(&mut self, script: &Script) -> Result<DriveStats, TreeError> {
-        self.snapshot = None;
         self.cache.mark_stale();
         run_script_dyn(&mut self.tree, &mut self.session, script)
     }
@@ -185,12 +160,12 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// the elements by the preorder index's element list instead of a
     /// scan of the tree, so the translation costs O(script). The index
     /// is encoded first if the document holds no current one, as
-    /// [`Document::xpath`] does; the [`Document::apply_log`] that
-    /// follows then takes the analyzed path. The translation runs on
-    /// the document's own tree under an undo journal it rolls back, so
-    /// it copies nothing, and the tree's bytes and revision come back
-    /// exactly — the index, the registered queries and the labelled
-    /// snapshot all stay current for that apply.
+    /// [`Document::xpath`] does, and the [`Document::apply_log`] that
+    /// follows analyzes against it. The translation runs on the
+    /// document's own tree under an undo journal it rolls back, so it
+    /// copies nothing, and the tree's bytes and revision come back
+    /// exactly — the index and the registered queries both stay current
+    /// for that apply.
     pub fn compile_script(&mut self, script: &Script) -> Result<MutationLog, TreeError> {
         let index = self.cache.index(&self.tree)?;
         mutations::batch_of_on_index(script, &mut self.tree, index)
@@ -198,22 +173,13 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
 
     /// Apply a [`MutationLog`] atomically against the live tree, in log
     /// order: validated up front, all-or-nothing on failure. A rejected
-    /// batch changes nothing — snapshot, index and cache stay put. When
-    /// the document holds a current preorder index, the batch is
-    /// analyzed against it (which validates it) and applied through
+    /// batch changes nothing — index and cache stay put. The batch is
+    /// analyzed against the preorder index (which validates it),
+    /// encoding the index first if the document holds no current one,
+    /// as [`Document::xpath`] does, and applied through
     /// [`Document::apply_planned`] under [`ApplyOptions::sequential`],
-    /// which keeps the index current. Otherwise it goes straight to
-    /// [`mutations::apply_log_dyn`] with no analysis, and the labelled
-    /// snapshot is dropped.
+    /// which keeps the index current.
     pub fn apply_log(&mut self, log: &MutationLog) -> Result<DriveStats, TreeError> {
-        if !self.cache.is_current(&self.tree) {
-            // No index to keep: skip the analysis pass entirely so a
-            // document nothing queries pays only the apply.
-            let stats = mutations::apply_log_dyn(&mut self.tree, &mut self.session, log)?;
-            self.snapshot = None;
-            self.cache.mark_stale();
-            return Ok(stats);
-        }
         let plan = analysis::analyze_in(log, &self.tree, self.cache.index(&self.tree)?)?;
         self.apply_planned(log, &plan, ApplyOptions::sequential())
     }
@@ -226,11 +192,10 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// only where the scheme's capabilities allow (see
     /// [`ApplyOptions`]).
     ///
-    /// Upkeep is footprint-driven: a batch with zero effective ops
-    /// leaves the labelled snapshot standing, any other batch drops it,
-    /// and the [`QueryCache`] absorbs the batch from the same plan —
-    /// splicing or patching the index and keeping, repairing or
-    /// rebuilding each registered query.
+    /// Upkeep is footprint-driven: the [`QueryCache`] absorbs the batch
+    /// from the same plan — splicing or patching the index and keeping,
+    /// repairing or rebuilding each registered query. A batch with zero
+    /// effective ops only re-stamps the index.
     pub fn apply_planned(
         &mut self,
         log: &MutationLog,
@@ -245,9 +210,6 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         let neutral = self.session.cancellation_neutral();
         let (reorder, _) = opts.granted(self.session.order_independent(), neutral);
         let effective = plan.execution_order(reorder, neutral);
-        if !effective.is_empty() {
-            self.snapshot = None;
-        }
         // Absorb failures (unreachable in practice) degrade to a stale
         // cache, never to a wrong answer.
         if !self.cache.is_stale()
@@ -277,14 +239,14 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
 
     /// Read-only cached result rows of a registered query: served
     /// straight from the [`QueryCache`] with **no** side effects — no
-    /// index or snapshot build, no cache refresh, no hit counting. Returns
+    /// index build, no cache refresh, no hit counting. Returns
     /// `None` when the cache is stale (an untracked [`Document::apply`]
     /// script ran) or `q` was never registered; the caller must then
     /// take the mutable [`Document::query_cached`] path.
     ///
     /// This is the store's concurrent read path: any number of readers
     /// can share `&Document` without ever triggering the redundant
-    /// rebuilds an `&mut` accessor would race to perform.
+    /// refreshes an `&mut` accessor would race to perform.
     pub fn cached_rows(&self, q: QueryId) -> Option<&[usize]> {
         (!self.cache.is_stale() && q < self.cache.len()).then(|| self.cache.rows(q))
     }
@@ -297,9 +259,9 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     }
 
     /// The maintained result rows of a registered query (preorder
-    /// positions, which address [`Document::encoded`] too), served
-    /// from the cache —
-    /// no re-evaluation unless an untracked update forced a refresh.
+    /// positions into [`Document::tree_with_index`]'s index), served
+    /// from the cache — no re-evaluation unless an untracked update
+    /// forced a refresh.
     pub fn query_cached(&mut self, q: QueryId) -> Result<&[usize], TreeError> {
         if self.cache.is_stale() {
             self.cache.refresh(&self.tree)?;
@@ -307,15 +269,9 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         Ok(self.cache.hit(q))
     }
 
-    /// Cumulative cache counters, alongside
-    /// [`Document::snapshot_rebuilds`].
+    /// Cumulative cache counters.
     pub fn cache_stats(&self) -> &CacheStats {
         self.cache.stats()
-    }
-
-    /// How many times the lazy labelled snapshot has been (re)built.
-    pub fn snapshot_rebuilds(&self) -> u64 {
-        self.snapshot_rebuilds
     }
 
     /// Verify the live labelling against tree ground truth (document
@@ -324,12 +280,12 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         verify_dyn(&self.tree, &self.session, VERIFY_SAMPLE_PAIRS, VERIFY_SEED)
     }
 
-    /// Rebuild an [`XmlTree`] from the encoded snapshot alone (its
-    /// preorder index) — the round-trip the paper's reconstruction
-    /// property asks for.
+    /// Rebuild an [`XmlTree`] from the preorder index alone — the
+    /// round-trip the paper's reconstruction property asks for. No label
+    /// is read; the index is encoded first if the document holds no
+    /// current one.
     pub fn reconstruct(&mut self) -> Result<XmlTree, TreeError> {
-        let enc = self.encoded()?;
-        xupd_encoding::reconstruct::reconstruct(enc.index())
+        xupd_encoding::reconstruct::reconstruct(self.cache.index(&self.tree)?)
     }
 }
 
@@ -339,6 +295,22 @@ mod tests {
     use xupd_schemes::prefix::dewey::DeweyId;
     use xupd_schemes::prefix::qed::Qed;
     use xupd_workloads::{docs, Script, ScriptKind};
+    use xupd_xmldom::{serialize_compact, NodeKind};
+
+    /// Where the index keeps its first row's kind: the same address
+    /// after a call exactly when the call encoded no new index.
+    fn index_ptr<S: LabelingScheme + Clone + 'static>(doc: &mut Document<S>) -> *const NodeKind {
+        std::ptr::from_ref(doc.tree_with_index().unwrap().1.kind(0))
+    }
+
+    /// `expr` evaluated on a fresh encoding of the document's tree.
+    fn fresh_rows<S: LabelingScheme + Clone + 'static>(
+        doc: &Document<S>,
+        expr: &str,
+    ) -> Vec<usize> {
+        let index = PreorderIndex::encode(doc.tree()).unwrap();
+        parse_xpath(expr).unwrap().evaluate(&index)
+    }
 
     #[test]
     fn facade_round_trip_queries_updates_and_verifies() {
@@ -352,58 +324,90 @@ mod tests {
         assert_eq!(stats.inserts, 40);
         assert!(doc.verify().unwrap().is_sound());
 
-        // snapshot rebuilt after the update: the new nodes are visible
+        // index re-encoded after the update: the new nodes are visible
         let rebuilt = doc.reconstruct().unwrap();
         assert_eq!(rebuilt.len(), doc.tree().len());
     }
 
     #[test]
-    fn snapshot_is_reused_between_updates() {
+    fn index_is_reused_between_updates() {
         let tree = docs::book();
         let mut doc = Document::encode(DeweyId::new(), &tree).unwrap();
-        let a = doc.encoded().unwrap() as *const _;
         doc.xpath("//title").unwrap();
-        let b = doc.encoded().unwrap() as *const _;
-        assert_eq!(a, b, "no re-encode without an update");
+        let a = index_ptr(&mut doc);
+        doc.reconstruct().unwrap();
+        doc.xpath("//title").unwrap();
+        assert_eq!(index_ptr(&mut doc), a, "no re-encode without an update");
         doc.apply(&Script::generate(ScriptKind::AppendOnly, 3, tree.len(), 1))
             .unwrap();
-        let c = doc.encoded().unwrap() as *const _;
         assert!(doc.tree().len() > tree.len());
-        let _ = c; // rebuilt lazily; contents now include the appended nodes
-        assert_eq!(doc.encoded().unwrap().index().len(), doc.tree().len());
+        // encoded again lazily; it now includes the appended nodes
+        assert_eq!(doc.tree_with_index().unwrap().1.len(), doc.tree().len());
     }
 
     #[test]
-    fn batch_apply_invalidates_snapshot_exactly_once() {
+    fn batch_apply_is_absorbed_exactly_once() {
         use crate::mutations::{batch_of, Mutation, MutationLog, NodeRef};
         use xupd_xmldom::NodeId;
 
         let tree = docs::random_tree(3, 60);
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
-        doc.encoded().unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 1, "initial lazy build");
         doc.xpath("//e1").unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 1, "xpath reads the index");
 
-        // a 100-op batch costs exactly one rebuild, observed only when
-        // the next call forces the lazy snapshot
+        // a 100-op batch is absorbed once, however many ops it holds
         let script = Script::generate(ScriptKind::Random, 100, tree.len(), 8);
         let log = batch_of(&script, doc.tree()).unwrap();
         assert!(log.len() >= 90, "most ops survive the skip rules");
         doc.apply_log(&log).unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 1, "invalidation alone is free");
-        doc.xpath("//e1").unwrap();
-        doc.encoded().unwrap();
-        doc.reconstruct().unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 2, "one rebuild per batch");
+        assert_eq!(
+            doc.cache_stats().batches_absorbed,
+            1,
+            "one absorb per batch"
+        );
+        assert_eq!(doc.xpath("//e1").unwrap(), fresh_rows(&doc, "//e1"));
+        let back = doc.reconstruct().unwrap();
+        assert_eq!(serialize_compact(&back), serialize_compact(doc.tree()));
 
-        // a rejected batch changes nothing and keeps the snapshot
+        // a rejected batch changes nothing and keeps the index
+        let kinds = index_ptr(&mut doc);
         let bad = MutationLog::from(vec![Mutation::Delete {
             target: NodeRef::Node(NodeId::from_index(doc.tree().id_bound() + 9)),
         }]);
         doc.apply_log(&bad).unwrap_err();
-        doc.encoded().unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 2, "rejected batch is free too");
+        assert_eq!(
+            index_ptr(&mut doc),
+            kinds,
+            "rejected batch re-encodes nothing"
+        );
+        assert_eq!(doc.cache_stats().batches_absorbed, 1, "nor is it absorbed");
+    }
+
+    #[test]
+    fn apply_log_on_an_unqueried_document_encodes_the_index_once() {
+        let tree = docs::xmark_like(13, 60);
+        let mut doc = Document::encode(Qed::new(), &tree).unwrap();
+        assert!(!doc.cache.is_current(&doc.tree), "nothing has queried it");
+
+        let script = Script::generate(ScriptKind::MixedDelete, 30, tree.len(), 7);
+        let log = mutations::batch_of(&script, doc.tree()).unwrap();
+        doc.apply_log(&log).unwrap();
+        assert_eq!(
+            doc.cache_stats().batches_absorbed,
+            1,
+            "the batch was absorbed"
+        );
+        assert!(
+            doc.cache.is_current(&doc.tree),
+            "the index followed the batch"
+        );
+        let kinds = index_ptr(&mut doc);
+        let runs = doc.tree_with_index().unwrap().1.splice_runs();
+        assert!(!runs.kept.is_empty(), "spliced, not encoded a second time");
+
+        for p in ["//item", "/site/regions/*", "//item/@id", "//text()"] {
+            assert_eq!(doc.xpath(p).unwrap(), fresh_rows(&doc, p), "{p}");
+        }
+        assert_eq!(index_ptr(&mut doc), kinds, "xpath reads the spliced index");
     }
 
     #[test]
@@ -411,9 +415,8 @@ mod tests {
         let tree = docs::xmark_like(5, 60);
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         let q = doc.register_query("//item", true).unwrap();
-        doc.encoded().unwrap();
-        let rows = std::ptr::from_ref(doc.tree_with_index().unwrap().1.kind(0));
-        let (rebuilds, absorbed) = (doc.snapshot_rebuilds(), doc.cache_stats().batches_absorbed);
+        let kinds = index_ptr(&mut doc);
+        let absorbed = doc.cache_stats().batches_absorbed;
 
         let script = Script::generate(ScriptKind::MixedDelete, 40, doc.tree().len(), 4);
         let log = doc.compile_script(&script).unwrap();
@@ -422,15 +425,9 @@ mod tests {
             doc.cache.is_current(&doc.tree),
             "the index is still current"
         );
-        assert_eq!(
-            std::ptr::from_ref(doc.tree_with_index().unwrap().1.kind(0)),
-            rows,
-            "nothing re-encoded"
-        );
-        assert!(doc.snapshot.is_some(), "the snapshot stands");
-        assert_eq!(doc.snapshot_rebuilds(), rebuilds);
+        assert_eq!(index_ptr(&mut doc), kinds, "nothing re-encoded");
 
-        // the following apply takes the analyzed path and is absorbed
+        // the following apply is analyzed and absorbed
         doc.apply_log(&log).unwrap();
         assert_eq!(doc.cache_stats().batches_absorbed, absorbed + 1);
         assert!(!doc.cache.is_stale());
@@ -457,8 +454,7 @@ mod tests {
 
             doc.apply_log(&log).unwrap();
             assert_eq!(doc.cache_stats().batches_absorbed, absorbed + 1, "{name}");
-            let expr = parse_xpath("//item").unwrap();
-            let fresh = expr.evaluate(doc.encoded().unwrap().index());
+            let fresh = fresh_rows(&doc, "//item");
             assert_eq!(doc.xpath("//item").unwrap(), fresh, "{name}: index rows");
             if let Some(q) = q {
                 assert_eq!(doc.query_cached(q).unwrap(), fresh.as_slice(), "{name}");
@@ -467,20 +463,17 @@ mod tests {
     }
 
     #[test]
-    fn noop_batches_do_not_invalidate_snapshot() {
+    fn noop_batches_keep_the_index() {
         use crate::mutations::{LogId, Mutation, MutationLog, NodeRef, Place};
-        use xupd_xmldom::NodeKind;
 
         let tree = docs::book();
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         doc.xpath("//title").unwrap();
-        doc.encoded().unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 1, "initial lazy build");
+        let kinds = index_ptr(&mut doc);
 
         // an empty batch has zero effective ops
         doc.apply_log(&MutationLog::from(Vec::new())).unwrap();
-        doc.encoded().unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 1, "empty batch is a no-op");
+        assert_eq!(index_ptr(&mut doc), kinds, "empty batch is a no-op");
 
         // a redundant text write (same value) is certified no-op
         let (text_id, text_val) = doc
@@ -497,14 +490,13 @@ mod tests {
             text: text_val,
         }]))
         .unwrap();
-        doc.encoded().unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 1, "redundant write is a no-op");
+        assert_eq!(index_ptr(&mut doc), kinds, "redundant write is a no-op");
 
         // a cancelled create+delete component leaves zero residue under
         // a cancellation-neutral scheme (Qed)
         assert!(doc.scheme().cancellation_neutral());
         let root_el = doc.xpath("/book").unwrap()[0];
-        let root_id = doc.encoded().unwrap().index().source_id(root_el);
+        let root_id = doc.tree_with_index().unwrap().1.source_id(root_el);
         doc.apply_log(&MutationLog::from(vec![
             Mutation::CreateElement {
                 id: LogId(0),
@@ -516,40 +508,46 @@ mod tests {
             },
         ]))
         .unwrap();
-        doc.encoded().unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 1, "cancelled component is a no-op");
+        assert_eq!(index_ptr(&mut doc), kinds, "cancelled component is a no-op");
         // it moved the tree's revision, and the index records that
         assert!(
             doc.cache.is_current(&doc.tree),
             "index kept across the no-op"
         );
+        assert_eq!(
+            doc.cache_stats().batches_absorbed,
+            0,
+            "no-ops absorb nothing"
+        );
 
-        // ...but a real structural edit still invalidates exactly once
+        // ...but a real structural edit is absorbed, exactly once
         doc.apply_log(&MutationLog::from(vec![Mutation::CreateElement {
             id: LogId(0),
             name: "appendix".to_string(),
             place: Place::LastChildOf(NodeRef::Node(root_id)),
         }]))
         .unwrap();
-        doc.encoded().unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 2, "structural batch invalidates");
+        assert_eq!(doc.cache_stats().batches_absorbed, 1, "structural batch");
+        assert_eq!(
+            doc.xpath("//appendix").unwrap(),
+            fresh_rows(&doc, "//appendix")
+        );
     }
 
     #[test]
-    fn text_only_batches_patch_the_index_and_drop_the_snapshot() {
+    fn text_only_batches_patch_the_index() {
         use crate::mutations::{Mutation, MutationLog, NodeRef};
 
         let tree = docs::book();
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         let title_row = doc.xpath("//title").unwrap()[0];
-        let enc = doc.encoded().unwrap().index();
-        let text_row = enc
+        let index = doc.tree_with_index().unwrap().1;
+        let text_row = index
             .descendant_range(title_row)
-            .find(|&r| enc.kind(r).is_text())
+            .find(|&r| index.kind(r).is_text())
             .unwrap();
-        let text_id = enc.source_id(text_row);
-        assert_eq!(doc.snapshot_rebuilds(), 1);
-        let rows = std::ptr::from_ref(doc.tree_with_index().unwrap().1.kind(0));
+        let text_id = index.source_id(text_row);
+        let kinds = index_ptr(&mut doc);
 
         doc.apply_log(&MutationLog::from(vec![Mutation::SetText {
             target: NodeRef::Node(text_id),
@@ -557,22 +555,21 @@ mod tests {
         }]))
         .unwrap();
         // same index rows, new content — no re-encode happened
-        let index = doc.tree_with_index().unwrap().1;
         assert_eq!(
-            std::ptr::from_ref(index.kind(0)),
-            rows,
+            index_ptr(&mut doc),
+            kinds,
             "text batch patches the index in place"
         );
+        assert_eq!(doc.cache_stats().batches_absorbed, 1);
+        let index = doc.tree_with_index().unwrap().1;
         assert_eq!(index.string_value(title_row), "Growing Up With a Dream");
-        assert!(doc.snapshot.is_none(), "text batch drops the snapshot");
-        let enc = doc.encoded().unwrap().index();
-        assert_eq!(enc.string_value(title_row), "Growing Up With a Dream");
-        assert_eq!(doc.snapshot_rebuilds(), 2);
+        let fresh = PreorderIndex::encode(doc.tree()).unwrap();
+        assert_eq!(fresh.string_value(title_row), "Growing Up With a Dream");
         assert!(doc.verify().unwrap().is_sound());
     }
 
     #[test]
-    fn xpath_reads_the_index_and_builds_no_snapshot() {
+    fn xpath_reads_one_index() {
         let tree = docs::xmark_like(7, 40);
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         let paths = [
@@ -582,17 +579,17 @@ mod tests {
             "//name/..",
             "//text()",
         ];
+        let kinds = index_ptr(&mut doc);
         let rows: Vec<Vec<usize>> = paths.iter().map(|p| doc.xpath(p).unwrap()).collect();
+        assert_eq!(index_ptr(&mut doc), kinds, "every query read one index");
         assert_eq!(
-            doc.snapshot_rebuilds(),
-            0,
-            "xpath builds no labelled snapshot"
+            *doc.cache_stats(),
+            CacheStats::default(),
+            "and moved no counter"
         );
         for (p, rows) in paths.iter().zip(&rows) {
-            let expr = parse_xpath(p).unwrap();
-            assert_eq!(rows, &expr.evaluate(doc.encoded().unwrap().index()), "{p}");
+            assert_eq!(rows, &fresh_rows(&doc, p), "{p}");
         }
-        assert_eq!(doc.snapshot_rebuilds(), 1);
     }
 
     #[test]
@@ -607,7 +604,7 @@ mod tests {
 
         // structural batch: cached rows track the fresh evaluation
         let region = doc.xpath("//regions").unwrap()[0];
-        let region_id = doc.encoded().unwrap().index().source_id(region);
+        let region_id = doc.tree_with_index().unwrap().1.source_id(region);
         doc.apply_log(&MutationLog::from(vec![Mutation::CreateElement {
             id: LogId(0),
             name: "item".to_string(),
@@ -634,19 +631,18 @@ mod tests {
     }
 
     #[test]
-    fn read_only_accessors_never_rebuild_the_snapshot() {
+    fn read_only_accessors_move_no_cache_counter() {
         use crate::mutations::{LogId, Mutation, MutationLog, NodeRef, Place};
 
         let tree = docs::xmark_like(11, 60);
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         let q = doc.register_query("//item", true).unwrap();
         let oracle = doc.xpath("//item").unwrap();
-        assert_eq!(doc.snapshot_rebuilds(), 0, "xpath builds no snapshot");
 
-        // a structural batch discards the snapshot and repairs the cache
+        // a structural batch repairs the cache
         let region_id = {
             let region = doc.xpath("//regions").unwrap()[0];
-            doc.encoded().unwrap().index().source_id(region)
+            doc.tree_with_index().unwrap().1.source_id(region)
         };
         doc.apply_log(&MutationLog::from(vec![Mutation::CreateElement {
             id: LogId(0),
@@ -654,11 +650,12 @@ mod tests {
             place: Place::FirstChildOf(NodeRef::Node(region_id)),
         }]))
         .unwrap();
-        assert!(doc.snapshot.is_none(), "structural batch dropped it");
 
         // concurrent-reader shape: many cached reads off &Document fan
-        // out on the pool — none of them may rebuild the snapshot
-        let rebuilds_before = doc.snapshot_rebuilds();
+        // out on the pool — none of them may move a cache counter or
+        // re-encode the index
+        let stats = *doc.cache_stats();
+        let kinds = index_ptr(&mut doc);
         let shared = &doc;
         let reads: Vec<usize> = (0..64).collect();
         let row_counts = xupd_exec::par_map(&reads, |_| {
@@ -669,18 +666,17 @@ mod tests {
         });
         assert!(row_counts.iter().all(|&n| n == oracle.len() + 1));
         assert_eq!(
-            doc.snapshot_rebuilds(),
-            rebuilds_before,
-            "read-only accessors triggered zero snapshot rebuilds"
+            *doc.cache_stats(),
+            stats,
+            "read-only accessors moved no counter"
         );
-        assert!(doc.snapshot.is_none(), "still no snapshot built");
+        assert_eq!(index_ptr(&mut doc), kinds, "nor re-encoded the index");
 
-        // the cached rows match a fresh evaluation on the snapshot
-        let fresh = parse_xpath("//item")
-            .unwrap()
-            .evaluate(doc.encoded().unwrap().index());
-        assert_eq!(doc.cached_rows(q).unwrap(), fresh.as_slice());
-        assert_eq!(doc.snapshot_rebuilds(), rebuilds_before + 1);
+        // the cached rows match a fresh evaluation
+        assert_eq!(
+            doc.cached_rows(q).unwrap(),
+            fresh_rows(&doc, "//item").as_slice()
+        );
 
         // stale cache (script path) makes the read-only view refuse
         doc.apply(&Script::generate(
@@ -707,7 +703,7 @@ mod tests {
         let q = doc.register_query("//b", false).unwrap();
         let mut node = |path: &str| {
             let row = doc.xpath(path).unwrap()[0];
-            doc.encoded().unwrap().index().source_id(row)
+            doc.tree_with_index().unwrap().1.source_id(row)
         };
         let (a, c) = (node("/r/a"), node("/r/c"));
         let insert = MutationLog::from(vec![Mutation::CreateElement {

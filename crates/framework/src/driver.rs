@@ -455,7 +455,7 @@ pub fn run_script_dyn(
                 let (a, b) = pair.ok_or(TreeError::Invariant("zigzag pair missing".to_string()))?;
                 (a, b, binds.node(LogId(0))?)
             };
-            zig = Some(if zig_step % 2 == 0 {
+            zig = Some(if zig_step.is_multiple_of(2) {
                 (a, node)
             } else {
                 (node, b)

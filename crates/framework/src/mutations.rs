@@ -298,21 +298,18 @@ fn register_insert<'o>(
     }
 }
 
-/// Create, attach, bind and register one fresh node.
-fn create_one<'o>(
+/// Create, attach and bind one fresh node; the caller registers it
+/// ([`register_insert`]).
+fn create_one(
     tree: &mut XmlTree,
-    session: Option<&mut (dyn DynScheme + 'o)>,
-    pool: Option<&mut ElementPool<'_>>,
     binds: &mut LogBindings,
     id: LogId,
     kind: NodeKind,
     place: Place,
-    stats: &mut DriveStats,
 ) -> Result<NodeId, TreeError> {
     let node = tree.create(kind);
     attach(tree, binds, node, place)?;
     binds.bind(id, node)?;
-    register_insert(tree, session, pool, node, stats)?;
     Ok(node)
 }
 
@@ -354,16 +351,8 @@ pub(crate) fn apply_mutation_dyn<'o>(
 ) -> Result<(), TreeError> {
     match m {
         Mutation::CreateElement { id, name, place } => {
-            create_one(
-                tree,
-                session,
-                pool,
-                binds,
-                *id,
-                NodeKind::element(name.clone()),
-                *place,
-                stats,
-            )?;
+            let node = create_one(tree, binds, *id, NodeKind::element(name.clone()), *place)?;
+            register_insert(tree, session, pool, node, stats)?;
         }
         Mutation::CreateNode { id, kind, place } => {
             if matches!(kind, NodeKind::Document) {
@@ -371,7 +360,8 @@ pub(crate) fn apply_mutation_dyn<'o>(
                     "a batch cannot create a document node".to_string(),
                 ));
             }
-            create_one(tree, session, pool, binds, *id, kind.clone(), *place, stats)?;
+            let node = create_one(tree, binds, *id, kind.clone(), *place)?;
+            register_insert(tree, session, pool, node, stats)?;
         }
         Mutation::SetText { target, text } => {
             let t = binds.resolve_live(tree, *target)?;
@@ -1160,7 +1150,7 @@ fn translate(
                     &mut next_lid,
                     Place::After(node_ref(a)),
                 )?;
-                zig = Some(if zig_step % 2 == 0 {
+                zig = Some(if zig_step.is_multiple_of(2) {
                     (a, node)
                 } else {
                     (node, b)

@@ -53,12 +53,13 @@
 //! kinds, parents, the [`Topology`] sidecar and the [`NameIndex`], and
 //! no label column. The streaming evaluator never reads a label
 //! (ancestry is preorder interval containment on the topology), so
-//! results are identical to evaluating the document's labelled
-//! snapshot, and keeping the shadow current never pays the document's
-//! label algebra. The analyzer resolves footprints on the same index
+//! results are the same under every labelling scheme, and keeping the
+//! shadow current never pays the document's label algebra. The analyzer
+//! resolves footprints on the same index
 //! ([`analyze_in`](crate::analysis::analyze_in)), flux lowering
-//! resolves paths on it, and `Document::xpath` evaluates on it, so it
-//! is kept current whether or not a query is registered
+//! resolves paths on it, `Document::xpath` evaluates on it and
+//! `Document::reconstruct` rebuilds the tree from it, so it is kept
+//! current whether or not a query is registered
 //! ([`QueryCache::index`] builds it on first need). It records the
 //! [`XmlTree::revision`] it describes, and every consumer rejects an
 //! index made for another tree state; [`QueryCache::absorb`] likewise
@@ -165,8 +166,8 @@ impl BatchImpact {
     }
 }
 
-/// Cumulative cache counters, observable alongside the document's
-/// `snapshot_rebuilds`.
+/// Cumulative cache counters. Read-only accessors move none of them,
+/// which is how the store's concurrent readers are pinned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Cached reads served ([`QueryCache::hit`]).

@@ -181,11 +181,16 @@ mod tests {
     #[test]
     fn absorb_combines_outcomes() {
         let mut a = VerifyOutcome::default();
-        let mut b = VerifyOutcome::default();
-        b.order_violations = 2;
-        b.ancestor.supported = true;
-        b.ancestor.checked = 10;
-        b.level = Some(1);
+        let b = VerifyOutcome {
+            order_violations: 2,
+            ancestor: RelationCheck {
+                supported: true,
+                checked: 10,
+                ..RelationCheck::default()
+            },
+            level: Some(1),
+            ..VerifyOutcome::default()
+        };
         a.absorb(&b);
         assert_eq!(a.order_violations, 2);
         assert!(a.ancestor.supported);

@@ -90,7 +90,7 @@ fn run_script_reference(
                 // lint:allow(R8): the reference per-op driver the MutationLog batch path is differentially tested against
                 tree.insert_after(a, node)?;
                 apply_insert(tree, session, node, &mut stats)?;
-                zig = Some(if zig_step % 2 == 0 {
+                zig = Some(if zig_step.is_multiple_of(2) {
                     (a, node)
                 } else {
                     (node, b)

@@ -161,8 +161,7 @@ fn tail_log(tree: &XmlTree) -> MutationLog {
     let last_auction = tree
         .ids_in_doc_order()
         .into_iter()
-        .filter(|&id| matches!(tree.kind(id), NodeKind::Element { name } if name == "open_auction"))
-        .last()
+        .rfind(|&id| matches!(tree.kind(id), NodeKind::Element { name } if name == "open_auction"))
         .unwrap();
     MutationLog::from(vec![Mutation::CreateElement {
         id: LogId(0),

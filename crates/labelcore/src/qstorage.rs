@@ -142,7 +142,7 @@ pub fn pack_fixed_cells(
 
 /// Unpack a fixed-cell stream (cells of `cell_symbols`).
 pub fn unpack_fixed_cells(stream: &SymbolStream, cell_symbols: usize) -> Option<Vec<QCode>> {
-    if cell_symbols == 0 || stream.len_symbols() % cell_symbols != 0 {
+    if cell_symbols == 0 || !stream.len_symbols().is_multiple_of(cell_symbols) {
         return None;
     }
     let mut out = Vec::new();
@@ -186,7 +186,7 @@ mod tests {
     fn separated_handles_arbitrarily_long_codes() {
         // The point of the mechanism: a 10 000-symbol code needs no
         // length field, so nothing overflows.
-        let digits: String = std::iter::repeat("13").take(5000).collect::<String>() + "2";
+        let digits: String = std::iter::repeat_n("13", 5000).collect::<String>() + "2";
         let long = q(&digits);
         let codes = vec![q("2"), long.clone(), q("3")];
         let stream = pack_separated(&codes);

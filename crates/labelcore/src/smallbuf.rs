@@ -355,7 +355,7 @@ mod tests {
             for op in ops {
                 match op % 6 {
                     // weighted toward push so the boundary gets crossed
-                    0 | 1 | 2 => {
+                    0..=2 => {
                         let b = (op % 251) as u8;
                         small.push(b);
                         model.push(b);

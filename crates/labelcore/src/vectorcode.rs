@@ -198,16 +198,11 @@ mod tests {
         let mut a = VectorCode::new(1, 1);
         let mut b = VectorCode::new(1, 2);
         let mut steps = 0;
-        loop {
-            match a.mediant(&b) {
-                Some(m) => {
-                    a = b;
-                    b = m;
-                    steps += 1;
-                    assert!(steps < 200, "must overflow well before 200 steps");
-                }
-                None => break,
-            }
+        while let Some(m) = a.mediant(&b) {
+            a = b;
+            b = m;
+            steps += 1;
+            assert!(steps < 200, "must overflow well before 200 steps");
         }
         assert!(steps > 60, "u64 holds ~90 Fibonacci steps, got {steps}");
     }

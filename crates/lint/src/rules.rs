@@ -150,7 +150,7 @@ impl FileCtx {
             ["src", ..] | ["tests", ..] | ["examples", ..] => "xml-update-props".to_string(),
             _ => String::new(),
         };
-        let in_dir = |d: &str| parts.iter().any(|p| *p == d);
+        let in_dir = |d: &str| parts.contains(&d);
         let is_test_code = in_dir("tests")
             || in_dir("benches")
             || in_dir("examples")
@@ -202,29 +202,28 @@ pub fn check_source(src: &str, ctx: &FileCtx) -> (Vec<Finding>, Vec<Suppression>
     let in_query_loop = for_loop_mask(toks, src, R10_RECEIVERS);
 
     let mut findings: Vec<Finding> = Vec::new();
-    let r1_applies = !ctx.is_test_code && R1_CRATES.iter().any(|c| *c == ctx.crate_name.as_str());
-    let r2_applies = !ctx.is_test_code && R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str());
+    let r1_applies = !ctx.is_test_code && R1_CRATES.contains(&ctx.crate_name.as_str());
+    let r2_applies = !ctx.is_test_code && R2_CRATES.contains(&ctx.crate_name.as_str());
     let r3_applies = !ctx.is_bench_harness;
     let r4_applies = ctx.crate_name == "schemes";
     // R6 applies to test code too (differential/reference drivers live in
     // tests/ and must opt out explicitly via lint:allow).
-    let r6_applies = R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str());
+    let r6_applies = R2_CRATES.contains(&ctx.crate_name.as_str());
     // R7 applies everywhere except the pool crate itself, test code
     // included: a raw spawn in a test escapes XUPD_THREADS just the same.
     let r7_applies = ctx.crate_name != "exec";
     // R8 applies to test code too (reference drivers replay per-op by
     // design and must opt out explicitly via lint:allow), but not to
     // xmldom itself (the tree's own test/doc code exercises its API).
-    let r8_applies =
-        R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str()) && ctx.crate_name != "xmldom";
+    let r8_applies = R2_CRATES.contains(&ctx.crate_name.as_str()) && ctx.crate_name != "xmldom";
     // R9 applies to test code too — the differential suite's value rests
     // on never hand-permuting op vectors, so even tests must go through
     // analyzer certificates (or opt out explicitly via lint:allow).
-    let r9_applies = R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str());
+    let r9_applies = R2_CRATES.contains(&ctx.crate_name.as_str());
     // R10 applies to test code too — oracle/differential drivers that
     // legitimately pay full re-evaluation opt out via lint:allow — but
     // not to the cache itself or to its measured re-evaluate baseline.
-    let r10_applies = R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str())
+    let r10_applies = R2_CRATES.contains(&ctx.crate_name.as_str())
         && !R10_EXEMPT_PATHS.iter().any(|p| ctx.path == *p);
     // R12 applies ONLY to test code of the results-feeding crates —
     // library code (the workloads generator, the driver, the mutation
@@ -232,7 +231,7 @@ pub fn check_source(src: &str, ctx: &FileCtx) -> (Vec<Finding>, Vec<Suppression>
     // reference differential drivers, which are the executable spec.
     let r12_applies = ctx.is_test_code
         && ctx.crate_name != "workloads"
-        && R2_CRATES.iter().any(|c| *c == ctx.crate_name.as_str())
+        && R2_CRATES.contains(&ctx.crate_name.as_str())
         && !R12_EXEMPT_PATHS.iter().any(|p| ctx.path == *p);
 
     for (i, t) in toks.iter().enumerate() {
@@ -254,10 +253,10 @@ pub fn check_source(src: &str, ctx: &FileCtx) -> (Vec<Finding>, Vec<Suppression>
                         push(&mut findings, "R1", ctx, t, format!(".{text}() call"));
                     }
                 }
-                "panic" | "unreachable" | "todo" | "unimplemented" => {
-                    if next_is(toks, src, i, "!") {
-                        push(&mut findings, "R1", ctx, t, format!("{text}! macro"));
-                    }
+                "panic" | "unreachable" | "todo" | "unimplemented"
+                    if next_is(toks, src, i, "!") =>
+                {
+                    push(&mut findings, "R1", ctx, t, format!("{text}! macro"));
                 }
                 _ => {}
             }

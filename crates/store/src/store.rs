@@ -14,7 +14,7 @@
 //!   [`QueryCache`](xupd_framework::QueryCache) via the non-invalidating
 //!   [`Document::cached_rows`] accessor — an in-flight write to one
 //!   document never blocks readers of any other document, and a reader
-//!   never triggers a snapshot rebuild.
+//!   never re-encodes the index or moves a cache counter.
 //!
 //! Placement is `splitmix64(doc_id) % shards`: deterministic across
 //! runs and platforms (no `DefaultHasher`), and independent of worker
@@ -318,7 +318,7 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
 
     /// Snapshot-isolated concurrent read: the registered query's
     /// current row count served from the maintained cache under a
-    /// **read** lock, with no snapshot rebuild and no counter updates.
+    /// **read** lock, with no index encode and no counter updates.
     /// Returns `None` if the document is unknown, the class is out of
     /// range, or the cache is stale (never happens on the mutation-log
     /// path).
@@ -341,8 +341,7 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
     }
 
     /// Serialize the full store state — per document: compact XML
-    /// bytes, [`DocStats`], cache counters, snapshot rebuild count — in
-    /// document-id order. Two runs that executed the same canonical
+    /// bytes, [`DocStats`], cache counters — in document-id order. Two runs that executed the same canonical
     /// per-document op sequences produce byte-identical dumps,
     /// whatever the executor width.
     pub fn state_dump(&self) -> String {
@@ -352,13 +351,12 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
             let s = slot.stats;
             let _ = writeln!(
                 out,
-                "doc {id} shard={shard} nodes={nodes} rebuilds={rb} \
+                "doc {id} shard={shard} nodes={nodes} \
                  stats[opens={opens} closes={closes} queries={queries} rows={rows} \
                  batches={batches} inserts={ins} deletes={del} relabeled={rel} errors={err}] \
                  cache[hits={hits} absorbed={abs} unaffected={una} repaired={rep} rebuilt={reb}]",
                 shard = self.shard_of(id),
                 nodes = slot.doc.tree().len(),
-                rb = slot.doc.snapshot_rebuilds(),
                 opens = s.opens,
                 closes = s.closes,
                 queries = s.queries,
@@ -440,15 +438,15 @@ mod tests {
         assert_eq!(s.inserts, 4);
         assert_eq!(s.rows_served, (before + after) as u64);
 
-        // concurrent read path agrees and performs no rebuilds
+        // concurrent read path agrees and moves no cache counter
+        let cache = *read_lock(store.slot(3).unwrap()).doc().cache_stats();
         assert_eq!(store.query_now(3, 0), Some(after));
         assert_eq!(store.query_now(3, 99), None);
         assert_eq!(store.query_now(99, 0), None);
-        store.for_each_doc(|id, slot| {
-            if id == 3 {
-                assert_eq!(slot.doc().snapshot_rebuilds(), 0, "no snapshot ever built");
-            }
-        });
+        assert_eq!(
+            *read_lock(store.slot(3).unwrap()).doc().cache_stats(),
+            cache
+        );
     }
 
     #[test]

@@ -193,7 +193,7 @@ mod tests {
     use crate::rng::TestRng;
 
     /// Exact nearest-rank quantile over a value list — the oracle.
-    fn exact_quantile(values: &mut Vec<u64>, q: f64) -> u64 {
+    fn exact_quantile(values: &mut [u64], q: f64) -> u64 {
         values.sort_unstable();
         let n = values.len();
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);

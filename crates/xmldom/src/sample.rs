@@ -80,9 +80,19 @@ pub const FIGURE1_PRE_POST: [(u64, u64); 10] = [
     (9, 6), // @year
 ];
 
-/// The rows of the paper's Figure 2 encoding table:
+/// One row of the paper's Figure 2 encoding table:
 /// (pre, post, node type, parent pre, name, value).
-pub const FIGURE2_ROWS: [(u64, u64, &str, Option<u64>, &str, &str); 10] = [
+pub type Figure2Row = (
+    u64,
+    u64,
+    &'static str,
+    Option<u64>,
+    &'static str,
+    &'static str,
+);
+
+/// The rows of the paper's Figure 2 encoding table.
+pub const FIGURE2_ROWS: [Figure2Row; 10] = [
     (0, 9, "Element", None, "book", ""),
     (1, 1, "Element", Some(0), "title", "Wayfarer"),
     (2, 0, "Attribute", Some(1), "genre", "Fantasy"),

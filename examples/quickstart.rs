@@ -1,8 +1,8 @@
 //! Quickstart: parse a document, label it with a dynamic scheme, update
 //! it without relabelling, and query it through the encoding — all via
 //! the prelude's unified `Document` facade (one handle bundles the live
-//! tree, the scheme, its labelling and the lazily-encoded query
-//! snapshot) and the flux update DSL.
+//! tree, the scheme, its labelling and the preorder index queries run
+//! on) and the flux update DSL.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -39,13 +39,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(stats.relabeled, 0);
 
-    // 4. Query through the encoding scheme (Definition 2). The facade
-    //    re-encodes the updated tree lazily, once.
+    // 4. Query through the encoding scheme (Definition 2). The facade's
+    //    preorder index followed the update in place; the rows it
+    //    returns address that index.
     let hits = doc.xpath("/book/publisher/editor/name")?;
+    let (_, index) = doc.tree_with_index()?;
     for h in hits {
         println!(
             "XPath /book/publisher/editor/name → \"{}\"",
-            doc.encoded()?.index().string_value(h)
+            index.string_value(h)
         );
     }
 

@@ -1,18 +1,22 @@
 //! Full pipeline on a realistic document: generate an XMark-flavoured
-//! auction document, encode it under several labelling schemes, run the
-//! same XPath queries against each encoding and verify every scheme
-//! returns identical answers — the encoding scheme (Definition 2) makes
-//! query results independent of the labelling scheme underneath.
+//! auction document, encode it once as a preorder index, run XPath
+//! queries against it, and check that every Figure 7 scheme's labels
+//! order each answer in document order. The encoding scheme
+//! (Definition 2) puts node kinds, names and content in the index and
+//! leaves the labels to the scheme, so query results are independent of
+//! the labelling scheme underneath.
 //!
-//! One erased encoded document per Figure 7 scheme, each queried on its
-//! own `xupd-exec` pool worker, answers collected in roster order.
+//! Each scheme labels the document in a session of its own, on its own
+//! `xupd-exec` pool worker; results come back in roster order.
 //!
 //! ```text
 //! cargo run --release --example xpath_query
 //! ```
 
-use xml_update_props::encoding::{document_registry_figure7, parse_xpath};
+use std::cmp::Ordering;
+use xml_update_props::encoding::{parse_xpath, PreorderIndex};
 use xml_update_props::exec::par_map;
+use xml_update_props::schemes::registry_figure7;
 use xml_update_props::workloads::docs;
 
 const QUERIES: [&str; 5] = [
@@ -26,43 +30,41 @@ const QUERIES: [&str; 5] = [
 fn main() {
     let tree = docs::xmark_like(2024, 120);
     println!(
-        "XMark-flavoured document: {} nodes. Querying under every Figure 7 scheme…\n",
+        "XMark-flavoured document: {} nodes. Querying its preorder index…\n",
         tree.len()
     );
-    let answers: Vec<(&'static str, Vec<Vec<String>>)> =
-        par_map(&document_registry_figure7(), |entry| {
-            let enc = (entry.encode)(&tree).expect("encodable document");
-            let index = enc.index();
-            let per_query: Vec<Vec<String>> = QUERIES
-                .iter()
-                .map(|q| {
-                    let expr = parse_xpath(q).expect("query parses");
-                    expr.evaluate(index)
-                        .into_iter()
-                        .map(|i| index.string_value(i))
-                        .collect()
-                })
-                .collect();
-            (entry.name(), per_query)
-        });
+    let index = PreorderIndex::encode(&tree).expect("encodable document");
+    let answers: Vec<Vec<usize>> = QUERIES
+        .iter()
+        .map(|q| parse_xpath(q).expect("query parses").evaluate(&index))
+        .collect();
 
-    // All schemes must agree with the first.
-    let (ref_name, ref_answers) = &answers[0];
-    for (name, per_query) in &answers[1..] {
-        assert_eq!(
-            per_query, ref_answers,
-            "{name} disagrees with {ref_name} — encoding must be scheme-independent"
-        );
-    }
+    // Every scheme's labels must order every answer.
+    let schemes: Vec<&'static str> = par_map(&registry_figure7(), |entry| {
+        let mut labels = entry.session();
+        labels.label_tree(&tree).expect("labellable document");
+        for rows in &answers {
+            for pair in rows.windows(2) {
+                let (a, b) = (index.source_id(pair[0]), index.source_id(pair[1]));
+                assert_eq!(
+                    labels.cmp_nodes(a, b).expect("labelled rows"),
+                    Ordering::Less,
+                    "{} misorders rows {pair:?}",
+                    entry.name()
+                );
+            }
+        }
+        entry.name()
+    });
     println!(
-        "All {} schemes returned identical result sets. Samples (via {ref_name}):\n",
-        answers.len()
+        "The labels of all {} Figure 7 schemes order every answer. Samples:\n",
+        schemes.len()
     );
-    for (q, vals) in QUERIES.iter().zip(ref_answers) {
+    for (q, rows) in QUERIES.iter().zip(&answers) {
         println!("  {q}");
-        println!("    → {} hit(s)", vals.len());
-        for v in vals.iter().take(3) {
-            let shown: String = v.chars().take(60).collect();
+        println!("    → {} hit(s)", rows.len());
+        for &row in rows.iter().take(3) {
+            let shown: String = index.string_value(row).chars().take(60).collect();
             println!("      \"{shown}\"");
         }
     }

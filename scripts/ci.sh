@@ -32,6 +32,9 @@ echo "==> rustc warnings (warnings are errors: no dead code or unused import lef
 # helper behind; the other stages only print those as warnings.
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets -q
 
+echo "==> clippy (warnings are errors, every target)"
+cargo clippy --workspace --all-targets -q -- -D warnings
+
 echo "==> figure 7 regeneration (declared + measured matrix)"
 cargo run --release -q -p xupd-bench --bin figure7
 
@@ -145,9 +148,11 @@ echo "==> xbench correctness gate at full size (fleet-small, fleet-large, flux-b
 # document's preorder index, so on fleet-large the mirror gate compares
 # the two pool bases at full size. The per-op oracle in `run::gate`
 # checks both against `run_script_dyn`, which keeps the scan. It exits
-# non-zero on any failed check.
+# non-zero on any failed check. `--locked` refuses to rewrite xbench's
+# own Cargo.lock, so a library crate whose dependencies change fails
+# here instead of silently changing the benchmark's lockfile.
 for workload in fleet-small fleet-large flux-batch; do
-  cargo run --release -q --offline \
+  cargo run --release -q --offline --locked \
     --manifest-path crates/bench/src/bin/xbench/Cargo.toml -- \
     --workload "$workload" --seconds 0 --trace 1 > /dev/null \
     || { echo "    FAIL: xbench correctness gate on $workload"; exit 1; }

@@ -1,22 +1,23 @@
 //! Cross-crate integration: every scheme × every workload keeps the
-//! Definition 1 invariants, and the encoding/XPath layer returns
-//! identical answers regardless of the labelling scheme underneath.
+//! Definition 1 invariants, and the encoding/XPath layer answers on one
+//! preorder index whatever the labelling scheme underneath, each
+//! scheme's labels ordering those answers.
 //!
-//! The batteries iterate the object-safe registries
-//! (`schemes::registry()` for labelling sessions,
-//! `encoding::document_registry()` for encoded documents) and fan out
-//! one pool worker per scheme via `exec::par_map` — results come back
-//! in roster order, so assertions are deterministic at any
+//! The batteries iterate the object-safe scheme registry
+//! (`schemes::registry()`, whose sessions hold each scheme's labels)
+//! and fan out one pool worker per scheme via `exec::par_map` — results
+//! come back in roster order, so assertions are deterministic at any
 //! `XUPD_THREADS`.
 
+use std::cmp::Ordering;
 use xml_update_props::encoding::reconstruct::reconstruct;
-use xml_update_props::encoding::{document_registry, document_registry_figure7, parse_xpath};
+use xml_update_props::encoding::{parse_xpath, PreorderIndex};
 use xml_update_props::exec::par_map;
 use xml_update_props::framework::driver::{graft_subtree_dyn, run_script_dyn};
 use xml_update_props::framework::verify::verify_dyn;
-use xml_update_props::schemes::registry;
+use xml_update_props::schemes::{registry, registry_figure7};
 use xml_update_props::workloads::{docs, Script, ScriptKind};
-use xml_update_props::xmldom::serialize_compact;
+use xml_update_props::xmldom::{serialize_compact, XmlTree};
 
 /// Every scheme stays sound (ordered, unique, correct relations) across
 /// the standard workloads — except LSDX, whose documented collisions are
@@ -72,8 +73,9 @@ fn lsdx_collisions_are_the_documented_failure() {
     assert!(v.is_sound(), "append-only LSDX is collision-free: {v:?}");
 }
 
-/// The encoding layer is scheme-independent: same document, same
-/// queries, same answers under every Figure 7 scheme.
+/// The encoding layer is scheme-independent: the queries run once, on
+/// the preorder index every scheme shares, and each Figure 7 scheme's
+/// labels order every answer in document order.
 #[test]
 fn xpath_answers_identical_across_schemes() {
     let tree = docs::xmark_like(31, 90);
@@ -84,50 +86,66 @@ fn xpath_answers_identical_across_schemes() {
         "//bidder/..",
         "//item[@id=\"item0_0\"]/quantity",
     ];
+    let index = PreorderIndex::encode(&tree).unwrap();
+    let answers: Vec<Vec<usize>> = queries
+        .iter()
+        .map(|q| parse_xpath(q).unwrap().evaluate(&index))
+        .collect();
+    // some query returned several rows (the test is non-vacuous)
+    assert!(answers.iter().any(|rows| rows.len() > 1));
 
-    let entries = document_registry_figure7();
-    let results: Vec<(&'static str, Vec<Vec<String>>)> = par_map(&entries, |entry| {
-        let enc = (entry.encode)(&tree).unwrap();
-        let index = enc.index();
-        let res = queries
-            .iter()
-            .map(|q| {
-                let expr = parse_xpath(q).unwrap();
-                expr.evaluate(index)
-                    .into_iter()
-                    .map(|i| index.string_value(i))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        (entry.name(), res)
-    });
-    assert_eq!(results.len(), 12);
-    let (ref_name, ref_res) = &results[0];
-    for (name, res) in &results[1..] {
-        assert_eq!(res, ref_res, "{name} disagrees with {ref_name}");
-    }
-    // at least one query returned something (the test is non-vacuous)
-    assert!(ref_res.iter().any(|r| !r.is_empty()));
+    let entries = registry_figure7();
+    let failures: Vec<String> = par_map(&entries, |entry| {
+        let mut labels = entry.session();
+        labels.label_tree(&tree).unwrap();
+        let mut out = Vec::new();
+        for (q, rows) in queries.iter().zip(&answers) {
+            for pair in rows.windows(2) {
+                let (a, b) = (index.source_id(pair[0]), index.source_id(pair[1]));
+                if labels.cmp_nodes(a, b).ok() != Some(Ordering::Less) {
+                    out.push(format!("{}: {q}: rows {pair:?} out of order", entry.name()));
+                }
+            }
+        }
+        out
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert_eq!(entries.len(), 12);
+    assert!(failures.is_empty(), "{failures:?}");
 }
 
-/// Reconstruction round-trip through every scheme: document → encode →
-/// reconstruct → serialize equals the original serialization.
+/// Reconstruction round-trip: document → index → reconstruct →
+/// serialize equals the original serialization, and every scheme labels
+/// the reconstruction row for row as it labels the original.
 #[test]
 fn reconstruction_round_trip_every_scheme() {
     let tree = docs::xmark_like(8, 45);
-    let original = serialize_compact(&tree);
+    let index = PreorderIndex::encode(&tree).unwrap();
+    let back = reconstruct(&index).unwrap();
+    assert_eq!(serialize_compact(&back), serialize_compact(&tree));
+    let back_index = PreorderIndex::encode(&back).unwrap();
 
-    let entries = document_registry();
+    let entries = registry();
     let failures: Vec<&'static str> = par_map(&entries, |entry| {
-        let enc = (entry.encode)(&tree).unwrap();
-        let back = reconstruct(enc.index()).unwrap();
-        (serialize_compact(&back) != original).then(|| entry.name())
+        let labels_by_row = |tree: &XmlTree, index: &PreorderIndex| -> Vec<String> {
+            let mut labels = entry.session();
+            labels.label_tree(tree).unwrap();
+            (0..index.len())
+                .map(|i| labels.label_display(index.source_id(i)).unwrap())
+                .collect()
+        };
+        (labels_by_row(&tree, &index) != labels_by_row(&back, &back_index)).then(|| entry.name())
     })
     .into_iter()
     .flatten()
     .collect();
     assert_eq!(entries.len(), 17);
-    assert!(failures.is_empty(), "round-trip mismatch: {failures:?}");
+    assert!(
+        failures.is_empty(),
+        "labels differ after the round trip: {failures:?}"
+    );
 }
 
 /// Deep documents exercise path-length behaviour (and the Prime scheme's

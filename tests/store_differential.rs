@@ -26,23 +26,23 @@ const WIDTHS: [usize; 3] = [1, 2, 8];
 /// FNV-1a digest of each scheme's reference `state_dump` for the fleet
 /// [`assert_width_invariant`] replays, in roster order.
 const PINNED_DIGESTS: [(&str, u64); 17] = [
-    ("XPath Accelerator", 0x0924_d432_fbcd_0fda),
-    ("XRel", 0x175d_a9a6_5b5e_b64a),
-    ("Sector", 0xcf1a_9419_277e_2f7b),
-    ("QRS", 0x2b54_4f06_4b68_5bf3),
-    ("DeweyID", 0xd940_77ce_d2e0_e38d),
-    ("Ordpath", 0xb363_42e0_d5d7_8889),
-    ("DLN", 0xa681_735b_faaa_34bb),
-    ("LSDX", 0xb363_42e0_d5d7_8889),
-    ("ImprovedBinary", 0xb363_42e0_d5d7_8889),
-    ("QED", 0xb363_42e0_d5d7_8889),
-    ("CDQS", 0xb363_42e0_d5d7_8889),
-    ("Vector", 0xb363_42e0_d5d7_8889),
-    ("CDBS", 0x6db9_4b05_f7ee_e2fb),
-    ("Com-D", 0xb363_42e0_d5d7_8889),
-    ("Prime", 0xb363_42e0_d5d7_8889),
-    ("DDE", 0xb363_42e0_d5d7_8889),
-    ("QED∘Containment", 0xb363_42e0_d5d7_8889),
+    ("XPath Accelerator", 0x5abf_8866_570a_ff3c),
+    ("XRel", 0x75af_34d8_62c2_f198),
+    ("Sector", 0x80c4_300d_c9f6_60e9),
+    ("QRS", 0x0f71_d9ec_53b1_8533),
+    ("DeweyID", 0x11d8_3997_f01a_f5b9),
+    ("Ordpath", 0x6d98_92e3_36ab_ecd9),
+    ("DLN", 0x1e8f_a17e_317d_b3ad),
+    ("LSDX", 0x6d98_92e3_36ab_ecd9),
+    ("ImprovedBinary", 0x6d98_92e3_36ab_ecd9),
+    ("QED", 0x6d98_92e3_36ab_ecd9),
+    ("CDQS", 0x6d98_92e3_36ab_ecd9),
+    ("Vector", 0x6d98_92e3_36ab_ecd9),
+    ("CDBS", 0x57e4_a934_27c3_a14b),
+    ("Com-D", 0x6d98_92e3_36ab_ecd9),
+    ("Prime", 0x6d98_92e3_36ab_ecd9),
+    ("DDE", 0x6d98_92e3_36ab_ecd9),
+    ("QED∘Containment", 0x6d98_92e3_36ab_ecd9),
 ];
 
 fn fleet_trees(n: usize) -> Vec<XmlTree> {
