@@ -1,21 +1,21 @@
 //! `xupd` — label, inspect and query an XML file from the command line.
 //!
 //! ```text
-//! xupd <file.xml> labels  [--scheme NAME]          print every node's label
-//! xupd <file.xml> query   <XPATH> [--scheme NAME]  evaluate an XPath subset query
-//! xupd <file.xml> table                            print the Figure-2-style encoding table
-//! xupd <file.xml> schemes                          list available schemes
-//! xupd <file.xml> flux-check <program.flux>        check a flux update program
+//! xupd <file.xml> labels  [--scheme NAME]    print every node's label
+//! xupd <file.xml> query   <XPATH>            evaluate an XPath subset query
+//! xupd <file.xml> table                      print the Figure-2-style encoding table
+//! xupd <file.xml> schemes                    list available schemes
+//! xupd <file.xml> flux-check <program.flux>  check a flux update program
 //! ```
 //!
-//! The default scheme is QED (persistent + overflow-free — the safe
-//! choice §5.2's framework would recommend for a general repository).
+//! `--scheme` picks the scheme `labels` labels the document under. The
+//! default is QED (persistent + overflow-free — the safe choice §5.2's
+//! framework would recommend for a general repository).
 //!
 //! Scheme lookup goes through the object-safe scheme registry
 //! ([`xupd_schemes::registry()`]), so the CLI roster can never drift
-//! from the library roster. A query labels the document under the
-//! chosen scheme and evaluates on its preorder index, which every
-//! scheme shares.
+//! from the library roster. A query labels nothing: it evaluates on the
+//! document's preorder index, which holds no label.
 
 use std::process::ExitCode;
 use xupd_encoding::figure2::{figure2_table, render_figure2};
@@ -25,8 +25,8 @@ use xupd_xmldom::{parse, NodeKind, XmlTree};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: xupd <file.xml> <labels|query|table|schemes|flux-check> [XPATH|PROGRAM] [--scheme NAME]\n\
-         default scheme: QED. `xupd <file> schemes` lists all."
+        "usage: xupd <file.xml> <labels|query|table|schemes|flux-check> [XPATH|PROGRAM]\n\
+         `labels` takes [--scheme NAME], default QED. `xupd <file> schemes` lists all."
     );
     ExitCode::from(2)
 }
@@ -117,21 +117,14 @@ fn print_labels(tree: &XmlTree, wanted: &str) -> bool {
     true
 }
 
-fn print_query(tree: &XmlTree, wanted: &str, query: &str) -> bool {
-    let Some(entry) = xupd_schemes::registry()
-        .into_iter()
-        .find(|e| e.name() == wanted)
-    else {
-        return false;
-    };
+fn print_query(tree: &XmlTree, query: &str) {
     let expr = match parse_xpath(query) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("{e}");
-            return true;
+            return;
         }
     };
-    entry.session().label_tree(tree).unwrap();
     let index = PreorderIndex::encode(tree).unwrap();
     let hits = expr.evaluate(&index);
     println!("{} hit(s)", hits.len());
@@ -144,7 +137,6 @@ fn print_query(tree: &XmlTree, wanted: &str, query: &str) -> bool {
             index.string_value(h).chars().take(60).collect::<String>()
         );
     }
-    true
 }
 
 fn main() -> ExitCode {
@@ -196,7 +188,10 @@ fn main() -> ExitCode {
             true
         }
         "labels" => print_labels(&tree, &wanted),
-        "query" => print_query(&tree, &wanted, query.as_deref().unwrap_or_default()),
+        "query" => {
+            print_query(&tree, query.as_deref().unwrap_or_default());
+            true
+        }
         "flux-check" => return flux_check(&tree, query.as_deref().unwrap_or_default()),
         _ => unreachable!("validated above"),
     };

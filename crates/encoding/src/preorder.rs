@@ -379,6 +379,19 @@ impl PreorderIndex {
         self.revision
     }
 
+    /// Refuse an index made for another state of `tree` than its
+    /// current one ([`TreeError::Invariant`]): every reader that
+    /// resolves rows against the live tree checks this first.
+    pub fn check_current(&self, tree: &XmlTree) -> Result<(), TreeError> {
+        if self.revision == tree.revision() {
+            Ok(())
+        } else {
+            Err(TreeError::Invariant(
+                "preorder index was made for another tree state".to_string(),
+            ))
+        }
+    }
+
     /// Number of rows (= nodes).
     pub fn len(&self) -> usize {
         self.kinds.len()

@@ -40,13 +40,9 @@ pub fn lower_in(
     tree: &XmlTree,
     index: &PreorderIndex,
 ) -> Result<MutationLog, Diagnostic> {
-    if index.revision() != tree.revision() {
-        return Err(Diagnostic::new(
-            "F020",
-            Span::at("", 0, 0),
-            "preorder index was made for another tree state",
-        ));
-    }
+    index
+        .check_current(tree)
+        .map_err(|e| Diagnostic::new("F020", Span::at("", 0, 0), e.to_string()))?;
     let mut lo = Lowerer {
         tree,
         index,

@@ -811,11 +811,7 @@ pub fn analyze_in(
     tree: &XmlTree,
     index: &PreorderIndex,
 ) -> Result<AnalyzedPlan, TreeError> {
-    if index.revision() != tree.revision() {
-        return Err(TreeError::Invariant(
-            "preorder index was made for another tree state".to_string(),
-        ));
-    }
+    index.check_current(tree)?;
     validate(log, tree)?;
     let n = log.len();
     let ops: Vec<&Mutation> = log.iter().collect();

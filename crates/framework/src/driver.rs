@@ -1,7 +1,22 @@
 //! Replays update scripts against a labelling scheme, collecting the
 //! evidence the property checkers grade.
+//!
+//! One crate-private walker, `walk_script`, holds the script
+//! addressing rules: each op's index resolves against the element pool
+//! the previous ops left, the op becomes one to three [`Mutation`]s,
+//! and each is applied to the tree as it is emitted, through the one
+//! mutation applier of [`crate::mutations`]. It runs in two modes.
+//! With a labelling session it is the per-op driver behind
+//! [`run_script_dyn`], which produces the `results/*` goldens. With
+//! none it is the script translation behind
+//! [`crate::mutations::batch_of_in_place`], which keeps the emitted
+//! mutations as one [`MutationLog`]. Both modes so emit the same
+//! mutations, and a translated log applied as one batch ends where the
+//! per-op driver does.
 
-use crate::mutations::{LogBindings, LogId, Mutation, MutationLog, NodeRef, Place};
+use crate::mutations::{
+    apply_mutation_dyn, LogBindings, LogId, Mutation, MutationLog, NodeRef, Place,
+};
 use xupd_encoding::PreorderIndex;
 use xupd_labelcore::DynScheme;
 use xupd_workloads::{Script, ScriptOp};
@@ -27,6 +42,17 @@ pub struct DriveStats {
     pub end_max_bits: u64,
 }
 
+impl DriveStats {
+    /// Close a run on `session`: fold its final largest label into the
+    /// peak and record the end sizes.
+    pub(crate) fn close(mut self, session: &dyn DynScheme) -> Self {
+        self.peak_label_bits = self.peak_label_bits.max(session.max_bits());
+        self.end_mean_bits = session.mean_bits();
+        self.end_max_bits = session.max_bits();
+        self
+    }
+}
+
 /// How often (in ops) the driver scans label sizes for the peak metric.
 pub(crate) const CHECKPOINT_EVERY: usize = 25;
 
@@ -46,10 +72,10 @@ pub(crate) const CHECKPOINT_EVERY: usize = 25;
 /// costs O(runs), and a script of `k` ops leaves at most `2k + 1` of
 /// them: the translation's cost follows the script, not the document.
 ///
-/// Batch application takes no pool: its ops name their targets
-/// directly. Only the per-op driver and the script translation in
-/// [`crate::mutations`], which resolve script indices against the pool,
-/// keep one.
+/// The walker ([`walk_script`]) is the pool's only user: it adds each
+/// element it creates and cuts out each subtree it deletes. The
+/// mutation applier takes no pool, since a batch's ops name their
+/// targets directly.
 #[derive(Debug)]
 pub(crate) struct ElementPool<'i> {
     base: PoolBase<'i>,
@@ -132,8 +158,8 @@ fn pool_error(what: &str) -> TreeError {
 }
 
 impl ElementPool<'static> {
-    /// The pool of `tree`, ranked by one scan of it: the translation's
-    /// one O(n) step, for a caller that has no preorder index.
+    /// The pool of `tree`, ranked by one scan of it: a walk's one O(n)
+    /// step, for a caller that has no preorder index.
     pub fn build(tree: &XmlTree) -> Self {
         let elements: Vec<NodeId> = tree
             .preorder()
@@ -168,17 +194,17 @@ impl<'i> ElementPool<'i> {
     }
 
     /// Number of live elements.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
     /// True when the tree holds no element at all.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The op-index addressing rule: modulo the live pool size.
-    pub fn resolve(&self, i: usize) -> Result<NodeId, TreeError> {
+    fn resolve(&self, i: usize) -> Result<NodeId, TreeError> {
         if self.len == 0 {
             return Err(pool_error("resolve on an empty pool"));
         }
@@ -260,7 +286,7 @@ impl<'i> ElementPool<'i> {
     /// Register a freshly attached element leaf. Its pool position is one
     /// past its document-order predecessor element (or 0 when none —
     /// possible only for a first document element).
-    pub fn insert_new(&mut self, tree: &XmlTree, node: NodeId) -> Result<(), TreeError> {
+    fn insert_new(&mut self, tree: &XmlTree, node: NodeId) -> Result<(), TreeError> {
         let j = match Self::prev_element(tree, node) {
             Some(prev) => {
                 let (j, offset) = self.find(prev)?;
@@ -276,7 +302,7 @@ impl<'i> ElementPool<'i> {
     /// Unregister the still-attached subtree rooted at element `node`:
     /// in the element-filtered preorder its elements form one contiguous
     /// stretch starting at `node`'s own position.
-    pub fn remove_subtree(&mut self, tree: &XmlTree, node: NodeId) -> Result<(), TreeError> {
+    fn remove_subtree(&mut self, tree: &XmlTree, node: NodeId) -> Result<(), TreeError> {
         let doomed = tree
             .preorder_from(node)
             .filter(|&n| tree.kind(n).is_element())
@@ -312,164 +338,211 @@ impl<'i> ElementPool<'i> {
 /// pattern: the driver maintains an adjacent pair and alternately
 /// tightens its left and right ends.
 ///
-/// Since the mutation-log port, each script op is translated into a
-/// one-op [`MutationLog`] and applied through the same
-/// [`crate::mutations`] machinery as [`crate::mutations::apply_log_dyn`]
-/// — per-op application (each op addresses the pool the previous op left
-/// behind) is simply batch size 1, which keeps the historical semantics
-/// and the `results/*` goldens untouched. The per-op path performs no
-/// validation or snapshotting: the driver only emits ops it has already
-/// resolved against live pool targets, and atomicity is the *batch*
-/// API's contract.
+/// This is the crate's one script walker run with a session: each
+/// mutation an op emits runs through the same applier as
+/// [`crate::mutations::apply_log_dyn`] as soon as it is emitted, so
+/// each op addresses the pool the previous op left behind. The per-op
+/// path performs no validation or snapshotting: the walker only emits
+/// mutations it has already resolved against live pool targets, and
+/// atomicity is the *batch* API's contract.
 pub fn run_script_dyn(
     tree: &mut XmlTree,
     session: &mut dyn DynScheme,
     script: &Script,
 ) -> Result<DriveStats, TreeError> {
     let mut stats = DriveStats::default();
+    let pool = ElementPool::build(tree);
+    walk_script(script, tree, Some(&mut *session), pool, &mut stats)?;
+    Ok(stats.close(session))
+}
+
+/// The one script walker: resolve each op of `script` against `pool`,
+/// the elements of `tree` as it is handed over, emit the op's mutations
+/// and apply each to `tree` as it is emitted, so every later op
+/// addresses the pool and tree its predecessors left. The rules are
+/// those [`run_script_dyn`] documents. Nodes the script creates are
+/// named [`NodeRef::New`], numbered in creation order: the tree's arena
+/// appends, so a log applied to the tree as it was handed over binds
+/// each to the id it has here.
+///
+/// * With no `session` it is the script translation behind
+///   [`crate::mutations::batch_of_in_place`]: the mutations only count
+///   into `stats`, and the returned log holds them all. The caller
+///   rolls the tree's edits back.
+/// * With a `session` it is the per-op driver: each mutation runs
+///   through the scheme, label sizes are checkpointed into `stats`
+///   every [`CHECKPOINT_EVERY`] script ops, and no log is kept (the
+///   returned one is empty).
+pub(crate) fn walk_script<'o>(
+    script: &Script,
+    tree: &mut XmlTree,
+    session: Option<&mut (dyn DynScheme + 'o)>,
+    pool: ElementPool<'_>,
+    stats: &mut DriveStats,
+) -> Result<MutationLog, TreeError> {
+    let mut w = Walker {
+        base: tree.id_bound(),
+        tree,
+        session,
+        pool,
+        binds: LogBindings::default(),
+        log: MutationLog::new(),
+        stats,
+    };
     let mut zig: Option<(NodeId, NodeId)> = None;
     let mut zig_step = 0usize;
-    let mut pool = ElementPool::build(tree);
-    // One mutation buffer and one binding table, reused across ops: the
-    // hot path allocates only what the ops themselves require.
-    let mut batch = MutationLog::new();
-    let mut binds = LogBindings::default();
 
     for (op_idx, op) in script.ops.iter().enumerate() {
-        if pool.is_empty() {
+        if w.pool.is_empty() {
             break;
         }
-        batch.clear();
-        binds.clear();
-        // (zig pair after this op, zig_step increments) resolved from the
-        // batch bindings once the mutations have been applied.
-        let mut zig_plan: Option<(Option<(NodeId, NodeId)>, bool)> = None;
         match *op {
             ScriptOp::InsertBefore(i) => {
-                let target = pool.resolve(i)?;
-                let place =
-                    if tree.parent(target) == Some(tree.root()) || tree.parent(target).is_none() {
-                        Place::FirstChildOf(NodeRef::Node(target))
-                    } else {
-                        Place::Before(NodeRef::Node(target))
-                    };
-                batch.push(Mutation::CreateElement {
-                    id: LogId(0),
-                    name: "u".to_string(),
-                    place,
-                });
+                let target = w.pool.resolve(i)?;
+                let place = if w.top_level(target) {
+                    Place::FirstChildOf(w.node_ref(target))
+                } else {
+                    Place::Before(w.node_ref(target))
+                };
+                w.create(place)?;
             }
             ScriptOp::InsertAfter(i) if i == usize::MAX => {
                 // zigzag: insert between an adjacent pair, alternately
                 // keeping the new node as the pair's right or left end.
-                match zig {
+                let (a, b) = match zig {
                     Some((a, b))
-                        if tree.is_alive(a)
-                            && tree.is_alive(b)
-                            && tree.next_sibling(a) == Some(b) =>
+                        if w.tree.is_alive(a)
+                            && w.tree.is_alive(b)
+                            && w.tree.next_sibling(a) == Some(b) =>
                     {
-                        batch.push(Mutation::CreateElement {
-                            id: LogId(0),
-                            name: "u".to_string(),
-                            place: Place::After(NodeRef::Node(a)),
-                        });
-                        zig_plan = Some((Some((a, b)), false));
+                        (a, b)
                     }
                     _ => {
-                        let base = pool.resolve(pool.len() / 2)?;
-                        batch.push(Mutation::CreateElement {
-                            id: LogId(0),
-                            name: "u".to_string(),
-                            place: Place::LastChildOf(NodeRef::Node(base)),
-                        });
-                        batch.push(Mutation::CreateElement {
-                            id: LogId(1),
-                            name: "u".to_string(),
-                            place: Place::LastChildOf(NodeRef::Node(base)),
-                        });
-                        batch.push(Mutation::CreateElement {
-                            id: LogId(2),
-                            name: "u".to_string(),
-                            place: Place::After(NodeRef::New(LogId(0))),
-                        });
-                        zig_plan = Some((None, true));
+                        let basis = w.pool.resolve(w.pool.len() / 2)?;
+                        let c1 = w.create(Place::LastChildOf(w.node_ref(basis)))?;
+                        let c2 = w.create(Place::LastChildOf(w.node_ref(basis)))?;
+                        (c1, c2)
                     }
-                }
+                };
+                let node = w.create(Place::After(w.node_ref(a)))?;
+                zig = Some(if zig_step.is_multiple_of(2) {
+                    (a, node)
+                } else {
+                    (node, b)
+                });
+                zig_step += 1;
             }
             ScriptOp::InsertAfter(i) => {
-                let target = pool.resolve(i)?;
-                let place =
-                    if tree.parent(target) == Some(tree.root()) || tree.parent(target).is_none() {
-                        Place::LastChildOf(NodeRef::Node(target))
-                    } else {
-                        Place::After(NodeRef::Node(target))
-                    };
-                batch.push(Mutation::CreateElement {
-                    id: LogId(0),
-                    name: "u".to_string(),
-                    place,
-                });
+                let target = w.pool.resolve(i)?;
+                let place = if w.top_level(target) {
+                    Place::LastChildOf(w.node_ref(target))
+                } else {
+                    Place::After(w.node_ref(target))
+                };
+                w.create(place)?;
             }
             ScriptOp::PrependChild(i) => {
-                batch.push(Mutation::CreateElement {
-                    id: LogId(0),
-                    name: "u".to_string(),
-                    place: Place::FirstChildOf(NodeRef::Node(pool.resolve(i)?)),
-                });
+                let target = w.pool.resolve(i)?;
+                w.create(Place::FirstChildOf(w.node_ref(target)))?;
             }
             ScriptOp::AppendChild(i) => {
-                batch.push(Mutation::CreateElement {
-                    id: LogId(0),
-                    name: "u".to_string(),
-                    place: Place::LastChildOf(NodeRef::Node(pool.resolve(i)?)),
-                });
+                let target = w.pool.resolve(i)?;
+                w.create(Place::LastChildOf(w.node_ref(target)))?;
             }
             ScriptOp::DeleteSubtree(i) => {
-                let target = pool.resolve(i)?;
-                if Some(target) == tree.document_element() || pool.len() <= 2 {
+                let target = w.pool.resolve(i)?;
+                if Some(target) == w.tree.document_element() || w.pool.len() <= 2 {
                     continue;
                 }
-                batch.push(Mutation::Delete {
-                    target: NodeRef::Node(target),
-                });
+                w.delete(target)?;
             }
         }
-        for m in batch.iter() {
-            crate::mutations::apply_mutation_dyn(
-                tree,
-                Some(&mut *session),
-                Some(&mut pool),
-                &mut binds,
-                m,
-                &mut stats,
-            )?;
-        }
-        if let Some((pair, init)) = zig_plan {
-            let (a, b, node) = if init {
-                (
-                    binds.node(LogId(0))?,
-                    binds.node(LogId(1))?,
-                    binds.node(LogId(2))?,
-                )
-            } else {
-                let (a, b) = pair.ok_or(TreeError::Invariant("zigzag pair missing".to_string()))?;
-                (a, b, binds.node(LogId(0))?)
-            };
-            zig = Some(if zig_step.is_multiple_of(2) {
-                (a, node)
-            } else {
-                (node, b)
-            });
-            zig_step += 1;
-        }
-        if op_idx % CHECKPOINT_EVERY == 0 {
-            stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
+        if let Some(session) = w.session.as_deref() {
+            if op_idx % CHECKPOINT_EVERY == 0 {
+                w.stats.peak_label_bits = w.stats.peak_label_bits.max(session.max_bits());
+            }
         }
     }
-    stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
-    stats.end_mean_bits = session.mean_bits();
-    stats.end_max_bits = session.max_bits();
-    Ok(stats)
+    Ok(w.log)
+}
+
+/// The state [`walk_script`] threads through a script's ops.
+struct Walker<'w, 'o, 'p> {
+    tree: &'w mut XmlTree,
+    session: Option<&'w mut (dyn DynScheme + 'o)>,
+    pool: ElementPool<'p>,
+    binds: LogBindings,
+    log: MutationLog,
+    stats: &'w mut DriveStats,
+    /// The tree's id bound when the walk began: every id from here on
+    /// is a node the script made.
+    base: usize,
+}
+
+impl Walker<'_, '_, '_> {
+    /// How the log names `node`: the `k`-th node the script made is
+    /// `New(LogId(k))`, any other node is itself.
+    fn node_ref(&self, node: NodeId) -> NodeRef {
+        match node.index().checked_sub(self.base) {
+            Some(k) => NodeRef::New(LogId(k as u32)),
+            None => NodeRef::Node(node),
+        }
+    }
+
+    /// A node at the document level (or the document node itself),
+    /// beside which an insert lands as its child instead.
+    fn top_level(&self, node: NodeId) -> bool {
+        let parent = self.tree.parent(node);
+        parent == Some(self.tree.root()) || parent.is_none()
+    }
+
+    /// Emit one element at `place`: apply it, add it to the pool, then
+    /// keep it in the log. Returns the new node.
+    fn create(&mut self, place: Place) -> Result<NodeId, TreeError> {
+        // The node gets the next arena id, which `node_ref` names so.
+        let id = LogId((self.tree.id_bound() - self.base) as u32);
+        let m = Mutation::CreateElement {
+            id,
+            name: "u".to_string(),
+            place,
+        };
+        self.apply(&m)?;
+        let node = self.binds.node(id)?;
+        self.pool.insert_new(self.tree, node)?;
+        self.keep(m);
+        Ok(node)
+    }
+
+    /// Emit the delete of the pool element `target`'s subtree: cut it
+    /// out of the pool while it is still attached, apply it, then keep
+    /// it in the log.
+    fn delete(&mut self, target: NodeId) -> Result<(), TreeError> {
+        self.pool.remove_subtree(self.tree, target)?;
+        let m = Mutation::Delete {
+            target: self.node_ref(target),
+        };
+        self.apply(&m)?;
+        self.keep(m);
+        Ok(())
+    }
+
+    fn apply(&mut self, m: &Mutation) -> Result<(), TreeError> {
+        apply_mutation_dyn(
+            self.tree,
+            self.session.as_deref_mut(),
+            &mut self.binds,
+            m,
+            self.stats,
+        )
+    }
+
+    /// Only the translation keeps a log; the per-op driver has applied
+    /// `m` through its session already.
+    fn keep(&mut self, m: Mutation) {
+        if self.session.is_none() {
+            self.log.push(m);
+        }
+    }
 }
 
 /// Label a freshly grafted **subtree** (the paper's third structural
@@ -488,10 +561,7 @@ pub fn graft_subtree_dyn(
     for node in tree.preorder_from(root) {
         apply_insert_dyn(tree, session, node, &mut stats)?;
     }
-    stats.peak_label_bits = session.max_bits();
-    stats.end_mean_bits = session.mean_bits();
-    stats.end_max_bits = session.max_bits();
-    Ok(stats)
+    Ok(stats.close(session))
 }
 
 pub(crate) fn apply_insert_dyn(

@@ -24,17 +24,20 @@
 //!   index instead, so its translation costs the script, not the
 //!   document.
 //!
-//! The per-op script driver ([`crate::driver::run_script_dyn`]) is a
-//! consumer of this module: each script op becomes a one-op batch, so
-//! the historical op semantics (and the `results/*` goldens) are defined
-//! by exactly the same application code as full batches.
+//! The translation and the per-op script driver
+//! ([`crate::driver::run_script_dyn`]) are one crate-private script
+//! walker in two modes (`driver::walk_script`). Each mutation it emits runs
+//! through this module's one applier at once: with no session when it
+//! translates, through the driver's session when it drives. So the
+//! historical op semantics (and the `results/*` goldens) come from the
+//! same addressing and application code as full batches.
 
-use crate::driver::{apply_insert_dyn, DriveStats, ElementPool, CHECKPOINT_EVERY};
+use crate::driver::{apply_insert_dyn, walk_script, DriveStats, ElementPool, CHECKPOINT_EVERY};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use xupd_encoding::PreorderIndex;
 use xupd_labelcore::{DynScheme, Labeling, LabelingScheme, SessionMut};
-use xupd_workloads::{Script, ScriptOp};
+use xupd_workloads::Script;
 use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
 
 /// A log-local id for a node the batch itself creates. Shares no
@@ -169,11 +172,6 @@ impl MutationLog {
         self.ops.is_empty()
     }
 
-    /// Drop all mutations, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.ops.clear();
-    }
-
     /// The mutations in application order.
     pub fn iter(&self) -> std::slice::Iter<'_, Mutation> {
         self.ops.iter()
@@ -201,11 +199,6 @@ pub(crate) struct LogBindings {
 }
 
 impl LogBindings {
-    /// Forget all bindings (keeps the allocation).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-    }
-
     /// Record that `id` was created as `node`.
     pub(crate) fn bind(&mut self, id: LogId, node: NodeId) -> Result<(), TreeError> {
         let i = id.0 as usize;
@@ -274,21 +267,14 @@ fn attach(
     }
 }
 
-/// Register one freshly attached node with the pool and the labelling
-/// session — exactly the order the per-op driver has always used
-/// (pool first, then the scheme's insertion path).
+/// Register one freshly attached node with the labelling session, or
+/// only count it when there is none.
 fn register_insert<'o>(
     tree: &XmlTree,
     session: Option<&mut (dyn DynScheme + 'o)>,
-    pool: Option<&mut ElementPool<'_>>,
     node: NodeId,
     stats: &mut DriveStats,
 ) -> Result<(), TreeError> {
-    if let Some(p) = pool {
-        if tree.kind(node).is_element() {
-            p.insert_new(tree, node)?;
-        }
-    }
     match session {
         Some(s) => apply_insert_dyn(tree, s, node, stats),
         None => {
@@ -313,21 +299,15 @@ fn create_one(
     Ok(node)
 }
 
-/// Drop labels, pool entries and structure for `target`'s subtree.
+/// Drop labels and structure for `target`'s subtree.
 fn consume_subtree<'o>(
     tree: &mut XmlTree,
     session: Option<&mut (dyn DynScheme + 'o)>,
-    pool: Option<&mut ElementPool<'_>>,
     target: NodeId,
     stats: &mut DriveStats,
 ) -> Result<(), TreeError> {
     if let Some(s) = session {
         s.on_delete(tree, target);
-    }
-    if let Some(p) = pool {
-        if tree.kind(target).is_element() {
-            p.remove_subtree(tree, target)?;
-        }
     }
     tree.remove_subtree(target)?;
     stats.deletes += 1;
@@ -336,15 +316,12 @@ fn consume_subtree<'o>(
 
 /// Apply one mutation against the tree, optionally threading a labelling
 /// session (None = structural simulation, as [`batch_of_in_place`] runs
-/// under the undo journal it rolls back) and an element pool (Some only
-/// where ops address the pool: the per-op driver and the script
-/// translation; batch apply takes none). Every element the mutation
-/// attaches or removes is registered with the pool; an element the pool
-/// cannot place is a [`TreeError::Invariant`].
+/// under the undo journal it rolls back). It takes no element pool: the
+/// script walker ([`crate::driver::walk_script`]), the pool's only user,
+/// keeps it current around each mutation it emits.
 pub(crate) fn apply_mutation_dyn<'o>(
     tree: &mut XmlTree,
     mut session: Option<&mut (dyn DynScheme + 'o)>,
-    mut pool: Option<&mut ElementPool<'_>>,
     binds: &mut LogBindings,
     m: &Mutation,
     stats: &mut DriveStats,
@@ -352,7 +329,7 @@ pub(crate) fn apply_mutation_dyn<'o>(
     match m {
         Mutation::CreateElement { id, name, place } => {
             let node = create_one(tree, binds, *id, NodeKind::element(name.clone()), *place)?;
-            register_insert(tree, session, pool, node, stats)?;
+            register_insert(tree, session, node, stats)?;
         }
         Mutation::CreateNode { id, kind, place } => {
             if matches!(kind, NodeKind::Document) {
@@ -361,7 +338,7 @@ pub(crate) fn apply_mutation_dyn<'o>(
                 ));
             }
             let node = create_one(tree, binds, *id, kind.clone(), *place)?;
-            register_insert(tree, session, pool, node, stats)?;
+            register_insert(tree, session, node, stats)?;
         }
         Mutation::SetText { target, text } => {
             let t = binds.resolve_live(tree, *target)?;
@@ -380,18 +357,18 @@ pub(crate) fn apply_mutation_dyn<'o>(
             let t = binds.resolve_live(tree, *target)?;
             let prev = tree.prev_sibling(t);
             let parent = tree.parent(t).ok_or(TreeError::RootImmutable)?;
-            consume_subtree(tree, session.as_deref_mut(), pool.as_deref_mut(), t, stats)?;
+            consume_subtree(tree, session.as_deref_mut(), t, stats)?;
             let node = tree.create(NodeKind::element(name.clone()));
             match prev {
                 Some(p) => tree.insert_after(p, node)?,
                 None => tree.prepend_child(parent, node)?,
             }
             binds.bind(*id, node)?;
-            register_insert(tree, session, pool, node, stats)?;
+            register_insert(tree, session, node, stats)?;
         }
         Mutation::Delete { target } => {
             let t = binds.resolve_live(tree, *target)?;
-            consume_subtree(tree, session, pool, t, stats)?;
+            consume_subtree(tree, session, t, stats)?;
         }
         Mutation::AppendChildren { parent, ids, name } => {
             let p = binds.resolve_live(tree, *parent)?;
@@ -399,13 +376,7 @@ pub(crate) fn apply_mutation_dyn<'o>(
                 let node = tree.create(NodeKind::element(name.clone()));
                 tree.append_child(p, node)?;
                 binds.bind(*id, node)?;
-                register_insert(
-                    tree,
-                    session.as_deref_mut(),
-                    pool.as_deref_mut(),
-                    node,
-                    stats,
-                )?;
+                register_insert(tree, session.as_deref_mut(), node, stats)?;
             }
         }
         Mutation::MoveSubtree { target, place } => {
@@ -413,24 +384,11 @@ pub(crate) fn apply_mutation_dyn<'o>(
             if let Some(s) = session.as_deref_mut() {
                 s.on_delete(tree, t);
             }
-            if let Some(p) = pool.as_deref_mut() {
-                if tree.kind(t).is_element() {
-                    p.remove_subtree(tree, t)?;
-                }
-            }
             tree.detach(t)?;
             attach(tree, binds, t, *place)?;
             let moved: Vec<NodeId> = tree.preorder_from(t).collect();
             for node in moved {
-                if let Some(p) = pool.as_deref_mut() {
-                    if tree.kind(node).is_element() {
-                        p.insert_new(tree, node)?;
-                    }
-                }
-                match session.as_deref_mut() {
-                    Some(s) => apply_insert_dyn(tree, s, node, stats)?,
-                    None => stats.inserts += 1,
-                }
+                register_insert(tree, session.as_deref_mut(), node, stats)?;
             }
         }
     }
@@ -945,7 +903,7 @@ pub(crate) fn apply_atomic<'m>(
     let mut binds = LogBindings::default();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         for (step, m) in ops.into_iter().enumerate() {
-            apply_mutation_dyn(tree, Some(&mut *session), None, &mut binds, m, &mut stats)?;
+            apply_mutation_dyn(tree, Some(&mut *session), &mut binds, m, &mut stats)?;
             if step % CHECKPOINT_EVERY == 0 {
                 stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
             }
@@ -963,25 +921,23 @@ pub(crate) fn apply_atomic<'m>(
         Err(panic) => resume_unwind(panic),
         Ok(result) => result?,
     }
-    stats.peak_label_bits = stats.peak_label_bits.max(session.max_bits());
-    stats.end_mean_bits = session.mean_bits();
-    stats.end_max_bits = session.max_bits();
-    Ok(stats)
+    Ok(stats.close(session))
 }
 
 // ---------------------------------------------------------------------
 // Script → batch translation.
 // ---------------------------------------------------------------------
 
-/// Translate a whole [`Script`] into **one** [`MutationLog`], replaying
-/// the per-op driver's addressing rules (modulo-pool resolution, the
-/// insert-before/after root fallbacks, the zigzag pair, the delete skip
-/// rules) on `tree` itself, so every later op addresses the pool state
-/// its predecessors left behind — exactly as
-/// [`crate::driver::run_script_dyn`] would. Nodes the batch itself
-/// creates are referenced as [`NodeRef::New`], numbered in creation
-/// order, so [`apply_log`] on the same tree binds them to the same
-/// arena ids the per-op driver would have produced.
+/// Translate a whole [`Script`] into **one** [`MutationLog`]: the
+/// crate's one script walker run with no labelling session, so it
+/// applies the per-op driver's addressing rules (modulo-pool
+/// resolution, the insert-before/after root fallbacks, the zigzag pair,
+/// the delete skip rules) on `tree` itself and every later op
+/// addresses the pool state its predecessors left behind — exactly as
+/// [`crate::driver::run_script_dyn`] does, since it is the same loop.
+/// Nodes the batch itself creates are referenced as [`NodeRef::New`],
+/// numbered in creation order, so [`apply_log`] on the same tree binds
+/// them to the same arena ids the per-op driver would have produced.
 ///
 /// The replay runs under an [`XmlTree::begin_undo`] journal that is
 /// always rolled back, on success, error or panic (a panic resumes
@@ -995,7 +951,7 @@ pub(crate) fn apply_atomic<'m>(
 /// open: this one would replace it.
 pub fn batch_of_in_place(script: &Script, tree: &mut XmlTree) -> Result<MutationLog, TreeError> {
     let pool = ElementPool::build(tree);
-    translate_undone(script, tree, pool)
+    walk_rolled_back(script, tree, pool)
 }
 
 /// [`batch_of_in_place`] with the element ranking read off `index`, the
@@ -1007,12 +963,8 @@ pub(crate) fn batch_of_on_index(
     tree: &mut XmlTree,
     index: &PreorderIndex,
 ) -> Result<MutationLog, TreeError> {
-    if index.revision() != tree.revision() {
-        return Err(TreeError::Invariant(
-            "preorder index was made for another tree state".to_string(),
-        ));
-    }
-    translate_undone(script, tree, ElementPool::over(index))
+    index.check_current(tree)?;
+    walk_rolled_back(script, tree, ElementPool::over(index))
 }
 
 /// [`batch_of_in_place`] on a copy of `tree`, for a caller that holds
@@ -1022,197 +974,22 @@ pub fn batch_of(script: &Script, tree: &XmlTree) -> Result<MutationLog, TreeErro
     batch_of_in_place(script, &mut tree.clone())
 }
 
-/// Run [`translate`] under an undo journal on `tree` that is always
-/// rolled back, resuming a panic after the rollback.
-fn translate_undone(
+/// Walk `script` with no session under an undo journal on `tree` that
+/// is always rolled back, resuming a panic after the rollback.
+fn walk_rolled_back(
     script: &Script,
     tree: &mut XmlTree,
     pool: ElementPool<'_>,
 ) -> Result<MutationLog, TreeError> {
     tree.begin_undo();
-    let outcome = catch_unwind(AssertUnwindSafe(|| translate(script, tree, pool)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        walk_script(script, tree, None, pool, &mut DriveStats::default())
+    }));
     tree.end_undo(false);
     match outcome {
         Ok(result) => result,
         Err(panic) => resume_unwind(panic),
     }
-}
-
-/// The translation loop behind [`batch_of_in_place`] and
-/// [`batch_of_on_index`]: emits each op's mutations and applies them to
-/// `tree`, whose journal the caller rolls back, resolving script
-/// indices against `pool`, the elements of `tree` as it was handed
-/// over.
-fn translate(
-    script: &Script,
-    tree: &mut XmlTree,
-    mut pool: ElementPool<'_>,
-) -> Result<MutationLog, TreeError> {
-    let base = tree.id_bound();
-    let mut binds = LogBindings::default();
-    let mut sink = DriveStats::default();
-    let mut log = MutationLog::new();
-    let mut next_lid = 0u32;
-    let mut zig: Option<(NodeId, NodeId)> = None;
-    let mut zig_step = 0usize;
-
-    let node_ref = |id: NodeId| -> NodeRef {
-        if id.index() < base {
-            NodeRef::Node(id)
-        } else {
-            NodeRef::New(LogId((id.index() - base) as u32))
-        }
-    };
-
-    // Emit one create + apply it to the tree; returns the new node so
-    // zig bookkeeping can track it.
-    let create = |log: &mut MutationLog,
-                  tree: &mut XmlTree,
-                  pool: &mut ElementPool<'_>,
-                  binds: &mut LogBindings,
-                  sink: &mut DriveStats,
-                  next_lid: &mut u32,
-                  place: Place|
-     -> Result<NodeId, TreeError> {
-        let id = LogId(*next_lid);
-        *next_lid += 1;
-        let m = Mutation::CreateElement {
-            id,
-            name: "u".to_string(),
-            place,
-        };
-        apply_mutation_dyn(tree, None, Some(pool), binds, &m, sink)?;
-        log.push(m);
-        binds.node(id)
-    };
-
-    for op in &script.ops {
-        if pool.is_empty() {
-            break;
-        }
-        match *op {
-            ScriptOp::InsertBefore(i) => {
-                let target = pool.resolve(i)?;
-                let place =
-                    if tree.parent(target) == Some(tree.root()) || tree.parent(target).is_none() {
-                        Place::FirstChildOf(node_ref(target))
-                    } else {
-                        Place::Before(node_ref(target))
-                    };
-                create(
-                    &mut log,
-                    tree,
-                    &mut pool,
-                    &mut binds,
-                    &mut sink,
-                    &mut next_lid,
-                    place,
-                )?;
-            }
-            ScriptOp::InsertAfter(i) if i == usize::MAX => {
-                let (a, b) = match zig {
-                    Some((a, b))
-                        if tree.is_alive(a)
-                            && tree.is_alive(b)
-                            && tree.next_sibling(a) == Some(b) =>
-                    {
-                        (a, b)
-                    }
-                    _ => {
-                        let basis = pool.resolve(pool.len() / 2)?;
-                        let c1 = create(
-                            &mut log,
-                            tree,
-                            &mut pool,
-                            &mut binds,
-                            &mut sink,
-                            &mut next_lid,
-                            Place::LastChildOf(node_ref(basis)),
-                        )?;
-                        let c2 = create(
-                            &mut log,
-                            tree,
-                            &mut pool,
-                            &mut binds,
-                            &mut sink,
-                            &mut next_lid,
-                            Place::LastChildOf(node_ref(basis)),
-                        )?;
-                        (c1, c2)
-                    }
-                };
-                let node = create(
-                    &mut log,
-                    tree,
-                    &mut pool,
-                    &mut binds,
-                    &mut sink,
-                    &mut next_lid,
-                    Place::After(node_ref(a)),
-                )?;
-                zig = Some(if zig_step.is_multiple_of(2) {
-                    (a, node)
-                } else {
-                    (node, b)
-                });
-                zig_step += 1;
-            }
-            ScriptOp::InsertAfter(i) => {
-                let target = pool.resolve(i)?;
-                let place =
-                    if tree.parent(target) == Some(tree.root()) || tree.parent(target).is_none() {
-                        Place::LastChildOf(node_ref(target))
-                    } else {
-                        Place::After(node_ref(target))
-                    };
-                create(
-                    &mut log,
-                    tree,
-                    &mut pool,
-                    &mut binds,
-                    &mut sink,
-                    &mut next_lid,
-                    place,
-                )?;
-            }
-            ScriptOp::PrependChild(i) => {
-                let place = Place::FirstChildOf(node_ref(pool.resolve(i)?));
-                create(
-                    &mut log,
-                    tree,
-                    &mut pool,
-                    &mut binds,
-                    &mut sink,
-                    &mut next_lid,
-                    place,
-                )?;
-            }
-            ScriptOp::AppendChild(i) => {
-                let place = Place::LastChildOf(node_ref(pool.resolve(i)?));
-                create(
-                    &mut log,
-                    tree,
-                    &mut pool,
-                    &mut binds,
-                    &mut sink,
-                    &mut next_lid,
-                    place,
-                )?;
-            }
-            ScriptOp::DeleteSubtree(i) => {
-                let target = pool.resolve(i)?;
-                if Some(target) == tree.document_element() || pool.len() <= 2 {
-                    continue;
-                }
-                let m = Mutation::Delete {
-                    target: node_ref(target),
-                };
-                apply_mutation_dyn(tree, None, Some(&mut pool), &mut binds, &m, &mut sink)?;
-                log.push(m);
-            }
-        }
-    }
-    Ok(log)
 }
 
 #[cfg(test)]

@@ -1,19 +1,29 @@
-//! Differential regression test for the incremental element pool.
+//! Differential regression test for the script walker.
 //!
-//! The production driver maintains the live-element pool incrementally
-//! across ops. This test replays the same scripts through a reference
-//! driver that recomputes the pool with a full preorder scan before every
-//! op (the pre-optimisation behaviour, kept here as the executable
-//! specification of the op-addressing semantics) and asserts that both
-//! produce identical [`DriveStats`] and identical final labelings for
-//! all 17 roster schemes. Schemes are independent, so the battery fans
-//! out per scheme on the `xupd-exec` pool.
+//! The library resolves script ops in one walker, which keeps the
+//! live-element pool incrementally across ops and runs in two modes:
+//! with a labelling session as the per-op driver (`run_script_dyn`),
+//! and with none as the script translation (`batch_of_in_place`), whose
+//! log `apply_log_dyn` then applies as one batch. This test replays the
+//! same scripts through a reference driver that recomputes the pool
+//! with a full preorder scan before every op and edits the tree
+//! directly (the pre-optimisation behaviour, kept here as the
+//! executable specification of the op-addressing semantics). Both
+//! walker modes must end with the reference's tree bytes and final
+//! labels, for all 17 roster schemes. The per-op run must also match
+//! its [`DriveStats`] exactly; the batched run matches every total but
+//! `peak_label_bits`, which a batch checkpoints every 25 mutations, not
+//! every 25 script ops (see `mutation_log_differential`). Since both
+//! modes share the walker, comparing them with each other cannot catch
+//! an addressing bug; only this reference can. Schemes are independent,
+//! so the battery fans out per scheme on the `xupd-exec` pool.
 
 use xupd_framework::driver::{run_script_dyn, DriveStats};
+use xupd_framework::mutations::{apply_log_dyn, batch_of_in_place};
 use xupd_labelcore::DynScheme;
 use xupd_schemes::{registry, SchemeEntry};
 use xupd_workloads::{docs, Script, ScriptOp};
-use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
+use xupd_xmldom::{serialize_compact, NodeId, NodeKind, TreeError, XmlTree};
 
 /// The pre-optimisation driver: element pool rebuilt from scratch before
 /// every op. Semantics must match `run_script_dyn` exactly.
@@ -144,32 +154,41 @@ fn run_script_reference(
     Ok(stats)
 }
 
-/// One run's observable outcome: the drive evidence plus every final
-/// label rendered to its display form.
-#[derive(Debug, PartialEq)]
+/// How a run replays the script.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    /// [`run_script_reference`], the executable specification.
+    Reference,
+    /// The walker with a session: `run_script_dyn`.
+    PerOp,
+    /// The walker with none, `batch_of_in_place`, then `apply_log_dyn`.
+    Batched,
+}
+
+/// One run's observable outcome: the drive evidence, every final label
+/// rendered to its display form, and the final tree bytes.
+#[derive(Debug)]
 struct Outcome {
     stats: DriveStats,
     labels: Vec<(usize, String)>,
+    tree: String,
 }
 
-fn run_one(
-    entry: &SchemeEntry,
-    script: &Script,
-    seed: u64,
-    nodes: usize,
-    incremental: bool,
-) -> Outcome {
+fn run_one(entry: &SchemeEntry, script: &Script, seed: u64, nodes: usize, mode: Mode) -> Outcome {
     let mut session = entry.session();
     let mut tree = docs::random_tree(seed, nodes);
     session.label_tree(&tree).unwrap();
-    let stats = if incremental {
-        run_script_dyn(&mut tree, session.as_mut(), script).unwrap()
-    } else {
-        run_script_reference(&mut tree, session.as_mut(), script).unwrap()
-    };
+    let stats = match mode {
+        Mode::Reference => run_script_reference(&mut tree, session.as_mut(), script),
+        Mode::PerOp => run_script_dyn(&mut tree, session.as_mut(), script),
+        Mode::Batched => batch_of_in_place(script, &mut tree)
+            .and_then(|log| apply_log_dyn(&mut tree, session.as_mut(), &log)),
+    }
+    .unwrap_or_else(|e| panic!("{}: {mode:?} run failed: {e}", entry.name()));
     Outcome {
         stats,
         labels: session.labels_display(),
+        tree: serialize_compact(&tree),
     }
 }
 
@@ -178,22 +197,39 @@ fn diff_scripts(kind: xupd_workloads::ScriptKind, ops: usize, seed: u64) {
     let script = Script::generate(kind, ops, nodes, seed);
     let entries = registry();
     let outcomes = xupd_exec::par_map(&entries, |entry| {
+        let run = |mode| run_one(entry, &script, seed, nodes, mode);
         (
             entry.name(),
-            run_one(entry, &script, seed, nodes, true),
-            run_one(entry, &script, seed, nodes, false),
+            run(Mode::Reference),
+            run(Mode::PerOp),
+            run(Mode::Batched),
         )
     });
 
     assert_eq!(outcomes.len(), 17);
-    for (name, incremental, reference) in &outcomes {
+    let peakless = |s: &DriveStats| DriveStats {
+        peak_label_bits: 0,
+        ..s.clone()
+    };
+    for (name, reference, per_op, batched) in &outcomes {
+        for (mode, outcome) in [(Mode::PerOp, per_op), (Mode::Batched, batched)] {
+            assert_eq!(
+                outcome.tree, reference.tree,
+                "{name}: {mode:?} tree diverged under {kind:?}"
+            );
+            assert_eq!(
+                outcome.labels, reference.labels,
+                "{name}: {mode:?} final labeling diverged under {kind:?}"
+            );
+        }
         assert_eq!(
-            incremental.stats, reference.stats,
-            "{name}: drive stats diverged under {kind:?}"
+            per_op.stats, reference.stats,
+            "{name}: per-op drive stats diverged under {kind:?}"
         );
         assert_eq!(
-            incremental.labels, reference.labels,
-            "{name}: final labeling diverged under {kind:?}"
+            peakless(&batched.stats),
+            peakless(&reference.stats),
+            "{name}: batched drive stats diverged under {kind:?}"
         );
     }
 }

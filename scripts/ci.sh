@@ -74,6 +74,23 @@ for bench_bin in bench_bulk_labeling bench_label_growth bench_query_eval \
     cargo run --release -q -p xupd-bench --bin "$bench_bin" > /dev/null
 done
 
+echo "==> XUPD_THREADS={1,4} script walker differential (both walker modes match the reference driver)"
+# One walker turns script ops into mutations, as the per-op driver
+# (run_script_dyn) and as the translation behind batch_of_in_place.
+# driver_differential replays scripts through a reference driver that
+# rescans the pool before every op, the executable spec of the
+# addressing rules, and requires both walker modes to end with its tree
+# bytes and labels (and the per-op driver with its DriveStats);
+# mutation_log_differential requires a translated log applied as one
+# batch to end where the per-op driver does. Both cover all 17 schemes
+# and run at both pool widths.
+for threads in 1 4; do
+  XUPD_THREADS="$threads" cargo test --release -q -p xupd-framework \
+    --test driver_differential --test mutation_log_differential > /dev/null \
+    || { echo "    FAIL: script walker differential suites at XUPD_THREADS=$threads"; exit 1; }
+  echo "    ok: both walker modes match the reference driver at XUPD_THREADS=$threads"
+done
+
 echo "==> XUPD_THREADS={1,4} analysis differential (analyzed and coalesced orders match sequential apply)"
 # The analysis differential suite applies each batch in its analyzed
 # and coalesced certified orders and asserts the result matches
@@ -147,8 +164,10 @@ echo "==> xbench correctness gate at full size (fleet-small, fleet-large, flux-b
 # `Document::compile_script`, which reads that ranking off the
 # document's preorder index, so on fleet-large the mirror gate compares
 # the two pool bases at full size. The per-op oracle in `run::gate`
-# checks both against `run_script_dyn`, which keeps the scan. It exits
-# non-zero on any failed check. `--locked` refuses to rewrite xbench's
+# checks both against `run_script_dyn`, which keeps the scan; it runs
+# the same script walker with a session, so that oracle checks batched
+# against per-op application, and the walker stage above checks the
+# addressing. It exits non-zero on any failed check. `--locked` refuses to rewrite xbench's
 # own Cargo.lock, so a library crate whose dependencies change fails
 # here instead of silently changing the benchmark's lockfile.
 for workload in fleet-small fleet-large flux-batch; do
