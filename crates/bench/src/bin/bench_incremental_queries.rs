@@ -240,10 +240,10 @@ fn main() {
                 black_box(&labels);
                 let index = PreorderIndex::encode(&tree).unwrap();
                 for (e, ws) in &qs {
-                    let rows = e.evaluate(&index);
+                    let rows = e.evaluate(&tree, &index);
                     if *ws {
                         for &r in &rows {
-                            served += index.string_value(r).len();
+                            served += index.string_value(&tree, r).len();
                         }
                     }
                     served += rows.len();

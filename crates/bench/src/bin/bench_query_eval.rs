@@ -4,8 +4,8 @@
 //! evaluator (NameIndex buckets ∩ extent ranges) rather than the
 //! historical full-table label-algebra scans — compare against the seed
 //! medians in EXPERIMENTS.md for the before/after. The evaluator reads
-//! only the preorder index, which no labelling scheme changes, so one
-//! case times it for every scheme.
+//! only the preorder index and the tree's node content, which no
+//! labelling scheme changes, so one case times it for every scheme.
 //!
 //! The `descendant-name/*` cases keep the §2.3 trade visible on one
 //! query shape:
@@ -58,7 +58,7 @@ fn bench_scan_vs_indexed(h: &mut Harness) {
         // reference path: full table, label-algebra ancestry per row
         let hits: Vec<usize> = (0..index.len())
             .filter(|&i| {
-                let kind = index.kind(i);
+                let kind = tree.kind(index.source_id(i));
                 kind.is_element()
                     && kind.name() == Some("item")
                     && index.is_ancestor_via_labels(&labels, root, i).unwrap()
@@ -70,7 +70,7 @@ fn bench_scan_vs_indexed(h: &mut Harness) {
         black_box(idx.descendants_named(&index, root, "item")).len()
     });
     h.bench("descendant-name/streaming", || {
-        black_box(expr.evaluate(&index)).len()
+        black_box(expr.evaluate(&tree, &index)).len()
     });
 }
 
@@ -83,7 +83,7 @@ fn main() {
         let mut total = 0usize;
         for e in &exprs {
             // lint:allow(R10): this bench *measures* raw evaluation cost
-            total += black_box(e.evaluate(&index)).len();
+            total += black_box(e.evaluate(&tree, &index)).len();
         }
         total
     });

@@ -15,7 +15,12 @@
 //! Scheme lookup goes through the object-safe scheme registry
 //! ([`xupd_schemes::registry()`]), so the CLI roster can never drift
 //! from the library roster. A query labels nothing: it evaluates on the
-//! document's preorder index, which holds no label.
+//! document's preorder index, which holds no label, and reads node
+//! content from the parsed tree.
+//!
+//! Exit status: 0 on success; 1 when the file cannot be read or parsed,
+//! the XPath or the flux program does not pass, or the scheme is
+//! unknown; 2 on a malformed command line.
 
 use std::process::ExitCode;
 use xupd_encoding::figure2::{figure2_table, render_figure2};
@@ -117,26 +122,31 @@ fn print_labels(tree: &XmlTree, wanted: &str) -> bool {
     true
 }
 
-fn print_query(tree: &XmlTree, query: &str) {
+fn print_query(tree: &XmlTree, query: &str) -> ExitCode {
     let expr = match parse_xpath(query) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("{e}");
-            return;
+            return ExitCode::FAILURE;
         }
     };
     let index = PreorderIndex::encode(tree).unwrap();
-    let hits = expr.evaluate(&index);
+    let hits = expr.evaluate(tree, &index);
     println!("{} hit(s)", hits.len());
     for h in hits {
-        let kind = index.kind(h);
+        let kind = tree.kind(index.source_id(h));
         println!(
             "  {:<12} {:<16} {}",
             kind.type_tag(),
             kind.name().unwrap_or(""),
-            index.string_value(h).chars().take(60).collect::<String>()
+            index
+                .string_value(tree, h)
+                .chars()
+                .take(60)
+                .collect::<String>()
         );
     }
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -188,10 +198,7 @@ fn main() -> ExitCode {
             true
         }
         "labels" => print_labels(&tree, &wanted),
-        "query" => {
-            print_query(&tree, query.as_deref().unwrap_or_default());
-            true
-        }
+        "query" => return print_query(&tree, query.as_deref().unwrap_or_default()),
         "flux-check" => return flux_check(&tree, query.as_deref().unwrap_or_default()),
         _ => unreachable!("validated above"),
     };

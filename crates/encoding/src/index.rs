@@ -13,7 +13,7 @@
 
 use crate::preorder::PreorderIndex;
 use std::collections::BTreeMap;
-use xupd_xmldom::NodeKind;
+use xupd_xmldom::{NodeId, NodeKind, XmlTree};
 
 /// Element and attribute name index: name → row indices in document
 /// order.
@@ -29,20 +29,13 @@ pub struct NameIndex {
 }
 
 impl NameIndex {
-    /// Build the index from per-row node kinds in document order — the
-    /// form [`PreorderIndex::encode`] uses so the index can carry its
-    /// own name buckets.
-    pub fn from_kinds<'a>(kinds: impl Iterator<Item = &'a NodeKind>) -> Self {
-        let mut idx = NameIndex::default();
-        idx.rebuild(kinds);
-        idx
-    }
-
-    /// Re-index per-row node kinds in document order in place: every
-    /// bucket and the element list keep their buffers, a name is
-    /// allocated only the first time it is seen, and names that no
-    /// longer occur are dropped.
-    pub(crate) fn rebuild<'a>(&mut self, kinds: impl Iterator<Item = &'a NodeKind>) {
+    /// Index the rows whose source ids `ids` lists in document order,
+    /// reading each node's name from `tree`, in place: every bucket and
+    /// the element list keep their buffers, a name is allocated only
+    /// the first time it is seen, and names that no longer occur are
+    /// dropped. [`PreorderIndex::encode`] builds its buckets this way
+    /// and [`PreorderIndex::splice`] rebuilds them.
+    pub(crate) fn rebuild(&mut self, tree: &XmlTree, ids: &[NodeId]) {
         for rows in self
             .elements
             .values_mut()
@@ -51,8 +44,8 @@ impl NameIndex {
             rows.clear();
         }
         self.all_elements.clear();
-        for (i, kind) in kinds.enumerate() {
-            let (map, name) = match kind {
+        for (i, &id) in ids.iter().enumerate() {
+            let (map, name) = match tree.kind(id) {
                 NodeKind::Element { name } => {
                     // Rows fit in 32 bits, as the node ids they encode do.
                     self.all_elements.push(i as u32);
@@ -123,7 +116,7 @@ mod tests {
         let idx = doc.name_index();
         // indexed //item == evaluator //item
         let via_index = idx.descendants_named(&doc, doc.root(), "item");
-        let via_xpath = parse_xpath("//item").unwrap().evaluate(&doc);
+        let via_xpath = parse_xpath("//item").unwrap().evaluate(&tree, &doc);
         assert_eq!(via_index, via_xpath);
         assert!(!via_index.is_empty());
         // the element list is the tree's elements in document order
@@ -146,12 +139,14 @@ mod tests {
         let idx = doc.name_index();
         // names exist under both /site/regions items and /site/people
         let all_names = idx.elements("name").len();
-        let people = parse_xpath("/site/people").unwrap().evaluate(&doc)[0];
+        let people = parse_xpath("/site/people").unwrap().evaluate(&tree, &doc)[0];
         let people_names = idx.descendants_named(&doc, people, "name");
         assert!(!people_names.is_empty());
         assert!(people_names.len() < all_names, "scoping filtered some");
         // agreement with the evaluator on the scoped query
-        let via_xpath = parse_xpath("/site/people//name").unwrap().evaluate(&doc);
+        let via_xpath = parse_xpath("/site/people//name")
+            .unwrap()
+            .evaluate(&tree, &doc);
         assert_eq!(people_names, via_xpath);
     }
 
@@ -181,17 +176,18 @@ mod tests {
 
     #[test]
     fn rebuild_in_place_matches_a_fresh_index() {
-        let big = PreorderIndex::encode(&docs::xmark_like(11, 60)).unwrap();
-        let small = PreorderIndex::encode(&docs::book()).unwrap();
+        let (big_tree, small_tree) = (docs::xmark_like(11, 60), docs::book());
+        let big = PreorderIndex::encode(&big_tree).unwrap();
+        let small = PreorderIndex::encode(&small_tree).unwrap();
         let mut idx = big.name_index().clone();
         assert!(idx.elements("item").len() > 1);
-        idx.rebuild((0..small.len()).map(|i| small.kind(i)));
+        idx.rebuild(&small_tree, &small_tree.ids_in_doc_order());
         assert_eq!(&idx, small.name_index());
         assert!(
             idx.elements("item").is_empty(),
             "a name that left is dropped"
         );
-        idx.rebuild((0..big.len()).map(|i| big.kind(i)));
+        idx.rebuild(&big_tree, &big_tree.ids_in_doc_order());
         assert_eq!(&idx, big.name_index());
     }
 

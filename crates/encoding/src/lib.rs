@@ -7,22 +7,23 @@
 //! that (a) full XPath query evaluation and (b) full reconstruction of
 //! the textual document become possible.
 //!
-//! The encoding has two halves. The labels are the labelling scheme's:
-//! a [`xupd_labelcore::DynScheme`] session holds them by node id. The
-//! rest is this crate's:
+//! The encoding has three parts, all keyed by node id. The labels are
+//! the labelling scheme's: a [`xupd_labelcore::DynScheme`] session holds
+//! them. The content (node type, names and values) is the tree's: the
+//! [`xupd_xmldom::XmlTree`] node table holds it, and nothing copies it.
+//! The structure is this crate's:
 //!
-//! * [`preorder`] — [`PreorderIndex`]: the scheme-independent half,
-//!   one row per node in document order (kind, parent, source node id)
-//!   with the [`Topology`] and [`NameIndex`] sidecars; every structural
-//!   axis, the XPath evaluator and reconstruction run on it, and a
-//!   splice follows a batch of edits in place. Its `*_via_labels`
-//!   methods read a session's labels through each row's source node id:
-//!   the label-algebra reference axes the differential property suite
-//!   pins equal to the topology's;
+//! * [`preorder`] — [`PreorderIndex`]: one row per node in document
+//!   order (parent, source node id) with the [`Topology`] and
+//!   [`NameIndex`] sidecars; every structural axis, the XPath evaluator
+//!   and reconstruction run on it, reading content from the tree by
+//!   each row's source id, and a splice follows a batch of edits in
+//!   place. Its `*_via_labels` methods read a session's labels through
+//!   the same ids: the label-algebra reference axes the differential
+//!   property suite pins equal to the topology's;
 //! * [`topology`] — [`Topology`]: the structural sidecar index built at
 //!   encode time and rebuilt in place by a splice (pre-order subtree
-//!   extents, CSR children arrays, depth and the index's parent
-//!   column);
+//!   extents, CSR children arrays and the index's parent column);
 //! * [`xpath`] — a parser and streaming evaluator for the XPath subset
 //!   used by the examples and benchmarks (child/descendant/parent/
 //!   ancestor/sibling/following/preceding/attribute axes, name and text
@@ -30,7 +31,8 @@
 //!   on the descendant/child axes route through the [`NameIndex`]
 //!   buckets intersected with extent ranges;
 //! * [`reconstruct`] — rebuilds the [`xupd_xmldom::XmlTree`] (and hence
-//!   the textual document) from the preorder index alone;
+//!   the textual document) from the preorder index's structure and the
+//!   node table's content;
 //! * [`index`] — a name index accelerating `//name` lookups: one
 //!   `BTreeMap` lookup per name, then two binary searches on the
 //!   context's extent range (the query/update trade §2.3 describes);

@@ -1,22 +1,26 @@
-//! The preorder index: the scheme-independent half of Definition 2's
-//! encoding. Row `i` is the `i`-th node in document order, and the index
-//! holds what no labelling scheme captures: each row's node kind (type,
-//! name and content), its parent, the [`Topology`] sidecar and the
-//! [`NameIndex`]. It carries no label: ancestry is preorder interval
-//! containment on the topology, so the XPath evaluator, the query cache,
-//! the analyzer and flux lowering all run on this one type. The labels
-//! are the scheme's own half: a [`DynScheme`] session holds them by node
-//! id, and the `*_via_labels` methods read them through each row's
-//! [`source_id`](PreorderIndex::source_id).
+//! The preorder index: the scheme-independent structure of Definition
+//! 2's encoding. Row `i` is the `i`-th node in document order, and the
+//! index holds the [`NodeId`] each row encodes, the [`Topology`] sidecar
+//! (which holds the parent column) and the [`NameIndex`]. It holds no
+//! node content and no label. Content (node type, name, value) stays in
+//! the tree's node table and is read by source id, as
+//! `tree.kind(index.source_id(row))`, so every reader that needs it
+//! takes the [`XmlTree`] the index describes. The labels are the
+//! scheme's: a [`DynScheme`] session holds them by node id, and the
+//! `*_via_labels` methods read them through each row's
+//! [`source_id`](PreorderIndex::source_id). Ancestry is preorder
+//! interval containment on the topology, so the XPath evaluator, the
+//! query cache, the analyzer and flux lowering all run on this one type.
 //!
-//! Each row remembers which [`NodeId`] produced it
-//! ([`PreorderIndex::source_id`]): node ids are never reused across
-//! deletions, so the id is a stable node identity across encodings of
-//! the same evolving tree. That identity lets an index follow a batch of
-//! structural edits in place ([`PreorderIndex::splice`]) instead of being
-//! encoded afresh, and the splice keeps its run list
-//! ([`PreorderIndex::splice_runs`]), the old-row-to-new-row map the
-//! incremental query cache renumbers its result rows through.
+//! Node ids are never reused across deletions, so the source id is a
+//! stable node identity across encodings of the same evolving tree.
+//! That identity lets an index follow a batch of structural edits in
+//! place ([`PreorderIndex::splice`]) instead of being encoded afresh,
+//! and the splice keeps its run list ([`PreorderIndex::splice_runs`]),
+//! the old-row-to-new-row map the incremental query cache renumbers its
+//! result rows through. A batch that only writes text moves no row, so
+//! the index only records the new revision
+//! ([`PreorderIndex::follow_text`]).
 //!
 //! Axes run on the topology: ancestry is an O(1) interval test,
 //! `child`/sibling axes are CSR slice walks, and the range axes cost time
@@ -57,15 +61,13 @@ struct RunList {
     roots: Vec<NodeId>,
 }
 
-/// A document's preorder index: node kinds, parents and the structural
-/// sidecars in document order, with no label column. Its
-/// [`revision`](Self::revision) names the tree state it describes, and
-/// every consumer rejects an index made for another state.
+/// A document's preorder index: parents, source ids and the structural
+/// sidecars in document order, with no content and no label column.
+/// Its [`revision`](Self::revision) names the tree state it describes,
+/// and every consumer rejects an index made for another state.
 #[derive(Debug, Clone)]
 pub struct PreorderIndex {
-    /// Node type, name and content per row.
-    kinds: Vec<NodeKind>,
-    /// Parents, depths, extents and CSR children.
+    /// Parents, extents and CSR children.
     topo: Topology,
     names: NameIndex,
     /// Source tree node id per row, in document order.
@@ -81,20 +83,13 @@ pub struct PreorderIndex {
 
 impl PreorderIndex {
     /// Index `tree` in document order, building the [`Topology`] and
-    /// [`NameIndex`] in the same pass. Errors only on a malformed tree,
-    /// whose parent references the topology refuses.
+    /// [`NameIndex`]. Errors only on a malformed tree, whose parent
+    /// references the topology refuses.
     pub fn encode(tree: &XmlTree) -> Result<Self, TreeError> {
         let order: Vec<NodeId> = tree.ids_in_doc_order();
         let mut row_of = vec![usize::MAX; tree.id_bound()];
-        // The kind column, the largest one, is pushed rather than
-        // collected to its exact size: it keeps the spare capacity that
-        // doubling leaves (as the id column from `ids_in_doc_order`
-        // does), so a growing document's splices fill that room instead
-        // of reallocating the column on its first growing batch.
-        let mut kinds: Vec<NodeKind> = Vec::new();
         for (i, &id) in order.iter().enumerate() {
             row_of[id.index()] = i;
-            kinds.push(tree.kind(id).clone());
         }
         let topo = Topology::from_parents(
             order
@@ -102,9 +97,9 @@ impl PreorderIndex {
                 .map(|&id| tree.parent(id).map(|p| row_of[p.index()]))
                 .collect(),
         )?;
-        let names = NameIndex::from_kinds(kinds.iter());
+        let mut names = NameIndex::default();
+        names.rebuild(tree, &order);
         Ok(PreorderIndex {
-            kinds,
             topo,
             names,
             source_ids: order,
@@ -125,23 +120,22 @@ impl PreorderIndex {
     /// ancestors-or-self of every changed child list, emitting each
     /// untouched subtree as one block of old rows and each created or
     /// moved subtree as fresh rows read from the tree. The rest is
-    /// O(n) shifting: kept rows move to their new positions without
-    /// cloning their kinds, then one pass sets `row_of` and writes each
-    /// row's parent into the [`Topology`]'s own column, and the topology
-    /// and [`NameIndex`] are rebuilt into the buffers they already
-    /// hold. The result equals [`encode`](Self::encode) of `tree` row
-    /// for row, and [`splice_runs`](Self::splice_runs) then tells which
-    /// old row each new row was.
+    /// O(n) shifting: each kept run's source ids move to their new
+    /// positions in one copy, then one pass sets `row_of` and writes
+    /// each row's parent into the [`Topology`]'s own column, and the
+    /// topology and [`NameIndex`] are rebuilt into the buffers they
+    /// already hold. The result equals [`encode`](Self::encode) of
+    /// `tree` row for row, and [`splice_runs`](Self::splice_runs) then
+    /// tells which old row each new row was.
     ///
-    /// Text writes to nodes inside kept blocks are not seen here; patch
-    /// them afterwards with [`patch_text`](Self::patch_text). Errors
-    /// when the edits do not account for `tree` (a deleted, moved or
-    /// created node left out); the index is consumed, so encode afresh
-    /// then.
+    /// Text the batch wrote needs nothing here: content is read from
+    /// the tree. Errors when the edits do not account for `tree` (a
+    /// deleted, moved or created node left out); the index is consumed,
+    /// so encode afresh then.
     pub fn splice(mut self, tree: &XmlTree, cut: &[usize]) -> Result<Self, TreeError> {
         let mut runs = std::mem::take(&mut self.runs);
         self.find_runs(tree, cut, &mut runs)?;
-        let (n_old, n_new) = (self.kinds.len(), tree.len());
+        let (n_old, n_new) = (self.len(), tree.len());
 
         // Retire the ids of every row no kept run carries over: deleted
         // nodes, and moved ones (re-entered below from the tree).
@@ -155,34 +149,28 @@ impl PreorderIndex {
         // Move the kept runs. Their new positions increase with their
         // old ones, so runs shifted left can move front to back and runs
         // shifted right back to front: neither pass lands on a row that
-        // has not moved yet. Swaps carry each kind over without a clone.
+        // has not moved yet.
+        let ids = &mut self.source_ids;
         if n_new > n_old {
             // Placeholders: every one is overwritten below.
-            self.kinds.resize(n_new, NodeKind::Document);
-            self.source_ids.resize(n_new, tree.root());
+            ids.resize(n_new, tree.root());
         }
         for &(old, new, len) in &runs.kept {
             if new < old {
-                for j in 0..len {
-                    self.move_row(old + j, new + j);
-                }
+                ids.copy_within(old..old + len, new);
             }
         }
         for &(old, new, len) in runs.kept.iter().rev() {
             if new > old {
-                for j in (0..len).rev() {
-                    self.move_row(old + j, new + j);
-                }
+                ids.copy_within(old..old + len, new);
             }
         }
         for (&(start, _), &root) in runs.fresh.iter().zip(&runs.roots) {
             for (k, id) in tree.preorder_from(root).enumerate() {
-                self.kinds[start + k] = tree.kind(id).clone();
-                self.source_ids[start + k] = id;
+                ids[start + k] = id;
             }
         }
-        self.kinds.truncate(n_new);
-        self.source_ids.truncate(n_new);
+        ids.truncate(n_new);
 
         // One pass in document order: a parent's row is always set
         // before its children look it up.
@@ -207,7 +195,7 @@ impl PreorderIndex {
             parents.push(parent);
         }
         self.topo.rebuild()?;
-        self.names.rebuild(self.kinds.iter());
+        self.names.rebuild(tree, &self.source_ids);
         self.revision = tree.revision();
         self.runs = runs;
         Ok(self)
@@ -218,13 +206,6 @@ impl PreorderIndex {
         for &id in &self.source_ids[rows] {
             self.row_of[id.index()] = usize::MAX;
         }
-    }
-
-    /// Move row `from` to `to`; whatever `to` held (a row that is gone
-    /// or has already moved) lands in `from`.
-    fn move_row(&mut self, from: usize, to: usize) {
-        self.kinds.swap(from, to);
-        self.source_ids[to] = self.source_ids[from];
     }
 
     /// Fill `runs` with the run list of a splice, in new document
@@ -335,7 +316,7 @@ impl PreorderIndex {
     /// tree. A caller holding results in the old rows renumbers them
     /// through [`SpliceRuns::kept`] and re-derives what lies in
     /// [`SpliceRuns::fresh`]. Both lists are empty after
-    /// [`encode`](Self::encode); [`patch_text`](Self::patch_text)
+    /// [`encode`](Self::encode); [`follow_text`](Self::follow_text)
     /// renumbers nothing and leaves them as they were.
     pub fn splice_runs(&self) -> SpliceRuns<'_> {
         SpliceRuns {
@@ -345,27 +326,20 @@ impl PreorderIndex {
     }
 
     /// Bring the index up to date with `tree` after edits that changed
-    /// only the text of the nodes in `written`: each one's row takes
-    /// its value from the tree (a node the tree no longer holds is
-    /// skipped), and the index records `tree`'s revision. A text write
-    /// changes no topology and no name bucket, so no rebuild is needed.
-    /// With `written` empty it only records the revision, for edits
-    /// that cancelled out. Errors when a live node in `written` has no
-    /// row or is not a text node.
-    pub fn patch_text(&mut self, tree: &XmlTree, written: &[NodeId]) -> Result<(), TreeError> {
+    /// only the text of the nodes in `written`, or nothing at all (an
+    /// empty `written`): text is the tree's, and a text write moves no
+    /// row, parent or name, so the index only records `tree`'s
+    /// revision. Errors when a live node in `written` has no row or is
+    /// not a text node; a node the tree no longer holds is skipped.
+    pub fn follow_text(&mut self, tree: &XmlTree, written: &[NodeId]) -> Result<(), TreeError> {
         for &id in written.iter().filter(|&&id| tree.is_alive(id)) {
             let row = self
                 .row_of_source(id)
                 .ok_or(TreeError::DanglingNodeId(id))?;
-            match (&mut self.kinds[row], tree.kind(id)) {
-                (NodeKind::Text { value }, NodeKind::Text { value: text }) => {
-                    value.clone_from(text);
-                }
-                (other, _) => {
-                    return Err(TreeError::Invariant(format!(
-                        "patch_text target row {row} is {other:?}, not a text node"
-                    )))
-                }
+            if !tree.kind(id).is_text() {
+                return Err(TreeError::Invariant(format!(
+                    "text write target row {row} is not a text node"
+                )));
             }
         }
         self.revision = tree.revision();
@@ -374,7 +348,7 @@ impl PreorderIndex {
 
     /// The [`XmlTree::revision`] of the tree state this index describes:
     /// set by [`encode`](Self::encode), [`splice`](Self::splice) and
-    /// [`patch_text`](Self::patch_text).
+    /// [`follow_text`](Self::follow_text).
     pub fn revision(&self) -> u32 {
         self.revision
     }
@@ -394,21 +368,16 @@ impl PreorderIndex {
 
     /// Number of rows (= nodes).
     pub fn len(&self) -> usize {
-        self.kinds.len()
+        self.source_ids.len()
     }
 
     /// True when the index is empty (never the case for a well-formed
     /// document, which has at least the document root).
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+        self.source_ids.is_empty()
     }
 
-    /// Node type, name and content of row `i`.
-    pub fn kind(&self, i: usize) -> &NodeKind {
-        &self.kinds[i]
-    }
-
-    /// The structural sidecar: parents, depths, extents, CSR children.
+    /// The structural sidecar: parents, extents, CSR children.
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
@@ -422,11 +391,6 @@ impl PreorderIndex {
     /// order).
     pub fn root(&self) -> usize {
         0
-    }
-
-    /// Depth of row `i` (document root = 0).
-    pub fn depth(&self, i: usize) -> u32 {
-        self.topo.depth(i)
     }
 
     /// Is row `a` a strict ancestor of row `b`? O(1) interval
@@ -571,25 +535,17 @@ impl PreorderIndex {
         }
     }
 
-    /// Attribute children of `i`.
-    pub fn attributes(&self, i: usize) -> Vec<usize> {
-        self.topo
-            .children(i)
-            .iter()
-            .copied()
-            .filter(|&j| self.kinds[j].is_attribute())
-            .collect()
-    }
-
-    /// The XPath string value of a row: concatenated descendant text for
+    /// The XPath string value of row `i`, with content read from `tree`,
+    /// the tree this index describes: concatenated descendant text for
     /// elements, own value for attributes/text/comments/PIs. Walks the
-    /// extent range directly — no descendant set is materialized.
-    pub fn string_value(&self, i: usize) -> String {
-        match &self.kinds[i] {
+    /// extent range's source ids directly — no descendant set is
+    /// materialized.
+    pub fn string_value(&self, tree: &XmlTree, i: usize) -> String {
+        match tree.kind(self.source_ids[i]) {
             NodeKind::Document | NodeKind::Element { .. } => {
                 let mut out = String::new();
-                for j in self.topo.descendant_range(i) {
-                    if let NodeKind::Text { value } = &self.kinds[j] {
+                for &id in &self.source_ids[self.topo.descendant_range(i)] {
+                    if let NodeKind::Text { value } = tree.kind(id) {
                         out.push_str(value);
                     }
                 }
@@ -599,14 +555,15 @@ impl PreorderIndex {
         }
     }
 
-    /// The value of attribute `name` on element row `i` — a borrow into
-    /// the index, probing the CSR children directly (no intermediate
-    /// `Vec`, no cloned `String`).
-    pub fn attribute_value(&self, i: usize, name: &str) -> Option<&str> {
+    /// The value of attribute `name` on element row `i`, read from
+    /// `tree`, the tree this index describes — a borrow into the tree,
+    /// probing the CSR children directly (no intermediate `Vec`, no
+    /// cloned `String`).
+    pub fn attribute_value<'t>(&self, tree: &'t XmlTree, i: usize, name: &str) -> Option<&'t str> {
         self.topo
             .children(i)
             .iter()
-            .find_map(|&j| match &self.kinds[j] {
+            .find_map(|&j| match tree.kind(self.source_ids[j]) {
                 NodeKind::Attribute { name: n, value } if n == name => Some(value.as_str()),
                 _ => None,
             })
@@ -694,17 +651,17 @@ mod tests {
             let kid_names: Vec<_> = index
                 .children(i)
                 .iter()
-                .map(|&j| index.kind(j).name().unwrap_or("").to_string())
+                .map(|&j| tree.kind(index.source_id(j)).name().unwrap_or(""))
                 .collect();
             let tree_kids: Vec<_> = tree
                 .children(id)
-                .map(|c| tree.kind(c).name().unwrap_or("").to_string())
+                .map(|c| tree.kind(c).name().unwrap_or(""))
                 .collect();
             assert_eq!(kid_names, tree_kids);
             assert_eq!(index.children(i), index.children_via_scan(i).as_slice());
-            // descendant count and depth
+            // descendant count, and depth as the ancestor chain
             assert_eq!(index.descendants(i).len(), tree.subtree_size(id) - 1);
-            assert_eq!(index.depth(i), tree.depth(id));
+            assert_eq!(index.ancestors(i).len(), tree.depth(id) as usize);
             // following/preceding partition
             let f = index.following(i).len();
             let p = index.preceding(i).len();
@@ -742,13 +699,16 @@ mod tests {
         let index = PreorderIndex::encode(&tree).unwrap();
         // find the title element row
         let title = (0..index.len())
-            .find(|&i| index.kind(i).name() == Some("title"))
+            .find(|&i| tree.kind(index.source_id(i)).name() == Some("title"))
             .unwrap();
-        assert_eq!(index.string_value(title), "Wayfarer");
-        assert_eq!(index.attribute_value(title, "genre"), Some("Fantasy"));
-        assert_eq!(index.attribute_value(title, "nope"), None);
+        assert_eq!(index.string_value(&tree, title), "Wayfarer");
+        assert_eq!(
+            index.attribute_value(&tree, title, "genre"),
+            Some("Fantasy")
+        );
+        assert_eq!(index.attribute_value(&tree, title, "nope"), None);
         // whole-document string value concatenates all text
-        let all = index.string_value(index.root());
+        let all = index.string_value(&tree, index.root());
         assert!(all.contains("Wayfarer") && all.contains("USA"));
     }
 
@@ -764,24 +724,37 @@ mod tests {
         let out_of_range = NodeId::from_index(tree.id_bound() + 5);
         assert_eq!(index.row_of_source(out_of_range), None);
 
-        let title_text = (0..index.len())
-            .find(|&i| index.kind(i).value() == Some("Wayfarer") && index.kind(i).is_text())
+        let text_id = tree
+            .preorder()
+            .find(|&id| tree.kind(id).is_text() && tree.kind(id).value() == Some("Wayfarer"))
             .unwrap();
+        let title_text = index.row_of_source(text_id).unwrap();
         let mut edited = tree.clone();
-        let text_id = index.source_id(title_text);
         *edited.kind_mut(text_id) = NodeKind::Text {
             value: "Sojourner".to_string(),
         };
         assert_ne!(index.revision(), edited.revision());
-        index.patch_text(&edited, &[text_id]).unwrap();
+        index.follow_text(&edited, &[text_id]).unwrap();
         assert_eq!(index.revision(), edited.revision());
-        assert_eq!(index.kind(title_text).value(), Some("Sojourner"));
         let title = index.parent(title_text).unwrap();
-        assert_eq!(index.string_value(title), "Sojourner");
+        assert_eq!(index.string_value(&edited, title), "Sojourner");
+
+        // refused: a written node that is not a text node, and a live
+        // one with no row
         let title_id = index.source_id(title);
         assert!(
-            index.patch_text(&edited, &[title_id]).is_err(),
+            index.follow_text(&edited, &[title_id]).is_err(),
             "element row"
+        );
+        let loose = edited.create(NodeKind::Text {
+            value: "loose".to_string(),
+        });
+        assert!(
+            matches!(
+                index.follow_text(&edited, &[loose]),
+                Err(TreeError::DanglingNodeId(id)) if id == loose
+            ),
+            "live node with no row"
         );
     }
 }

@@ -36,8 +36,8 @@ pub fn row_in_extents(extents: &[(usize, usize)], i: usize) -> bool {
     k > 0 && i < extents[k - 1].1
 }
 
-/// Structural index over a document-order table: parent, depth,
-/// pre-order subtree extents and CSR children arrays. Its parent column
+/// Structural index over a document-order table: parent, pre-order
+/// subtree extents and CSR children arrays. Its parent column
 /// is the [`PreorderIndex`](crate::PreorderIndex)'s only one.
 ///
 /// Built by [`Topology::from_parents`] in O(n). When the table changes
@@ -47,7 +47,6 @@ pub fn row_in_extents(extents: &[(usize, usize)], i: usize) -> bool {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
     parent: Vec<Option<usize>>,
-    depth: Vec<u32>,
     /// `extent[i]` is one past the last row of `i`'s subtree: strict
     /// descendants of `i` are exactly rows `i+1..extent[i]`.
     extent: Vec<usize>,
@@ -81,7 +80,7 @@ impl Topology {
         &mut self.parent
     }
 
-    /// Recompute depth, extents and CSR children from the parent column
+    /// Recompute extents and CSR children from the parent column
     /// the index holds, reusing every buffer: once the table has reached
     /// its size this allocates nothing. On a malformed column the same
     /// [`TreeError`] as [`from_parents`](Self::from_parents) comes back
@@ -101,15 +100,6 @@ impl Topology {
                     return Err(TreeError::DanglingNodeId(NodeId::from_index(*p)))
                 }
                 Some(_) => {}
-            }
-        }
-
-        // depth: parents precede children in document order.
-        self.depth.clear();
-        self.depth.resize(n, 0);
-        for (i, p) in parent.iter().enumerate().skip(1) {
-            if let Some(p) = *p {
-                self.depth[i] = self.depth[p] + 1;
             }
         }
 
@@ -166,11 +156,6 @@ impl Topology {
     /// Parent row of `i`.
     pub fn parent(&self, i: usize) -> Option<usize> {
         self.parent[i]
-    }
-
-    /// Depth of row `i` (root = 0).
-    pub fn depth(&self, i: usize) -> u32 {
-        self.depth[i]
     }
 
     /// One past the last row of `i`'s subtree.
@@ -244,16 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn extents_depths_and_children() {
+    fn extents_and_children() {
         let t = sample();
         assert_eq!(t.len(), 5);
         assert_eq!(
             (0..5).map(|i| t.extent(i)).collect::<Vec<_>>(),
             [5, 4, 3, 4, 5]
-        );
-        assert_eq!(
-            (0..5).map(|i| t.depth(i)).collect::<Vec<_>>(),
-            [0, 1, 2, 2, 1]
         );
         assert_eq!(t.children(0), [1, 4]);
         assert_eq!(t.children(1), [2, 3]);

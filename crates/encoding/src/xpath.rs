@@ -23,6 +23,7 @@
 use crate::preorder::PreorderIndex;
 use crate::topology::row_in_extents;
 use std::fmt;
+use xupd_xmldom::{NodeKind, XmlTree};
 
 /// XPath axes supported by the evaluator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -313,10 +314,12 @@ impl XPathExpr {
         &self.steps
     }
 
-    /// Evaluate against a preorder index, returning row indices in
-    /// document order, duplicates eliminated (§2.2: XPath operators
+    /// Evaluate against `tree`'s preorder index, returning row indices
+    /// in document order, duplicates eliminated (§2.2: XPath operators
     /// "eliminate duplicate nodes from their result sequences based on
-    /// node identity" and return document order).
+    /// node identity" and return document order). Structure comes from
+    /// the index and node tests read each row's kind from `tree` by
+    /// source id, so `doc` must describe `tree` as it is.
     ///
     /// The evaluator streams: name-test steps on the `descendant`,
     /// `descendant-or-self` and `child` axes intersect [`NameIndex`]
@@ -328,16 +331,16 @@ impl XPathExpr {
     /// the common case for downward axes over disjoint subtrees.
     ///
     /// [`NameIndex`]: crate::index::NameIndex
-    pub fn evaluate(&self, doc: &PreorderIndex) -> Vec<usize> {
-        self.evaluate_from(doc, doc.root())
+    pub fn evaluate(&self, tree: &XmlTree, doc: &PreorderIndex) -> Vec<usize> {
+        self.evaluate_from(tree, doc, doc.root())
     }
 
     /// Evaluate the steps with row `start` as the initial context
     /// instead of the document root — how a path relative to a context
     /// node resolves. Same contract as [`evaluate`](Self::evaluate):
     /// rows in document order, duplicates eliminated.
-    pub fn evaluate_from(&self, doc: &PreorderIndex, start: usize) -> Vec<usize> {
-        eval_plan(&fuse_steps(&self.steps), doc, start, None)
+    pub fn evaluate_from(&self, tree: &XmlTree, doc: &PreorderIndex, start: usize) -> Vec<usize> {
+        eval_plan(&fuse_steps(&self.steps), tree, doc, start, None)
     }
 
     /// Compile the reusable evaluation form: the fused step plan plus
@@ -469,8 +472,8 @@ impl AccessPattern {
 
     /// Evaluate the compiled plan — identical results to
     /// [`XPathExpr::evaluate`], without re-fusing the steps.
-    pub fn evaluate(&self, doc: &PreorderIndex) -> Vec<usize> {
-        eval_plan(&self.plan, doc, doc.root(), None)
+    pub fn evaluate(&self, tree: &XmlTree, doc: &PreorderIndex) -> Vec<usize> {
+        eval_plan(&self.plan, tree, doc, doc.root(), None)
     }
 
     /// Evaluate the plan scoped to the sorted, disjoint half-open row
@@ -483,11 +486,16 @@ impl AccessPattern {
     /// extent passes only through contexts whose subtrees overlap that
     /// extent, and per-context predicate scratch stays complete because
     /// pruning never drops candidates within one context's step.
-    pub fn evaluate_within(&self, doc: &PreorderIndex, extents: &[(usize, usize)]) -> Vec<usize> {
+    pub fn evaluate_within(
+        &self,
+        tree: &XmlTree,
+        doc: &PreorderIndex,
+        extents: &[(usize, usize)],
+    ) -> Vec<usize> {
         if extents.is_empty() {
             return Vec::new();
         }
-        eval_plan(&self.plan, doc, doc.root(), Some(extents))
+        eval_plan(&self.plan, tree, doc, doc.root(), Some(extents))
     }
 }
 
@@ -498,10 +506,16 @@ impl AccessPattern {
 /// step and the final result keeps only rows inside the intervals.
 fn eval_plan(
     plan: &[Step],
+    tree: &XmlTree,
     doc: &PreorderIndex,
     start: usize,
     within: Option<&[(usize, usize)]>,
 ) -> Vec<usize> {
+    debug_assert_eq!(
+        doc.revision(),
+        tree.revision(),
+        "index of another tree state"
+    );
     {
         let topo = doc.topology();
         let index = doc.name_index();
@@ -518,7 +532,7 @@ fn eval_plan(
                     // element rows with this name, in document order.
                     (Axis::Descendant | Axis::DescendantOrSelf, NodeTest::Name(name)) => {
                         if step.axis == Axis::DescendantOrSelf
-                            && test_matches(doc, ctx, step.axis, &step.test)
+                            && test_matches(tree.kind(doc.source_id(ctx)), step.axis, &step.test)
                         {
                             scratch.push(ctx);
                         }
@@ -578,18 +592,21 @@ fn eval_plan(
                             scratch.extend_from_slice(doc.preceding_siblings(ctx));
                         }
                         Axis::Attribute => {
-                            scratch.extend(
-                                topo.children(ctx)
-                                    .iter()
-                                    .copied()
-                                    .filter(|&j| doc.kind(j).is_attribute()),
-                            );
+                            // One read of each child's kind decides both
+                            // the axis and the node test.
+                            scratch.extend(topo.children(ctx).iter().copied().filter(|&j| {
+                                let kind = tree.kind(doc.source_id(j));
+                                kind.is_attribute() && test_matches(kind, step.axis, &step.test)
+                            }));
+                            pre_tested = true;
                         }
                         Axis::SelfAxis => scratch.push(ctx),
                     },
                 }
                 if !pre_tested {
-                    scratch.retain(|&i| test_matches(doc, i, step.axis, &step.test));
+                    scratch.retain(|&i| {
+                        test_matches(tree.kind(doc.source_id(i)), step.axis, &step.test)
+                    });
                 }
                 for pred in &step.preds {
                     match pred {
@@ -599,8 +616,9 @@ fn eval_plan(
                             scratch.extend(kept);
                         }
                         Pred::AttrEq(name, value) => {
-                            scratch
-                                .retain(|&i| doc.attribute_value(i, name) == Some(value.as_str()));
+                            scratch.retain(|&i| {
+                                doc.attribute_value(tree, i, name) == Some(value.as_str())
+                            });
                         }
                     }
                 }
@@ -674,8 +692,7 @@ fn fuse_steps(steps: &[Step]) -> Vec<Step> {
     plan
 }
 
-fn test_matches(doc: &PreorderIndex, i: usize, axis: Axis, test: &NodeTest) -> bool {
-    let kind = doc.kind(i);
+fn test_matches(kind: &NodeKind, axis: Axis, test: &NodeTest) -> bool {
     match test {
         NodeTest::AnyNode => true,
         NodeTest::Text => kind.is_text(),
@@ -701,112 +718,125 @@ mod tests {
     use super::*;
     use xupd_workloads::docs;
 
-    fn book() -> PreorderIndex {
-        PreorderIndex::encode(&docs::book()).unwrap()
+    fn book() -> (XmlTree, PreorderIndex) {
+        let tree = docs::book();
+        let doc = PreorderIndex::encode(&tree).unwrap();
+        (tree, doc)
     }
 
-    fn names(doc: &PreorderIndex, rows: &[usize]) -> Vec<String> {
+    fn names(tree: &XmlTree, doc: &PreorderIndex, rows: &[usize]) -> Vec<String> {
         rows.iter()
-            .map(|&i| doc.kind(i).name().unwrap_or("#text").to_string())
+            .map(|&i| {
+                let kind = tree.kind(doc.source_id(i));
+                kind.name().unwrap_or("#text").to_string()
+            })
             .collect()
     }
 
     #[test]
     fn simple_child_path() {
-        let doc = book();
+        let (tree, doc) = book();
         let r = parse_xpath("/book/publisher/editor/name")
             .unwrap()
-            .evaluate(&doc);
-        assert_eq!(names(&doc, &r), ["name"]);
-        assert_eq!(doc.string_value(r[0]), "Destiny Image");
+            .evaluate(&tree, &doc);
+        assert_eq!(names(&tree, &doc, &r), ["name"]);
+        assert_eq!(doc.string_value(&tree, r[0]), "Destiny Image");
     }
 
     #[test]
     fn descendant_shorthand() {
-        let doc = book();
-        let r = parse_xpath("//name").unwrap().evaluate(&doc);
-        assert_eq!(names(&doc, &r), ["name"]);
-        let all = parse_xpath("//*").unwrap().evaluate(&doc);
+        let (tree, doc) = book();
+        let r = parse_xpath("//name").unwrap().evaluate(&tree, &doc);
+        assert_eq!(names(&tree, &doc, &r), ["name"]);
+        let all = parse_xpath("//*").unwrap().evaluate(&tree, &doc);
         assert_eq!(all.len(), 8, "eight elements in the sample document");
     }
 
     #[test]
     fn attribute_axis_and_shorthand() {
-        let doc = book();
-        let r = parse_xpath("/book/title/@genre").unwrap().evaluate(&doc);
+        let (tree, doc) = book();
+        let r = parse_xpath("/book/title/@genre")
+            .unwrap()
+            .evaluate(&tree, &doc);
         assert_eq!(r.len(), 1);
-        assert_eq!(doc.kind(r[0]).value(), Some("Fantasy"));
+        assert_eq!(tree.kind(doc.source_id(r[0])).value(), Some("Fantasy"));
         let r2 = parse_xpath("/book/title/attribute::*")
             .unwrap()
-            .evaluate(&doc);
+            .evaluate(&tree, &doc);
         assert_eq!(r, r2);
     }
 
     #[test]
     fn predicates() {
-        let doc = book();
+        let (tree, doc) = book();
         let r = parse_xpath("/book/publisher/editor/*[2]")
             .unwrap()
-            .evaluate(&doc);
-        assert_eq!(names(&doc, &r), ["address"]);
+            .evaluate(&tree, &doc);
+        assert_eq!(names(&tree, &doc, &r), ["address"]);
         let r = parse_xpath("//edition[@year=\"2004\"]")
             .unwrap()
-            .evaluate(&doc);
-        assert_eq!(names(&doc, &r), ["edition"]);
+            .evaluate(&tree, &doc);
+        assert_eq!(names(&tree, &doc, &r), ["edition"]);
         let r = parse_xpath("//edition[@year=\"1999\"]")
             .unwrap()
-            .evaluate(&doc);
+            .evaluate(&tree, &doc);
         assert!(r.is_empty());
     }
 
     #[test]
     fn parent_ancestor_sibling_axes() {
-        let doc = book();
-        let r = parse_xpath("//address/..").unwrap().evaluate(&doc);
-        assert_eq!(names(&doc, &r), ["editor"]);
-        let r = parse_xpath("//address/ancestor::*").unwrap().evaluate(&doc);
-        assert_eq!(names(&doc, &r), ["book", "publisher", "editor"]);
+        let (tree, doc) = book();
+        let r = parse_xpath("//address/..").unwrap().evaluate(&tree, &doc);
+        assert_eq!(names(&tree, &doc, &r), ["editor"]);
+        let r = parse_xpath("//address/ancestor::*")
+            .unwrap()
+            .evaluate(&tree, &doc);
+        assert_eq!(names(&tree, &doc, &r), ["book", "publisher", "editor"]);
         let r = parse_xpath("//name/following-sibling::*")
             .unwrap()
-            .evaluate(&doc);
-        assert_eq!(names(&doc, &r), ["address"]);
+            .evaluate(&tree, &doc);
+        assert_eq!(names(&tree, &doc, &r), ["address"]);
         let r = parse_xpath("//address/preceding-sibling::*")
             .unwrap()
-            .evaluate(&doc);
-        assert_eq!(names(&doc, &r), ["name"]);
+            .evaluate(&tree, &doc);
+        assert_eq!(names(&tree, &doc, &r), ["name"]);
     }
 
     #[test]
     fn following_preceding_axes() {
-        let doc = book();
-        let r = parse_xpath("//author/following::*").unwrap().evaluate(&doc);
+        let (tree, doc) = book();
+        let r = parse_xpath("//author/following::*")
+            .unwrap()
+            .evaluate(&tree, &doc);
         assert_eq!(
-            names(&doc, &r),
+            names(&tree, &doc, &r),
             ["publisher", "editor", "name", "address", "edition"]
         );
         let r = parse_xpath("//publisher/preceding::*")
             .unwrap()
-            .evaluate(&doc);
-        assert_eq!(names(&doc, &r), ["title", "author"]);
+            .evaluate(&tree, &doc);
+        assert_eq!(names(&tree, &doc, &r), ["title", "author"]);
     }
 
     #[test]
     fn text_test() {
-        let doc = book();
-        let r = parse_xpath("/book/title/text()").unwrap().evaluate(&doc);
+        let (tree, doc) = book();
+        let r = parse_xpath("/book/title/text()")
+            .unwrap()
+            .evaluate(&tree, &doc);
         assert_eq!(r.len(), 1);
-        assert_eq!(doc.kind(r[0]).value(), Some("Wayfarer"));
+        assert_eq!(tree.kind(doc.source_id(r[0])).value(), Some("Wayfarer"));
     }
 
     #[test]
     fn results_in_document_order_without_duplicates() {
-        let doc = book();
+        let (tree, doc) = book();
         // both steps can reach the same nodes; dedup must apply
         let r = parse_xpath("//*/descendant-or-self::name")
             .unwrap()
-            .evaluate(&doc);
-        assert_eq!(names(&doc, &r), ["name"]);
-        let r = parse_xpath("//*").unwrap().evaluate(&doc);
+            .evaluate(&tree, &doc);
+        assert_eq!(names(&tree, &doc, &r), ["name"]);
+        let r = parse_xpath("//*").unwrap().evaluate(&tree, &doc);
         for w in r.windows(2) {
             assert!(w[0] < w[1]);
         }
@@ -860,10 +890,14 @@ mod tests {
         let attr = tree.create(xupd_xmldom::NodeKind::attribute("id", "a]b"));
         tree.append_child(item, attr).unwrap();
         let doc = PreorderIndex::encode(&tree).unwrap();
-        let r = parse_xpath("//item[@id=\"a]b\"]").unwrap().evaluate(&doc);
+        let r = parse_xpath("//item[@id=\"a]b\"]")
+            .unwrap()
+            .evaluate(&tree, &doc);
         assert_eq!(r.len(), 1);
-        assert_eq!(doc.kind(r[0]).name(), Some("item"));
-        let none = parse_xpath("//item[@id=\"a\"]").unwrap().evaluate(&doc);
+        assert_eq!(tree.kind(doc.source_id(r[0])).name(), Some("item"));
+        let none = parse_xpath("//item[@id=\"a\"]")
+            .unwrap()
+            .evaluate(&tree, &doc);
         assert!(none.is_empty());
     }
 
@@ -898,7 +932,7 @@ mod tests {
 
     #[test]
     fn compiled_pattern_evaluates_identically_and_scopes() {
-        let doc = book();
+        let (tree, doc) = book();
         for q in [
             "//name",
             "/book/publisher/editor/*[2]",
@@ -908,88 +942,110 @@ mod tests {
             "//address/ancestor::*",
         ] {
             let e = parse_xpath(q).unwrap();
-            assert_eq!(e.access_pattern().evaluate(&doc), e.evaluate(&doc), "{q}");
+            assert_eq!(
+                e.access_pattern().evaluate(&tree, &doc),
+                e.evaluate(&tree, &doc),
+                "{q}"
+            );
         }
         // scoped evaluation == full result intersected with the extents
         let e = parse_xpath("//name").unwrap();
         let pat = e.access_pattern();
-        let full = e.evaluate(&doc);
-        assert_eq!(pat.evaluate_within(&doc, &[(0, doc.len())]), full);
-        assert!(pat.evaluate_within(&doc, &[]).is_empty());
+        let full = e.evaluate(&tree, &doc);
+        assert_eq!(pat.evaluate_within(&tree, &doc, &[(0, doc.len())]), full);
+        assert!(pat.evaluate_within(&tree, &doc, &[]).is_empty());
         let topo = doc.topology();
         for &r in &full {
-            assert_eq!(pat.evaluate_within(&doc, &[(r, topo.extent(r))]), [r]);
+            assert_eq!(
+                pat.evaluate_within(&tree, &doc, &[(r, topo.extent(r))]),
+                [r]
+            );
         }
         // an extent that misses every match scopes to nothing
-        let title = parse_xpath("//title").unwrap().evaluate(&doc)[0];
+        let title = parse_xpath("//title").unwrap().evaluate(&tree, &doc)[0];
         assert!(pat
-            .evaluate_within(&doc, &[(title, topo.extent(title))])
+            .evaluate_within(&tree, &doc, &[(title, topo.extent(title))])
             .is_empty());
     }
 
     /// Two `s` sections told apart by position and by `@id`, and an
     /// `x` under both the first `s` and `t`.
-    fn sections() -> PreorderIndex {
+    fn sections() -> (XmlTree, PreorderIndex) {
         let tree =
             xupd_xmldom::parse(r#"<r><s id="1"><x>one</x></s><s id="2"/><t><x>two</x></t></r>"#)
                 .unwrap();
-        PreorderIndex::encode(&tree).unwrap()
+        let doc = PreorderIndex::encode(&tree).unwrap();
+        (tree, doc)
     }
 
-    fn from(doc: &PreorderIndex, path: &str, start: usize) -> Vec<usize> {
-        parse_xpath(path).unwrap().evaluate_from(doc, start)
+    fn from(tree: &XmlTree, doc: &PreorderIndex, path: &str, start: usize) -> Vec<usize> {
+        parse_xpath(path).unwrap().evaluate_from(tree, doc, start)
     }
 
     #[test]
     fn evaluate_from_the_root_row() {
-        let doc = sections();
+        let (tree, doc) = sections();
         let root = doc.root();
-        assert_eq!(names(&doc, &from(&doc, "/r/s", root)), ["s", "s"]);
-        assert_eq!(names(&doc, &from(&doc, "//x", root)), ["x", "x"]);
-        assert_eq!(from(&doc, "/r/s/x", root).len(), 1);
-        assert!(from(&doc, "/r/missing", root).is_empty());
-        // positional and attribute predicates
-        assert_eq!(from(&doc, "/r/s[2]", root).len(), 1);
-        assert!(from(&doc, "/r/s[3]", root).is_empty());
         assert_eq!(
-            from(&doc, "/r/s[@id=\"2\"]", root),
-            from(&doc, "/r/s[2]", root)
+            names(&tree, &doc, &from(&tree, &doc, "/r/s", root)),
+            ["s", "s"]
+        );
+        assert_eq!(
+            names(&tree, &doc, &from(&tree, &doc, "//x", root)),
+            ["x", "x"]
+        );
+        assert_eq!(from(&tree, &doc, "/r/s/x", root).len(), 1);
+        assert!(from(&tree, &doc, "/r/missing", root).is_empty());
+        // positional and attribute predicates
+        assert_eq!(from(&tree, &doc, "/r/s[2]", root).len(), 1);
+        assert!(from(&tree, &doc, "/r/s[3]", root).is_empty());
+        assert_eq!(
+            from(&tree, &doc, "/r/s[@id=\"2\"]", root),
+            from(&tree, &doc, "/r/s[2]", root)
         );
         // text() and self steps
-        let texts = from(&doc, "/r/s/x/text()", root);
+        let texts = from(&tree, &doc, "/r/s/x/text()", root);
         assert_eq!(texts.len(), 1);
-        assert!(doc.kind(texts[0]).is_text());
-        assert_eq!(from(&doc, "/.", root), [root]);
+        assert!(tree.kind(doc.source_id(texts[0])).is_text());
+        assert_eq!(from(&tree, &doc, "/.", root), [root]);
         // sibling and upward axes
-        let second = from(&doc, "/r/s[2]", root)[0];
-        let prev = from(&doc, "/r/s[2]/preceding-sibling::*", root);
-        assert_eq!(names(&doc, &prev), ["s"]);
-        let anc = from(&doc, "/r/s[2]/ancestor::*", root);
-        assert_eq!(names(&doc, &anc), ["r"]);
+        let second = from(&tree, &doc, "/r/s[2]", root)[0];
+        let prev = from(&tree, &doc, "/r/s[2]/preceding-sibling::*", root);
+        assert_eq!(names(&tree, &doc, &prev), ["s"]);
+        let anc = from(&tree, &doc, "/r/s[2]/ancestor::*", root);
+        assert_eq!(names(&tree, &doc, &anc), ["r"]);
         assert_eq!(doc.parent(second), Some(anc[0]));
         for path in ["//x", "/r/s[2]/ancestor::*", "//*"] {
             let e = parse_xpath(path).unwrap();
-            assert_eq!(e.evaluate_from(&doc, root), e.evaluate(&doc), "{path}");
+            assert_eq!(
+                e.evaluate_from(&tree, &doc, root),
+                e.evaluate(&tree, &doc),
+                "{path}"
+            );
         }
     }
 
     #[test]
     fn evaluate_from_a_context_row() {
-        let doc = sections();
-        let t = from(&doc, "/r/t", doc.root())[0];
-        let xs = from(&doc, "/x", t);
-        assert_eq!(names(&doc, &xs), ["x"]);
+        let (tree, doc) = sections();
+        let t = from(&tree, &doc, "/r/t", doc.root())[0];
+        let xs = from(&tree, &doc, "/x", t);
+        assert_eq!(names(&tree, &doc, &xs), ["x"]);
         assert_eq!(doc.parent(xs[0]), Some(t));
         // `.` is the context itself, and `//` stays inside its subtree
-        assert_eq!(from(&doc, "/.", t), [t]);
-        assert_eq!(from(&doc, "//x", t), xs);
+        assert_eq!(from(&tree, &doc, "/.", t), [t]);
+        assert_eq!(from(&tree, &doc, "//x", t), xs);
         // upward and lateral steps leave it
-        let first = from(&doc, "/r/s[1]", doc.root())[0];
+        let first = from(&tree, &doc, "/r/s[1]", doc.root())[0];
         assert_eq!(
-            names(&doc, &from(&doc, "/following-sibling::*", first)),
+            names(
+                &tree,
+                &doc,
+                &from(&tree, &doc, "/following-sibling::*", first)
+            ),
             ["s", "t"]
         );
-        assert_eq!(names(&doc, &from(&doc, "/..", first)), ["r"]);
+        assert_eq!(names(&tree, &doc, &from(&tree, &doc, "/..", first)), ["r"]);
     }
 
     #[test]

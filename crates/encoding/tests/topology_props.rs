@@ -117,11 +117,11 @@ props! {
         for q in queries {
             let expr = parse_xpath(q).unwrap();
             // lint:allow(R10): evaluator-vs-reference property needs both sides
-            let streamed = expr.evaluate(&index);
+            let streamed = expr.evaluate(&tree, &index);
             for (name, labels) in sessions {
                 prop_assert_eq!(
                     streamed,
-                    evaluate_reference(&expr, &index, labels),
+                    evaluate_reference(&expr, &tree, &index, labels),
                     "query {} diverged ({})", q, name
                 );
             }
@@ -132,17 +132,18 @@ props! {
         let tree = docs::random_tagged_tree(seed, n, &TAGS);
         let index = PreorderIndex::encode(&tree).unwrap();
         let labels = labelled(DeweyId::new(), &tree);
+        let kind = |row: usize| tree.kind(index.source_id(row));
         for i in 0..index.len() {
-            if index.kind(i).is_element() {
+            if kind(i).is_element() {
                 // reference: concatenated text over the label-path
                 // descendant set
                 let mut expect = String::new();
                 for j in index.descendants_via_labels(&labels, i).unwrap() {
-                    if index.kind(j).is_text() {
-                        expect.push_str(index.kind(j).value().unwrap_or(""));
+                    if kind(j).is_text() {
+                        expect.push_str(kind(j).value().unwrap_or(""));
                     }
                 }
-                prop_assert_eq!(index.string_value(i), expect);
+                prop_assert_eq!(index.string_value(&tree, i), expect);
             }
         }
     }
@@ -151,11 +152,16 @@ props! {
 /// The pre-topology evaluator, preserved verbatim as the reference:
 /// per-context axis enumeration over the label-algebra paths, full
 /// sort+dedup after every step.
-fn evaluate_reference(expr: &XPathExpr, doc: &PreorderIndex, labels: &dyn DynScheme) -> Vec<usize> {
+fn evaluate_reference(
+    expr: &XPathExpr,
+    tree: &XmlTree,
+    doc: &PreorderIndex,
+    labels: &dyn DynScheme,
+) -> Vec<usize> {
     use xupd_encoding::xpath::{Axis, NodeTest, Pred};
 
-    fn test_matches(doc: &PreorderIndex, i: usize, axis: Axis, test: &NodeTest) -> bool {
-        let kind = doc.kind(i);
+    let test_matches = |i: usize, axis: Axis, test: &NodeTest| -> bool {
+        let kind = tree.kind(doc.source_id(i));
         match test {
             NodeTest::AnyNode => true,
             NodeTest::Text => kind.is_text(),
@@ -174,7 +180,7 @@ fn evaluate_reference(expr: &XPathExpr, doc: &PreorderIndex, labels: &dyn DynSch
                 }
             }
         }
-    }
+    };
 
     let mut context: Vec<usize> = vec![doc.root()];
     for step in expr.steps() {
@@ -194,10 +200,14 @@ fn evaluate_reference(expr: &XPathExpr, doc: &PreorderIndex, labels: &dyn DynSch
                 Axis::Preceding => doc.preceding_via_labels(labels, ctx).unwrap(),
                 Axis::FollowingSibling => doc.following_siblings(ctx).to_vec(),
                 Axis::PrecedingSibling => doc.preceding_siblings(ctx).to_vec(),
-                Axis::Attribute => doc.attributes(ctx),
+                Axis::Attribute => doc
+                    .children_via_scan(ctx)
+                    .into_iter()
+                    .filter(|&j| tree.kind(doc.source_id(j)).is_attribute())
+                    .collect(),
                 Axis::SelfAxis => vec![ctx],
             };
-            candidates.retain(|&i| test_matches(doc, i, step.axis, &step.test));
+            candidates.retain(|&i| test_matches(i, step.axis, &step.test));
             for pred in &step.preds {
                 match pred {
                     Pred::Position(k) => {
@@ -209,8 +219,9 @@ fn evaluate_reference(expr: &XPathExpr, doc: &PreorderIndex, labels: &dyn DynSch
                             .collect();
                     }
                     Pred::AttrEq(name, value) => {
-                        candidates
-                            .retain(|&i| doc.attribute_value(i, name) == Some(value.as_str()));
+                        candidates.retain(|&i| {
+                            doc.attribute_value(tree, i, name) == Some(value.as_str())
+                        });
                     }
                 }
             }
@@ -239,8 +250,11 @@ fn figure1_topology_golden() {
         [16, 16, 5, 4, 5, 7, 7, 16, 13, 11, 11, 13, 13, 16, 15, 16]
     );
     assert_eq!(
-        (0..16).map(|i| t.depth(i)).collect::<Vec<_>>(),
-        [0, 1, 2, 3, 3, 2, 3, 2, 3, 4, 5, 4, 5, 3, 4, 4]
+        (0..16)
+            .map(|i| index.ancestors(i).len())
+            .collect::<Vec<_>>(),
+        [0, 1, 2, 3, 3, 2, 3, 2, 3, 4, 5, 4, 5, 3, 4, 4],
+        "depths, as ancestor chains"
     );
     assert_eq!(
         t.child_start(),

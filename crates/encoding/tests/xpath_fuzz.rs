@@ -45,7 +45,7 @@ props! {
             let doc = PreorderIndex::encode(&tree);
             prop_assert!(doc.is_ok(), "fixture encodes");
             if let Ok(doc) = doc {
-                let rows = expr.evaluate(&doc);
+                let rows = expr.evaluate(&tree, &doc);
                 prop_assert!(rows.iter().all(|&r| r < doc.len()), "rows inside the table");
             }
         }

@@ -99,7 +99,7 @@ impl Lowerer<'_> {
         } else {
             self.index.root()
         };
-        path.expr.evaluate_from(self.index, start)
+        path.expr.evaluate_from(self.tree, self.index, start)
     }
 
     /// Resolve a direct statement target: strict match (F010 on ∅).
@@ -427,7 +427,10 @@ mod tests {
     fn covering_keeps_subtree_roots_only() {
         let t = sample();
         let index = PreorderIndex::encode(&t).unwrap();
-        let rows = |path: &str| xupd_encoding::parse_xpath(path).unwrap().evaluate(&index);
+        let rows = |path: &str| {
+            let expr = xupd_encoding::parse_xpath(path).unwrap();
+            expr.evaluate(&t, &index)
+        };
         // every element nests inside the document element
         assert_eq!(
             covering(&index, &rows("//*")),

@@ -27,16 +27,17 @@
 //! to the framework function as it is.
 //!
 //! Queries, the analyzer, flux compiles, script compiles and
-//! reconstruction all read one encoding: the document's
-//! [`PreorderIndex`], which the [`QueryCache`] keeps. Its labels are the
-//! session's, addressed by node id, so the document holds no second
-//! copy of them. The index is encoded on first need
+//! reconstruction all read one encoding, keyed by node id: the
+//! session's labels, the document's [`PreorderIndex`] (structure only),
+//! which the [`QueryCache`] keeps, and the live tree's node table
+//! (content). The document holds no second copy of either labels or
+//! content. The index is encoded on first need
 //! ([`Document::xpath`], [`Document::register_query`],
 //! [`Document::tree_with_index`], [`Document::compile_script`],
 //! [`Document::apply_log`], [`Document::reconstruct`]) and then kept
 //! current by every analyzed batch — spliced after a structural batch,
-//! patched after a text-only one, only re-stamped after a batch with
-//! zero effective ops — whether or not a query is registered.
+//! only re-stamped after a text-only one or one with zero effective
+//! ops — whether or not a query is registered.
 //! Registered queries are maintained incrementally over it instead of
 //! being re-evaluated per batch.
 
@@ -142,7 +143,7 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// they address [`Document::tree_with_index`]'s index too.
     pub fn xpath(&mut self, expr: &str) -> Result<Vec<usize>, DocumentError> {
         let expr = parse_xpath(expr)?;
-        Ok(expr.evaluate(self.cache.index(&self.tree)?))
+        Ok(expr.evaluate(&self.tree, self.cache.index(&self.tree)?))
     }
 
     /// Replay an update script against the live tree through the
@@ -193,9 +194,10 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// [`ApplyOptions`]).
     ///
     /// Upkeep is footprint-driven: the [`QueryCache`] absorbs the batch
-    /// from the same plan — splicing or patching the index and keeping,
-    /// repairing or rebuilding each registered query. A batch with zero
-    /// effective ops only re-stamps the index.
+    /// from the same plan — splicing the index after a structural batch
+    /// and keeping, repairing or rebuilding each registered query. A
+    /// text-only batch, or one with zero effective ops, only re-stamps
+    /// the index.
     pub fn apply_planned(
         &mut self,
         log: &MutationLog,
@@ -280,12 +282,13 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         verify_dyn(&self.tree, &self.session, VERIFY_SAMPLE_PAIRS, VERIFY_SEED)
     }
 
-    /// Rebuild an [`XmlTree`] from the preorder index alone — the
-    /// round-trip the paper's reconstruction property asks for. No label
-    /// is read; the index is encoded first if the document holds no
-    /// current one.
+    /// Rebuild an [`XmlTree`] from the encoding — the round-trip the
+    /// paper's reconstruction property asks for: structure from the
+    /// preorder index, content from the tree's node table by node id.
+    /// No label is read; the index is encoded first if the document
+    /// holds no current one.
     pub fn reconstruct(&mut self) -> Result<XmlTree, TreeError> {
-        xupd_encoding::reconstruct::reconstruct(self.cache.index(&self.tree)?)
+        xupd_encoding::reconstruct::reconstruct(&self.tree, self.cache.index(&self.tree)?)
     }
 }
 
@@ -297,10 +300,15 @@ mod tests {
     use xupd_workloads::{docs, Script, ScriptKind};
     use xupd_xmldom::{serialize_compact, NodeKind};
 
-    /// Where the index keeps its first row's kind: the same address
-    /// after a call exactly when the call encoded no new index.
-    fn index_ptr<S: LabelingScheme + Clone + 'static>(doc: &mut Document<S>) -> *const NodeKind {
-        std::ptr::from_ref(doc.tree_with_index().unwrap().1.kind(0))
+    /// Where the index keeps its CSR offsets: the same address after a
+    /// call exactly when the call encoded no new index.
+    fn index_ptr<S: LabelingScheme + Clone + 'static>(doc: &mut Document<S>) -> *const usize {
+        doc.tree_with_index()
+            .unwrap()
+            .1
+            .topology()
+            .child_start()
+            .as_ptr()
     }
 
     /// `expr` evaluated on a fresh encoding of the document's tree.
@@ -309,7 +317,7 @@ mod tests {
         expr: &str,
     ) -> Vec<usize> {
         let index = PreorderIndex::encode(doc.tree()).unwrap();
-        parse_xpath(expr).unwrap().evaluate(&index)
+        parse_xpath(expr).unwrap().evaluate(doc.tree(), &index)
     }
 
     #[test]
@@ -369,14 +377,14 @@ mod tests {
         assert_eq!(serialize_compact(&back), serialize_compact(doc.tree()));
 
         // a rejected batch changes nothing and keeps the index
-        let kinds = index_ptr(&mut doc);
+        let ptr = index_ptr(&mut doc);
         let bad = MutationLog::from(vec![Mutation::Delete {
             target: NodeRef::Node(NodeId::from_index(doc.tree().id_bound() + 9)),
         }]);
         doc.apply_log(&bad).unwrap_err();
         assert_eq!(
             index_ptr(&mut doc),
-            kinds,
+            ptr,
             "rejected batch re-encodes nothing"
         );
         assert_eq!(doc.cache_stats().batches_absorbed, 1, "nor is it absorbed");
@@ -400,14 +408,14 @@ mod tests {
             doc.cache.is_current(&doc.tree),
             "the index followed the batch"
         );
-        let kinds = index_ptr(&mut doc);
+        let ptr = index_ptr(&mut doc);
         let runs = doc.tree_with_index().unwrap().1.splice_runs();
         assert!(!runs.kept.is_empty(), "spliced, not encoded a second time");
 
         for p in ["//item", "/site/regions/*", "//item/@id", "//text()"] {
             assert_eq!(doc.xpath(p).unwrap(), fresh_rows(&doc, p), "{p}");
         }
-        assert_eq!(index_ptr(&mut doc), kinds, "xpath reads the spliced index");
+        assert_eq!(index_ptr(&mut doc), ptr, "xpath reads the spliced index");
     }
 
     #[test]
@@ -415,7 +423,7 @@ mod tests {
         let tree = docs::xmark_like(5, 60);
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         let q = doc.register_query("//item", true).unwrap();
-        let kinds = index_ptr(&mut doc);
+        let ptr = index_ptr(&mut doc);
         let absorbed = doc.cache_stats().batches_absorbed;
 
         let script = Script::generate(ScriptKind::MixedDelete, 40, doc.tree().len(), 4);
@@ -425,7 +433,7 @@ mod tests {
             doc.cache.is_current(&doc.tree),
             "the index is still current"
         );
-        assert_eq!(index_ptr(&mut doc), kinds, "nothing re-encoded");
+        assert_eq!(index_ptr(&mut doc), ptr, "nothing re-encoded");
 
         // the following apply is analyzed and absorbed
         doc.apply_log(&log).unwrap();
@@ -469,11 +477,11 @@ mod tests {
         let tree = docs::book();
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         doc.xpath("//title").unwrap();
-        let kinds = index_ptr(&mut doc);
+        let ptr = index_ptr(&mut doc);
 
         // an empty batch has zero effective ops
         doc.apply_log(&MutationLog::from(Vec::new())).unwrap();
-        assert_eq!(index_ptr(&mut doc), kinds, "empty batch is a no-op");
+        assert_eq!(index_ptr(&mut doc), ptr, "empty batch is a no-op");
 
         // a redundant text write (same value) is certified no-op
         let (text_id, text_val) = doc
@@ -490,7 +498,7 @@ mod tests {
             text: text_val,
         }]))
         .unwrap();
-        assert_eq!(index_ptr(&mut doc), kinds, "redundant write is a no-op");
+        assert_eq!(index_ptr(&mut doc), ptr, "redundant write is a no-op");
 
         // a cancelled create+delete component leaves zero residue under
         // a cancellation-neutral scheme (Qed)
@@ -508,7 +516,7 @@ mod tests {
             },
         ]))
         .unwrap();
-        assert_eq!(index_ptr(&mut doc), kinds, "cancelled component is a no-op");
+        assert_eq!(index_ptr(&mut doc), ptr, "cancelled component is a no-op");
         // it moved the tree's revision, and the index records that
         assert!(
             doc.cache.is_current(&doc.tree),
@@ -541,13 +549,13 @@ mod tests {
         let tree = docs::book();
         let mut doc = Document::encode(Qed::new(), &tree).unwrap();
         let title_row = doc.xpath("//title").unwrap()[0];
-        let index = doc.tree_with_index().unwrap().1;
-        let text_row = index
+        let (tree, index) = doc.tree_with_index().unwrap();
+        let text_id = index
             .descendant_range(title_row)
-            .find(|&r| index.kind(r).is_text())
+            .map(|r| index.source_id(r))
+            .find(|&id| tree.kind(id).is_text())
             .unwrap();
-        let text_id = index.source_id(text_row);
-        let kinds = index_ptr(&mut doc);
+        let ptr = index_ptr(&mut doc);
 
         doc.apply_log(&MutationLog::from(vec![Mutation::SetText {
             target: NodeRef::Node(text_id),
@@ -557,14 +565,15 @@ mod tests {
         // same index rows, new content — no re-encode happened
         assert_eq!(
             index_ptr(&mut doc),
-            kinds,
-            "text batch patches the index in place"
+            ptr,
+            "text batch keeps the index in place"
         );
         assert_eq!(doc.cache_stats().batches_absorbed, 1);
-        let index = doc.tree_with_index().unwrap().1;
-        assert_eq!(index.string_value(title_row), "Growing Up With a Dream");
-        let fresh = PreorderIndex::encode(doc.tree()).unwrap();
-        assert_eq!(fresh.string_value(title_row), "Growing Up With a Dream");
+        let (tree, index) = doc.tree_with_index().unwrap();
+        let title = index.string_value(tree, title_row);
+        assert_eq!(title, "Growing Up With a Dream");
+        let fresh = PreorderIndex::encode(tree).unwrap();
+        assert_eq!(fresh.string_value(tree, title_row), title);
         assert!(doc.verify().unwrap().is_sound());
     }
 
@@ -579,9 +588,9 @@ mod tests {
             "//name/..",
             "//text()",
         ];
-        let kinds = index_ptr(&mut doc);
+        let ptr = index_ptr(&mut doc);
         let rows: Vec<Vec<usize>> = paths.iter().map(|p| doc.xpath(p).unwrap()).collect();
-        assert_eq!(index_ptr(&mut doc), kinds, "every query read one index");
+        assert_eq!(index_ptr(&mut doc), ptr, "every query read one index");
         assert_eq!(
             *doc.cache_stats(),
             CacheStats::default(),
@@ -655,7 +664,7 @@ mod tests {
         // out on the pool — none of them may move a cache counter or
         // re-encode the index
         let stats = *doc.cache_stats();
-        let kinds = index_ptr(&mut doc);
+        let ptr = index_ptr(&mut doc);
         let shared = &doc;
         let reads: Vec<usize> = (0..64).collect();
         let row_counts = xupd_exec::par_map(&reads, |_| {
@@ -670,7 +679,7 @@ mod tests {
             stats,
             "read-only accessors moved no counter"
         );
-        assert_eq!(index_ptr(&mut doc), kinds, "nor re-encoded the index");
+        assert_eq!(index_ptr(&mut doc), ptr, "nor re-encoded the index");
 
         // the cached rows match a fresh evaluation
         assert_eq!(

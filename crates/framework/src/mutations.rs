@@ -386,8 +386,7 @@ pub(crate) fn apply_mutation_dyn<'o>(
             }
             tree.detach(t)?;
             attach(tree, binds, t, *place)?;
-            let moved: Vec<NodeId> = tree.preorder_from(t).collect();
-            for node in moved {
+            for node in tree.preorder_from(t) {
                 register_insert(tree, session.as_deref_mut(), node, stats)?;
             }
         }

@@ -36,7 +36,10 @@
 //!   fresh ranges supplies the new members. A repair needs the edits to
 //!   cover under half the document, and no cut or fresh root to be an
 //!   attribute that a `[@name="v"]` predicate reads: such an attribute
-//!   decides the membership of kept nodes under its parent.
+//!   decides the membership of kept nodes under its parent. Whether a
+//!   root is one is read off the name buckets (a row is an attribute
+//!   named `n` exactly when it sits in `n`'s bucket), since a deleted
+//!   root's content is gone with it.
 //! * **rebuilt** — anything else (upward or lateral axes, or a
 //!   positional query whose names the batch hit, whose repair would
 //!   need the changed parents' child lists): full re-evaluation, the
@@ -49,12 +52,14 @@
 //! exactly when its row is string-dirty, or fresh.
 //!
 //! The cache evaluates against its **shadow**, the document's one
-//! [`PreorderIndex`]: the unlabelled half of the encoding, holding node
-//! kinds, parents, the [`Topology`] sidecar and the [`NameIndex`], and
-//! no label column. The streaming evaluator never reads a label
-//! (ancestry is preorder interval containment on the topology), so
-//! results are the same under every labelling scheme, and keeping the
-//! shadow current never pays the document's label algebra. The analyzer
+//! [`PreorderIndex`]: the structure of the encoding, holding parents,
+//! source ids, the [`Topology`] sidecar and the [`NameIndex`], with no
+//! content and no label column. Node tests and string values read each
+//! row's content from the tree by source id. The streaming evaluator
+//! never reads a label (ancestry is preorder interval containment on
+//! the topology), so results are the same under every labelling scheme,
+//! and keeping the shadow current never pays the document's label
+//! algebra. The analyzer
 //! resolves footprints on the same index
 //! ([`analyze_in`](crate::analysis::analyze_in)), flux lowering
 //! resolves paths on it, `Document::xpath` evaluates on it and
@@ -68,10 +73,11 @@
 //! A structural batch splices the shadow in place
 //! ([`PreorderIndex::splice`]): finding what the batch changed costs
 //! O(batch), through its exact edits (deleted and moved subtree roots,
-//! created nodes); the rest is O(n) shifting of the rows that stayed,
-//! with no per-row allocation. A text-only batch patches text rows in
-//! place, and a batch with zero effective ops only records the new
-//! revision. The full re-encode is left for the first need,
+//! created nodes); the rest is O(n) shifting of the source ids that
+//! stayed, with no per-row allocation. A text-only batch, or one with
+//! zero effective ops, leaves every column alone: the shadow only
+//! records the new revision ([`PreorderIndex::follow_text`]), since the
+//! text lives in the tree. The full re-encode is left for the first need,
 //! [`QueryCache::refresh`], and the fallback when a splice refuses its
 //! input, which also rebuilds every query.
 //!
@@ -89,7 +95,7 @@ use xupd_encoding::xpath::Pred;
 use xupd_encoding::{
     row_in_extents, AccessPattern, NameIndex, PreorderIndex, SpliceRuns, Topology, XPathExpr,
 };
-use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
+use xupd_xmldom::{NodeId, TreeError, XmlTree};
 
 // ---------------------------------------------------------------------
 // Public observability types
@@ -127,8 +133,9 @@ pub enum QueryClass {
 /// Per-batch impact summary returned by [`QueryCache::absorb`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchImpact {
-    /// The batch only rewrote pre-existing text nodes: the shadow was
-    /// patched in place, no structural maintenance ran.
+    /// The batch only rewrote pre-existing text nodes, or changed
+    /// nothing: the shadow only recorded the new revision, no
+    /// structural maintenance ran.
     pub text_only: bool,
     /// Queries whose membership and strings the batch left as they
     /// were (rows renumbered in place where the batch shifted them).
@@ -285,7 +292,7 @@ impl QueryCache {
             strings: Vec::new(),
             force_unaffected: false,
         };
-        rebuild_query(&mut q, index);
+        rebuild_query(&mut q, tree, index);
         self.queries.push(q);
         Ok(self.queries.len() - 1)
     }
@@ -325,7 +332,7 @@ impl QueryCache {
     pub fn refresh(&mut self, tree: &XmlTree) -> Result<(), TreeError> {
         let shadow = PreorderIndex::encode(tree)?;
         for q in &mut self.queries {
-            rebuild_query(q, &shadow);
+            rebuild_query(q, tree, &shadow);
         }
         self.stats.rebuilt += self.queries.len() as u64;
         self.shadow = Some(shadow);
@@ -390,7 +397,7 @@ impl QueryCache {
         }
         if effective.is_empty() {
             if let Some(shadow) = self.shadow.as_mut() {
-                shadow.patch_text(tree, &[])?;
+                shadow.follow_text(tree, &[])?;
             }
             return Ok(BatchImpact {
                 text_only: true,
@@ -418,10 +425,11 @@ impl QueryCache {
         Ok(impact)
     }
 
-    /// Text-only fast path: patch the shadow rows in place (topology,
-    /// name buckets and row positions are all untouched by text
-    /// writes), then recompute only the cached strings whose row is an
-    /// ancestor-or-self of a written row.
+    /// Text-only fast path: the shadow only records the new revision
+    /// (topology, name buckets and row positions are all untouched by
+    /// text writes, and the text is the tree's), then only the cached
+    /// strings whose row is an ancestor-or-self of a written row are
+    /// recomputed.
     fn absorb_text(
         &mut self,
         ops: &[&Mutation],
@@ -446,7 +454,7 @@ impl QueryCache {
                 _ => None,
             })
             .collect();
-        shadow.patch_text(tree, &written)?;
+        shadow.follow_text(tree, &written)?;
         let shadow = &*shadow;
         let mut dirty: Vec<usize> = Vec::new();
         if self.queries.iter().any(|q| q.want_strings) {
@@ -465,7 +473,7 @@ impl QueryCache {
             let patched = if q.force_unaffected {
                 0
             } else {
-                patch_strings(q, shadow, &dirty)
+                patch_strings(q, tree, shadow, &dirty)
             };
             self.stats.string_patches += patched;
             let class = if patched == 0 {
@@ -507,14 +515,18 @@ impl QueryCache {
         let roots = fp.roots();
         let cut = merge_intervals(&mut fp.cut);
         let scoped_old = 2 * cover(&cut) < old.len().max(1);
-        let clear_old: Vec<bool> = self
+        // Per query: are its names clear of the cut, and does one of its
+        // `[@name="v"]` predicates read a cut root?
+        let old_side: Vec<(bool, bool)> = self
             .queries
             .iter()
-            .map(|q| names_clear(&q.pattern, old.name_index(), &cut))
-            .collect();
-        let mut attribute_roots: Vec<String> = roots
-            .iter()
-            .filter_map(|&r| attribute_name(&old, r))
+            .map(|q| {
+                let names = old.name_index();
+                (
+                    names_clear(&q.pattern, names, &cut),
+                    predicate_reads(&q.pattern, names, &fp.cut),
+                )
+            })
             .collect();
         // The string-dirty list is built only when a query caches strings.
         let strings = self.queries.iter().any(|q| q.want_strings);
@@ -527,17 +539,12 @@ impl QueryCache {
             dirty.dedup();
         }
 
-        let new = match splice_shadow(old, tree, &roots, &fp.texts) {
+        let new = match old.splice(tree, &roots) {
             Ok(new) => new,
             Err(_) => return self.rebuild_all(tree),
         };
 
         let runs = new.splice_runs();
-        attribute_roots.extend(
-            runs.fresh
-                .iter()
-                .filter_map(|&(start, _)| attribute_name(&new, start)),
-        );
         // New coordinates: the kept strict ancestors of the cut roots,
         // the strict ancestors of the fresh roots, and every
         // ancestor-or-self of a written text row outside the fresh
@@ -559,12 +566,12 @@ impl QueryCache {
         let scoped = scoped_old && 2 * cover(runs.fresh) < new.len().max(1);
 
         let mut impact = BatchImpact::default();
-        for (q, clear) in self.queries.iter_mut().zip(clear_old) {
+        for (q, (clear, reads_cut)) in self.queries.iter_mut().zip(old_side) {
             let class = if q.force_unaffected {
                 QueryClass::Unaffected
             } else if clear && names_clear(&q.pattern, new.name_index(), runs.fresh) {
                 renumber(&mut q.rows, &mut q.strings, runs.kept);
-                let patched = patch_strings(q, &new, &dirty);
+                let patched = patch_strings(q, tree, &new, &dirty);
                 self.stats.string_patches += patched;
                 if patched == 0 {
                     QueryClass::Unaffected
@@ -574,9 +581,10 @@ impl QueryCache {
             } else if scoped
                 && q.pattern.repair_safe()
                 && !q.pattern.has_positional()
-                && !predicate_reads(&q.pattern, &attribute_roots)
+                && !reads_cut
+                && !predicate_reads(&q.pattern, new.name_index(), runs.fresh)
             {
-                let (dropped, spliced, patched) = repair_query(q, &new, runs, &dirty);
+                let (dropped, spliced, patched) = repair_query(q, tree, &new, runs, &dirty);
                 self.stats.repair_dropped_rows += dropped;
                 self.stats.repair_spliced_rows += spliced;
                 self.stats.string_patches += patched;
@@ -584,7 +592,7 @@ impl QueryCache {
                 impact.spliced_rows += spliced;
                 QueryClass::Repaired
             } else {
-                rebuild_query(q, &new);
+                rebuild_query(q, tree, &new);
                 QueryClass::Rebuilt
             };
             impact.count(class, &mut self.stats);
@@ -605,7 +613,7 @@ struct Footprint {
 }
 
 impl Footprint {
-    /// The roots of the cut subtrees: what [`splice_shadow`] is told.
+    /// The roots of the cut subtrees: what the splice is told.
     fn roots(&self) -> Vec<usize> {
         self.cut.iter().map(|&(s, _)| s).collect()
     }
@@ -642,22 +650,6 @@ impl Footprint {
         }
         Ok(fp)
     }
-}
-
-/// The post-batch shadow, spliced from the pre-batch one: cut the
-/// deleted and moved subtrees, read created and moved ones from the
-/// tree, then patch the text the batch wrote into kept rows (a splice
-/// does not see it). Errors on any inconsistency; the caller encodes
-/// afresh then.
-fn splice_shadow(
-    old: PreorderIndex,
-    tree: &XmlTree,
-    cut: &[usize],
-    texts: &[NodeId],
-) -> Result<PreorderIndex, TreeError> {
-    let mut new = old.splice(tree, cut)?;
-    new.patch_text(tree, texts)?;
-    Ok(new)
 }
 
 /// Merge possibly-overlapping intervals into a sorted disjoint cover.
@@ -715,23 +707,23 @@ fn misses(rows: &[usize], extents: &[(usize, usize)]) -> bool {
     }
 }
 
-/// The name of row `row` when it is an attribute.
-fn attribute_name(doc: &PreorderIndex, row: usize) -> Option<String> {
-    match (row < doc.len()).then(|| doc.kind(row)) {
-        Some(NodeKind::Attribute { name, .. }) => Some(name.clone()),
-        _ => None,
-    }
-}
-
 /// Does a `[@name="v"]` predicate of the pattern read an attribute
-/// named in `names`?
-fn predicate_reads(pattern: &AccessPattern, names: &[String]) -> bool {
-    !names.is_empty()
-        && pattern
-            .plan()
-            .iter()
-            .flat_map(|step| &step.preds)
-            .any(|p| matches!(p, Pred::AttrEq(n, _) if names.contains(n)))
+/// that roots one of `extents`? A row is an attribute named `n` exactly
+/// when it sits in `n`'s attribute bucket of `names`.
+fn predicate_reads(pattern: &AccessPattern, names: &NameIndex, extents: &[(usize, usize)]) -> bool {
+    pattern
+        .plan()
+        .iter()
+        .flat_map(|step| &step.preds)
+        .any(|p| match p {
+            Pred::AttrEq(n, _) => {
+                let bucket = names.attributes(n);
+                extents
+                    .iter()
+                    .any(|(root, _)| bucket.binary_search(root).is_ok())
+            }
+            Pred::Position(_) => false,
+        })
 }
 
 /// Push `from` and every ancestor above it onto `out`: how each
@@ -746,14 +738,14 @@ fn push_ancestors(topo: &Topology, from: Option<usize>, out: &mut Vec<usize>) {
 
 /// Recompute the cached strings whose row is in the sorted
 /// string-dirty list `dirty`. Returns how many were recomputed.
-fn patch_strings(q: &mut CachedQuery, doc: &PreorderIndex, dirty: &[usize]) -> u64 {
+fn patch_strings(q: &mut CachedQuery, tree: &XmlTree, doc: &PreorderIndex, dirty: &[usize]) -> u64 {
     if !q.want_strings {
         return 0;
     }
     let mut patched = 0;
     for &row in dirty {
         if let Ok(k) = q.rows.binary_search(&row) {
-            q.strings[k] = doc.string_value(row);
+            q.strings[k] = doc.string_value(tree, row);
             patched += 1;
         }
     }
@@ -799,13 +791,14 @@ fn renumber(
 /// buffers. Returns `(dropped, spliced, strings_patched)`.
 fn repair_query(
     q: &mut CachedQuery,
+    tree: &XmlTree,
     new: &PreorderIndex,
     runs: SpliceRuns<'_>,
     dirty: &[usize],
 ) -> (u64, u64, u64) {
     let dropped = renumber(&mut q.rows, &mut q.strings, runs.kept);
-    let mut patched = patch_strings(q, new, dirty);
-    let fresh = q.pattern.evaluate_within(new, runs.fresh);
+    let mut patched = patch_strings(q, tree, new, dirty);
+    let fresh = q.pattern.evaluate_within(tree, new, runs.fresh);
     if !fresh.is_empty() {
         let (mut i, mut j) = (q.rows.len(), fresh.len());
         q.rows.resize(i + j, 0);
@@ -825,7 +818,7 @@ fn repair_query(
                 j -= 1;
                 q.rows[w] = fresh[j];
                 if q.want_strings {
-                    q.strings[w] = new.string_value(fresh[j]);
+                    q.strings[w] = new.string_value(tree, fresh[j]);
                     patched += 1;
                 }
             }
@@ -834,11 +827,11 @@ fn repair_query(
     (dropped, fresh.len() as u64, patched)
 }
 
-/// Full re-evaluation of one query against `doc`.
-fn rebuild_query(q: &mut CachedQuery, doc: &PreorderIndex) {
-    q.rows = q.pattern.evaluate(doc);
+/// Full re-evaluation of one query against `tree`'s index `doc`.
+fn rebuild_query(q: &mut CachedQuery, tree: &XmlTree, doc: &PreorderIndex) {
+    q.rows = q.pattern.evaluate(tree, doc);
     if q.want_strings {
-        q.strings = q.rows.iter().map(|&r| doc.string_value(r)).collect();
+        q.strings = q.rows.iter().map(|&r| doc.string_value(tree, r)).collect();
     }
 }
 
@@ -1014,22 +1007,20 @@ mod tests {
         *counts.entry("batches").or_default() += 1;
     }
 
-    /// Row-for-row equality with a fresh encode: kinds, parents, source
-    /// ids, `row_of` below the id bound, topology and name buckets
-    /// (bucket maps compare equal only if the spliced one kept no empty
-    /// bucket, since a fresh index has none).
+    /// Row-for-row equality with a fresh encode: source ids (equal ids
+    /// under one tree mean equal content), parents, `row_of` below the
+    /// id bound, topology and name buckets (bucket maps compare equal
+    /// only if the spliced one kept no empty bucket, since a fresh index
+    /// has none).
     fn same_as_fresh(spliced: &PreorderIndex, tree: &XmlTree) -> Result<(), String> {
         let fresh = PreorderIndex::encode(tree).map_err(|e| format!("fresh encode: {e:?}"))?;
         if spliced.len() != fresh.len() {
             return Err(format!("{} rows, fresh {}", spliced.len(), fresh.len()));
         }
         for i in 0..fresh.len() {
-            let (a, b) = (spliced.kind(i), fresh.kind(i));
+            let (a, b) = (spliced.source_id(i), fresh.source_id(i));
             if a != b || spliced.parent(i) != fresh.parent(i) {
                 return Err(format!("row {i}: {a:?} vs fresh {b:?}"));
-            }
-            if spliced.source_id(i) != fresh.source_id(i) {
-                return Err(format!("row {i}: source id differs"));
             }
         }
         for k in 0..tree.id_bound() {
@@ -1149,7 +1140,7 @@ mod tests {
                         Err(e) => return Outcome::Fail(format!("batch {b}: footprint: {e:?}")),
                     };
                     let old = shadow.clone();
-                    shadow = match splice_shadow(shadow, &tree, &fp.roots(), &fp.texts) {
+                    shadow = match shadow.splice(&tree, &fp.roots()) {
                         Ok(s) => s,
                         Err(e) => {
                             return Outcome::Fail(format!(
@@ -1209,7 +1200,7 @@ mod tests {
         let old = cache.shadow.clone().unwrap();
         let fp = Footprint::read(&plan, &effective, &old).unwrap();
         assert!(
-            splice_shadow(old, &tree, &fp.roots(), &fp.texts).is_err(),
+            old.splice(&tree, &fp.roots()).is_err(),
             "the splice must notice a deletion it was not told about"
         );
 
@@ -1218,11 +1209,58 @@ mod tests {
         same_as_fresh(cache.shadow.as_ref().unwrap(), &tree).unwrap();
         let fresh = PreorderIndex::encode(&tree).unwrap();
         for (q, e) in exprs.iter().enumerate() {
-            let rows = e.evaluate(&fresh);
-            let strings: Vec<String> = rows.iter().map(|&r| fresh.string_value(r)).collect();
+            let rows = e.evaluate(&tree, &fresh);
+            let strings: Vec<String> = rows.iter().map(|&r| fresh.string_value(&tree, r)).collect();
             assert_eq!(cache.rows(q), rows.as_slice(), "query {q} rows");
             assert_eq!(cache.strings(q), strings.as_slice(), "query {q} strings");
         }
+    }
+
+    /// A text-only batch moves no row: the index's source ids, `row_of`,
+    /// topology and name buckets keep their pre-batch values and only
+    /// the revision moves, while string values and the cached strings
+    /// show the new text, read from the tree.
+    #[test]
+    fn text_only_batches_move_only_the_revision() {
+        let mut tree = docs::xmark_like(9, 40);
+        let mut session = SchemeSession::new(Qed::new());
+        session.label_tree(&tree).unwrap();
+        let mut cache = QueryCache::new();
+        let expr = xupd_encoding::parse_xpath("//item/name").unwrap();
+        let q = cache.register(&expr, true, &tree).unwrap();
+        let before = cache.shadow.clone().unwrap();
+        let name_row = cache.rows(q)[0];
+        let text = before
+            .descendant_range(name_row)
+            .map(|r| before.source_id(r))
+            .find(|&id| tree.kind(id).is_text())
+            .unwrap();
+        let log = MutationLog::from(vec![Mutation::SetText {
+            target: NodeRef::Node(text),
+            text: "rewritten".to_string(),
+        }]);
+        let plan = analyze(&log, &tree).unwrap();
+        let effective = plan.execution_order(false, session.cancellation_neutral());
+        apply_log_dyn(&mut tree, &mut session, &log).unwrap();
+        let impact = cache.absorb(&log, &plan, &effective, &tree).unwrap();
+        assert!(impact.text_only);
+        assert_eq!(impact.classes, [QueryClass::Repaired]);
+
+        let after = cache.shadow.as_ref().unwrap();
+        assert_ne!(after.revision(), before.revision());
+        assert_eq!(after.revision(), tree.revision());
+        assert_eq!(after.len(), before.len());
+        for i in 0..before.len() {
+            assert_eq!(after.source_id(i), before.source_id(i), "row {i}");
+        }
+        for k in 0..tree.id_bound() {
+            let id = NodeId::from_index(k);
+            assert_eq!(after.row_of_source(id), before.row_of_source(id), "id {k}");
+        }
+        assert_eq!(after.topology(), before.topology());
+        assert_eq!(after.name_index(), before.name_index());
+        assert_eq!(after.string_value(&tree, name_row), "rewritten");
+        assert_eq!(cache.strings(q)[0], "rewritten");
     }
 
     /// A plan made on another document is refused before any footprint

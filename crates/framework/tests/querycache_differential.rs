@@ -70,9 +70,9 @@ fn fresh_eval(exprs: &[(XPathExpr, bool)], tree: &XmlTree) -> Vec<(Vec<usize>, V
     let mut out = Vec::with_capacity(exprs.len());
     for (e, want_strings) in exprs {
         // lint:allow(R10): the differential oracle must pay full re-evaluation
-        let rows = e.evaluate(&doc);
+        let rows = e.evaluate(tree, &doc);
         let strings = if *want_strings {
-            rows.iter().map(|&r| doc.string_value(r)).collect()
+            rows.iter().map(|&r| doc.string_value(tree, r)).collect()
         } else {
             Vec::new()
         };
@@ -669,7 +669,7 @@ fn corrupted_classification_is_caught() {
             // the corrupted cache must now be observably wrong
             let doc = PreorderIndex::encode(&tree).unwrap();
             // oracle re-evaluation inside the corruption check
-            let fresh = expr.evaluate(&doc);
+            let fresh = expr.evaluate(&tree, &doc);
             if fresh.len() != before.len() + 1 {
                 return Outcome::Fail(format!(
                     "insert must grow //item: {} -> {}",
@@ -698,7 +698,7 @@ fn corrupted_classification_is_caught() {
             cache.refresh(&tree).unwrap();
             let doc = PreorderIndex::encode(&tree).unwrap();
             // oracle re-evaluation after recovery
-            let fresh = expr.evaluate(&doc);
+            let fresh = expr.evaluate(&tree, &doc);
             if cache.rows(q) != fresh.as_slice() {
                 return Outcome::Fail("refresh did not restore exactness".to_string());
             }

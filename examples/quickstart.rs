@@ -41,13 +41,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Query through the encoding scheme (Definition 2). The facade's
     //    preorder index followed the update in place; the rows it
-    //    returns address that index.
+    //    returns address that index, and their content is read from
+    //    the tree by node id.
     let hits = doc.xpath("/book/publisher/editor/name")?;
-    let (_, index) = doc.tree_with_index()?;
+    let (tree, index) = doc.tree_with_index()?;
     for h in hits {
         println!(
             "XPath /book/publisher/editor/name → \"{}\"",
-            index.string_value(h)
+            index.string_value(tree, h)
         );
     }
 

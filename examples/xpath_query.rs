@@ -2,9 +2,10 @@
 //! auction document, encode it once as a preorder index, run XPath
 //! queries against it, and check that every Figure 7 scheme's labels
 //! order each answer in document order. The encoding scheme
-//! (Definition 2) puts node kinds, names and content in the index and
-//! leaves the labels to the scheme, so query results are independent of
-//! the labelling scheme underneath.
+//! (Definition 2) puts the structure in the index, reads node kinds,
+//! names and content from the tree by node id and leaves the labels to
+//! the scheme, so query results are independent of the labelling scheme
+//! underneath.
 //!
 //! Each scheme labels the document in a session of its own, on its own
 //! `xupd-exec` pool worker; results come back in roster order.
@@ -36,7 +37,11 @@ fn main() {
     let index = PreorderIndex::encode(&tree).expect("encodable document");
     let answers: Vec<Vec<usize>> = QUERIES
         .iter()
-        .map(|q| parse_xpath(q).expect("query parses").evaluate(&index))
+        .map(|q| {
+            parse_xpath(q)
+                .expect("query parses")
+                .evaluate(&tree, &index)
+        })
         .collect();
 
     // Every scheme's labels must order every answer.
@@ -64,7 +69,7 @@ fn main() {
         println!("  {q}");
         println!("    → {} hit(s)", rows.len());
         for &row in rows.iter().take(3) {
-            let shown: String = index.string_value(row).chars().take(60).collect();
+            let shown: String = index.string_value(&tree, row).chars().take(60).collect();
             println!("      \"{shown}\"");
         }
     }

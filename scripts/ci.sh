@@ -74,6 +74,18 @@ for bench_bin in bench_bulk_labeling bench_label_growth bench_query_eval \
     cargo run --release -q -p xupd-bench --bin "$bench_bin" > /dev/null
 done
 
+echo "==> examples (each one runs to completion and asserts its own claims)"
+# The build and test stages only compile the examples. Each one asserts
+# what it prints (quickstart's zero relabels, every Figure 7 scheme
+# ordering xpath_query's answers, ...), so running them checks those
+# claims and the evaluator and string-value calls they make.
+for example_src in examples/*.rs; do
+  example="$(basename "$example_src" .rs)"
+  cargo run --release -q --example "$example" > /dev/null \
+    || { echo "    FAIL: example $example"; exit 1; }
+  echo "    ok: $example"
+done
+
 echo "==> XUPD_THREADS={1,4} script walker differential (both walker modes match the reference driver)"
 # One walker turns script ops into mutations, as the per-op driver
 # (run_script_dyn) and as the translation behind batch_of_in_place.

@@ -89,7 +89,7 @@ fn xpath_answers_identical_across_schemes() {
     let index = PreorderIndex::encode(&tree).unwrap();
     let answers: Vec<Vec<usize>> = queries
         .iter()
-        .map(|q| parse_xpath(q).unwrap().evaluate(&index))
+        .map(|q| parse_xpath(q).unwrap().evaluate(&tree, &index))
         .collect();
     // some query returned several rows (the test is non-vacuous)
     assert!(answers.iter().any(|rows| rows.len() > 1));
@@ -123,7 +123,7 @@ fn xpath_answers_identical_across_schemes() {
 fn reconstruction_round_trip_every_scheme() {
     let tree = docs::xmark_like(8, 45);
     let index = PreorderIndex::encode(&tree).unwrap();
-    let back = reconstruct(&index).unwrap();
+    let back = reconstruct(&tree, &index).unwrap();
     assert_eq!(serialize_compact(&back), serialize_compact(&tree));
     let back_index = PreorderIndex::encode(&back).unwrap();
 
