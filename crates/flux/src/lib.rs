@@ -144,16 +144,6 @@ impl FluxProgram {
     }
 }
 
-/// One-call static service for tooling (`xupd … flux-check`): parse +
-/// check, returning every diagnostic found. Parse errors are fatal to
-/// the deeper pass, so they come back alone.
-pub fn check_source(src: &str) -> Vec<Diagnostic> {
-    match FluxProgram::parse(src) {
-        Ok(p) => p.check(),
-        Err(ds) => ds,
-    }
-}
-
 /// Everything `update` can report: static/compile diagnostics or a
 /// document/store failure at apply time.
 #[derive(Debug)]
@@ -315,13 +305,6 @@ mod tests {
             assert_eq!(xupd_xmldom::serialize_compact(&back), out, "{src}");
             assert!(d.verify().unwrap().is_sound(), "{src}");
         }
-    }
-
-    #[test]
-    fn check_source_surfaces_parse_errors() {
-        let ds = check_source("insert <p> into /r;");
-        assert_eq!(ds[0].code, "F003");
-        assert!(check_source("delete /r/b;").is_empty());
     }
 
     #[test]

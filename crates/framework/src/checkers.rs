@@ -12,7 +12,7 @@
 //! | XPath Evaluations | `F` = ancestor, parent and sibling all answered and correct; `P` = a subset; `N` = none. Any *wrong* answer is recorded as a soundness finding |
 //! | Level Encoding | `F` iff level answered and always equal to true depth; `N` otherwise |
 //! | Overflow Problem | `F` iff zero overflow events *and* zero relabels across the adversarial battery (600-op skew, 300-op zigzag, 300-op append) run on the scheme's tightened audit instance when it has one |
-//! | Orthogonal | `F` iff the scheme's code algebra composes with the containment host in [`crate::orthogonal`] |
+//! | Orthogonal | `F` iff the scheme's code algebra is an [`OrderCode`](xupd_schemes::qcontainment::OrderCode), which [`CodedContainment`](xupd_schemes::qcontainment::CodedContainment) composes with a containment host |
 //! | Compact Encoding | graded from measured size evidence: `F` ≤ 0.5 bits per skewed insert and bulk mean ≤ 192 bits; `P` ≤ 1 bit/insert; `N` otherwise (see EXPERIMENTS.md for why this column is the hardest to reconstruct) |
 //! | Division Computation | `F` iff the instrumented division counter stays zero |
 //! | Recursive Labelling | `F` iff the instrumented recursion counter stays zero |
@@ -31,7 +31,6 @@
 //! equivalent for all 17 roster schemes.
 
 use crate::driver::{run_script_dyn, DriveStats};
-use crate::orthogonal::has_order_code_algebra;
 use crate::verify::{verify_dyn, VerifyOutcome};
 use xupd_labelcore::{Compliance, DynScheme, Property, SchemeStats};
 use xupd_workloads::{docs, Script, ScriptKind};
@@ -241,6 +240,15 @@ pub fn measure_session(session: &mut dyn DynScheme) -> Result<Measured, TreeErro
     })
 }
 
+/// Which roster schemes expose an
+/// [`OrderCode`](xupd_schemes::qcontainment::OrderCode) algebra — the measured
+/// *Orthogonal* verdict. QED, CDQS (the quaternary algebra) and Vector:
+/// exactly Figure 7's `F` entries — plus QED∘Containment, which *is* the
+/// composition the property promises.
+fn has_order_code_algebra(scheme_name: &str) -> bool {
+    matches!(scheme_name, "QED" | "CDQS" | "Vector" | "QED∘Containment")
+}
+
 fn grade_bool(full: bool) -> Compliance {
     if full {
         Compliance::Full
@@ -281,6 +289,16 @@ mod tests {
         assert_eq!(m.cell(Property::Orthogonal), Compliance::None);
         assert_eq!(m.cell(Property::NoDivision), Compliance::Full);
         assert_eq!(m.cell(Property::NonRecursive), Compliance::Full);
+    }
+
+    #[test]
+    fn orthogonal_roster_matches_figure7() {
+        for name in ["QED", "CDQS", "Vector"] {
+            assert!(has_order_code_algebra(name));
+        }
+        for name in ["DeweyID", "Ordpath", "ImprovedBinary", "XRel", "LSDX"] {
+            assert!(!has_order_code_algebra(name));
+        }
     }
 
     #[test]

@@ -545,40 +545,6 @@ impl Walker<'_, '_, '_> {
     }
 }
 
-/// Label a freshly grafted **subtree** (the paper's third structural
-/// update class, §1/§3.1.2: "Subtree insertions may be serialised as a
-/// sequence of nodes and inserted individually"): `root` and all its
-/// descendants are already attached to `tree`; each is labelled in
-/// preorder through the scheme's ordinary single-node insertion path.
-/// Returns the accumulated insert evidence. (A subtree *move* is
-/// [`Mutation::MoveSubtree`], applied through the batch path.)
-pub fn graft_subtree_dyn(
-    tree: &XmlTree,
-    session: &mut dyn DynScheme,
-    root: NodeId,
-) -> Result<DriveStats, TreeError> {
-    let mut stats = DriveStats::default();
-    for node in tree.preorder_from(root) {
-        apply_insert_dyn(tree, session, node, &mut stats)?;
-    }
-    Ok(stats.close(session))
-}
-
-pub(crate) fn apply_insert_dyn(
-    tree: &XmlTree,
-    session: &mut dyn DynScheme,
-    node: NodeId,
-    stats: &mut DriveStats,
-) -> Result<(), TreeError> {
-    let report = session.on_insert(tree, node)?;
-    stats.inserts += 1;
-    stats.relabeled += report.relabeled.len() as u64;
-    if report.overflowed {
-        stats.overflow_events += 1;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,6 +712,37 @@ mod tests {
         assert_eq!(labeling.len(), tree.len());
     }
 
+    /// `donor`'s subtree at `root` as one log, §3.1.2's "serialised as
+    /// a sequence of nodes": one create per node in the donor's
+    /// preorder, the root at `place` and every other node as the last
+    /// child of its parent's copy.
+    fn graft_log(donor: &XmlTree, root: NodeId, place: Place) -> MutationLog {
+        use xupd_xmldom::NodeKind;
+        let mut ids = vec![LogId(0); donor.id_bound()];
+        let mut log = MutationLog::new();
+        for (i, node) in donor.preorder_from(root).enumerate() {
+            let id = LogId(i as u32);
+            ids[node.index()] = id;
+            let place = match donor.parent(node) {
+                Some(p) if node != root => Place::LastChildOf(NodeRef::New(ids[p.index()])),
+                _ => place,
+            };
+            log.push(match donor.kind(node) {
+                NodeKind::Element { name } => Mutation::CreateElement {
+                    id,
+                    name: name.clone(),
+                    place,
+                },
+                kind => Mutation::CreateNode {
+                    id,
+                    kind: kind.clone(),
+                    place,
+                },
+            });
+        }
+        log
+    }
+
     #[test]
     fn graft_labels_a_whole_subtree_in_document_order() {
         use xupd_xmldom::TreeBuilder;
@@ -753,24 +750,20 @@ mod tests {
         let mut scheme = Qed::new();
         let mut labeling = scheme.label_tree(&tree).unwrap();
 
-        // build a detached appendix subtree, then graft it under <book>
+        // a detached appendix subtree, grafted under <book> as one log
         let sub = TreeBuilder::new()
             .open("appendix")
             .leaf("section", "errata")
             .leaf("section", "index")
             .close()
             .finish();
-        // copy the subtree into the main tree (serialised as a sequence
-        // of nodes, exactly as §3.1.2 describes)
         let book = tree.document_element().unwrap();
         let sub_root_src = sub.document_element().unwrap();
-        let appendix = clone_into(&sub, sub_root_src, &mut tree);
-        tree.append_child(book, appendix).unwrap();
-
-        let stats = graft_subtree_dyn(
-            &tree,
+        let log = graft_log(&sub, sub_root_src, Place::LastChildOf(NodeRef::Node(book)));
+        let stats = crate::mutations::apply_log_dyn(
+            &mut tree,
             &mut SessionMut::new(&mut scheme, &mut labeling),
-            appendix,
+            &log,
         )
         .unwrap();
         assert_eq!(stats.inserts, sub.subtree_size(sub_root_src));
@@ -782,15 +775,6 @@ mod tests {
                 scheme.cmp_doc(labeling.req(w[0]).unwrap(), labeling.req(w[1]).unwrap()),
                 std::cmp::Ordering::Less
             );
-        }
-
-        fn clone_into(src: &XmlTree, node: NodeId, dst: &mut XmlTree) -> NodeId {
-            let copy = dst.create(src.kind(node).clone());
-            for child in src.children(node) {
-                let c = clone_into(src, child, dst);
-                dst.append_child(copy, c).expect("fresh node is detached");
-            }
-            copy
         }
     }
 
@@ -842,21 +826,25 @@ mod tests {
 
     #[test]
     fn graft_relabels_followers_for_dewey() {
-        use xupd_xmldom::NodeKind;
+        use xupd_xmldom::TreeBuilder;
         let mut tree = docs::wide(5);
         let mut scheme = DeweyId::new();
         let mut labeling = scheme.label_tree(&tree).unwrap();
         let root_elem = tree.document_element().unwrap();
         let first = tree.first_child(root_elem).unwrap();
         // graft a two-node subtree before the first child
-        let sub_root = tree.create(NodeKind::element("g"));
-        let sub_leaf = tree.create(NodeKind::element("gl"));
-        tree.append_child(sub_root, sub_leaf).unwrap();
-        tree.insert_before(first, sub_root).unwrap();
-        let stats = graft_subtree_dyn(
-            &tree,
+        let sub = TreeBuilder::new()
+            .open("g")
+            .open("gl")
+            .close()
+            .close()
+            .finish();
+        let sub_root = sub.document_element().unwrap();
+        let log = graft_log(&sub, sub_root, Place::Before(NodeRef::Node(first)));
+        let stats = crate::mutations::apply_log_dyn(
+            &mut tree,
             &mut SessionMut::new(&mut scheme, &mut labeling),
-            sub_root,
+            &log,
         )
         .unwrap();
         assert_eq!(stats.inserts, 2);

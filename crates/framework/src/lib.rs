@@ -13,9 +13,9 @@
 //!   uniqueness, relation and level correctness against tree ground
 //!   truth;
 //! * [`checkers`] — one empirical checker per §5.1 property, combined
-//!   into a measured compliance row per scheme;
-//! * [`orthogonal`] — a live demonstration of the *Orthogonal* property:
-//!   a containment host parameterised by any order-code algebra;
+//!   into a measured compliance row per scheme (the *Orthogonal* cell
+//!   reads whether the scheme's code algebra is an order code that
+//!   `xupd_schemes::qcontainment` composes with a containment host);
 //! * [`matrix`] — the declared Figure 7 matrix (transcribed from the
 //!   paper) and the measured matrix, with rendering;
 //! * [`report`] — declared-vs-measured agreement reporting (the
@@ -49,7 +49,6 @@ pub mod document;
 pub mod driver;
 pub mod matrix;
 pub mod mutations;
-pub mod orthogonal;
 pub mod querycache;
 pub mod report;
 pub mod verify;

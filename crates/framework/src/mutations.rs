@@ -32,7 +32,7 @@
 //! historical op semantics (and the `results/*` goldens) come from the
 //! same addressing and application code as full batches.
 
-use crate::driver::{apply_insert_dyn, walk_script, DriveStats, ElementPool, CHECKPOINT_EVERY};
+use crate::driver::{walk_script, DriveStats, ElementPool, CHECKPOINT_EVERY};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use xupd_encoding::PreorderIndex;
@@ -267,21 +267,22 @@ fn attach(
     }
 }
 
-/// Register one freshly attached node with the labelling session, or
-/// only count it when there is none.
+/// Register one freshly attached node with the labelling session,
+/// counting its relabels and overflow, or only count it when there is
+/// no session.
 fn register_insert<'o>(
     tree: &XmlTree,
     session: Option<&mut (dyn DynScheme + 'o)>,
     node: NodeId,
     stats: &mut DriveStats,
 ) -> Result<(), TreeError> {
-    match session {
-        Some(s) => apply_insert_dyn(tree, s, node, stats),
-        None => {
-            stats.inserts += 1;
-            Ok(())
-        }
+    if let Some(s) = session {
+        let report = s.on_insert(tree, node)?;
+        stats.relabeled += report.relabeled.len() as u64;
+        stats.overflow_events += u64::from(report.overflowed);
     }
+    stats.inserts += 1;
+    Ok(())
 }
 
 /// Create, attach and bind one fresh node; the caller registers it

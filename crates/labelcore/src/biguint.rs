@@ -150,32 +150,6 @@ impl BigUint {
         Some(out)
     }
 
-    /// `self * other`.
-    pub fn mul(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() || other.is_zero() {
-            return BigUint::zero();
-        }
-        let mut limbs = vec![0u32; self.limbs.len() + other.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
-            let mut carry: u64 = 0;
-            for (j, &b) in other.limbs.iter().enumerate() {
-                let cur = u64::from(limbs[i + j]) + u64::from(a) * u64::from(b) + carry;
-                limbs[i + j] = cur as u32;
-                carry = cur >> 32;
-            }
-            let mut k = i + other.limbs.len();
-            while carry != 0 {
-                let cur = u64::from(limbs[k]) + carry;
-                limbs[k] = cur as u32;
-                carry = cur >> 32;
-                k += 1;
-            }
-        }
-        let mut out = BigUint { limbs };
-        out.normalize();
-        out
-    }
-
     /// Shift left by `bits`.
     pub fn shl(&self, bits: u64) -> BigUint {
         if self.is_zero() {
@@ -348,22 +322,6 @@ mod tests {
         assert_eq!(s.checked_sub(&b).unwrap(), a);
         assert_eq!(s.checked_sub(&a).unwrap(), b);
         assert!(b.checked_sub(&a).is_none());
-    }
-
-    #[test]
-    fn mul_matches_u128_for_small_operands() {
-        let cases = [
-            (0u64, 5u64),
-            (3, 7),
-            (u32::MAX as u64, u32::MAX as u64),
-            (123456789, 987654321),
-        ];
-        for (x, y) in cases {
-            let prod = BigUint::from_u64(x).mul(&BigUint::from_u64(y));
-            let expect = u128::from(x) * u128::from(y);
-            // verify via decimal rendering
-            assert_eq!(prod.to_string(), expect.to_string());
-        }
     }
 
     #[test]

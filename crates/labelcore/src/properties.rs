@@ -210,12 +210,6 @@ impl SchemeDescriptor {
         }
         out
     }
-
-    /// The §5.2 ranking score: the sum of compliance scores across the
-    /// eight graded properties.
-    pub fn declared_score(&self) -> u32 {
-        self.declared.iter().map(|c| c.score()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -263,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn descriptor_scoring() {
+    fn descriptor_declared_for_reads_its_column() {
         let d = SchemeDescriptor {
             name: "X",
             citation: "[0]",
@@ -272,7 +266,6 @@ mod tests {
             declared: SchemeDescriptor::declared_from_letters("FFFFFFNN"),
             in_figure7: true,
         };
-        assert_eq!(d.declared_score(), 12);
         assert_eq!(d.declared_for(Property::NoDivision), Compliance::None);
         assert_eq!(d.declared_for(Property::PersistentLabels), Compliance::Full);
     }

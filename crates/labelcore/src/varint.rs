@@ -42,8 +42,9 @@ pub fn encoded_len(v: u64) -> u32 {
 
 /// Encode `v` with the extension schedule (LEB128) into a
 /// [`SmallBuf`](crate::smallbuf::SmallBuf) (any u64 needs ≤ 10 bytes,
-/// so encoding alone never spills). Used by the storage model;
-/// decodability is what matters for the self-delimiting claim.
+/// so encoding alone never spills). Only tests call it, with
+/// [`decode`], to show the schedule is self-delimiting; the size model
+/// is [`encoded_len`].
 pub fn encode(v: u64, out: &mut crate::smallbuf::SmallBuf) {
     let mut v = v;
     loop {
@@ -58,12 +59,15 @@ pub fn encode(v: u64, out: &mut crate::smallbuf::SmallBuf) {
 }
 
 /// Decode a value encoded by [`encode`], returning the value and the
-/// number of bytes consumed; `None` on truncated input.
+/// number of bytes consumed. `None` on truncated input and on bytes
+/// `encode` never writes: a zero last byte after the first (an
+/// overlong form) or a tenth byte above `0x01` (bits past 64), so a
+/// decoded value re-encodes to exactly the bytes it was read from.
 pub fn decode(input: &[u8]) -> Option<(u64, usize)> {
     let mut v: u64 = 0;
-    for (i, &b) in input.iter().enumerate() {
-        if i >= 10 {
-            return None; // malformed: longer than any u64 encoding
+    for (i, &b) in input.iter().enumerate().take(10) {
+        if (i > 0 && b == 0) || (i == 9 && b > 1) {
+            return None;
         }
         v |= u64::from(b & 0x7F) << (7 * i as u32);
         if b & 0x80 == 0 {
@@ -130,12 +134,16 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_truncated() {
+    fn decode_rejects_what_encode_never_writes() {
         let mut buf = SmallBuf::new();
         encode(u64::MAX, &mut buf);
         buf.pop();
-        assert!(decode(&buf).is_none());
+        assert!(decode(&buf).is_none(), "truncated");
         assert!(decode(&[]).is_none());
+        let mut high = [0x80; 10];
+        high[9] = 0x7F;
+        assert!(decode(&high).is_none(), "bits past 64");
+        assert!(decode(&[0x80, 0x00]).is_none(), "overlong zero");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! they get adversarial random coverage here — on the hermetic
 //! `xupd-testkit` harness (256 cases per property, seed-replayable).
 
-use xupd_testkit::prop::{any_u64, bools, from_slice, ints, map, u64s_from, vecs, Gen};
+use xupd_testkit::prop::{
+    any_u64, bools, from_slice, ints, map, mutate_bytes, u64s_from, vecs, Gen,
+};
 use xupd_testkit::rng::TestRng;
 use xupd_testkit::{prop_assert, prop_assert_eq, prop_assume, props};
 
@@ -185,13 +187,40 @@ props! {
         }
         prop_assert_eq!(off, buf.len());
     }
+
+    /// Hostile bytes: `decode` never panics, and accepts only what
+    /// `encode` writes, on mutated encodings and on random bytes that
+    /// are mostly continuation bytes (so runs reach the tenth byte).
+    fn varint_decode_accepts_only_encoded_bytes(
+        v in any_u64(),
+        edits in vecs(any_u64(), 1, 4),
+        noise in vecs(any_u64(), 0, 12),
+    ) {
+        let mut buf = xupd_labelcore::SmallBuf::new();
+        varint::encode(v, &mut buf);
+        let mut mutated = buf.to_vec();
+        for e in edits {
+            mutate_bytes(&mut mutated, e);
+        }
+        let random: Vec<u8> = noise
+            .iter()
+            .map(|&x| x as u8 | if x >> 60 == 0 { 0 } else { 0x80 })
+            .collect();
+        for bytes in [mutated, random] {
+            if let Some((back, n)) = varint::decode(&bytes) {
+                let mut again = xupd_labelcore::SmallBuf::new();
+                varint::encode(back, &mut again);
+                prop_assert_eq!(&again[..], &bytes[..n]);
+            }
+        }
+    }
 }
 
 // ---------- biguint vs u128 oracle -------------------------------------
 
 props! {
-    fn biguint_mul_matches_u128(a in any_u64(), b in any_u64()) {
-        let prod = BigUint::from_u64(a).mul(&BigUint::from_u64(b));
+    fn biguint_mul_small_matches_u128(a in any_u64(), b in any_u64()) {
+        let prod = BigUint::from_u64(a).mul_small(b);
         prop_assert_eq!(prod.to_string(), (u128::from(a) * u128::from(b)).to_string());
     }
 
@@ -207,13 +236,13 @@ props! {
     }
 
     fn biguint_divisibility(a in ints(1u64..100_000), b in ints(1u64..100_000)) {
-        let prod = BigUint::from_u64(a).mul(&BigUint::from_u64(b));
+        let prod = BigUint::from_u64(a).mul_small(b);
         prop_assert!(prod.is_multiple_of(&BigUint::from_u64(a)));
         prop_assert!(prod.is_multiple_of(&BigUint::from_u64(b)));
     }
 
     fn biguint_rem_u64_matches(a in any_u64(), b in any_u64(), m in u64s_from(1)) {
-        let big = BigUint::from_u64(a).mul(&BigUint::from_u64(b));
+        let big = BigUint::from_u64(a).mul_small(b);
         let expect = ((u128::from(a) * u128::from(b)) % u128::from(m)) as u64;
         prop_assert_eq!(big.rem_u64(m), expect);
     }

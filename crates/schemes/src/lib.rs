@@ -21,7 +21,9 @@
 //! §6 extensions (not in Figure 7, implemented for the paper's announced
 //! follow-up evaluation): CDBS ([`prefix::cdbs`]), Com-D ([`prefix::comd`]),
 //! the Prime-number scheme ([`prime`]), DDE ([`dde`]) and the §4
-//! orthogonality composition QED∘Containment ([`qcontainment`]).
+//! orthogonality composition QED∘Containment ([`qcontainment`]: a
+//! containment host over any order code, `[b,e)@level` regions, whose
+//! QED instance is the roster row).
 //!
 //! [`registry()`] / [`registry_figure7`] expose the roster as plain data:
 //! a `Vec<SchemeEntry>` of descriptors plus `fn() -> Box<dyn DynScheme>`

@@ -210,10 +210,8 @@ mod tests {
 
     #[test]
     fn audit_instance_narrows_the_length_field() {
-        let scheme = ImprovedBinary::new();
-        let audit = scheme.overflow_audit_instance().expect("IB audits");
-        let mut audit = audit;
-        assert_eq!(audit.algebra_mut().max_code_bits, 64);
+        let audit = ImprovedBinaryAlgebra::default().overflow_audit_algebra();
+        assert_eq!(audit, Some(ImprovedBinaryAlgebra { max_code_bits: 64 }));
     }
 
     #[test]

@@ -253,11 +253,6 @@ impl<A: SiblingAlgebra> PrefixScheme<A> {
         }
     }
 
-    /// Access the algebra (tests poke at scheme-specific knobs).
-    pub fn algebra_mut(&mut self) -> &mut A {
-        &mut self.algebra
-    }
-
     fn label_children(
         &mut self,
         tree: &XmlTree,

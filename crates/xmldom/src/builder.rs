@@ -121,12 +121,6 @@ impl TreeBuilder {
         );
         self.tree
     }
-
-    /// Finish building even with open elements (auto-closing them), and
-    /// also return the id of the last node the cursor pointed at.
-    pub fn finish_lenient(self) -> XmlTree {
-        self.tree
-    }
 }
 
 #[cfg(test)]
@@ -158,11 +152,5 @@ mod tests {
     #[should_panic(expected = "no open element")]
     fn close_panics_at_root() {
         let _ = TreeBuilder::new().close();
-    }
-
-    #[test]
-    fn lenient_finish_allows_open_elements() {
-        let t = TreeBuilder::new().open("a").open("b").finish_lenient();
-        assert_eq!(t.len(), 3);
     }
 }

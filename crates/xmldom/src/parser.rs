@@ -482,7 +482,8 @@ mod tests {
         assert_eq!(t.kind(a).name(), Some("a"));
         let kids: Vec<_> = t.children(a).collect();
         assert_eq!(kids.len(), 2);
-        assert_eq!(t.text_content(kids[0]), "hi");
+        let hi = t.first_child(kids[0]).unwrap();
+        assert_eq!(t.kind(hi), &NodeKind::text("hi"));
         assert_eq!(t.kind(kids[1]).name(), Some("c"));
         t.validate().unwrap();
     }
@@ -505,7 +506,8 @@ mod tests {
         let t = parse("<e a=\"&lt;&amp;&gt;\">x &amp; y &#65;&#x42;</e>").unwrap();
         let e = t.document_element().unwrap();
         assert_eq!(t.attribute(e, "a"), Some("<&>"));
-        assert_eq!(t.text_content(e), "x & y AB");
+        let text = t.last_child(e).unwrap();
+        assert_eq!(t.kind(text), &NodeKind::text("x & y AB"));
     }
 
     #[test]
@@ -518,7 +520,8 @@ mod tests {
     fn cdata_is_literal() {
         let t = parse("<e><![CDATA[a < b & c]]></e>").unwrap();
         let e = t.document_element().unwrap();
-        assert_eq!(t.text_content(e), "a < b & c");
+        let text = t.first_child(e).unwrap();
+        assert_eq!(t.kind(text), &NodeKind::text("a < b & c"));
     }
 
     #[test]
@@ -610,6 +613,7 @@ mod tests {
     fn unicode_text_survives() {
         let t = parse("<e>héllo 世界</e>").unwrap();
         let e = t.document_element().unwrap();
-        assert_eq!(t.text_content(e), "héllo 世界");
+        let text = t.first_child(e).unwrap();
+        assert_eq!(t.kind(text), &NodeKind::text("héllo 世界"));
     }
 }

@@ -147,8 +147,6 @@ pub fn figure3_shape() -> (XmlTree, Vec<NodeId>) {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use crate::traverse::{postorder_ranks, preorder_ranks};
-    use std::collections::HashMap;
 
     #[test]
     fn parsed_figure1_matches_programmatic_figure1() {
@@ -191,15 +189,6 @@ mod tests {
             let post = post_seq.iter().position(|&x| x == n).unwrap() as u64;
             assert_eq!((pre, post), FIGURE1_PRE_POST[i], "node {i}");
         }
-    }
-
-    #[test]
-    fn whole_tree_ranks_are_consistent() {
-        let t = figure1_document();
-        let pre: HashMap<_, _> = preorder_ranks(&t).into_iter().collect();
-        let post: HashMap<_, _> = postorder_ranks(&t).into_iter().collect();
-        assert_eq!(pre.len(), t.len());
-        assert_eq!(post.len(), t.len());
     }
 
     #[test]

@@ -100,23 +100,6 @@ impl Iterator for Postorder<'_> {
     }
 }
 
-/// Assign preorder ranks (0-based) to every node in the subtree, in a
-/// single streaming pass.
-pub fn preorder_ranks(tree: &XmlTree) -> Vec<(NodeId, u64)> {
-    tree.preorder()
-        .enumerate()
-        .map(|(i, id)| (id, i as u64))
-        .collect()
-}
-
-/// Assign postorder ranks (0-based) to every node in the subtree.
-pub fn postorder_ranks(tree: &XmlTree) -> Vec<(NodeId, u64)> {
-    tree.postorder()
-        .enumerate()
-        .map(|(i, id)| (id, i as u64))
-        .collect()
-}
-
 /// Ground-truth enumeration of the XPath `following` axis of `id`:
 /// every node after `id` in document order that is not a descendant of `id`.
 pub fn following(tree: &XmlTree, id: NodeId) -> Vec<NodeId> {
@@ -240,8 +223,10 @@ mod tests {
     fn dietz_containment_property() {
         // u ancestor of v ⟺ pre(u) < pre(v) ∧ post(v) < post(u)
         let (t, _) = fig1();
-        let pre: std::collections::HashMap<_, _> = preorder_ranks(&t).into_iter().collect();
-        let post: std::collections::HashMap<_, _> = postorder_ranks(&t).into_iter().collect();
+        let pre: std::collections::HashMap<_, _> =
+            t.preorder().enumerate().map(|(i, n)| (n, i)).collect();
+        let post: std::collections::HashMap<_, _> =
+            t.postorder().enumerate().map(|(i, n)| (n, i)).collect();
         let all = t.ids_in_doc_order();
         for &u in &all {
             for &v in &all {

@@ -574,18 +574,6 @@ impl XmlTree {
             .find(|&c| self.kind(c).is_element())
     }
 
-    /// Concatenated text content of the subtree rooted at `id`, in document
-    /// order (attribute values excluded, like XPath `string()` on elements).
-    pub fn text_content(&self, id: NodeId) -> String {
-        let mut out = String::new();
-        for n in self.preorder_from(id) {
-            if let NodeKind::Text { value } = self.kind(n) {
-                out.push_str(value);
-            }
-        }
-        out
-    }
-
     /// Find the value of the attribute `name` on element `id`.
     pub fn attribute(&self, id: NodeId, name: &str) -> Option<&str> {
         self.children(id).find_map(|c| match self.kind(c) {
@@ -865,7 +853,7 @@ mod tests {
         t.append_child(e, tx).unwrap();
         assert_eq!(t.attribute(e, "genre"), Some("Fantasy"));
         assert_eq!(t.attribute(e, "missing"), None);
-        assert_eq!(t.text_content(e), "Wayfarer");
+        assert_eq!(t.kind(tx).value(), Some("Wayfarer"));
     }
 
     #[test]

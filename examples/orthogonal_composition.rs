@@ -11,22 +11,24 @@
 //! cargo run --release --example orthogonal_composition
 //! ```
 
-use xml_update_props::framework::orthogonal::CodedContainment;
+use std::cmp::Ordering;
 use xml_update_props::labelcore::qstorage::{pack_separated, unpack_separated};
-use xml_update_props::labelcore::QCode;
+use xml_update_props::labelcore::{LabelingScheme, QCode, Relation};
+use xml_update_props::schemes::qcontainment::QedContainment;
 use xml_update_props::workloads::docs;
 use xml_update_props::xmldom::NodeKind;
 
 fn main() {
     // A containment labelling whose positions are QED codes.
     let mut tree = docs::book();
-    let mut host: CodedContainment<QCode> = CodedContainment::label(&tree).expect("labelled");
+    let mut scheme = QedContainment::new();
+    let mut labeling = scheme.label_tree(&tree).expect("labelled");
 
     println!("QED ∘ containment — begin/end codes of the sample document:\n");
     for n in tree.ids_in_doc_order() {
         if let Some(name) = tree.kind(n).name() {
-            let (b, e) = host.get(n).expect("labelled");
-            println!("  {:<10} [{b}, {e})", name);
+            let region = labeling.req(n).expect("labelled");
+            println!("  {:<10} [{}, {})", name, region.begin, region.end);
         }
     }
 
@@ -38,15 +40,18 @@ fn main() {
     for _ in 0..1000 {
         let n = tree.create(NodeKind::element("x"));
         tree.insert_before(anchor, n).expect("live");
-        host.insert(&tree, n).expect("splice");
+        let report = scheme.on_insert(&tree, &mut labeling, n).expect("splice");
+        assert!(report.relabeled.is_empty());
     }
     // verify order + containment survived
+    let label = |n| labeling.req(n).expect("labelled");
     let order = tree.ids_in_doc_order();
     for w in order.windows(2) {
-        assert_eq!(host.cmp_doc(w[0], w[1]), std::cmp::Ordering::Less);
+        assert_eq!(scheme.cmp_doc(label(w[0]), label(w[1])), Ordering::Less);
     }
     for &n in order.iter().step_by(97) {
-        assert_eq!(host.is_ancestor(book, n), tree.is_ancestor(book, n));
+        let contained = scheme.relation(Relation::AncestorDescendant, label(book), label(n));
+        assert_eq!(contained, Some(tree.is_ancestor(book, n)));
     }
     println!(
         "\n1000 skewed insertions absorbed: document order and containment\n\
@@ -56,11 +61,7 @@ fn main() {
 
     // The storage layer (§4): codes of wildly different lengths pack
     // into one bitstream delimited only by the reserved 00 symbol.
-    let begins: Vec<QCode> = tree
-        .ids_in_doc_order()
-        .into_iter()
-        .map(|n| host.get(n).expect("labelled").0.clone())
-        .collect();
+    let begins: Vec<QCode> = order.iter().map(|&n| label(n).begin.clone()).collect();
     let stream = pack_separated(&begins);
     let back = unpack_separated(&stream).expect("well-formed stream");
     assert_eq!(back, begins);

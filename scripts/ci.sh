@@ -17,6 +17,9 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test --workspace -q
 
+echo "==> non-test library lines (report only: nothing gates on the count)"
+echo "    $(scripts/loc.sh) lines in the nine library crates' src, each file cut at its first #[cfg(test)]"
+
 echo "==> static invariants (xupd-lint: fails on any unsuppressed finding)"
 cargo run --release -q -p xupd-lint -- --workspace
 

@@ -54,8 +54,7 @@ pub use xupd_xmldom as xmldom;
 pub mod prelude {
     pub use xupd_encoding::{parse_xpath, XPathExpr};
     pub use xupd_flux::{
-        check_source, CompiledUpdate, Diagnostic, DocumentUpdate, FluxError, FluxProgram,
-        StoreUpdate,
+        CompiledUpdate, Diagnostic, DocumentUpdate, FluxError, FluxProgram, StoreUpdate,
     };
     pub use xupd_framework::{
         ApplyOptions, Document, DocumentError, Mutation, MutationLog, NodeRef, Place,

@@ -10,14 +10,19 @@
 //! `XUPD_THREADS`.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use xml_update_props::encoding::reconstruct::reconstruct;
 use xml_update_props::encoding::{parse_xpath, PreorderIndex};
 use xml_update_props::exec::par_map;
-use xml_update_props::framework::driver::{graft_subtree_dyn, run_script_dyn};
+use xml_update_props::framework::driver::run_script_dyn;
+use xml_update_props::framework::mutations::{
+    apply_log_dyn, LogId, Mutation, MutationLog, NodeRef, Place,
+};
 use xml_update_props::framework::verify::verify_dyn;
+use xml_update_props::labelcore::{Compliance, Property};
 use xml_update_props::schemes::{registry, registry_figure7};
 use xml_update_props::workloads::{docs, Script, ScriptKind};
-use xml_update_props::xmldom::{serialize_compact, XmlTree};
+use xml_update_props::xmldom::{serialize_compact, NodeId, NodeKind, XmlTree};
 
 /// Every scheme stays sound (ordered, unique, correct relations) across
 /// the standard workloads — except LSDX, whose documented collisions are
@@ -186,49 +191,74 @@ fn wide_document_all_schemes() {
     assert!(failures.is_empty(), "{failures:?}");
 }
 
+/// `donor`'s subtree at `root` as one log, §3.1.2's "serialised as a
+/// sequence of nodes": one create per node in the donor's preorder, the
+/// root at `place` and every other node as the last child of its
+/// parent's copy.
+fn graft_log(donor: &XmlTree, root: NodeId, place: Place) -> MutationLog {
+    let mut ids = vec![LogId(0); donor.id_bound()];
+    let mut log = MutationLog::new();
+    for (i, node) in donor.preorder_from(root).enumerate() {
+        let id = LogId(i as u32);
+        ids[node.index()] = id;
+        let place = match donor.parent(node) {
+            Some(p) if node != root => Place::LastChildOf(NodeRef::New(ids[p.index()])),
+            _ => place,
+        };
+        log.push(match donor.kind(node) {
+            NodeKind::Element { name } => Mutation::CreateElement {
+                id,
+                name: name.clone(),
+                place,
+            },
+            kind => Mutation::CreateNode {
+                id,
+                kind: kind.clone(),
+                place,
+            },
+        });
+    }
+    log
+}
+
 /// Subtree insertion (the paper's third structural-update class,
 /// §3.1.2's "serialised as a sequence of nodes and inserted
-/// individually") works for every scheme and preserves order.
+/// individually") works for every scheme and preserves order: each
+/// graft is one log of creates in the donor's preorder. A scheme that
+/// declares Persistent Labels `F` keeps every bystander label
+/// bit-identical across the three grafts (EXPERIMENTS A3).
 #[test]
 fn subtree_grafting_all_schemes() {
-    use xml_update_props::xmldom::{NodeId, XmlTree};
-
-    fn clone_into(src: &XmlTree, node: NodeId, dst: &mut XmlTree) -> NodeId {
-        let copy = dst.create(src.kind(node).clone());
-        for child in src.children(node) {
-            let c = clone_into(src, child, dst);
-            dst.append_child(copy, c).expect("fresh node is detached");
-        }
-        copy
-    }
-
     let entries = registry();
     let failures: Vec<String> = par_map(&entries, |entry| {
         let name = entry.name();
         let mut session = entry.session();
         let mut tree = docs::book();
         session.label_tree(&tree).unwrap();
+        let before = session.labels_display();
         let donor = docs::xmark_like(4, 12);
         let donor_root = donor.document_element().unwrap();
 
         // graft in three positions: append, prepend, between
         let book = tree.document_element().unwrap();
-        let g1 = clone_into(&donor, donor_root, &mut tree);
-        tree.append_child(book, g1).unwrap();
-        graft_subtree_dyn(&tree, session.as_mut(), g1).unwrap();
-
+        let mut graft = |tree: &mut XmlTree, place| {
+            let log = graft_log(&donor, donor_root, place);
+            apply_log_dyn(tree, session.as_mut(), &log).unwrap();
+        };
+        graft(&mut tree, Place::LastChildOf(NodeRef::Node(book)));
         let first = tree.first_child(book).unwrap();
-        let g2 = clone_into(&donor, donor_root, &mut tree);
-        tree.insert_before(first, g2).unwrap();
-        graft_subtree_dyn(&tree, session.as_mut(), g2).unwrap();
-
-        let second = tree.next_sibling(g2).unwrap();
-        let g3 = clone_into(&donor, donor_root, &mut tree);
-        tree.insert_after(second, g3).unwrap();
-        graft_subtree_dyn(&tree, session.as_mut(), g3).unwrap();
+        graft(&mut tree, Place::Before(NodeRef::Node(first)));
+        let second = tree.next_sibling(tree.first_child(book).unwrap()).unwrap();
+        graft(&mut tree, Place::After(NodeRef::Node(second)));
 
         if session.labeled_len() != tree.len() {
             return Some(format!("{name}: label count mismatch"));
+        }
+        if entry.descriptor.declared_for(Property::PersistentLabels) == Compliance::Full {
+            let after: HashMap<usize, String> = session.labels_display().into_iter().collect();
+            if let Some((n, old)) = before.iter().find(|(n, old)| after.get(n) != Some(old)) {
+                return Some(format!("{name}: bystander {n} relabelled from {old}"));
+            }
         }
         let v = verify_dyn(&tree, session.as_ref(), 250, 17).unwrap();
         if name != "LSDX" && name != "Com-D" && !v.is_sound() {
