@@ -29,8 +29,8 @@
 //! Statically rejected programs are *also* dynamically rejected: every
 //! check in [`check`] has a lowering-, validator- or apply-time
 //! counterpart, so skipping the checker can never smuggle an unsound
-//! edit through (`compile_unchecked` exists to prove exactly that in
-//! the property suite).
+//! edit through (the property suite proves exactly that by lowering
+//! checker-rejected programs with [`lower::lower_in`]).
 
 pub mod ast;
 pub mod check;
@@ -127,20 +127,6 @@ impl FluxProgram {
             )]
         })?;
         Ok(CompiledUpdate { log, plan })
-    }
-
-    /// Lower **without** the static pass — only syntax and the
-    /// lowering-time guards stand between the program and a log. The
-    /// no-false-accepts property suite uses this to prove every
-    /// statically rejected program also fails dynamically (here, in
-    /// the validator, or at apply time). Not part of the supported
-    /// apply path.
-    pub fn compile_unchecked(
-        &self,
-        tree: &XmlTree,
-        index: &PreorderIndex,
-    ) -> Result<MutationLog, Diagnostic> {
-        lower::lower_in(&self.stmts, tree, index)
     }
 }
 

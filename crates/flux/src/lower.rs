@@ -492,7 +492,8 @@ mod tests {
             "F011"
         );
         // Lowering re-checks what the static pass catches (F009/F005),
-        // so compile_unchecked can never emit a root or attribute edit.
+        // so lowering without the checker can never emit a root or
+        // attribute edit.
         assert_eq!(lower_src(&t, "delete /.").unwrap_err().code, "F011");
         assert_eq!(
             lower_src(&t, "delete /r/s[1]/@id").unwrap_err().code,

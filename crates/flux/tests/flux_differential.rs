@@ -14,8 +14,8 @@
 //!   too). Schemes are independent, so the battery fans out on the
 //!   `xupd-exec` pool and is `XUPD_THREADS`-invariant.
 //! * **No false accepts** — every program the static checker rejects
-//!   must also fail dynamically when forced through
-//!   `compile_unchecked`: at lowering (the kind guards), in the
+//!   must also fail dynamically when lowered without the checker
+//!   (`lower::lower_in`): at lowering (the kind guards), in the
 //!   shadow-simulation validator, or at atomic apply — and the
 //!   document must be left untouched. A checker whose rejections the
 //!   runtime would have permitted is lying about its necessity.
@@ -24,7 +24,7 @@
 //! on the document's preorder index, so there is no second path
 //! evaluator to hold equal to it.
 
-use xupd_flux::{DocumentUpdate, FluxProgram};
+use xupd_flux::{lower, DocumentUpdate, FluxProgram};
 use xupd_framework::analysis::{apply_plan_with_dyn, ApplyOptions};
 use xupd_framework::mutations::{
     self, apply_log_dyn, LogId, Mutation, MutationLog, NodeRef, Place,
@@ -314,7 +314,7 @@ fn no_false_accepts() {
 
             // Force the program past the checker; *something* dynamic
             // must stop it, and the document must survive untouched.
-            let dynamic_reject = match program.compile_unchecked(&tree, &index_of(&tree)) {
+            let dynamic_reject = match lower::lower_in(program.stmts(), &tree, &index_of(&tree)) {
                 Err(_) => true, // lowering guard (F010/F011/F012)
                 Ok(log) => {
                     if mutations::validate(&log, &tree).is_err() {

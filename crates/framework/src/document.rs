@@ -213,7 +213,8 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         let (reorder, _) = opts.granted(self.session.order_independent(), neutral);
         let effective = plan.execution_order(reorder, neutral);
         // Absorb failures (unreachable in practice) degrade to a stale
-        // cache, never to a wrong answer.
+        // cache, never to a wrong answer; so does a panic inside absorb,
+        // which raises the flag once the batch passes its checks.
         if !self.cache.is_stale()
             && self
                 .cache

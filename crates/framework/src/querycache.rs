@@ -368,7 +368,10 @@ impl QueryCache {
     /// batch with zero effective ops changed nothing: the index only
     /// records the new revision and no counter moves. A stale cache
     /// refreshes fully instead, unless no query is registered: then the
-    /// index is dropped and encoded again on next need.
+    /// index is dropped and encoded again on next need. Once the batch
+    /// passes the last refusal check and until `absorb` returns `Ok`,
+    /// the cache is stale, so a panic or an `Err` in between leaves a
+    /// cache that serves nothing and refreshes on next need.
     pub fn absorb(
         &mut self,
         log: &MutationLog,
@@ -421,6 +424,7 @@ impl QueryCache {
         } else {
             self.absorb_structural(plan, effective, tree)?
         };
+        self.stale = false;
         self.stats.batches_absorbed += 1;
         Ok(impact)
     }
@@ -455,6 +459,9 @@ impl QueryCache {
             })
             .collect();
         shadow.follow_text(tree, &written)?;
+        // Past the last refusal: the index now describes the post-batch
+        // tree and the cached strings do not yet.
+        self.stale = true;
         let shadow = &*shadow;
         let mut dirty: Vec<usize> = Vec::new();
         if self.queries.iter().any(|q| q.want_strings) {
@@ -512,6 +519,9 @@ impl QueryCache {
                 return Err(e);
             }
         };
+        // Past the last refusal: from here a panic must leave a cache
+        // that refuses until `absorb` returns.
+        self.stale = true;
         let roots = fp.roots();
         let cut = merge_intervals(&mut fp.cut);
         let scoped_old = 2 * cover(&cut) < old.len().max(1);
@@ -539,6 +549,8 @@ impl QueryCache {
             dirty.dedup();
         }
 
+        #[cfg(test)]
+        tests::fault_point();
         let new = match old.splice(tree, &roots) {
             Ok(new) => new,
             Err(_) => return self.rebuild_all(tree),
@@ -850,6 +862,19 @@ mod tests {
     use xupd_xmldom::NodeKind;
 
     const NAMES: [&str; 4] = ["item", "name", "description", "x"];
+
+    thread_local! {
+        /// Armed by a test: the next [`fault_point`] on this thread panics.
+        static FAULT_ARMED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// The fault point `absorb_structural` passes just before the
+    /// splice: panics once when armed.
+    pub(super) fn fault_point() {
+        if FAULT_ARMED.with(|armed| armed.replace(false)) {
+            panic!("injected fault before the splice");
+        }
+    }
 
     /// How often the property must see each op kind (counted over the
     /// effective ops of every applied batch), and how many batches.
@@ -1345,5 +1370,35 @@ mod tests {
         assert!(refused(cache.absorb(&log, &plan, &effective, &book)));
         assert!(cache.is_current(&book), "the index survives the refusal");
         assert_eq!(*cache.stats(), stats);
+    }
+
+    /// A panic in structural upkeep, after the batch committed to the
+    /// tree and labels, leaves a cache that refuses to serve rather than
+    /// one serving the pre-batch rows; the next read refreshes.
+    #[test]
+    fn a_panic_before_the_splice_leaves_the_cache_stale() {
+        use crate::document::Document;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let mut doc = Document::encode(Qed::new(), &docs::xmark_like(23, 70)).unwrap();
+        let q = doc.register_query("//item", false).unwrap();
+        let before = doc.cached_rows(q).unwrap().len();
+        let tree = doc.tree();
+        let regions = tree
+            .ids_in_doc_order()
+            .into_iter()
+            .find(|&id| tree.kind(id).name() == Some("regions"))
+            .unwrap();
+        let log = MutationLog::from(vec![Mutation::CreateElement {
+            id: LogId(0),
+            name: "item".to_string(),
+            place: Place::LastChildOf(NodeRef::Node(regions)),
+        }]);
+
+        FAULT_ARMED.with(|armed| armed.set(true));
+        let outcome = catch_unwind(AssertUnwindSafe(|| doc.apply_log(&log)));
+        assert!(outcome.is_err(), "the fault point fired");
+        assert_eq!(doc.cached_rows(q), None, "the pre-batch rows are refused");
+        assert_eq!(doc.query_cached(q).unwrap().len(), before + 1);
     }
 }

@@ -5,7 +5,7 @@
 //! Knudsen & Rotbart — see PAPERS.md) establishes that dynamic-tree
 //! labels are Θ(log n) bits, a few dozen bytes in practice, so the code
 //! algebras in this crate ([`crate::BitString`], [`crate::QCode`], the
-//! QED symbol stream, vector-code paths) overwhelmingly fit on the
+//! QED symbol stream) and DLN's sub-id chains overwhelmingly fit on the
 //! stack. Backing them with [`SmallVec`] removes the per-label heap
 //! allocation from every bulk-labelling and per-insert hot path while
 //! keeping behaviour identical: all comparisons and hashing go through

@@ -23,10 +23,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// A vector order code `(x, y)` compared by gradient `y/x`.
-///
-/// `Default` is `(0, 0)` — never a meaningful code; it exists so vector
-/// paths can live in [`crate::SmallVec`] inline storage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VectorCode {
     /// Denominator component.
     pub x: u64,
@@ -74,6 +71,24 @@ impl VectorCode {
     /// the paper questions?
     pub fn exceeds_utf8(&self) -> bool {
         varint::exceeds_utf8(self.x) || varint::exceeds_utf8(self.y)
+    }
+}
+
+/// Gradient order, ties broken by `x` and then `y` so the order agrees
+/// with `Eq`. Codes of one sibling list never share a gradient (a
+/// mediant lies strictly between its neighbours), so on them this is
+/// the gradient order.
+impl Ord for VectorCode {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.cmp_gradient(other)
+            .then(self.x.cmp(&other.x))
+            .then(self.y.cmp(&other.y))
+    }
+}
+
+impl PartialOrd for VectorCode {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -135,6 +150,27 @@ mod tests {
             VectorCode::LOW.cmp_gradient(&VectorCode::HIGH),
             Ordering::Less
         );
+    }
+
+    #[test]
+    fn total_order_refines_the_gradient_and_agrees_with_eq() {
+        let codes = [
+            VectorCode::LOW,
+            VectorCode::new(2, 1),
+            VectorCode::new(1, 1),
+            VectorCode::new(2, 2),
+            VectorCode::new(1, 2),
+            VectorCode::HIGH,
+        ];
+        for a in codes {
+            for b in codes {
+                assert_eq!(a.cmp(&b) == Ordering::Equal, a == b, "{a} vs {b}");
+                if a.cmp_gradient(&b) != Ordering::Equal {
+                    assert_eq!(a.cmp(&b), a.cmp_gradient(&b), "{a} vs {b}");
+                }
+            }
+        }
+        assert!(codes.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -36,13 +36,6 @@ impl DlnCode {
         }
     }
 
-    #[cfg(test)]
-    fn chain(subs: &[u32]) -> Self {
-        DlnCode {
-            subs: DlnSubs::from_slice(subs),
-        }
-    }
-
     /// The sub-id chain.
     pub fn subs(&self) -> &[u32] {
         &self.subs
@@ -224,6 +217,14 @@ mod tests {
     use super::*;
     use xupd_labelcore::{Label, LabelingScheme};
     use xupd_xmldom::{NodeKind, TreeBuilder};
+
+    impl DlnCode {
+        fn chain(subs: &[u32]) -> Self {
+            DlnCode {
+                subs: DlnSubs::from_slice(subs),
+            }
+        }
+    }
 
     #[test]
     fn mid_prefers_increment_then_sublevel() {

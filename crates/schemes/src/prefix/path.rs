@@ -1,5 +1,6 @@
-//! Generic machinery shared by the one-component-per-level prefix schemes
-//! (DeweyID, DLN, ImprovedBinary, QED, CDBS, CDQS).
+//! Generic machinery shared by the one-component-per-level prefix schemes:
+//! DeweyID, DLN, LSDX, ImprovedBinary, QED, CDQS and Vector from Figure 7,
+//! and CDBS, Com-D and DDE from §6. ORDPATH keeps its own flat label.
 //!
 //! A [`PathLabel`] is the sequence of sibling codes along the root path;
 //! document order is lexicographic (prefix-smaller) over that sequence,
@@ -10,7 +11,10 @@
 //! Each concrete scheme supplies a [`SiblingAlgebra`]: how to bulk-label a
 //! sibling list and how to produce a code for an insertion, possibly
 //! demanding renumbering (which is what separates the persistent schemes
-//! from DeweyID/DLN in Figure 7's *Persistent Labels* column).
+//! from DeweyID/DLN in Figure 7's *Persistent Labels* column). Two hooks
+//! let an algebra answer less than its path could: `level_of_path` for
+//! *Level Enc.* and `ancestry_only` for *XPath Eval.* — Vector's published
+//! order labels give neither depth nor parent and sibling tests.
 
 use std::cmp::Ordering;
 use std::fmt::Debug;
@@ -54,7 +58,7 @@ pub trait SiblingAlgebra {
     }
 
     /// True when inserting a sibling never rewrites neighbour codes
-    /// (`insert` always returns `CodeOutcome::Clean`), so a created
+    /// (`insert` always returns `CodeOutcome::Fresh`), so a created
     /// subtree that is later deleted leaves zero residue on surviving
     /// labels. Mirrors
     /// [`xupd_labelcore::LabelingScheme::cancellation_neutral`];
@@ -111,6 +115,13 @@ pub trait SiblingAlgebra {
     /// component count (document root = 0).
     fn level_of_path(path_len: usize) -> Option<u32> {
         Some(path_len as u32)
+    }
+
+    /// True when the labels answer ancestor-descendant only, and
+    /// parent-child and sibling queries are unsupported (`None`);
+    /// default: `false`.
+    fn ancestry_only() -> bool {
+        false
     }
 
     /// An algebra variant with its encoding budget tightened so §4
@@ -268,8 +279,8 @@ impl<A: SiblingAlgebra> PrefixScheme<A> {
         debug_assert_eq!(codes.len(), n);
         for (child, code) in tree.children(parent).zip(codes) {
             let path = parent_path.child(code);
-            labeling.set(child, AlgPath { path: path.clone() });
             self.label_children(tree, child, &path, labeling);
+            labeling.set(child, AlgPath { path });
         }
     }
 
@@ -332,13 +343,8 @@ impl<A: SiblingAlgebra> LabelingScheme for PrefixScheme<A> {
     fn label_tree(&mut self, tree: &XmlTree) -> Result<Labeling<AlgPath<A>>, TreeError> {
         let mut labeling = Labeling::with_capacity_for(tree);
         let root_path = PathLabel::root();
-        labeling.set(
-            tree.root(),
-            AlgPath {
-                path: root_path.clone(),
-            },
-        );
         self.label_children(tree, tree.root(), &root_path, &mut labeling);
+        labeling.set(tree.root(), AlgPath { path: root_path });
         Ok(labeling)
     }
 
@@ -421,6 +427,7 @@ impl<A: SiblingAlgebra> LabelingScheme for PrefixScheme<A> {
         let (pa, pb) = (&a.path, &b.path);
         match rel {
             Relation::AncestorDescendant => Some(pa.is_strict_prefix_of(pb)),
+            _ if A::ancestry_only() => None,
             Relation::ParentChild => {
                 Some(pa.is_strict_prefix_of(pb) && pb.components.len() == pa.components.len() + 1)
             }

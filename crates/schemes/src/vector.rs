@@ -8,136 +8,32 @@
 //! slower than QED's (the paper's §4 empirical note, reproduced by the P3
 //! growth benchmark).
 //!
-//! Applied here in its prefix form: a label is the vector path from the
-//! root, giving ancestor-descendant by prefix while each component keeps
-//! the vector algebra. The paper classifies Vector's *XPath Eval.* as `P`
-//! and *Level Enc.* as `N` — the pure order-label form it evaluates
-//! carries no structure — so this scheme deliberately reports
-//! sibling/level queries as unsupported even though the path form could
-//! answer them, keeping the measured matrix aligned with what the
-//! published scheme offers.
+//! Applied here in its prefix form, as a [`SiblingAlgebra`] of the shared
+//! prefix host: a label is the vector path from the root, giving
+//! ancestor-descendant by prefix while each component keeps the vector
+//! algebra. The paper classifies Vector's *XPath Eval.* as `P` and
+//! *Level Enc.* as `N` — the pure order-label form it evaluates carries
+//! no structure — so this scheme deliberately reports sibling/level
+//! queries as unsupported even though the path form could answer them,
+//! keeping the measured matrix aligned with what the published scheme
+//! offers.
 //!
 //! Components exhausting 64 bits (Fibonacci-like zigzag insertion) are
-//! detected and renumbered with an overflow event — the paper's open
-//! question about Vector's UTF-8 delimiter handling beyond 2²¹ is
-//! surfaced by [`xupd_labelcore::VectorCode::exceeds_utf8`].
+//! detected and the sibling list is renumbered with an overflow event —
+//! the paper's open question about Vector's UTF-8 delimiter handling
+//! beyond 2²¹ is surfaced by [`xupd_labelcore::VectorCode::exceeds_utf8`].
 
-use std::cmp::Ordering;
+use crate::prefix::path::{CodeOutcome, PrefixScheme, SiblingAlgebra};
+use crate::qcontainment::OrderCode;
 use xupd_labelcore::vectorcode::bulk_vector;
-use xupd_labelcore::{
-    EncodingRep, InsertReport, Label, Labeling, LabelingScheme, OrderKind, Relation,
-    SchemeDescriptor, SchemeStats, SmallVec, VectorCode,
-};
-use xupd_xmldom::{NodeId, TreeError, XmlTree};
+use xupd_labelcore::{EncodingRep, OrderKind, SchemeDescriptor, SchemeStats, VectorCode};
 
-/// Inline depth of a vector path: components for the 8 shallowest levels
-/// live on the stack (deeper paths spill), so per-insert label
-/// construction is allocation-free for typical documents.
-type VectorPath = SmallVec<VectorCode, 8>;
+/// The Vector sibling algebra.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct VectorAlgebra;
 
-/// A vector-path label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VectorLabel {
-    components: VectorPath,
-}
-
-impl VectorLabel {
-    fn root() -> Self {
-        VectorLabel {
-            components: VectorPath::new(),
-        }
-    }
-
-    fn child(&self, code: VectorCode) -> Self {
-        let mut components = self.components.clone();
-        components.push(code);
-        VectorLabel { components }
-    }
-
-    /// The raw vector components.
-    pub fn components(&self) -> &[VectorCode] {
-        &self.components
-    }
-
-    fn own(&self) -> Option<&VectorCode> {
-        self.components.last()
-    }
-
-    fn is_strict_prefix_of(&self, other: &VectorLabel) -> bool {
-        self.components.len() < other.components.len()
-            && other.components[..self.components.len()] == self.components[..]
-    }
-}
-
-impl PartialOrd for VectorLabel {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for VectorLabel {
-    fn cmp(&self, other: &Self) -> Ordering {
-        for (a, b) in self.components.iter().zip(&other.components) {
-            match a.cmp_gradient(b) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        self.components.len().cmp(&other.components.len())
-    }
-}
-
-impl Label for VectorLabel {
-    fn size_bits(&self) -> u64 {
-        self.components.iter().map(|c| c.size_bits()).sum()
-    }
-
-    fn display(&self) -> String {
-        if self.components.is_empty() {
-            return "∅".to_string();
-        }
-        self.components
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(".")
-    }
-}
-
-/// The Vector labelling scheme.
-#[derive(Debug, Clone, Default)]
-pub struct VectorScheme {
-    stats: SchemeStats,
-}
-
-impl VectorScheme {
-    /// A fresh Vector scheme.
-    pub fn new() -> Self {
-        VectorScheme::default()
-    }
-
-    fn label_children(
-        &mut self,
-        tree: &XmlTree,
-        node: NodeId,
-        path: &VectorLabel,
-        labeling: &mut Labeling<VectorLabel>,
-    ) {
-        let n = tree.children(node).count();
-        if n == 0 {
-            return;
-        }
-        let codes = bulk_vector(n, &mut self.stats.recursive_calls);
-        for (child, code) in tree.children(node).zip(codes) {
-            let child_path = path.child(code);
-            labeling.set(child, child_path.clone());
-            self.label_children(tree, child, &child_path, labeling);
-        }
-    }
-}
-
-impl LabelingScheme for VectorScheme {
-    type Label = VectorLabel;
+impl SiblingAlgebra for VectorAlgebra {
+    type Code = VectorCode;
 
     fn name(&self) -> &'static str {
         "Vector"
@@ -169,129 +65,67 @@ impl LabelingScheme for VectorScheme {
         }
     }
 
-    fn label_tree(&mut self, tree: &XmlTree) -> Result<Labeling<VectorLabel>, TreeError> {
-        let mut labeling = Labeling::with_capacity_for(tree);
-        let root = VectorLabel::root();
-        labeling.set(tree.root(), root.clone());
-        self.label_children(tree, tree.root(), &root, &mut labeling);
-        Ok(labeling)
+    /// Recursive mediant splitting between the virtual bounds.
+    fn bulk(&mut self, n: usize, stats: &mut SchemeStats) -> Vec<VectorCode> {
+        bulk_vector(n, &mut stats.recursive_calls)
     }
 
-    fn on_insert(
+    /// The mediant of the neighbours, [`VectorCode::LOW`] and
+    /// [`VectorCode::HIGH`] standing in at the ends; when a component
+    /// would exceed 64 bits, the whole sibling list is renumbered.
+    fn insert(
         &mut self,
-        tree: &XmlTree,
-        labeling: &mut Labeling<VectorLabel>,
-        node: NodeId,
-    ) -> Result<InsertReport, TreeError> {
-        let parent = tree.parent(node).ok_or(TreeError::MissingParent(node))?;
-        let parent_path = labeling.req(parent)?.clone();
-        // unlabelled neighbours belong to the same graft batch: absent
-        let left = tree
-            .prev_sibling(node)
-            .and_then(|s| labeling.get(s))
-            .and_then(|l| l.own().copied())
-            .unwrap_or(VectorCode::LOW);
-        let right = tree
-            .next_sibling(node)
-            .and_then(|s| labeling.get(s))
-            .and_then(|l| l.own().copied())
-            .unwrap_or(VectorCode::HIGH);
-        match left.mediant(&right) {
-            Some(code) => {
-                labeling.set(node, parent_path.child(code));
-                Ok(InsertReport::clean())
-            }
-            None => {
-                // 64-bit component exhaustion: renumber this sibling list.
-                self.stats.overflow_events += 1;
-                let n = tree.children(parent).count();
-                let codes = bulk_vector(n, &mut self.stats.recursive_calls);
-                let mut relabeled = Vec::new();
-                for (sib, code) in tree.children(parent).zip(codes) {
-                    let new_path = parent_path.child(code);
-                    rebase(
-                        tree,
-                        labeling,
-                        sib,
-                        new_path,
-                        node,
-                        &mut relabeled,
-                        &mut self.stats,
-                    );
-                }
-                Ok(InsertReport {
-                    relabeled,
-                    overflowed: true,
-                })
-            }
+        left: Option<&VectorCode>,
+        right: Option<&VectorCode>,
+        _stats: &mut SchemeStats,
+    ) -> CodeOutcome<VectorCode> {
+        match VectorCode::between(left, right) {
+            Some(code) => CodeOutcome::Fresh(code),
+            None => CodeOutcome::RenumberAll,
         }
     }
 
-    fn cmp_doc(&self, a: &VectorLabel, b: &VectorLabel) -> Ordering {
-        a.cmp(b)
+    fn code_bits(code: &VectorCode) -> u64 {
+        code.size_bits()
     }
 
-    fn relation(&self, rel: Relation, a: &VectorLabel, b: &VectorLabel) -> Option<bool> {
-        match rel {
-            // The prefix application does give ancestor-descendant; the
-            // published order-label scheme stops there (XPath Eval. = P).
-            Relation::AncestorDescendant => Some(a.is_strict_prefix_of(b)),
-            Relation::ParentChild => None,
-            Relation::Sibling => None,
-        }
+    fn code_display(code: &VectorCode) -> String {
+        code.to_string()
     }
 
-    fn level(&self, _a: &VectorLabel) -> Option<u32> {
-        // Level Enc. = N: the evaluated scheme does not expose depth.
+    // Level Enc. = N: the evaluated scheme does not expose depth.
+    fn level_of_path(_path_len: usize) -> Option<u32> {
         None
     }
 
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
+    // The prefix application does give ancestor-descendant; the
+    // published order-label scheme stops there (XPath Eval. = P).
+    fn ancestry_only() -> bool {
+        true
     }
 }
 
-fn rebase(
-    tree: &XmlTree,
-    labeling: &mut Labeling<VectorLabel>,
-    node: NodeId,
-    new_path: VectorLabel,
-    skip: NodeId,
-    relabeled: &mut Vec<NodeId>,
-    stats: &mut SchemeStats,
-) {
-    let old = labeling.get(node).cloned();
-    if old.as_ref() != Some(&new_path) {
-        if node != skip && old.is_some() {
-            relabeled.push(node);
-            stats.relabeled_nodes += 1;
-        }
-        labeling.set(node, new_path.clone());
+/// The Vector labelling scheme (prefix application).
+pub type VectorScheme = PrefixScheme<VectorAlgebra>;
+
+impl VectorScheme {
+    /// A fresh Vector scheme.
+    pub fn new() -> Self {
+        PrefixScheme::from_algebra(VectorAlgebra)
     }
-    for child in tree.children(node) {
-        // unlabelled children belong to an in-flight graft batch
-        let Some(own) = labeling.get(child).and_then(|l| l.own().copied()) else {
-            continue;
-        };
-        rebase(
-            tree,
-            labeling,
-            child,
-            new_path.child(own),
-            skip,
-            relabeled,
-            stats,
-        );
+}
+
+impl Default for VectorScheme {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
+    use xupd_labelcore::{Label, LabelingScheme, Relation};
     use xupd_xmldom::sample::figure1_document;
     use xupd_xmldom::{NodeKind, TreeBuilder};
 

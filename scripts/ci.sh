@@ -18,7 +18,7 @@ echo "==> full workspace tests"
 cargo test --workspace -q
 
 echo "==> non-test library lines (report only: nothing gates on the count)"
-echo "    $(scripts/loc.sh) lines in the nine library crates' src, each file cut at its first #[cfg(test)]"
+echo "    $(scripts/loc.sh) lines in the nine library crates' src, each file cut where its #[cfg(test)] mod tests opens"
 
 echo "==> static invariants (xupd-lint: fails on any unsuppressed finding)"
 cargo run --release -q -p xupd-lint -- --workspace

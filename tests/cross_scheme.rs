@@ -11,6 +11,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::fmt::Write;
 use xml_update_props::encoding::reconstruct::reconstruct;
 use xml_update_props::encoding::{parse_xpath, PreorderIndex};
 use xml_update_props::exec::par_map;
@@ -19,7 +20,7 @@ use xml_update_props::framework::mutations::{
     apply_log_dyn, LogId, Mutation, MutationLog, NodeRef, Place,
 };
 use xml_update_props::framework::verify::verify_dyn;
-use xml_update_props::labelcore::{Compliance, Property};
+use xml_update_props::labelcore::{Compliance, DynScheme, Property};
 use xml_update_props::schemes::{registry, registry_figure7};
 use xml_update_props::workloads::{docs, Script, ScriptKind};
 use xml_update_props::xmldom::{serialize_compact, NodeId, NodeKind, XmlTree};
@@ -270,4 +271,98 @@ fn subtree_grafting_all_schemes() {
     .flatten()
     .collect();
     assert!(failures.is_empty(), "{failures:?}");
+}
+
+/// FNV-1a digest of each scheme's labels after
+/// [`labels_are_pinned_for_every_scheme`]'s scripts, in roster order.
+const LABEL_DIGESTS: [(&str, u64); 17] = [
+    ("XPath Accelerator", 0x19e4_604b_78db_09fb),
+    ("XRel", 0x2504_e976_1af0_5415),
+    ("Sector", 0xeacb_7dc5_3b69_367a),
+    ("QRS", 0xd9d6_bfe2_6ca8_66ff),
+    ("DeweyID", 0x44b1_9edf_c72c_4176),
+    ("Ordpath", 0x73cf_8386_ced1_993b),
+    ("DLN", 0x00d6_f075_8557_0f89),
+    ("LSDX", 0x39d0_fb09_7673_f4bc),
+    ("ImprovedBinary", 0xff04_de3e_4c28_cada),
+    ("QED", 0x2024_464a_3b11_c66a),
+    ("CDQS", 0x7dd4_5193_af4e_d2a0),
+    ("Vector", 0xe4b0_a737_d96c_4a92),
+    ("CDBS", 0x5e0a_1503_9929_78c0),
+    ("Com-D", 0x22ac_5a36_e00d_19fd),
+    ("Prime", 0x10cc_893f_3bc6_2556),
+    ("DDE", 0x5a87_48b2_fd3d_aeb9),
+    ("QED∘Containment", 0x9e83_6468_f1a1_b071),
+];
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Label a copy of `base`, run `ops` ops of `kind` on it and append the
+/// run's relabel, overflow and peak-size counters and every label to
+/// `out`.
+fn render_run(
+    session: &mut dyn DynScheme,
+    base: &XmlTree,
+    (kind, ops, seed): (ScriptKind, usize, u64),
+    out: &mut String,
+) {
+    let mut tree = base.clone();
+    session.label_tree(&tree).unwrap();
+    let script = Script::generate(kind, ops, tree.len(), seed);
+    let s = run_script_dyn(&mut tree, session, &script).unwrap();
+    let name = kind.name();
+    let (relabeled, overflows, peak) = (s.relabeled, s.overflow_events, s.peak_label_bits);
+    writeln!(out, "{name} {relabeled} {overflows} {peak}").unwrap();
+    for (id, label) in session.labels_display() {
+        writeln!(out, "{id} {label}").unwrap();
+    }
+}
+
+/// Every scheme's label strings are pinned: after each standard script
+/// on the checker's standard document, and after the checker's
+/// adversarial battery on its overflow audit instance (the session
+/// itself when the scheme has none), the labels and the runs'
+/// counters hash to the pinned digest. A change to a
+/// scheme's code algebra or to the host it runs on fails here even when
+/// the store digests, which hash no label, stay put.
+#[test]
+fn labels_are_pinned_for_every_scheme() {
+    let entries = registry();
+    let digests = par_map(&entries, |entry| {
+        let mut session = entry.session();
+        let mut out = String::new();
+        let standard = docs::random_tree(0xD0C, 300);
+        for (i, kind) in ScriptKind::ALL.into_iter().enumerate() {
+            render_run(
+                session.as_mut(),
+                &standard,
+                (kind, 150, 100 + i as u64),
+                &mut out,
+            );
+        }
+        let mut audit = session.overflow_audit_instance();
+        let target = match audit.as_deref_mut() {
+            Some(a) => a,
+            None => session.as_mut(),
+        };
+        let wide = docs::wide(20);
+        for run in [
+            (ScriptKind::Skewed, 600, 201),
+            (ScriptKind::PrependStorm, 600, 204),
+            (ScriptKind::Zigzag, 300, 202),
+            (ScriptKind::AppendOnly, 300, 203),
+        ] {
+            render_run(target, &wide, run, &mut out);
+        }
+        (entry.name(), fnv1a(out.as_bytes()))
+    });
+    let render = |rows: &[(&str, u64)]| -> Vec<String> {
+        rows.iter().map(|(n, d)| format!("{n} {d:#018x}")).collect()
+    };
+    assert_eq!(render(&digests), render(&LABEL_DIGESTS));
 }
