@@ -16,14 +16,14 @@ use std::collections::BTreeMap;
 use xupd_xmldom::{NodeId, NodeKind, XmlTree};
 
 /// Element and attribute name index: name → row indices in document
-/// order.
+/// order, as `u32` like every column of the [`PreorderIndex`].
 /// `BTreeMap` rather than `HashMap` so that iteration over the index is
 /// deterministic (lint rule R2) — anything feeding golden outputs must
 /// not depend on hash order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NameIndex {
-    elements: BTreeMap<String, Vec<usize>>,
-    attributes: BTreeMap<String, Vec<usize>>,
+    elements: BTreeMap<String, Vec<u32>>,
+    attributes: BTreeMap<String, Vec<u32>>,
     /// Every element row, whatever its name, in document order.
     all_elements: Vec<u32>,
 }
@@ -34,7 +34,8 @@ impl NameIndex {
     /// the element list keep their buffers, a name is allocated only
     /// the first time it is seen, and names that no longer occur are
     /// dropped. [`PreorderIndex::encode`] builds its buckets this way
-    /// and [`PreorderIndex::splice`] rebuilds them.
+    /// and [`PreorderIndex::splice`] rebuilds them; both refuse a tree
+    /// whose rows would not fit in `u32` before they get here.
     pub(crate) fn rebuild(&mut self, tree: &XmlTree, ids: &[NodeId]) {
         for rows in self
             .elements
@@ -44,11 +45,10 @@ impl NameIndex {
             rows.clear();
         }
         self.all_elements.clear();
-        for (i, &id) in ids.iter().enumerate() {
+        for (i, &id) in (0..).zip(ids) {
             let (map, name) = match tree.kind(id) {
                 NodeKind::Element { name } => {
-                    // Rows fit in 32 bits, as the node ids they encode do.
-                    self.all_elements.push(i as u32);
+                    self.all_elements.push(i);
                     (&mut self.elements, name)
                 }
                 NodeKind::Attribute { name, .. } => (&mut self.attributes, name),
@@ -66,7 +66,7 @@ impl NameIndex {
     }
 
     /// All element rows with this name, in document order.
-    pub fn elements(&self, name: &str) -> &[usize] {
+    pub fn elements(&self, name: &str) -> &[u32] {
         self.elements.get(name).map_or(&[], Vec::as_slice)
     }
 
@@ -80,7 +80,7 @@ impl NameIndex {
     }
 
     /// All attribute rows with this name, in document order.
-    pub fn attributes(&self, name: &str) -> &[usize] {
+    pub fn attributes(&self, name: &str) -> &[u32] {
         self.attributes.get(name).map_or(&[], Vec::as_slice)
     }
 
@@ -90,9 +90,9 @@ impl NameIndex {
     pub fn descendants_named(&self, doc: &PreorderIndex, context: usize, name: &str) -> Vec<usize> {
         let bucket = self.elements(name);
         let range = doc.descendant_range(context);
-        let lo = bucket.partition_point(|&i| i < range.start);
-        let hi = bucket.partition_point(|&i| i < range.end);
-        bucket[lo..hi].to_vec()
+        let lo = bucket.partition_point(|&i| (i as usize) < range.start);
+        let hi = bucket.partition_point(|&i| (i as usize) < range.end);
+        bucket[lo..hi].iter().map(|&i| i as usize).collect()
     }
 
     /// Every indexed element name with its occurrence count, in the
@@ -189,6 +189,21 @@ mod tests {
         );
         idx.rebuild(&big_tree, &big_tree.ids_in_doc_order());
         assert_eq!(&idx, big.name_index());
+    }
+
+    #[test]
+    fn buckets_hold_four_byte_rows() {
+        let tree = docs::xmark_like(11, 60);
+        let doc = PreorderIndex::encode(&tree).unwrap();
+        let idx = doc.name_index();
+        for bucket in idx.elements.values().chain(idx.attributes.values()) {
+            assert_eq!(std::mem::size_of_val(bucket.as_slice()), 4 * bucket.len());
+        }
+        assert_eq!(
+            std::mem::size_of_val(idx.all_elements()),
+            4 * idx.all_elements().len()
+        );
+        assert!(!idx.attributes.is_empty());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! benchmarks compare against.
 
 use crate::index::NameIndex;
-use crate::topology::Topology;
+use crate::topology::{row32, Topology};
 use xupd_labelcore::{DynScheme, Relation};
 use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
 
@@ -61,8 +61,14 @@ struct RunList {
     roots: Vec<NodeId>,
 }
 
+/// `row_of`'s entry for a node id no row encodes.
+const NO_ROW: u32 = u32::MAX;
+
 /// A document's preorder index: parents, source ids and the structural
 /// sidecars in document order, with no content and no label column.
+/// Every per-node column holds 4-byte entries: [`NodeId`]s are `u32`
+/// indices, so rows fit in `u32` too, and encode and splice refuse a
+/// tree whose id bound does not.
 /// Its [`revision`](Self::revision) names the tree state it describes,
 /// and every consumer rejects an index made for another state.
 #[derive(Debug, Clone)]
@@ -73,8 +79,8 @@ pub struct PreorderIndex {
     /// Source tree node id per row, in document order.
     source_ids: Vec<NodeId>,
     /// Reverse map: `row_of[id.index()]` is the row encoding that node,
-    /// `usize::MAX` for ids outside this document.
-    row_of: Vec<usize>,
+    /// `NO_ROW` for ids outside this document.
+    row_of: Vec<u32>,
     /// [`XmlTree::revision`] of the tree state the index describes.
     revision: u32,
     /// The last splice's runs; empty after an encode.
@@ -83,19 +89,20 @@ pub struct PreorderIndex {
 
 impl PreorderIndex {
     /// Index `tree` in document order, building the [`Topology`] and
-    /// [`NameIndex`]. Errors only on a malformed tree, whose parent
-    /// references the topology refuses.
+    /// [`NameIndex`]. Errors on a malformed tree, whose parent
+    /// references the topology refuses, and on a tree whose id bound
+    /// does not fit the `u32` columns.
     pub fn encode(tree: &XmlTree) -> Result<Self, TreeError> {
+        row32(tree.id_bound())?;
         let order: Vec<NodeId> = tree.ids_in_doc_order();
-        let mut row_of = vec![usize::MAX; tree.id_bound()];
-        for (i, &id) in order.iter().enumerate() {
+        let mut row_of = vec![NO_ROW; tree.id_bound()];
+        for (i, &id) in (0..).zip(&order) {
             row_of[id.index()] = i;
         }
         let topo = Topology::from_parents(
             order
                 .iter()
-                .map(|&id| tree.parent(id).map(|p| row_of[p.index()]))
-                .collect(),
+                .map(|&id| tree.parent(id).map(|p| row_of[p.index()] as usize)),
         )?;
         let mut names = NameIndex::default();
         names.rebuild(tree, &order);
@@ -130,9 +137,11 @@ impl PreorderIndex {
     ///
     /// Text the batch wrote needs nothing here: content is read from
     /// the tree. Errors when the edits do not account for `tree` (a
-    /// deleted, moved or created node left out); the index is consumed,
-    /// so encode afresh then.
+    /// deleted, moved or created node left out) or its id bound no
+    /// longer fits the `u32` columns; the index is consumed, so encode
+    /// afresh then.
     pub fn splice(mut self, tree: &XmlTree, cut: &[usize]) -> Result<Self, TreeError> {
+        row32(tree.id_bound())?;
         let mut runs = std::mem::take(&mut self.runs);
         self.find_runs(tree, cut, &mut runs)?;
         let (n_old, n_new) = (self.len(), tree.len());
@@ -175,10 +184,9 @@ impl PreorderIndex {
         // One pass in document order: a parent's row is always set
         // before its children look it up.
         let bad = |what: &str| TreeError::Invariant(format!("splice: {what}"));
-        self.row_of.resize(tree.id_bound(), usize::MAX);
-        let parents = self.topo.parents_mut();
-        parents.clear();
-        for i in 0..n_new {
+        self.row_of.resize(tree.id_bound(), NO_ROW);
+        self.topo.clear_parents();
+        for (i, row) in (0..n_new).zip(0..) {
             let id = self.source_ids[i];
             if !tree.is_alive(id) {
                 return Err(bad("a kept row's node is gone"));
@@ -187,12 +195,12 @@ impl PreorderIndex {
                 None if i == 0 => None,
                 None => return Err(bad("a non-root row has no parent")),
                 Some(p) => match self.row_of[p.index()] {
-                    pr if pr < i && self.source_ids[pr] == p => Some(pr),
+                    pr if (pr as usize) < i && self.source_ids[pr as usize] == p => Some(pr),
                     _ => return Err(bad("a row precedes its parent")),
                 },
             };
-            self.row_of[id.index()] = i;
-            parents.push(parent);
+            self.row_of[id.index()] = row;
+            self.topo.push_parent(parent);
         }
         self.topo.rebuild()?;
         self.names.rebuild(tree, &self.source_ids);
@@ -204,7 +212,7 @@ impl PreorderIndex {
     /// Forget which rows encode the nodes of `rows`.
     fn retire(&mut self, rows: std::ops::Range<usize>) {
         for &id in &self.source_ids[rows] {
-            self.row_of[id.index()] = usize::MAX;
+            self.row_of[id.index()] = NO_ROW;
         }
     }
 
@@ -406,7 +414,7 @@ impl PreorderIndex {
 
     /// Children of a row, in document order — a CSR slice, no
     /// allocation.
-    pub fn children(&self, i: usize) -> &[usize] {
+    pub fn children(&self, i: usize) -> &[u32] {
         self.topo.children(i)
     }
 
@@ -519,7 +527,7 @@ impl PreorderIndex {
 
     /// Following siblings of `i`, in document order: the tail of the
     /// parent's CSR slice.
-    pub fn following_siblings(&self, i: usize) -> &[usize] {
+    pub fn following_siblings(&self, i: usize) -> &[u32] {
         match (self.topo.parent(i), self.topo.child_position(i)) {
             (Some(p), Some(pos)) => &self.topo.children(p)[pos + 1..],
             _ => &[],
@@ -528,7 +536,7 @@ impl PreorderIndex {
 
     /// Preceding siblings of `i`, in document order: the head of the
     /// parent's CSR slice.
-    pub fn preceding_siblings(&self, i: usize) -> &[usize] {
+    pub fn preceding_siblings(&self, i: usize) -> &[u32] {
         match (self.topo.parent(i), self.topo.child_position(i)) {
             (Some(p), Some(pos)) => &self.topo.children(p)[..pos],
             _ => &[],
@@ -563,7 +571,7 @@ impl PreorderIndex {
         self.topo
             .children(i)
             .iter()
-            .find_map(|&j| match tree.kind(self.source_ids[j]) {
+            .find_map(|&j| match tree.kind(self.source_ids[j as usize]) {
                 NodeKind::Attribute { name: n, value } if n == name => Some(value.as_str()),
                 _ => None,
             })
@@ -580,7 +588,7 @@ impl PreorderIndex {
     /// document. O(1) — a direct table probe.
     pub fn row_of_source(&self, id: NodeId) -> Option<usize> {
         match self.row_of.get(id.index()) {
-            Some(&r) if r != usize::MAX => Some(r),
+            Some(&r) if r != NO_ROW => Some(r as usize),
             _ => None,
         }
     }
@@ -651,14 +659,15 @@ mod tests {
             let kid_names: Vec<_> = index
                 .children(i)
                 .iter()
-                .map(|&j| tree.kind(index.source_id(j)).name().unwrap_or(""))
+                .map(|&j| tree.kind(index.source_id(j as usize)).name().unwrap_or(""))
                 .collect();
             let tree_kids: Vec<_> = tree
                 .children(id)
                 .map(|c| tree.kind(c).name().unwrap_or(""))
                 .collect();
             assert_eq!(kid_names, tree_kids);
-            assert_eq!(index.children(i), index.children_via_scan(i).as_slice());
+            let kids: Vec<usize> = index.children(i).iter().map(|&j| j as usize).collect();
+            assert_eq!(kids, index.children_via_scan(i));
             // descendant count, and depth as the ancestor chain
             assert_eq!(index.descendants(i).len(), tree.subtree_size(id) - 1);
             assert_eq!(index.ancestors(i).len(), tree.depth(id) as usize);
@@ -685,7 +694,7 @@ mod tests {
                 }
                 Some(p) => {
                     let mut all = ps.to_vec();
-                    all.push(i);
+                    all.push(i as u32);
                     all.extend_from_slice(fs);
                     assert_eq!(all, index.children(p));
                 }

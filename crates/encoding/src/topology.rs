@@ -36,9 +36,17 @@ pub fn row_in_extents(extents: &[(usize, usize)], i: usize) -> bool {
     k > 0 && i < extents[k - 1].1
 }
 
+/// The parent column's entry for the root row, which has no parent.
+const NO_PARENT: u32 = u32::MAX;
+
 /// Structural index over a document-order table: parent, pre-order
 /// subtree extents and CSR children arrays. Its parent column
 /// is the [`PreorderIndex`](crate::PreorderIndex)'s only one.
+///
+/// Every column holds `u32` rows, 4 bytes an entry: rows number the
+/// nodes of a tree whose [`NodeId`]s are `u32` too, and a table of
+/// `u32::MAX` rows or more is refused. The root's parent entry is a
+/// sentinel, so an absent parent costs no tag either.
 ///
 /// Built by [`Topology::from_parents`] in O(n). When the table changes
 /// shape (a splice after a structural batch), the splice writes the new
@@ -46,38 +54,55 @@ pub fn row_in_extents(extents: &[(usize, usize)], i: usize) -> bool {
 /// place, into the buffers it already holds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
-    parent: Vec<Option<usize>>,
+    /// Parent row per row; `NO_PARENT` for the root.
+    parent: Vec<u32>,
     /// `extent[i]` is one past the last row of `i`'s subtree: strict
     /// descendants of `i` are exactly rows `i+1..extent[i]`.
-    extent: Vec<usize>,
+    extent: Vec<u32>,
     /// CSR offsets into `child_rows`; length `n + 1`.
-    child_start: Vec<usize>,
+    child_start: Vec<u32>,
     /// Children of every row, concatenated in document order.
-    child_rows: Vec<usize>,
+    child_rows: Vec<u32>,
 }
 
 impl Topology {
     /// Build the index from per-row parent references, where row indices
-    /// are document-order (pre-order) positions.
+    /// are document-order (pre-order) positions. The references are
+    /// written straight into the `u32` column, with no staging table.
     ///
     /// Construction is infallible over well-formed tables (the only kind
     /// [`PreorderIndex::encode`](crate::PreorderIndex::encode) produces). A malformed
     /// input — a non-root row without a parent, a parent reference that
-    /// is not an earlier row, or a parented root — threads out as a
-    /// [`TreeError`] rather than a panic.
-    pub fn from_parents(parents: Vec<Option<usize>>) -> Result<Topology, TreeError> {
-        let mut topo = Topology {
-            parent: parents,
-            ..Topology::default()
-        };
+    /// is not an earlier row, a parented root, or `u32::MAX` rows or
+    /// more — threads out as a [`TreeError`] rather than a panic.
+    pub fn from_parents(
+        parents: impl IntoIterator<Item = Option<usize>>,
+    ) -> Result<Topology, TreeError> {
+        let parents = parents.into_iter();
+        let mut topo = Topology::default();
+        topo.parent.reserve_exact(parents.size_hint().0);
+        for p in parents {
+            // `rebuild` refuses a parented root and a reference that is
+            // not an earlier row.
+            topo.parent.push(match p {
+                None => NO_PARENT,
+                Some(p) => row32(p)?,
+            });
+        }
         topo.rebuild()?;
         Ok(topo)
     }
 
-    /// The parent column, for a caller that rewrites it in place and
-    /// then calls [`rebuild`](Self::rebuild).
-    pub(crate) fn parents_mut(&mut self) -> &mut Vec<Option<usize>> {
-        &mut self.parent
+    /// Clear the parent column for a caller that then pushes each row's
+    /// parent in document order ([`push_parent`](Self::push_parent)) and
+    /// calls [`rebuild`](Self::rebuild).
+    pub(crate) fn clear_parents(&mut self) {
+        self.parent.clear();
+    }
+
+    /// Append the next row's parent row (`None` for the root).
+    pub(crate) fn push_parent(&mut self, parent: Option<u32>) {
+        self.parent.push(parent.unwrap_or(NO_PARENT));
     }
 
     /// Recompute extents and CSR children from the parent column
@@ -88,30 +113,29 @@ impl Topology {
     pub(crate) fn rebuild(&mut self) -> Result<(), TreeError> {
         let parent = &self.parent;
         let n = parent.len();
-        if parent.first().is_some_and(Option::is_some) {
+        let n32 = row32(n)?;
+        if parent.first().is_some_and(|&p| p != NO_PARENT) {
             return Err(TreeError::Invariant(
                 "row 0 (document root) must have no parent".into(),
             ));
         }
-        for (i, p) in parent.iter().enumerate().skip(1) {
-            match p {
-                None => return Err(TreeError::MissingParent(NodeId::from_index(i))),
-                Some(p) if *p >= i => {
-                    return Err(TreeError::DanglingNodeId(NodeId::from_index(*p)))
-                }
-                Some(_) => {}
+        for (i, &p) in parent.iter().enumerate().skip(1) {
+            if p == NO_PARENT {
+                return Err(TreeError::MissingParent(NodeId::from_index(i)));
+            }
+            if p as usize >= i {
+                return Err(TreeError::DanglingNodeId(NodeId::from_index(p as usize)));
             }
         }
 
         // extent: reverse pass — every row's extent is final before its
         // parent is visited, because children have larger indices.
         self.extent.clear();
-        self.extent.extend(1..=n);
+        self.extent.extend(1..=n32);
         for i in (1..n).rev() {
-            if let Some(p) = parent[i] {
-                if self.extent[i] > self.extent[p] {
-                    self.extent[p] = self.extent[i];
-                }
+            let p = parent[i] as usize;
+            if self.extent[i] > self.extent[p] {
+                self.extent[p] = self.extent[i];
             }
         }
 
@@ -122,19 +146,18 @@ impl Topology {
         let starts = &mut self.child_start;
         starts.clear();
         starts.resize(n + 1, 0);
-        for p in parent.iter().skip(1).flatten() {
-            starts[p + 1] += 1;
+        for &p in parent.iter().skip(1) {
+            starts[p as usize + 1] += 1;
         }
         for i in 0..n {
             starts[i + 1] += starts[i];
         }
         self.child_rows.clear();
-        self.child_rows.resize(starts[n], 0);
-        for (i, p) in parent.iter().enumerate().skip(1) {
-            if let Some(p) = p {
-                self.child_rows[starts[*p]] = i;
-                starts[*p] += 1;
-            }
+        self.child_rows.resize(starts[n] as usize, 0);
+        for (i, &p) in (1..n32).zip(parent.iter().skip(1)) {
+            let cursor = &mut starts[p as usize];
+            self.child_rows[*cursor as usize] = i;
+            *cursor += 1;
         }
         for i in (1..=n).rev() {
             starts[i] = starts[i - 1];
@@ -155,37 +178,39 @@ impl Topology {
 
     /// Parent row of `i`.
     pub fn parent(&self, i: usize) -> Option<usize> {
-        self.parent[i]
+        match self.parent[i] {
+            NO_PARENT => None,
+            p => Some(p as usize),
+        }
     }
 
     /// One past the last row of `i`'s subtree.
     pub fn extent(&self, i: usize) -> usize {
-        self.extent[i]
+        self.extent[i] as usize
     }
 
     /// The strict descendants of `i` as a contiguous row range.
     pub fn descendant_range(&self, i: usize) -> std::ops::Range<usize> {
-        i + 1..self.extent[i]
+        i + 1..self.extent(i)
     }
 
     /// Children of `i` in document order, as a CSR slice.
-    pub fn children(&self, i: usize) -> &[usize] {
-        &self.child_rows[self.child_start[i]..self.child_start[i + 1]]
+    pub fn children(&self, i: usize) -> &[u32] {
+        &self.child_rows[self.child_start[i] as usize..self.child_start[i + 1] as usize]
     }
 
     /// O(1) interval-containment ancestry: is `a` a strict ancestor of
     /// `b`?
     pub fn is_ancestor(&self, a: usize, b: usize) -> bool {
-        a < b && b < self.extent[a]
+        a < b && b < self.extent(a)
     }
 
     /// Position of `i` among its parent's children (None for the root).
     /// Binary search over the parent's CSR slice — children are sorted
     /// by construction.
     pub fn child_position(&self, i: usize) -> Option<usize> {
-        let p = self.parent[i]?;
-        let siblings = self.children(p);
-        Some(siblings.partition_point(|&c| c < i))
+        let siblings = self.children(self.parent(i)?);
+        Some(siblings.partition_point(|&c| (c as usize) < i))
     }
 
     /// Does the subtree rooted at `i` (self included) overlap any of the
@@ -195,20 +220,29 @@ impl Topology {
     /// interval ending after `i`, and check it starts before the
     /// subtree ends.
     pub fn subtree_intersects(&self, i: usize, extents: &[(usize, usize)]) -> bool {
-        let hi = self.extent[i];
+        let hi = self.extent(i);
         let k = extents.partition_point(|&(_, end)| end <= i);
         k < extents.len() && extents[k].0 < hi
     }
 
     /// Raw CSR offsets (`len + 1` entries) — exposed for golden tests.
-    pub fn child_start(&self) -> &[usize] {
+    pub fn child_start(&self) -> &[u32] {
         &self.child_start
     }
 
     /// Raw CSR children array — exposed for golden tests.
-    pub fn child_rows(&self) -> &[usize] {
+    pub fn child_rows(&self) -> &[u32] {
         &self.child_rows
     }
+}
+
+/// Row `i` as a `u32` column entry; a table that needs `u32::MAX` rows
+/// or more is refused, since the root's parent entry is that sentinel.
+pub(crate) fn row32(i: usize) -> Result<u32, TreeError> {
+    u32::try_from(i)
+        .ok()
+        .filter(|&r| r < NO_PARENT)
+        .ok_or_else(|| TreeError::Invariant(format!("{i} rows do not fit a u32 column")))
 }
 
 #[cfg(test)]
@@ -238,7 +272,7 @@ mod tests {
         );
         assert_eq!(t.children(0), [1, 4]);
         assert_eq!(t.children(1), [2, 3]);
-        assert_eq!(t.children(2), Vec::<usize>::new().as_slice());
+        assert!(t.children(2).is_empty());
         assert_eq!(t.child_start(), [0, 2, 4, 4, 4, 4]);
         assert_eq!(t.child_rows(), [1, 4, 2, 3]);
     }
@@ -280,7 +314,7 @@ mod tests {
         let t = Topology::from_parents(vec![None]).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.extent(0), 1);
-        assert_eq!(t.children(0), Vec::<usize>::new().as_slice());
+        assert!(t.children(0).is_empty());
     }
 
     #[test]
@@ -316,17 +350,32 @@ mod tests {
         ];
         let mut t = sample();
         for parents in shapes {
-            t.parent.clear();
-            t.parent.extend_from_slice(parents);
+            t.clear_parents();
+            for p in parents {
+                t.push_parent(p.map(|p| p as u32));
+            }
             t.rebuild().unwrap();
             assert_eq!(
                 t,
-                Topology::from_parents(parents.to_vec()).unwrap(),
+                Topology::from_parents(parents.iter().copied()).unwrap(),
                 "{parents:?}"
             );
         }
-        t.parent = vec![None, Some(1)];
+        t.parent = vec![NO_PARENT, 1];
         assert!(t.rebuild().is_err());
+    }
+
+    #[test]
+    fn every_column_holds_four_byte_rows() {
+        let t = sample();
+        assert_eq!(std::mem::size_of_val(&t.parent[0]), 4);
+        assert_eq!(std::mem::size_of_val(&t.extent[0]), 4);
+        assert_eq!(std::mem::size_of_val(&t.child_start[0]), 4);
+        assert_eq!(std::mem::size_of_val(&t.child_rows[0]), 4);
+        assert_eq!(t.parent(0), None, "the root's sentinel reads as no parent");
+        assert_eq!(row32(u32::MAX as usize - 1), Ok(u32::MAX - 1));
+        assert!(row32(u32::MAX as usize).is_err(), "the sentinel is no row");
+        assert!(row32(1 << 32).is_err(), "no row wraps");
     }
 
     #[test]

@@ -504,6 +504,17 @@ impl AccessPattern {
 /// starting from the single context row `start`. With `within` set,
 /// contexts whose subtree misses every interval are pruned after each
 /// step and the final result keeps only rows inside the intervals.
+///
+/// A step without predicates runs its node test once per distinct
+/// candidate, after the contexts' candidates are merged, sorted and
+/// deduplicated: an axis whose candidates overlap across contexts
+/// (`following-sibling::*` from each of k siblings) reads each row's
+/// kind once, not once per context that reaches it. A step with
+/// predicates tests per context, since `[k]` counts the matching
+/// candidates of one context. The child, self and attribute axes and
+/// the name-bucket fast paths test as they go, since their candidates
+/// never repeat across contexts, and a row they tested is never read
+/// again.
 fn eval_plan(
     plan: &[Step],
     tree: &XmlTree,
@@ -522,8 +533,16 @@ fn eval_plan(
         let mut context: Vec<usize> = vec![start];
         let mut scratch: Vec<usize> = Vec::new();
         for (si, step) in plan.iter().enumerate() {
+            // `node()` matches every row without reading it.
+            let matches = |i: usize| {
+                step.test == NodeTest::AnyNode
+                    || test_matches(tree.kind(doc.source_id(i)), step.axis, &step.test)
+            };
             let mut next: Vec<usize> = Vec::new();
             let mut ordered = true;
+            // Set when candidates were pushed untested, to be tested once
+            // the step's union is deduplicated.
+            let mut untested = false;
             for &ctx in &context {
                 scratch.clear();
                 let mut pre_tested = false;
@@ -531,41 +550,42 @@ fn eval_plan(
                     // Indexed fast paths: the bucket holds exactly the
                     // element rows with this name, in document order.
                     (Axis::Descendant | Axis::DescendantOrSelf, NodeTest::Name(name)) => {
-                        if step.axis == Axis::DescendantOrSelf
-                            && test_matches(tree.kind(doc.source_id(ctx)), step.axis, &step.test)
-                        {
+                        if step.axis == Axis::DescendantOrSelf && matches(ctx) {
                             scratch.push(ctx);
                         }
                         let bucket = index.elements(name);
                         let range = topo.descendant_range(ctx);
-                        let lo = bucket.partition_point(|&i| i < range.start);
-                        let hi = bucket.partition_point(|&i| i < range.end);
-                        scratch.extend_from_slice(&bucket[lo..hi]);
+                        let lo = bucket.partition_point(|&i| (i as usize) < range.start);
+                        let hi = bucket.partition_point(|&i| (i as usize) < range.end);
+                        scratch.extend(rows(&bucket[lo..hi]));
                         pre_tested = true;
                     }
                     (Axis::Child, NodeTest::Name(name)) => {
                         let bucket = index.elements(name);
                         let range = topo.descendant_range(ctx);
-                        let lo = bucket.partition_point(|&i| i < range.start);
-                        let hi = bucket.partition_point(|&i| i < range.end);
+                        let lo = bucket.partition_point(|&i| (i as usize) < range.start);
+                        let hi = bucket.partition_point(|&i| (i as usize) < range.end);
                         let kids = topo.children(ctx);
-                        // Walk whichever side is smaller: the name
-                        // bucket restricted to the subtree, or the CSR
-                        // children slice.
+                        // Walk whichever side is smaller: the name bucket
+                        // restricted to the subtree, or the CSR children
+                        // slice. Children of distinct contexts never
+                        // overlap, so testing them here tests each once.
                         if hi - lo <= kids.len() {
                             scratch.extend(
-                                bucket[lo..hi]
-                                    .iter()
-                                    .copied()
-                                    .filter(|&i| topo.parent(i) == Some(ctx)),
+                                rows(&bucket[lo..hi]).filter(|&i| topo.parent(i) == Some(ctx)),
                             );
-                            pre_tested = true;
                         } else {
-                            scratch.extend_from_slice(kids);
+                            scratch.extend(rows(kids).filter(|&i| matches(i)));
                         }
+                        pre_tested = true;
                     }
                     _ => match step.axis {
-                        Axis::Child => scratch.extend_from_slice(topo.children(ctx)),
+                        // Children and selves of distinct contexts never
+                        // overlap either: test them here, once each.
+                        Axis::Child => {
+                            scratch.extend(rows(topo.children(ctx)).filter(|&i| matches(i)));
+                            pre_tested = true;
+                        }
                         Axis::Descendant => scratch.extend(topo.descendant_range(ctx)),
                         Axis::DescendantOrSelf => {
                             scratch.push(ctx);
@@ -586,27 +606,32 @@ fn eval_plan(
                             scratch.extend((0..ctx).filter(|&j| topo.extent(j) <= ctx));
                         }
                         Axis::FollowingSibling => {
-                            scratch.extend_from_slice(doc.following_siblings(ctx));
+                            scratch.extend(rows(doc.following_siblings(ctx)));
                         }
                         Axis::PrecedingSibling => {
-                            scratch.extend_from_slice(doc.preceding_siblings(ctx));
+                            scratch.extend(rows(doc.preceding_siblings(ctx)));
                         }
                         Axis::Attribute => {
                             // One read of each child's kind decides both
                             // the axis and the node test.
-                            scratch.extend(topo.children(ctx).iter().copied().filter(|&j| {
+                            scratch.extend(rows(topo.children(ctx)).filter(|&j| {
                                 let kind = tree.kind(doc.source_id(j));
                                 kind.is_attribute() && test_matches(kind, step.axis, &step.test)
                             }));
                             pre_tested = true;
                         }
-                        Axis::SelfAxis => scratch.push(ctx),
+                        Axis::SelfAxis => {
+                            scratch.extend(Some(ctx).filter(|&i| matches(i)));
+                            pre_tested = true;
+                        }
                     },
                 }
-                if !pre_tested {
-                    scratch.retain(|&i| {
-                        test_matches(tree.kind(doc.source_id(i)), step.axis, &step.test)
-                    });
+                if !pre_tested && step.test != NodeTest::AnyNode {
+                    if step.preds.is_empty() {
+                        untested = true;
+                    } else {
+                        scratch.retain(|&i| matches(i));
+                    }
                 }
                 for pred in &step.preds {
                     match pred {
@@ -636,6 +661,9 @@ fn eval_plan(
             if !ordered {
                 next.sort_unstable();
                 next.dedup();
+            }
+            if untested {
+                next.retain(|&i| matches(i));
             }
             if let Some(extents) = within {
                 if si + 1 == plan.len() {
@@ -690,6 +718,11 @@ fn fuse_steps(steps: &[Step]) -> Vec<Step> {
         i += 1;
     }
     plan
+}
+
+/// A `u32` row column widened to the evaluator's `usize` rows.
+fn rows(slice: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    slice.iter().map(|&r| r as usize)
 }
 
 fn test_matches(kind: &NodeKind, axis: Axis, test: &NodeTest) -> bool {
@@ -781,6 +814,17 @@ mod tests {
             .unwrap()
             .evaluate(&tree, &doc);
         assert!(r.is_empty());
+        // `[k]` counts only the candidates that pass the node test, on
+        // axes whose first candidate does not: the test runs per
+        // context when the step has a predicate.
+        for (path, want) in [
+            ("/book/title/following-sibling::publisher[1]", "publisher"),
+            ("//name/ancestor::publisher[1]", "publisher"),
+            ("/book/publisher/preceding-sibling::author[1]", "author"),
+        ] {
+            let r = parse_xpath(path).unwrap().evaluate(&tree, &doc);
+            assert_eq!(names(&tree, &doc, &r), [want], "{path}");
+        }
     }
 
     #[test]

@@ -22,6 +22,12 @@ use xupd_xmldom::XmlTree;
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 
+/// A slice of the index's `u32` rows as `usize` rows, the reference
+/// paths' type.
+fn widen(rows: &[u32]) -> Vec<usize> {
+    rows.iter().map(|&r| r as usize).collect()
+}
+
 /// Diff every topology-backed axis of `index` against its label-algebra
 /// / parent-chain reference over one scheme's labels of `tree`, and
 /// check that the labels sit on their rows: each row's label orders
@@ -45,7 +51,7 @@ fn axis_diff(entry: &SchemeEntry, tree: &XmlTree, index: &PreorderIndex) -> Vec<
         if index.descendants_via_labels(labels, i).ok() != Some(index.descendants(i)) {
             failures.push(format!("{name}: descendants({i})"));
         }
-        if index.children(i) != index.children_via_scan(i).as_slice() {
+        if widen(index.children(i)) != index.children_via_scan(i) {
             failures.push(format!("{name}: children({i})"));
         }
         if index.following_via_labels(labels, i).ok() != Some(index.following(i)) {
@@ -92,12 +98,12 @@ props! {
         let tree = docs::random_tagged_tree(seed, n, &TAGS);
         let index = PreorderIndex::encode(&tree).unwrap();
         for i in 0..index.len() {
-            let mut assembled = index.preceding_siblings(i).to_vec();
+            let mut assembled = widen(index.preceding_siblings(i));
             assembled.push(i);
-            assembled.extend_from_slice(index.following_siblings(i));
+            assembled.extend(widen(index.following_siblings(i)));
             match index.parent(i) {
                 None => prop_assert_eq!(assembled, vec![i], "root has no siblings"),
-                Some(p) => prop_assert_eq!(assembled.as_slice(), index.children(p)),
+                Some(p) => prop_assert_eq!(assembled, widen(index.children(p))),
             }
         }
     }
@@ -198,8 +204,8 @@ fn evaluate_reference(
                 Axis::Ancestor => doc.ancestors(ctx),
                 Axis::Following => doc.following_via_labels(labels, ctx).unwrap(),
                 Axis::Preceding => doc.preceding_via_labels(labels, ctx).unwrap(),
-                Axis::FollowingSibling => doc.following_siblings(ctx).to_vec(),
-                Axis::PrecedingSibling => doc.preceding_siblings(ctx).to_vec(),
+                Axis::FollowingSibling => widen(doc.following_siblings(ctx)),
+                Axis::PrecedingSibling => widen(doc.preceding_siblings(ctx)),
                 Axis::Attribute => doc
                     .children_via_scan(ctx)
                     .into_iter()

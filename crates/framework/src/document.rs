@@ -303,7 +303,7 @@ mod tests {
 
     /// Where the index keeps its CSR offsets: the same address after a
     /// call exactly when the call encoded no new index.
-    fn index_ptr<S: LabelingScheme + Clone + 'static>(doc: &mut Document<S>) -> *const usize {
+    fn index_ptr<S: LabelingScheme + Clone + 'static>(doc: &mut Document<S>) -> *const u32 {
         doc.tree_with_index()
             .unwrap()
             .1

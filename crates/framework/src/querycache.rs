@@ -550,11 +550,13 @@ impl QueryCache {
         }
 
         #[cfg(test)]
-        tests::fault_point();
+        tests::fault_point(tests::Phase::BeforeSplice);
         let new = match old.splice(tree, &roots) {
             Ok(new) => new,
             Err(_) => return self.rebuild_all(tree),
         };
+        #[cfg(test)]
+        tests::fault_point(tests::Phase::AfterSplice);
 
         let runs = new.splice_runs();
         // New coordinates: the kept strict ancestors of the cut roots,
@@ -608,6 +610,8 @@ impl QueryCache {
                 QueryClass::Rebuilt
             };
             impact.count(class, &mut self.stats);
+            #[cfg(test)]
+            tests::fault_point(tests::Phase::BetweenQueries);
         }
         self.shadow = Some(new);
         Ok(impact)
@@ -708,13 +712,13 @@ fn names_clear(pattern: &AccessPattern, index: &NameIndex, extents: &[(usize, us
 /// half-open `extents`? Walks the shorter list and binary-searches the
 /// other: a batch of many small edits meets a name's bucket, and a few
 /// large ones a long bucket.
-fn misses(rows: &[usize], extents: &[(usize, usize)]) -> bool {
+fn misses(rows: &[u32], extents: &[(usize, usize)]) -> bool {
     if rows.len() <= extents.len() {
-        rows.iter().all(|&r| !row_in_extents(extents, r))
+        rows.iter().all(|&r| !row_in_extents(extents, r as usize))
     } else {
         extents.iter().all(|&(s, e)| {
-            let k = rows.partition_point(|&r| r < s);
-            rows.get(k).is_none_or(|&r| r >= e)
+            let k = rows.partition_point(|&r| (r as usize) < s);
+            rows.get(k).is_none_or(|&r| r as usize >= e)
         })
     }
 }
@@ -732,7 +736,7 @@ fn predicate_reads(pattern: &AccessPattern, names: &NameIndex, extents: &[(usize
                 let bucket = names.attributes(n);
                 extents
                     .iter()
-                    .any(|(root, _)| bucket.binary_search(root).is_ok())
+                    .any(|(root, _)| bucket.binary_search_by_key(root, |&r| r as usize).is_ok())
             }
             Pred::Position(_) => false,
         })
@@ -863,16 +867,31 @@ mod tests {
 
     const NAMES: [&str; 4] = ["item", "name", "description", "x"];
 
-    thread_local! {
-        /// Armed by a test: the next [`fault_point`] on this thread panics.
-        static FAULT_ARMED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Where in `absorb_structural` a fault point sits.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Phase {
+        /// The cut is read off the old index; the splice has not run.
+        BeforeSplice,
+        /// The index is spliced; no query is renumbered yet.
+        AfterSplice,
+        /// After each query's class is counted: with two queries
+        /// registered, between the first one's renumbering and the
+        /// second one's.
+        BetweenQueries,
     }
 
-    /// The fault point `absorb_structural` passes just before the
-    /// splice: panics once when armed.
-    pub(super) fn fault_point() {
-        if FAULT_ARMED.with(|armed| armed.replace(false)) {
-            panic!("injected fault before the splice");
+    thread_local! {
+        /// Armed by a test: the next [`fault_point`] of this phase on
+        /// this thread panics.
+        static FAULT_ARMED: std::cell::Cell<Option<Phase>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// A fault point `absorb_structural` passes at `phase`: panics once
+    /// when armed for it.
+    pub(super) fn fault_point(phase: Phase) {
+        if FAULT_ARMED.with(|armed| armed.get() == Some(phase)) {
+            FAULT_ARMED.with(|armed| armed.set(None));
+            panic!("injected fault at {phase:?}");
         }
     }
 
@@ -1374,31 +1393,97 @@ mod tests {
 
     /// A panic in structural upkeep, after the batch committed to the
     /// tree and labels, leaves a cache that refuses to serve rather than
-    /// one serving the pre-batch rows; the next read refreshes.
+    /// one serving the pre-batch rows, whichever phase it hits: before
+    /// the splice, after it, or between two queries' renumbering. The
+    /// next read refreshes, and the next batch is absorbed exactly.
     #[test]
-    fn a_panic_before_the_splice_leaves_the_cache_stale() {
+    fn a_panic_in_any_upkeep_phase_leaves_the_cache_stale() {
         use crate::document::Document;
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        let mut doc = Document::encode(Qed::new(), &docs::xmark_like(23, 70)).unwrap();
-        let q = doc.register_query("//item", false).unwrap();
-        let before = doc.cached_rows(q).unwrap().len();
-        let tree = doc.tree();
-        let regions = tree
-            .ids_in_doc_order()
-            .into_iter()
-            .find(|&id| tree.kind(id).name() == Some("regions"))
-            .unwrap();
-        let log = MutationLog::from(vec![Mutation::CreateElement {
-            id: LogId(0),
-            name: "item".to_string(),
-            place: Place::LastChildOf(NodeRef::Node(regions)),
-        }]);
+        const EXPRS: [&str; 2] = ["//item", "//name"];
+        /// Rows and strings of every query on a fresh encoding.
+        fn fresh(tree: &XmlTree) -> Vec<(Vec<usize>, Vec<String>)> {
+            let index = PreorderIndex::encode(tree).unwrap();
+            EXPRS
+                .iter()
+                .map(|e| {
+                    let rows = xupd_encoding::parse_xpath(e)
+                        .unwrap()
+                        .evaluate(tree, &index);
+                    let strings = rows.iter().map(|&r| index.string_value(tree, r)).collect();
+                    (rows, strings)
+                })
+                .collect()
+        }
+        /// A batch that deletes the first item and appends an item with
+        /// a name under `regions`: it cuts and adds rows of both queries.
+        fn batch(tree: &XmlTree) -> MutationLog {
+            let order = tree.ids_in_doc_order();
+            let named = |name: &str| {
+                order
+                    .iter()
+                    .copied()
+                    .find(|&id| tree.kind(id).name() == Some(name))
+                    .unwrap()
+            };
+            MutationLog::from(vec![
+                Mutation::Delete {
+                    target: NodeRef::Node(named("item")),
+                },
+                Mutation::CreateElement {
+                    id: LogId(0),
+                    name: "item".to_string(),
+                    place: Place::LastChildOf(NodeRef::Node(named("regions"))),
+                },
+                Mutation::CreateElement {
+                    id: LogId(1),
+                    name: "name".to_string(),
+                    place: Place::LastChildOf(NodeRef::New(LogId(0))),
+                },
+            ])
+        }
 
-        FAULT_ARMED.with(|armed| armed.set(true));
-        let outcome = catch_unwind(AssertUnwindSafe(|| doc.apply_log(&log)));
-        assert!(outcome.is_err(), "the fault point fired");
-        assert_eq!(doc.cached_rows(q), None, "the pre-batch rows are refused");
-        assert_eq!(doc.query_cached(q).unwrap().len(), before + 1);
+        for phase in [
+            Phase::BeforeSplice,
+            Phase::AfterSplice,
+            Phase::BetweenQueries,
+        ] {
+            let mut doc = Document::encode(Qed::new(), &docs::xmark_like(23, 70)).unwrap();
+            for e in EXPRS {
+                doc.register_query(e, true).unwrap();
+            }
+            let before: Vec<usize> = (0..EXPRS.len())
+                .map(|q| doc.cached_rows(q).unwrap().len())
+                .collect();
+
+            FAULT_ARMED.with(|armed| armed.set(Some(phase)));
+            let log = batch(doc.tree());
+            let outcome = catch_unwind(AssertUnwindSafe(|| doc.apply_log(&log)));
+            assert!(outcome.is_err(), "{phase:?}: the fault point fired");
+            assert_eq!(FAULT_ARMED.with(|armed| armed.get()), None);
+            for q in 0..EXPRS.len() {
+                assert_eq!(doc.cached_rows(q), None, "{phase:?}: query {q} refused");
+                assert_eq!(doc.cached_strings_ref(q), None, "{phase:?}: query {q}");
+            }
+            let want = fresh(doc.tree());
+            for (q, (rows, strings)) in want.iter().enumerate() {
+                assert_eq!(rows.len(), before[q], "{phase:?}: one item cut, one added");
+                assert_eq!(doc.query_cached(q).unwrap(), rows.as_slice(), "{phase:?}");
+                assert_eq!(doc.cached_strings_ref(q), Some(strings.as_slice()));
+            }
+
+            let log = batch(doc.tree());
+            doc.apply_log(&log).unwrap();
+            let want = fresh(doc.tree());
+            for (q, (rows, strings)) in want.iter().enumerate() {
+                assert_eq!(
+                    doc.cached_rows(q),
+                    Some(rows.as_slice()),
+                    "{phase:?}: next batch"
+                );
+                assert_eq!(doc.cached_strings_ref(q), Some(strings.as_slice()));
+            }
+        }
     }
 }

@@ -167,7 +167,7 @@ mod tests {
     /// Every `TreeError` variant has a distinct, non-empty rendering.
     #[test]
     fn tree_error_display_all_variants() {
-        let id = NodeId(3);
+        let id = NodeId::from_index(3);
         let cases: Vec<(TreeError, &str)> = vec![
             (TreeError::DeadNode(id), "deleted"),
             (TreeError::RootImmutable, "root"),

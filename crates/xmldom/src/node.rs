@@ -1,6 +1,7 @@
 //! Node identifiers and the XPath node taxonomy.
 
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// A stable handle to a node inside an [`crate::XmlTree`] arena.
 ///
@@ -8,34 +9,46 @@ use std::fmt;
 /// permanently. This keeps external side tables (such as a labelling-scheme
 /// assignment) trivially correct — a stale id can be detected, never
 /// silently aliased to a new node.
+///
+/// The id stores its arena index plus one in a [`NonZeroU32`], so an
+/// `Option<NodeId>` is 4 bytes like the id itself: the tree's five
+/// links per node and every side table of optional ids pay no tag.
+/// Arena indices run below `u32::MAX`; an index at or past that bound
+/// saturates to the last id, index `u32::MAX - 1`, and never wraps onto
+/// a small id.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(pub(crate) u32);
+pub struct NodeId(NonZeroU32);
 
 impl NodeId {
+    /// The document root's id, index 0.
+    pub(crate) const ROOT: NodeId = NodeId(NonZeroU32::MIN);
+
     /// The arena index backing this id.
     #[inline]
     pub fn index(self) -> usize {
-        self.0 as usize
+        (self.0.get() - 1) as usize
     }
 
     /// Rebuild an id from a raw arena index. Intended for side tables that
     /// store dense per-node data; passing an index that was never issued by
-    /// the owning tree yields an id the tree will report as dead.
+    /// the owning tree yields an id the tree will report as dead. An index
+    /// of `u32::MAX` or more saturates to index `u32::MAX - 1`.
     #[inline]
     pub fn from_index(index: usize) -> Self {
-        NodeId(index as u32)
+        let index = u32::try_from(index).unwrap_or(u32::MAX);
+        NodeId(NonZeroU32::MIN.saturating_add(index))
     }
 }
 
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n{}", self.0)
+        write!(f, "n{}", self.index())
     }
 }
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n{}", self.0)
+        write!(f, "n{}", self.index())
     }
 }
 
@@ -185,8 +198,37 @@ mod tests {
 
     #[test]
     fn node_id_round_trips_through_index() {
-        let id = NodeId(42);
+        let id = NodeId::from_index(42);
         assert_eq!(NodeId::from_index(id.index()), id);
+        let last = u32::MAX as usize - 1;
+        for i in [0, 1, 42, last] {
+            assert_eq!(NodeId::from_index(i).index(), i);
+        }
+        assert_eq!(NodeId::ROOT, NodeId::from_index(0));
+        // Past the id bound the index saturates; it never wraps onto a
+        // small id (a truncating cast made `1 << 32` the root).
+        for i in [u32::MAX as usize, 1 << 32, (1 << 32) + 7, usize::MAX] {
+            assert_eq!(NodeId::from_index(i).index(), last, "{i}");
+        }
+    }
+
+    #[test]
+    fn an_optional_id_costs_no_more_than_an_id() {
+        assert_eq!(std::mem::size_of::<NodeId>(), 4);
+        assert_eq!(std::mem::size_of::<Option<NodeId>>(), 4);
+    }
+
+    #[test]
+    fn ids_sort_by_index() {
+        // The splice binary-searches sorted ids, so id order must be
+        // index order.
+        let mut ids: Vec<NodeId> = [9, 0, u32::MAX as usize - 1, 3, 1]
+            .into_iter()
+            .map(NodeId::from_index)
+            .collect();
+        ids.sort_unstable();
+        let order: Vec<usize> = ids.iter().map(|id| id.index()).collect();
+        assert_eq!(order, [0, 1, 3, 9, u32::MAX as usize - 1]);
     }
 
     #[test]
@@ -220,6 +262,7 @@ mod tests {
     #[test]
     fn debug_formats_are_compact() {
         assert_eq!(format!("{:?}", NodeKind::element("a")), "<a>");
-        assert_eq!(format!("{:?}", NodeId(7)), "n7");
+        assert_eq!(format!("{:?}", NodeId::from_index(7)), "n7");
+        assert_eq!(NodeId::from_index(7).to_string(), "n7");
     }
 }

@@ -133,7 +133,7 @@ impl XmlTree {
     /// The document root id (always the same for the life of the tree).
     #[inline]
     pub fn root(&self) -> NodeId {
-        NodeId(0)
+        NodeId::ROOT
     }
 
     /// Number of live nodes, including the document root.
@@ -292,7 +292,7 @@ impl XmlTree {
 
     /// Allocate a new, detached node of the given kind.
     pub fn create(&mut self, kind: NodeKind) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId::from_index(self.nodes.len());
         self.nodes.push(NodeData {
             kind,
             parent: None,
@@ -591,7 +591,7 @@ impl XmlTree {
                 continue;
             }
             seen += 1;
-            let id = NodeId(i as u32);
+            let id = NodeId::from_index(i);
             // parent/child linkage
             if let Some(fc) = n.first_child {
                 if self.nodes[fc.index()].parent != Some(id) {
@@ -678,6 +678,14 @@ mod tests {
 
     fn elem(t: &mut XmlTree, name: &str) -> NodeId {
         t.create(NodeKind::element(name))
+    }
+
+    #[test]
+    fn a_node_record_is_its_kind_plus_five_four_byte_links() {
+        // 56 B of kind, 5 × 4 B of optional ids and the live flag: 80 B,
+        // where 8-byte optional ids made 104.
+        assert!(std::mem::size_of::<NodeData>() <= 80);
+        assert_eq!(std::mem::size_of::<Links>(), 24);
     }
 
     #[test]
