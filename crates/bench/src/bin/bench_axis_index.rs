@@ -9,7 +9,8 @@
 //!   implementation (what the encoding shipped before the topology
 //!   index), reading QED labels through a scheme session, or the
 //!   parent column for `children`;
-//! * `<axis>/topology` — the CSR/extent-backed axis.
+//! * `<axis>/topology` — the extent-backed axis (`children` steps from
+//!   child to child through the extents).
 //!
 //! Context rows sweep the document (every `STRIDE`-th row) so the costs
 //! aren't dominated by the root's giant subtree.
@@ -85,7 +86,7 @@ fn main() {
     h.bench("children/topology", || {
         let mut total = 0usize;
         for &c in &contexts {
-            total += black_box(index.children(c)).len();
+            total += black_box(index.topology().children(c).count());
         }
         total
     });

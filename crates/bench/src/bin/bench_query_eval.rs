@@ -1,11 +1,12 @@
 //! P5 — XPath evaluation over the encoding scheme. Since the topology
 //! sidecar landed, every axis runs on interval-containment ancestry and
-//! CSR children; the `xpath` case therefore measures the streaming
-//! evaluator (NameIndex buckets ∩ extent ranges) rather than the
-//! historical full-table label-algebra scans — compare against the seed
-//! medians in EXPERIMENTS.md for the before/after. The evaluator reads
-//! only the preorder index and the tree's node content, which no
-//! labelling scheme changes, so one case times it for every scheme.
+//! children stepped through the extents; the `xpath` case therefore
+//! measures the streaming evaluator (NameIndex buckets ∩ extent ranges)
+//! rather than the historical full-table label-algebra scans — compare
+//! against the seed medians in EXPERIMENTS.md for the before/after. The
+//! evaluator reads only the preorder index and the tree's node content,
+//! which no labelling scheme changes, so one case times it for every
+//! scheme.
 //!
 //! The `descendant-name/*` cases keep the §2.3 trade visible on one
 //! query shape:

@@ -21,9 +21,10 @@
 //!   place. Its `*_via_labels` methods read a session's labels through
 //!   the same ids: the label-algebra reference axes the differential
 //!   property suite pins equal to the topology's;
-//! * [`topology`] — [`Topology`]: the structural sidecar index built at
-//!   encode time and rebuilt in place by a splice (pre-order subtree
-//!   extents, CSR children arrays and the index's parent column);
+//! * [`topology`] — [`Topology`]: the structural sidecar, the index's
+//!   parent column and the pre-order subtree extents, from which the
+//!   child and sibling axes step through their rows; encode and splice
+//!   build it in one shared pass;
 //! * [`xpath`] — a parser and streaming evaluator for the XPath subset
 //!   used by the examples and benchmarks (child/descendant/parent/
 //!   ancestor/sibling/following/preceding/attribute axes, name and text

@@ -22,13 +22,14 @@
 //! the index only records the new revision
 //! ([`PreorderIndex::follow_text`]).
 //!
-//! Axes run on the topology: ancestry is an O(1) interval test,
-//! `child`/sibling axes are CSR slice walks, and the range axes cost time
-//! proportional to their answers. [`PreorderIndex::children_via_scan`]
-//! and the label-algebra axes ([`PreorderIndex::is_ancestor_via_labels`]
-//! and the other `*_via_labels` methods) keep the full-table scans as
-//! the reference the differential suites and the scan-vs-index
-//! benchmarks compare against.
+//! Axes run on the topology: ancestry is an O(1) interval test, the
+//! `child`/sibling axes step through the extents from child to child,
+//! and the range axes cost time proportional to their answers.
+//! [`PreorderIndex::children_via_scan`] and the label-algebra axes
+//! ([`PreorderIndex::is_ancestor_via_labels`] and the other
+//! `*_via_labels` methods) keep the full-table scans as the reference
+//! the differential suites and the scan-vs-index benchmarks compare
+//! against.
 
 use crate::index::NameIndex;
 use crate::topology::{row32, Topology};
@@ -73,7 +74,7 @@ const NO_ROW: u32 = u32::MAX;
 /// and every consumer rejects an index made for another state.
 #[derive(Debug, Clone)]
 pub struct PreorderIndex {
-    /// Parents, extents and CSR children.
+    /// Parents and extents.
     topo: Topology,
     names: NameIndex,
     /// Source tree node id per row, in document order.
@@ -88,32 +89,23 @@ pub struct PreorderIndex {
 }
 
 impl PreorderIndex {
-    /// Index `tree` in document order, building the [`Topology`] and
-    /// [`NameIndex`]. Errors on a malformed tree, whose parent
-    /// references the topology refuses, and on a tree whose id bound
-    /// does not fit the `u32` columns.
+    /// Index `tree` in document order: its node ids become the rows,
+    /// and the pass that ends every [`splice`](Self::splice) builds the
+    /// rest. Errors on a malformed tree, whose parent references that
+    /// pass refuses, and on a tree whose id bound does not fit the
+    /// `u32` columns.
     pub fn encode(tree: &XmlTree) -> Result<Self, TreeError> {
         row32(tree.id_bound())?;
-        let order: Vec<NodeId> = tree.ids_in_doc_order();
-        let mut row_of = vec![NO_ROW; tree.id_bound()];
-        for (i, &id) in (0..).zip(&order) {
-            row_of[id.index()] = i;
-        }
-        let topo = Topology::from_parents(
-            order
-                .iter()
-                .map(|&id| tree.parent(id).map(|p| row_of[p.index()] as usize)),
-        )?;
-        let mut names = NameIndex::default();
-        names.rebuild(tree, &order);
-        Ok(PreorderIndex {
-            topo,
-            names,
-            source_ids: order,
-            row_of,
+        let mut index = PreorderIndex {
+            topo: Topology::default(),
+            names: NameIndex::default(),
+            source_ids: tree.ids_in_doc_order(),
+            row_of: Vec::new(),
             revision: tree.revision(),
             runs: RunList::default(),
-        })
+        };
+        index.index_rows(tree)?;
+        Ok(index)
     }
 
     /// Bring the index up to date with `tree` after a batch of
@@ -128,12 +120,13 @@ impl PreorderIndex {
     /// untouched subtree as one block of old rows and each created or
     /// moved subtree as fresh rows read from the tree. The rest is
     /// O(n) shifting: each kept run's source ids move to their new
-    /// positions in one copy, then one pass sets `row_of` and writes
-    /// each row's parent into the [`Topology`]'s own column, and the
-    /// topology and [`NameIndex`] are rebuilt into the buffers they
-    /// already hold. The result equals [`encode`](Self::encode) of
-    /// `tree` row for row, and [`splice_runs`](Self::splice_runs) then
-    /// tells which old row each new row was.
+    /// positions in one copy, then the pass shared with
+    /// [`encode`](Self::encode) sets `row_of`, writes each row's parent
+    /// into the [`Topology`]'s own column, and rebuilds the extents and
+    /// the [`NameIndex`] into the buffers they already hold. The result
+    /// equals [`encode`](Self::encode) of `tree` row for row, and
+    /// [`splice_runs`](Self::splice_runs) then tells which old row each
+    /// new row was.
     ///
     /// Text the batch wrote needs nothing here: content is read from
     /// the tree. Errors when the edits do not account for `tree` (a
@@ -181,15 +174,27 @@ impl PreorderIndex {
         }
         ids.truncate(n_new);
 
-        // One pass in document order: a parent's row is always set
-        // before its children look it up.
-        let bad = |what: &str| TreeError::Invariant(format!("splice: {what}"));
+        self.index_rows(tree)?;
+        self.runs = runs;
+        Ok(self)
+    }
+
+    /// The pass that ends both [`encode`](Self::encode) and
+    /// [`splice`](Self::splice), once `source_ids` lists `tree`'s nodes
+    /// in document order: one pass in that order sets each node's
+    /// `row_of` entry and writes its row's parent, checked, into the
+    /// [`Topology`] (a parent's row is always set before its children
+    /// look it up); then the extents and the [`NameIndex`] are rebuilt
+    /// into the buffers they already hold, and the index records
+    /// `tree`'s revision.
+    fn index_rows(&mut self, tree: &XmlTree) -> Result<(), TreeError> {
+        let bad = |what: &str| TreeError::Invariant(format!("preorder index: {what}"));
         self.row_of.resize(tree.id_bound(), NO_ROW);
         self.topo.clear_parents();
-        for (i, row) in (0..n_new).zip(0..) {
+        for (i, row) in (0..self.source_ids.len()).zip(0..) {
             let id = self.source_ids[i];
             if !tree.is_alive(id) {
-                return Err(bad("a kept row's node is gone"));
+                return Err(bad("a row's node is gone"));
             }
             let parent = match tree.parent(id) {
                 None if i == 0 => None,
@@ -205,8 +210,7 @@ impl PreorderIndex {
         self.topo.rebuild()?;
         self.names.rebuild(tree, &self.source_ids);
         self.revision = tree.revision();
-        self.runs = runs;
-        Ok(self)
+        Ok(())
     }
 
     /// Forget which rows encode the nodes of `rows`.
@@ -385,7 +389,8 @@ impl PreorderIndex {
         self.source_ids.is_empty()
     }
 
-    /// The structural sidecar: parents, extents, CSR children.
+    /// The structural sidecar: parents and extents, and the
+    /// `child`/sibling axes they give.
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
@@ -412,16 +417,9 @@ impl PreorderIndex {
         self.topo.parent(i)
     }
 
-    /// Children of a row, in document order — a CSR slice, no
-    /// allocation.
-    pub fn children(&self, i: usize) -> &[u32] {
-        self.topo.children(i)
-    }
-
     /// Children computed by the reference full-table scan of the parent
-    /// column (what [`children`](Self::children) did before the CSR
-    /// arrays) — kept for differential tests and the scan-vs-index
-    /// benchmarks.
+    /// column — the reference [`Topology::children`] is checked against
+    /// in the differential tests and the scan-vs-index benchmarks.
     pub fn children_via_scan(&self, i: usize) -> Vec<usize> {
         (0..self.len())
             .filter(|&j| self.topo.parent(j) == Some(i))
@@ -525,24 +523,6 @@ impl PreorderIndex {
         (0..i).filter(|&j| self.topo.extent(j) <= i).collect()
     }
 
-    /// Following siblings of `i`, in document order: the tail of the
-    /// parent's CSR slice.
-    pub fn following_siblings(&self, i: usize) -> &[u32] {
-        match (self.topo.parent(i), self.topo.child_position(i)) {
-            (Some(p), Some(pos)) => &self.topo.children(p)[pos + 1..],
-            _ => &[],
-        }
-    }
-
-    /// Preceding siblings of `i`, in document order: the head of the
-    /// parent's CSR slice.
-    pub fn preceding_siblings(&self, i: usize) -> &[u32] {
-        match (self.topo.parent(i), self.topo.child_position(i)) {
-            (Some(p), Some(pos)) => &self.topo.children(p)[..pos],
-            _ => &[],
-        }
-    }
-
     /// The XPath string value of row `i`, with content read from `tree`,
     /// the tree this index describes: concatenated descendant text for
     /// elements, own value for attributes/text/comments/PIs. Walks the
@@ -565,13 +545,12 @@ impl PreorderIndex {
 
     /// The value of attribute `name` on element row `i`, read from
     /// `tree`, the tree this index describes — a borrow into the tree,
-    /// probing the CSR children directly (no intermediate `Vec`, no
-    /// cloned `String`).
+    /// probing the children as the topology steps through them (no
+    /// intermediate `Vec`, no cloned `String`).
     pub fn attribute_value<'t>(&self, tree: &'t XmlTree, i: usize, name: &str) -> Option<&'t str> {
         self.topo
             .children(i)
-            .iter()
-            .find_map(|&j| match tree.kind(self.source_ids[j as usize]) {
+            .find_map(|j| match tree.kind(self.source_ids[j]) {
                 NodeKind::Attribute { name: n, value } if n == name => Some(value.as_str()),
                 _ => None,
             })
@@ -656,17 +635,17 @@ mod tests {
         let order = tree.ids_in_doc_order();
         for (i, &id) in order.iter().enumerate() {
             // children
-            let kid_names: Vec<_> = index
+            let topo = index.topology();
+            let kid_names: Vec<_> = topo
                 .children(i)
-                .iter()
-                .map(|&j| tree.kind(index.source_id(j as usize)).name().unwrap_or(""))
+                .map(|j| tree.kind(index.source_id(j)).name().unwrap_or(""))
                 .collect();
             let tree_kids: Vec<_> = tree
                 .children(id)
                 .map(|c| tree.kind(c).name().unwrap_or(""))
                 .collect();
             assert_eq!(kid_names, tree_kids);
-            let kids: Vec<usize> = index.children(i).iter().map(|&j| j as usize).collect();
+            let kids: Vec<usize> = topo.children(i).collect();
             assert_eq!(kids, index.children_via_scan(i));
             // descendant count, and depth as the ancestor chain
             assert_eq!(index.descendants(i).len(), tree.subtree_size(id) - 1);
@@ -681,22 +660,23 @@ mod tests {
     }
 
     #[test]
-    fn sibling_axes_are_csr_slices() {
+    fn sibling_axes_split_the_parents_children() {
         let tree = figure1_document();
         let index = PreorderIndex::encode(&tree).unwrap();
+        let topo = index.topology();
         for i in 0..index.len() {
-            let fs = index.following_siblings(i);
-            let ps = index.preceding_siblings(i);
+            let fs: Vec<usize> = topo.following_siblings(i).collect();
+            let ps: Vec<usize> = topo.preceding_siblings(i).collect();
             match index.parent(i) {
                 None => {
                     assert!(fs.is_empty());
                     assert!(ps.is_empty());
                 }
                 Some(p) => {
-                    let mut all = ps.to_vec();
-                    all.push(i as u32);
-                    all.extend_from_slice(fs);
-                    assert_eq!(all, index.children(p));
+                    let mut all = ps;
+                    all.push(i);
+                    all.extend(fs);
+                    assert_eq!(all, topo.children(p).collect::<Vec<_>>());
                 }
             }
         }

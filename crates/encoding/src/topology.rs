@@ -11,9 +11,12 @@
 //!   `i+1..extent(i)`; `a` is an ancestor of `b` iff `a < b < extent(a)`
 //!   (the interval-containment idea the ancestry-labeling literature
 //!   formalizes, cf. Fraigniaud & Korman);
-//! * **CSR children** — each row's children sit in one contiguous slice
-//!   of `child_rows`, so the `child`/sibling axes are slice walks, not
-//!   table scans;
+//! * **children from the extents** — `i`'s first child is row `i + 1`
+//!   and each child's extent is its next sibling's row, so the
+//!   `child`/sibling axes step from child to child in time proportional
+//!   to the children they visit, with no child list stored (the
+//!   pre/post/parent table of Definition 2 and XPath Accelerator keeps
+//!   none either);
 //! * **answer-proportional range axes** — `descendant` is a range,
 //!   `following` is the suffix `extent(i)..len`, and `preceding` needs
 //!   only an O(1) test per candidate row.
@@ -39,19 +42,19 @@ pub fn row_in_extents(extents: &[(usize, usize)], i: usize) -> bool {
 /// The parent column's entry for the root row, which has no parent.
 const NO_PARENT: u32 = u32::MAX;
 
-/// Structural index over a document-order table: parent, pre-order
-/// subtree extents and CSR children arrays. Its parent column
-/// is the [`PreorderIndex`](crate::PreorderIndex)'s only one.
+/// Structural index over a document-order table: each row's parent and
+/// pre-order subtree extent, and nothing else. Its parent column is the
+/// [`PreorderIndex`](crate::PreorderIndex)'s only one.
 ///
-/// Every column holds `u32` rows, 4 bytes an entry: rows number the
+/// Both columns hold `u32` rows, 4 bytes an entry: rows number the
 /// nodes of a tree whose [`NodeId`]s are `u32` too, and a table of
 /// `u32::MAX` rows or more is refused. The root's parent entry is a
 /// sentinel, so an absent parent costs no tag either.
 ///
-/// Built by [`Topology::from_parents`] in O(n). When the table changes
-/// shape (a splice after a structural batch), the splice writes the new
-/// parents into the column this index holds and recomputes the rest in
-/// place, into the buffers it already holds.
+/// The [`PreorderIndex`](crate::PreorderIndex) writes each row's parent
+/// in document order and then derives the extents, in O(n) and into the
+/// buffers the index already holds, both when it encodes a tree and
+/// when it splices one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
     /// Parent row per row; `NO_PARENT` for the root.
@@ -59,40 +62,9 @@ pub struct Topology {
     /// `extent[i]` is one past the last row of `i`'s subtree: strict
     /// descendants of `i` are exactly rows `i+1..extent[i]`.
     extent: Vec<u32>,
-    /// CSR offsets into `child_rows`; length `n + 1`.
-    child_start: Vec<u32>,
-    /// Children of every row, concatenated in document order.
-    child_rows: Vec<u32>,
 }
 
 impl Topology {
-    /// Build the index from per-row parent references, where row indices
-    /// are document-order (pre-order) positions. The references are
-    /// written straight into the `u32` column, with no staging table.
-    ///
-    /// Construction is infallible over well-formed tables (the only kind
-    /// [`PreorderIndex::encode`](crate::PreorderIndex::encode) produces). A malformed
-    /// input — a non-root row without a parent, a parent reference that
-    /// is not an earlier row, a parented root, or `u32::MAX` rows or
-    /// more — threads out as a [`TreeError`] rather than a panic.
-    pub fn from_parents(
-        parents: impl IntoIterator<Item = Option<usize>>,
-    ) -> Result<Topology, TreeError> {
-        let parents = parents.into_iter();
-        let mut topo = Topology::default();
-        topo.parent.reserve_exact(parents.size_hint().0);
-        for p in parents {
-            // `rebuild` refuses a parented root and a reference that is
-            // not an earlier row.
-            topo.parent.push(match p {
-                None => NO_PARENT,
-                Some(p) => row32(p)?,
-            });
-        }
-        topo.rebuild()?;
-        Ok(topo)
-    }
-
     /// Clear the parent column for a caller that then pushes each row's
     /// parent in document order ([`push_parent`](Self::push_parent)) and
     /// calls [`rebuild`](Self::rebuild).
@@ -105,11 +77,12 @@ impl Topology {
         self.parent.push(parent.unwrap_or(NO_PARENT));
     }
 
-    /// Recompute extents and CSR children from the parent column
-    /// the index holds, reusing every buffer: once the table has reached
-    /// its size this allocates nothing. On a malformed column the same
-    /// [`TreeError`] as [`from_parents`](Self::from_parents) comes back
-    /// and the index is left unusable.
+    /// Recompute the extents from the parent column the index holds,
+    /// reusing the buffer: once the table has reached its size this
+    /// allocates nothing. A malformed column — a non-root row without a
+    /// parent, a parent that is not an earlier row, a parented root, or
+    /// `u32::MAX` rows or more — comes back as a [`TreeError`] rather
+    /// than a panic, and leaves the index unusable.
     pub(crate) fn rebuild(&mut self) -> Result<(), TreeError> {
         let parent = &self.parent;
         let n = parent.len();
@@ -128,8 +101,8 @@ impl Topology {
             }
         }
 
-        // extent: reverse pass — every row's extent is final before its
-        // parent is visited, because children have larger indices.
+        // Reverse pass: every row's extent is final before its parent
+        // is visited, because children have larger indices.
         self.extent.clear();
         self.extent.extend(1..=n32);
         for i in (1..n).rev() {
@@ -138,31 +111,6 @@ impl Topology {
                 self.extent[p] = self.extent[i];
             }
         }
-
-        // CSR: count, prefix-sum, then fill in document order using each
-        // row's own offset as its cursor — afterwards `child_start[p]`
-        // holds where `p + 1`'s slice starts, so one shift puts the
-        // offsets back without a second cursor array.
-        let starts = &mut self.child_start;
-        starts.clear();
-        starts.resize(n + 1, 0);
-        for &p in parent.iter().skip(1) {
-            starts[p as usize + 1] += 1;
-        }
-        for i in 0..n {
-            starts[i + 1] += starts[i];
-        }
-        self.child_rows.clear();
-        self.child_rows.resize(starts[n] as usize, 0);
-        for (i, &p) in (1..n32).zip(parent.iter().skip(1)) {
-            let cursor = &mut starts[p as usize];
-            self.child_rows[*cursor as usize] = i;
-            *cursor += 1;
-        }
-        for i in (1..=n).rev() {
-            starts[i] = starts[i - 1];
-        }
-        starts[0] = 0;
         Ok(())
     }
 
@@ -194,23 +142,46 @@ impl Topology {
         i + 1..self.extent(i)
     }
 
-    /// Children of `i` in document order, as a CSR slice.
-    pub fn children(&self, i: usize) -> &[u32] {
-        &self.child_rows[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+    /// Children of `i` in document order: from row `i + 1`, each step
+    /// jumps over one child's subtree to the next, until `i`'s extent.
+    pub fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.siblings_from(i + 1, self.extent(i))
+    }
+
+    /// Following siblings of `i`, in document order: the parent's
+    /// children from `i`'s extent on.
+    pub fn following_siblings(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let end = self.parent(i).map_or(0, |p| self.extent(p));
+        self.siblings_from(self.extent(i), end)
+    }
+
+    /// Preceding siblings of `i`, in document order: the parent's
+    /// children before `i`.
+    pub fn preceding_siblings(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let start = self.parent(i).map_or(i, |p| p + 1);
+        self.siblings_from(start, i)
+    }
+
+    /// The rows `first`, `extent(first)`, … that lie before `end`: the
+    /// children of one parent, when `first` is one of them (or `end`)
+    /// and `end` is a sibling's row or the parent's extent. The bound is
+    /// checked before a row's extent is read, so the walk never reads
+    /// past the last row.
+    fn siblings_from(&self, first: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut next = first;
+        std::iter::from_fn(move || {
+            let row = next;
+            (row < end).then(|| {
+                next = self.extent(row);
+                row
+            })
+        })
     }
 
     /// O(1) interval-containment ancestry: is `a` a strict ancestor of
     /// `b`?
     pub fn is_ancestor(&self, a: usize, b: usize) -> bool {
         a < b && b < self.extent(a)
-    }
-
-    /// Position of `i` among its parent's children (None for the root).
-    /// Binary search over the parent's CSR slice — children are sorted
-    /// by construction.
-    pub fn child_position(&self, i: usize) -> Option<usize> {
-        let siblings = self.children(self.parent(i)?);
-        Some(siblings.partition_point(|&c| (c as usize) < i))
     }
 
     /// Does the subtree rooted at `i` (self included) overlap any of the
@@ -223,16 +194,6 @@ impl Topology {
         let hi = self.extent(i);
         let k = extents.partition_point(|&(_, end)| end <= i);
         k < extents.len() && extents[k].0 < hi
-    }
-
-    /// Raw CSR offsets (`len + 1` entries) — exposed for golden tests.
-    pub fn child_start(&self) -> &[u32] {
-        &self.child_start
-    }
-
-    /// Raw CSR children array — exposed for golden tests.
-    pub fn child_rows(&self) -> &[u32] {
-        &self.child_rows
     }
 }
 
@@ -249,6 +210,16 @@ pub(crate) fn row32(i: usize) -> Result<u32, TreeError> {
 mod tests {
     use super::*;
 
+    /// The index the preorder index builds from these parent rows.
+    fn from_parents(parents: &[Option<u32>]) -> Result<Topology, TreeError> {
+        let mut topo = Topology::default();
+        for &p in parents {
+            topo.push_parent(p);
+        }
+        topo.rebuild()?;
+        Ok(topo)
+    }
+
     /// A small hand-checked shape:
     ///
     /// ```text
@@ -259,7 +230,7 @@ mod tests {
     /// └── 4
     /// ```
     fn sample() -> Topology {
-        Topology::from_parents(vec![None, Some(0), Some(1), Some(1), Some(0)]).unwrap()
+        from_parents(&[None, Some(0), Some(1), Some(1), Some(0)]).unwrap()
     }
 
     #[test]
@@ -270,11 +241,8 @@ mod tests {
             (0..5).map(|i| t.extent(i)).collect::<Vec<_>>(),
             [5, 4, 3, 4, 5]
         );
-        assert_eq!(t.children(0), [1, 4]);
-        assert_eq!(t.children(1), [2, 3]);
-        assert!(t.children(2).is_empty());
-        assert_eq!(t.child_start(), [0, 2, 4, 4, 4, 4]);
-        assert_eq!(t.child_rows(), [1, 4, 2, 3]);
+        let children: Vec<Vec<usize>> = (0..5).map(|i| t.children(i).collect()).collect();
+        assert_eq!(children, [vec![1, 4], vec![2, 3], vec![], vec![], vec![]]);
     }
 
     #[test]
@@ -290,12 +258,17 @@ mod tests {
 
     #[test]
     fn child_positions() {
+        // A row's position among its parent's children is the count of
+        // its preceding siblings; the following ones make up the rest.
         let t = sample();
-        assert_eq!(t.child_position(0), None);
-        assert_eq!(t.child_position(1), Some(0));
-        assert_eq!(t.child_position(4), Some(1));
-        assert_eq!(t.child_position(2), Some(0));
-        assert_eq!(t.child_position(3), Some(1));
+        let position = |i: usize| t.preceding_siblings(i).count();
+        assert_eq!((0..5).map(position).collect::<Vec<_>>(), [0, 0, 0, 1, 1]);
+        let preceding: Vec<Vec<usize>> =
+            (0..5).map(|i| t.preceding_siblings(i).collect()).collect();
+        assert_eq!(preceding, [vec![], vec![], vec![], vec![2], vec![1]]);
+        let following: Vec<Vec<usize>> =
+            (0..5).map(|i| t.following_siblings(i).collect()).collect();
+        assert_eq!(following, [vec![], vec![4], vec![3], vec![], vec![]]);
     }
 
     #[test]
@@ -308,13 +281,14 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        let t = Topology::from_parents(vec![]).unwrap();
+        let t = from_parents(&[]).unwrap();
         assert!(t.is_empty());
-        assert_eq!(t.child_start(), [0]);
-        let t = Topology::from_parents(vec![None]).unwrap();
+        let t = from_parents(&[None]).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.extent(0), 1);
-        assert!(t.children(0).is_empty());
+        assert_eq!(t.children(0).count(), 0);
+        assert_eq!(t.following_siblings(0).count(), 0);
+        assert_eq!(t.preceding_siblings(0).count(), 0);
     }
 
     #[test]
@@ -342,7 +316,7 @@ mod tests {
 
     #[test]
     fn rebuild_in_place_matches_a_fresh_build() {
-        let shapes: [&[Option<usize>]; 4] = [
+        let shapes: [&[Option<u32>]; 4] = [
             &[None, Some(0), Some(1), Some(1), Some(0)],
             &[None, Some(0), Some(0), Some(2), Some(3), Some(2), Some(0)],
             &[None],
@@ -351,15 +325,11 @@ mod tests {
         let mut t = sample();
         for parents in shapes {
             t.clear_parents();
-            for p in parents {
-                t.push_parent(p.map(|p| p as u32));
+            for &p in parents {
+                t.push_parent(p);
             }
             t.rebuild().unwrap();
-            assert_eq!(
-                t,
-                Topology::from_parents(parents.iter().copied()).unwrap(),
-                "{parents:?}"
-            );
+            assert_eq!(t, from_parents(parents).unwrap(), "{parents:?}");
         }
         t.parent = vec![NO_PARENT, 1];
         assert!(t.rebuild().is_err());
@@ -368,10 +338,13 @@ mod tests {
     #[test]
     fn every_column_holds_four_byte_rows() {
         let t = sample();
+        assert_eq!(
+            std::mem::size_of::<Topology>(),
+            2 * std::mem::size_of::<Vec<u32>>(),
+            "the index holds its parent and extent columns and nothing else"
+        );
         assert_eq!(std::mem::size_of_val(&t.parent[0]), 4);
         assert_eq!(std::mem::size_of_val(&t.extent[0]), 4);
-        assert_eq!(std::mem::size_of_val(&t.child_start[0]), 4);
-        assert_eq!(std::mem::size_of_val(&t.child_rows[0]), 4);
         assert_eq!(t.parent(0), None, "the root's sentinel reads as no parent");
         assert_eq!(row32(u32::MAX as usize - 1), Ok(u32::MAX - 1));
         assert!(row32(u32::MAX as usize).is_err(), "the sentinel is no row");
@@ -381,19 +354,19 @@ mod tests {
     #[test]
     fn malformed_inputs_error() {
         assert!(matches!(
-            Topology::from_parents(vec![Some(0)]),
+            from_parents(&[Some(0)]),
             Err(TreeError::Invariant(_))
         ));
         assert!(matches!(
-            Topology::from_parents(vec![None, None]),
+            from_parents(&[None, None]),
             Err(TreeError::MissingParent(_))
         ));
         assert!(matches!(
-            Topology::from_parents(vec![None, Some(1)]),
+            from_parents(&[None, Some(1)]),
             Err(TreeError::DanglingNodeId(_))
         ));
         assert!(matches!(
-            Topology::from_parents(vec![None, Some(2), Some(0)]),
+            from_parents(&[None, Some(2), Some(0)]),
             Err(TreeError::DanglingNodeId(_))
         ));
     }

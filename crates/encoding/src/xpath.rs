@@ -565,17 +565,16 @@ fn eval_plan(
                         let range = topo.descendant_range(ctx);
                         let lo = bucket.partition_point(|&i| (i as usize) < range.start);
                         let hi = bucket.partition_point(|&i| (i as usize) < range.end);
-                        let kids = topo.children(ctx);
+                        let hits = &bucket[lo..hi];
                         // Walk whichever side is smaller: the name bucket
-                        // restricted to the subtree, or the CSR children
-                        // slice. Children of distinct contexts never
-                        // overlap, so testing them here tests each once.
-                        if hi - lo <= kids.len() {
-                            scratch.extend(
-                                rows(&bucket[lo..hi]).filter(|&i| topo.parent(i) == Some(ctx)),
-                            );
+                        // restricted to the subtree, or the children,
+                        // counted only up to the bucket's size. Children
+                        // of distinct contexts never overlap, so testing
+                        // them here tests each once.
+                        if hits.is_empty() || topo.children(ctx).nth(hits.len() - 1).is_some() {
+                            scratch.extend(rows(hits).filter(|&i| topo.parent(i) == Some(ctx)));
                         } else {
-                            scratch.extend(rows(kids).filter(|&i| matches(i)));
+                            scratch.extend(topo.children(ctx).filter(|&i| matches(i)));
                         }
                         pre_tested = true;
                     }
@@ -583,7 +582,7 @@ fn eval_plan(
                         // Children and selves of distinct contexts never
                         // overlap either: test them here, once each.
                         Axis::Child => {
-                            scratch.extend(rows(topo.children(ctx)).filter(|&i| matches(i)));
+                            scratch.extend(topo.children(ctx).filter(|&i| matches(i)));
                             pre_tested = true;
                         }
                         Axis::Descendant => scratch.extend(topo.descendant_range(ctx)),
@@ -606,15 +605,15 @@ fn eval_plan(
                             scratch.extend((0..ctx).filter(|&j| topo.extent(j) <= ctx));
                         }
                         Axis::FollowingSibling => {
-                            scratch.extend(rows(doc.following_siblings(ctx)));
+                            scratch.extend(topo.following_siblings(ctx));
                         }
                         Axis::PrecedingSibling => {
-                            scratch.extend(rows(doc.preceding_siblings(ctx)));
+                            scratch.extend(topo.preceding_siblings(ctx));
                         }
                         Axis::Attribute => {
                             // One read of each child's kind decides both
                             // the axis and the node test.
-                            scratch.extend(rows(topo.children(ctx)).filter(|&j| {
+                            scratch.extend(topo.children(ctx).filter(|&j| {
                                 let kind = tree.kind(doc.source_id(j));
                                 kind.is_attribute() && test_matches(kind, step.axis, &step.test)
                             }));

@@ -1,16 +1,16 @@
 //! Differential property suite for the encoding-layer acceleration:
 //! every axis computed through the [`Topology`] sidecar must equal the
 //! same axis computed through the label-algebra/parent-chain reference
-//! path, for all 17 roster schemes, over random tree shapes — plus
-//! golden tests pinning the extents and CSR arrays for the Figure 1
-//! document.
+//! path, for all 17 roster schemes, over random tree shapes — plus a
+//! golden test pinning the extents and every row's children for the
+//! Figure 1 document.
 //!
 //! This is the contract the tentpole optimisation rests on: the
 //! topology index may make queries faster, but it must never change a
 //! single observable answer.
 
 use std::cmp::Ordering;
-use xupd_encoding::{parse_xpath, PreorderIndex, Topology, XPathExpr};
+use xupd_encoding::{parse_xpath, PreorderIndex, XPathExpr};
 use xupd_labelcore::{DynScheme, SchemeSession};
 use xupd_schemes::prefix::dewey::DeweyId;
 use xupd_schemes::prefix::qed::Qed;
@@ -21,12 +21,6 @@ use xupd_workloads::docs;
 use xupd_xmldom::XmlTree;
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
-
-/// A slice of the index's `u32` rows as `usize` rows, the reference
-/// paths' type.
-fn widen(rows: &[u32]) -> Vec<usize> {
-    rows.iter().map(|&r| r as usize).collect()
-}
 
 /// Diff every topology-backed axis of `index` against its label-algebra
 /// / parent-chain reference over one scheme's labels of `tree`, and
@@ -51,7 +45,7 @@ fn axis_diff(entry: &SchemeEntry, tree: &XmlTree, index: &PreorderIndex) -> Vec<
         if index.descendants_via_labels(labels, i).ok() != Some(index.descendants(i)) {
             failures.push(format!("{name}: descendants({i})"));
         }
-        if widen(index.children(i)) != index.children_via_scan(i) {
+        if index.topology().children(i).collect::<Vec<_>>() != index.children_via_scan(i) {
             failures.push(format!("{name}: children({i})"));
         }
         if index.following_via_labels(labels, i).ok() != Some(index.following(i)) {
@@ -97,13 +91,14 @@ props! {
     fn sibling_axes_partition_parents_children(seed in ints(0u64..1_000_000), n in ints(2usize..60)) {
         let tree = docs::random_tagged_tree(seed, n, &TAGS);
         let index = PreorderIndex::encode(&tree).unwrap();
+        let topo = index.topology();
         for i in 0..index.len() {
-            let mut assembled = widen(index.preceding_siblings(i));
+            let mut assembled: Vec<usize> = topo.preceding_siblings(i).collect();
             assembled.push(i);
-            assembled.extend(widen(index.following_siblings(i)));
+            assembled.extend(topo.following_siblings(i));
             match index.parent(i) {
                 None => prop_assert_eq!(assembled, vec![i], "root has no siblings"),
-                Some(p) => prop_assert_eq!(assembled, widen(index.children(p))),
+                Some(p) => prop_assert_eq!(assembled, topo.children(p).collect::<Vec<_>>()),
             }
         }
     }
@@ -204,8 +199,8 @@ fn evaluate_reference(
                 Axis::Ancestor => doc.ancestors(ctx),
                 Axis::Following => doc.following_via_labels(labels, ctx).unwrap(),
                 Axis::Preceding => doc.preceding_via_labels(labels, ctx).unwrap(),
-                Axis::FollowingSibling => widen(doc.following_siblings(ctx)),
-                Axis::PrecedingSibling => widen(doc.preceding_siblings(ctx)),
+                Axis::FollowingSibling => doc.topology().following_siblings(ctx).collect(),
+                Axis::PrecedingSibling => doc.topology().preceding_siblings(ctx).collect(),
                 Axis::Attribute => doc
                     .children_via_scan(ctx)
                     .into_iter()
@@ -262,22 +257,29 @@ fn figure1_topology_golden() {
         [0, 1, 2, 3, 3, 2, 3, 2, 3, 4, 5, 4, 5, 3, 4, 4],
         "depths, as ancestor chains"
     );
+    let none: &[usize] = &[];
     assert_eq!(
-        t.child_start(),
-        [0, 1, 4, 6, 6, 6, 7, 7, 9, 11, 12, 12, 13, 13, 15, 15, 15]
+        (0..16)
+            .map(|i| t.children(i).collect::<Vec<_>>())
+            .collect::<Vec<_>>(),
+        [
+            &[1][..],
+            &[2, 5, 7],
+            &[3, 4],
+            none,
+            none,
+            &[6],
+            none,
+            &[8, 13],
+            &[9, 11],
+            &[10],
+            none,
+            &[12],
+            none,
+            &[14, 15],
+            none,
+            none,
+        ],
+        "every row's children"
     );
-    assert_eq!(
-        t.child_rows(),
-        [1, 2, 5, 7, 3, 4, 6, 8, 13, 9, 11, 10, 12, 14, 15]
-    );
-}
-
-#[test]
-fn figure1_topology_rebuilds_from_parents() {
-    // The sidecar is a pure function of the parent column.
-    let tree = xupd_xmldom::sample::figure1_document();
-    let index = PreorderIndex::encode(&tree).unwrap();
-    let parents: Vec<Option<usize>> = (0..index.len()).map(|i| index.parent(i)).collect();
-    let rebuilt = Topology::from_parents(parents).unwrap();
-    assert_eq!(&rebuilt, index.topology());
 }

@@ -301,14 +301,15 @@ mod tests {
     use xupd_workloads::{docs, Script, ScriptKind};
     use xupd_xmldom::{serialize_compact, NodeKind};
 
-    /// Where the index keeps its CSR offsets: the same address after a
-    /// call exactly when the call encoded no new index.
+    /// Where the index keeps its element list, a buffer a splice
+    /// reuses: the same address after a call exactly when the call
+    /// encoded no new index.
     fn index_ptr<S: LabelingScheme + Clone + 'static>(doc: &mut Document<S>) -> *const u32 {
         doc.tree_with_index()
             .unwrap()
             .1
-            .topology()
-            .child_start()
+            .name_index()
+            .all_elements()
             .as_ptr()
     }
 

@@ -813,6 +813,8 @@ fn repair_query(
     dirty: &[usize],
 ) -> (u64, u64, u64) {
     let dropped = renumber(&mut q.rows, &mut q.strings, runs.kept);
+    #[cfg(test)]
+    tests::fault_point(tests::Phase::MidRepair);
     let mut patched = patch_strings(q, tree, new, dirty);
     let fresh = q.pattern.evaluate_within(tree, new, runs.fresh);
     if !fresh.is_empty() {
@@ -878,6 +880,9 @@ mod tests {
         /// registered, between the first one's renumbering and the
         /// second one's.
         BetweenQueries,
+        /// Inside a delta repair: the kept rows are renumbered, the
+        /// fresh rows not merged in yet.
+        MidRepair,
     }
 
     thread_local! {
@@ -1394,8 +1399,9 @@ mod tests {
     /// A panic in structural upkeep, after the batch committed to the
     /// tree and labels, leaves a cache that refuses to serve rather than
     /// one serving the pre-batch rows, whichever phase it hits: before
-    /// the splice, after it, or between two queries' renumbering. The
-    /// next read refreshes, and the next batch is absorbed exactly.
+    /// the splice, after it, between two queries' renumbering, or inside
+    /// a delta repair (the batch's cut and fresh items take that path).
+    /// The next read refreshes, and the next batch is absorbed exactly.
     #[test]
     fn a_panic_in_any_upkeep_phase_leaves_the_cache_stale() {
         use crate::document::Document;
@@ -1448,6 +1454,7 @@ mod tests {
             Phase::BeforeSplice,
             Phase::AfterSplice,
             Phase::BetweenQueries,
+            Phase::MidRepair,
         ] {
             let mut doc = Document::encode(Qed::new(), &docs::xmark_like(23, 70)).unwrap();
             for e in EXPRS {

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use xupd_framework::analysis::{analyze, apply_plan_with_dyn, ApplyOptions};
+use xupd_framework::analysis::{analyze, apply_plan_with_dyn, AnalyzedPlan, ApplyOptions};
 use xupd_framework::driver::DriveStats;
 use xupd_framework::mutations::{
     apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place,
@@ -260,6 +260,114 @@ fn certificates_are_nontrivial_and_sound() {
     certificate_battery(&t, &log, "sections");
 }
 
+// ---------------------------------------------------------------------
+// Cancelled creates: a nil component must leave no residue under a
+// `cancellation_neutral` claim, even when its creates overflow a code.
+// ---------------------------------------------------------------------
+
+/// `k` `CreateElement`s between `a` and `b`, then a `Delete` of each:
+/// create `i` goes right after the current left node, which starts at
+/// `a` and becomes the new node after every even `i`, so the creates
+/// zigzag into ever tighter gaps and one nil component holds them all.
+fn zigzag_log(a: NodeId, k: u32) -> MutationLog {
+    let mut left = NodeRef::Node(a);
+    let mut ops = Vec::new();
+    for i in 0..k {
+        ops.push(Mutation::CreateElement {
+            id: LogId(i),
+            name: "n".into(),
+            place: Place::After(left),
+        });
+        if i % 2 == 0 {
+            left = NodeRef::New(LogId(i));
+        }
+    }
+    ops.extend((0..k).map(|i| Mutation::Delete {
+        target: NodeRef::New(LogId(i)),
+    }));
+    MutationLog::from(ops)
+}
+
+/// Apply `log` to a copy of `base` labelled by `session`: the bytes and
+/// document-order labels, or `None` when the apply fails.
+fn bytes_and_labels(
+    mut session: Box<dyn DynScheme>,
+    base: &XmlTree,
+    log: &MutationLog,
+    plan: Option<&AnalyzedPlan>,
+) -> Option<(String, Vec<String>)> {
+    let mut tree = base.clone();
+    session.label_tree(&tree).ok()?;
+    match plan {
+        None => apply_log_dyn(&mut tree, session.as_mut(), log).ok()?,
+        Some(plan) => apply_plan_with_dyn(
+            &mut tree,
+            session.as_mut(),
+            log,
+            plan,
+            ApplyOptions::coalesced(),
+        )
+        .ok()?,
+    };
+    Some((
+        serialize_compact(&tree),
+        doc_order_labels(&tree, session.as_ref()),
+    ))
+}
+
+#[test]
+fn cancelled_zigzag_creates_leave_no_residue() {
+    // Coalescing skips the nil component only for a scheme that claims
+    // `cancellation_neutral`; every scheme, and its overflow-audit
+    // instance where it has one, must then end where sequential apply
+    // does. A claim made by an algebra whose insert can renumber the
+    // siblings on overflow fails here once the zigzag reaches it.
+    let base = parse("<r><a/><b/></r>").unwrap();
+    let a = elems(&base, "a")[0];
+    let entries = registry();
+    assert_eq!(entries.len(), 17);
+    let (mut compared, mut differ) = (0, Vec::new());
+    for k in [40, 91, 120, 200] {
+        let log = zigzag_log(a, k);
+        let plan = analyze(&log, &base).unwrap();
+        assert_eq!(plan.nil_components.len(), 1, "k = {k}: one nil component");
+        let outcomes = xupd_exec::par_map(&entries, |entry| {
+            let mut out = Vec::new();
+            for audit in [false, true] {
+                let session = || {
+                    let s = (entry.factory)();
+                    if audit {
+                        s.overflow_audit_instance()
+                    } else {
+                        Some(s)
+                    }
+                };
+                let (Some(seq_s), Some(co_s)) = (session(), session()) else {
+                    continue;
+                };
+                let seq = bytes_and_labels(seq_s, &base, &log, None);
+                let co = bytes_and_labels(co_s, &base, &log, Some(&plan));
+                if let (Some(seq), Some(co)) = (seq, co) {
+                    let audit = if audit { " (audit)" } else { "" };
+                    out.push((format!("k = {k}, {}{audit}", entry.name()), seq == co));
+                }
+            }
+            out
+        });
+        for (ctx, same) in outcomes.into_iter().flatten() {
+            compared += 1;
+            if !same {
+                differ.push(ctx);
+            }
+        }
+    }
+    assert!(compared >= 4 * 17, "only {compared} pairs compared");
+    assert!(
+        differ.is_empty(),
+        "coalesced bytes or labels differ from sequential: {differ:#?}"
+    );
+}
+
 #[test]
 fn roster_capability_split_is_pinned() {
     // The order-independent claims are scheme code; this differential
@@ -293,9 +401,12 @@ fn roster_capability_split_is_pinned() {
     );
     assert_eq!(independent.len(), 13, "order-independent schemes");
     // Sector (interval respacing), DeweyID and DLN (sibling renumber on
-    // tight inserts) are order-independent but NOT cancellation-neutral:
+    // tight inserts), and Vector, CDBS and DDE (sibling renumber when a
+    // code overflows) are order-independent but NOT cancellation-neutral:
     // their insert path can rewrite surviving neighbours, so a cancelled
-    // create+delete leaves observable residue.
+    // create+delete leaves observable residue
+    // (`cancelled_zigzag_creates_leave_no_residue` shows it for the
+    // last three).
     assert_eq!(
         neutral,
         vec![
@@ -304,10 +415,7 @@ fn roster_capability_split_is_pinned() {
             "ImprovedBinary",
             "QED",
             "CDQS",
-            "Vector",
-            "CDBS",
             "Com-D",
-            "DDE",
             "QED∘Containment",
         ],
         "cancellation-neutral schemes"

@@ -51,12 +51,11 @@ impl SiblingAlgebra for DdeAlgebra {
         true
     }
 
-    // Insertions never rewrite neighbour labels, so a cancelled
-    // create+delete leaves zero residue; pinned empirically by
-    // crates/framework/tests/analysis_differential.rs.
-    fn cancellation_neutral(&self) -> bool {
-        true
-    }
+    // Not cancellation-neutral (the trait default): an insert whose
+    // mediant would pass 64 bits renumbers every sibling, so a cancelled
+    // create+delete can leave a surviving sibling relabelled; the zigzag
+    // battery in crates/framework/tests/analysis_differential.rs shows
+    // it from 91 creates.
 
     fn descriptor(&self) -> SchemeDescriptor {
         SchemeDescriptor {

@@ -14,34 +14,15 @@ use crate::tree::XmlTree;
 
 /// Parse an XML document into an [`XmlTree`].
 ///
-/// Whitespace-only text between elements is preserved only when
-/// `keep_whitespace` would be true; this entry point drops it, which is what
-/// the paper's figures assume (the Figure 1 tree has no whitespace nodes).
-/// Use [`parse_with_options`] to keep whitespace-only text nodes.
+/// Whitespace-only text is dropped, which is what the paper's figures
+/// assume (the Figure 1 tree has no whitespace nodes); comments and
+/// processing instructions are kept.
 pub fn parse(input: &str) -> Result<XmlTree, ParseError> {
-    parse_with_options(input, &ParseOptions::default())
-}
-
-/// Parser configuration.
-#[derive(Debug, Clone)]
-pub struct ParseOptions {
-    /// Keep text nodes that consist solely of whitespace. Defaults to
-    /// `false` (the convention used by the paper's example trees).
-    pub keep_whitespace_text: bool,
-    /// Keep comment nodes. Defaults to `true`.
-    pub keep_comments: bool,
-    /// Keep processing-instruction nodes. Defaults to `true`.
-    pub keep_pis: bool,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            keep_whitespace_text: false,
-            keep_comments: true,
-            keep_pis: true,
-        }
+    Parser {
+        input: input.as_bytes(),
+        pos: 0,
     }
+    .run()
 }
 
 /// Does the parser read `s` back as one name — an element, attribute or
@@ -52,20 +33,9 @@ pub fn is_name(s: &str) -> bool {
     bytes.next().is_some_and(Parser::is_name_start) && bytes.all(Parser::is_name_char)
 }
 
-/// Parse with explicit [`ParseOptions`].
-pub fn parse_with_options(input: &str, opts: &ParseOptions) -> Result<XmlTree, ParseError> {
-    Parser {
-        input: input.as_bytes(),
-        pos: 0,
-        opts,
-    }
-    .run()
-}
-
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
-    opts: &'a ParseOptions,
 }
 
 impl<'a> Parser<'a> {
@@ -240,35 +210,21 @@ impl<'a> Parser<'a> {
         let mut pending_text = String::new();
         let mut pending_text_start = 0usize;
 
+        // Whitespace-only text is dropped; other text outside the
+        // document element is an error.
         macro_rules! flush_text {
             ($tree:expr, $stack:expr) => {
-                if !pending_text.is_empty() {
-                    let keep = self.opts.keep_whitespace_text
-                        || !pending_text.chars().all(char::is_whitespace);
-                    if keep {
-                        let parent = match $stack.last() {
-                            Some(&(p, _)) => p,
-                            None => {
-                                if pending_text.chars().all(char::is_whitespace) {
-                                    pending_text.clear();
-                                    root // unreachable attach below is skipped by clear
-                                } else {
-                                    return Err(self.err_at(
-                                        ParseErrorKind::TrailingContent,
-                                        pending_text_start,
-                                    ));
-                                }
-                            }
-                        };
-                        if !pending_text.is_empty() {
-                            let decoded =
-                                self.decode_entities(&pending_text, pending_text_start)?;
-                            let n = $tree.create(NodeKind::Text { value: decoded });
-                            self.attach(&mut $tree, parent, n)?;
-                        }
-                    }
-                    pending_text.clear();
+                if !pending_text.chars().all(char::is_whitespace) {
+                    let Some(&(parent, _)) = $stack.last() else {
+                        return Err(
+                            self.err_at(ParseErrorKind::TrailingContent, pending_text_start)
+                        );
+                    };
+                    let decoded = self.decode_entities(&pending_text, pending_text_start)?;
+                    let n = $tree.create(NodeKind::Text { value: decoded });
+                    self.attach(&mut $tree, parent, n)?;
                 }
+                pending_text.clear();
             };
         }
 
@@ -281,7 +237,7 @@ impl<'a> Parser<'a> {
                 let data = self.take_until("?>", "processing instruction")?;
                 if target.eq_ignore_ascii_case("xml") {
                     // XML declaration: skip.
-                } else if self.opts.keep_pis {
+                } else {
                     let parent = stack.last().map(|&(p, _)| p).unwrap_or(root);
                     let n = tree.create(NodeKind::Pi {
                         target,
@@ -293,11 +249,9 @@ impl<'a> Parser<'a> {
                 flush_text!(tree, stack);
                 self.bump(4);
                 let body = self.take_until("-->", "comment")?.to_string();
-                if self.opts.keep_comments {
-                    let parent = stack.last().map(|&(p, _)| p).unwrap_or(root);
-                    let n = tree.create(NodeKind::Comment { value: body });
-                    self.attach(&mut tree, parent, n)?;
-                }
+                let parent = stack.last().map(|&(p, _)| p).unwrap_or(root);
+                let n = tree.create(NodeKind::Comment { value: body });
+                self.attach(&mut tree, parent, n)?;
             } else if self.starts_with("<![CDATA[") {
                 self.bump(9);
                 let start = self.pos;
@@ -535,29 +489,10 @@ mod tests {
     }
 
     #[test]
-    fn comments_and_pis_dropped_when_configured() {
-        let opts = ParseOptions {
-            keep_comments: false,
-            keep_pis: false,
-            ..Default::default()
-        };
-        let t = parse_with_options("<e><!--note--><?php echo?></e>", &opts).unwrap();
-        let e = t.document_element().unwrap();
-        assert_eq!(t.children(e).count(), 0);
-    }
-
-    #[test]
     fn whitespace_only_text_dropped_by_default() {
         let t = parse("<a>\n  <b/>\n</a>").unwrap();
         let a = t.document_element().unwrap();
         assert_eq!(t.children(a).count(), 1);
-        let opts = ParseOptions {
-            keep_whitespace_text: true,
-            ..Default::default()
-        };
-        let t2 = parse_with_options("<a>\n  <b/>\n</a>", &opts).unwrap();
-        let a2 = t2.document_element().unwrap();
-        assert_eq!(t2.children(a2).count(), 3);
     }
 
     #[test]
