@@ -1,16 +1,19 @@
-//! Per-axis micro-costs of the topology sidecar versus the preserved
-//! label-algebra/parent-chain reference path — the encoding-layer half
-//! of the §2.3 trade, one axis at a time.
+//! Per-axis micro-costs of the preorder index's extent-backed axes
+//! versus the preserved label-algebra/parent-chain reference path — the
+//! encoding-layer half of the §2.3 trade, one axis at a time.
 //!
 //! For each of `descendants`, `following`, `children` and `is_ancestor`
 //! there are two cases:
 //!
 //! * `<axis>/scan` — the `*_via_labels` / full-table reference
-//!   implementation (what the encoding shipped before the topology
-//!   index), reading QED labels through a scheme session, or the
-//!   parent column for `children`;
-//! * `<axis>/topology` — the extent-backed axis (`children` steps from
-//!   child to child through the extents).
+//!   implementation (what the encoding shipped before the extents),
+//!   reading QED labels through a scheme session, or the parent column
+//!   for `children`;
+//! * `<axis>/topology` — the index's extent-backed axis (`children`
+//!   steps from child to child through the extents), its rows collected
+//!   into a `Vec` like the reference's for `descendants` and
+//!   `following`. The sample names predate the index's columns and
+//!   stay so the committed baselines line up.
 //!
 //! Context rows sweep the document (every `STRIDE`-th row) so the costs
 //! aren't dominated by the root's giant subtree.
@@ -56,7 +59,7 @@ fn main() {
     h.bench("descendants/topology", || {
         let mut total = 0usize;
         for &c in &contexts {
-            total += black_box(index.descendants(c)).len();
+            total += black_box(index.descendant_range(c).collect::<Vec<_>>()).len();
         }
         total
     });
@@ -71,7 +74,7 @@ fn main() {
     h.bench("following/topology", || {
         let mut total = 0usize;
         for &c in &contexts {
-            total += black_box(index.following(c)).len();
+            total += black_box(index.following(c).collect::<Vec<_>>()).len();
         }
         total
     });
@@ -86,7 +89,7 @@ fn main() {
     h.bench("children/topology", || {
         let mut total = 0usize;
         for &c in &contexts {
-            total += black_box(index.topology().children(c).count());
+            total += black_box(index.children(c).count());
         }
         total
     });

@@ -1,18 +1,18 @@
-//! P5 — XPath evaluation over the encoding scheme. Since the topology
-//! sidecar landed, every axis runs on interval-containment ancestry and
-//! children stepped through the extents; the `xpath` case therefore
-//! measures the streaming evaluator (NameIndex buckets ∩ extent ranges)
-//! rather than the historical full-table label-algebra scans — compare
-//! against the seed medians in EXPERIMENTS.md for the before/after. The
-//! evaluator reads only the preorder index and the tree's node content,
-//! which no labelling scheme changes, so one case times it for every
-//! scheme.
+//! P5 — XPath evaluation over the encoding scheme. Since the preorder
+//! index gained its extents, every axis runs on interval-containment
+//! ancestry and children stepped through the extents; the `xpath` case
+//! therefore measures the streaming evaluator (NameIndex buckets ∩
+//! extent ranges) rather than the historical full-table label-algebra
+//! scans — compare against the seed medians in EXPERIMENTS.md for the
+//! before/after. The evaluator reads only the preorder index and the
+//! tree's node content, which no labelling scheme changes, so one case
+//! times it for every scheme.
 //!
 //! The `descendant-name/*` cases keep the §2.3 trade visible on one
 //! query shape:
 //!
 //! * `scan` — the preserved label-algebra reference path (what every
-//!   axis cost before the topology index), reading QED labels through
+//!   axis cost before the extents), reading QED labels through
 //!   a scheme session;
 //! * `index` — `NameIndex::descendants_named`: bucket ∩ extent range
 //!   via two binary searches;
@@ -44,7 +44,7 @@ const QUERIES: [&str; 4] = [
 ];
 
 /// The §2.3 trade-off, timed on `//item`: the label-algebra scan the
-/// encoding used before the topology sidecar, the name-index probe, and
+/// encoding used before the extents, the name-index probe, and
 /// the streaming evaluator end to end.
 fn bench_scan_vs_indexed(h: &mut Harness) {
     let tree = docs::xmark_like(7, 300);

@@ -14,17 +14,16 @@
 //! The structure is this crate's:
 //!
 //! * [`preorder`] — [`PreorderIndex`]: one row per node in document
-//!   order (parent, source node id) with the [`Topology`] and
-//!   [`NameIndex`] sidecars; every structural axis, the XPath evaluator
-//!   and reconstruction run on it, reading content from the tree by
-//!   each row's source id, and a splice follows a batch of edits in
-//!   place. Its `*_via_labels` methods read a session's labels through
-//!   the same ids: the label-algebra reference axes the differential
-//!   property suite pins equal to the topology's;
-//! * [`topology`] — [`Topology`]: the structural sidecar, the index's
-//!   parent column and the pre-order subtree extents, from which the
-//!   child and sibling axes step through their rows; encode and splice
-//!   build it in one shared pass;
+//!   order (source node id, parent row and pre-order subtree extent)
+//!   with the [`NameIndex`] sidecar. It holds the one implementation of
+//!   every structural axis: ancestry is an interval test on the
+//!   extents, and the child and sibling axes step through them. The
+//!   XPath evaluator and reconstruction run on it, reading content from
+//!   the tree by each row's source id; encode and splice build it in
+//!   one shared pass, and a splice follows a batch of edits in place.
+//!   Its `*_via_labels` methods read a session's labels through the
+//!   same ids: the label-algebra reference axes the differential
+//!   property suite pins equal to the index's;
 //! * [`xpath`] — a parser and streaming evaluator for the XPath subset
 //!   used by the examples and benchmarks (child/descendant/parent/
 //!   ancestor/sibling/following/preceding/attribute axes, name and text
@@ -44,10 +43,8 @@ pub mod figure2;
 pub mod index;
 pub mod preorder;
 pub mod reconstruct;
-pub mod topology;
 pub mod xpath;
 
 pub use index::NameIndex;
-pub use preorder::{PreorderIndex, SpliceRuns};
-pub use topology::{row_in_extents, Topology};
+pub use preorder::{row_in_extents, PreorderIndex, SpliceRuns};
 pub use xpath::{parse_xpath, AccessPattern, XPathError, XPathExpr};

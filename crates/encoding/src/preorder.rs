@@ -1,15 +1,15 @@
 //! The preorder index: the scheme-independent structure of Definition
 //! 2's encoding. Row `i` is the `i`-th node in document order, and the
-//! index holds the [`NodeId`] each row encodes, the [`Topology`] sidecar
-//! (which holds the parent column) and the [`NameIndex`]. It holds no
-//! node content and no label. Content (node type, name, value) stays in
-//! the tree's node table and is read by source id, as
+//! index holds, per row, the [`NodeId`] it encodes, its parent row and
+//! its pre-order subtree extent, beside the [`NameIndex`]: Figure 2's
+//! pre/post/parent table, with the extent in place of the post rank. It
+//! holds no node content and no label. Content (node type, name, value)
+//! stays in the tree's node table and is read by source id, as
 //! `tree.kind(index.source_id(row))`, so every reader that needs it
 //! takes the [`XmlTree`] the index describes. The labels are the
 //! scheme's: a [`DynScheme`] session holds them by node id, and the
 //! `*_via_labels` methods read them through each row's
-//! [`source_id`](PreorderIndex::source_id). Ancestry is preorder
-//! interval containment on the topology, so the XPath evaluator, the
+//! [`source_id`](PreorderIndex::source_id). The XPath evaluator, the
 //! query cache, the analyzer and flux lowering all run on this one type.
 //!
 //! Node ids are never reused across deletions, so the source id is a
@@ -22,19 +22,36 @@
 //! the index only records the new revision
 //! ([`PreorderIndex::follow_text`]).
 //!
-//! Axes run on the topology: ancestry is an O(1) interval test, the
-//! `child`/sibling axes step through the extents from child to child,
-//! and the range axes cost time proportional to their answers.
-//! [`PreorderIndex::children_via_scan`] and the label-algebra axes
-//! ([`PreorderIndex::is_ancestor_via_labels`] and the other
-//! `*_via_labels` methods) keep the full-table scans as the reference
-//! the differential suites and the scan-vs-index benchmarks compare
-//! against.
+//! Every structural axis has one implementation here, on the parent and
+//! extent columns. The strict descendants of row `i` are exactly rows
+//! `i+1..extent(i)`, so ancestry is the O(1) interval test
+//! `a < b < extent(a)` (the interval containment the ancestry-labeling
+//! literature formalizes, cf. Fraigniaud & Korman), `descendant` is a
+//! range, `following` the suffix past the extent, `preceding` an O(1)
+//! test per candidate row and `ancestor` the parent chain. Row `i`'s
+//! first child is row `i + 1` and each child's extent is its next
+//! sibling's row, so the `child` and sibling axes step from child to
+//! child in time proportional to the children they visit, with no child
+//! list stored. [`PreorderIndex::children_via_scan`] and the
+//! label-algebra axes ([`PreorderIndex::is_ancestor_via_labels`] and the
+//! other `*_via_labels` methods) keep the full-table scans as the
+//! reference the differential suites and the scan-vs-index benchmarks
+//! compare against: whether a labelling scheme can answer ancestry from
+//! its labels alone stays a property of the scheme (Figure 7's *XPath
+//! Evaluations* column).
 
 use crate::index::NameIndex;
-use crate::topology::{row32, Topology};
+use std::ops::Range;
 use xupd_labelcore::{DynScheme, Relation};
 use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
+
+/// Is row `i` inside one of the half-open `(start, end)` intervals?
+/// The intervals must be sorted by start and disjoint. One binary
+/// search — shared by the scoped evaluator and the query cache.
+pub fn row_in_extents(extents: &[(usize, usize)], i: usize) -> bool {
+    let k = extents.partition_point(|&(start, _)| start <= i);
+    k > 0 && i < extents[k - 1].1
+}
 
 /// How the last [`PreorderIndex::splice`] numbered the new index: every
 /// new row was either carried over from the old index or read fresh from
@@ -62,23 +79,37 @@ struct RunList {
     roots: Vec<NodeId>,
 }
 
-/// `row_of`'s entry for a node id no row encodes.
+/// The entry for no row: `row_of`'s for a node id no row encodes, and
+/// the parent column's for the root row.
 const NO_ROW: u32 = u32::MAX;
 
-/// A document's preorder index: parents, source ids and the structural
-/// sidecars in document order, with no content and no label column.
-/// Every per-node column holds 4-byte entries: [`NodeId`]s are `u32`
-/// indices, so rows fit in `u32` too, and encode and splice refuse a
-/// tree whose id bound does not.
+/// Row `i` as a `u32` column entry; a table that needs `u32::MAX` rows
+/// or more is refused, since `NO_ROW` is that sentinel.
+fn row32(i: usize) -> Result<u32, TreeError> {
+    u32::try_from(i)
+        .ok()
+        .filter(|&r| r < NO_ROW)
+        .ok_or_else(|| TreeError::Invariant(format!("{i} rows do not fit a u32 column")))
+}
+
+/// A document's preorder index: source ids, parents and extents in
+/// document order, and the name buckets, with no content and no label
+/// column. Every per-node column holds 4-byte entries: [`NodeId`]s are
+/// `u32` indices, so rows fit in `u32` too, and encode and splice refuse
+/// a tree whose id bound does not. The root's parent entry is a
+/// sentinel, so an absent parent costs no tag.
 /// Its [`revision`](Self::revision) names the tree state it describes,
 /// and every consumer rejects an index made for another state.
 #[derive(Debug, Clone)]
 pub struct PreorderIndex {
-    /// Parents and extents.
-    topo: Topology,
-    names: NameIndex,
     /// Source tree node id per row, in document order.
     source_ids: Vec<NodeId>,
+    /// Parent row per row; `NO_ROW` for the root.
+    parent: Vec<u32>,
+    /// `extent[i]` is one past the last row of `i`'s subtree: the
+    /// strict descendants of `i` are exactly rows `i+1..extent[i]`.
+    extent: Vec<u32>,
+    names: NameIndex,
     /// Reverse map: `row_of[id.index()]` is the row encoding that node,
     /// `NO_ROW` for ids outside this document.
     row_of: Vec<u32>,
@@ -91,15 +122,15 @@ pub struct PreorderIndex {
 impl PreorderIndex {
     /// Index `tree` in document order: its node ids become the rows,
     /// and the pass that ends every [`splice`](Self::splice) builds the
-    /// rest. Errors on a malformed tree, whose parent references that
-    /// pass refuses, and on a tree whose id bound does not fit the
-    /// `u32` columns.
+    /// rest. Errors on a malformed tree, whose links that pass refuses,
+    /// and on a tree whose id bound does not fit the `u32` columns.
     pub fn encode(tree: &XmlTree) -> Result<Self, TreeError> {
         row32(tree.id_bound())?;
         let mut index = PreorderIndex {
-            topo: Topology::default(),
-            names: NameIndex::default(),
             source_ids: tree.ids_in_doc_order(),
+            parent: Vec::new(),
+            extent: Vec::new(),
+            names: NameIndex::default(),
             row_of: Vec::new(),
             revision: tree.revision(),
             runs: RunList::default(),
@@ -114,25 +145,27 @@ impl PreorderIndex {
     /// `cut` holds the pre-batch rows of every subtree root the batch
     /// deleted or moved. Created nodes need no list: node ids are never
     /// reused, so they are the live ids at or past the id bound the
-    /// index was last built for. Finding what changed costs O(batch):
-    /// the splice walks the post-batch tree only through the
-    /// ancestors-or-self of every changed child list, emitting each
-    /// untouched subtree as one block of old rows and each created or
-    /// moved subtree as fresh rows read from the tree. The rest is
-    /// O(n) shifting: each kept run's source ids move to their new
-    /// positions in one copy, then the pass shared with
-    /// [`encode`](Self::encode) sets `row_of`, writes each row's parent
-    /// into the [`Topology`]'s own column, and rebuilds the extents and
-    /// the [`NameIndex`] into the buffers they already hold. The result
-    /// equals [`encode`](Self::encode) of `tree` row for row, and
-    /// [`splice_runs`](Self::splice_runs) then tells which old row each
-    /// new row was.
+    /// index was last built for. The splice walks the post-batch tree
+    /// only through the ancestors-or-self of every changed child list,
+    /// emitting each untouched subtree as one block of old rows and each
+    /// created or moved subtree as fresh rows read from the tree. That
+    /// walk is not O(batch): it visits every child of every open node,
+    /// so an edit under a node with many children (XMark's `people` or
+    /// `open_auctions`) visits all of them, where a walk that jumped
+    /// over runs of untouched siblings would not. The rest is O(n)
+    /// shifting: each kept run's source ids move to their new positions
+    /// in one copy, then the pass shared with [`encode`](Self::encode)
+    /// checks the rows against the tree and rewrites `row_of`, the
+    /// parent and extent columns and the [`NameIndex`] into the buffers
+    /// they already hold. The result equals [`encode`](Self::encode) of
+    /// `tree` row for row, and [`splice_runs`](Self::splice_runs) then
+    /// tells which old row each new row was.
     ///
     /// Text the batch wrote needs nothing here: content is read from
     /// the tree. Errors when the edits do not account for `tree` (a
-    /// deleted, moved or created node left out) or its id bound no
-    /// longer fits the `u32` columns; the index is consumed, so encode
-    /// afresh then.
+    /// deleted, moved or created node left out, so that the rows would
+    /// not be its document order) or its id bound no longer fits the
+    /// `u32` columns; the index is consumed, so encode afresh then.
     pub fn splice(mut self, tree: &XmlTree, cut: &[usize]) -> Result<Self, TreeError> {
         row32(tree.id_bound())?;
         let mut runs = std::mem::take(&mut self.runs);
@@ -180,41 +213,63 @@ impl PreorderIndex {
     }
 
     /// The pass that ends both [`encode`](Self::encode) and
-    /// [`splice`](Self::splice), once `source_ids` lists `tree`'s nodes
-    /// in document order: one pass in that order sets each node's
-    /// `row_of` entry and writes its row's parent, checked, into the
-    /// [`Topology`] (a parent's row is always set before its children
-    /// look it up); then the extents and the [`NameIndex`] are rebuilt
-    /// into the buffers they already hold, and the index records
-    /// `tree`'s revision.
+    /// [`splice`](Self::splice), once `source_ids` lists what should be
+    /// `tree`'s nodes in document order. One pass in that order checks
+    /// each row against the tree and writes its columns: the node's
+    /// `row_of` entry, the row's parent and the extents of the rows it
+    /// ends. The rows open before row `i` are row `i − 1` and its
+    /// ancestors. `i`'s parent must be one of them, every open row below
+    /// the parent ends at `i`, and the last row ended there must be
+    /// `i`'s previous sibling in the tree, or none when `i` is a first
+    /// child, so a node out of its document order is refused. Rows
+    /// still open after the last row end at the table's length. Then
+    /// the [`NameIndex`] is rebuilt into the buffers it already holds,
+    /// and the index records `tree`'s revision.
     fn index_rows(&mut self, tree: &XmlTree) -> Result<(), TreeError> {
         let bad = |what: &str| TreeError::Invariant(format!("preorder index: {what}"));
+        let n = row32(self.source_ids.len())?;
         self.row_of.resize(tree.id_bound(), NO_ROW);
-        self.topo.clear_parents();
-        for (i, row) in (0..self.source_ids.len()).zip(0..) {
-            let id = self.source_ids[i];
+        self.parent.clear();
+        self.extent.clear();
+        for row in 0..n {
+            let id = self.source_ids[row as usize];
             if !tree.is_alive(id) {
                 return Err(bad("a row's node is gone"));
             }
             let parent = match tree.parent(id) {
-                None if i == 0 => None,
+                None if row == 0 => NO_ROW,
                 None => return Err(bad("a non-root row has no parent")),
-                Some(p) => match self.row_of[p.index()] {
-                    pr if (pr as usize) < i && self.source_ids[pr as usize] == p => Some(pr),
-                    _ => return Err(bad("a row precedes its parent")),
-                },
+                Some(p) => {
+                    let pr = self.row_of[p.index()];
+                    if pr >= row || self.source_ids[pr as usize] != p {
+                        return Err(bad("a row precedes its parent"));
+                    }
+                    // End the open rows below the parent, deepest first.
+                    let (mut open, mut ended) = (row - 1, None);
+                    while open > pr {
+                        self.extent[open as usize] = row;
+                        ended = Some(open);
+                        open = self.parent[open as usize];
+                    }
+                    let prev = ended.map(|r| self.source_ids[r as usize]);
+                    if open != pr || prev != tree.prev_sibling(id) {
+                        return Err(bad("a row is out of document order"));
+                    }
+                    pr
+                }
             };
             self.row_of[id.index()] = row;
-            self.topo.push_parent(parent);
+            self.parent.push(parent);
+            // The row ends at `n` unless a later row ends it.
+            self.extent.push(n);
         }
-        self.topo.rebuild()?;
         self.names.rebuild(tree, &self.source_ids);
         self.revision = tree.revision();
         Ok(())
     }
 
     /// Forget which rows encode the nodes of `rows`.
-    fn retire(&mut self, rows: std::ops::Range<usize>) {
+    fn retire(&mut self, rows: Range<usize>) {
         for &id in &self.source_ids[rows] {
             self.row_of[id.index()] = NO_ROW;
         }
@@ -248,7 +303,7 @@ impl PreorderIndex {
             if tree.is_alive(id) {
                 fresh.push(id);
             }
-            if let Some(p) = self.topo.parent(row).map(|p| self.source_ids[p]) {
+            if let Some(p) = self.parent(row).map(|p| self.source_ids[p]) {
                 if tree.is_alive(p) {
                     open.push(p);
                 }
@@ -296,11 +351,7 @@ impl PreorderIndex {
                 .row_of_source(node)
                 .ok_or_else(|| bad("a live node has no row and was not created"))?;
             let is_open = open.binary_search(&node).is_ok();
-            let len = if is_open {
-                1
-            } else {
-                self.topo.extent(row) - row
-            };
+            let len = if is_open { 1 } else { self.extent(row) - row };
             if row < kept_end {
                 return Err(bad("kept rows out of their old order"));
             }
@@ -389,12 +440,6 @@ impl PreorderIndex {
         self.source_ids.is_empty()
     }
 
-    /// The structural sidecar: parents and extents, and the
-    /// `child`/sibling axes they give.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// The element/attribute name index.
     pub fn name_index(&self) -> &NameIndex {
         &self.names
@@ -406,27 +451,108 @@ impl PreorderIndex {
         0
     }
 
+    /// Parent row of `i`.
+    pub fn parent(&self, i: usize) -> Option<usize> {
+        match self.parent[i] {
+            NO_ROW => None,
+            p => Some(p as usize),
+        }
+    }
+
+    /// One past the last row of `i`'s subtree.
+    pub fn extent(&self, i: usize) -> usize {
+        self.extent[i] as usize
+    }
+
+    /// The strict descendants of `i`, in document order: a contiguous
+    /// row range.
+    pub fn descendant_range(&self, i: usize) -> Range<usize> {
+        i + 1..self.extent(i)
+    }
+
     /// Is row `a` a strict ancestor of row `b`? O(1) interval
     /// containment on the pre-order extents.
     pub fn is_ancestor(&self, a: usize, b: usize) -> bool {
-        self.topo.is_ancestor(a, b)
+        a < b && b < self.extent(a)
     }
 
-    /// Parent of a row.
-    pub fn parent(&self, i: usize) -> Option<usize> {
-        self.topo.parent(i)
+    /// Does the subtree rooted at `i` (self included) overlap any of the
+    /// half-open row intervals in `extents`? The intervals must be
+    /// sorted and disjoint — the form the incremental query cache's
+    /// impact analysis produces. One binary search: find the first
+    /// interval ending after `i`, and check it starts before the
+    /// subtree ends.
+    pub(crate) fn subtree_intersects(&self, i: usize, extents: &[(usize, usize)]) -> bool {
+        let hi = self.extent(i);
+        let k = extents.partition_point(|&(_, end)| end <= i);
+        k < extents.len() && extents[k].0 < hi
+    }
+
+    /// XPath `ancestor` axis: the strict ancestors of `i`, nearest
+    /// first, up the parent chain.
+    pub fn ancestors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.parent(i), move |&p| self.parent(p))
+    }
+
+    /// XPath `following` axis: after `i` in document order, excluding
+    /// descendants — exactly the row suffix past `i`'s extent.
+    pub fn following(&self, i: usize) -> Range<usize> {
+        self.extent(i)..self.len()
+    }
+
+    /// XPath `preceding` axis, in document order: before `i`, excluding
+    /// ancestors — an O(1) extent test per candidate.
+    pub fn preceding(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..i).filter(move |&j| self.extent(j) <= i)
+    }
+
+    /// Children of `i` in document order: from row `i + 1`, each step
+    /// jumps over one child's subtree to the next, until `i`'s extent.
+    pub fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.siblings_from(i + 1, self.extent(i))
+    }
+
+    /// Following siblings of `i`, in document order: the parent's
+    /// children from `i`'s extent on.
+    pub fn following_siblings(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let end = self.parent(i).map_or(0, |p| self.extent(p));
+        self.siblings_from(self.extent(i), end)
+    }
+
+    /// Preceding siblings of `i`, in document order: the parent's
+    /// children before `i`.
+    pub fn preceding_siblings(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let start = self.parent(i).map_or(i, |p| p + 1);
+        self.siblings_from(start, i)
+    }
+
+    /// The rows `first`, `extent(first)`, … that lie before `end`: the
+    /// children of one parent, when `first` is one of them (or `end`)
+    /// and `end` is a sibling's row or the parent's extent. The bound is
+    /// checked before a row's extent is read, so the walk never reads
+    /// past the last row.
+    fn siblings_from(&self, first: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut next = first;
+        std::iter::from_fn(move || {
+            let row = next;
+            (row < end).then(|| {
+                next = self.extent(row);
+                row
+            })
+        })
     }
 
     /// Children computed by the reference full-table scan of the parent
-    /// column — the reference [`Topology::children`] is checked against
-    /// in the differential tests and the scan-vs-index benchmarks.
+    /// column — the reference [`children`](Self::children) is checked
+    /// against in the differential tests and the scan-vs-index
+    /// benchmarks.
     pub fn children_via_scan(&self, i: usize) -> Vec<usize> {
         (0..self.len())
-            .filter(|&j| self.topo.parent(j) == Some(i))
+            .filter(|&j| self.parent(j) == Some(i))
             .collect()
     }
 
-    /// Ancestry answered the pre-topology way: `labels`' label algebra
+    /// Ancestry answered without the extents: `labels`' label algebra
     /// when its scheme supports it, otherwise the parent-reference
     /// chain, the supplementary information §2.4 says the encoding must
     /// carry when the labelling scheme does not. `labels` must label
@@ -447,14 +573,7 @@ impl PreorderIndex {
         if let Some(ans) = labels.relation_nodes(Relation::AncestorDescendant, x, y)? {
             return Ok(ans);
         }
-        let mut cur = self.parent(b);
-        while let Some(p) = cur {
-            if p == a {
-                return Ok(true);
-            }
-            cur = self.parent(p);
-        }
-        Ok(false)
+        Ok(self.ancestors(b).any(|p| p == a))
     }
 
     /// Descendants computed by the reference label-algebra scan.
@@ -488,41 +607,6 @@ impl PreorderIndex {
         rows_where(0..i, |j| Ok(!self.is_ancestor_via_labels(labels, j, i)?))
     }
 
-    /// Strict descendants of a row, in document order: the contiguous
-    /// extent range, materialized.
-    pub fn descendants(&self, i: usize) -> Vec<usize> {
-        self.topo.descendant_range(i).collect()
-    }
-
-    /// Strict descendants as a range — the allocation-free form.
-    pub fn descendant_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.topo.descendant_range(i)
-    }
-
-    /// Strict ancestors of a row, root first.
-    pub fn ancestors(&self, i: usize) -> Vec<usize> {
-        let mut up = Vec::new();
-        let mut cur = self.topo.parent(i);
-        while let Some(p) = cur {
-            up.push(p);
-            cur = self.topo.parent(p);
-        }
-        up.reverse();
-        up
-    }
-
-    /// XPath `following` axis: after `i` in document order, excluding
-    /// descendants — exactly the row suffix past `i`'s extent.
-    pub fn following(&self, i: usize) -> Vec<usize> {
-        (self.topo.extent(i)..self.len()).collect()
-    }
-
-    /// XPath `preceding` axis: before `i` in document order, excluding
-    /// ancestors — an O(1) extent test per candidate.
-    pub fn preceding(&self, i: usize) -> Vec<usize> {
-        (0..i).filter(|&j| self.topo.extent(j) <= i).collect()
-    }
-
     /// The XPath string value of row `i`, with content read from `tree`,
     /// the tree this index describes: concatenated descendant text for
     /// elements, own value for attributes/text/comments/PIs. Walks the
@@ -532,7 +616,7 @@ impl PreorderIndex {
         match tree.kind(self.source_ids[i]) {
             NodeKind::Document | NodeKind::Element { .. } => {
                 let mut out = String::new();
-                for &id in &self.source_ids[self.topo.descendant_range(i)] {
+                for &id in &self.source_ids[self.descendant_range(i)] {
                     if let NodeKind::Text { value } = tree.kind(id) {
                         out.push_str(value);
                     }
@@ -545,11 +629,10 @@ impl PreorderIndex {
 
     /// The value of attribute `name` on element row `i`, read from
     /// `tree`, the tree this index describes — a borrow into the tree,
-    /// probing the children as the topology steps through them (no
-    /// intermediate `Vec`, no cloned `String`).
+    /// probing the children as [`children`](Self::children) steps
+    /// through them (no intermediate `Vec`, no cloned `String`).
     pub fn attribute_value<'t>(&self, tree: &'t XmlTree, i: usize, name: &str) -> Option<&'t str> {
-        self.topo
-            .children(i)
+        self.children(i)
             .find_map(|j| match tree.kind(self.source_ids[j]) {
                 NodeKind::Attribute { name: n, value } if n == name => Some(value.as_str()),
                 _ => None,
@@ -576,7 +659,7 @@ impl PreorderIndex {
 /// The rows of `rows` that `keep` accepts, in order; the first error
 /// `keep` returns ends the scan.
 fn rows_where(
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     keep: impl Fn(usize) -> Result<bool, TreeError>,
 ) -> Result<Vec<usize>, TreeError> {
     rows.filter_map(|j| keep(j).map(|hit| hit.then_some(j)).transpose())
@@ -591,6 +674,177 @@ mod tests {
     use xupd_schemes::containment::sector::Sector;
     use xupd_schemes::prefix::dewey::DeweyId;
     use xupd_xmldom::sample::figure1_document;
+    use xupd_xmldom::TreeBuilder;
+
+    /// A small hand-checked shape, rows in document order:
+    ///
+    /// ```text
+    /// 0 #document
+    /// ├── 1 <a>
+    /// │   ├── 2 <b>
+    /// │   └── 3 <c>
+    /// └── 4 <!--d-->
+    /// ```
+    fn sample() -> (XmlTree, PreorderIndex) {
+        let tree = TreeBuilder::new()
+            .open("a")
+            .open("b")
+            .close()
+            .open("c")
+            .close()
+            .close()
+            .comment("d")
+            .finish();
+        let index = PreorderIndex::encode(&tree).unwrap();
+        (tree, index)
+    }
+
+    /// Every row's rows on one axis, collected.
+    fn per_row<I: Iterator<Item = usize>>(
+        index: &PreorderIndex,
+        axis: impl Fn(usize) -> I,
+    ) -> Vec<Vec<usize>> {
+        (0..index.len()).map(|i| axis(i).collect()).collect()
+    }
+
+    #[test]
+    fn hand_checked_shape() {
+        let (_, t) = sample();
+        assert_eq!(t.len(), 5);
+        assert_eq!(
+            (0..5).map(|i| t.extent(i)).collect::<Vec<_>>(),
+            [5, 4, 3, 4, 5]
+        );
+        assert_eq!(
+            per_row(&t, |i| t.children(i)),
+            [vec![1, 4], vec![2, 3], vec![], vec![], vec![]]
+        );
+        // A row's position among its parent's children is the count of
+        // its preceding siblings; the following ones make up the rest.
+        let position = |i: usize| t.preceding_siblings(i).count();
+        assert_eq!((0..5).map(position).collect::<Vec<_>>(), [0, 0, 0, 1, 1]);
+        assert_eq!(
+            per_row(&t, |i| t.preceding_siblings(i)),
+            [vec![], vec![], vec![], vec![2], vec![1]]
+        );
+        assert_eq!(
+            per_row(&t, |i| t.following_siblings(i)),
+            [vec![], vec![4], vec![3], vec![], vec![]]
+        );
+
+        assert!(t.is_ancestor(0, 3));
+        assert!(t.is_ancestor(1, 2));
+        assert!(!t.is_ancestor(1, 4));
+        assert!(!t.is_ancestor(2, 3), "siblings");
+        assert!(!t.is_ancestor(3, 1), "descendant is not ancestor");
+        assert!(!t.is_ancestor(2, 2), "strict");
+        assert_eq!(t.ancestors(3).collect::<Vec<_>>(), [1, 0], "nearest first");
+
+        assert_eq!(t.descendant_range(0), 1..5);
+        assert_eq!(t.descendant_range(1), 2..4);
+        assert_eq!(t.descendant_range(2), 3..3);
+        assert_eq!(t.following(2), 3..5);
+        assert_eq!(t.following(1), 4..5);
+        assert_eq!(t.preceding(4).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(t.preceding(3).collect::<Vec<_>>(), [2]);
+    }
+
+    #[test]
+    fn a_document_of_only_its_root() {
+        let t = PreorderIndex::encode(&XmlTree::new()).unwrap();
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.extent(0), 1);
+        assert_eq!(t.parent(0), None);
+        assert_eq!(t.children(0).count(), 0);
+        assert_eq!(t.following_siblings(0).count(), 0);
+        assert_eq!(t.preceding_siblings(0).count(), 0);
+        assert_eq!(t.ancestors(0).count(), 0);
+        assert!(t.following(0).is_empty());
+        assert_eq!(t.preceding(0).count(), 0);
+    }
+
+    #[test]
+    fn interval_helpers() {
+        let (_, t) = sample();
+        let ex = [(1usize, 3usize), (4, 5)];
+        assert!(row_in_extents(&ex, 1));
+        assert!(row_in_extents(&ex, 2));
+        assert!(!row_in_extents(&ex, 3));
+        assert!(row_in_extents(&ex, 4));
+        assert!(!row_in_extents(&ex, 0));
+        assert!(!row_in_extents(&[], 0));
+        // subtree of 1 covers rows [1, 4)
+        assert!(t.subtree_intersects(1, &[(0, 2)]));
+        assert!(t.subtree_intersects(1, &[(3, 4)]));
+        assert!(!t.subtree_intersects(1, &[(4, 5)]));
+        assert!(t.subtree_intersects(0, &[(4, 5)]));
+        assert!(
+            !t.subtree_intersects(2, &[(0, 2), (4, 5)]),
+            "subtree of 2 is [2, 3)"
+        );
+        assert!(t.subtree_intersects(2, &[(0, 3)]));
+        assert!(!t.subtree_intersects(4, &[]));
+    }
+
+    #[test]
+    fn every_column_holds_four_byte_rows() {
+        let (_, t) = sample();
+        assert_eq!(std::mem::size_of_val(&t.parent[0]), 4);
+        assert_eq!(std::mem::size_of_val(&t.extent[0]), 4);
+        assert_eq!(std::mem::size_of_val(&t.row_of[0]), 4);
+        assert_eq!(t.parent(0), None, "the root's sentinel reads as no parent");
+        assert_eq!(row32(u32::MAX as usize - 1), Ok(u32::MAX - 1));
+        assert!(row32(u32::MAX as usize).is_err(), "the sentinel is no row");
+        assert!(row32(1 << 32).is_err(), "no row wraps");
+    }
+
+    /// The element named `name`, found by a scan.
+    fn named(tree: &XmlTree, name: &str) -> NodeId {
+        tree.preorder()
+            .find(|&id| tree.kind(id).name() == Some(name))
+            .unwrap()
+    }
+
+    /// Equal rows, parents and extents.
+    fn same_rows(a: &PreorderIndex, b: &PreorderIndex) -> bool {
+        a.len() == b.len()
+            && (0..a.len()).all(|i| {
+                (a.source_id(i), a.parent(i), a.extent(i))
+                    == (b.source_id(i), b.parent(i), b.extent(i))
+            })
+    }
+
+    #[test]
+    fn splice_refuses_an_unreported_move_to_another_parent() {
+        let mut tree = xupd_xmldom::parse("<r><p2><x/></p2><p1><a/></p1></r>").unwrap();
+        let index = PreorderIndex::encode(&tree).unwrap();
+        let a = named(&tree, "a");
+        let a_row = index.row_of_source(a).unwrap();
+        tree.detach(a).unwrap();
+        tree.append_child(named(&tree, "p2"), a).unwrap();
+        assert!(
+            index.clone().splice(&tree, &[]).is_err(),
+            "the move left out would make p2's extent cover p1"
+        );
+        let spliced = index.splice(&tree, &[a_row]).unwrap();
+        assert!(same_rows(&spliced, &PreorderIndex::encode(&tree).unwrap()));
+    }
+
+    #[test]
+    fn splice_refuses_an_unreported_reorder_of_siblings() {
+        let mut tree = xupd_xmldom::parse("<r><a/><b/></r>").unwrap();
+        let index = PreorderIndex::encode(&tree).unwrap();
+        let (a, b) = (named(&tree, "a"), named(&tree, "b"));
+        let b_row = index.row_of_source(b).unwrap();
+        tree.detach(b).unwrap();
+        tree.insert_before(a, b).unwrap();
+        assert!(
+            index.clone().splice(&tree, &[]).is_err(),
+            "the rows would keep a before b"
+        );
+        let spliced = index.splice(&tree, &[b_row]).unwrap();
+        assert!(same_rows(&spliced, &PreorderIndex::encode(&tree).unwrap()));
+    }
 
     #[test]
     fn rows_are_in_document_order() {
@@ -607,19 +861,19 @@ mod tests {
 
     #[test]
     fn topology_axes_agree_with_label_path_for_sector() {
-        // Sector answers ancestry from labels; the topology must give
-        // byte-identical axes to the label-algebra reference path.
+        // Sector answers ancestry from labels; the index must give
+        // identical axes to the label-algebra reference path.
         let tree = figure1_document();
         let index = PreorderIndex::encode(&tree).unwrap();
         let mut labels = SchemeSession::new(Sector::new());
         labels.label_tree(&tree).unwrap();
         for i in 0..index.len() {
             let descendants = index.descendants_via_labels(&labels, i).unwrap();
-            assert_eq!(index.descendants(i), descendants);
+            assert_eq!(index.descendant_range(i).collect::<Vec<_>>(), descendants);
             let following = index.following_via_labels(&labels, i).unwrap();
-            assert_eq!(index.following(i), following);
+            assert_eq!(index.following(i).collect::<Vec<_>>(), following);
             let preceding = index.preceding_via_labels(&labels, i).unwrap();
-            assert_eq!(index.preceding(i), preceding);
+            assert_eq!(index.preceding(i).collect::<Vec<_>>(), preceding);
             for j in 0..index.len() {
                 let by_labels = index.is_ancestor_via_labels(&labels, i, j).unwrap();
                 assert_eq!(index.is_ancestor(i, j), by_labels);
@@ -635,8 +889,7 @@ mod tests {
         let order = tree.ids_in_doc_order();
         for (i, &id) in order.iter().enumerate() {
             // children
-            let topo = index.topology();
-            let kid_names: Vec<_> = topo
+            let kid_names: Vec<_> = index
                 .children(i)
                 .map(|j| tree.kind(index.source_id(j)).name().unwrap_or(""))
                 .collect();
@@ -645,16 +898,16 @@ mod tests {
                 .map(|c| tree.kind(c).name().unwrap_or(""))
                 .collect();
             assert_eq!(kid_names, tree_kids);
-            let kids: Vec<usize> = topo.children(i).collect();
+            let kids: Vec<usize> = index.children(i).collect();
             assert_eq!(kids, index.children_via_scan(i));
             // descendant count, and depth as the ancestor chain
-            assert_eq!(index.descendants(i).len(), tree.subtree_size(id) - 1);
-            assert_eq!(index.ancestors(i).len(), tree.depth(id) as usize);
+            let desc = index.descendant_range(i).len();
+            let anc = index.ancestors(i).count();
+            assert_eq!(desc, tree.subtree_size(id) - 1);
+            assert_eq!(anc, tree.depth(id) as usize);
             // following/preceding partition
             let f = index.following(i).len();
-            let p = index.preceding(i).len();
-            let anc = index.ancestors(i).len();
-            let desc = index.descendants(i).len();
+            let p = index.preceding(i).count();
             assert_eq!(f + p + anc + desc + 1, index.len());
         }
     }
@@ -663,10 +916,9 @@ mod tests {
     fn sibling_axes_split_the_parents_children() {
         let tree = figure1_document();
         let index = PreorderIndex::encode(&tree).unwrap();
-        let topo = index.topology();
         for i in 0..index.len() {
-            let fs: Vec<usize> = topo.following_siblings(i).collect();
-            let ps: Vec<usize> = topo.preceding_siblings(i).collect();
+            let fs: Vec<usize> = index.following_siblings(i).collect();
+            let ps: Vec<usize> = index.preceding_siblings(i).collect();
             match index.parent(i) {
                 None => {
                     assert!(fs.is_empty());
@@ -676,7 +928,7 @@ mod tests {
                     let mut all = ps;
                     all.push(i);
                     all.extend(fs);
-                    assert_eq!(all, topo.children(p).collect::<Vec<_>>());
+                    assert_eq!(all, index.children(p).collect::<Vec<_>>());
                 }
             }
         }

@@ -20,8 +20,7 @@
 //! eliminated — the behaviour §2.2 of the paper derives the uniqueness
 //! requirement for labels from.
 
-use crate::preorder::PreorderIndex;
-use crate::topology::row_in_extents;
+use crate::preorder::{row_in_extents, PreorderIndex};
 use std::fmt;
 use xupd_xmldom::{NodeKind, XmlTree};
 
@@ -527,154 +526,145 @@ fn eval_plan(
         tree.revision(),
         "index of another tree state"
     );
-    {
-        let topo = doc.topology();
-        let index = doc.name_index();
-        let mut context: Vec<usize> = vec![start];
-        let mut scratch: Vec<usize> = Vec::new();
-        for (si, step) in plan.iter().enumerate() {
-            // `node()` matches every row without reading it.
-            let matches = |i: usize| {
-                step.test == NodeTest::AnyNode
-                    || test_matches(tree.kind(doc.source_id(i)), step.axis, &step.test)
-            };
-            let mut next: Vec<usize> = Vec::new();
-            let mut ordered = true;
-            // Set when candidates were pushed untested, to be tested once
-            // the step's union is deduplicated.
-            let mut untested = false;
-            for &ctx in &context {
-                scratch.clear();
-                let mut pre_tested = false;
-                match (step.axis, &step.test) {
-                    // Indexed fast paths: the bucket holds exactly the
-                    // element rows with this name, in document order.
-                    (Axis::Descendant | Axis::DescendantOrSelf, NodeTest::Name(name)) => {
-                        if step.axis == Axis::DescendantOrSelf && matches(ctx) {
-                            scratch.push(ctx);
-                        }
-                        let bucket = index.elements(name);
-                        let range = topo.descendant_range(ctx);
-                        let lo = bucket.partition_point(|&i| (i as usize) < range.start);
-                        let hi = bucket.partition_point(|&i| (i as usize) < range.end);
-                        scratch.extend(rows(&bucket[lo..hi]));
-                        pre_tested = true;
+    let names = doc.name_index();
+    let mut context: Vec<usize> = vec![start];
+    let mut scratch: Vec<usize> = Vec::new();
+    for (si, step) in plan.iter().enumerate() {
+        // `node()` matches every row without reading it.
+        let matches = |i: usize| {
+            step.test == NodeTest::AnyNode
+                || test_matches(tree.kind(doc.source_id(i)), step.axis, &step.test)
+        };
+        let mut next: Vec<usize> = Vec::new();
+        let mut ordered = true;
+        // Set when candidates were pushed untested, to be tested once
+        // the step's union is deduplicated.
+        let mut untested = false;
+        for &ctx in &context {
+            scratch.clear();
+            let mut pre_tested = false;
+            match (step.axis, &step.test) {
+                // Indexed fast paths: the bucket holds exactly the
+                // element rows with this name, in document order.
+                (Axis::Descendant | Axis::DescendantOrSelf, NodeTest::Name(name)) => {
+                    if step.axis == Axis::DescendantOrSelf && matches(ctx) {
+                        scratch.push(ctx);
                     }
-                    (Axis::Child, NodeTest::Name(name)) => {
-                        let bucket = index.elements(name);
-                        let range = topo.descendant_range(ctx);
-                        let lo = bucket.partition_point(|&i| (i as usize) < range.start);
-                        let hi = bucket.partition_point(|&i| (i as usize) < range.end);
-                        let hits = &bucket[lo..hi];
-                        // Walk whichever side is smaller: the name bucket
-                        // restricted to the subtree, or the children,
-                        // counted only up to the bucket's size. Children
-                        // of distinct contexts never overlap, so testing
-                        // them here tests each once.
-                        if hits.is_empty() || topo.children(ctx).nth(hits.len() - 1).is_some() {
-                            scratch.extend(rows(hits).filter(|&i| topo.parent(i) == Some(ctx)));
-                        } else {
-                            scratch.extend(topo.children(ctx).filter(|&i| matches(i)));
-                        }
-                        pre_tested = true;
-                    }
-                    _ => match step.axis {
-                        // Children and selves of distinct contexts never
-                        // overlap either: test them here, once each.
-                        Axis::Child => {
-                            scratch.extend(topo.children(ctx).filter(|&i| matches(i)));
-                            pre_tested = true;
-                        }
-                        Axis::Descendant => scratch.extend(topo.descendant_range(ctx)),
-                        Axis::DescendantOrSelf => {
-                            scratch.push(ctx);
-                            scratch.extend(topo.descendant_range(ctx));
-                        }
-                        Axis::Parent => scratch.extend(topo.parent(ctx)),
-                        Axis::Ancestor => {
-                            // Root first = ascending row order.
-                            let mut cur = topo.parent(ctx);
-                            while let Some(p) = cur {
-                                scratch.push(p);
-                                cur = topo.parent(p);
-                            }
-                            scratch.reverse();
-                        }
-                        Axis::Following => scratch.extend(topo.extent(ctx)..doc.len()),
-                        Axis::Preceding => {
-                            scratch.extend((0..ctx).filter(|&j| topo.extent(j) <= ctx));
-                        }
-                        Axis::FollowingSibling => {
-                            scratch.extend(topo.following_siblings(ctx));
-                        }
-                        Axis::PrecedingSibling => {
-                            scratch.extend(topo.preceding_siblings(ctx));
-                        }
-                        Axis::Attribute => {
-                            // One read of each child's kind decides both
-                            // the axis and the node test.
-                            scratch.extend(topo.children(ctx).filter(|&j| {
-                                let kind = tree.kind(doc.source_id(j));
-                                kind.is_attribute() && test_matches(kind, step.axis, &step.test)
-                            }));
-                            pre_tested = true;
-                        }
-                        Axis::SelfAxis => {
-                            scratch.extend(Some(ctx).filter(|&i| matches(i)));
-                            pre_tested = true;
-                        }
-                    },
+                    let bucket = names.elements(name);
+                    let range = doc.descendant_range(ctx);
+                    let lo = bucket.partition_point(|&i| (i as usize) < range.start);
+                    let hi = bucket.partition_point(|&i| (i as usize) < range.end);
+                    scratch.extend(rows(&bucket[lo..hi]));
+                    pre_tested = true;
                 }
-                if !pre_tested && step.test != NodeTest::AnyNode {
-                    if step.preds.is_empty() {
-                        untested = true;
+                (Axis::Child, NodeTest::Name(name)) => {
+                    let bucket = names.elements(name);
+                    let range = doc.descendant_range(ctx);
+                    let lo = bucket.partition_point(|&i| (i as usize) < range.start);
+                    let hi = bucket.partition_point(|&i| (i as usize) < range.end);
+                    let hits = &bucket[lo..hi];
+                    // Walk whichever side is smaller: the name bucket
+                    // restricted to the subtree, or the children,
+                    // counted only up to the bucket's size. Children
+                    // of distinct contexts never overlap, so testing
+                    // them here tests each once.
+                    if hits.is_empty() || doc.children(ctx).nth(hits.len() - 1).is_some() {
+                        scratch.extend(rows(hits).filter(|&i| doc.parent(i) == Some(ctx)));
                     } else {
-                        scratch.retain(|&i| matches(i));
+                        scratch.extend(doc.children(ctx).filter(|&i| matches(i)));
                     }
+                    pre_tested = true;
                 }
-                for pred in &step.preds {
-                    match pred {
-                        Pred::Position(k) => {
-                            let kept = scratch.get(*k - 1).copied();
-                            scratch.clear();
-                            scratch.extend(kept);
-                        }
-                        Pred::AttrEq(name, value) => {
-                            scratch.retain(|&i| {
-                                doc.attribute_value(tree, i, name) == Some(value.as_str())
-                            });
-                        }
+                _ => match step.axis {
+                    // Children and selves of distinct contexts never
+                    // overlap either: test them here, once each.
+                    Axis::Child => {
+                        scratch.extend(doc.children(ctx).filter(|&i| matches(i)));
+                        pre_tested = true;
                     }
-                }
-                for &c in &scratch {
-                    if ordered {
-                        if let Some(&last) = next.last() {
-                            if c <= last {
-                                ordered = false;
-                            }
-                        }
+                    Axis::Descendant => scratch.extend(doc.descendant_range(ctx)),
+                    Axis::DescendantOrSelf => {
+                        scratch.push(ctx);
+                        scratch.extend(doc.descendant_range(ctx));
                     }
-                    next.push(c);
-                }
+                    Axis::Parent => scratch.extend(doc.parent(ctx)),
+                    Axis::Ancestor => {
+                        // Root first = ascending row order.
+                        scratch.extend(doc.ancestors(ctx));
+                        scratch.reverse();
+                    }
+                    Axis::Following => scratch.extend(doc.following(ctx)),
+                    Axis::Preceding => scratch.extend(doc.preceding(ctx)),
+                    Axis::FollowingSibling => {
+                        scratch.extend(doc.following_siblings(ctx));
+                    }
+                    Axis::PrecedingSibling => {
+                        scratch.extend(doc.preceding_siblings(ctx));
+                    }
+                    Axis::Attribute => {
+                        // One read of each child's kind decides both
+                        // the axis and the node test.
+                        scratch.extend(doc.children(ctx).filter(|&j| {
+                            let kind = tree.kind(doc.source_id(j));
+                            kind.is_attribute() && test_matches(kind, step.axis, &step.test)
+                        }));
+                        pre_tested = true;
+                    }
+                    Axis::SelfAxis => {
+                        scratch.extend(Some(ctx).filter(|&i| matches(i)));
+                        pre_tested = true;
+                    }
+                },
             }
-            if !ordered {
-                next.sort_unstable();
-                next.dedup();
-            }
-            if untested {
-                next.retain(|&i| matches(i));
-            }
-            if let Some(extents) = within {
-                if si + 1 == plan.len() {
-                    next.retain(|&i| row_in_extents(extents, i));
+            if !pre_tested && step.test != NodeTest::AnyNode {
+                if step.preds.is_empty() {
+                    untested = true;
                 } else {
-                    next.retain(|&i| topo.subtree_intersects(i, extents));
+                    scratch.retain(|&i| matches(i));
                 }
             }
-            context = next;
+            for pred in &step.preds {
+                match pred {
+                    Pred::Position(k) => {
+                        let kept = scratch.get(*k - 1).copied();
+                        scratch.clear();
+                        scratch.extend(kept);
+                    }
+                    Pred::AttrEq(name, value) => {
+                        scratch.retain(|&i| {
+                            doc.attribute_value(tree, i, name) == Some(value.as_str())
+                        });
+                    }
+                }
+            }
+            for &c in &scratch {
+                if ordered {
+                    if let Some(&last) = next.last() {
+                        if c <= last {
+                            ordered = false;
+                        }
+                    }
+                }
+                next.push(c);
+            }
         }
-        context
+        if !ordered {
+            next.sort_unstable();
+            next.dedup();
+        }
+        if untested {
+            next.retain(|&i| matches(i));
+        }
+        if let Some(extents) = within {
+            if si + 1 == plan.len() {
+                next.retain(|&i| row_in_extents(extents, i));
+            } else {
+                next.retain(|&i| doc.subtree_intersects(i, extents));
+            }
+        }
+        context = next;
     }
+    context
 }
 
 /// Fuse the `//` shorthand's step pair for evaluation: a
@@ -997,17 +987,13 @@ mod tests {
         let full = e.evaluate(&tree, &doc);
         assert_eq!(pat.evaluate_within(&tree, &doc, &[(0, doc.len())]), full);
         assert!(pat.evaluate_within(&tree, &doc, &[]).is_empty());
-        let topo = doc.topology();
         for &r in &full {
-            assert_eq!(
-                pat.evaluate_within(&tree, &doc, &[(r, topo.extent(r))]),
-                [r]
-            );
+            assert_eq!(pat.evaluate_within(&tree, &doc, &[(r, doc.extent(r))]), [r]);
         }
         // an extent that misses every match scopes to nothing
         let title = parse_xpath("//title").unwrap().evaluate(&tree, &doc)[0];
         assert!(pat
-            .evaluate_within(&tree, &doc, &[(title, topo.extent(title))])
+            .evaluate_within(&tree, &doc, &[(title, doc.extent(title))])
             .is_empty());
     }
 

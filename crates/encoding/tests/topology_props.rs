@@ -1,13 +1,12 @@
 //! Differential property suite for the encoding-layer acceleration:
-//! every axis computed through the [`Topology`] sidecar must equal the
-//! same axis computed through the label-algebra/parent-chain reference
-//! path, for all 17 roster schemes, over random tree shapes — plus a
-//! golden test pinning the extents and every row's children for the
-//! Figure 1 document.
+//! every axis the preorder index computes from its parent and extent
+//! columns must equal the same axis computed through the
+//! label-algebra/parent-chain reference path, for all 17 roster
+//! schemes, over random tree shapes — plus a golden test pinning the
+//! extents and every row's children for the Figure 1 document.
 //!
-//! This is the contract the tentpole optimisation rests on: the
-//! topology index may make queries faster, but it must never change a
-//! single observable answer.
+//! This is the contract the index rests on: its axes may make queries
+//! faster, but they must never change a single observable answer.
 
 use std::cmp::Ordering;
 use xupd_encoding::{parse_xpath, PreorderIndex, XPathExpr};
@@ -22,7 +21,7 @@ use xupd_xmldom::XmlTree;
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 
-/// Diff every topology-backed axis of `index` against its label-algebra
+/// Diff every extent-backed axis of `index` against its label-algebra
 /// / parent-chain reference over one scheme's labels of `tree`, and
 /// check that the labels sit on their rows: each row's label orders
 /// before the next row's. Mismatches come back as human-readable
@@ -42,16 +41,17 @@ fn axis_diff(entry: &SchemeEntry, tree: &XmlTree, index: &PreorderIndex) -> Vec<
                 failures.push(format!("{name}: cmp_nodes({}, {i})", i - 1));
             }
         }
-        if index.descendants_via_labels(labels, i).ok() != Some(index.descendants(i)) {
+        let descendants = index.descendant_range(i).collect();
+        if index.descendants_via_labels(labels, i).ok() != Some(descendants) {
             failures.push(format!("{name}: descendants({i})"));
         }
-        if index.topology().children(i).collect::<Vec<_>>() != index.children_via_scan(i) {
+        if index.children(i).collect::<Vec<_>>() != index.children_via_scan(i) {
             failures.push(format!("{name}: children({i})"));
         }
-        if index.following_via_labels(labels, i).ok() != Some(index.following(i)) {
+        if index.following_via_labels(labels, i).ok() != Some(index.following(i).collect()) {
             failures.push(format!("{name}: following({i})"));
         }
-        if index.preceding_via_labels(labels, i).ok() != Some(index.preceding(i)) {
+        if index.preceding_via_labels(labels, i).ok() != Some(index.preceding(i).collect()) {
             failures.push(format!("{name}: preceding({i})"));
         }
         for j in 0..index.len() {
@@ -91,14 +91,13 @@ props! {
     fn sibling_axes_partition_parents_children(seed in ints(0u64..1_000_000), n in ints(2usize..60)) {
         let tree = docs::random_tagged_tree(seed, n, &TAGS);
         let index = PreorderIndex::encode(&tree).unwrap();
-        let topo = index.topology();
         for i in 0..index.len() {
-            let mut assembled: Vec<usize> = topo.preceding_siblings(i).collect();
+            let mut assembled: Vec<usize> = index.preceding_siblings(i).collect();
             assembled.push(i);
-            assembled.extend(topo.following_siblings(i));
+            assembled.extend(index.following_siblings(i));
             match index.parent(i) {
                 None => prop_assert_eq!(assembled, vec![i], "root has no siblings"),
-                Some(p) => prop_assert_eq!(assembled, topo.children(p).collect::<Vec<_>>()),
+                Some(p) => prop_assert_eq!(assembled, index.children(p).collect::<Vec<_>>()),
             }
         }
     }
@@ -150,9 +149,9 @@ props! {
     }
 }
 
-/// The pre-topology evaluator, preserved verbatim as the reference:
-/// per-context axis enumeration over the label-algebra paths, full
-/// sort+dedup after every step.
+/// The evaluator as it was before the extents, preserved as the
+/// reference: per-context axis enumeration over the label-algebra
+/// paths, full sort+dedup after every step.
 fn evaluate_reference(
     expr: &XPathExpr,
     tree: &XmlTree,
@@ -196,11 +195,15 @@ fn evaluate_reference(
                     v
                 }
                 Axis::Parent => doc.parent(ctx).into_iter().collect(),
-                Axis::Ancestor => doc.ancestors(ctx),
+                Axis::Ancestor => {
+                    let mut up: Vec<usize> = doc.ancestors(ctx).collect();
+                    up.reverse();
+                    up
+                }
                 Axis::Following => doc.following_via_labels(labels, ctx).unwrap(),
                 Axis::Preceding => doc.preceding_via_labels(labels, ctx).unwrap(),
-                Axis::FollowingSibling => doc.topology().following_siblings(ctx).collect(),
-                Axis::PrecedingSibling => doc.topology().preceding_siblings(ctx).collect(),
+                Axis::FollowingSibling => doc.following_siblings(ctx).collect(),
+                Axis::PrecedingSibling => doc.preceding_siblings(ctx).collect(),
                 Axis::Attribute => doc
                     .children_via_scan(ctx)
                     .into_iter()
@@ -244,15 +247,14 @@ fn evaluate_reference(
 fn figure1_topology_golden() {
     let tree = xupd_xmldom::sample::figure1_document();
     let index = PreorderIndex::encode(&tree).unwrap();
-    let t = index.topology();
     assert_eq!(index.len(), 16);
     assert_eq!(
-        (0..16).map(|i| t.extent(i)).collect::<Vec<_>>(),
+        (0..16).map(|i| index.extent(i)).collect::<Vec<_>>(),
         [16, 16, 5, 4, 5, 7, 7, 16, 13, 11, 11, 13, 13, 16, 15, 16]
     );
     assert_eq!(
         (0..16)
-            .map(|i| index.ancestors(i).len())
+            .map(|i| index.ancestors(i).count())
             .collect::<Vec<_>>(),
         [0, 1, 2, 3, 3, 2, 3, 2, 3, 4, 5, 4, 5, 3, 4, 4],
         "depths, as ancestor chains"
@@ -260,7 +262,7 @@ fn figure1_topology_golden() {
     let none: &[usize] = &[];
     assert_eq!(
         (0..16)
-            .map(|i| t.children(i).collect::<Vec<_>>())
+            .map(|i| index.children(i).collect::<Vec<_>>())
             .collect::<Vec<_>>(),
         [
             &[1][..],

@@ -71,7 +71,7 @@ fn covering(index: &PreorderIndex, rows: &[usize]) -> Vec<NodeId> {
     for &r in rows {
         if r >= end {
             kept.push(index.source_id(r));
-            end = index.topology().extent(r);
+            end = index.extent(r);
         }
     }
     kept

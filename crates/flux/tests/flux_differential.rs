@@ -349,17 +349,16 @@ fn no_false_accepts() {
 
 /// Row-for-row equality of two preorder indexes of one tree: source
 /// ids (equal ids under one tree mean equal content), parents,
-/// topology, name buckets and revision.
+/// extents, name buckets and revision.
 fn assert_same_index(kept: &PreorderIndex, fresh: &PreorderIndex, ctx: &str) {
     assert_eq!(kept.len(), fresh.len(), "{ctx}: row count");
     for i in 0..fresh.len() {
         let (a, b) = (kept.source_id(i), fresh.source_id(i));
         assert!(
-            a == b && kept.parent(i) == fresh.parent(i),
+            a == b && kept.parent(i) == fresh.parent(i) && kept.extent(i) == fresh.extent(i),
             "{ctx}: row {i}: {a:?} vs fresh {b:?}"
         );
     }
-    assert!(kept.topology() == fresh.topology(), "{ctx}: topology");
     assert!(
         kept.name_index() == fresh.name_index(),
         "{ctx}: name buckets"

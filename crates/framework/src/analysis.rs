@@ -324,7 +324,7 @@ fn row(index: &PreorderIndex, n: NodeId) -> Result<u32, TreeError> {
 fn extent(index: &PreorderIndex, row: u32) -> Extent {
     Extent {
         start: row,
-        end: index.topology().extent(row as usize) as u32,
+        end: index.extent(row as usize) as u32,
     }
 }
 

@@ -19,11 +19,11 @@
 //!
 //! The checkers grade the **raw label algebra** (`scheme.relation`,
 //! `scheme.cmp_doc`, `scheme.level` — see [`crate::verify`]) and never
-//! route through the encoding layer's `Topology` sidecar
-//! (`xupd-encoding`), which answers every structural question in O(1)
-//! regardless of the scheme. Figure 7's *XPath Evaluations* column is a
-//! property of the labels; grading it through the topology index would
-//! make every scheme look `F`. The preorder index keeps the label path
+//! route through the encoding layer's preorder index (`xupd-encoding`),
+//! whose extents answer every structural question in O(1) regardless of
+//! the scheme. Figure 7's *XPath Evaluations* column is a property of
+//! the labels; grading it through the index would make every scheme
+//! look `F`. The preorder index keeps the label path
 //! available over a scheme session's labels as
 //! `PreorderIndex::is_ancestor_via_labels` (and the `*_via_labels`
 //! reference axes), and a differential property suite in

@@ -244,8 +244,9 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// straight from the [`QueryCache`] with **no** side effects — no
     /// index build, no cache refresh, no hit counting. Returns
     /// `None` when the cache is stale (an untracked [`Document::apply`]
-    /// script ran) or `q` was never registered; the caller must then
-    /// take the mutable [`Document::query_cached`] path.
+    /// script ran, or a batch's cache upkeep failed or panicked) or `q`
+    /// was never registered; the caller must then take the mutable
+    /// [`Document::query_cached`] path.
     ///
     /// This is the store's concurrent read path: any number of readers
     /// can share `&Document` without ever triggering the redundant

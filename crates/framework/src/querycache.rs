@@ -52,15 +52,14 @@
 //! exactly when its row is string-dirty, or fresh.
 //!
 //! The cache evaluates against its **shadow**, the document's one
-//! [`PreorderIndex`]: the structure of the encoding, holding parents,
-//! source ids, the [`Topology`] sidecar and the [`NameIndex`], with no
-//! content and no label column. Node tests and string values read each
-//! row's content from the tree by source id. The streaming evaluator
-//! never reads a label (ancestry is preorder interval containment on
-//! the topology), so results are the same under every labelling scheme,
-//! and keeping the shadow current never pays the document's label
-//! algebra. The analyzer
-//! resolves footprints on the same index
+//! [`PreorderIndex`]: the structure of the encoding, holding source
+//! ids, parents, extents and the [`NameIndex`], with no content and no
+//! label column. Node tests and string values read each row's content
+//! from the tree by source id. The streaming evaluator never reads a
+//! label (ancestry is preorder interval containment on the extents),
+//! so results are the same under every labelling scheme, and keeping
+//! the shadow current never pays the document's label algebra. The
+//! analyzer resolves footprints on the same index
 //! ([`analyze_in`](crate::analysis::analyze_in)), flux lowering
 //! resolves paths on it, `Document::xpath` evaluates on it and
 //! `Document::reconstruct` rebuilds the tree from it, so it is kept
@@ -71,21 +70,26 @@
 //! refuses a plan made for another state, before anything changes.
 //!
 //! A structural batch splices the shadow in place
-//! ([`PreorderIndex::splice`]): finding what the batch changed costs
-//! O(batch), through its exact edits (deleted and moved subtree roots,
-//! created nodes); the rest is O(n) shifting of the source ids that
-//! stayed, with no per-row allocation. A text-only batch, or one with
-//! zero effective ops, leaves every column alone: the shadow only
-//! records the new revision ([`PreorderIndex::follow_text`]), since the
-//! text lives in the tree. The full re-encode is left for the first need,
+//! ([`PreorderIndex::splice`]), driven by its exact edits (deleted and
+//! moved subtree roots, created nodes). Finding what the batch changed
+//! is not O(batch): the splice's walk visits every child of every node
+//! on the path to an edit, which under a node with many children
+//! (XMark's `people` or `open_auctions`) is Θ(n). The rest is O(n)
+//! shifting of the source ids that stayed, with no per-row allocation.
+//! A text-only batch, or one with zero effective ops, leaves every
+//! column alone: the shadow only records the new revision
+//! ([`PreorderIndex::follow_text`]), since the text lives in the tree.
+//! The full re-encode is left for the first need,
 //! [`QueryCache::refresh`], and the fallback when a splice refuses its
 //! input, which also rebuilds every query.
 //!
 //! Staleness safety: the cache only ever serves results derived from
-//! the shadow of the current tree. Updates that bypass the
-//! mutation-log path (the raw script driver) mark the cache stale;
-//! a stale cache refuses incremental maintenance and fully refreshes
-//! on the next read. The differential suite
+//! the shadow of the current tree. It is stale after an update that
+//! bypassed the mutation-log path (the raw script driver marks it so),
+//! and after an upkeep that returned an `Err` or panicked once the
+//! batch had passed [`QueryCache::absorb`]'s refusal checks. A stale
+//! cache serves nothing, refuses incremental maintenance and fully
+//! refreshes on the next mutable read or batch. The differential suite
 //! (`crates/framework/tests/querycache_differential.rs`) pins every
 //! served result byte-identical to a fresh evaluation.
 
@@ -93,7 +97,7 @@ use crate::analysis::{AnalyzedPlan, PointRef};
 use crate::mutations::{Mutation, MutationLog, NodeRef};
 use xupd_encoding::xpath::Pred;
 use xupd_encoding::{
-    row_in_extents, AccessPattern, NameIndex, PreorderIndex, SpliceRuns, Topology, XPathExpr,
+    row_in_extents, AccessPattern, NameIndex, PreorderIndex, SpliceRuns, XPathExpr,
 };
 use xupd_xmldom::{NodeId, TreeError, XmlTree};
 
@@ -242,8 +246,9 @@ impl QueryCache {
         &self.stats
     }
 
-    /// True when an un-analyzed update bypassed the cache and the next
-    /// read must fully refresh.
+    /// True when the cache must fully refresh before it serves again:
+    /// an un-analyzed update bypassed it, or an upkeep failed or
+    /// panicked after the batch reached the tree.
     pub fn is_stale(&self) -> bool {
         self.stale
     }
@@ -466,7 +471,7 @@ impl QueryCache {
         let mut dirty: Vec<usize> = Vec::new();
         if self.queries.iter().any(|q| q.want_strings) {
             for row in written.iter().filter_map(|&id| shadow.row_of_source(id)) {
-                push_ancestors(shadow.topology(), Some(row), &mut dirty);
+                push_ancestors(shadow, Some(row), &mut dirty);
             }
             dirty.sort_unstable();
             dirty.dedup();
@@ -489,6 +494,8 @@ impl QueryCache {
                 QueryClass::Repaired
             };
             impact.count(class, &mut self.stats);
+            #[cfg(test)]
+            tests::fault_point(tests::Phase::BetweenQueries);
         }
         Ok(impact)
     }
@@ -543,7 +550,7 @@ impl QueryCache {
         let mut dirty: Vec<usize> = Vec::new();
         if strings {
             for &r in &roots {
-                push_ancestors(old.topology(), old.parent(r), &mut dirty);
+                push_ancestors(&old, old.parent(r), &mut dirty);
             }
             dirty.sort_unstable();
             dirty.dedup();
@@ -565,13 +572,12 @@ impl QueryCache {
         // ranges (fresh rows get fresh strings anyway).
         if strings {
             renumber(&mut dirty, &mut Vec::new(), runs.kept);
-            let topo = new.topology();
             for &(start, _) in runs.fresh {
-                push_ancestors(topo, topo.parent(start), &mut dirty);
+                push_ancestors(&new, new.parent(start), &mut dirty);
             }
             for row in fp.texts.iter().filter_map(|&id| new.row_of_source(id)) {
                 if !row_in_extents(runs.fresh, row) {
-                    push_ancestors(topo, Some(row), &mut dirty);
+                    push_ancestors(&new, Some(row), &mut dirty);
                 }
             }
             dirty.sort_unstable();
@@ -744,11 +750,10 @@ fn predicate_reads(pattern: &AccessPattern, names: &NameIndex, extents: &[(usize
 
 /// Push `from` and every ancestor above it onto `out`: how each
 /// contribution to a batch's string-dirty list is found.
-fn push_ancestors(topo: &Topology, from: Option<usize>, out: &mut Vec<usize>) {
-    let mut cur = from;
-    while let Some(p) = cur {
-        out.push(p);
-        cur = topo.parent(p);
+fn push_ancestors(doc: &PreorderIndex, from: Option<usize>, out: &mut Vec<usize>) {
+    if let Some(row) = from {
+        out.push(row);
+        out.extend(doc.ancestors(row));
     }
 }
 
@@ -869,16 +874,16 @@ mod tests {
 
     const NAMES: [&str; 4] = ["item", "name", "description", "x"];
 
-    /// Where in `absorb_structural` a fault point sits.
+    /// Where in upkeep a fault point sits.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(super) enum Phase {
         /// The cut is read off the old index; the splice has not run.
         BeforeSplice,
         /// The index is spliced; no query is renumbered yet.
         AfterSplice,
-        /// After each query's class is counted: with two queries
-        /// registered, between the first one's renumbering and the
-        /// second one's.
+        /// After each query's class is counted, on the structural and
+        /// the text-only path: with two queries registered, between the
+        /// first one's renumbering or string patch and the second one's.
         BetweenQueries,
         /// Inside a delta repair: the kept rows are renumbered, the
         /// fresh rows not merged in yet.
@@ -891,8 +896,8 @@ mod tests {
         static FAULT_ARMED: std::cell::Cell<Option<Phase>> = const { std::cell::Cell::new(None) };
     }
 
-    /// A fault point `absorb_structural` passes at `phase`: panics once
-    /// when armed for it.
+    /// A fault point upkeep passes at `phase`: panics once when armed
+    /// for it.
     pub(super) fn fault_point(phase: Phase) {
         if FAULT_ARMED.with(|armed| armed.get() == Some(phase)) {
             FAULT_ARMED.with(|armed| armed.set(None));
@@ -1057,8 +1062,8 @@ mod tests {
     }
 
     /// Row-for-row equality with a fresh encode: source ids (equal ids
-    /// under one tree mean equal content), parents, `row_of` below the
-    /// id bound, topology and name buckets (bucket maps compare equal
+    /// under one tree mean equal content), parents, extents, `row_of`
+    /// below the id bound and name buckets (bucket maps compare equal
     /// only if the spliced one kept no empty bucket, since a fresh index
     /// has none).
     fn same_as_fresh(spliced: &PreorderIndex, tree: &XmlTree) -> Result<(), String> {
@@ -1068,7 +1073,10 @@ mod tests {
         }
         for i in 0..fresh.len() {
             let (a, b) = (spliced.source_id(i), fresh.source_id(i));
-            if a != b || spliced.parent(i) != fresh.parent(i) {
+            if a != b
+                || spliced.parent(i) != fresh.parent(i)
+                || spliced.extent(i) != fresh.extent(i)
+            {
                 return Err(format!("row {i}: {a:?} vs fresh {b:?}"));
             }
         }
@@ -1077,9 +1085,6 @@ mod tests {
             if spliced.row_of_source(id) != fresh.row_of_source(id) {
                 return Err(format!("row_of({k}) differs"));
             }
-        }
-        if spliced.topology() != fresh.topology() {
-            return Err("topology differs".to_string());
         }
         if spliced.name_index() != fresh.name_index() {
             return Err("name buckets differ".to_string());
@@ -1265,10 +1270,10 @@ mod tests {
         }
     }
 
-    /// A text-only batch moves no row: the index's source ids, `row_of`,
-    /// topology and name buckets keep their pre-batch values and only
-    /// the revision moves, while string values and the cached strings
-    /// show the new text, read from the tree.
+    /// A text-only batch moves no row: the index's source ids, parents,
+    /// extents, `row_of` and name buckets keep their pre-batch values
+    /// and only the revision moves, while string values and the cached
+    /// strings show the new text, read from the tree.
     #[test]
     fn text_only_batches_move_only_the_revision() {
         let mut tree = docs::xmark_like(9, 40);
@@ -1301,12 +1306,13 @@ mod tests {
         assert_eq!(after.len(), before.len());
         for i in 0..before.len() {
             assert_eq!(after.source_id(i), before.source_id(i), "row {i}");
+            assert_eq!(after.parent(i), before.parent(i), "row {i}");
+            assert_eq!(after.extent(i), before.extent(i), "row {i}");
         }
         for k in 0..tree.id_bound() {
             let id = NodeId::from_index(k);
             assert_eq!(after.row_of_source(id), before.row_of_source(id), "id {k}");
         }
-        assert_eq!(after.topology(), before.topology());
         assert_eq!(after.name_index(), before.name_index());
         assert_eq!(after.string_value(&tree, name_row), "rewritten");
         assert_eq!(cache.strings(q)[0], "rewritten");
@@ -1396,12 +1402,14 @@ mod tests {
         assert_eq!(*cache.stats(), stats);
     }
 
-    /// A panic in structural upkeep, after the batch committed to the
-    /// tree and labels, leaves a cache that refuses to serve rather than
-    /// one serving the pre-batch rows, whichever phase it hits: before
-    /// the splice, after it, between two queries' renumbering, or inside
-    /// a delta repair (the batch's cut and fresh items take that path).
-    /// The next read refreshes, and the next batch is absorbed exactly.
+    /// A panic in upkeep, after the batch committed to the tree and
+    /// labels, leaves a cache that refuses to serve rather than one
+    /// serving the pre-batch rows or strings, whichever phase it hits:
+    /// before the splice, after it, between two queries' renumbering,
+    /// inside a delta repair (the batch's cut and fresh items take that
+    /// path), or between two queries' string patches on the text-only
+    /// path. The next read refreshes, and the next batch is absorbed
+    /// exactly.
     #[test]
     fn a_panic_in_any_upkeep_phase_leaves_the_cache_stale() {
         use crate::document::Document;
@@ -1450,12 +1458,33 @@ mod tests {
             ])
         }
 
-        for phase in [
-            Phase::BeforeSplice,
-            Phase::AfterSplice,
-            Phase::BetweenQueries,
-            Phase::MidRepair,
-        ] {
+        /// A text-only batch that rewrites the text of the first `name`
+        /// inside an `item`: it dirties a string of both queries.
+        fn text_batch(tree: &XmlTree) -> MutationLog {
+            let named = |from: NodeId, name: &str| {
+                tree.preorder_from(from)
+                    .find(|&id| tree.kind(id).name() == Some(name))
+                    .unwrap()
+            };
+            let name = named(named(tree.root(), "item"), "name");
+            let text = tree.children(name).find(|&id| tree.kind(id).is_text());
+            MutationLog::from(vec![Mutation::SetText {
+                target: NodeRef::Node(text.unwrap()),
+                text: format!("rewritten at {}", tree.revision()),
+            }])
+        }
+
+        /// Makes a case's batch for the document's current tree.
+        type MakeBatch = fn(&XmlTree) -> MutationLog;
+        let cases: [(Phase, MakeBatch); 5] = [
+            (Phase::BeforeSplice, batch),
+            (Phase::AfterSplice, batch),
+            (Phase::BetweenQueries, batch),
+            (Phase::MidRepair, batch),
+            (Phase::BetweenQueries, text_batch),
+        ];
+        for (k, (phase, batch)) in cases.into_iter().enumerate() {
+            let at = format!("case {k}, {phase:?}");
             let mut doc = Document::encode(Qed::new(), &docs::xmark_like(23, 70)).unwrap();
             for e in EXPRS {
                 doc.register_query(e, true).unwrap();
@@ -1467,16 +1496,16 @@ mod tests {
             FAULT_ARMED.with(|armed| armed.set(Some(phase)));
             let log = batch(doc.tree());
             let outcome = catch_unwind(AssertUnwindSafe(|| doc.apply_log(&log)));
-            assert!(outcome.is_err(), "{phase:?}: the fault point fired");
+            assert!(outcome.is_err(), "{at}: the fault point fired");
             assert_eq!(FAULT_ARMED.with(|armed| armed.get()), None);
             for q in 0..EXPRS.len() {
-                assert_eq!(doc.cached_rows(q), None, "{phase:?}: query {q} refused");
-                assert_eq!(doc.cached_strings_ref(q), None, "{phase:?}: query {q}");
+                assert_eq!(doc.cached_rows(q), None, "{at}: query {q} refused");
+                assert_eq!(doc.cached_strings_ref(q), None, "{at}: query {q}");
             }
             let want = fresh(doc.tree());
             for (q, (rows, strings)) in want.iter().enumerate() {
-                assert_eq!(rows.len(), before[q], "{phase:?}: one item cut, one added");
-                assert_eq!(doc.query_cached(q).unwrap(), rows.as_slice(), "{phase:?}");
+                assert_eq!(rows.len(), before[q], "{at}: as many rows as before");
+                assert_eq!(doc.query_cached(q).unwrap(), rows.as_slice(), "{at}");
                 assert_eq!(doc.cached_strings_ref(q), Some(strings.as_slice()));
             }
 
@@ -1487,7 +1516,7 @@ mod tests {
                 assert_eq!(
                     doc.cached_rows(q),
                     Some(rows.as_slice()),
-                    "{phase:?}: next batch"
+                    "{at}: next batch"
                 );
                 assert_eq!(doc.cached_strings_ref(q), Some(strings.as_slice()));
             }

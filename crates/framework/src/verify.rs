@@ -8,8 +8,8 @@
 //!
 //! Everything here interrogates the scheme's label algebra directly
 //! (`scheme.relation(rel, lx, ly)` over label pairs) — deliberately
-//! *not* the `Topology` sidecar the encoding layer uses to accelerate
-//! queries. The framework measures what the **labels** can answer;
+//! *not* the preorder index's parent and extent columns the encoding
+//! layer uses to accelerate queries. The framework measures what the **labels** can answer;
 //! structural indexes would answer everything and mask the difference
 //! Figure 7 exists to show.
 

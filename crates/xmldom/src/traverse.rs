@@ -100,40 +100,6 @@ impl Iterator for Postorder<'_> {
     }
 }
 
-/// Ground-truth enumeration of the XPath `following` axis of `id`:
-/// every node after `id` in document order that is not a descendant of `id`.
-pub fn following(tree: &XmlTree, id: NodeId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    let mut in_subtree: Vec<NodeId> = tree.preorder_from(id).collect();
-    in_subtree.sort_unstable();
-    let mut passed = false;
-    for n in tree.preorder() {
-        if n == id {
-            passed = true;
-            continue;
-        }
-        if passed && in_subtree.binary_search(&n).is_err() {
-            out.push(n);
-        }
-    }
-    out
-}
-
-/// Ground-truth enumeration of the XPath `preceding` axis of `id`:
-/// every node before `id` in document order that is not an ancestor of `id`.
-pub fn preceding(tree: &XmlTree, id: NodeId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    for n in tree.preorder() {
-        if n == id {
-            break;
-        }
-        if !tree.is_ancestor(n, id) {
-            out.push(n);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,25 +202,6 @@ mod tests {
                 let by_rank = pre[&u] < pre[&v] && post[&v] < post[&u];
                 assert_eq!(by_rank, t.is_ancestor(u, v), "{u:?} vs {v:?}");
             }
-        }
-    }
-
-    #[test]
-    fn following_and_preceding_partition() {
-        // following(x) ∪ preceding(x) ∪ ancestors(x) ∪ descendants(x) ∪ {x}
-        // = all nodes (XPath axis partition).
-        let (t, nodes) = fig1();
-        let all = t.ids_in_doc_order();
-        for &x in &nodes {
-            let f = following(&t, x);
-            let p = preceding(&t, x);
-            let mut count = f.len() + p.len() + 1; // self
-            for &n in &all {
-                if n != x && (t.is_ancestor(n, x) || t.is_ancestor(x, n)) {
-                    count += 1;
-                }
-            }
-            assert_eq!(count, all.len(), "axis partition for {x:?}");
         }
     }
 
