@@ -356,15 +356,13 @@ impl XPathExpr {
 /// The compiled, reusable form of an [`XPathExpr`]: the fused
 /// evaluation plan plus the statically-derived facts a cache
 /// invalidation layer needs — which element/attribute names the query
-/// can ever touch, whether every step is downward (subtree-confined),
-/// and whether a scoped re-evaluation inside touched extents is a sound
-/// repair strategy.
+/// can ever touch, and whether a scoped re-evaluation inside touched
+/// extents is a sound repair strategy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessPattern {
     plan: Vec<Step>,
     element_names: Vec<String>,
     attribute_names: Vec<String>,
-    downward_only: bool,
     repair_safe: bool,
     fully_named: bool,
     has_positional: bool,
@@ -375,11 +373,12 @@ impl AccessPattern {
         let plan = fuse_steps(steps);
         let mut element_names = Vec::new();
         let mut attribute_names = Vec::new();
-        let mut downward_only = true;
         let mut repair_safe = true;
         let mut fully_named = true;
         let mut has_positional = false;
         for step in &plan {
+            // A step that leaves the context's subtree reads nodes a
+            // scoped re-evaluation never visits.
             if !matches!(
                 step.axis,
                 Axis::Child
@@ -388,7 +387,7 @@ impl AccessPattern {
                     | Axis::Attribute
                     | Axis::SelfAxis
             ) {
-                downward_only = false;
+                repair_safe = false;
             }
             match (&step.test, step.axis) {
                 (NodeTest::Name(n), Axis::Attribute) => attribute_names.push(n.clone()),
@@ -413,7 +412,6 @@ impl AccessPattern {
                 }
             }
         }
-        repair_safe &= downward_only;
         element_names.sort();
         element_names.dedup();
         attribute_names.sort();
@@ -422,7 +420,6 @@ impl AccessPattern {
             plan,
             element_names,
             attribute_names,
-            downward_only,
             repair_safe,
             fully_named,
             has_positional,
@@ -445,15 +442,11 @@ impl AccessPattern {
         &self.attribute_names
     }
 
-    /// Every step stays inside the context's subtree (child /
-    /// descendant / descendant-or-self / attribute / self axes only).
-    pub fn downward_only(&self) -> bool {
-        self.downward_only
-    }
-
     /// Is [`evaluate_within`](Self::evaluate_within) a sound repair for
-    /// this query? True when the plan is downward-only and carries no
-    /// positional predicate on a subtree-wide axis.
+    /// this query? True when every step stays inside the context's
+    /// subtree (child, descendant, descendant-or-self, attribute and
+    /// self axes only) and no positional predicate sits on a
+    /// subtree-wide axis.
     pub fn repair_safe(&self) -> bool {
         self.repair_safe
     }
@@ -939,7 +932,7 @@ mod tests {
         let p = parse_xpath("//item[@id=\"a\"]/name")
             .unwrap()
             .access_pattern();
-        assert!(p.downward_only() && p.repair_safe() && p.fully_named());
+        assert!(p.repair_safe() && p.fully_named());
         assert_eq!(p.element_names(), ["item", "name"]);
         assert_eq!(p.attribute_names(), ["id"]);
         assert!(!p.has_positional());
@@ -947,19 +940,18 @@ mod tests {
         let p = parse_xpath("//address/ancestor::*")
             .unwrap()
             .access_pattern();
-        assert!(!p.downward_only() && !p.repair_safe());
+        assert!(!p.repair_safe(), "an upward step");
         assert!(!p.fully_named(), "wildcard step");
 
         let p = parse_xpath("/book/publisher/editor/*[2]")
             .unwrap()
             .access_pattern();
-        assert!(p.downward_only() && p.repair_safe() && p.has_positional());
+        assert!(p.repair_safe() && p.has_positional());
         assert!(!p.fully_named());
 
         let p = parse_xpath("/book/descendant::editor[1]")
             .unwrap()
             .access_pattern();
-        assert!(p.downward_only());
         assert!(!p.repair_safe(), "positional on a subtree-wide axis");
     }
 

@@ -55,7 +55,7 @@ pub mod verify;
 
 pub use analysis::{
     analyze, analyze_in, apply_plan_with_dyn, AnalyzedPlan, ApplyOptions, ConflictKind, Edge,
-    EdgeKind, Extent, GapKey, GapSlot, OpFootprint, PointRef, MUTATOR_FOOTPRINTS,
+    EdgeKind, Extent, GapKey, GapSlot, OpFootprint, PointRef,
 };
 pub use checkers::{measure_session, Evidence, Measured};
 pub use document::{Document, DocumentError};

@@ -7,7 +7,10 @@
 //!
 //! * [`validate`] rejects ill-formed logs (dangling ids, cycles,
 //!   conflicting writes, results the parser could not read back)
-//!   *before* any state changes;
+//!   *before* any state changes, by stepping a shadow simulation of
+//!   the batch through the log one op at a time; the analyzer
+//!   ([`crate::analysis::analyze_in`]) steps the same simulation, so a
+//!   batch it analyzes is simulated once;
 //! * [`apply_log`] / [`apply_log_dyn`] apply a log with all-or-nothing
 //!   semantics — a failing (or panicking) op rolls the tree *and* the
 //!   labelling session back to their pre-batch state, replaying undo
@@ -47,8 +50,9 @@ use xupd_xmldom::{NodeId, NodeKind, TreeError, XmlTree};
 pub struct LogId(pub u32);
 
 /// How a mutation names a node: either a node that exists before the
-/// batch runs, or one the batch creates under a [`LogId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// batch runs, or one the batch creates under a [`LogId`]. Pre-existing
+/// nodes order first, by arena index, then created ones by log id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NodeRef {
     /// A pre-existing node.
     Node(NodeId),
@@ -126,16 +130,6 @@ pub enum Mutation {
         /// The subtree root to delete.
         target: NodeRef,
     },
-    /// Append a run of fresh elements, all named `name`, as the last
-    /// children of `parent`, bound to `ids` in order.
-    AppendChildren {
-        /// The parent receiving the run.
-        parent: NodeRef,
-        /// Log-local ids of the new children, in sibling order.
-        ids: Vec<LogId>,
-        /// Element name shared by the run.
-        name: String,
-    },
     /// Detach `target`'s subtree and re-attach it at `place`.
     MoveSubtree {
         /// The subtree root to move.
@@ -192,33 +186,33 @@ impl<'a> IntoIterator for &'a MutationLog {
     }
 }
 
-/// [`LogId`] → [`NodeId`] bindings accumulated while a batch runs.
+/// [`LogId`] → [`NodeId`] bindings accumulated while a batch runs, as
+/// pairs sorted by log id: they cost the nodes the batch makes, whatever
+/// its ids are. Ids that arrive in order, as every producer numbers
+/// them, land at the end.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LogBindings {
-    slots: Vec<Option<NodeId>>,
+    pairs: Vec<(LogId, NodeId)>,
 }
 
 impl LogBindings {
     /// Record that `id` was created as `node`.
     pub(crate) fn bind(&mut self, id: LogId, node: NodeId) -> Result<(), TreeError> {
-        let i = id.0 as usize;
-        if self.slots.len() <= i {
-            self.slots.resize(i + 1, None);
+        match self.pairs.binary_search_by_key(&id, |&(l, _)| l) {
+            Ok(_) => Err(TreeError::DuplicateCreate(id.0)),
+            Err(at) => {
+                self.pairs.insert(at, (id, node));
+                Ok(())
+            }
         }
-        if self.slots[i].is_some() {
-            return Err(TreeError::DuplicateCreate(id.0));
-        }
-        self.slots[i] = Some(node);
-        Ok(())
     }
 
     /// The node bound to `id`, or an invariant error when unbound.
     pub fn node(&self, id: LogId) -> Result<NodeId, TreeError> {
-        self.slots
-            .get(id.0 as usize)
-            .copied()
-            .flatten()
-            .ok_or_else(|| TreeError::Invariant(format!("log id #{} is unbound", id.0)))
+        self.pairs
+            .binary_search_by_key(&id, |&(l, _)| l)
+            .map(|at| self.pairs[at].1)
+            .map_err(|_| TreeError::Invariant(format!("log id #{} is unbound", id.0)))
     }
 
     /// Resolve a reference to a concrete node id.
@@ -371,15 +365,6 @@ pub(crate) fn apply_mutation_dyn<'o>(
             let t = binds.resolve_live(tree, *target)?;
             consume_subtree(tree, session, t, stats)?;
         }
-        Mutation::AppendChildren { parent, ids, name } => {
-            let p = binds.resolve_live(tree, *parent)?;
-            for id in ids {
-                let node = tree.create(NodeKind::element(name.clone()));
-                tree.append_child(p, node)?;
-                binds.bind(*id, node)?;
-                register_insert(tree, session.as_deref_mut(), node, stats)?;
-            }
-        }
         Mutation::MoveSubtree { target, place } => {
             let t = binds.resolve_live(tree, *target)?;
             if let Some(s) = session.as_deref_mut() {
@@ -398,22 +383,6 @@ pub(crate) fn apply_mutation_dyn<'o>(
 // ---------------------------------------------------------------------
 // Validation: reject ill-formed logs before any state changes.
 // ---------------------------------------------------------------------
-
-/// One node's identity in the validator's shadow simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum RefKey {
-    /// Pre-existing node, by arena index.
-    Node(u32),
-    /// Batch-created node, by log id.
-    New(u32),
-}
-
-fn ref_key(r: NodeRef) -> RefKey {
-    match r {
-        NodeRef::Node(n) => RefKey::Node(n.index() as u32),
-        NodeRef::New(l) => RefKey::New(l.0),
-    }
-}
 
 /// What the validator tracks of a node's kind: whether it holds
 /// children, whether it takes a text write, whether it may sit at the
@@ -497,54 +466,65 @@ fn check_content(kind: &NodeKind) -> Result<(), TreeError> {
     }
 }
 
-/// Shadow state the validator threads through the log: which log ids
-/// exist (and their kind class), which nodes the batch has consumed,
-/// which text nodes it has written, and where creates/moves re-parented
-/// things — all without touching the real tree.
-struct Shadow<'t> {
+/// The shadow simulation of a batch: which log ids exist (and their
+/// kind class), which nodes the batch has consumed, which text nodes it
+/// has written, and where creates and moves re-parented things — all
+/// without touching the real tree. [`validate`] and
+/// [`crate::analysis::analyze_in`] step one through a log op by op, so
+/// a batch is simulated once whether it is only checked or also
+/// analyzed.
+pub(crate) struct Shadow<'t> {
     tree: &'t XmlTree,
-    created: BTreeMap<u32, KindClass<'t>>,
-    deleted: BTreeSet<RefKey>,
-    text_written: BTreeSet<RefKey>,
-    parent_override: BTreeMap<RefKey, RefKey>,
+    created: BTreeMap<LogId, KindClass<'t>>,
+    deleted: BTreeSet<NodeRef>,
+    text_written: BTreeSet<NodeRef>,
+    parent_override: BTreeMap<NodeRef, NodeRef>,
 }
 
 impl<'t> Shadow<'t> {
-    fn root(&self) -> RefKey {
-        RefKey::Node(self.tree.root().index() as u32)
+    /// The shadow of `tree` before any op of the batch.
+    pub(crate) fn new(tree: &'t XmlTree) -> Shadow<'t> {
+        Shadow {
+            tree,
+            created: BTreeMap::new(),
+            deleted: BTreeSet::new(),
+            text_written: BTreeSet::new(),
+            parent_override: BTreeMap::new(),
+        }
     }
 
-    fn parent(&self, k: RefKey) -> Option<RefKey> {
+    fn root(&self) -> NodeRef {
+        NodeRef::Node(self.tree.root())
+    }
+
+    fn parent(&self, k: NodeRef) -> Option<NodeRef> {
         if let Some(&p) = self.parent_override.get(&k) {
             return Some(p);
         }
         match k {
-            RefKey::Node(i) => self
-                .tree
-                .parent(NodeId::from_index(i as usize))
-                .map(|p| RefKey::Node(p.index() as u32)),
-            RefKey::New(_) => None,
+            NodeRef::Node(n) => self.tree.parent(n).map(NodeRef::Node),
+            NodeRef::New(_) => None,
         }
     }
 
     /// A pre-existing node keeps its kind for the whole batch (`Replace`
     /// creates a fresh node); a created node has the kind it was made
     /// with.
-    fn class(&self, k: RefKey) -> KindClass<'t> {
+    fn class(&self, k: NodeRef) -> KindClass<'t> {
         match k {
-            RefKey::Node(i) => kind_class(self.tree.kind(NodeId::from_index(i as usize))),
-            RefKey::New(l) => self.created.get(&l).copied().unwrap_or(KindClass::Other),
+            NodeRef::Node(n) => kind_class(self.tree.kind(n)),
+            NodeRef::New(l) => self.created.get(&l).copied().unwrap_or(KindClass::Other),
         }
     }
 
     /// A created or moved node lands under an element or the document
     /// node: the serializer writes no children of a text, attribute,
     /// comment or PI node.
-    fn check_holds_children(&self, pk: RefKey) -> Result<(), TreeError> {
+    fn check_holds_children(&self, pk: NodeRef) -> Result<(), TreeError> {
         if pk != self.root() && self.class(pk) != KindClass::Element {
             let what = match pk {
-                RefKey::Node(i) => format!("node {}", NodeId::from_index(i as usize)),
-                RefKey::New(l) => format!("log id #{l}"),
+                NodeRef::Node(n) => format!("node {n}"),
+                NodeRef::New(l) => format!("log id #{}", l.0),
             };
             return Err(TreeError::Invariant(format!(
                 "{what} is not an element and cannot hold children"
@@ -556,14 +536,14 @@ impl<'t> Shadow<'t> {
     /// The children `host` holds once the batch has run: the pre-batch
     /// children that stayed, then the nodes the batch placed under it,
     /// less the ones it deleted.
-    fn final_children(&self, host: RefKey) -> impl Iterator<Item = RefKey> + '_ {
+    fn final_children(&self, host: NodeRef) -> impl Iterator<Item = NodeRef> + '_ {
         let pre = match host {
-            RefKey::Node(i) => Some(self.tree.children(NodeId::from_index(i as usize))),
-            RefKey::New(_) => None,
+            NodeRef::Node(n) => Some(self.tree.children(n)),
+            NodeRef::New(_) => None,
         };
         pre.into_iter()
             .flatten()
-            .map(|c| RefKey::Node(c.index() as u32))
+            .map(NodeRef::Node)
             .filter(|k| !self.parent_override.contains_key(k))
             .chain(
                 self.parent_override
@@ -603,7 +583,7 @@ impl<'t> Shadow<'t> {
     /// No element the batch gives an attribute ends up holding two
     /// attributes of one name.
     fn check_attribute_names(&self) -> Result<(), TreeError> {
-        let hosts: BTreeSet<RefKey> = self
+        let hosts: BTreeSet<NodeRef> = self
             .parent_override
             .iter()
             .filter(|&(&k, _)| matches!(self.class(k), KindClass::Attribute(_)))
@@ -628,8 +608,11 @@ impl<'t> Shadow<'t> {
         Ok(())
     }
 
-    /// Has the batch already deleted/replaced `k` or a shadow ancestor?
-    fn consumed(&self, k: RefKey) -> bool {
+    /// Has the batch so far deleted or replaced `k` or a shadow
+    /// ancestor? After the last op this is whether `k` is gone from the
+    /// batch's result, following a made node's final parent through
+    /// pre-batch nodes too.
+    pub(crate) fn consumed(&self, k: NodeRef) -> bool {
         let mut cur = Some(k);
         while let Some(c) = cur {
             if self.deleted.contains(&c) {
@@ -646,18 +629,18 @@ impl<'t> Shadow<'t> {
                 if !self.tree.is_alive(n) {
                     return Err(TreeError::DanglingNodeId(n));
                 }
-                if self.consumed(RefKey::Node(n.index() as u32)) {
+                if self.consumed(r) {
                     return Err(TreeError::ConflictingWrite(n));
                 }
             }
             NodeRef::New(l) => {
-                if !self.created.contains_key(&l.0) {
+                if !self.created.contains_key(&l) {
                     return Err(TreeError::Invariant(format!(
                         "log id #{} referenced before its creation",
                         l.0
                     )));
                 }
-                if self.consumed(RefKey::New(l.0)) {
+                if self.consumed(r) {
                     return Err(TreeError::Invariant(format!(
                         "log id #{} was already consumed by the batch",
                         l.0
@@ -669,11 +652,11 @@ impl<'t> Shadow<'t> {
     }
 
     /// The shadow parent a node placed at `place` would get.
-    fn place_parent(&self, place: Place) -> Result<RefKey, TreeError> {
+    fn place_parent(&self, place: Place) -> Result<NodeRef, TreeError> {
         match place {
             Place::FirstChildOf(r) | Place::LastChildOf(r) => {
                 self.check_ref(r)?;
-                Ok(ref_key(r))
+                Ok(r)
             }
             Place::Before(r) | Place::After(r) => {
                 self.check_ref(r)?;
@@ -684,8 +667,8 @@ impl<'t> Shadow<'t> {
 
     /// `r`'s shadow parent, for a node that takes `r`'s place or sits
     /// beside it: the document node has none.
-    fn parent_of(&self, r: NodeRef) -> Result<RefKey, TreeError> {
-        self.parent(ref_key(r)).ok_or_else(|| match r {
+    fn parent_of(&self, r: NodeRef) -> Result<NodeRef, TreeError> {
+        self.parent(r).ok_or_else(|| match r {
             NodeRef::Node(n) if n == self.tree.root() => TreeError::RootImmutable,
             NodeRef::Node(n) => TreeError::NoParent(n),
             NodeRef::New(l) => TreeError::Invariant(format!("log id #{} has no parent", l.0)),
@@ -698,14 +681,107 @@ impl<'t> Shadow<'t> {
         class: KindClass<'t>,
         place: Place,
     ) -> Result<(), TreeError> {
-        if self.created.contains_key(&id.0) {
+        if self.created.contains_key(&id) {
             return Err(TreeError::DuplicateCreate(id.0));
         }
         let pk = self.place_parent(place)?;
         self.check_holds_children(pk)?;
-        self.created.insert(id.0, class);
-        self.parent_override.insert(RefKey::New(id.0), pk);
+        self.created.insert(id, class);
+        self.parent_override.insert(NodeRef::New(id), pk);
         Ok(())
+    }
+
+    /// Check one op against the batch so far, then record it.
+    pub(crate) fn step(&mut self, m: &'t Mutation) -> Result<(), TreeError> {
+        match m {
+            Mutation::CreateElement { id, name, place } => {
+                check_name("element name", name)?;
+                self.register_create(*id, KindClass::Element, *place)
+            }
+            Mutation::CreateNode { id, kind, place } => {
+                if matches!(kind, NodeKind::Document) {
+                    return Err(TreeError::Invariant(
+                        "a batch cannot create a document node".to_string(),
+                    ));
+                }
+                check_content(kind)?;
+                self.register_create(*id, kind_class(kind), *place)
+            }
+            Mutation::SetText { target, text } => {
+                check_text(text)?;
+                self.check_ref(*target)?;
+                if self.class(*target) != KindClass::Text {
+                    return Err(TreeError::Invariant(
+                        "SetText target is not a text node".to_string(),
+                    ));
+                }
+                if !self.text_written.insert(*target) {
+                    return Err(match *target {
+                        NodeRef::Node(n) => TreeError::ConflictingWrite(n),
+                        NodeRef::New(l) => TreeError::Invariant(format!(
+                            "log id #{} receives two text writes",
+                            l.0
+                        )),
+                    });
+                }
+                Ok(())
+            }
+            Mutation::Replace { target, id, name } => {
+                check_name("element name", name)?;
+                self.check_ref(*target)?;
+                let pk = self.parent_of(*target)?;
+                if self.created.contains_key(id) {
+                    return Err(TreeError::DuplicateCreate(id.0));
+                }
+                self.deleted.insert(*target);
+                self.created.insert(*id, KindClass::Element);
+                self.parent_override.insert(NodeRef::New(*id), pk);
+                Ok(())
+            }
+            Mutation::Delete { target } => {
+                self.check_ref(*target)?;
+                if *target == self.root() {
+                    return Err(TreeError::RootImmutable);
+                }
+                self.deleted.insert(*target);
+                Ok(())
+            }
+            Mutation::MoveSubtree { target, place } => {
+                self.check_ref(*target)?;
+                if *target == self.root() {
+                    return Err(TreeError::RootImmutable);
+                }
+                let cycle_err = || match *target {
+                    NodeRef::Node(n) => TreeError::WouldCycle(n),
+                    NodeRef::New(l) => TreeError::Invariant(format!(
+                        "moving log id #{} under itself would create a cycle",
+                        l.0
+                    )),
+                };
+                if place.anchor() == *target {
+                    return Err(cycle_err());
+                }
+                let pk = self.place_parent(*place)?;
+                self.check_holds_children(pk)?;
+                let mut cur = Some(pk);
+                while let Some(c) = cur {
+                    if c == *target {
+                        return Err(cycle_err());
+                    }
+                    cur = self.parent(c);
+                }
+                self.parent_override.insert(*target, pk);
+                Ok(())
+            }
+        }
+    }
+
+    /// The checks that read the batch's result, run after its last op:
+    /// one element at the document level, and no element holding two
+    /// attributes of one name.
+    pub(crate) fn finish(&self) -> Result<(), TreeError> {
+        self.check_document_level()?;
+        self.check_attribute_names()
     }
 }
 
@@ -740,110 +816,11 @@ impl<'t> Shadow<'t> {
 /// * a result with two attributes of one name on an element, counting
 ///   the attributes it already had ([`TreeError::Invariant`]).
 pub fn validate<'t>(log: &'t MutationLog, tree: &'t XmlTree) -> Result<(), TreeError> {
-    let mut sh = Shadow {
-        tree,
-        created: BTreeMap::new(),
-        deleted: BTreeSet::new(),
-        text_written: BTreeSet::new(),
-        parent_override: BTreeMap::new(),
-    };
-    for m in log.iter() {
-        match m {
-            Mutation::CreateElement { id, name, place } => {
-                check_name("element name", name)?;
-                sh.register_create(*id, KindClass::Element, *place)?;
-            }
-            Mutation::CreateNode { id, kind, place } => {
-                if matches!(kind, NodeKind::Document) {
-                    return Err(TreeError::Invariant(
-                        "a batch cannot create a document node".to_string(),
-                    ));
-                }
-                check_content(kind)?;
-                sh.register_create(*id, kind_class(kind), *place)?;
-            }
-            Mutation::SetText { target, text } => {
-                check_text(text)?;
-                sh.check_ref(*target)?;
-                if sh.class(ref_key(*target)) != KindClass::Text {
-                    return Err(TreeError::Invariant(
-                        "SetText target is not a text node".to_string(),
-                    ));
-                }
-                if !sh.text_written.insert(ref_key(*target)) {
-                    return Err(match *target {
-                        NodeRef::Node(n) => TreeError::ConflictingWrite(n),
-                        NodeRef::New(l) => TreeError::Invariant(format!(
-                            "log id #{} receives two text writes",
-                            l.0
-                        )),
-                    });
-                }
-            }
-            Mutation::Replace { target, id, name } => {
-                check_name("element name", name)?;
-                sh.check_ref(*target)?;
-                let k = ref_key(*target);
-                let pk = sh.parent_of(*target)?;
-                if sh.created.contains_key(&id.0) {
-                    return Err(TreeError::DuplicateCreate(id.0));
-                }
-                sh.deleted.insert(k);
-                sh.created.insert(id.0, KindClass::Element);
-                sh.parent_override.insert(RefKey::New(id.0), pk);
-            }
-            Mutation::Delete { target } => {
-                sh.check_ref(*target)?;
-                let k = ref_key(*target);
-                if k == sh.root() {
-                    return Err(TreeError::RootImmutable);
-                }
-                sh.deleted.insert(k);
-            }
-            Mutation::AppendChildren { parent, ids, name } => {
-                check_name("element name", name)?;
-                sh.check_ref(*parent)?;
-                let pk = ref_key(*parent);
-                sh.check_holds_children(pk)?;
-                for id in ids {
-                    if sh.created.contains_key(&id.0) {
-                        return Err(TreeError::DuplicateCreate(id.0));
-                    }
-                    sh.created.insert(id.0, KindClass::Element);
-                    sh.parent_override.insert(RefKey::New(id.0), pk);
-                }
-            }
-            Mutation::MoveSubtree { target, place } => {
-                sh.check_ref(*target)?;
-                let tk = ref_key(*target);
-                if tk == sh.root() {
-                    return Err(TreeError::RootImmutable);
-                }
-                let cycle_err = || match *target {
-                    NodeRef::Node(n) => TreeError::WouldCycle(n),
-                    NodeRef::New(l) => TreeError::Invariant(format!(
-                        "moving log id #{} under itself would create a cycle",
-                        l.0
-                    )),
-                };
-                if ref_key(place.anchor()) == tk {
-                    return Err(cycle_err());
-                }
-                let pk = sh.place_parent(*place)?;
-                sh.check_holds_children(pk)?;
-                let mut cur = Some(pk);
-                while let Some(c) = cur {
-                    if c == tk {
-                        return Err(cycle_err());
-                    }
-                    cur = sh.parent(c);
-                }
-                sh.parent_override.insert(tk, pk);
-            }
-        }
+    let mut shadow = Shadow::new(tree);
+    for m in log {
+        shadow.step(m)?;
     }
-    sh.check_document_level()?;
-    sh.check_attribute_names()
+    shadow.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -1023,17 +1000,63 @@ mod tests {
             name: "chapter".into(),
             place: Place::LastChildOf(NodeRef::Node(book)),
         });
-        log.push(Mutation::AppendChildren {
-            parent: NodeRef::New(LogId(0)),
-            ids: vec![LogId(1), LogId(2), LogId(3)],
-            name: "para".into(),
-        });
+        for id in 1..4 {
+            log.push(Mutation::CreateElement {
+                id: LogId(id),
+                name: "para".into(),
+                place: Place::LastChildOf(NodeRef::New(LogId(0))),
+            });
+        }
         let stats = apply_log(&mut tree, &mut scheme, &mut labeling, &log).expect("applies");
         assert_eq!(stats.inserts, 4);
         tree.validate().expect("valid");
         assert_eq!(labeling.len(), tree.len());
         let chapter = first_named(&tree, "chapter");
         assert_eq!(tree.children(chapter).count(), 3);
+    }
+
+    /// Bindings hold one entry per bound id, however large the id.
+    #[test]
+    fn bindings_cost_the_ids_bound_not_the_largest() {
+        let (far, near) = (LogId(1 << 24), LogId(2));
+        let (a, b) = (NodeId::from_index(3), NodeId::from_index(4));
+        let mut binds = LogBindings::default();
+        binds.bind(far, a).expect("fresh id");
+        binds.bind(near, b).expect("fresh id");
+        assert_eq!(binds.pairs.len(), 2);
+        assert_eq!(binds.node(far), Ok(a));
+        assert_eq!(binds.node(near), Ok(b));
+        assert!(matches!(binds.node(LogId(7)), Err(TreeError::Invariant(_))));
+        assert_eq!(binds.bind(near, a), Err(TreeError::DuplicateCreate(2)));
+    }
+
+    /// A log may number its creates with ids as large as it likes:
+    /// binding them costs the nodes it makes.
+    #[test]
+    fn apply_log_binds_the_largest_log_ids() {
+        let mut tree = docs::book();
+        let (mut scheme, mut labeling) = session_for(&tree);
+        let book = tree.document_element().expect("book");
+        let top = LogId(u32::MAX - 1);
+        let log = MutationLog::from(vec![
+            Mutation::CreateElement {
+                id: top,
+                name: "note".into(),
+                place: Place::LastChildOf(NodeRef::Node(book)),
+            },
+            Mutation::CreateNode {
+                id: LogId(0),
+                kind: NodeKind::text("far"),
+                place: Place::FirstChildOf(NodeRef::New(top)),
+            },
+        ]);
+        let stats = apply_log(&mut tree, &mut scheme, &mut labeling, &log).expect("applies");
+        assert_eq!(stats.inserts, 2);
+        let note = first_named(&tree, "note");
+        assert_eq!(tree.parent(note), Some(book));
+        let text = tree.first_child(note).expect("the text node");
+        assert_eq!(tree.kind(text), &NodeKind::text("far"));
+        assert_eq!(labeling.len(), tree.len());
     }
 
     #[test]
@@ -1156,22 +1179,12 @@ mod tests {
             vec![element(0, Place::After(book))],
             vec![element(0, Place::Before(book))],
             vec![element(0, Place::LastChildOf(doc))],
-            vec![Mutation::AppendChildren {
-                parent: doc,
-                ids: vec![LogId(0)],
-                name: "x".into(),
-            }],
             vec![move_to(title, Place::After(book))],
             // text at the document level
             vec![node(0, NodeKind::text("t"), Place::FirstChildOf(doc))],
             // a node under a leaf
             vec![element(0, Place::LastChildOf(text))],
             vec![node(0, comment(), Place::FirstChildOf(attr))],
-            vec![Mutation::AppendChildren {
-                parent: attr,
-                ids: vec![LogId(0)],
-                name: "x".into(),
-            }],
             vec![move_to(publisher, Place::LastChildOf(text))],
             vec![
                 node(0, NodeKind::text("t"), Place::LastChildOf(book)),
@@ -1297,11 +1310,6 @@ mod tests {
                 target: title,
                 id: LogId(0),
                 name: "a>".into(),
-            }],
-            vec![Mutation::AppendChildren {
-                parent: book,
-                ids: vec![LogId(0)],
-                name: String::new(),
             }],
             vec![node(0, attribute("a b"), publisher)],
             vec![node(0, pi("p q", "d"), book)],

@@ -907,10 +907,9 @@ mod tests {
 
     /// How often the property must see each op kind (counted over the
     /// effective ops of every applied batch), and how many batches.
-    const WANT: [(&str, usize); 9] = [
+    const WANT: [(&str, usize); 8] = [
         ("batches", 600),
         ("CreateElement", 100),
-        ("AppendChildren", 100),
         ("CreateNode", 100),
         ("Delete", 100),
         ("Replace", 100),
@@ -920,7 +919,8 @@ mod tests {
     ];
 
     /// One random batch over `tree` mixing every edit a splice has to
-    /// follow: element, run and text creates, deletes, replaces, moves
+    /// follow: element creates (at any place, and once more as a last
+    /// child), text creates, deletes, replaces, moves
     /// of pre-batch and batch-made subtrees (a create, then a move of
     /// the new node, then a move of an old subtree under it) and text
     /// writes. A drawn op is kept only if the log still validates.
@@ -971,12 +971,10 @@ mod tests {
                     },
                     place: place(rng),
                 }],
-                2 => vec![Mutation::AppendChildren {
-                    parent: anchor(rng),
-                    ids: (0..rng.gen_range(1..4u32))
-                        .map(|k| LogId(next + k))
-                        .collect(),
+                2 => vec![Mutation::CreateElement {
+                    id,
                     name,
+                    place: Place::LastChildOf(anchor(rng)),
                 }],
                 3 | 4 if !texts.is_empty() => vec![Mutation::SetText {
                     target: NodeRef::Node(texts[rng.gen_range(0..texts.len())]),
@@ -1027,7 +1025,6 @@ mod tests {
                     Mutation::CreateElement { id, .. } | Mutation::Replace { id, .. } => {
                         made.push(*id)
                     }
-                    Mutation::AppendChildren { ids, .. } => made.extend(ids.iter().copied()),
                     _ => {}
                 }
             }
@@ -1046,7 +1043,6 @@ mod tests {
                     "CreateElement"
                 }
                 Mutation::CreateNode { .. } => "CreateNode",
-                Mutation::AppendChildren { .. } => "AppendChildren",
                 Mutation::Delete { .. } => "Delete",
                 Mutation::Replace { .. } => "Replace",
                 Mutation::SetText { .. } => "SetText",

@@ -17,16 +17,23 @@
 //! `order_independent` split is asserted, and the canonical order is
 //! required to genuinely permute on a multi-component batch (a reorder
 //! "certificate" that always echoes input order would be vacuous).
+//! Last, the analyzer's whole output (plans and errors) on a fixed
+//! battery of script translations and random logs is pinned to one
+//! digest.
 
 use std::collections::BTreeMap;
 
-use xupd_framework::analysis::{analyze, apply_plan_with_dyn, AnalyzedPlan, ApplyOptions};
+use xupd_encoding::PreorderIndex;
+use xupd_framework::analysis::{
+    analyze, analyze_in, apply_plan_with_dyn, AnalyzedPlan, ApplyOptions,
+};
 use xupd_framework::driver::DriveStats;
 use xupd_framework::mutations::{
     apply_log_dyn, batch_of, LogId, Mutation, MutationLog, NodeRef, Place,
 };
 use xupd_labelcore::DynScheme;
 use xupd_schemes::registry;
+use xupd_testkit::TestRng;
 use xupd_workloads::{docs, Script, ScriptKind};
 use xupd_xmldom::{parse, serialize_compact, NodeId, NodeKind, XmlTree};
 
@@ -420,4 +427,162 @@ fn roster_capability_split_is_pinned() {
         ],
         "cancellation-neutral schemes"
     );
+}
+
+// ---------------------------------------------------------------------
+// The analyzer's output, pinned across a battery of accepted and
+// rejected logs.
+// ---------------------------------------------------------------------
+
+/// One random log over `tree`: element and text creates, text writes on
+/// pre-batch and batch-made text (sometimes of the value the node
+/// already holds), deletes, replaces and moves, each aimed at a
+/// pre-batch node or a node the log made earlier. Most targets are
+/// elements; one in ten pre-batch picks is any node, the document node
+/// included, so the log is often rejected.
+fn random_log(tree: &XmlTree, rng: &mut TestRng) -> MutationLog {
+    let order = tree.ids_in_doc_order();
+    let of_kind = |pred: fn(&NodeKind) -> bool| -> Vec<NodeId> {
+        order
+            .iter()
+            .copied()
+            .filter(|&n| pred(tree.kind(n)))
+            .collect()
+    };
+    let (elements, texts) = (of_kind(NodeKind::is_element), of_kind(NodeKind::is_text));
+    // batch-made elements and text nodes
+    let (mut made, mut made_texts): (Vec<LogId>, Vec<LogId>) = (Vec::new(), Vec::new());
+    let mut ops = Vec::new();
+    for next in 0..rng.gen_range(1..10u32) {
+        let pick = |rng: &mut TestRng, made: &[LogId]| {
+            if !made.is_empty() && rng.gen_bool(0.4) {
+                NodeRef::New(made[rng.gen_range(0..made.len())])
+            } else if rng.gen_bool(0.9) {
+                NodeRef::Node(elements[rng.gen_range(0..elements.len())])
+            } else {
+                NodeRef::Node(order[rng.gen_range(0..order.len())])
+            }
+        };
+        let place = |rng: &mut TestRng, made: &[LogId]| {
+            let at = pick(rng, made);
+            match rng.gen_range(0..4u32) {
+                0 => Place::FirstChildOf(at),
+                1 => Place::LastChildOf(at),
+                2 => Place::Before(at),
+                _ => Place::After(at),
+            }
+        };
+        let id = LogId(next);
+        let name = ["p", "q", "item"][rng.gen_range(0..3usize)].to_string();
+        let op = match rng.gen_range(0..8u32) {
+            0 | 1 => {
+                made.push(id);
+                Mutation::CreateElement {
+                    id,
+                    name,
+                    place: place(rng, &made[..made.len() - 1]),
+                }
+            }
+            2 => {
+                made_texts.push(id);
+                Mutation::CreateNode {
+                    id,
+                    kind: NodeKind::text(format!("t{next}")),
+                    place: place(rng, &made),
+                }
+            }
+            3 if !made_texts.is_empty() && rng.gen_bool(0.5) => Mutation::SetText {
+                target: NodeRef::New(made_texts[rng.gen_range(0..made_texts.len())]),
+                text: format!("w{next}"),
+            },
+            3 if !texts.is_empty() => {
+                let t = texts[rng.gen_range(0..texts.len())];
+                let text = match tree.kind(t) {
+                    NodeKind::Text { value } if rng.gen_bool(0.3) => value.clone(),
+                    _ => format!("w{next}"),
+                };
+                Mutation::SetText {
+                    target: NodeRef::Node(t),
+                    text,
+                }
+            }
+            4 | 5 => Mutation::Delete {
+                target: pick(rng, &made),
+            },
+            6 => {
+                let target = pick(rng, &made);
+                made.push(id);
+                Mutation::Replace { target, id, name }
+            }
+            _ => Mutation::MoveSubtree {
+                target: pick(rng, &made),
+                place: place(rng, &made),
+            },
+        };
+        ops.push(op);
+    }
+    MutationLog::from(ops)
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// Every plan and every error `analyze_in` returns on a fixed battery
+/// hashes to one pinned digest: for seeds 0..12, on an XMark-like, a
+/// random and the book document, each script kind's 40-op translation
+/// and 400 random logs (`random_log`). The digest covers the `Debug`
+/// form of the whole result (footprints, edges, components, canonical
+/// order, redundant writes, nil components, or the error), so a change
+/// to how the analyzer walks a log that moves any of them fails here.
+#[test]
+fn analysis_output_is_pinned_across_the_battery() {
+    let (mut digest, mut accepted, mut rejected) = (0xcbf2_9ce4_8422_2325u64, 0, 0);
+    let (mut edges, mut nil) = (0, 0);
+    for seed in 0..12u64 {
+        let trees = [
+            docs::xmark_like(seed, 60),
+            docs::random_tree(seed, 200),
+            docs::book(),
+        ];
+        for (t, tree) in trees.iter().enumerate() {
+            let index = PreorderIndex::encode(tree).unwrap();
+            let elements = tree
+                .preorder()
+                .filter(|&n| tree.kind(n).is_element())
+                .count();
+            let mut logs: Vec<MutationLog> = ScriptKind::ALL
+                .into_iter()
+                .map(|kind| {
+                    let script = Script::generate(kind, 40, elements, seed);
+                    batch_of(&script, tree).unwrap()
+                })
+                .collect();
+            let mut rng = TestRng::seed_from_u64(seed * 3 + t as u64);
+            logs.extend((0..400).map(|_| random_log(tree, &mut rng)));
+            for log in &logs {
+                let result = analyze_in(log, tree, &index);
+                match &result {
+                    Ok(plan) => {
+                        accepted += 1;
+                        edges += plan.edges.len();
+                        nil += plan.nil_components.len();
+                    }
+                    Err(_) => rejected += 1,
+                }
+                digest = fnv1a(digest, format!("{result:?}").as_bytes());
+            }
+        }
+    }
+    assert_eq!(
+        (accepted, rejected, edges, nil),
+        (9189, 5463, 173076, 408),
+        "battery shape"
+    );
+    assert_eq!(format!("{digest:016x}"), "3ecbde4a826a1b1b", "plan digest");
 }

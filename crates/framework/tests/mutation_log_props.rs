@@ -13,8 +13,11 @@
 //! beside it, only elements as other parents and no comment XML 1.0
 //! forbids, serialized to bytes that parse back and serialize to the
 //! same bytes; a log it rejects must fail to apply with the same error
-//! and change nothing.
+//! and change nothing. On the same arbitrary logs the analyzer, which
+//! steps through a log with the validator's own shadow, must fail
+//! exactly when the validator does, with the same error.
 
+use xupd_framework::analysis::analyze;
 use xupd_framework::mutations::{
     apply_log, batch_of, validate, LogId, Mutation, MutationLog, NodeRef, Place,
 };
@@ -99,18 +102,18 @@ fn arb_kind() -> impl Gen<Value = NodeKind> {
     )
 }
 
-/// One arbitrary mutation of any of the seven variants, well-formedness
+/// One arbitrary mutation of any of the six variants, well-formedness
 /// not required; create ids are drawn from `0..4`, and element names
 /// and `SetText` values from `x`, `y`, `µ` and a space.
 fn arb_mutation() -> impl Gen<Value = Mutation> {
     map(
         (
-            ints(0u32..7),
+            ints(0u32..6),
             (arb_ref(), arb_place(), arb_kind()),
-            (ints(0u32..4), vecs(ints(0u32..4), 0, 5)),
+            ints(0u32..4),
             vecs(from_slice(&['x', 'y', 'µ', ' ']), 0, 5),
         ),
-        |(tag, (r, place, kind), (id, ids), chars)| {
+        |(tag, (r, place, kind), id, chars)| {
             let name: String = chars.into_iter().collect();
             match tag {
                 0 => Mutation::CreateElement {
@@ -133,11 +136,6 @@ fn arb_mutation() -> impl Gen<Value = Mutation> {
                     name,
                 },
                 4 => Mutation::Delete { target: r },
-                5 => Mutation::AppendChildren {
-                    parent: r,
-                    ids: ids.into_iter().map(LogId).collect(),
-                    name,
-                },
                 _ => Mutation::MoveSubtree { target: r, place },
             }
         },
@@ -348,5 +346,20 @@ props! {
                 );
             }
         }
+    }
+}
+
+props! {
+    config = Config::with_cases(4096);
+
+    /// `analyze` fails on exactly the logs `validate` rejects, with the
+    /// same error, and accepts every other one.
+    fn analyze_fails_exactly_as_validate_does(
+        seed in ints(0u64..1000),
+        log_ops in vecs(arb_mutation(), 1, 8),
+    ) {
+        let tree = docs::random_tagged_tree(seed, 40, &TAGS);
+        let log = MutationLog::from(log_ops);
+        prop_assert_eq!(analyze(&log, &tree).err(), validate(&log, &tree).err());
     }
 }

@@ -54,8 +54,7 @@ pub const ALL_RULES: &[&str] = &[
 /// per-op replay loop — the batch API (`MutationLog`) is the only
 /// sanctioned multi-op edit path.
 /// Single-sourced from [`xupd_xmldom::STRUCTURAL_MUTATORS`] so the lint
-/// and the analyzer's footprint table can never drift from the tree's
-/// actual mutator surface.
+/// can never drift from the tree's actual mutator surface.
 pub const R8_MUTATORS: &[&str] = xupd_xmldom::STRUCTURAL_MUTATORS;
 
 /// Slice permuters/splitters that R9 forbids calling on a mutation-log

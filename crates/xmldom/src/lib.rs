@@ -44,11 +44,10 @@ pub mod tree;
 
 /// The names of [`XmlTree`]'s structural mutator methods — the calls
 /// that change tree shape (as opposed to node content). This is the
-/// single source of truth consumed by both `xupd-lint`'s
-/// `no-direct-batch-mutation` rule (R8 forbids calling these in per-op
-/// replay loops outside the sanctioned edit paths) and the batch
-/// analyzer's write-footprint table in `xupd_framework::analysis`; a
-/// sync test on each side keeps them from drifting.
+/// single source of truth for `xupd-lint`'s `no-direct-batch-mutation`
+/// rule (R8 forbids calling these in per-op replay loops outside the
+/// sanctioned edit paths); a sync test in the lint keeps the two from
+/// drifting.
 pub const STRUCTURAL_MUTATORS: &[&str] = &[
     "append_child",
     "prepend_child",

@@ -112,6 +112,10 @@ echo "==> XUPD_THREADS={1,4} analysis differential (analyzed and coalesced order
 # sequential apply (bytes and labels; work counters too for the
 # analyzed order), across all 17 schemes. Running it at both pool
 # widths pins that the scheme fan-out never leaks into the result.
+# `analysis_output_is_pinned_across_the_battery` also hashes every plan
+# and error `analyze_in` returns on ~14.6k script and random logs to
+# one pinned digest, so a change to how the analyzer walks a log that
+# moves any plan or error fails here.
 for threads in 1 4; do
   XUPD_THREADS="$threads" cargo test --release -q -p xupd-framework \
     --test analysis_differential > /dev/null \
