@@ -7,13 +7,17 @@
 //! order, so a `//name` query under a context row becomes one
 //! `BTreeMap` lookup plus two binary searches that cut the bucket down
 //! to the context's pre-order extent range — instead of a full table
-//! scan. It must be rebuilt (or maintained) across updates, which is
-//! precisely the "slower update performance" §2.3 warns the designer
-//! about; the benchmarks quantify the other side of the trade.
+//! scan. The walk that builds the [`PreorderIndex`] fills the buckets
+//! as it writes the rows, in document order, on every encode and every
+//! structural splice: the index clears them (keeping their buffers),
+//! pushes each element and attribute row as it reaches it, and drops
+//! the names left with no row. That refill is precisely the "slower
+//! update performance" §2.3 warns the designer about; the benchmarks
+//! quantify the other side of the trade.
 
 use crate::preorder::PreorderIndex;
 use std::collections::BTreeMap;
-use xupd_xmldom::{NodeId, NodeKind, XmlTree};
+use xupd_xmldom::NodeKind;
 
 /// Element and attribute name index: name → row indices in document
 /// order, as `u32` like every column of the [`PreorderIndex`].
@@ -29,14 +33,10 @@ pub struct NameIndex {
 }
 
 impl NameIndex {
-    /// Index the rows whose source ids `ids` lists in document order,
-    /// reading each node's name from `tree`, in place: every bucket and
-    /// the element list keep their buffers, a name is allocated only
-    /// the first time it is seen, and names that no longer occur are
-    /// dropped. [`PreorderIndex::encode`] builds its buckets this way
-    /// and [`PreorderIndex::splice`] rebuilds them; both refuse a tree
-    /// whose rows would not fit in `u32` before they get here.
-    pub(crate) fn rebuild(&mut self, tree: &XmlTree, ids: &[NodeId]) {
+    /// Empty every bucket and the element list, keeping their buffers:
+    /// the first of the three steps the walk that builds a
+    /// [`PreorderIndex`] takes here.
+    pub(crate) fn clear(&mut self) {
         for rows in self
             .elements
             .values_mut()
@@ -45,22 +45,30 @@ impl NameIndex {
             rows.clear();
         }
         self.all_elements.clear();
-        for (i, &id) in (0..).zip(ids) {
-            let (map, name) = match tree.kind(id) {
-                NodeKind::Element { name } => {
-                    self.all_elements.push(i);
-                    (&mut self.elements, name)
-                }
-                NodeKind::Attribute { name, .. } => (&mut self.attributes, name),
-                _ => continue,
-            };
-            match map.get_mut(name.as_str()) {
-                Some(rows) => rows.push(i),
-                None => {
-                    map.insert(name.clone(), vec![i]);
-                }
+    }
+
+    /// Index row `row`, a node of kind `kind`, after every row before it;
+    /// a name is allocated only the first time it is seen.
+    pub(crate) fn push(&mut self, row: u32, kind: &NodeKind) {
+        let (map, name) = match kind {
+            NodeKind::Element { name } => {
+                self.all_elements.push(row);
+                (&mut self.elements, name)
+            }
+            NodeKind::Attribute { name, .. } => (&mut self.attributes, name),
+            _ => return,
+        };
+        match map.get_mut(name.as_str()) {
+            Some(rows) => rows.push(row),
+            None => {
+                map.insert(name.clone(), vec![row]);
             }
         }
+    }
+
+    /// Drop the buckets the walk left empty: the names that no longer
+    /// occur.
+    pub(crate) fn drop_empty(&mut self) {
         self.elements.retain(|_, rows| !rows.is_empty());
         self.attributes.retain(|_, rows| !rows.is_empty());
     }
@@ -175,20 +183,24 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_in_place_matches_a_fresh_index() {
-        let (big_tree, small_tree) = (docs::xmark_like(11, 60), docs::book());
-        let big = PreorderIndex::encode(&big_tree).unwrap();
-        let small = PreorderIndex::encode(&small_tree).unwrap();
-        let mut idx = big.name_index().clone();
-        assert!(idx.elements("item").len() > 1);
-        idx.rebuild(&small_tree, &small_tree.ids_in_doc_order());
-        assert_eq!(&idx, small.name_index());
+    fn a_splice_refills_the_buckets_in_place() {
+        let mut tree = docs::xmark_like(11, 60);
+        let index = PreorderIndex::encode(&tree).unwrap();
+        let items = index.name_index().elements("item").to_vec();
+        assert!(items.len() > 1);
+        // Delete every item, front to back; each cut row is the item's
+        // row before the batch.
+        for &row in &items {
+            tree.remove_subtree(index.source_id(row as usize)).unwrap();
+        }
+        let cut: Vec<usize> = items.iter().map(|&r| r as usize).collect();
+        let spliced = index.splice(&tree, &cut).unwrap();
+        let fresh = PreorderIndex::encode(&tree).unwrap();
         assert!(
-            idx.elements("item").is_empty(),
+            spliced.name_index().elements("item").is_empty(),
             "a name that left is dropped"
         );
-        idx.rebuild(&big_tree, &big_tree.ids_in_doc_order());
-        assert_eq!(&idx, big.name_index());
+        assert_eq!(spliced.name_index(), fresh.name_index());
     }
 
     #[test]

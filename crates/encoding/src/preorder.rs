@@ -18,8 +18,11 @@
 //! place ([`PreorderIndex::splice`]) instead of being encoded afresh,
 //! and the splice keeps its run list ([`PreorderIndex::splice_runs`]),
 //! the old-row-to-new-row map the incremental query cache renumbers its
-//! result rows through. A batch that only writes text moves no row, so
-//! the index only records the new revision
+//! result rows through. Encode and splice are one walk over the tree in
+//! document order: it writes every column and the name buckets, and
+//! reads the run list off each node's previous `row_of` entry, which a
+//! splice first clears for the subtrees the batch cut. A batch that only
+//! writes text moves no row, so the index only records the new revision
 //! ([`PreorderIndex::follow_text`]).
 //!
 //! Every structural axis has one implementation here, on the parent and
@@ -75,8 +78,6 @@ pub struct SpliceRuns<'a> {
 struct RunList {
     kept: Vec<(usize, usize, usize)>,
     fresh: Vec<(usize, usize)>,
-    /// The root node of each fresh range, parallel to `fresh`.
-    roots: Vec<NodeId>,
 }
 
 /// The entry for no row: `row_of`'s for a node id no row encodes, and
@@ -115,27 +116,31 @@ pub struct PreorderIndex {
     row_of: Vec<u32>,
     /// [`XmlTree::revision`] of the tree state the index describes.
     revision: u32,
-    /// The last splice's runs; empty after an encode.
+    /// The last walk's runs: the last splice's, or after an encode one
+    /// fresh range over every row.
     runs: RunList,
 }
 
 impl PreorderIndex {
-    /// Index `tree` in document order: its node ids become the rows,
-    /// and the pass that ends every [`splice`](Self::splice) builds the
-    /// rest. Errors on a malformed tree, whose links that pass refuses,
-    /// and on a tree whose id bound does not fit the `u32` columns.
+    /// Index `tree` in document order: the walk that ends every
+    /// [`splice`](Self::splice), run on an empty index, so that every
+    /// node is read fresh. Errors on a tree whose id bound does not fit
+    /// the `u32` columns.
     pub fn encode(tree: &XmlTree) -> Result<Self, TreeError> {
-        row32(tree.id_bound())?;
+        // Each column starts at the capacity row-by-row growth would
+        // reach: later splices grow into that slack, and the walk
+        // regrows no column while the name buckets grow beside it.
+        let rows = tree.len().next_power_of_two();
         let mut index = PreorderIndex {
-            source_ids: tree.ids_in_doc_order(),
-            parent: Vec::new(),
-            extent: Vec::new(),
+            source_ids: Vec::with_capacity(rows),
+            parent: Vec::with_capacity(rows),
+            extent: Vec::with_capacity(rows),
             names: NameIndex::default(),
             row_of: Vec::new(),
             revision: tree.revision(),
             runs: RunList::default(),
         };
-        index.index_rows(tree)?;
+        index.walk(tree, 0)?;
         Ok(index)
     }
 
@@ -143,234 +148,118 @@ impl PreorderIndex {
     /// structural edits, in place instead of re-encoding it.
     ///
     /// `cut` holds the pre-batch rows of every subtree root the batch
-    /// deleted or moved. Created nodes need no list: node ids are never
-    /// reused, so they are the live ids at or past the id bound the
-    /// index was last built for. The splice walks the post-batch tree
-    /// only through the ancestors-or-self of every changed child list,
-    /// emitting each untouched subtree as one block of old rows and each
-    /// created or moved subtree as fresh rows read from the tree. That
-    /// walk is not O(batch): it visits every child of every open node,
-    /// so an edit under a node with many children (XMark's `people` or
-    /// `open_auctions`) visits all of them, where a walk that jumped
-    /// over runs of untouched siblings would not. The rest is O(n)
-    /// shifting: each kept run's source ids move to their new positions
-    /// in one copy, then the pass shared with [`encode`](Self::encode)
-    /// checks the rows against the tree and rewrites `row_of`, the
-    /// parent and extent columns and the [`NameIndex`] into the buffers
-    /// they already hold. The result equals [`encode`](Self::encode) of
-    /// `tree` row for row, and [`splice_runs`](Self::splice_runs) then
-    /// tells which old row each new row was.
+    /// deleted or moved; cut subtrees may nest. Created nodes need no
+    /// list: node ids are never reused, so a node with no row is new to
+    /// the index. The splice forgets the rows of every cut subtree, then
+    /// runs the walk [`encode`](Self::encode) runs, which reads each
+    /// node's previous row off `row_of` as it writes the new one: a node
+    /// that still has a row is kept, and one without is read fresh. So
+    /// the result equals [`encode`](Self::encode) of `tree` row for row,
+    /// and [`splice_runs`](Self::splice_runs) then tells which old row
+    /// each new row was. The walk visits every node and writes every
+    /// column into the buffer it already holds: O(n) with no per-row
+    /// allocation.
     ///
     /// Text the batch wrote needs nothing here: content is read from
     /// the tree. Errors when the edits do not account for `tree` (a
-    /// deleted, moved or created node left out, so that the rows would
-    /// not be its document order) or its id bound no longer fits the
+    /// deleted or moved node left out of `cut`, so that the kept rows
+    /// would not be in their old order, a kept node would sit under a
+    /// fresh one, or a kept node would be gone), when a cut row lies
+    /// outside the index, or when `tree`'s id bound no longer fits the
     /// `u32` columns; the index is consumed, so encode afresh then.
     pub fn splice(mut self, tree: &XmlTree, cut: &[usize]) -> Result<Self, TreeError> {
-        row32(tree.id_bound())?;
-        let mut runs = std::mem::take(&mut self.runs);
-        self.find_runs(tree, cut, &mut runs)?;
-        let (n_old, n_new) = (self.len(), tree.len());
-
-        // Retire the ids of every row no kept run carries over: deleted
-        // nodes, and moved ones (re-entered below from the tree).
-        let mut from = 0;
-        for &(old, _, len) in &runs.kept {
-            self.retire(from..old);
-            from = old + len;
-        }
-        self.retire(from..n_old);
-
-        // Move the kept runs. Their new positions increase with their
-        // old ones, so runs shifted left can move front to back and runs
-        // shifted right back to front: neither pass lands on a row that
-        // has not moved yet.
-        let ids = &mut self.source_ids;
-        if n_new > n_old {
-            // Placeholders: every one is overwritten below.
-            ids.resize(n_new, tree.root());
-        }
-        for &(old, new, len) in &runs.kept {
-            if new < old {
-                ids.copy_within(old..old + len, new);
+        let mut forgotten = 0;
+        for &root in cut {
+            let Some(&end) = self.extent.get(root) else {
+                return Err(TreeError::Invariant(
+                    "splice: cut row out of range".to_string(),
+                ));
+            };
+            for &id in &self.source_ids[root..end as usize] {
+                let row = &mut self.row_of[id.index()];
+                if *row != NO_ROW {
+                    *row = NO_ROW;
+                    forgotten += 1;
+                }
             }
         }
-        for &(old, new, len) in runs.kept.iter().rev() {
-            if new > old {
-                ids.copy_within(old..old + len, new);
-            }
-        }
-        for (&(start, _), &root) in runs.fresh.iter().zip(&runs.roots) {
-            for (k, id) in tree.preorder_from(root).enumerate() {
-                ids[start + k] = id;
-            }
-        }
-        ids.truncate(n_new);
-
-        self.index_rows(tree)?;
-        self.runs = runs;
+        let kept = self.len() - forgotten;
+        self.walk(tree, kept)?;
         Ok(self)
     }
 
-    /// The pass that ends both [`encode`](Self::encode) and
-    /// [`splice`](Self::splice), once `source_ids` lists what should be
-    /// `tree`'s nodes in document order. One pass in that order checks
-    /// each row against the tree and writes its columns: the node's
-    /// `row_of` entry, the row's parent and the extents of the rows it
-    /// ends. The rows open before row `i` are row `i − 1` and its
-    /// ancestors. `i`'s parent must be one of them, every open row below
-    /// the parent ends at `i`, and the last row ended there must be
-    /// `i`'s previous sibling in the tree, or none when `i` is a first
-    /// child, so a node out of its document order is refused. Rows
-    /// still open after the last row end at the table's length. Then
-    /// the [`NameIndex`] is rebuilt into the buffers it already holds,
-    /// and the index records `tree`'s revision.
-    fn index_rows(&mut self, tree: &XmlTree) -> Result<(), TreeError> {
-        let bad = |what: &str| TreeError::Invariant(format!("preorder index: {what}"));
-        let n = row32(self.source_ids.len())?;
+    /// The one pass that builds the index, for both
+    /// [`encode`](Self::encode) and [`splice`](Self::splice): `tree`'s
+    /// nodes in document order become the rows. Per node it writes the
+    /// row's source id, the node's `row_of` entry, the row's parent and
+    /// name-bucket entry, and the extents of the rows it ends (the rows
+    /// open before row `i` are row `i − 1` and its ancestors, and every
+    /// one below `i`'s parent ends at `i`); rows still open after the
+    /// last one end at the table's length. The run list comes from each
+    /// node's previous `row_of` entry. A node without one is fresh: it
+    /// extends the last fresh range when its parent lies inside that
+    /// range, which then ends at `i`, and starts a new range otherwise,
+    /// so each range is one created or moved subtree. A node with one is
+    /// kept, extending the last kept run when it continues it on both
+    /// sides. Errors when the kept rows are not `expect_kept` rows in
+    /// their old order, each under a kept parent.
+    fn walk(&mut self, tree: &XmlTree, expect_kept: usize) -> Result<(), TreeError> {
+        let bad = |what: &str| TreeError::Invariant(format!("splice: {what}"));
+        row32(tree.id_bound())?;
         self.row_of.resize(tree.id_bound(), NO_ROW);
+        self.source_ids.clear();
         self.parent.clear();
         self.extent.clear();
-        for row in 0..n {
-            let id = self.source_ids[row as usize];
-            if !tree.is_alive(id) {
-                return Err(bad("a row's node is gone"));
-            }
-            let parent = match tree.parent(id) {
-                None if row == 0 => NO_ROW,
-                None => return Err(bad("a non-root row has no parent")),
-                Some(p) => {
-                    let pr = self.row_of[p.index()];
-                    if pr >= row || self.source_ids[pr as usize] != p {
-                        return Err(bad("a row precedes its parent"));
-                    }
-                    // End the open rows below the parent, deepest first.
-                    let (mut open, mut ended) = (row - 1, None);
-                    while open > pr {
-                        self.extent[open as usize] = row;
-                        ended = Some(open);
-                        open = self.parent[open as usize];
-                    }
-                    let prev = ended.map(|r| self.source_ids[r as usize]);
-                    if open != pr || prev != tree.prev_sibling(id) {
-                        return Err(bad("a row is out of document order"));
-                    }
-                    pr
-                }
-            };
-            self.row_of[id.index()] = row;
-            self.parent.push(parent);
-            // The row ends at `n` unless a later row ends it.
-            self.extent.push(n);
-        }
-        self.names.rebuild(tree, &self.source_ids);
-        self.revision = tree.revision();
-        Ok(())
-    }
-
-    /// Forget which rows encode the nodes of `rows`.
-    fn retire(&mut self, rows: Range<usize>) {
-        for &id in &self.source_ids[rows] {
-            self.row_of[id.index()] = NO_ROW;
-        }
-    }
-
-    /// Fill `runs` with the run list of a splice, in new document
-    /// order: the walk [`splice`](Self::splice) describes. Errors when
-    /// the runs cannot be right — a live node with no row that was not
-    /// created, kept rows out of their old order, or runs that do not
-    /// cover the tree.
-    fn find_runs(
-        &self,
-        tree: &XmlTree,
-        cut: &[usize],
-        runs: &mut RunList,
-    ) -> Result<(), TreeError> {
-        let bad = |what: &str| TreeError::Invariant(format!("splice: {what}"));
-        // Roots read fresh from the tree: created nodes and moved roots.
-        let mut fresh: Vec<NodeId> = (self.row_of.len()..tree.id_bound())
-            .map(NodeId::from_index)
-            .filter(|&id| tree.is_alive(id))
-            .collect();
-        // Nodes whose child list changed: the parent of every fresh root
-        // and the surviving pre-batch parent of every cut root.
-        let mut open: Vec<NodeId> = Vec::new();
-        for &row in cut {
-            let id = *self
-                .source_ids
-                .get(row)
-                .ok_or_else(|| bad("cut row out of range"))?;
-            if tree.is_alive(id) {
-                fresh.push(id);
-            }
-            if let Some(p) = self.parent(row).map(|p| self.source_ids[p]) {
-                if tree.is_alive(p) {
-                    open.push(p);
-                }
-            }
-        }
-        open.extend(fresh.iter().filter_map(|&id| tree.parent(id)));
-        for k in 0..open.len() {
-            let mut cur = tree.parent(open[k]);
-            while let Some(p) = cur {
-                open.push(p);
-                cur = tree.parent(p);
-            }
-        }
-        open.sort_unstable();
-        open.dedup();
-        fresh.sort_unstable();
-        fresh.dedup();
-
-        // Walk the post-batch tree, descending only into open nodes.
+        self.names.clear();
+        let mut runs = std::mem::take(&mut self.runs);
         runs.kept.clear();
         runs.fresh.clear();
-        runs.roots.clear();
-        let (mut kept_end, mut total) = (0, 0);
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut next = Some(tree.root());
-        loop {
-            let Some(node) = next else {
-                match stack.pop() {
-                    Some(p) => {
-                        next = tree.next_sibling(p);
-                        continue;
+        let mut kept = 0;
+        let mut len = 0;
+        for id in tree.preorder() {
+            let i = len;
+            let pr = tree.parent(id).map_or(NO_ROW, |p| self.row_of[p.index()]);
+            end_rows(&self.parent, &mut self.extent, i, pr);
+            let (row, at) = (i as usize, pr as usize);
+            // Is the parent in the last fresh range, which ends here?
+            let under_fresh = runs
+                .fresh
+                .last()
+                .is_some_and(|&(s, e)| e == row && (s..e).contains(&at));
+            match std::mem::replace(&mut self.row_of[id.index()], i) {
+                NO_ROW => match runs.fresh.last_mut() {
+                    Some((_, e)) if under_fresh => *e += 1,
+                    _ => runs.fresh.push((row, row + 1)),
+                },
+                old => {
+                    let old = old as usize;
+                    if runs.kept.last().is_some_and(|&(o, _, l)| old < o + l) {
+                        return Err(bad("kept rows out of their old order"));
                     }
-                    None => break,
+                    if under_fresh {
+                        return Err(bad("a kept node under a fresh one"));
+                    }
+                    match runs.kept.last_mut() {
+                        Some((o, r, l)) if *o + *l == old && *r + *l == row => *l += 1,
+                        _ => runs.kept.push((old, row, 1)),
+                    }
+                    kept += 1;
                 }
-            };
-            if fresh.binary_search(&node).is_ok() {
-                let len = tree.subtree_size(node);
-                runs.fresh.push((total, total + len));
-                runs.roots.push(node);
-                total += len;
-                next = tree.next_sibling(node);
-                continue;
             }
-            let row = self
-                .row_of_source(node)
-                .ok_or_else(|| bad("a live node has no row and was not created"))?;
-            let is_open = open.binary_search(&node).is_ok();
-            let len = if is_open { 1 } else { self.extent(row) - row };
-            if row < kept_end {
-                return Err(bad("kept rows out of their old order"));
-            }
-            match runs.kept.last_mut() {
-                Some((old, new, l)) if *old + *l == row && *new + *l == total => *l += len,
-                _ => runs.kept.push((row, total, len)),
-            }
-            total += len;
-            kept_end = row + len;
-            if is_open {
-                stack.push(node);
-                next = tree.first_child(node);
-            } else {
-                next = tree.next_sibling(node);
-            }
+            self.source_ids.push(id);
+            self.parent.push(pr);
+            // Open until a later row, or the end of the walk, ends it.
+            self.extent.push(NO_ROW);
+            self.names.push(i, tree.kind(id));
+            len += 1;
         }
-        if total != tree.len() {
-            return Err(bad("runs do not cover the tree"));
+        end_rows(&self.parent, &mut self.extent, len, NO_ROW);
+        if kept != expect_kept {
+            return Err(bad("a kept node left the tree"));
         }
+        self.names.drop_empty();
+        self.runs = runs;
+        self.revision = tree.revision();
         Ok(())
     }
 
@@ -378,9 +267,10 @@ impl PreorderIndex {
     /// each new row was, and which new rows were read fresh from the
     /// tree. A caller holding results in the old rows renumbers them
     /// through [`SpliceRuns::kept`] and re-derives what lies in
-    /// [`SpliceRuns::fresh`]. Both lists are empty after
-    /// [`encode`](Self::encode); [`follow_text`](Self::follow_text)
-    /// renumbers nothing and leaves them as they were.
+    /// [`SpliceRuns::fresh`]. After [`encode`](Self::encode) every row
+    /// reads as fresh, one range `(0, len)`;
+    /// [`follow_text`](Self::follow_text) renumbers nothing and leaves
+    /// the list as it was.
     pub fn splice_runs(&self) -> SpliceRuns<'_> {
         SpliceRuns {
             kept: &self.runs.kept,
@@ -656,6 +546,19 @@ impl PreorderIndex {
     }
 }
 
+/// End at row `at` the rows still open below row `above`: row `at − 1`
+/// and its ancestors, deepest first, up the parent column. `above` must
+/// be one of them, or [`NO_ROW`] to end them all.
+fn end_rows(parent: &[u32], extent: &mut [u32], at: u32, above: u32) {
+    let Some(mut open) = at.checked_sub(1) else {
+        return;
+    };
+    while open != above {
+        extent[open as usize] = at;
+        open = parent[open as usize];
+    }
+}
+
 /// The rows of `rows` that `keep` accepts, in order; the first error
 /// `keep` returns ends the scan.
 fn rows_where(
@@ -841,6 +744,26 @@ mod tests {
         assert!(
             index.clone().splice(&tree, &[]).is_err(),
             "the rows would keep a before b"
+        );
+        let spliced = index.splice(&tree, &[b_row]).unwrap();
+        assert!(same_rows(&spliced, &PreorderIndex::encode(&tree).unwrap()));
+    }
+
+    #[test]
+    fn splice_refuses_an_unreported_move_under_a_created_node() {
+        let mut tree = xupd_xmldom::parse("<r><a/><b/></r>").unwrap();
+        let index = PreorderIndex::encode(&tree).unwrap();
+        let (a, b) = (named(&tree, "a"), named(&tree, "b"));
+        let b_row = index.row_of_source(b).unwrap();
+        let c = tree.create(NodeKind::Element {
+            name: "c".to_string(),
+        });
+        tree.append_child(a, c).unwrap();
+        tree.detach(b).unwrap();
+        tree.append_child(c, b).unwrap();
+        assert!(
+            index.clone().splice(&tree, &[]).is_err(),
+            "b would keep its row under a fresh parent"
         );
         let spliced = index.splice(&tree, &[b_row]).unwrap();
         assert!(same_rows(&spliced, &PreorderIndex::encode(&tree).unwrap()));

@@ -625,7 +625,7 @@ fn class_rank(m: &Mutation) -> u8 {
 /// with the smallest (class rank, region start, original index) key —
 /// a *canonical* order that genuinely regroups work (creates first,
 /// region-major) instead of echoing the input order.
-fn canonical_order(ops: &[&Mutation], fps: &[OpFootprint], edges: &[Edge]) -> Vec<usize> {
+fn canonical_order(ops: &[Mutation], fps: &[OpFootprint], edges: &[Edge]) -> Vec<usize> {
     let n = ops.len();
     let mut indegree = vec![0usize; n];
     let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -640,7 +640,7 @@ fn canonical_order(ops: &[&Mutation], fps: &[OpFootprint], edges: &[Edge]) -> Ve
             .map(|r| r.start)
             .min()
             .unwrap_or(u32::MAX);
-        (class_rank(ops[i]), start, i)
+        (class_rank(&ops[i]), start, i)
     };
     let mut ready: BTreeSet<(u8, u32, usize)> =
         (0..n).filter(|&i| indegree[i] == 0).map(key).collect();
@@ -706,12 +706,12 @@ pub fn analyze_in(
 ) -> Result<AnalyzedPlan, TreeError> {
     index.check_current(tree)?;
     let n = log.len();
-    let ops: Vec<&Mutation> = log.iter().collect();
+    let ops = log.ops();
 
     let mut shadow = Shadow::new(tree);
     let mut builder = FootprintBuilder::new(tree, index);
     let mut footprints = Vec::with_capacity(n);
-    for m in &ops {
+    for m in ops {
         shadow.step(m)?;
         footprints.push(builder.footprint(m)?);
     }
@@ -754,7 +754,7 @@ pub fn analyze_in(
     let components: Vec<Vec<usize>> = by_root.into_values().collect();
 
     // Certificate: canonical topological order.
-    let canonical = canonical_order(&ops, &footprints, &edges);
+    let canonical = canonical_order(ops, &footprints, &edges);
 
     // Certificate: redundant no-op text writes.
     let mut redundant = Vec::new();
@@ -920,8 +920,8 @@ pub fn apply_plan_with_dyn(
         ));
     }
     let order = opts.execution_order(plan, session);
-    let ops: Vec<&Mutation> = log.iter().collect();
-    apply_atomic(tree, session, order.iter().map(|&i| ops[i]))
+    let ops = log.ops();
+    apply_atomic(tree, session, order.iter().map(|&i| &ops[i]))
 }
 
 // ---------------------------------------------------------------------

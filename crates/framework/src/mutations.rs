@@ -170,6 +170,12 @@ impl MutationLog {
     pub fn iter(&self) -> std::slice::Iter<'_, Mutation> {
         self.ops.iter()
     }
+
+    /// The mutations in application order, as a slice: the batch layer
+    /// indexes ops by position without copying the log.
+    pub(crate) fn ops(&self) -> &[Mutation] {
+        &self.ops
+    }
 }
 
 impl From<Vec<Mutation>> for MutationLog {

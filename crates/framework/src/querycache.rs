@@ -70,12 +70,11 @@
 //! refuses a plan made for another state, before anything changes.
 //!
 //! A structural batch splices the shadow in place
-//! ([`PreorderIndex::splice`]), driven by its exact edits (deleted and
-//! moved subtree roots, created nodes). Finding what the batch changed
-//! is not O(batch): the splice's walk visits every child of every node
-//! on the path to an edit, which under a node with many children
-//! (XMark's `people` or `open_auctions`) is Θ(n). The rest is O(n)
-//! shifting of the source ids that stayed, with no per-row allocation.
+//! ([`PreorderIndex::splice`]), told its exact edits (deleted and moved
+//! subtree roots; created nodes are the ones with no row). The splice
+//! is one O(n) walk over the post-batch tree that rewrites every column
+//! into the buffers it holds, with no per-row allocation, and reads the
+//! run list off each node's previous row as it goes.
 //! A text-only batch, or one with zero effective ops, leaves every
 //! column alone: the shadow only records the new revision
 //! ([`PreorderIndex::follow_text`]), since the text lives in the tree.
@@ -414,7 +413,7 @@ impl QueryCache {
                 ..BatchImpact::default()
             });
         }
-        let ops: Vec<&Mutation> = log.iter().collect();
+        let ops = log.ops();
         let text_only = effective.iter().all(|&i| {
             matches!(
                 ops.get(i),
@@ -425,7 +424,7 @@ impl QueryCache {
             )
         });
         let impact = if text_only {
-            self.absorb_text(&ops, effective, tree)?
+            self.absorb_text(ops, effective, tree)?
         } else {
             self.absorb_structural(plan, effective, tree)?
         };
@@ -441,7 +440,7 @@ impl QueryCache {
     /// recomputed.
     fn absorb_text(
         &mut self,
-        ops: &[&Mutation],
+        ops: &[Mutation],
         effective: &[usize],
         tree: &XmlTree,
     ) -> Result<BatchImpact, TreeError> {
@@ -1091,8 +1090,9 @@ mod tests {
     /// The last splice's run list, checked against the tables on both
     /// sides: every kept old row maps to the new row with the same
     /// source id, the fresh ranges hold exactly the rows of created and
-    /// moved nodes (new ids, or old rows inside a `cut` extent), and the
-    /// runs cover the new table once, in order.
+    /// moved nodes (new ids, or old rows inside a `cut` extent), each
+    /// fresh range is one subtree whose root's parent lies outside every
+    /// fresh range, and the runs cover the new table once, in order.
     fn runs_are_exact(
         old: &PreorderIndex,
         new: &PreorderIndex,
@@ -1115,6 +1115,12 @@ mod tests {
         }
         if runs.fresh.windows(2).any(|w| w[0].1 > w[1].0) {
             return Err(format!("fresh ranges out of order: {:?}", runs.fresh));
+        }
+        for &(s, e) in runs.fresh {
+            let outside = new.parent(s).is_none_or(|p| !row_in_extents(runs.fresh, p));
+            if new.extent(s) != e || !outside {
+                return Err(format!("fresh range ({s}, {e}) is not one subtree"));
+            }
         }
         pieces.sort_unstable();
         let mut at = 0;
@@ -1264,6 +1270,49 @@ mod tests {
             assert_eq!(cache.rows(q), rows.as_slice(), "query {q} rows");
             assert_eq!(cache.strings(q), strings.as_slice(), "query {q} strings");
         }
+    }
+
+    /// Two fresh roots that sit next to each other in document order
+    /// are two fresh ranges: an element created as `y`'s last child and
+    /// then an attribute created as `item`'s last child. The predicate
+    /// check reads each range's root only, so a single range starting
+    /// at the element would miss the attribute that now makes `item` a
+    /// member, and the repair would keep the empty answer.
+    #[test]
+    fn a_predicate_reads_the_second_of_two_adjacent_fresh_roots() {
+        use crate::document::Document;
+
+        let tree = xupd_xmldom::parse("<r><item><y/></item></r>").unwrap();
+        let mut doc = Document::encode(Qed::new(), &tree).unwrap();
+        let q = doc.register_query(r#"//item[@id="x"]"#, true).unwrap();
+        assert_eq!(doc.cached_rows(q), Some(&[][..]));
+        let named = |name: &str| {
+            tree.preorder()
+                .find(|&id| tree.kind(id).name() == Some(name))
+                .unwrap()
+        };
+        let log = MutationLog::from(vec![
+            Mutation::CreateElement {
+                id: LogId(0),
+                name: "e".to_string(),
+                place: Place::LastChildOf(NodeRef::Node(named("y"))),
+            },
+            Mutation::CreateNode {
+                id: LogId(1),
+                kind: NodeKind::Attribute {
+                    name: "id".to_string(),
+                    value: "x".to_string(),
+                },
+                place: Place::LastChildOf(NodeRef::Node(named("item"))),
+            },
+        ]);
+        doc.apply_log(&log).unwrap();
+        let fresh = PreorderIndex::encode(doc.tree()).unwrap();
+        let want = xupd_encoding::parse_xpath(r#"//item[@id="x"]"#)
+            .unwrap()
+            .evaluate(doc.tree(), &fresh);
+        assert_eq!(want.len(), 1, "item is a member now");
+        assert_eq!(doc.cached_rows(q), Some(want.as_slice()));
     }
 
     /// A text-only batch moves no row: the index's source ids, parents,
