@@ -883,15 +883,6 @@ impl ApplyOptions {
         let cancel = self.coalesce && reorder && cancellation_neutral;
         (reorder, cancel)
     }
-
-    /// The execution order these options certify for `plan` under
-    /// `session`'s declared capabilities: requested certificates are
-    /// intersected with what the scheme actually claims.
-    pub fn execution_order(self, plan: &AnalyzedPlan, session: &dyn DynScheme) -> Vec<usize> {
-        let (reorder, cancel) =
-            self.granted(session.order_independent(), session.cancellation_neutral());
-        plan.execution_order(reorder, cancel)
-    }
 }
 
 /// Apply `log` through `plan` in the order certified by `opts` and the
@@ -919,7 +910,9 @@ pub fn apply_plan_with_dyn(
             "analyzed plan was made for another tree state".to_string(),
         ));
     }
-    let order = opts.execution_order(plan, session);
+    let (reorder, cancel) =
+        opts.granted(session.order_independent(), session.cancellation_neutral());
+    let order = plan.execution_order(reorder, cancel);
     let ops = log.ops();
     apply_atomic(tree, session, order.iter().map(|&i| &ops[i]))
 }

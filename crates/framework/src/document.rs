@@ -194,9 +194,10 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// [`ApplyOptions`]).
     ///
     /// Upkeep is footprint-driven: the [`QueryCache`] absorbs the batch
-    /// from the same plan — splicing the index after a structural batch
-    /// and keeping, repairing or rebuilding each registered query. A
-    /// text-only batch, or one with zero effective ops, only re-stamps
+    /// from the same plan and the granted execution order — splicing
+    /// the index after a structural batch, only re-stamping it after a
+    /// text-only one, and keeping, repairing or rebuilding each
+    /// registered query. A batch with zero effective ops only re-stamps
     /// the index.
     pub fn apply_planned(
         &mut self,
@@ -214,7 +215,8 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
         let effective = plan.execution_order(reorder, neutral);
         // Absorb failures (unreachable in practice) degrade to a stale
         // cache, never to a wrong answer; so does a panic inside absorb,
-        // which raises the flag once the batch passes its checks.
+        // which holds the index out of the cache once the batch passes
+        // its checks.
         if !self.cache.is_stale()
             && self
                 .cache
@@ -243,9 +245,10 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// Read-only cached result rows of a registered query: served
     /// straight from the [`QueryCache`] with **no** side effects — no
     /// index build, no cache refresh, no hit counting. Returns
-    /// `None` when the cache is stale (an untracked [`Document::apply`]
-    /// script ran, or a batch's cache upkeep failed or panicked) or `q`
-    /// was never registered; the caller must then take the mutable
+    /// `None` when `q` was never registered, or when the cache is stale:
+    /// it holds no index, because an untracked [`Document::apply`]
+    /// script ran or a batch's cache upkeep failed or panicked. For a
+    /// registered `q` the caller must then take the mutable
     /// [`Document::query_cached`] path.
     ///
     /// This is the store's concurrent read path: any number of readers
@@ -265,8 +268,12 @@ impl<S: LabelingScheme + Clone + 'static> Document<S> {
     /// The maintained result rows of a registered query (preorder
     /// positions into [`Document::tree_with_index`]'s index), served
     /// from the cache — no re-evaluation unless an untracked update
-    /// forced a refresh.
+    /// forced a refresh. An id that was never registered is refused,
+    /// before any refresh and without counting a hit.
     pub fn query_cached(&mut self, q: QueryId) -> Result<&[usize], TreeError> {
+        if q >= self.cache.len() {
+            return Err(TreeError::Invariant(format!("query {q} is not registered")));
+        }
         if self.cache.is_stale() {
             self.cache.refresh(&self.tree)?;
         }
@@ -703,6 +710,19 @@ mod tests {
         // unregistered ids are None, not empty slices
         assert!(doc.query_cached(q).is_ok(), "mut path refreshes");
         assert!(doc.cached_rows(q + 99).is_none());
+    }
+
+    /// An id that was never registered is refused on the mutable path
+    /// as on the read-only one, and counts no hit.
+    #[test]
+    fn an_unregistered_query_is_refused_on_both_read_paths() {
+        let mut doc = Document::encode(Qed::new(), &docs::book()).unwrap();
+        let q = doc.register_query("//title", false).unwrap();
+        let hits = doc.cache_stats().hits;
+        assert!(doc.query_cached(q + 1).is_err());
+        assert_eq!(doc.cached_rows(q + 1), None);
+        assert_eq!(doc.cache_stats().hits, hits, "a refusal is no hit");
+        assert_eq!(doc.query_cached(q).unwrap().len(), 1);
     }
 
     #[test]

@@ -18,12 +18,14 @@
 //! Every registered query lands in one of three classes per batch:
 //!
 //! * **unaffected** — membership and cached strings are unchanged. A
-//!   fully named query none of whose names occurs in a cut or fresh
-//!   subtree keeps its members, positional predicates included: a
-//!   position counts only nodes that match the step's name, and every
-//!   such node kept its parent, its ancestors and its document order.
-//!   Its rows are renumbered in place through the splice's kept runs,
-//!   one merge of two sorted lists; nothing is evaluated.
+//!   batch with no cut and no fresh subtree moved no row, and every
+//!   query keeps its members. Otherwise a fully named query none of
+//!   whose names occurs in a cut or fresh subtree keeps them,
+//!   positional predicates included: a position counts only nodes that
+//!   match the step's name, and every such node kept its parent, its
+//!   ancestors and its document order. Its rows are renumbered in place
+//!   through the splice's kept runs, one merge of two sorted lists;
+//!   nothing is evaluated.
 //! * **repaired** — rows or strings were patched, not re-derived. A
 //!   name-safe query whose cached string covers an edit has that string
 //!   recomputed. A downward-only query without positional predicates
@@ -75,22 +77,27 @@
 //! is one O(n) walk over the post-batch tree that rewrites every column
 //! into the buffers it holds, with no per-row allocation, and reads the
 //! run list off each node's previous row as it goes.
-//! A text-only batch, or one with zero effective ops, leaves every
-//! column alone: the shadow only records the new revision
-//! ([`PreorderIndex::follow_text`]), since the text lives in the tree.
-//! The full re-encode is left for the first need,
+//! A text-only batch moves no row, so it takes the same path with an
+//! empty structural write set: no cut, no fresh range, and one kept run
+//! over every row. The shadow leaves every column alone and only
+//! records the new revision ([`PreorderIndex::follow_text`]), since the
+//! text lives in the tree, and each query's strings over a written text
+//! row are recomputed; a batch with zero effective ops only records the
+//! revision. The full re-encode is left for the first need,
 //! [`QueryCache::refresh`], and the fallback when a splice refuses its
 //! input, which also rebuilds every query.
 //!
 //! Staleness safety: the cache only ever serves results derived from
-//! the shadow of the current tree. It is stale after an update that
-//! bypassed the mutation-log path (the raw script driver marks it so),
-//! and after an upkeep that returned an `Err` or panicked once the
-//! batch had passed [`QueryCache::absorb`]'s refusal checks. A stale
-//! cache serves nothing, refuses incremental maintenance and fully
-//! refreshes on the next mutable read or batch. The differential suite
-//! (`crates/framework/tests/querycache_differential.rs`) pins every
-//! served result byte-identical to a fresh evaluation.
+//! the shadow of the current tree, and it is stale exactly when it
+//! holds no shadow: before anything indexed a tree, after an update
+//! that bypassed the mutation-log path (the raw script driver drops the
+//! shadow), and after an upkeep that returned an `Err` or panicked once
+//! the batch had passed [`QueryCache::absorb`]'s refusal checks, since
+//! upkeep takes the shadow out before its first write and puts it back
+//! after the last query is classified. A stale cache serves nothing and
+//! fully refreshes on the next mutable read or batch. The differential
+//! suite (`crates/framework/tests/querycache_differential.rs`) pins
+//! every served result byte-identical to a fresh evaluation.
 
 use crate::analysis::{AnalyzedPlan, PointRef};
 use crate::mutations::{Mutation, MutationLog, NodeRef};
@@ -137,8 +144,8 @@ pub enum QueryClass {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchImpact {
     /// The batch only rewrote pre-existing text nodes, or changed
-    /// nothing: the shadow only recorded the new revision, no
-    /// structural maintenance ran.
+    /// nothing: the shadow only recorded the new revision, and no row
+    /// moved, so no query was renumbered.
     pub text_only: bool,
     /// Queries whose membership and strings the batch left as they
     /// were (rows renumbered in place where the batch shifted them).
@@ -221,7 +228,6 @@ pub struct QueryCache {
     shadow: Option<PreorderIndex>,
     queries: Vec<CachedQuery>,
     stats: CacheStats,
-    stale: bool,
 }
 
 impl QueryCache {
@@ -245,27 +251,27 @@ impl QueryCache {
         &self.stats
     }
 
-    /// True when the cache must fully refresh before it serves again:
-    /// an un-analyzed update bypassed it, or an upkeep failed or
-    /// panicked after the batch reached the tree.
+    /// True when the cache holds no index, so it must fully refresh
+    /// before it serves again: nothing has indexed a tree yet, an
+    /// un-analyzed update bypassed it, or an upkeep failed or panicked
+    /// after the batch reached the tree.
     pub fn is_stale(&self) -> bool {
-        self.stale
+        self.shadow.is_none()
     }
 
-    /// Record that the tree changed outside the mutation-log path. The
-    /// cache serves nothing until [`refresh`](Self::refresh) runs.
+    /// Record that the tree changed outside the mutation-log path: the
+    /// index is dropped, and the cache serves nothing until
+    /// [`refresh`](Self::refresh) encodes one.
     pub fn mark_stale(&mut self) {
-        self.stale = true;
+        self.shadow = None;
     }
 
     /// Does the cache hold an index of `tree` as it is now, with every
     /// cached result exact?
     pub fn is_current(&self, tree: &XmlTree) -> bool {
-        !self.stale
-            && self
-                .shadow
-                .as_ref()
-                .is_some_and(|s| s.revision() == tree.revision())
+        self.shadow
+            .as_ref()
+            .is_some_and(|s| s.revision() == tree.revision())
     }
 
     /// The preorder index of `tree`, encoded on first need and
@@ -330,17 +336,18 @@ impl QueryCache {
         }
     }
 
-    /// Rebuild the shadow and every result set from scratch
-    /// against `tree`, clearing staleness. The heavy-handed fallback —
+    /// Rebuild the shadow and every result set from scratch against
+    /// `tree`. The old index is dropped first, so the cache is stale
+    /// until the last query is rebuilt. The heavy-handed fallback —
     /// [`absorb`](Self::absorb) is the incremental path.
     pub fn refresh(&mut self, tree: &XmlTree) -> Result<(), TreeError> {
+        self.shadow = None;
         let shadow = PreorderIndex::encode(tree)?;
         for q in &mut self.queries {
             rebuild_query(q, tree, &shadow);
         }
         self.stats.rebuilt += self.queries.len() as u64;
         self.shadow = Some(shadow);
-        self.stale = false;
         Ok(())
     }
 
@@ -363,18 +370,21 @@ impl QueryCache {
     ///
     /// `plan` must be the [`analyze_in`](crate::analysis::analyze_in)
     /// result of `log` against the *pre-batch* tree, `effective` the op
-    /// indices that actually executed
-    /// (`plan.execution_order(false, scheme.cancellation_neutral())`),
-    /// and `tree` the *post-batch* tree. A plan that does not cover
-    /// `log`, or was made for another tree state than the one the index
-    /// describes (another revision, or rows outside the index), is
-    /// refused with [`TreeError::Invariant`] before anything changes. A
-    /// batch with zero effective ops changed nothing: the index only
-    /// records the new revision and no counter moves. A stale cache
-    /// refreshes fully instead, unless no query is registered: then the
-    /// index is dropped and encoded again on next need. Once the batch
-    /// passes the last refusal check and until `absorb` returns `Ok`,
-    /// the cache is stale, so a panic or an `Err` in between leaves a
+    /// indices that actually executed, in any order (the cache reads
+    /// them as a set: `plan.execution_order(false, neutral)` or the
+    /// order [`Document::apply_planned`](crate::Document::apply_planned)
+    /// was granted), and `tree` the *post-batch* tree. A plan that does
+    /// not cover `log`, or was made for another tree state than the one
+    /// the index describes (another revision, or rows outside the
+    /// index), is refused with [`TreeError::Invariant`] before anything
+    /// changes, and so is a text-only batch whose writes the index
+    /// cannot follow ([`PreorderIndex::follow_text`]). A batch with zero
+    /// effective ops changed nothing: the index only records the new
+    /// revision and no counter moves. A cache without an index (a stale
+    /// one) refreshes fully instead, unless no query is registered: then
+    /// the index is encoded on next need. Past the refusals, upkeep
+    /// takes the index out of the cache and puts it back once the last
+    /// query is classified, so a panic or an `Err` in between leaves a
     /// cache that serves nothing and refreshes on next need.
     pub fn absorb(
         &mut self,
@@ -384,35 +394,13 @@ impl QueryCache {
         tree: &XmlTree,
     ) -> Result<BatchImpact, TreeError> {
         let n = self.queries.len();
-        let indexed = match &self.shadow {
-            Some(shadow) if !self.stale => shadow.revision(),
-            _ if n == 0 => {
-                self.shadow = None;
-                return Ok(BatchImpact::default());
-            }
-            _ => return self.rebuild_all(tree),
+        let Some(mut index) = self.shadow.take() else {
+            return if n == 0 {
+                Ok(BatchImpact::default())
+            } else {
+                self.rebuild_all(tree)
+            };
         };
-        if plan.len() != log.len() {
-            return Err(TreeError::Invariant(
-                "analyzed plan does not cover this log".to_string(),
-            ));
-        }
-        if plan.revision() != indexed {
-            return Err(TreeError::Invariant(
-                "analyzed plan was made for another tree state".to_string(),
-            ));
-        }
-        if effective.is_empty() {
-            if let Some(shadow) = self.shadow.as_mut() {
-                shadow.follow_text(tree, &[])?;
-            }
-            return Ok(BatchImpact {
-                text_only: true,
-                unaffected: n,
-                classes: vec![QueryClass::Unaffected; n],
-                ..BatchImpact::default()
-            });
-        }
         let ops = log.ops();
         let text_only = effective.iter().all(|&i| {
             matches!(
@@ -423,127 +411,66 @@ impl QueryCache {
                 })
             )
         });
-        let impact = if text_only {
-            self.absorb_text(ops, effective, tree)?
-        } else {
-            self.absorb_structural(plan, effective, tree)?
+        let checked = Footprint::read(log, plan, effective, &index).and_then(|fp| {
+            if text_only {
+                index.follow_text(tree, &fp.texts)?;
+            }
+            Ok(fp)
+        });
+        // A refusal, or a batch that changed nothing, puts the index back.
+        let fp = match checked {
+            Ok(fp) if !effective.is_empty() => fp,
+            other => {
+                self.shadow = Some(index);
+                return other.map(|_| BatchImpact {
+                    text_only: true,
+                    unaffected: n,
+                    classes: vec![QueryClass::Unaffected; n],
+                    ..BatchImpact::default()
+                });
+            }
         };
-        self.stale = false;
+        let impact = self.maintain(index, fp, text_only, tree)?;
         self.stats.batches_absorbed += 1;
         Ok(impact)
     }
 
-    /// Text-only fast path: the shadow only records the new revision
-    /// (topology, name buckets and row positions are all untouched by
-    /// text writes, and the text is the tree's), then only the cached
-    /// strings whose row is an ancestor-or-self of a written row are
-    /// recomputed.
-    fn absorb_text(
+    /// The one upkeep path, on the index `old` that
+    /// [`absorb`](Self::absorb) took out of the cache: read the batch's
+    /// cut subtrees and each query's name hits off it, splice it over
+    /// the batch's edits (re-encoding it and rebuilding every query when
+    /// the splice refuses its input), then classify every query by the
+    /// cut and fresh subtrees and renumber or repair its rows through
+    /// the splice's runs. A text-only batch moved no row: its run list
+    /// is one kept run over every row, and no row is renumbered. The
+    /// index goes back into the cache after the last query is classified.
+    fn maintain(
         &mut self,
-        ops: &[Mutation],
-        effective: &[usize],
+        old: PreorderIndex,
+        mut fp: Footprint,
+        text_only: bool,
         tree: &XmlTree,
     ) -> Result<BatchImpact, TreeError> {
-        let shadow = match self.shadow.as_mut() {
-            Some(s) => s,
-            None => {
-                return Err(TreeError::Invariant(
-                    "text absorb without a shadow table".to_string(),
-                ))
-            }
-        };
-        let written: Vec<NodeId> = effective
-            .iter()
-            .filter_map(|&i| match ops.get(i) {
-                Some(Mutation::SetText {
-                    target: NodeRef::Node(id),
-                    ..
-                }) => Some(*id),
-                _ => None,
-            })
-            .collect();
-        shadow.follow_text(tree, &written)?;
-        // Past the last refusal: the index now describes the post-batch
-        // tree and the cached strings do not yet.
-        self.stale = true;
-        let shadow = &*shadow;
-        let mut dirty: Vec<usize> = Vec::new();
-        if self.queries.iter().any(|q| q.want_strings) {
-            for row in written.iter().filter_map(|&id| shadow.row_of_source(id)) {
-                push_ancestors(shadow, Some(row), &mut dirty);
-            }
-            dirty.sort_unstable();
-            dirty.dedup();
-        }
-
-        let mut impact = BatchImpact {
-            text_only: true,
-            ..BatchImpact::default()
-        };
-        for q in &mut self.queries {
-            let patched = if q.force_unaffected {
-                0
-            } else {
-                patch_strings(q, tree, shadow, &dirty)
-            };
-            self.stats.string_patches += patched;
-            let class = if patched == 0 {
-                QueryClass::Unaffected
-            } else {
-                QueryClass::Repaired
-            };
-            impact.count(class, &mut self.stats);
-            #[cfg(test)]
-            tests::fault_point(tests::Phase::BetweenQueries);
-        }
-        Ok(impact)
-    }
-
-    /// Structural path: read the batch's cut subtrees and each query's
-    /// name hits off the old shadow, splice the shadow over the batch's
-    /// edits (re-encoding it and rebuilding every query when the splice
-    /// refuses its input), then classify every query by the cut and
-    /// fresh subtrees and renumber or repair its rows through the
-    /// splice's runs.
-    fn absorb_structural(
-        &mut self,
-        plan: &AnalyzedPlan,
-        effective: &[usize],
-        tree: &XmlTree,
-    ) -> Result<BatchImpact, TreeError> {
-        let Some(old) = self.shadow.take() else {
-            return Err(TreeError::Invariant(
-                "structural absorb without a shadow table".to_string(),
-            ));
-        };
-
         // Old coordinates first: the splice overwrites them.
-        let mut fp = match Footprint::read(plan, effective, &old) {
-            Ok(fp) => fp,
-            Err(e) => {
-                self.shadow = Some(old);
-                return Err(e);
-            }
-        };
-        // Past the last refusal: from here a panic must leave a cache
-        // that refuses until `absorb` returns.
-        self.stale = true;
         let roots = fp.roots();
         let cut = merge_intervals(&mut fp.cut);
         let scoped_old = 2 * cover(&cut) < old.len().max(1);
         // Per query: are its names clear of the cut, and does one of its
-        // `[@name="v"]` predicates read a cut root?
-        let old_side: Vec<(bool, bool)> = self
-            .queries
-            .iter()
-            .map(|q| {
-                let names = old.name_index();
-                (
-                    names_clear(&q.pattern, names, &cut),
-                    predicate_reads(&q.pattern, names, &fp.cut),
-                )
-            })
-            .collect();
+        // `[@name="v"]` predicates read a cut root? No cut: (true, false).
+        let old_side: Vec<(bool, bool)> = if fp.cut.is_empty() {
+            Vec::new()
+        } else {
+            self.queries
+                .iter()
+                .map(|q| {
+                    let names = old.name_index();
+                    (
+                        names_clear(&q.pattern, names, &cut),
+                        predicate_reads(&q.pattern, names, &fp.cut),
+                    )
+                })
+                .collect()
+        };
         // The string-dirty list is built only when a query caches strings.
         let strings = self.queries.iter().any(|q| q.want_strings);
         let mut dirty: Vec<usize> = Vec::new();
@@ -557,14 +484,26 @@ impl QueryCache {
 
         #[cfg(test)]
         tests::fault_point(tests::Phase::BeforeSplice);
-        let new = match old.splice(tree, &roots) {
-            Ok(new) => new,
-            Err(_) => return self.rebuild_all(tree),
+        let new = if text_only {
+            old
+        } else {
+            match old.splice(tree, &roots) {
+                Ok(new) => new,
+                Err(_) => return self.rebuild_all(tree),
+            }
         };
         #[cfg(test)]
         tests::fault_point(tests::Phase::AfterSplice);
 
-        let runs = new.splice_runs();
+        let identity = [(0, 0, new.len())];
+        let runs = if text_only {
+            SpliceRuns {
+                kept: &identity,
+                fresh: &[],
+            }
+        } else {
+            new.splice_runs()
+        };
         // New coordinates: the kept strict ancestors of the cut roots,
         // the strict ancestors of the fresh roots, and every
         // ancestor-or-self of a written text row outside the fresh
@@ -584,12 +523,18 @@ impl QueryCache {
         }
         let scoped = scoped_old && 2 * cover(runs.fresh) < new.len().max(1);
 
-        let mut impact = BatchImpact::default();
-        for (q, (clear, reads_cut)) in self.queries.iter_mut().zip(old_side) {
+        let mut impact = BatchImpact {
+            text_only,
+            ..BatchImpact::default()
+        };
+        for (i, q) in self.queries.iter_mut().enumerate() {
+            let (clear, reads_cut) = old_side.get(i).copied().unwrap_or((true, false));
             let class = if q.force_unaffected {
                 QueryClass::Unaffected
             } else if clear && names_clear(&q.pattern, new.name_index(), runs.fresh) {
-                renumber(&mut q.rows, &mut q.strings, runs.kept);
+                if !text_only {
+                    renumber(&mut q.rows, &mut q.strings, runs.kept);
+                }
                 let patched = patch_strings(q, tree, &new, &dirty);
                 self.stats.string_patches += patched;
                 if patched == 0 {
@@ -623,8 +568,8 @@ impl QueryCache {
     }
 }
 
-/// What a structural batch cut and wrote, read off the plan in the
-/// pre-batch shadow's coordinates.
+/// What a batch cut and wrote, read off the plan in the pre-batch
+/// shadow's coordinates.
 struct Footprint {
     /// Extents of the deleted and moved subtrees: the old rows no kept
     /// run of the splice carries. Each extent starts at its root.
@@ -639,14 +584,26 @@ impl Footprint {
         self.cut.iter().map(|&(s, _)| s).collect()
     }
 
-    /// Errors when a row lies outside `old`: the plan was made for a
-    /// tree the index does not describe, even if its revision matches
-    /// (a revision counts one tree's mutations).
+    /// Errors when the plan does not cover `log`, or was made for a tree
+    /// the index `old` does not describe: another revision, or a row
+    /// outside `old` even where the revision matches (a revision counts
+    /// one tree's mutations).
     fn read(
+        log: &MutationLog,
         plan: &AnalyzedPlan,
         effective: &[usize],
         old: &PreorderIndex,
     ) -> Result<Footprint, TreeError> {
+        if plan.len() != log.len() {
+            return Err(TreeError::Invariant(
+                "analyzed plan does not cover this log".to_string(),
+            ));
+        }
+        if plan.revision() != old.revision() {
+            return Err(TreeError::Invariant(
+                "analyzed plan was made for another tree state".to_string(),
+            ));
+        }
         let outside = || TreeError::Invariant("plan rows lie outside the index".to_string());
         let mut fp = Footprint {
             cut: Vec::new(),
@@ -694,14 +651,14 @@ fn cover(ranges: &[(usize, usize)]) -> usize {
     ranges.iter().map(|&(s, e)| e - s).sum()
 }
 
-/// Is the pattern fully named, with every element and attribute name it
-/// tests absent from every extent?
+/// Is every extent clear of the pattern: none at all, or a fully named
+/// pattern none of whose element and attribute names occurs in one?
 fn names_clear(pattern: &AccessPattern, index: &NameIndex, extents: &[(usize, usize)]) -> bool {
-    if !pattern.fully_named() {
-        return false;
-    }
     if extents.is_empty() {
         return true;
+    }
+    if !pattern.fully_named() {
+        return false;
     }
     pattern
         .element_names()
@@ -876,13 +833,15 @@ mod tests {
     /// Where in upkeep a fault point sits.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(super) enum Phase {
-        /// The cut is read off the old index; the splice has not run.
+        /// The cut is read off the old index; the splice has not run
+        /// (a text-only batch's index already records its revision).
         BeforeSplice,
-        /// The index is spliced; no query is renumbered yet.
+        /// The index is spliced, or follows a text-only batch; no query
+        /// is renumbered or patched yet.
         AfterSplice,
-        /// After each query's class is counted, on the structural and
-        /// the text-only path: with two queries registered, between the
-        /// first one's renumbering or string patch and the second one's.
+        /// After each query's class is counted: with two queries
+        /// registered, between the first one's renumbering or string
+        /// patch and the second one's.
         BetweenQueries,
         /// Inside a delta repair: the kept rows are renumbered, the
         /// fresh rows not merged in yet.
@@ -1191,7 +1150,7 @@ mod tests {
                     if apply_log_dyn(&mut tree, &mut session, &log).is_err() {
                         continue;
                     }
-                    let fp = match Footprint::read(&plan, &effective, &shadow) {
+                    let fp = match Footprint::read(&log, &plan, &effective, &shadow) {
                         Ok(fp) => fp,
                         Err(e) => return Outcome::Fail(format!("batch {b}: footprint: {e:?}")),
                     };
@@ -1254,7 +1213,7 @@ mod tests {
             fp.deleted_extents.clear();
         }
         let old = cache.shadow.clone().unwrap();
-        let fp = Footprint::read(&plan, &effective, &old).unwrap();
+        let fp = Footprint::read(&log, &plan, &effective, &old).unwrap();
         assert!(
             old.splice(&tree, &fp.roots()).is_err(),
             "the splice must notice a deletion it was not told about"
@@ -1363,6 +1322,69 @@ mod tests {
         assert_eq!(cache.strings(q)[0], "rewritten");
     }
 
+    /// A batch that moves no row leaves every query unaffected, fully
+    /// named or not: a text-only batch, and, under DeweyID, which is not
+    /// cancellation-neutral, a batch that creates an `item` and deletes
+    /// it again, whose two ops both run and neither cut nor add a row.
+    #[test]
+    fn a_batch_that_moves_no_row_leaves_every_query_unaffected() {
+        use xupd_schemes::prefix::dewey::DeweyId;
+
+        const EXPRS: [&str; 4] = ["//*", "//item/name", "/site/regions/*[1]", "//name/.."];
+        let exprs: Vec<XPathExpr> = EXPRS
+            .iter()
+            .map(|e| xupd_encoding::parse_xpath(e).unwrap())
+            .collect();
+        let mut tree = docs::xmark_like(9, 40);
+        let mut session = SchemeSession::new(DeweyId::new());
+        session.label_tree(&tree).unwrap();
+        assert!(!session.cancellation_neutral());
+        let mut cache = QueryCache::new();
+        for e in &exprs {
+            cache.register(e, false, &tree).unwrap();
+        }
+        let named = |tree: &XmlTree, name: &str| {
+            tree.preorder()
+                .find(|&id| tree.kind(id).name() == Some(name))
+                .unwrap()
+        };
+        for k in 0..2 {
+            let log = if k == 0 {
+                let name = named(&tree, "name");
+                let text = tree.children(name).find(|&id| tree.kind(id).is_text());
+                MutationLog::from(vec![Mutation::SetText {
+                    target: NodeRef::Node(text.unwrap()),
+                    text: "rewritten".to_string(),
+                }])
+            } else {
+                MutationLog::from(vec![
+                    Mutation::CreateElement {
+                        id: LogId(0),
+                        name: "item".to_string(),
+                        place: Place::FirstChildOf(NodeRef::Node(named(&tree, "regions"))),
+                    },
+                    Mutation::Delete {
+                        target: NodeRef::New(LogId(0)),
+                    },
+                ])
+            };
+            let plan = analyze(&log, &tree).unwrap();
+            let effective = plan.execution_order(false, session.cancellation_neutral());
+            if k == 1 {
+                assert_eq!(effective, [0, 1], "both ops of the nil component run");
+            }
+            apply_log_dyn(&mut tree, &mut session, &log).unwrap();
+            let impact = cache.absorb(&log, &plan, &effective, &tree).unwrap();
+            assert_eq!(impact.text_only, k == 0, "batch {k}");
+            assert_eq!(impact.classes, [QueryClass::Unaffected; 4], "batch {k}");
+            let fresh = PreorderIndex::encode(&tree).unwrap();
+            for (q, e) in exprs.iter().enumerate() {
+                let want = e.evaluate(&tree, &fresh);
+                assert_eq!(cache.rows(q), want.as_slice(), "batch {k}: {}", EXPRS[q]);
+            }
+        }
+    }
+
     /// A plan made on another document is refused before any footprint
     /// is read, and the index and every cached query stay as they were.
     /// The plan's rows lie past the book's, so reading its footprints
@@ -1452,9 +1474,9 @@ mod tests {
     /// serving the pre-batch rows or strings, whichever phase it hits:
     /// before the splice, after it, between two queries' renumbering,
     /// inside a delta repair (the batch's cut and fresh items take that
-    /// path), or between two queries' string patches on the text-only
-    /// path. The next read refreshes, and the next batch is absorbed
-    /// exactly.
+    /// path), and on a text-only batch before and after the index
+    /// follows its text, or between two queries' string patches. The
+    /// next read refreshes, and the next batch is absorbed exactly.
     #[test]
     fn a_panic_in_any_upkeep_phase_leaves_the_cache_stale() {
         use crate::document::Document;
@@ -1521,11 +1543,13 @@ mod tests {
 
         /// Makes a case's batch for the document's current tree.
         type MakeBatch = fn(&XmlTree) -> MutationLog;
-        let cases: [(Phase, MakeBatch); 5] = [
+        let cases: [(Phase, MakeBatch); 7] = [
             (Phase::BeforeSplice, batch),
             (Phase::AfterSplice, batch),
             (Phase::BetweenQueries, batch),
             (Phase::MidRepair, batch),
+            (Phase::BeforeSplice, text_batch),
+            (Phase::AfterSplice, text_batch),
             (Phase::BetweenQueries, text_batch),
         ];
         for (k, (phase, batch)) in cases.into_iter().enumerate() {

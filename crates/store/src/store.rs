@@ -320,9 +320,9 @@ impl<S: LabelingScheme + Clone + 'static> Store<S> {
     /// current row count served from the maintained cache under a
     /// **read** lock, with no index encode and no counter updates.
     /// Returns `None` if the document is unknown, the class is out of
-    /// range, or the cache is stale: after an untracked script, or after
-    /// a batch whose cache upkeep failed or panicked, until the next
-    /// mutable read or batch refreshes it.
+    /// range, or the cache is stale: it holds no index after an
+    /// untracked script, or after a batch whose cache upkeep failed or
+    /// panicked, until the next mutable read or batch refreshes it.
     pub fn query_now(&self, doc: u32, class: usize) -> Option<usize> {
         let slot = self.shards[self.shard_of(doc)].get(&doc)?;
         let g = read_lock(slot);

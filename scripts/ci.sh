@@ -230,7 +230,10 @@ echo "==> alloc diff (report-only: warn when a smoke sample allocates >25% more,
 # baseline. Events and bytes are compared separately: a change can
 # allocate fewer, larger blocks, so one can fall while the other grows.
 # This step never fails the build — it exists to surface allocation
-# regressions in the hot path early.
+# regressions in the hot path early. A baseline that predates a cut
+# hides growth (a sample at 0.5x its baseline can double before the
+# warning fires), so a NOTE line names each file with samples that
+# allocate under 80% of their baseline; regenerate that file.
 for smoke_json in "$smoke_dir"/BENCH_*.json; do
   base_json="results/$(basename "$smoke_json")"
   [ -f "$base_json" ] || continue
@@ -239,20 +242,27 @@ for smoke_json in "$smoke_dir"/BENCH_*.json; do
 import json, sys
 base_path, smoke_path = sys.argv[1], sys.argv[2]
 base = {s["name"]: s for s in json.load(open(base_path))["samples"]}
-warned = 0
+warned = compared = shrunk = 0
 for s in json.load(open(smoke_path))["samples"]:
     b = base.get(s["name"])
     if b is None:
         continue
+    compared += 1
+    low = False
     for key in ("allocs", "alloc_bytes"):
         if b.get(key, 0) == 0:
             continue
+        low = low or s.get(key, 0) < b[key] * 0.8
         if s.get(key, 0) > b[key] * 1.25:
             warned += 1
             print(f'    WARN {s["name"]}: {key} {b[key]} -> {s[key]} '
                   f'(+{100.0 * s[key] / b[key] - 100.0:.0f}%)')
+    shrunk += low
 if not warned:
     print(f'    ok: {base_path} — no sample grew allocation events or bytes by >25%')
+if shrunk:
+    print(f'    NOTE {base_path}: {shrunk} of {compared} samples allocate under 80% '
+          f'of the baseline (events or bytes); regenerate it')
 PYEOF
 done
 
